@@ -1,0 +1,14 @@
+"""Make the benchmark's flat modules and the program importable in tests.
+
+Run from the repository root::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
