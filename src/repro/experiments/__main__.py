@@ -19,8 +19,7 @@ Usage::
         [--checkpoint CKPT.npz] [--checkpoint-every N]
     python -m repro.experiments serve-http --model NAME=model.npz \\
         [--model NAME2=other.npz ...] [--host H] [--port P] \\
-        [--batch-window-ms W] [--batch-max B] [--max-queue Q] \\
-        [--proc-workers N]
+        [--batch-window-ms W] [--batch-max B] [--max-queue Q]
     python -m repro.experiments calibrate [--fast] [--out CALIBRATION.json] \\
         [--report REPORT.json]
     python -m repro.experiments check-deadline --workload SPEC.json \\
@@ -44,10 +43,7 @@ and ``docs/STREAMING.md`` for the streaming protocol).
 requests coalesce into single kernel calls, bit-identical to sequential
 serving), bounded-queue admission control (429 on overload) and a
 zero-downtime ``:swap`` endpoint for hot model replacement — see
-``docs/SERVING.md`` for the full walkthrough.  With ``--proc-workers``
-above 1 every model's packed tables are published into a shared-memory
-segment and coalesced batches shard across worker processes
-(:mod:`repro.serve.procpool`), bit-identical to in-process serving.
+``docs/SERVING.md`` for the full walkthrough.
 
 Runtime flags (see ``docs/REPRODUCING.md`` for per-artifact guidance):
 
@@ -481,9 +477,7 @@ def _run_serve_http(args: argparse.Namespace) -> None:
 
     if not args.model:
         raise SystemExit("serve-http requires at least one --model NAME=MODEL.npz")
-    registry = ModelRegistry(
-        workers=args.workers, backend=args.kernel, proc_workers=args.proc_workers
-    )
+    registry = ModelRegistry(workers=args.workers, backend=args.kernel)
     try:
         for spec in args.model:
             name, sep, path = spec.partition("=")
@@ -730,13 +724,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="max in-flight requests per model before 429 "
                            "backpressure (default: REPRO_SERVE_MAX_QUEUE env, "
                            "then serve.max_queue, then 256)")
-    http.add_argument("--proc-workers", type=int, default=None,
-                      help="worker processes for the shared-memory predict "
-                           "tier; 0 = auto (one per CPU on >=4-core hosts), "
-                           "1 = in-process only (default: "
-                           "REPRO_SERVE_PROC_WORKERS env, then "
-                           "serve.proc_workers, then auto); answers are "
-                           "bit-identical for any value")
     tuning = parser.add_argument_group("tuning (calibrate / check-deadline targets)")
     tuning.add_argument("--report", default=None, metavar="REPORT.json",
                         help="where `calibrate` writes the raw measurement "
@@ -768,8 +755,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--batch-max must be positive, got {args.batch_max}")
     if args.max_queue is not None and args.max_queue < 1:
         parser.error(f"--max-queue must be positive, got {args.max_queue}")
-    if args.proc_workers is not None and args.proc_workers < 0:
-        parser.error(f"--proc-workers must be >= 0, got {args.proc_workers}")
     if args.workers is None:
         # Unconfigured callers get the calibrated default (builtin: 1);
         # an explicit --workers (incl. 0 = one per CPU) passes through.

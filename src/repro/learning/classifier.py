@@ -412,30 +412,6 @@ class CentroidClassifier:
         self._materialise()
         return self
 
-    def prototype_table(self) -> tuple[PackedHV, list[Hashable]]:
-        """The packed prototype table plus its class order, materialised.
-
-        The export surface for tiers that scan prototypes outside this
-        object — the process-backed serving pool publishes exactly this
-        pair into shared memory.  Materialisation happens here (once,
-        consuming the tie-break RNG like any first prediction would);
-        the returned table is the live cache, not a copy.
-        """
-        self._materialise()
-        assert self._packed_table is not None
-        return self._packed_table, list(self._class_order)
-
-    @property
-    def packed_prototypes(self) -> PackedHV | None:
-        """The cached packed prototype table, or ``None`` if invalidated.
-
-        Side-effect free (never materialises, never draws RNG) — this is
-        the staleness probe external snapshots compare against: after
-        ``learn``/``refine`` invalidate the cache, a previously exported
-        table is no longer ``is``-identical to this value.
-        """
-        return self._packed_table
-
     def decision_distances(
         self, encoded: EncodedBatch, backend: str | None = None
     ) -> tuple[np.ndarray, list[Hashable]]:

@@ -307,31 +307,6 @@ class HDRegressor:
             self._packed_model = PackedHV.pack(self.model)
         return self._packed_model
 
-    @property
-    def materialised_model(self) -> PackedHV | None:
-        """The cached packed model, or ``None`` before :meth:`prepare` /
-        after an :meth:`absorb` invalidated it.
-
-        Side-effect free (no thresholding, no RNG draw) — the staleness
-        probe for external snapshots of the binary-mode tables, mirroring
-        :attr:`CentroidClassifier.packed_prototypes
-        <repro.learning.classifier.CentroidClassifier.packed_prototypes>`.
-        """
-        return self._packed_model
-
-    @property
-    def bundle_counts(self) -> np.ndarray:
-        """Per-dimension one-bit counts of the bundle (read-only view).
-
-        Together with :attr:`num_samples` this is the integer model's
-        entire state; the process-backed serving pool folds it into its
-        shared weight table and compares against it to detect online
-        updates.
-        """
-        view = self._bundle.counts.view()
-        view.setflags(write=False)
-        return view
-
     def _label_scores(self, batch: EncodedBatch, backend: str | None = None) -> np.ndarray:
         """Alignment of each query with each label grid point, in ``[−1, 1]``.
 

@@ -55,8 +55,6 @@ from .pool import WorkerPool
 
 __all__ = [
     "fit_classifier_sharded",
-    "merge_label_parts",
-    "merge_value_parts",
     "predict_classifier_sharded",
     "score_classifier_sharded",
     "fit_regressor_sharded",
@@ -68,28 +66,6 @@ __all__ = [
 
 #: Default samples per training/inference shard.
 DEFAULT_CHUNK_SIZE = 1024
-
-
-def merge_label_parts(parts: Sequence[Sequence[Hashable]]) -> list[Hashable]:
-    """Concatenate per-chunk label lists in chunk order.
-
-    The one merge rule for sharded classification predict — shared by
-    the thread-sharded path below and the process-backed serving pool
-    (:mod:`repro.serve.procpool`), so the two tiers cannot drift.
-
-    >>> merge_label_parts([["a", "b"], ["c"]])
-    ['a', 'b', 'c']
-    """
-    return [label for part in parts for label in part]
-
-
-def merge_value_parts(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-chunk value arrays in chunk order (regression twin).
-
-    >>> merge_value_parts([np.array([1.0]), np.array([2.0, 3.0])]).tolist()
-    [1.0, 2.0, 3.0]
-    """
-    return np.concatenate(list(parts), axis=0)
 
 
 # -- classifier ---------------------------------------------------------------
@@ -162,7 +138,7 @@ def predict_classifier_sharded(
     parts = pool.map(
         lambda b: classifier.predict(encoded[b[0]:b[1]], backend=backend), bounds
     )
-    return merge_label_parts(parts)
+    return [label for part in parts for label in part]
 
 
 def score_classifier_sharded(
@@ -260,7 +236,7 @@ def predict_regressor_sharded(
     parts = pool.map(
         lambda b: model.predict(encoded[b[0]:b[1]], backend=backend), bounds
     )
-    return merge_value_parts(parts)
+    return np.concatenate(parts, axis=0)
 
 
 # -- item memory --------------------------------------------------------------

@@ -59,9 +59,9 @@ def default_start_method() -> str:
     """The ``multiprocessing`` start method process-backed tiers use.
 
     ``fork`` where the platform offers it (cheap, inherits the loaded
-    model/tables without re-import), else ``spawn`` — the one rule
-    shared by the ingest cluster coordinator and the serving
-    :class:`~repro.serve.procpool.ProcPredictPool`.
+    model/tables without re-import), else ``spawn`` — the rule the
+    ingest cluster coordinator (:mod:`repro.cluster`) starts its
+    workers with.
 
     >>> default_start_method() in ("fork", "spawn")
     True

@@ -22,10 +22,6 @@ servable:
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, the adaptive
   scheduler that coalesces concurrent requests into single kernel
   calls, bit-identical to sequential serving;
-* :mod:`repro.serve.procpool` — :class:`ProcPredictPool`, the
-  multi-process predict tier: packed model tables published once into a
-  shared-memory segment, mapped zero-copy by worker processes, with
-  kill-safe segment manifests and SIGKILL-tolerant worker respawn;
 * :mod:`repro.serve.server` — :class:`ServeServer` /
   :class:`ServerThread`, the asyncio HTTP front end (multi-model
   routing, 429 backpressure, ``:swap`` endpoint);
@@ -52,12 +48,6 @@ from .persist import (
     save_model,
 )
 from .pipeline import TrainedPipeline
-from .procpool import (
-    ProcPredictPool,
-    auto_proc_workers,
-    default_proc_workers,
-    reap_stale_segments,
-)
 from .registry import EngineLease, ModelRegistry
 from .replay import (
     HTTPReplayClient,
@@ -86,10 +76,6 @@ __all__ = [
     "ModelRegistry",
     "EngineLease",
     "MicroBatcher",
-    "ProcPredictPool",
-    "auto_proc_workers",
-    "default_proc_workers",
-    "reap_stale_segments",
     "ServeServer",
     "ServerThread",
     "json_scalar",

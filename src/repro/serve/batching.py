@@ -28,7 +28,9 @@ Admission control is a bounded in-flight count per batcher
 (``serve.max_queue`` / ``REPRO_SERVE_MAX_QUEUE``): a submit over the
 bound raises :class:`~repro.exceptions.BackpressureError` immediately,
 which the HTTP front end maps to ``429`` — clients see fast, explicit
-backpressure instead of unbounded queueing.
+backpressure instead of unbounded queueing.  A multi-record request is
+admitted all or nothing through :meth:`MicroBatcher.admit`, so a
+rejected request never leaves rows behind in the queue.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..exceptions import BackpressureError
+from ..exceptions import BackpressureError, InvalidParameterError
 from ..tuning.calibration import resolve_knob
 from .registry import ModelRegistry
 
@@ -162,6 +164,24 @@ def default_max_queue(max_queue: int | None = None) -> int:
     return max(1, int(value))
 
 
+class _Slots:
+    """Queue slots reserved by :meth:`MicroBatcher.admit`, spent one per
+    submit; leaving the ``with`` block returns the unspent ones."""
+
+    __slots__ = ("_batcher", "left")
+
+    def __init__(self, batcher: "MicroBatcher", rows: int) -> None:
+        self._batcher = batcher
+        self.left = rows
+
+    def __enter__(self) -> "_Slots":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._batcher._reserved -= self.left
+        self.left = 0
+
+
 class MicroBatcher:
     """Per-model request coalescer over a :class:`ModelRegistry` entry.
 
@@ -180,7 +200,8 @@ class MicroBatcher:
         event loop's default thread pool.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`
-    explicitly.  :meth:`submit` is the whole request API.
+    explicitly.  :meth:`submit` is the whole request API; :meth:`admit`
+    reserves the slots of a multi-record request up front.
 
     Example
     -------
@@ -216,6 +237,7 @@ class MicroBatcher:
         self._executor = executor
         self._queue: asyncio.Queue = asyncio.Queue()
         self._pending = 0  # admitted, not yet answered (adaptive signal)
+        self._reserved = 0  # held by admit(), not yet submitted
         self._task: asyncio.Task | None = None
         self.stats = {
             "requests": 0,
@@ -259,22 +281,57 @@ class MicroBatcher:
         await self.stop()
 
     # -- request path ----------------------------------------------------------
-    async def submit(self, features: Sequence[float]) -> Any:
+    def _check_capacity(self, rows: int) -> None:
+        if self._task is None:
+            raise RuntimeError("MicroBatcher.start() has not been awaited")
+        if self._pending + self._reserved + rows > self.max_queue:
+            self.stats["rejected"] += rows
+            raise BackpressureError(
+                f"model {self.name!r} has {self._pending + self._reserved} "
+                f"requests in flight and cannot admit {rows} more "
+                f"(max_queue={self.max_queue}); retry later"
+            )
+
+    def admit(self, rows: int) -> _Slots:
+        """Reserve ``rows`` queue slots at once, or raise without queueing.
+
+        All-or-nothing admission for a multi-record request: either every
+        row gets a slot — use the result as ``with batcher.admit(n) as
+        slots:`` and pass ``slots`` to :meth:`submit` for each row — or
+        :class:`~repro.exceptions.BackpressureError` is raised before
+        anything is queued.  A request larger than ``max_queue`` can
+        never be admitted and raises
+        :class:`~repro.exceptions.InvalidParameterError`.  Slots still
+        unspent when the ``with`` block exits (the request was
+        cancelled) are returned.
+        """
+        if rows > self.max_queue:
+            raise InvalidParameterError(
+                f"{rows} records exceed model {self.name!r}'s "
+                f"max_queue={self.max_queue}; split the request"
+            )
+        self._check_capacity(rows)
+        self._reserved += rows
+        return _Slots(self, rows)
+
+    async def submit(
+        self, features: Sequence[float], slots: _Slots | None = None
+    ) -> Any:
         """Predict one record; coalesced with concurrent submits.
 
         Raises :class:`~repro.exceptions.BackpressureError` when the
         admitted-but-unanswered count is at ``max_queue`` — admission
         control happens *before* queueing, so an overloaded model fails
-        fast instead of buffering unboundedly.
+        fast instead of buffering unboundedly.  With ``slots`` from
+        :meth:`admit` the record spends a slot reserved earlier instead.
         """
-        if self._task is None:
-            raise RuntimeError("MicroBatcher.start() has not been awaited")
-        if self._pending >= self.max_queue:
-            self.stats["rejected"] += 1
-            raise BackpressureError(
-                f"model {self.name!r} has {self._pending} requests in flight "
-                f"(max_queue={self.max_queue}); retry later"
-            )
+        if slots is None:
+            self._check_capacity(1)
+        elif slots.left > 0:
+            slots.left -= 1
+            self._reserved -= 1
+        else:
+            raise RuntimeError("admission slots are spent or released")
         self._pending += 1
         self.stats["requests"] += 1
         self.stats["max_pending_seen"] = max(

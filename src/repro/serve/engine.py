@@ -32,7 +32,6 @@ from ..runtime.batch import BatchEncoder
 from ..runtime.parallel import predict_classifier_sharded, predict_regressor_sharded
 from ..runtime.pool import WorkerPool, default_workers
 from .pipeline import TrainedPipeline
-from .procpool import ProcPredictPool, default_proc_workers
 
 __all__ = ["InferenceEngine"]
 
@@ -57,20 +56,9 @@ class InferenceEngine:
         Under ``"auto"`` every micro-batch picks the kernel for its own
         size — a single record scans with XOR + popcount, a large batch
         rides one BLAS product — and every choice is bit-identical.
-    proc_workers:
-        Worker-*process* count for the distance scans.  ``None``/``0``
-        resolves through :func:`~repro.serve.procpool.default_proc_workers`
-        (``REPRO_SERVE_PROC_WORKERS``, then the ``serve.proc_workers``
-        calibration knob, then one per CPU on ≥4-core hosts).  Above
-        ``1`` the engine publishes the packed model tables into a
-        shared-memory segment and shards batches across a
-        :class:`~repro.serve.procpool.ProcPredictPool` — zero-copy
-        table access, encode and tie-break RNG stay in this process,
-        answers bit-identical for any value.
 
-    The engine is a context manager (closes its worker pool — and the
-    process pool's shared segment — on exit) but can also be used
-    without ``with`` for serial serving.
+    The engine is a context manager (closes its worker pool on exit)
+    but can also be used without ``with`` for serial serving.
 
     Example
     -------
@@ -92,7 +80,6 @@ class InferenceEngine:
         pipeline: TrainedPipeline,
         workers: int | None = None,
         backend: str | None = None,
-        proc_workers: int | None = None,
     ) -> None:
         self.pipeline = pipeline
         # Resolve eagerly so a typo'd backend (or REPRO_KERNEL value)
@@ -112,18 +99,6 @@ class InferenceEngine:
             # An untrained pipeline (OnlineLearner bootstrap) has nothing
             # to materialise yet; the first post-training predict will.
             pass
-        self.proc_workers = default_proc_workers(proc_workers)
-        self._proc: ProcPredictPool | None = None
-        if self.proc_workers > 1:
-            try:
-                self._proc = ProcPredictPool(
-                    pipeline, workers=self.proc_workers, backend=self.backend
-                )
-            except EmptyModelError:
-                # Online-bootstrap engines serve inline until trained; a
-                # model that mutates per request would be perpetually
-                # stale for a process pool anyway.
-                self._proc = None
 
     @classmethod
     def from_path(
@@ -131,7 +106,6 @@ class InferenceEngine:
         path: str | os.PathLike,
         workers: int | None = None,
         backend: str | None = None,
-        proc_workers: int | None = None,
     ) -> "InferenceEngine":
         """Load a saved pipeline (``save_model`` output) and wrap it.
 
@@ -147,13 +121,11 @@ class InferenceEngine:
                 f"{path} holds a {type(pipeline).__name__}, not a TrainedPipeline; "
                 "wrap bare models in a pipeline to serve them"
             )
-        return cls(pipeline, workers=workers, backend=backend, proc_workers=proc_workers)
+        return cls(pipeline, workers=workers, backend=backend)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pools and any shared segments (idempotent)."""
-        if self._proc is not None:
-            self._proc.close()
+        """Shut down the worker pool (idempotent)."""
         self._pool.close()
         self._closed = True
 
@@ -218,12 +190,6 @@ class InferenceEngine:
         """
         encoded = self.encode(features)
         model = self.pipeline.model
-        if self._proc is not None and not self._proc.stale():
-            # Process fan-out: row ranges scan in worker processes over
-            # the shared tables, merged by the same rule as the thread
-            # shards below.  (A stale snapshot — online learning since
-            # publication — falls through to the in-process paths.)
-            return self._proc.predict(encoded)
         if self._pool.serial:
             return model.predict(encoded, backend=self.backend)
         if isinstance(model, CentroidClassifier):
@@ -278,8 +244,6 @@ class InferenceEngine:
             encoded = PackedHV(
                 np.concatenate([r.data for r in rows], axis=0), self.pipeline.dim
             )
-        if self._proc is not None and not self._proc.stale():
-            return list(self._proc.predict(encoded))
         return list(self.pipeline.model.predict(encoded, backend=self.backend))
 
     def predict_one(self, record: Any) -> Any:
@@ -310,6 +274,5 @@ class InferenceEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"InferenceEngine(kind={self.kind!r}, dim={self.pipeline.dim}, "
-            f"features={self.num_features}, workers={self._pool.workers}, "
-            f"proc_workers={self.proc_workers})"
+            f"features={self.num_features}, workers={self._pool.workers})"
         )

@@ -82,31 +82,20 @@ class ModelRegistry:
 
     Parameters
     ----------
-    workers, backend, proc_workers:
+    workers, backend:
         Defaults forwarded to every :class:`InferenceEngine` the
         registry builds from a path or pipeline (``None`` defers to the
-        ``REPRO_WORKERS`` / ``REPRO_KERNEL`` /
-        ``REPRO_SERVE_PROC_WORKERS`` chains).  Pre-built engines are
-        registered as-is.  ``proc_workers > 1`` gives every built
-        engine — including each hot-swap generation, which republishes
-        its own segment behind the lease drain — a process-backed
-        predict tier (:mod:`repro.serve.procpool`).
+        ``REPRO_WORKERS`` / ``REPRO_KERNEL`` chains).  Pre-built engines
+        are registered as-is.
 
     The registry owns its engines: :meth:`close` (or leaving the
     ``with`` block) closes every live engine, and swapped-out engines
-    are closed — worker processes stopped, shared segments unlinked —
-    as soon as they drain.
+    are closed as soon as they drain.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        backend: str | None = None,
-        proc_workers: int | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = None, backend: str | None = None) -> None:
         self._workers = workers
         self._backend = backend
-        self._proc_workers = proc_workers
         self._lock = threading.Lock()
         self._entries: dict[str, EngineLease] = {}
         self._closed = False
@@ -117,19 +106,11 @@ class ModelRegistry:
             return source, f"<{type(source.pipeline).__name__}>"
         if isinstance(source, TrainedPipeline):
             return (
-                InferenceEngine(
-                    source,
-                    workers=self._workers,
-                    backend=self._backend,
-                    proc_workers=self._proc_workers,
-                ),
+                InferenceEngine(source, workers=self._workers, backend=self._backend),
                 f"<{type(source).__name__}>",
             )
         engine = InferenceEngine.from_path(
-            source,
-            workers=self._workers,
-            backend=self._backend,
-            proc_workers=self._proc_workers,
+            source, workers=self._workers, backend=self._backend
         )
         return engine, str(source)
 

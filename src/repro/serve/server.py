@@ -27,9 +27,11 @@ API surface (all request/response bodies are JSON):
 ===========================================  =================================
 
 Error mapping: malformed requests → 400, unknown model/route → 404,
+oversized body or more records than ``max_queue`` → 413,
 admission-control rejection → 429 (body carries ``"backpressure": true``
 so clients can retry), internal faults → 500.  Every error body is
-``{"error": "..."}``.
+``{"error": "..."}``.  A ``records`` request is admitted all or nothing:
+a rejected one computes no row.
 
 :class:`ServerThread` runs the whole stack (event loop, server,
 batchers) in a background thread — the harness tests, the docs
@@ -151,6 +153,8 @@ class ServeServer:
         self._max_queue = max_queue
         self._server: asyncio.AbstractServer | None = None
         self._batchers: dict[str, MicroBatcher] = {}
+        # Live connection handlers and their writers, closed by stop().
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     @property
     def port(self) -> int:
@@ -178,9 +182,22 @@ class ServeServer:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting, drain every batcher, release the socket."""
+        """Stop accepting, close live connections, drain every batcher.
+
+        Every connection (idle keep-alive clients included) is closed and
+        its handler awaited here, so no handler is left pending when the
+        event loop closes.  A handler mid-request still gets its answer
+        computed; writing it to the closed connection is a no-op.
+        """
         if self._server is not None:
             self._server.close()
+        # Connections are closed before wait_closed(): from Python 3.12.1 on
+        # it waits until every connection has dropped, idle ones included.
+        while self._clients:
+            for writer in self._clients.values():
+                writer.close()
+            await asyncio.gather(*self._clients, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         for batcher in self._batchers.values():
@@ -267,6 +284,8 @@ class ServeServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._clients[task] = writer
         try:
             while True:
                 request = await self._read_request(reader)
@@ -290,6 +309,7 @@ class ServeServer:
         except (ConnectionError, asyncio.IncompleteReadError, _HTTPError):
             pass  # client went away or spoke garbage; drop the connection
         finally:
+            del self._clients[task]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -425,9 +445,18 @@ class ServeServer:
         rows, batched = self._validated_rows(name, payload)
         batcher = self._batchers[name]
         if batched:
-            # Submit concurrently: the scheduler coalesces the rows
-            # (plus any other in-flight traffic) into shared batches.
-            values = await asyncio.gather(*(batcher.submit(row) for row in rows))
+            # Reserve every row's slot before queueing any (a rejected
+            # request computes nothing), then submit concurrently: the
+            # scheduler coalesces the rows (plus any other in-flight
+            # traffic) into shared batches.
+            try:
+                slots = batcher.admit(len(rows))
+            except InvalidParameterError as exc:  # more rows than max_queue
+                raise _HTTPError(413, str(exc)) from None
+            with slots:
+                values = await asyncio.gather(
+                    *(batcher.submit(row, slots) for row in rows)
+                )
             return 200, {
                 "model": name,
                 "predictions": [json_scalar(v) for v in values],

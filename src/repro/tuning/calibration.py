@@ -102,7 +102,6 @@ KNOB_SCHEMA: dict[str, dict[str, Callable[[Any], bool]]] = {
         "batch_window_ms": _positive_real,
         "batch_max": _positive_int,
         "max_queue": _positive_int,
-        "proc_workers": _positive_int,
     },
 }
 

@@ -41,13 +41,6 @@ Targets:
   a mismatch is a structural failure and raises
   :class:`~repro.exceptions.CalibrationError` (exit non-zero in CI)
   rather than a budget miss.
-* ``serve_procpool`` — the same replay with every registry engine given
-  a process-backed predict tier (``proc_workers`` from the shape; the
-  packed model tables live in shared memory and row ranges scan in
-  worker processes).  Budgets: ``p50_ms``, ``p99_ms``; the transcript
-  is held to the same bit-identical oracle contract, so the process
-  fan-out changing even one answer raises
-  :class:`~repro.exceptions.CalibrationError`.
 * ``stream_ingest`` — stream-trains the same classifier twice, through
   the reference encode-then-``partial_fit`` path and the fused ingest
   kernel (``ingest="fused"``), interleaved best-of-``repeats``.  The
@@ -82,7 +75,6 @@ _TARGET_BUDGETS = {
     "serve_latency": ("p50_ms", "p99_ms", "fastpath_vs_batch_max"),
     "stream_rss": ("peak_rss_mb", "peak_over_unpacked_max"),
     "serve_concurrency": ("p50_ms", "p99_ms"),
-    "serve_procpool": ("p50_ms", "p99_ms"),
     "stream_ingest": ("fused_over_ref_max",),
 }
 
@@ -299,10 +291,6 @@ def _run_serve_concurrency(spec: WorkloadSpec) -> dict:
     rate_hz = float(shape.get("rate_hz", 2000.0))
     speedup = float(shape.get("speedup", 1.0))
     seed = int(shape.get("seed", 17))
-    # The serve_procpool target reuses this runner with a worker-process
-    # count; plain serve_concurrency specs leave it at the knob chain.
-    proc_workers = shape.get("proc_workers")
-    proc_workers = None if proc_workers is None else int(proc_workers)
     two_pi = 2.0 * math.pi
 
     cls_pipe = train_classification_pipeline(
@@ -322,7 +310,7 @@ def _run_serve_concurrency(spec: WorkloadSpec) -> dict:
         oracle = oracle_transcript(trace, {"gesture": e1, "mars_express": e2})
 
     async def run():
-        with ModelRegistry(proc_workers=proc_workers) as registry:
+        with ModelRegistry() as registry:
             registry.register("gesture", cls_pipe)
             registry.register("mars_express", reg_pipe)
             batchers = {
@@ -363,30 +351,6 @@ def _run_serve_concurrency(spec: WorkloadSpec) -> dict:
         "batches": sum(s["batches"] for s in stats.values()),
         "oracle_match": True,
     }
-
-
-def _run_serve_procpool(spec: WorkloadSpec) -> dict:
-    """Concurrency replay with the process-backed predict tier active.
-
-    Delegates to the ``serve_concurrency`` runner with the shape's
-    ``proc_workers`` (default 2) forced on, so every engine the
-    registry builds publishes its packed tables into a shared-memory
-    segment and shards coalesced batches across worker processes.  The
-    oracle comparison inside the shared runner is this target's core
-    assertion: process fan-out must not change a single answer.
-    """
-    shape = dict(spec.shape)
-    shape.setdefault("proc_workers", 2)
-    forced = WorkloadSpec(
-        name=spec.name,
-        target="serve_concurrency",
-        shape=shape,
-        budget=spec.budget,
-        path=spec.path,
-    )
-    measured = _run_serve_concurrency(forced)
-    measured["proc_workers"] = int(shape["proc_workers"])
-    return measured
 
 
 def _run_stream_ingest(spec: WorkloadSpec) -> dict:
@@ -484,7 +448,6 @@ def run_workload(spec: WorkloadSpec) -> dict:
         "serve_latency": _run_serve_latency,
         "stream_rss": _run_stream_rss,
         "serve_concurrency": _run_serve_concurrency,
-        "serve_procpool": _run_serve_procpool,
         "stream_ingest": _run_stream_ingest,
     }
     measured = runners[spec.target](spec)

@@ -20,11 +20,7 @@ sweeps:
 * the **serve batching curve** — per-row cost of a coalesced
   ``predict_coalesced`` micro-batch against the single-request path,
   from which the serving tier's ``serve.batch_max`` /
-  ``serve.batch_window_ms`` knobs are derived;
-* the **serve process-pool curve** — the same coalesced batch through
-  a :class:`~repro.serve.procpool.ProcPredictPool` per worker-process
-  candidate (bit-identity checked against the inline path at every
-  point), from which ``serve.proc_workers`` is derived.
+  ``serve.batch_window_ms`` knobs are derived.
 
 From the surface it derives the dispatch thresholds by explicit
 minimisation: every candidate ``(gemm_crossover, xor_mt_min_cells)``
@@ -53,7 +49,6 @@ from ..hdc import ingest as _ingest
 from ..hdc import kernels as _kernels
 from ..hdc.packed import DEFAULT_CELL_BUDGET, PackedHV, packed_width
 from ..serve import batching as _serve_defaults
-from ..serve import procpool as _serve_procpool
 from .calibration import Calibration
 
 __all__ = ["calibrate", "default_knobs"]
@@ -134,7 +129,6 @@ def default_knobs() -> dict:
             "batch_window_ms": _serve_defaults.DEFAULT_BATCH_WINDOW_MS,
             "batch_max": _serve_defaults.DEFAULT_BATCH_MAX,
             "max_queue": _serve_defaults.DEFAULT_MAX_QUEUE,
-            "proc_workers": _serve_procpool.auto_proc_workers(),
         },
     }
 
@@ -509,54 +503,6 @@ def _sweep_serve(fast: bool, repeats: int) -> dict:
     }
 
 
-def _sweep_serve_procpool(fast: bool, repeats: int, cpus: int) -> dict:
-    """Coalesced-batch cost per worker-process candidate.
-
-    Times one representative coalesced batch through the inline path
-    (``proc_workers=1``) and through a
-    :class:`~repro.serve.procpool.ProcPredictPool` at each candidate
-    count, asserting bit-identical answers at every point, and derives
-    ``serve.proc_workers`` — the candidate with the lowest batch time.
-    On small hosts that is typically ``1`` (process fan-out disabled),
-    which is exactly what the artifact should record there.
-    """
-    from ..experiments.config import ClassificationConfig
-    from ..experiments.serving import train_classification_pipeline
-    from ..serve.engine import InferenceEngine
-
-    dim = 512 if fast else 2048
-    rows_n = 32 if fast else 64
-    pipeline = train_classification_pipeline(
-        "suturing", config=ClassificationConfig(dim=dim, seed=11)
-    )
-    rows = np.random.default_rng(17).uniform(
-        0.0, 2.0 * np.pi, (rows_n, pipeline.num_features)
-    )
-    candidates = sorted({1, 2, max(1, cpus)})
-    curve = {}
-    reference = None
-    for workers in candidates:
-        with InferenceEngine(pipeline, proc_workers=workers) as engine:
-            answers = engine.predict_coalesced(rows)
-            if reference is None:
-                reference = answers
-            elif answers != reference:  # pragma: no cover - exactness gate
-                raise AssertionError(
-                    f"proc_workers={workers} disagrees with the inline path"
-                )
-            curve[str(workers)] = _time(
-                lambda e=engine: e.predict_coalesced(rows), repeats
-            )
-    chosen = int(min(curve, key=curve.get))
-    return {
-        "dim": dim,
-        "rows": rows_n,
-        "seconds": curve,
-        "chosen_proc_workers": chosen,
-        "speedup_vs_inline": round(curve["1"] / curve[str(chosen)], 2),
-    }
-
-
 def _sweep_workers(fast: bool, repeats: int, cpus: int) -> dict:
     """Whole-batch encode time per worker-count candidate."""
     from ..basis import CircularBasis
@@ -610,7 +556,6 @@ def calibrate(
     ingest = _sweep_ingest(fast, repeats)
     workers = _sweep_workers(fast, repeats, cpus)
     serve = _sweep_serve(fast, repeats)
-    procpool = _sweep_serve_procpool(fast, repeats, cpus)
 
     knobs = {
         "kernels": {
@@ -629,7 +574,6 @@ def calibrate(
             "batch_window_ms": serve["chosen_window_ms"],
             "batch_max": serve["chosen_batch_max"],
             "max_queue": _serve_defaults.DEFAULT_MAX_QUEUE,
-            "proc_workers": procpool["chosen_proc_workers"],
         },
     }
     calibration = Calibration.from_knobs(
@@ -648,7 +592,6 @@ def calibrate(
         "ingest": ingest,
         "worker_scaling": workers,
         "serve_batching": serve,
-        "serve_procpool": procpool,
         "knobs": knobs,
         "auto_worst_over_best": max(p["auto_over_best"] for p in surface),
     }

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.runtime import WorkerPool, resolve_workers
-from repro.runtime.pool import _star_apply
+from repro.runtime.pool import _star_apply, default_start_method
 
 
 def _square(x: int) -> int:
@@ -80,3 +80,14 @@ class TestWorkerPool:
         pool.__enter__()
         pool.close()
         pool.close()
+
+
+@pytest.mark.parametrize(
+    "methods, expected",
+    [(["fork", "spawn", "forkserver"], "fork"), (["spawn"], "spawn")],
+)
+def test_default_start_method_prefers_fork(monkeypatch, methods, expected):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    assert default_start_method() == expected

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.basis import RandomBasis
+from repro.basis import LevelBasis, RandomBasis
 from repro.datasets import make_jigsaws_like
 from repro.exceptions import InvalidParameterError
 from repro.experiments.config import ClassificationConfig, RegressionConfig
@@ -21,7 +21,8 @@ from repro.experiments.serving import (
     train_pipeline,
     train_regression_pipeline,
 )
-from repro.serve import InferenceEngine, load_model, save_model
+from repro.learning import HDRegressor
+from repro.serve import InferenceEngine, TrainedPipeline, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,24 @@ class TestRegressionServing:
             expected = serial.predict(anomalies)
         with InferenceEngine(regression_pipeline, workers=4) as sharded:
             assert np.array_equal(sharded.predict(anomalies), expected)
+
+    @pytest.mark.parametrize("model", ["binary", "integer"])
+    @pytest.mark.parametrize("decode", ["argmin", "weighted"])
+    def test_every_model_mode_bit_identical(self, model, decode):
+        """Sharded predict and coalesced predict equal sequential
+        predict_one for every HDRegressor model/decode combination."""
+        emb = LevelBasis(32, 256, seed=5).linear_embedding(0.0, 1.0)
+        x = np.linspace(0.0, 1.0, 48)
+        reg = HDRegressor(emb, seed=9, decode=decode, model=model).fit(
+            emb.encode_packed(x), x
+        )
+        pipeline = TrainedPipeline(kind="regression", model=reg, embedding=emb)
+        rows = np.linspace(0.05, 0.95, 23)[:, None]
+        with InferenceEngine(pipeline, workers=1) as serial:
+            expected = [serial.predict_one(row) for row in rows]
+            assert np.array_equal(serial.predict_coalesced(rows), expected)
+        with InferenceEngine(pipeline, workers=3) as sharded:
+            assert np.array_equal(sharded.predict(rows), expected)
 
 
 class TestKernelBackends:

@@ -12,14 +12,19 @@ replay against the sequential transcript.
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
+import logging
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.exceptions import BackpressureError
+from repro.exceptions import BackpressureError, InvalidParameterError
 from repro.serve import (
     HTTPReplayClient,
     InferenceEngine,
@@ -31,6 +36,7 @@ from repro.serve import (
     oracle_transcript,
     replay_async,
 )
+from repro.serve.server import ServeServer
 
 #: The three pipeline families the coalescer must be exact for: keyed
 #: classification ("zeros" ties), keyless regression (no tie draws at
@@ -190,6 +196,36 @@ class TestAdaptiveScheduling:
             if not isinstance(got, BaseException):
                 assert json_scalar(got) == want  # served answers still exact
 
+    def test_admit_reserves_all_rows_or_none(self, regression_pipeline):
+        with ModelRegistry() as registry:
+            registry.register("m", regression_pipeline)
+
+            async def run():
+                async with MicroBatcher(registry, "m", max_queue=4) as batcher:
+                    with batcher.admit(4) as slots:
+                        with pytest.raises(BackpressureError):
+                            with batcher.admit(1):
+                                pass
+                        with pytest.raises(BackpressureError):
+                            await batcher.submit([0.5])  # reserved slots count
+                        value = await batcher.submit([1.25], slots)
+                    # The three unspent slots went back on exit.
+                    assert (batcher._pending, batcher._reserved) == (0, 0)
+                    with pytest.raises(RuntimeError, match="spent"):
+                        await batcher.submit([1.25], slots)
+                    with batcher.admit(4):
+                        pass
+                    with pytest.raises(InvalidParameterError, match="max_queue=4"):
+                        with batcher.admit(5):
+                            pass
+                    return value, dict(batcher.stats)
+
+            value, stats = asyncio.run(run())
+        assert json_scalar(value) == _oracle(regression_pipeline, [[1.25]])[0]
+        assert stats["requests"] == 1
+        assert stats["rejected"] == 2  # one admit row + one submit, none queued
+        assert stats["batch_rows_sum"] == 1
+
     def test_submit_requires_started_scheduler(self, regression_pipeline):
         with ModelRegistry() as registry:
             registry.register("m", regression_pipeline)
@@ -342,30 +378,117 @@ class TestHTTPServer:
             conn.close()
 
 
+class _GatedEngine(InferenceEngine):
+    """An engine whose coalesced predicts wait for ``gate`` — holds a
+    batch in flight for exactly as long as a test needs."""
+
+    def __init__(self, pipeline, gate):
+        super().__init__(pipeline)
+        self.gate = gate
+
+    def predict_coalesced(self, records):
+        assert self.gate.wait(timeout=30), "gate never opened"
+        return super().predict_coalesced(records)
+
+
+def _spy_on_responses(monkeypatch):
+    """Record ``(status, pending, requests, batch rows)`` of the model
+    ``mars`` at the instant each response is written."""
+    seen = []
+    write = ServeServer._write_response
+
+    async def spy(self, writer, status, payload, keep_alive):
+        batcher = self._batchers["mars"]
+        seen.append(
+            (
+                status,
+                batcher._pending,
+                batcher.stats["requests"],
+                batcher.stats["batch_rows_sum"],
+            )
+        )
+        await write(self, writer, status, payload, keep_alive)
+
+    monkeypatch.setattr(ServeServer, "_write_response", spy)
+    return seen
+
+
+def _records(n, offset=0):
+    return {"records": [[float(i + offset)] for i in range(n)]}
+
+
 class TestHTTPBackpressure:
-    def test_records_beyond_max_queue_get_429(
-        self, classification_pipeline, regression_pipeline
+    def test_records_beyond_max_queue_get_429(self, regression_pipeline, monkeypatch):
+        """A records request that fits max_queue but not the slots left
+        is refused whole: 429, no row queued, nothing computed for it,
+        and the server keeps serving afterwards."""
+        seen = _spy_on_responses(monkeypatch)
+        gate = threading.Event()
+        registry = ModelRegistry()
+        registry.register("mars", _GatedEngine(regression_pipeline, gate))
+        with ServerThread(
+            registry, window_ms=1.0, max_queue=8, own_registry=True
+        ) as server:
+            held = []
+            first = threading.Thread(
+                target=lambda: held.append(
+                    server.request("POST", "/v1/models/mars:predict", _records(6))
+                )
+            )
+            first.start()
+            try:
+                deadline = time.monotonic() + 30
+                while server.server.stats()["mars"]["requests"] < 6:
+                    assert time.monotonic() < deadline, "6-row request never admitted"
+                    time.sleep(0.001)
+                status, body = server.request(
+                    "POST", "/v1/models/mars:predict", _records(4, offset=10)
+                )
+            finally:
+                gate.set()
+                first.join(timeout=30)
+            assert status == 429
+            assert body["backpressure"] is True
+            assert "max_queue" in body["error"]
+            # Written while the 6-row batch was held: not one of the 4
+            # rows was admitted or dispatched.
+            assert seen[0] == (429, 6, 6, 6)
+            status, body = server.request(
+                "POST", "/v1/models/mars:predict", {"features": [1.25]}
+            )
+            assert status == 200  # admission recovered after the burst
+            stats = server.server.stats()["mars"]
+        assert held[0][0] == 200
+        assert held[0][1]["predictions"] == _oracle(
+            regression_pipeline, [[float(i)] for i in range(6)]
+        )
+        assert stats["rejected"] == 4
+        assert stats["requests"] == 7
+        assert stats["batch_rows_sum"] == 7  # the refused rows never ran
+
+    def test_records_over_max_queue_get_413_and_compute_nothing(
+        self, regression_pipeline, monkeypatch
     ):
-        """A 64-row records request against max_queue=8 must be refused
-        with an explicit backpressure marker, and the server must keep
-        serving afterwards."""
+        """More rows than max_queue can never be admitted: 413, and not
+        one row is queued or computed before the error is written."""
+        seen = _spy_on_responses(monkeypatch)
         registry = ModelRegistry()
         registry.register("mars", regression_pipeline)
         with ServerThread(
             registry, window_ms=1.0, max_queue=8, own_registry=True
         ) as server:
             status, body = server.request(
-                "POST",
-                "/v1/models/mars:predict",
-                {"records": [[float(i)] for i in range(64)]},
+                "POST", "/v1/models/mars:predict", _records(64)
             )
-            assert status == 429
-            assert body["backpressure"] is True
-            assert "max_queue" in body["error"]
-            status, body = server.request(
-                "POST", "/v1/models/mars:predict", {"features": [1.25]}
+            assert status == 413
+            assert "max_queue=8" in body["error"]
+            assert seen == [(413, 0, 0, 0)]
+            status, _ = server.request(
+                "POST", "/v1/models/mars:predict", _records(8)
             )
-            assert status == 200  # admission recovered after the burst
+            assert status == 200  # a request that fits is still served
+            stats = server.server.stats()["mars"]
+        assert stats["requests"] == stats["batch_rows_sum"] == 8
 
     def test_concurrent_clients_see_429_not_unbounded_queueing(
         self, regression_pipeline
@@ -439,3 +562,33 @@ class TestConcurrentReplayHTTP:
         assert report.responses == expected  # bit-identical, every request
         assert sum(s["requests"] for s in stats.values()) == len(trace)
         assert max(s["max_batch_seen"] for s in stats.values()) > 1
+
+
+class TestShutdown:
+    def test_stop_with_open_keep_alive_client_is_clean(
+        self, regression_pipeline, caplog, monkeypatch
+    ):
+        """Stopping while a keep-alive client holds its connection open
+        closes that connection and leaves no pending handler task or
+        closed-loop error behind."""
+        unraisable = []
+        monkeypatch.setattr(
+            sys, "unraisablehook", lambda info: unraisable.append(info.exc_value)
+        )
+        registry = ModelRegistry()
+        registry.register("mars", regression_pipeline)
+        server = ServerThread(registry, own_registry=True).start()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                server.stop()
+                gc.collect()
+            assert conn.sock.recv(1) == b""  # the server closed our socket
+        finally:
+            conn.close()
+        assert unraisable == []
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []

