@@ -33,7 +33,11 @@ Beyond the paper, :class:`HDRegressor` supports:
   practice in HDC implementations, equivalent to keeping the bundle as an
   integer vector instead of a binary one.  The paper's formal model is
   the ``"binary"`` (majority) one; an ablation benchmark compares the
-  two.
+  two.  The integer model folds the accumulator into a ``(d, k)``
+  scoring table once per model version (rebuilt after any mutation) and
+  scores exactly against it: float32 while ``Σ_d |total − 2·counts_d|``
+  stays below ``2**24``, float64 above, so a query's answer does not
+  depend on the batch it arrives in.
 """
 
 from __future__ import annotations
@@ -119,6 +123,12 @@ class HDRegressor:
         self._bundle = BundleAccumulator(self._dim)
         self._model: np.ndarray | None = None
         self._packed_model: PackedHV | None = None
+        self._scoring: tuple[np.ndarray, np.ndarray, int] | None = None
+
+    def _invalidate(self) -> None:
+        self._model = None
+        self._packed_model = None
+        self._scoring = None
 
     @property
     def dim(self) -> int:
@@ -179,8 +189,7 @@ class HDRegressor:
             # no transient accumulator on the online hot path (the
             # shard_bundle/absorb pair is the stateless form for workers).
             self._bundle.add(self._bind_labels(batch, targets))
-            self._model = None
-            self._packed_model = None
+            self._invalidate()
         return self
 
     def ingest_counts(self, counts: np.ndarray, total: int) -> "HDRegressor":
@@ -194,8 +203,7 @@ class HDRegressor:
         leaves the tie-break RNG untouched until materialisation.
         """
         self._bundle.add_counts(counts, total)
-        self._model = None
-        self._packed_model = None
+        self._invalidate()
         return self
 
     def fit(self, encoded: EncodedBatch, y: np.ndarray) -> "HDRegressor":
@@ -237,8 +245,7 @@ class HDRegressor:
                 f"holds {self._bundle.total}"
             )
         self._bundle.subtract(self._bind_labels(batch, y))
-        self._model = None
-        self._packed_model = None
+        self._invalidate()
         return self
 
     def shard_bundle(self, encoded: EncodedBatch, y: np.ndarray) -> BundleAccumulator:
@@ -272,21 +279,25 @@ class HDRegressor:
     def absorb(self, shard: BundleAccumulator) -> "HDRegressor":
         """Fold a :meth:`shard_bundle` result into the model; returns ``self``."""
         self._bundle.merge(shard)
-        self._model = None
-        self._packed_model = None
+        self._invalidate()
         return self
 
     def prepare(self) -> "HDRegressor":
-        """Materialise the packed model eagerly; returns ``self``.
+        """Build the frozen scoring state eagerly; returns ``self``.
 
         The binary model is normally thresholded lazily on first use,
-        consuming the tie-break RNG.  Sharded inference calls
-        ``prepare()`` before fanning chunks out to a worker pool so the
-        workers only read frozen state.  (The integer model has no
-        materialisation step; this is then a no-op.)
+        consuming the tie-break RNG; the integer model builds its
+        ``(d, k)`` scoring table (:meth:`_integer_table`) lazily on
+        first use.  Sharded inference and the serving engine call
+        ``prepare()`` before fanning chunks out to worker threads so the
+        workers only read frozen state.  Every mutation drops that
+        state again.
         """
-        if self.model_mode == "binary" and self._bundle.total > 0:
-            _ = self.packed_model
+        if self._bundle.total > 0:
+            if self.model_mode == "binary":
+                _ = self.packed_model
+            else:
+                self._integer_table()
         return self
 
     @property
@@ -307,6 +318,32 @@ class HDRegressor:
             self._packed_model = PackedHV.pack(self.model)
         return self._packed_model
 
+    def _integer_table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The integer model's frozen scoring state ``(colsum(A), A, d·total)``.
+
+        ``A = signed ⊙ Lᵀ`` of shape ``(d, k)``, with ``signed = total −
+        2·counts`` the signed accumulator and ``L`` the bipolar label
+        table.  It depends only on the model version, so it is built
+        once (here or in :meth:`prepare`) and dropped by every mutation;
+        it is derived state and never persisted.  Every entry of
+        ``bits @ A`` and ``colsum(A)`` is an integer whose partial sums
+        are bounded by ``Σ_d |signed_d|``, so the table is float32 when
+        that bound is below ``2**24`` and float64 otherwise: either way
+        each score is exact, whatever the batch shape, BLAS blocking or
+        thread count.
+        """
+        table = self._scoring
+        if table is None:
+            total = self._bundle.total
+            signed = total - 2 * np.asarray(self._bundle.counts, dtype=np.int64)
+            dtype = np.float32 if int(np.abs(signed).sum()) < 2**24 else np.float64
+            label_bipolar = 1.0 - 2.0 * self.label_embedding.basis.vectors.astype(dtype)
+            weighted = signed.astype(dtype)[:, None] * label_bipolar.T  # (d, k)
+            colsum = weighted.sum(axis=0, dtype=np.float64).astype(dtype)
+            table = (colsum, weighted, self._dim * max(total, 1))
+            self._scoring = table
+        return table
+
     def _label_scores(self, batch: EncodedBatch, backend: str | None = None) -> np.ndarray:
         """Alignment of each query with each label grid point, in ``[−1, 1]``.
 
@@ -316,7 +353,11 @@ class HDRegressor:
         integer model it is the normalised inner product between the
         signed accumulator (sign-flipped by the query bits) and the
         bipolar label vectors — the same quantity without the majority
-        quantisation in between (that path is already a matrix product).
+        quantisation in between.  ``score[q, k] = Σ_d signed_d ·
+        (1 − 2·bits_qd) · L_kd = colsum(A)_k − 2 · (bits @ A)_qk`` is
+        computed exactly against the cached table (:meth:`_integer_table`)
+        and only then normalised, so every row's scores are the same
+        bytes in any batch.
         """
         if self.model_mode == "binary":
             queries = batch if is_packed(batch) else PackedHV.pack(batch)
@@ -325,20 +366,10 @@ class HDRegressor:
                 unbound, self.label_embedding.basis.packed, backend=backend
             )
             return 1.0 - 2.0 * distances
+        colsum, weighted, norm = self._integer_table()
         bits = batch.unpack() if is_packed(batch) else batch
-        label_bits = self.label_embedding.basis.vectors
-        total = self._bundle.total
-        signed = (total - 2.0 * self._bundle.counts).astype(np.float32)  # Σ bipolar
-        # score[q, k] = Σ_d signed_d · (1 − 2·bits_qd) · bipolar_kd.
-        # Folding `signed` into the label table first (A = signed ⊙ Lᵀ)
-        # turns the per-query bipolar conversion into a single
-        # bits @ A product: score = colsum(A) − 2 · bits @ A.
-        label_bipolar = (1.0 - 2.0 * label_bits.astype(np.float32))
-        weighted = signed[:, None] * label_bipolar.T  # (d, k)
-        scores = weighted.sum(axis=0)[None, :] - 2.0 * (
-            bits.astype(np.float32) @ weighted
-        )
-        return scores / (self._dim * max(total, 1))
+        scores = colsum[None, :] - 2.0 * (bits.astype(weighted.dtype) @ weighted)
+        return scores / norm
 
     def predict(self, encoded: EncodedBatch, backend: str | None = None) -> np.ndarray:
         """Decode predicted labels for a batch of encoded samples.

@@ -431,7 +431,8 @@ def _load_classifier(payload: dict, arrays: dict, prefix: str) -> CentroidClassi
 # -- HD regressor -------------------------------------------------------------
 
 def _save_regressor(model: HDRegressor, arrays: dict, prefix: str) -> dict[str, Any]:
-    model.prepare()  # freeze the binary model before snapshotting the RNG
+    if model.model_mode == "binary":
+        model.prepare()  # freeze the binary model before snapshotting the RNG
     materialised = model._packed_model is not None
     if materialised:
         arrays[prefix + "model"] = model._packed_model.data

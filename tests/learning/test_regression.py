@@ -13,6 +13,9 @@ from repro.exceptions import (
 )
 from repro.hdc import random_hypervectors
 from repro.learning import HDRegressor
+from repro.runtime.parallel import predict_regressor_sharded
+from repro.runtime.pool import WorkerPool
+from repro.serve import OnlineLearner, TrainedPipeline, load_model, save_model
 
 DIM = 4096
 
@@ -137,3 +140,110 @@ class TestDecodeModes:
         model = HDRegressor(label_embedding, seed=3, decode="weighted").fit(x, y)
         pred = model.predict(random_hypervectors(20, DIM, rng))
         assert (pred >= 0.0).all() and (pred <= 10.0).all()
+
+
+def _rebuilt(model: HDRegressor) -> HDRegressor:
+    """A fresh regressor holding exactly ``model``'s counts (no cached table)."""
+    return HDRegressor(
+        model.label_embedding, decode=model.decode_mode, model=model.model_mode
+    ).ingest_counts(model._bundle.counts, model.num_samples)
+
+
+class TestIntegerScoringTable:
+    """The integer model's ``(d, k)`` scoring table is built once per
+    model version, dropped by every mutation, and scores exactly."""
+
+    @pytest.fixture
+    def emb(self):
+        return LevelBasis(16, 512, seed=21).linear_embedding(0.0, 1.0)
+
+    @pytest.fixture
+    def data(self, emb):
+        rng = np.random.default_rng(22)
+        y = rng.uniform(0.0, 1.0, 90)
+        return random_hypervectors(90, emb.dim, rng), y, random_hypervectors(25, emb.dim, rng)
+
+    def _warm(self, emb, x, y, queries) -> tuple[HDRegressor, np.ndarray]:
+        model = HDRegressor(emb, seed=4, model="integer", decode="weighted").fit(x, y)
+        return model, model.predict(queries)  # builds the table
+
+    def _assert_fresh(self, model, queries, before):
+        after = model.predict(queries)
+        assert np.array_equal(after, _rebuilt(model).predict(queries))
+        assert not np.array_equal(after, before)  # the mutation moved the answers
+
+    def test_batch_row_and_sharded_bytes_agree_above_float32_range(self):
+        """Reproducer: with ``Σ_d |total − 2·counts_d| ≥ 2**24`` the float32
+        GEMM rounded differently per batch shape, so a query's answer
+        depended on the batch it arrived in."""
+        d = 2048
+        emb = LevelBasis(32, d, seed=3).linear_embedding(0.0, 1.0)
+        rng = np.random.default_rng(11)
+        total = 40001
+        # A heavily trained bundle that agrees with label 16 in every
+        # dimension, so column sums grow linearly instead of cancelling.
+        pull = rng.integers(0, total // 4, d)
+        counts = np.where(emb.basis.vectors[16] == 1, total - pull, pull)
+        assert np.abs(total - 2 * counts).sum() >= 2**24
+        model = HDRegressor(emb, model="integer", decode="weighted")
+        model.ingest_counts(counts, total)
+        queries = rng.integers(0, 2, (64, d)).astype(np.uint8)
+        batched = model.predict(queries)
+        per_row = np.concatenate([model.predict(q[None, :]) for q in queries])
+        with WorkerPool(workers=2) as pool:
+            sharded = predict_regressor_sharded(model, queries, pool, chunk_size=7)
+        assert batched.tobytes() == per_row.tobytes() == sharded.tobytes()
+
+    def test_partial_fit_drops_table(self, emb, data):
+        x, y, queries = data
+        model, before = self._warm(emb, x[:60], y[:60], queries)
+        model.partial_fit([(x[60:], y[60:])])
+        self._assert_fresh(model, queries, before)
+
+    def test_ingest_counts_drops_table(self, emb, data):
+        x, y, queries = data
+        model, before = self._warm(emb, x, y, queries)
+        delta = model.shard_bundle(x[:30], y[:30])
+        model.ingest_counts(delta.counts, delta.total)
+        self._assert_fresh(model, queries, before)
+
+    def test_forget_drops_table(self, emb, data):
+        x, y, queries = data
+        model, before = self._warm(emb, x, y, queries)
+        model.forget(x[60:], y[60:])
+        self._assert_fresh(model, queries, before)
+
+    def test_absorb_drops_table(self, emb, data):
+        x, y, queries = data
+        model, before = self._warm(emb, x[:60], y[:60], queries)
+        model.absorb(model.shard_bundle(x[60:], y[60:]))
+        self._assert_fresh(model, queries, before)
+
+    def test_online_learner_learn_and_forget_drop_table(self, emb):
+        model = HDRegressor(emb, model="integer", decode="weighted")
+        pipeline = TrainedPipeline(kind="regression", model=model, embedding=emb)
+        rows = np.linspace(0.0, 1.0, 40)[:, None]
+        with OnlineLearner(pipeline) as learner:
+            learner.learn(rows[:20], rows[:20, 0])
+            queries = learner.engine.encode(rows[::3])
+            before = model.predict(queries)
+            learner.learn(rows[20:], 1.0 - rows[20:, 0])
+            self._assert_fresh(model, queries, before)
+            before = model.predict(queries)
+            learner.forget(rows[:20], rows[:20, 0])
+            self._assert_fresh(model, queries, before)
+
+    def test_save_load_ignores_table(self, emb, data, tmp_path):
+        x, y, queries = data
+        cold = HDRegressor(emb, seed=4, model="integer", decode="weighted").fit(x, y)
+        warm, expected = self._warm(emb, x, y, queries)
+        save_model(cold, tmp_path / "cold.npz")
+        save_model(warm, tmp_path / "warm.npz")
+        with np.load(tmp_path / "cold.npz") as a, np.load(tmp_path / "warm.npz") as b:
+            assert sorted(a.files) == sorted(b.files)
+            for key in a.files:
+                assert a[key].tobytes() == b[key].tobytes(), key
+        reloaded = load_model(tmp_path / "warm.npz")
+        assert np.array_equal(reloaded.predict(queries), expected)
+        reloaded.forget(x[60:], y[60:])
+        self._assert_fresh(reloaded, queries, expected)
