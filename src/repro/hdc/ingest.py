@@ -15,17 +15,18 @@ mirroring the similarity-kernel tier of :mod:`repro.hdc.kernels`:
   batch to the model's canonical ``partial_fit``.  Selecting it makes
   every dispatch site fall back to exactly the code that ran before
   this tier existed.
-* ``"fused"`` — stream row blocks through **preallocated per-thread
-  scratch** (the xor-mt idiom): per channel, ``np.take`` gathers the
-  fused-table rows straight into a reused ``(block, d)`` buffer and
-  adds them in place into an int16 count block (int16 is safe whenever
-  the reference encoder uses it — counts are bounded by the channel
-  count), the block is thresholded with the same position-keyed tie
-  coins, and the resulting bits are counted per class directly into
-  the model's :class:`~repro.hdc.packed.BundleAccumulator` integers
-  via :meth:`~repro.hdc.packed.BundleAccumulator.add_counts`.  No
-  gather cube, no encoded batch, no pack/unpack round trip.
-* ``"numba"`` — the fused gather+accumulate inner loop compiled by
+* ``"fused"`` — stream row blocks through the encoder's **packed
+  majority kernel** (the one :meth:`~repro.runtime.batch.BatchEncoder.encode`
+  serves with): each block's ``k`` channel rows are gathered as 64-bit
+  words and reduced by a carry-save adder tree to packed "above" and
+  "tied" masks, ties are resolved on those words with the same tie
+  coins as the reference, and the block is unpacked once and its
+  one-bits are summed per class (in uint16, exact up to 65,535 rows
+  per block) straight into the model's
+  :class:`~repro.hdc.packed.BundleAccumulator` integers via
+  :meth:`~repro.hdc.packed.BundleAccumulator.add_counts`.  No gather
+  cube, no per-bit byte sum and no encoded batch.
+* ``"numba"`` — a byte-count gather+accumulate inner loop compiled by
   numba, when numba is importable (:data:`HAVE_NUMBA`).  Detected at
   import, never selected by ``"auto"``, never required by the test
   suite: requesting it without numba raises
@@ -37,14 +38,15 @@ Every backend is **bit-identical** to a monolithic ``fit`` — including
 the positional tie-bit RNG draws of the ``"random"`` policy and the
 model's untouched tie-break RNG — for any chunk size, block size,
 thread count, and packed or unpacked encode, enforced by the property
-tests in ``tests/hdc/test_ingest.py``.
+tests in ``tests/hdc/test_ingest.py`` (the kernel itself is checked
+against the byte counts in ``tests/runtime/test_batch.py``).
 
 Backend selection follows the kernel tier's precedence: an explicit
 ``backend=``/``ingest=`` argument wins, then the
 ``REPRO_INGEST_KERNEL`` environment variable, then ``"auto"``.
 ``"auto"`` takes the fused path once the chunk holds at least
-``ingest.fused_min_rows`` rows (below it, the per-channel dispatch
-overhead can exceed the temporary tax) and the block size streams
+``ingest.fused_min_rows`` rows (below it, per-block dispatch overhead
+can exceed the temporary tax) and the block size streams
 ``ingest.block_rows`` rows at a time; both knobs resolve through
 :func:`repro.tuning.calibration.resolve_knob` (env var >
 ``REPRO_CALIBRATION`` artifact > built-in) and are measured by
@@ -54,18 +56,15 @@ overhead can exceed the temporary tax) and the block size streams
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .._rng import ensure_rng
 from ..exceptions import DimensionMismatchError, InvalidParameterError
 from ..tuning.calibration import ENV_CALIBRATION, register_cache, resolve_knob
-from .kernels import kernel_threads
 from .ops import majority_from_counts
-from .packed import BundleAccumulator, cell_budget
+from .packed import BundleAccumulator
 
 __all__ = [
     "INGEST_BACKENDS",
@@ -94,21 +93,16 @@ _ENV_BACKEND = "REPRO_INGEST_KERNEL"
 _ENV_BLOCK_ROWS = "REPRO_INGEST_BLOCK_ROWS"
 _ENV_MIN_ROWS = "REPRO_INGEST_FUSED_MIN_ROWS"
 
-#: Rows per fused threshold block.  Bounds the transient count block at
-#: ``block · d`` int16 cells; big enough to amortise the per-channel
-#: gather dispatch, small enough to stay cache-friendly.  Calibration
-#: knob: ``ingest.block_rows``.
+#: Rows per fused block.  Bounds the transient unpacked block at
+#: ``block · d`` bytes (plus its packed words); the per-class sums run
+#: once per block.  Calibration knob: ``ingest.block_rows``.
 DEFAULT_BLOCK_ROWS = 256
 
 #: ``"auto"`` takes the fused path once a chunk holds at least this
-#: many rows; tinier chunks stay on ``ref`` (the per-channel python
-#: dispatch dominates below it).  Calibration knob:
+#: many rows; tinier chunks stay on ``ref`` (per-block python dispatch
+#: dominates below it).  Calibration knob:
 #: ``ingest.fused_min_rows``.
 DEFAULT_FUSED_MIN_ROWS = 32
-
-#: Cap, in uint8 cells, on each thread's preallocated gather scratch
-#: (1 MiB) — the same cache-residency reasoning as the xor-mt block.
-_INGEST_BLOCK_CELLS = 1 << 20
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba as _numba
@@ -269,7 +263,7 @@ class EngineEncode:
 
 
 # ---------------------------------------------------------------------------
-# The fused count kernel: gather + accumulate without the (rows, k, d) cube.
+# Encoded bits of one block, without the (rows, k, d) gather cube.
 # ---------------------------------------------------------------------------
 
 
@@ -291,58 +285,38 @@ def _numba_kernel():
     return _numba_counts
 
 
-def _count_span(fused, idx, counts, lo: int, hi: int, gather_rows: int) -> None:
-    """Accumulate fused-table bit counts for rows ``[lo, hi)`` in place.
+def _block_bits(encoder, idx, semantics, rng, seed, start: int, jit: bool) -> np.ndarray:
+    """Encoded ``(rows, d)`` bits of one block of index rows.
 
-    The per-thread unit of the fused backend: allocates its gather
-    scratch *inside* the span (one ``(gather_rows, d)`` uint8 buffer,
-    reused across sub-blocks and channels — the xor-mt discipline), and
-    writes only its own disjoint ``counts`` rows, so spans compose
-    bit-identically for any thread count (integer sums commute).
+    Bit-identical to thresholding ``encoder.chunk_counts(idx)`` under
+    the block's tie semantics: ``"engine"`` draws from the shared
+    ``rng`` like :func:`~repro.hdc.ops.majority_from_counts`;
+    ``"positional"`` resolves ``"random"`` ties with the coins of
+    :func:`~repro.streaming.reduce.positional_tie_bits` for the absolute
+    rows ``start + i``.  The default path runs the encoder's packed
+    majority kernel and unpacks its words once; ``jit`` counts with the
+    numba loop and thresholds those counts.
     """
-    k = idx.shape[1]
-    d = fused.shape[2]
-    counts[lo:hi] = 0
-    buf = np.empty((min(gather_rows, hi - lo), d), dtype=fused.dtype)
-    for sub_lo in range(lo, hi, gather_rows):
-        sub_hi = min(hi, sub_lo + gather_rows)
-        view = buf[: sub_hi - sub_lo]
-        block = counts[sub_lo:sub_hi]
-        for channel in range(k):
-            np.take(fused[channel], idx[sub_lo:sub_hi, channel], axis=0, out=view)
-            np.add(block, view, out=block)
+    from ..streaming.reduce import positional_tie_words, resolve_majority
 
-
-def _fused_counts(encoder, idx: np.ndarray, counts: np.ndarray, jit: bool) -> None:
-    """Per-dimension one-bit counts for ``idx`` rows, into ``counts``.
-
-    Bit-identical to ``encoder.chunk_counts(idx)`` (0/1 cells summed in
-    the same integer dtype; summation order is irrelevant for exact
-    integer addition) without materialising the ``(rows, k, d)`` cube.
-    """
-    n = idx.shape[0]
-    d = encoder.dim
     if jit:
-        counts[:n] = 0
-        _numba_kernel()(encoder._fused, np.ascontiguousarray(idx), counts[:n])
-        return
-    nthreads = min(kernel_threads(), max(1, n // 2))
-    budget = min(_INGEST_BLOCK_CELLS, max(1, cell_budget() // max(1, nthreads)))
-    gather_rows = max(1, budget // max(1, d))
-    if nthreads <= 1 or n < 2 * gather_rows:
-        _count_span(encoder._fused, idx, counts, 0, n, gather_rows)
-        return
-    bounds = [n * i // nthreads for i in range(nthreads + 1)]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [
-            pool.submit(
-                _count_span, encoder._fused, idx, counts, lo, hi, gather_rows
+        counts = np.zeros((idx.shape[0], encoder.dim), dtype=encoder.count_dtype)
+        _numba_kernel()(encoder._fused, np.ascontiguousarray(idx), counts)
+        if semantics == "engine":
+            return majority_from_counts(
+                counts, encoder.num_channels, tie_break=encoder.tie_break, seed=rng
             )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for future in futures:
-            future.result()
+        return resolve_majority(
+            counts, encoder.num_channels, encoder.tie_break, seed, start
+        )
+    above, tied = encoder._majority_words(idx)
+    if semantics == "positional" and tied is not None and encoder.tie_break == "random":
+        rows = np.flatnonzero(tied.any(axis=1))
+        if rows.size:
+            above[rows] |= tied[rows] & positional_tie_words(seed, start + rows, encoder.dim)
+    else:
+        encoder._settle(above, tied, rng)
+    return np.unpackbits(above.view(np.uint8), axis=-1, count=encoder.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +332,7 @@ def _normalise_labels(targets) -> list:
 
 
 def _classifier_blocks(model, encoder, features, labels, semantics, seed, start, jit):
-    """Yield ``(label, counts64, total)`` deltas block by block, in order.
+    """Yield ``(label, counts, total)`` deltas block by block, in order.
 
     The shared core of the in-place model ingest and the pure cluster
     shard: encode-equivalent bits are produced per block and reduced to
@@ -377,31 +351,19 @@ def _classifier_blocks(model, encoder, features, labels, semantics, seed, start,
         # The engine thresholds per encoder.chunk_size sub-chunk over one
         # shared RNG stream; the block boundary *is* the draw boundary.
         block = encoder.chunk_size
-        rng = ensure_rng(seed)
+        rng = encoder._tie_rng(seed)
     else:
         block = ingest_block_rows()
         rng = None
-    counts = np.empty((min(block, n), encoder.dim), dtype=encoder.count_dtype)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
-        view = counts[: hi - lo]
-        _fused_counts(encoder, idx[lo:hi], view, jit)
-        if semantics == "engine":
-            bits = majority_from_counts(
-                view, encoder.num_channels, tie_break=encoder.tie_break, seed=rng
-            )
-        else:
-            from ..streaming.reduce import resolve_majority
-
-            bits = resolve_majority(
-                view, encoder.num_channels, encoder.tie_break, seed, start + lo
-            )
-        deltas = []
-        for label, mask in model._label_masks(labels[lo:hi], hi - lo):
-            deltas.append(
-                (label, bits[mask].sum(axis=0, dtype=np.int64), int(mask.sum()))
-            )
-        yield deltas
+        bits = _block_bits(encoder, idx[lo:hi], semantics, rng, seed, start + lo, jit)
+        # uint16 per-class sums are exact up to 65,535 rows.
+        dtype = np.uint16 if hi - lo <= 0xFFFF else np.int64
+        yield [
+            (label, bits[mask].sum(axis=0, dtype=dtype), int(mask.sum()))
+            for label, mask in model._label_masks(labels[lo:hi], hi - lo)
+        ]
 
 
 def _regressor_counts(model, embedding, column, features, targets):
@@ -441,7 +403,7 @@ def _regressor_counts(model, embedding, column, features, targets):
 def _classifier_plan(model, encode):
     encoder = getattr(encode, "encoder", None)
     semantics = getattr(encode, "tie_semantics", None)
-    if encoder is None or not hasattr(encoder, "chunk_counts"):
+    if encoder is None or not hasattr(encoder, "_majority_words"):
         return None
     if semantics not in ("positional", "engine"):
         return None

@@ -150,13 +150,15 @@ class CentroidClassifier:
             raise InvalidParameterError(
                 f"got {count} samples but {len(labels)} labels"
             )
-        return [
-            (
-                label,
-                np.fromiter((l == label for l in labels), dtype=bool, count=count),
-            )
-            for label in dict.fromkeys(labels)
-        ]
+        # One dict pass assigns codes in first-seen order; each mask is
+        # then a vectorised comparison against the code array.
+        codes_of: dict = {}
+        codes = np.fromiter(
+            (codes_of.setdefault(label, len(codes_of)) for label in labels),
+            dtype=np.intp,
+            count=count,
+        )
+        return [(label, codes == code) for label, code in codes_of.items()]
 
     def _invalidate(self) -> None:
         self._class_vectors = None

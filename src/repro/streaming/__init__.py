@@ -54,6 +54,7 @@ from .reduce import (
     StreamStats,
     encode_reduce,
     positional_tie_bits,
+    positional_tie_words,
     prefetch_chunks,
     resolve_majority,
     stream_encode,
@@ -89,6 +90,7 @@ __all__ = [
     "StreamStats",
     "encode_reduce",
     "positional_tie_bits",
+    "positional_tie_words",
     "prefetch_chunks",
     "resolve_majority",
     "stream_encode",

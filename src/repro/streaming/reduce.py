@@ -45,6 +45,7 @@ __all__ = [
     "StreamStats",
     "encode_reduce",
     "positional_tie_bits",
+    "positional_tie_words",
     "prefetch_chunks",
     "resolve_majority",
     "stream_encode",
@@ -73,6 +74,31 @@ def _tie_seed(seed) -> np.uint64:
     )
 
 
+def positional_tie_words(seed, rows: np.ndarray, dim: int) -> np.ndarray:
+    """:func:`positional_tie_bits` in packed form.
+
+    Returns ``(len(rows), ⌈dim/64⌉)`` uint64 words whose bytes, read in
+    memory order, are the :func:`numpy.packbits` bytes of the coins (the
+    bits past ``dim`` in the last word are hash bits, not zero).  The
+    packed majority kernel of :class:`~repro.runtime.batch.BatchEncoder`
+    masks them with its tie words.
+
+    >>> import numpy as np
+    >>> words = positional_tie_words(7, np.array([3, 5]), 70)
+    >>> bits = np.unpackbits(words.view(np.uint8), axis=-1)[:, :70]
+    >>> bool(np.array_equal(bits, positional_tie_bits(7, np.array([3, 5]), 70)))
+    True
+    """
+    if dim < 1:
+        raise InvalidParameterError(f"dim must be positive, got {dim}")
+    rows64 = np.asarray(rows, dtype=np.uint64)
+    words = (dim + 63) // 64
+    base = _mix64(rows64 ^ _mix64(np.full_like(rows64, _tie_seed(seed))))
+    counters = (np.arange(words, dtype=np.uint64) * _GAMMA)[None, :]
+    hashed = _mix64(base[:, None] ^ counters)
+    return hashed.astype(">u8").view(np.uint64)
+
+
 def positional_tie_bits(seed, rows: np.ndarray, dim: int) -> np.ndarray:
     """Deterministic per-row tie coins, keyed by absolute row position.
 
@@ -90,14 +116,7 @@ def positional_tie_bits(seed, rows: np.ndarray, dim: int) -> np.ndarray:
     >>> bool(0.3 < a.mean() < 0.7)         # fair coins
     True
     """
-    if dim < 1:
-        raise InvalidParameterError(f"dim must be positive, got {dim}")
-    rows64 = np.asarray(rows, dtype=np.uint64)
-    words = (dim + 63) // 64
-    base = _mix64(rows64 ^ _mix64(np.full_like(rows64, _tie_seed(seed))))
-    counters = (np.arange(words, dtype=np.uint64) * _GAMMA)[None, :]
-    hashed = _mix64(base[:, None] ^ counters)
-    as_bytes = hashed.astype(">u8").view(np.uint8).reshape(rows64.shape[0], words * 8)
+    as_bytes = positional_tie_words(seed, rows, dim).view(np.uint8)
     return np.unpackbits(as_bytes, axis=-1)[:, :dim].astype(BIT_DTYPE, copy=False)
 
 

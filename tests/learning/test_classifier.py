@@ -109,6 +109,32 @@ class TestValidation:
             CentroidClassifier(0)
 
 
+class TestLabelMasks:
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [3, 1, 3, 0, 1, 1, 7],
+            ["walk", "run", "walk", "sit", "run"],
+            [np.int64(2), np.int64(5), np.int64(2), np.int32(5), np.int64(9)],
+            [np.str_("b"), np.str_("a"), np.str_("b")],
+            [1, np.int64(1), 2.0, np.float64(2), "1"],
+        ],
+    )
+    def test_masks_and_first_seen_order(self, labels):
+        pairs = CentroidClassifier._label_masks(labels, len(labels))
+        order = list(dict.fromkeys(labels))
+        assert [label for label, _ in pairs] == order
+        for (label, mask), expected in zip(pairs, order):
+            assert label is expected  # the first-seen object is the key
+            assert mask.dtype == bool
+            assert mask.tolist() == [l == label for l in labels]
+
+    def test_empty_and_mismatch(self):
+        assert CentroidClassifier._label_masks([], 0) == []
+        with pytest.raises(InvalidParameterError):
+            CentroidClassifier._label_masks([1, 2], 3)
+
+
 class TestRefinement:
     def test_refine_converges_on_training_data(self, rng):
         # Overlapping clusters: single-pass training is imperfect.
