@@ -6,10 +6,10 @@ gather cube — and promises bit-identical training to the reference
 encode-then-``partial_fit`` path.  This benchmark proves both halves
 with real runs:
 
-1. **Exactness** — in-process, every available backend (``fused``, and
-   ``numba`` when importable) must train classifiers *and* regressors
-   bit-identical to the reference path, including ``"random"`` tie
-   policies.
+1. **Exactness** — in-process, ``ingest="fused"`` must train
+   classifiers *and* regressors (which take the reference path under
+   every backend name) bit-identical to ``ingest="ref"``, including
+   ``"random"`` tie policies.
 2. **Throughput** — ``stream_fit_classifier`` over the same synthetic
    gesture stream, reference vs fused, interleaved best-of-``repeats``.
    The gate asserts fused rows/s beats reference rows/s by at least
@@ -128,8 +128,8 @@ def _assert_same_model(reference, candidate, backend: str) -> None:
         ), f"{backend}: class vector diverged for {label!r}"
 
 
-def check_exactness(backends: list, dim: int = 512, rows: int = 600) -> None:
-    """Every backend == reference, bit for bit, classifier and regressor.
+def check_exactness(dim: int = 512, rows: int = 600) -> None:
+    """``fused`` == ``ref``, bit for bit, classifier and regressor.
 
     Small in-process runs with the ``"random"`` tie policy — the
     hardest case, because tie coins must land on the same draws however
@@ -158,9 +158,7 @@ def check_exactness(backends: list, dim: int = 512, rows: int = 600) -> None:
         stream_fit_classifier(model, encoder, stream, seed=5, ingest=ingest)
         return model
 
-    reference = classify("ref")
-    for backend in backends:
-        _assert_same_model(reference, classify(backend), backend)
+    _assert_same_model(classify("ref"), classify("fused"), "fused")
 
     rng = np.random.default_rng(8)
     x = rng.uniform(0.0, 1.0, (rows, 1))
@@ -175,29 +173,24 @@ def check_exactness(backends: list, dim: int = 512, rows: int = 600) -> None:
         )
         return model
 
-    ref_reg = regress("ref")
-    for backend in backends:
-        got = regress(backend)
-        assert got.num_samples == ref_reg.num_samples
-        assert np.array_equal(got.model, ref_reg.model), (
-            f"{backend}: regressor model vector diverged"
-        )
+    ref_reg, got = regress("ref"), regress("fused")
+    assert got.num_samples == ref_reg.num_samples
+    assert np.array_equal(got.model, ref_reg.model), (
+        "fused: regressor model vector diverged"
+    )
 
 
 def run_suite(fast: bool = False) -> dict:
-    from repro.hdc.ingest import HAVE_NUMBA
-
     dim = 2048 if fast else 8192
     rows = 20_000 if fast else 40_000
     repeats = 2 if fast else 3
     gate = SPEEDUP_GATE_FAST if fast else SPEEDUP_GATE_FULL
-    backends = ["fused"] + (["numba"] if HAVE_NUMBA else [])
 
-    check_exactness(backends)
-    print(f"exactness: {' == '.join(['ref'] + backends)} (bit-identical, "
-          "random ties, classifier + regressor)")
+    check_exactness()
+    print("exactness: ref == fused (bit-identical, random ties, "
+          "classifier + regressor)")
 
-    timings = {name: float("inf") for name in ["ref"] + backends}
+    timings = {"ref": float("inf"), "fused": float("inf")}
     streamed_rows = 0
     for _ in range(repeats):  # interleave: both paths see the same machine
         for name in timings:
@@ -218,8 +211,6 @@ def run_suite(fast: bool = False) -> dict:
         f"{throughput['ref']['rows_per_s']:.0f} rows/s, fused "
         f"{throughput['fused']['rows_per_s']:.0f} rows/s "
         f"({speedup:.2f}x)"
-        + (f", numba {throughput['numba']['rows_per_s']:.0f} rows/s"
-           if HAVE_NUMBA else " (numba not installed: skipped)")
     )
 
     rss = {name: _spawn(dim, rows, CHUNK_ROWS, name) for name in ("ref", "fused")}
@@ -235,7 +226,6 @@ def run_suite(fast: bool = False) -> dict:
         "dim": dim,
         "rows": streamed_rows,
         "chunk_rows": CHUNK_ROWS,
-        "have_numba": HAVE_NUMBA,
         "throughput": throughput,
         "fused_speedup": round(speedup, 2),
         "rss": rss,

@@ -156,9 +156,9 @@ class ClusterCoordinator:
         self.model = model
         self.source = source
         self.encode = encode
-        # Ingest kernel backend shipped to every worker plan (None defers
-        # to REPRO_INGEST_KERNEL / "auto"); all backends produce
-        # byte-identical deltas, so this only moves throughput.
+        # Ingest path shipped to every worker plan (None means "auto");
+        # all choices produce byte-identical deltas, so this only moves
+        # throughput.
         self.ingest = ingest
         self.workers = default_cluster_workers(workers)
         if workers is not None and (

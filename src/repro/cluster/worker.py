@@ -87,12 +87,10 @@ class WorkerPlan:
     start_index: int = 0
     incarnation: int = 0
     hook: Callable | None = None
-    #: Ingest kernel backend for the per-chunk delta computation
-    #: (:data:`repro.hdc.ingest.INGEST_BACKENDS`); ``None`` defers to
-    #: ``REPRO_INGEST_KERNEL`` in the worker's environment, then
-    #: ``"auto"``.  Every backend ships byte-identical deltas, so
-    #: replay after a crash is exact whatever the restarted worker
-    #: resolves.
+    #: Ingest path for the per-chunk delta computation
+    #: (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
+    #: ``"auto"``).  Every choice ships byte-identical deltas, so
+    #: replay after a crash is exact.
     ingest: str | None = None
 
     def _fire(self, phase: str, chunk_index: int) -> None:
@@ -127,7 +125,7 @@ def worker_main(plan: WorkerPlan, conn) -> None:
                     "targets=None"
                 )
             # Fused ingest first: when the (proto, encode) pair is a
-            # recognised fusible combination the delta is computed
+            # recognised classifier combination the delta is computed
             # without materialising the encoded chunk — byte-identical
             # to shard_delta below (asserted in tests/hdc/test_ingest.py).
             delta = shard_ingest(plan.proto, chunk, plan.encode, backend=plan.ingest)

@@ -13,7 +13,7 @@ Usage::
         [--stream-samples N] [--chunk-size C] [--checkpoint CKPT.npz] \\
         [--cluster-workers N] [--resume] \\
         [--input DATA.jsonl|DATA.csv|DATA.npy] \\
-        [--ingest-kernel auto|ref|fused|numba]
+        [--ingest-kernel auto|ref|fused]
     python -m repro.experiments serve --model model.npz [--input -]
     python -m repro.experiments serve --model model.npz --stream \\
         [--checkpoint CKPT.npz] [--checkpoint-every N]
@@ -31,8 +31,9 @@ Mars Express regression) and writes the trained model as a portable
 consumed as an out-of-core chunk stream (:mod:`repro.streaming`), so
 ``--stream-samples`` may exceed RAM while peak memory stays
 O(``--chunk-size``); ``--input`` ingests a ``.jsonl``/``.csv``/``.npy``
-file instead of the synthetic generator, and ``--ingest-kernel`` selects the
-fused encode+accumulate backend (:mod:`repro.hdc.ingest`).  ``serve`` loads such an artifact once and answers
+file instead of the synthetic generator, and ``--ingest-kernel ref`` forces
+the reference encode-then-``partial_fit`` path instead of the fused
+classifier path (:mod:`repro.hdc.ingest`).  ``serve`` loads such an artifact once and answers
 JSONL prediction requests from stdin or a file; with ``--stream`` it
 also learns incrementally from records carrying a ``"target"`` field,
 checkpointing atomically (see ``docs/SERVING.md`` for the model format
@@ -693,12 +694,13 @@ def main(argv: list[str] | None = None) -> int:
                                 "1 = in-process); the final model is "
                                 "bit-identical for any value")
     streaming.add_argument("--ingest-kernel",
-                           choices=["auto", "ref", "fused", "numba"],
+                           choices=["auto", "ref", "fused"],
                            default=None,
-                           help="ingest kernel backend for `train --stream` "
-                                "reduction (default: REPRO_INGEST_KERNEL env "
-                                "or auto; all choices train bit-identical "
-                                "models — see docs/PERFORMANCE.md)")
+                           help="ingest path for `train --stream` reduction: "
+                                "ref = encode then partial_fit; auto (the "
+                                "default) and fused = the fused classifier "
+                                "path; all choices train bit-identical "
+                                "models — see docs/PERFORMANCE.md")
     streaming.add_argument("--resume", action="store_true",
                            help="reload --checkpoint (with its resume cursor) "
                                 "and stream only the remaining chunks; the "

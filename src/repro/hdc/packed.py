@@ -579,7 +579,7 @@ class BundleAccumulator:
     ) -> "BundleAccumulator":
         """Fold pre-reduced per-dimension one-bit counts in; returns ``self``.
 
-        The fused-ingest entry point (:mod:`repro.hdc.ingest`): a backend
+        The fused-ingest entry point (:mod:`repro.hdc.ingest`): a caller
         that has already counted ``total`` hypervectors' one-bits per
         dimension deposits the integers directly, skipping the
         pack→unpack round trip of :meth:`add`.  Equivalent to ``add`` on

@@ -195,11 +195,10 @@ class HDRegressor:
     def ingest_counts(self, counts: np.ndarray, total: int) -> "HDRegressor":
         """Fold a pre-reduced bound-term count delta into the model bundle.
 
-        The fused-ingest entry point (:mod:`repro.hdc.ingest`):
         ``counts`` is the per-dimension one-bit sum of ``total`` bound
-        terms ``φ(x_i) ⊗ φ_ℓ(y_i)`` that a fused backend computed without
-        materialising the encoded batch.  Equivalent to
-        :meth:`partial_fit` on that batch — integer counts commute — and
+        terms ``φ(x_i) ⊗ φ_ℓ(y_i)``, e.g. the integers of a
+        :meth:`shard_bundle` delta.  Equivalent to :meth:`partial_fit`
+        on the batch they summarise — integer counts commute — and
         leaves the tie-break RNG untouched until materialisation.
         """
         self._bundle.add_counts(counts, total)

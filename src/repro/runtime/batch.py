@@ -227,10 +227,11 @@ class BatchEncoder:
         """Narrowest integer dtype that safely holds per-bit counts.
 
         Counts are bounded by the channel count ``k``, so int16 is exact
-        for every realistic encoder.  The byte-count paths reduce in it:
-        :meth:`chunk_counts` and the opt-in ``"numba"`` ingest backend
-        (:mod:`repro.hdc.ingest`).  The packed kernel behind
-        :meth:`encode` counts in bit-planes and needs no count dtype.
+        for every realistic encoder.  The byte-count reference
+        :meth:`chunk_counts` reduces in it; the packed kernel behind
+        :meth:`encode` (and the fused ingest path of
+        :mod:`repro.hdc.ingest`) counts in bit-planes and needs no
+        count dtype.
         """
         return np.int16 if self.num_channels <= 16_000 else np.int64
 

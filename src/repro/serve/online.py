@@ -49,12 +49,11 @@ class OnlineLearner:
         scans (``"auto"``/``"gemm"``/``"xor"``; ``None`` defers to the
         ``REPRO_KERNEL`` environment variable).
     ingest:
-        Ingest kernel backend for :meth:`learn` / :meth:`learn_stream`
-        (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` defers to
-        ``REPRO_INGEST_KERNEL``, then ``"auto"``).  Every backend
-        updates the model bit-identically — including the serving
-        engine's per-call tie RNG draws — so this only moves
-        throughput.
+        Ingest path for :meth:`learn` / :meth:`learn_stream`
+        (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
+        ``"auto"``).  Every choice updates the model bit-identically —
+        including the serving engine's per-call tie RNG draws — so this
+        only moves throughput.
 
     Example
     -------
@@ -86,10 +85,10 @@ class OnlineLearner:
 
         Keyed pipelines get :class:`~repro.hdc.ingest.EngineEncode`
         (serving-engine tie semantics, bit-identical to
-        ``engine.encode``); keyless pipelines embed one value column.
-        Both carry the attribute markers the fused ingest tier
-        recognises, so :func:`~repro.hdc.ingest.ingest_chunk` can skip
-        the encoded-batch materialisation.
+        ``engine.encode``), whose tie marker the fused ingest path
+        recognises for classifiers, so :func:`~repro.hdc.ingest.ingest_chunk`
+        can skip the encoded-batch materialisation; keyless pipelines
+        embed one value column and take the reference path.
         """
         from ..hdc.ingest import EngineEncode
 
@@ -144,11 +143,10 @@ class OnlineLearner:
         was absorbed before, and bit-identical to batch-training on the
         same records.  Returns ``self``.
 
-        When the fused ingest tier recognises the pipeline
-        (:func:`repro.hdc.ingest.ingest_chunk`; select with the
-        ``ingest`` constructor argument or ``REPRO_INGEST_KERNEL``) the
-        same update lands without materialising the encoded batch —
-        identical bytes, including the engine's tie RNG draws.
+        For a keyed classifier pipeline the fused ingest path
+        (:func:`repro.hdc.ingest.ingest_chunk`; ``ingest="ref"`` turns it
+        off) lands the same update without materialising the encoded
+        batch — identical bytes, including the engine's tie RNG draws.
         """
         from ..hdc.ingest import ingest_chunk
         from ..streaming.chunks import Chunk

@@ -333,14 +333,14 @@ def encode_reduce(
     arrays are converted to plain Python labels so streamed models
     serialise exactly like in-memory ones.
 
-    ``ingest`` selects the ingest kernel backend
-    (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` defers to
-    ``REPRO_INGEST_KERNEL`` and then ``"auto"``).  When
-    :func:`repro.hdc.ingest.ingest_chunk` recognises the
+    ``ingest`` selects the ingest path
+    (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
+    ``"auto"``, ``"ref"`` forces this reference path).  When
+    :func:`repro.hdc.ingest.ingest_chunk` recognises a classifier
     ``(model, encode)`` pair it reduces the chunk without materialising
     the encoded batch — bit-identical to this reference path — and the
     encode-then-``partial_fit`` body below is skipped for that chunk;
-    otherwise the reference path runs unchanged.
+    otherwise (regressors included) the reference path runs unchanged.
 
     >>> import numpy as np
     >>> from repro.basis import LevelBasis

@@ -479,10 +479,10 @@ def train_pipeline_stream(
         embedding/key construction and the held-out scoring stream; the
         file's rows must have the task's feature width.
     ingest:
-        Ingest kernel backend for the reduce stage
-        (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` defers to
-        ``REPRO_INGEST_KERNEL``, then ``"auto"``).  All backends train
-        bit-identical models.
+        Ingest path for the reduce stage
+        (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
+        ``"auto"``, the fused classifier path; ``"ref"`` forces encode
+        then ``partial_fit``).  All choices train bit-identical models.
 
     Returns
     -------

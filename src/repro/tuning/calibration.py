@@ -88,10 +88,6 @@ KNOB_SCHEMA: dict[str, dict[str, Callable[[Any], bool]]] = {
     "streaming": {
         "chunk_rows": _positive_int,
     },
-    "ingest": {
-        "block_rows": _positive_int,
-        "fused_min_rows": _positive_int,
-    },
     "cluster": {
         "workers": _positive_int,
     },

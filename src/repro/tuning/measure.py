@@ -10,11 +10,6 @@ sweeps:
   the report; top-k rides the same backend dispatch);
 * the **streaming chunk curve** — end-to-end streamed training time as
   a function of the chunk size;
-* the **ingest crossover** — fused zero-temporary chunk reduction
-  against the reference encode-then-``partial_fit`` path over chunk
-  sizes (bit-identity checked at every point), from which the
-  ``ingest.fused_min_rows`` dispatch threshold and fused
-  ``ingest.block_rows`` are derived;
 * the **worker-** and **thread-scaling** curves for the encode pool and
   the ``xor-mt`` backend;
 * the **serve batching curve** — per-row cost of a coalesced
@@ -45,7 +40,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..hdc import ingest as _ingest
 from ..hdc import kernels as _kernels
 from ..hdc.packed import DEFAULT_CELL_BUDGET, PackedHV, packed_width
 from ..serve import batching as _serve_defaults
@@ -90,14 +84,6 @@ _CHUNK_CANDIDATES = (256, 512, 1024, 2048)
 _SERVE_BATCH_CANDIDATES = (8, 16, 32, 64)
 _FAST_SERVE_BATCH_CANDIDATES = (8, 16, 32)
 
-#: Chunk row counts for the fused-vs-ref ingest crossover sweep.
-_INGEST_ROW_POINTS = (8, 16, 32, 64, 256, 1024)
-_FAST_INGEST_ROW_POINTS = (8, 32, 256)
-
-#: Fused threshold-block-size candidates (``ingest.block_rows``).
-_INGEST_BLOCK_CANDIDATES = (128, 256, 512, 1024)
-_FAST_INGEST_BLOCK_CANDIDATES = (128, 256, 512)
-
 #: The fixed backends the sweep times (``auto`` is timed afterwards,
 #: with the derived thresholds active).
 _FIXED_BACKENDS = ("xor", "xor-mt", "gemm")
@@ -120,10 +106,6 @@ def default_knobs() -> dict:
             "cell_budget": DEFAULT_CELL_BUDGET,
         },
         "streaming": {"chunk_rows": 1024},
-        "ingest": {
-            "block_rows": _ingest.DEFAULT_BLOCK_ROWS,
-            "fused_min_rows": _ingest.DEFAULT_FUSED_MIN_ROWS,
-        },
         "runtime": {"workers": 1},
         "serve": {
             "batch_window_ms": _serve_defaults.DEFAULT_BATCH_WINDOW_MS,
@@ -358,103 +340,6 @@ def _sweep_chunks(fast: bool, repeats: int) -> dict:
             "chosen_chunk_rows": chosen}
 
 
-def _sweep_ingest(fast: bool, repeats: int) -> dict:
-    """Fused-vs-ref ingest cost per chunk size, plus the fused block curve.
-
-    Times one labelled chunk reduced into a fresh classifier through the
-    reference encode-then-``partial_fit`` path against the fused
-    zero-temporary path (:func:`repro.hdc.ingest.ingest_chunk` with
-    ``backend="fused"``), verifying both land bit-identical prototypes
-    at every point, and derives the two ``ingest.*`` knobs:
-
-    * ``fused_min_rows`` — the smallest measured chunk size where the
-      fused path wins (the ``auto`` dispatch threshold; chunks below it
-      keep the reference path);
-    * ``block_rows`` — the threshold-block size minimising fused time
-      at the largest measured chunk.
-    """
-    from ..basis import CircularBasis
-    from ..hdc.hypervector import random_hypervectors
-    from ..hdc.ingest import ingest_chunk
-    from ..learning.classifier import CentroidClassifier
-    from ..runtime.batch import BatchEncoder
-    from ..streaming.chunks import Chunk
-    from ..streaming.train import RecordEncode
-
-    dim = 512 if fast else 2048
-    points = _FAST_INGEST_ROW_POINTS if fast else _INGEST_ROW_POINTS
-    blocks = _FAST_INGEST_BLOCK_CANDIDATES if fast else _INGEST_BLOCK_CANDIDATES
-    embedding = CircularBasis(12, dim, seed=1).circular_embedding(period=2.0 * np.pi)
-    keys = random_hypervectors(18, dim, seed=2)
-    encoder = BatchEncoder(keys, embedding, tie_break="zeros")
-    encode = RecordEncode(encoder, seed=0)
-    max_rows = max(points)
-    features = np.random.default_rng(21).uniform(
-        0.0, 2.0 * np.pi, (max_rows, 18)
-    )
-    labels = np.array([f"g{i % 6}" for i in range(max_rows)], dtype=object)
-
-    def ref_run(chunk: Chunk) -> CentroidClassifier:
-        classifier = CentroidClassifier(dim, tie_break="zeros", seed=3)
-        classifier.partial_fit([(encode(chunk), list(chunk.targets))])
-        return classifier
-
-    def fused_run(chunk: Chunk) -> CentroidClassifier:
-        classifier = CentroidClassifier(dim, tie_break="zeros", seed=3)
-        if not ingest_chunk(classifier, chunk, encode, backend="fused"):
-            raise AssertionError(  # pragma: no cover - cell is recognisable
-                "fused ingest did not recognise the sweep cell"
-            )
-        return classifier
-
-    curve = {}
-    for rows in points:
-        chunk = Chunk(features=features[:rows], targets=labels[:rows])
-        ref_clf, fused_clf = ref_run(chunk), fused_run(chunk)
-        if ref_clf.classes != fused_clf.classes or any(
-            not np.array_equal(ref_clf.class_vector(c), fused_clf.class_vector(c))
-            for c in ref_clf.classes
-        ):  # pragma: no cover - bit-identity is property-tested
-            raise AssertionError(f"fused ingest disagrees with ref at rows={rows}")
-        curve[str(rows)] = {
-            "ref_seconds": _time(lambda c=chunk: ref_run(c), repeats),
-            "fused_seconds": _time(lambda c=chunk: fused_run(c), repeats),
-        }
-    winners = [
-        rows
-        for rows in points
-        if curve[str(rows)]["fused_seconds"] <= curve[str(rows)]["ref_seconds"]
-    ]
-    # If fused never wins on this host, park the threshold past every
-    # measured point so calibrated "auto" keeps the reference path.
-    chosen_min = min(winners) if winners else 2 * max_rows
-
-    big = Chunk(features=features, targets=labels)
-    block_curve = {}
-    saved = os.environ.get(_ingest._ENV_BLOCK_ROWS)
-    try:
-        for block in blocks:
-            os.environ[_ingest._ENV_BLOCK_ROWS] = str(block)
-            block_curve[str(block)] = _time(lambda: fused_run(big), repeats)
-    finally:
-        if saved is None:
-            os.environ.pop(_ingest._ENV_BLOCK_ROWS, None)
-        else:
-            os.environ[_ingest._ENV_BLOCK_ROWS] = saved
-    chosen_block = int(min(block_curve, key=block_curve.get))
-    largest = curve[str(max_rows)]
-    return {
-        "dim": dim,
-        "chunks": curve,
-        "chosen_fused_min_rows": int(chosen_min),
-        "block_seconds": block_curve,
-        "chosen_block_rows": chosen_block,
-        "fused_speedup_at_largest": round(
-            largest["ref_seconds"] / largest["fused_seconds"], 2
-        ),
-    }
-
-
 def _sweep_serve(fast: bool, repeats: int) -> dict:
     """Per-row cost of coalesced micro-batches vs the single-request path.
 
@@ -553,7 +438,6 @@ def calibrate(
     threads = _sweep_threads(dim, repeats, seed + 1, cpus)
     topk = _sweep_topk(dim, repeats, seed + 2)
     chunks = _sweep_chunks(fast, repeats)
-    ingest = _sweep_ingest(fast, repeats)
     workers = _sweep_workers(fast, repeats, cpus)
     serve = _sweep_serve(fast, repeats)
 
@@ -565,10 +449,6 @@ def calibrate(
             "cell_budget": DEFAULT_CELL_BUDGET,
         },
         "streaming": {"chunk_rows": chunks["chosen_chunk_rows"]},
-        "ingest": {
-            "block_rows": ingest["chosen_block_rows"],
-            "fused_min_rows": ingest["chosen_fused_min_rows"],
-        },
         "runtime": {"workers": workers["chosen_workers"]},
         "serve": {
             "batch_window_ms": serve["chosen_window_ms"],
@@ -589,7 +469,6 @@ def calibrate(
         "xor_mt_scaling": threads,
         "topk": topk,
         "streaming_chunk": chunks,
-        "ingest": ingest,
         "worker_scaling": workers,
         "serve_batching": serve,
         "knobs": knobs,

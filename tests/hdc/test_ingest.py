@@ -1,14 +1,14 @@
 """Bit-identity gates for the fused ingest kernel tier.
 
-The acceptance property of :mod:`repro.hdc.ingest`: every backend —
-``fused``, and ``numba`` where importable — trains the exact model the
-reference encode-then-``partial_fit`` path produces, byte for byte in
-the saved-model container and draw for draw in the tie-break RNG, for
-any chunk size, fused block size, thread/worker count, packed or
-unpacked reference encode, and tie policy.  Plus the dispatch contract:
-``"auto"`` respects the calibrated row crossover, unrecognised
-``(model, encode)`` pairs fall back to the reference path untouched,
-and a forced ``"numba"`` without numba fails loudly.
+The acceptance property of :mod:`repro.hdc.ingest`: the fused path —
+selected by ``"auto"``, ``"fused"`` or the default ``None`` — trains
+the exact classifier the reference encode-then-``partial_fit`` path
+produces, byte for byte in the saved-model container and draw for draw
+in the tie-break RNG, for any chunk size (one row included), fused
+block size, thread/worker count, packed or unpacked reference encode,
+and tie policy.  Plus the dispatch contract: regressors and
+unrecognised ``(model, encode)`` pairs take the reference path
+untouched under every backend name.
 """
 
 from __future__ import annotations
@@ -21,18 +21,17 @@ import pytest
 from repro.basis import make_basis
 from repro.basis.base import Embedding
 from repro.basis.quantize import CircularDiscretizer, LinearDiscretizer
+from repro.cluster.worker import WorkerPlan, worker_main
 from repro.exceptions import InvalidParameterError
+from repro.hdc import ingest
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ingest import (
-    HAVE_NUMBA,
     INGEST_BACKENDS,
-    ingest_block_rows,
+    EngineEncode,
     ingest_chunk,
-    ingest_fused_min_rows,
     learn_fused,
     resolve_ingest_backend,
     shard_ingest,
-    use_fused,
 )
 from repro.learning import CentroidClassifier, HDRegressor
 from repro.learning.merge import shard_delta
@@ -41,7 +40,6 @@ from repro.serve import save_model
 from repro.streaming import (
     JigsawsStream,
     MarsExpressStream,
-    array_chunks,
     stream_encode,
     stream_fit_classifier,
     stream_fit_regressor,
@@ -52,14 +50,8 @@ from repro.streaming.train import RecordEncode, ValueEncode
 TWO_PI = 2.0 * np.pi
 DIM = 160  # not a multiple of 64: exercises the tie-coin tail mask
 
-#: Backends under test everywhere; numba rows skip cleanly without numba.
-BACKENDS = [
-    "fused",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    ),
-]
+#: The names of the fused path under test everywhere.
+BACKENDS = ["auto", "fused"]
 
 
 def value_embedding(dim: int = DIM, levels: int = 10) -> Embedding:
@@ -95,49 +87,18 @@ def assert_same_classifier(reference, candidate, tmp_path, tag: str) -> None:
 
 
 class TestBackendResolution:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INGEST_KERNEL", raising=False)
+    def test_default_is_auto(self):
         assert resolve_ingest_backend() == "auto"
         assert resolve_ingest_backend(None) == "auto"
 
-    def test_env_var_is_the_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_KERNEL", "fused")
-        assert resolve_ingest_backend() == "fused"
-        # an explicit argument still wins
-        assert resolve_ingest_backend("ref") == "ref"
-
     def test_every_listed_backend_is_canonical(self):
+        assert INGEST_BACKENDS == ("auto", "ref", "fused")
         for name in INGEST_BACKENDS:
-            if name == "numba" and not HAVE_NUMBA:
-                continue
             assert resolve_ingest_backend(name) == name
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(InvalidParameterError):
             resolve_ingest_backend("turbo")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_without_numba_fails_loudly(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_ingest_backend("numba")
-
-
-class TestKnobs:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_BLOCK_ROWS", "7")
-        monkeypatch.setenv("REPRO_INGEST_FUSED_MIN_ROWS", "3")
-        assert ingest_block_rows() == 7
-        assert ingest_fused_min_rows() == 3
-        assert use_fused(3) and not use_fused(2)
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_BLOCK_ROWS", "7")
-        assert ingest_block_rows(129) == 129
-        assert ingest_fused_min_rows(5) == 5
-
-    def test_floors_at_one(self):
-        assert ingest_block_rows(0) == 1
-        assert ingest_fused_min_rows(-4) == 1
 
 
 def _cell(tie_break: str = "random", chunk_size: int = 29):
@@ -151,21 +112,41 @@ def _cell(tie_break: str = "random", chunk_size: int = 29):
 
 
 class TestAutoDispatch:
-    def test_below_crossover_stays_ref(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_FUSED_MIN_ROWS", "1000000")
-        stream, encoder = _cell()
-        chunk = next(iter(stream))
-        clf = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        assert not ingest_chunk(clf, chunk, RecordEncode(encoder, 0), backend="auto")
-        assert clf.num_samples == 0
+    @pytest.mark.parametrize("rows", [1, 2, 31])
+    def test_small_chunks_fuse_by_default(self, rows, tmp_path):
+        """Reproducer: ``"auto"`` declined the fused path below 32 rows,
+        where it is also the faster path."""
+        stream, encoder = _cell("random", 64)
+        big = next(iter(stream))
+        chunk = Chunk(
+            features=big.features[:rows], targets=big.targets[:rows], start=5
+        )
+        encode = RecordEncode(encoder, 3)
+        ref = CentroidClassifier(DIM, tie_break="zeros", seed=5)
+        ref.partial_fit([(encode(chunk), chunk.targets.tolist())])
+        fused = CentroidClassifier(DIM, tie_break="zeros", seed=5)
+        assert ingest_chunk(fused, chunk, encode)
+        assert_same_classifier(ref, fused, tmp_path, f"small-{rows}")
 
-    def test_above_crossover_fuses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_FUSED_MIN_ROWS", "1")
-        stream, encoder = _cell()
-        chunk = next(iter(stream))
-        clf = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        assert ingest_chunk(clf, chunk, RecordEncode(encoder, 0), backend="auto")
-        assert clf.num_samples == chunk.rows
+    @pytest.mark.parametrize("rows", [1, 2, 31])
+    def test_small_engine_batches_fuse_by_default(self, rows, tmp_path):
+        encoder = BatchEncoder(
+            random_hypervectors(18, DIM, seed=3),
+            value_embedding(),
+            tie_break="random",
+            chunk_size=7,
+        )
+        x = np.random.default_rng(rows).uniform(0.0, TWO_PI, (rows, 18))
+        y = (np.arange(rows) % 3).tolist()
+        ref = CentroidClassifier(DIM, tie_break="zeros", seed=5)
+        ref.partial_fit([(encoder.encode(x, seed=42, packed=True), y)])
+        learned = CentroidClassifier(DIM, tie_break="zeros", seed=5)
+        assert learn_fused(learned, encoder, x, y, seed=42)
+        assert_same_classifier(ref, learned, tmp_path, f"engine-small-{rows}")
+        streamed = CentroidClassifier(DIM, tie_break="zeros", seed=5)
+        chunk = Chunk(features=x, targets=np.asarray(y))
+        assert ingest_chunk(streamed, chunk, EngineEncode(encoder, 42))
+        assert_same_classifier(ref, streamed, tmp_path, f"engine-chunk-{rows}")
 
     def test_ref_backend_never_handles(self):
         stream, encoder = _cell()
@@ -212,7 +193,7 @@ class TestClassifierBitIdentity:
         stream, encoder = _cell("random", 41)
         ref = CentroidClassifier(DIM, tie_break="zeros", seed=5)
         stream_fit_classifier(ref, encoder, stream, seed=9, ingest="ref")
-        monkeypatch.setenv("REPRO_INGEST_BLOCK_ROWS", str(block_rows))
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
         fused = CentroidClassifier(DIM, tie_break="zeros", seed=5)
         stream_fit_classifier(fused, encoder, stream, seed=9, ingest=backend)
         assert_same_classifier(ref, fused, tmp_path, f"block-{backend}-{block_rows}")
@@ -271,21 +252,13 @@ class TestEngineSemantics:
             assert learn_fused(fused, encoder, x, y, seed=42, backend=backend)
         assert_same_classifier(ref, fused, tmp_path, f"engine-{backend}")
 
-    def test_learn_fused_declines_small_batches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_FUSED_MIN_ROWS", "1000000")
-        encoder = BatchEncoder(
-            random_hypervectors(18, DIM, seed=3), value_embedding()
-        )
-        clf = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        x = np.zeros((4, 18))
-        assert not learn_fused(clf, encoder, x, [0, 1, 0, 1], backend="auto")
-        assert clf.num_samples == 0
-
 
 class TestRegressorBitIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    """Regressors take the reference path under every backend name."""
+
+    @pytest.mark.parametrize("backend", INGEST_BACKENDS)
     @pytest.mark.parametrize("chunk_size", [1, 50, 333])
-    def test_fused_equals_monolithic(self, backend, chunk_size, tmp_path):
+    def test_streamed_equals_monolithic(self, backend, chunk_size, tmp_path):
         stream = MarsExpressStream(num_samples=700, seed=8, chunk_size=chunk_size)
         embedding = value_embedding(levels=12)
         low, high = stream.label_range()
@@ -307,21 +280,29 @@ class TestRegressorBitIdentity:
             fused, tmp_path, "got-reg"
         )
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 4096])
-    def test_block_size_invariance(self, block_rows, monkeypatch):
+    @pytest.mark.parametrize("backend", [None, *INGEST_BACKENDS])
+    def test_regressor_pairs_decline_the_fused_path(self, backend):
         embedding = value_embedding(levels=12)
-        y = np.linspace(0.0, TWO_PI, 123)
-        ref = HDRegressor(embedding, tie_break="zeros", seed=1)
-        stream_fit_regressor(
-            ref, embedding, array_chunks(y[:, None], y, chunk_size=40), ingest="ref"
-        )
-        monkeypatch.setenv("REPRO_INGEST_BLOCK_ROWS", str(block_rows))
-        fused = HDRegressor(embedding, tie_break="zeros", seed=1)
-        stream_fit_regressor(
-            fused, embedding, array_chunks(y[:, None], y, chunk_size=40),
-            ingest="fused",
-        )
-        assert np.array_equal(fused.model, ref.model)
+        y = np.linspace(0.0, TWO_PI, 40)
+        chunk = Chunk(features=y[:, None], targets=y)
+        model = HDRegressor(embedding, tie_break="zeros", seed=1)
+        encode = ValueEncode(embedding, 0)
+        assert not ingest_chunk(model, chunk, encode, backend=backend)
+        assert model.num_samples == 0
+        assert shard_ingest(model, chunk, encode, backend=backend) is None
+
+
+class _Pipe:
+    """Collects what a cluster worker sends, in order."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def close(self):
+        pass
 
 
 class TestClusterDeltas:
@@ -341,16 +322,26 @@ class TestClusterDeltas:
         assert pickle.dumps(got) == pickle.dumps(reference)
         assert proto.num_samples == 0  # pure: the prototype is untouched
 
-    def test_regressor_shard_is_byte_identical(self):
+    @pytest.mark.parametrize("backend", [None, *INGEST_BACKENDS])
+    def test_regressor_shard_is_byte_identical(self, backend):
+        """A cluster worker ships a regressor's ``shard_delta`` fallback,
+        the same bytes under every backend name."""
         embedding = value_embedding(levels=12)
         y = np.linspace(0.0, TWO_PI, 80)
         chunk = Chunk(features=y[:, None], targets=y)
         proto = HDRegressor(embedding, tie_break="zeros", seed=1)
         encode = ValueEncode(embedding, 0)
         reference = shard_delta(proto, encode(chunk), y)
-        got = shard_ingest(proto, chunk, encode, backend="fused")
-        assert got is not None
+        pipe = _Pipe()
+        plan = WorkerPlan(
+            worker_id=0, num_workers=1, source=[chunk], encode=encode,
+            proto=proto, ingest=backend,
+        )
+        worker_main(plan, pipe)
+        (kind, *_, rows, got), done = pipe.sent
+        assert (kind, rows, done[0]) == ("delta", 80, "done")
         assert pickle.dumps(got) == pickle.dumps(reference)
+        assert proto.num_samples == 0
 
     def test_shard_ingest_declines_ref_backend(self):
         stream, encoder = _cell()

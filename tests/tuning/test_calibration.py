@@ -105,6 +105,22 @@ class TestValidation:
         with pytest.raises(CalibrationError, match=f"serve\\.{retired}"):
             load_calibration(path)
 
+    def test_retired_ingest_section_rejected(self, tmp_path):
+        """Artifacts from before ingest lost its tuning knobs carry an
+        ``ingest`` section; loading one fails and names it rather than
+        silently falling back to the built-ins."""
+        path = tmp_path / "calibration.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "knobs": {"ingest": {"block_rows": 256}},
+                }
+            )
+        )
+        with pytest.raises(CalibrationError, match="'ingest'"):
+            load_calibration(path)
+
     @pytest.mark.parametrize("value", [0, -1, "fast", None, True])
     def test_non_positive_or_non_numeric_knob_rejected(self, value):
         with pytest.raises(CalibrationError):
@@ -266,82 +282,61 @@ class TestConsumers:
         assert kernel_threads() == 2
         assert kernel_threads(9) == 9
 
-    def test_ingest_knobs_consumer(self, tmp_path, monkeypatch):
-        from repro.hdc.ingest import (
-            DEFAULT_BLOCK_ROWS,
-            DEFAULT_FUSED_MIN_ROWS,
-            ingest_block_rows,
-            ingest_fused_min_rows,
-            use_fused,
-        )
 
-        assert ingest_block_rows() == DEFAULT_BLOCK_ROWS
-        assert ingest_fused_min_rows() == DEFAULT_FUSED_MIN_ROWS
-        self._activate(
-            tmp_path,
-            monkeypatch,
-            {"ingest": {"block_rows": 96, "fused_min_rows": 7}},
-        )
-        assert ingest_block_rows() == 96
-        assert ingest_fused_min_rows() == 7
-        assert use_fused(7) and not use_fused(6)
-        monkeypatch.setenv("REPRO_INGEST_BLOCK_ROWS", "48")
-        assert ingest_block_rows() == 48  # env still beats the artifact
-        assert ingest_block_rows(13) == 13  # explicit arg beats everything
+class TestKernelKnobCacheInvalidation:
+    """The memoised kernel dispatch knobs never serve a stale artifact.
 
-
-class TestIngestKnobCacheInvalidation:
-    """The memoised ``ingest.*`` knobs never serve a stale artifact.
-
-    The ingest tier memoises its resolved ``(block_rows,
-    fused_min_rows)`` pair for hot-loop dispatch, so the memo must be
+    The kernel tier memoises its resolved ``(gemm_crossover,
+    xor_mt_min_cells)`` pair for hot-loop dispatch, so the memo must be
     dropped whenever the active calibration can have changed: an
     explicit ``invalidate_cache()``, an in-process ``save_calibration``
     (re-calibration), or the process flipping ``REPRO_CALIBRATION`` to a
     different artifact mid-run.
     """
 
-    def _artifact(self, tmp_path, name, min_rows):
+    @pytest.fixture(autouse=True)
+    def _no_env_override(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_MT_CELLS", raising=False)
+
+    def _artifact(self, tmp_path, name, min_cells):
         return save_calibration(
-            Calibration.from_knobs({"ingest": {"fused_min_rows": min_rows}}),
+            Calibration.from_knobs({"kernels": {"xor_mt_min_cells": min_cells}}),
             tmp_path / name,
         )
 
     def test_env_switch_mid_process_re_resolves(self, tmp_path, monkeypatch):
-        from repro.hdc.ingest import ingest_fused_min_rows
+        from repro.hdc import kernels
 
         first = self._artifact(tmp_path, "a.json", 11)
         second = self._artifact(tmp_path, "b.json", 222)
         monkeypatch.setenv("REPRO_CALIBRATION", str(first))
-        assert ingest_fused_min_rows() == 11
+        assert kernels._xor_mt_min_cells() == 11
         # Flip the artifact without touching any cache hook: the memo
         # key includes the raw env string, so this alone must re-resolve.
         monkeypatch.setenv("REPRO_CALIBRATION", str(second))
-        assert ingest_fused_min_rows() == 222
+        assert kernels._xor_mt_min_cells() == 222
         monkeypatch.delenv("REPRO_CALIBRATION")
-        from repro.hdc.ingest import DEFAULT_FUSED_MIN_ROWS
-
-        assert ingest_fused_min_rows() == DEFAULT_FUSED_MIN_ROWS
+        assert kernels._xor_mt_min_cells() == kernels.XOR_MT_MIN_CELLS
 
     def test_save_calibration_invalidates_warm_memo(self, tmp_path, monkeypatch):
-        from repro.hdc.ingest import ingest_fused_min_rows
+        from repro.hdc import kernels
 
         path = self._artifact(tmp_path, "calibration.json", 33)
         monkeypatch.setenv("REPRO_CALIBRATION", str(path))
-        assert ingest_fused_min_rows() == 33  # warm the memo
+        assert kernels._xor_mt_min_cells() == 33  # warm the memo
         # Re-calibrating over the same path (same env string, so the
         # memo key alone would not notice) must still be picked up:
         # save_calibration clears every registered knob cache.
         self._artifact(tmp_path, "calibration.json", 44)
-        assert ingest_fused_min_rows() == 44
+        assert kernels._xor_mt_min_cells() == 44
 
     def test_invalidate_cache_clears_the_memo(self, tmp_path, monkeypatch):
-        from repro.hdc import ingest
+        from repro.hdc import kernels
 
         path = self._artifact(tmp_path, "calibration.json", 55)
         monkeypatch.setenv("REPRO_CALIBRATION", str(path))
-        assert ingest.ingest_fused_min_rows() == 55
-        assert ingest._knob_memo  # warmed
+        assert kernels._xor_mt_min_cells() == 55
+        assert kernels._knob_memo  # warmed
         invalidate_cache()
-        assert not ingest._knob_memo
-        assert ingest.ingest_fused_min_rows() == 55  # re-resolves cleanly
+        assert not kernels._knob_memo
+        assert kernels._xor_mt_min_cells() == 55  # re-resolves cleanly
