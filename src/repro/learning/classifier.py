@@ -91,12 +91,18 @@ class CentroidClassifier:
         self._class_vectors: dict[Hashable, np.ndarray] | None = None
         self._packed_table: PackedHV | None = None
         self._class_order: list[Hashable] = []
+        self._version = 0
 
     # -- properties -------------------------------------------------------------
     @property
     def dim(self) -> int:
         """Hyperspace dimensionality the classifier was created for."""
         return self._dim
+
+    @property
+    def version(self) -> int:
+        """Counter bumped by every mutation; derived caches key on it."""
+        return self._version
 
     @property
     def classes(self) -> list[Hashable]:
@@ -163,6 +169,7 @@ class CentroidClassifier:
     def _invalidate(self) -> None:
         self._class_vectors = None
         self._packed_table = None
+        self._version += 1
 
     def partial_fit(self, chunks: Iterable[LabelledChunk]) -> "CentroidClassifier":
         """Canonical chunked reducer: stream labelled chunks into the model.

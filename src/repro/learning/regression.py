@@ -124,16 +124,23 @@ class HDRegressor:
         self._model: np.ndarray | None = None
         self._packed_model: PackedHV | None = None
         self._scoring: tuple[np.ndarray, np.ndarray, int] | None = None
+        self._version = 0
 
     def _invalidate(self) -> None:
         self._model = None
         self._packed_model = None
         self._scoring = None
+        self._version += 1
 
     @property
     def dim(self) -> int:
         """Hyperspace dimensionality."""
         return self._dim
+
+    @property
+    def version(self) -> int:
+        """Counter bumped by every mutation; derived caches key on it."""
+        return self._version
 
     @property
     def num_samples(self) -> int:

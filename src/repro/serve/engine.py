@@ -3,12 +3,25 @@
 :class:`InferenceEngine` is the serving counterpart of the experiment
 drivers: it wraps a :class:`~repro.serve.pipeline.TrainedPipeline`
 (either freshly trained or reloaded via
-:func:`~repro.serve.persist.load_model`), builds the fused-table
-:class:`~repro.runtime.batch.BatchEncoder` once at start-up, and then
-answers single-record and micro-batched predict calls.  With
-``workers > 1`` the encode count phase and the distance scans shard over
-a :class:`~repro.runtime.pool.WorkerPool` with deterministic merge, so
-answers are bit-identical for any worker count.
+:func:`~repro.serve.persist.load_model`), builds its frozen predict state
+once at start-up, and then answers single-record and micro-batched
+predict calls.  There are two predict shapes:
+
+* **key–value pipelines** encode each record through the fused-table
+  :class:`~repro.runtime.batch.BatchEncoder` and run the model's
+  similarity scan.  With ``workers > 1`` the encode count phase and the
+  distance scans shard over a :class:`~repro.runtime.pool.WorkerPool`
+  with deterministic merge, so answers are bit-identical for any worker
+  count.
+* **keyless pipelines** quantise their one value to one of the
+  embedding's ``m`` levels (``φ(x) = B[index(x)]``), so the answer is a
+  pure function of the level index.  The engine pushes the ``m`` packed
+  basis rows through the model's own ``predict`` once and answers every
+  later call by indexing that per-level table — the same bytes the
+  encode-then-scan path returns.  The table is derived state: it is
+  never persisted and is rebuilt lazily whenever the model's
+  :attr:`~repro.learning.regression.HDRegressor.version` moves (online
+  ``learn``/``forget``/``absorb``).
 
 Because request-encoding ties draw from a stream freshly seeded with
 the pipeline's ``encode_seed`` on every call, the engine is stateless
@@ -20,6 +33,7 @@ batch, today or from a reloaded replica next year.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any, Hashable, Union
 
 import numpy as np
@@ -93,8 +107,14 @@ class InferenceEngine:
             )
         else:
             self._encoder = None
+        # Keyless pipelines: (model version, per-level answers).
+        self._table: tuple[int, Any] | None = None
+        self._table_lock = threading.Lock()
         try:
-            pipeline.model.prepare()
+            if self._encoder is None:
+                self._level_answers()
+            else:
+                pipeline.model.prepare()
         except EmptyModelError:
             # An untrained pipeline (OnlineLearner bootstrap) has nothing
             # to materialise yet; the first post-training predict will.
@@ -110,8 +130,10 @@ class InferenceEngine:
         """Load a saved pipeline (``save_model`` output) and wrap it.
 
         The one-time cost — reading the container, unpacking the basis
-        table, building the fused encode table — is paid here; every
-        subsequent :meth:`predict` call touches only packed kernels.
+        table, building the fused encode table (key–value pipelines) or
+        the per-level answer table (keyless pipelines) — is paid here;
+        a keyed :meth:`predict` call then touches only packed kernels,
+        and a keyless one is a quantise plus a table lookup.
         """
         from .persist import load_model
 
@@ -179,6 +201,39 @@ class InferenceEngine:
             )
         return self.pipeline.embedding.encode_packed(batch[:, 0])
 
+    def _level_answers(self) -> Union[list[Hashable], np.ndarray]:
+        """A keyless pipeline's answer for each of its ``m`` input levels.
+
+        ``model.predict(basis.packed)`` after ``model.prepare()``: row
+        ``i`` is exactly what ``model.predict`` returns for any value
+        quantised to level ``i`` (every predict path scores each row
+        independently of its batch).  Cached against the model's
+        ``version``, which is read *before* building, so a mutation that
+        races the build leaves a stale version behind and the next call
+        rebuilds.  ``prepare()`` makes the binary model's tie draws
+        first, exactly when the encode-then-scan path would have made
+        them.  An empty model raises
+        :class:`~repro.exceptions.EmptyModelError` and caches nothing.
+        """
+        model = self.pipeline.model
+        with self._table_lock:
+            version = model.version
+            if self._table is None or self._table[0] != version:
+                model.prepare()
+                answers = model.predict(
+                    self.pipeline.embedding.basis.packed, backend=self.backend
+                )
+                self._table = (version, answers)
+            return self._table[1]
+
+    def _lookup(self, values: np.ndarray) -> Union[list[Hashable], np.ndarray]:
+        """Keyless predict: quantise ``values`` and index the level table."""
+        levels = self.pipeline.embedding.indices(values)
+        answers = self._level_answers()
+        if isinstance(answers, np.ndarray):
+            return answers[levels]
+        return [answers[i] for i in levels.tolist()]
+
     def predict(self, features: Any) -> Union[list[Hashable], np.ndarray]:
         """Predict labels (classification) or values (regression).
 
@@ -187,7 +242,10 @@ class InferenceEngine:
         for any ``workers`` setting — sharded predictions merge in chunk
         order — and for any ``backend`` (under ``"auto"``, each
         micro-batch picks the similarity kernel for its own size).
+        Keyless pipelines answer from the per-level table.
         """
+        if self._encoder is None:
+            return self._lookup(self._as_batch(features)[:, 0])
         encoded = self.encode(features)
         model = self.pipeline.model
         if self._pool.serial:
@@ -211,6 +269,8 @@ class InferenceEngine:
         answer is exactly what a sequential ``predict_one`` would have
         returned for that record, *including tie-break RNG draws*:
 
+        * keyless pipelines quantise each value independently and index
+          the per-level answer table — no encode and no scan at all;
         * position-free tie policies (``"zeros"``/``"ones"`` — the
           serving default) batch-encode directly, since no record's
           encoding can depend on its neighbours;
@@ -226,10 +286,8 @@ class InferenceEngine:
         if batch.shape[0] == 0:
             return []
         if self._encoder is None:
-            # Keyless pipelines quantise each value independently — no
-            # tie draws at all, so batch encoding is trivially exact.
-            encoded = self.pipeline.embedding.encode_packed(batch[:, 0])
-        elif self.pipeline.tie_break in ("zeros", "ones"):
+            return list(self._lookup(batch[:, 0]))
+        if self.pipeline.tie_break in ("zeros", "ones"):
             pool = None if self._pool.serial else self._pool
             encoded = self._encoder.encode(
                 batch, seed=self.pipeline.encode_seed, packed=True, pool=pool
@@ -249,13 +307,15 @@ class InferenceEngine:
     def predict_one(self, record: Any) -> Any:
         """Predict for exactly one record; returns a scalar label/value.
 
-        The single-record fast path: encodes through
+        The single-record fast path.  A key–value record encodes through
         :meth:`~repro.runtime.batch.BatchEncoder.encode_one` (no chunk
         partitioning, no pool dispatch) and predicts inline — under
-        ``"auto"`` a one-row scan always lands on the XOR kernel.  The
-        answer is bit-identical to ``predict([record])[0]`` (asserted in
-        ``tests/serve/test_engine.py``); the per-call latency drop is
-        measured by ``benchmarks/bench_serve_latency.py``.
+        ``"auto"`` a one-row scan always lands on the XOR kernel; a
+        keyless record is one quantise and one per-level table lookup.
+        The answer is bit-identical to ``predict([record])[0]``
+        (asserted in ``tests/serve/test_engine.py``); the per-call
+        latency drop is measured by
+        ``benchmarks/bench_serve_latency.py``.
         """
         arr = np.asarray(record, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != self.num_features:
@@ -263,12 +323,11 @@ class InferenceEngine:
                 f"predict_one takes a single ({self.num_features},) record, "
                 f"got shape {arr.shape}"
             )
-        if self._encoder is not None:
-            encoded = self._encoder.encode_one(
-                arr, seed=self.pipeline.encode_seed, packed=True
-            )
-        else:
-            encoded = self.pipeline.embedding.encode_packed(arr[:1])
+        if self._encoder is None:
+            return self._lookup(arr[:1])[0]
+        encoded = self._encoder.encode_one(
+            arr, seed=self.pipeline.encode_seed, packed=True
+        )
         return self.pipeline.model.predict(encoded, backend=self.backend)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

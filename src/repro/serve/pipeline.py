@@ -35,7 +35,7 @@ import numpy as np
 
 from ..basis.base import Embedding
 from ..exceptions import InvalidParameterError
-from ..hdc.ops import TieBreak
+from ..hdc.ops import _TIE_BREAKS, TieBreak
 from ..learning.classifier import CentroidClassifier
 from ..learning.regression import HDRegressor
 
@@ -108,6 +108,12 @@ class TrainedPipeline:
             raise InvalidParameterError(
                 f"a {self.kind} pipeline needs a {expected.__name__}, "
                 f"got {type(self.model).__name__}"
+            )
+        # Validate eagerly, as the engine resolves its backend: a typo'd
+        # policy must fail here, not on every later learn or predict.
+        if self.tie_break not in _TIE_BREAKS:
+            raise InvalidParameterError(
+                f"tie_break must be one of {_TIE_BREAKS}, got {self.tie_break!r}"
             )
         if self.keys is not None:
             self.keys = np.asarray(self.keys)

@@ -215,3 +215,14 @@ class TestEngineGuards:
             train_pipeline("mars_express", config=ClassificationConfig(dim=64))
         with pytest.raises(InvalidParameterError, match="ClassificationConfig"):
             train_pipeline("suturing", config=RegressionConfig(dim=64))
+
+    def test_bad_tie_break_fails_at_construction(self, regression_pipeline):
+        """A typo'd request tie policy used to pass construction and
+        ``save_model`` and then fail every later learn or predict."""
+        with pytest.raises(InvalidParameterError, match="tie_break"):
+            TrainedPipeline(
+                kind="regression",
+                model=regression_pipeline.model,
+                embedding=regression_pipeline.embedding,
+                tie_break="bogus",
+            )

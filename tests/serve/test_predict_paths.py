@@ -1,8 +1,9 @@
 """The in-process predict path: exactness across worker counts and models.
 
 The contract under test (see :mod:`repro.serve.engine`): serving has one
-predict path per call — ``model.predict``, or its thread-sharded wrapper
-when ``workers > 1`` — and for any worker count, batch size, model kind
+predict path per call — ``model.predict``, its thread-sharded wrapper
+when ``workers > 1``, or for keyless pipelines a lookup in the per-level
+answer table — and for any worker count, batch size, model kind
 and decode mode it answers **bit-identically** to sequential
 ``predict_one``.  That holds through hot swaps and online learning, and
 the worker-count and start-method defaults resolve as documented.
