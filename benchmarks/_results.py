@@ -1,18 +1,10 @@
 """Canonical benchmark result paths: one writer, one layout.
 
 Every benchmark that records a machine-readable report writes it through
-:func:`write_result`, which enforces the repository's result layout:
-
-* the **canonical full report** lives under ``benchmarks/results/``
-  (``benchmarks/results/<name>.json``) next to the cached experiment
-  artifacts — one directory holds every measurement the repo produces;
-* benchmarks that historically wrote to the repository root
-  (``BENCH_kernels.json``, ``BENCH_cluster.json``,
-  ``BENCH_serve_concurrency.json``, ``BENCH_calibration.json``) also
-  drop a small **generated summary stub** there: the headline numbers
-  plus a pointer at the canonical file, so a glance at the root still
-  answers "how fast is this checkout" without duplicating the full
-  surface in two committed places.
+:func:`write_result`, which puts the full report under
+``benchmarks/results/`` (``benchmarks/results/<name>.json``) next to the
+cached experiment artifacts — one directory holds every measurement the
+repo produces.
 
 See ``docs/PERFORMANCE.md`` for the layout story and what each report
 contains.
@@ -22,37 +14,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 
 
-def write_result(
-    name: str,
-    payload: dict,
-    summary: Union[dict, None] = None,
-) -> Path:
+def write_result(name: str, payload: dict) -> Path:
     """Write a benchmark report to its canonical location.
 
     ``name`` is the bare report name (``"BENCH_kernels"``); the full
-    ``payload`` lands at ``benchmarks/results/<name>.json``.  When
-    ``summary`` is given, a root-level ``<name>.json`` stub is also
-    written carrying those headline numbers plus a ``canonical`` pointer
-    — the stub is generated output, never hand-edited.  Returns the
+    ``payload`` lands at ``benchmarks/results/<name>.json``.  Returns the
     canonical path.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     canonical = RESULTS_DIR / f"{name}.json"
     canonical.write_text(json.dumps(payload, indent=2) + "\n")
-    if summary is not None:
-        stub = {
-            "canonical": f"benchmarks/results/{name}.json",
-            "note": (
-                "generated summary; the full report lives at the "
-                "canonical path (see docs/PERFORMANCE.md)"
-            ),
-            "summary": summary,
-        }
-        (REPO_ROOT / f"{name}.json").write_text(json.dumps(stub, indent=2) + "\n")
     return canonical

@@ -17,9 +17,8 @@ Run::
 
     PYTHONPATH=src python benchmarks/bench_cluster_ingest.py [--fast]
 
-Writes ``benchmarks/results/BENCH_cluster.json`` (plus a headline stub
-at the repository root; the CI
-``cluster-sim`` job runs ``--fast``).
+Writes ``benchmarks/results/BENCH_cluster.json`` (the CI ``cluster-sim``
+job runs ``--fast``).
 """
 
 from __future__ import annotations
@@ -166,18 +165,7 @@ def main() -> None:
     args = parser.parse_args()
 
     summary = run_suite(fast=args.fast)
-    out_path = write_result(
-        "BENCH_cluster",
-        summary,
-        summary={
-            "mode": summary["mode"],
-            "bitwise_identical": summary["bitwise_identical"],
-            "best_rows_per_second": max(
-                point["rows_per_second"] for point in summary["scaling"]
-            ),
-            "faulty_overhead_vs_clean": summary["faulty"]["overhead_vs_clean"],
-        },
-    )
+    out_path = write_result("BENCH_cluster", summary)
     print(json.dumps(summary, indent=2))
     print(f"\nsummary written to {out_path}")
 

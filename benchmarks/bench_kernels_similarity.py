@@ -3,7 +3,6 @@
 Measures the exact kernel backends of :mod:`repro.hdc.kernels`
 (``xor``, ``xor-mt``, ``gemm``, ``auto``) against each other and writes
 a machine-readable report to ``benchmarks/results/BENCH_kernels.json``
-(plus a headline stub at the repo root)
 (committed, so the perf trajectory is tracked across PRs).  Four
 sections:
 
@@ -14,8 +13,9 @@ sections:
 * **crossover surface** — per-backend timings over an ``(n, m, d)``
   grid, the evidence behind the ``auto`` dispatch rule (the GEMM side
   collapses to the harmonic size ``n·m / (n+m)``; ``d`` cancels.  The
-  ``xor`` / ``xor-mt`` split follows the cube's byte-cell count — see
-  ``repro calibrate`` for the per-host measured thresholds);
+  ``xor`` / ``xor-mt`` split follows the cube's byte-cell count;
+  ``REPRO_KERNEL_CROSSOVER`` / ``REPRO_KERNEL_MT_CELLS`` move both
+  thresholds);
 * **topk** — fused :func:`~repro.hdc.kernels.topk_hamming` against the
   materialise-then-argsort route it replaces;
 * **retrieval** — end-to-end :class:`~repro.hdc.memory.ItemMemory`
@@ -244,7 +244,7 @@ def main() -> None:
     args = parser.parse_args()
 
     summary = run_suite(fast=args.fast)
-    out_path = write_result("BENCH_kernels", summary, summary=summary["headline"])
+    out_path = write_result("BENCH_kernels", summary)
     print(json.dumps(summary, indent=2))
     print(f"\nsummary written to {out_path}")
     print(f"headline: {summary['headline']['speedup_gemm_over_xor']}x gemm over xor "

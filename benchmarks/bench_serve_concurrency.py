@@ -10,7 +10,7 @@ worthwhile:
   scheduler with coalescing disabled (``max_batch=1``): every request is
   its own kernel call;
 * **batched** — the trace replayed with adaptive micro-batching on
-  (knobs from the calibration chain): concurrent requests coalesce into
+  (knobs from the arg > env > built-in chain): concurrent requests coalesce into
   single ``predict_coalesced`` kernel calls.
 
 Gates (both modes): the batched and unbatched transcripts must be
@@ -24,8 +24,7 @@ reduced scale).  A socket-level replay through a live ``serve-http``
 server (:class:`~repro.serve.replay.HTTPReplayClient`) re-checks
 bit-identity over the full network path.
 
-Writes ``benchmarks/results/BENCH_serve_concurrency.json`` (plus a
-headline stub at the repo root).  Run it::
+Writes ``benchmarks/results/BENCH_serve_concurrency.json``.  Run it::
 
     PYTHONPATH=src python benchmarks/bench_serve_concurrency.py [--fast]
 """
@@ -214,16 +213,7 @@ def main() -> None:
     args = parser.parse_args()
 
     summary = run_suite(fast=args.fast)
-    out_path = write_result(
-        "BENCH_serve_concurrency",
-        summary,
-        summary={
-            "mode": summary["mode"],
-            "oracle": summary["oracle"],
-            "batched_p99_ms": summary["batched"]["p99_ms"],
-            "batching_speedup": summary["batching_speedup"],
-        },
-    )
+    out_path = write_result("BENCH_serve_concurrency", summary)
     print(json.dumps(summary, indent=2))
     print(f"\nsummary written to {out_path}")
 

@@ -41,18 +41,16 @@ from .worker import WorkerPlan, worker_main, worker_proto
 
 __all__ = ["ClusterCoordinator", "default_cluster_workers"]
 
-#: Environment variable overriding the default cluster worker count
-#: (the calibration knob is ``cluster.workers``).
+#: Environment variable overriding the default cluster worker count.
 _ENV_CLUSTER_WORKERS = "REPRO_CLUSTER_WORKERS"
 
 
 def default_cluster_workers(workers: Union[int, None] = None) -> int:
-    """The calibrated default ingest worker-process count.
+    """The default ingest worker-process count.
 
     Resolution order (:func:`repro.tuning.calibration.resolve_knob`):
     the explicit ``workers`` argument, then ``REPRO_CLUSTER_WORKERS``,
-    then the calibration artifact's ``cluster.workers`` knob, then
-    ``1``.  Worker counts only schedule work — the merged model is
+    then ``1``.  Worker counts only schedule work — the merged model is
     bit-identical for any value.
 
     >>> default_cluster_workers(3)
@@ -63,8 +61,6 @@ def default_cluster_workers(workers: Union[int, None] = None) -> int:
     from ..tuning.calibration import resolve_knob
 
     value = resolve_knob(
-        "cluster",
-        "workers",
         builtin=1,
         arg=workers,
         env_var=_ENV_CLUSTER_WORKERS,

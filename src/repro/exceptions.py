@@ -82,12 +82,13 @@ class ModelFormatError(ReproError, ValueError):
 
 
 class CalibrationError(ReproError, ValueError):
-    """Raised when a calibration artifact or workload spec is unusable.
+    """Raised when a performance knob or workload spec is unusable.
 
-    Covers unreadable files, schema versions this library does not
-    understand, malformed knob values, and workload specs whose target
-    or budget fields are missing or out of range
-    (see :mod:`repro.tuning`).
+    Covers ``REPRO_*`` knob values that do not parse, are non-finite or
+    fall outside the knob's bound; a set ``REPRO_CALIBRATION`` (measured
+    knob files are no longer read); and workload specs that are
+    unreadable, carry an unknown schema version, or whose target or
+    budget fields are missing or out of range (see :mod:`repro.tuning`).
     """
 
 

@@ -20,8 +20,6 @@ Usage::
     python -m repro.experiments serve-http --model NAME=model.npz \\
         [--model NAME2=other.npz ...] [--host H] [--port P] \\
         [--batch-window-ms W] [--batch-max B] [--max-queue Q]
-    python -m repro.experiments calibrate [--fast] [--out CALIBRATION.json] \\
-        [--report REPORT.json]
     python -m repro.experiments check-deadline --workload SPEC.json \\
         [--workload SPEC2.json ...]
 
@@ -61,12 +59,10 @@ Runtime flags (see ``docs/REPRODUCING.md`` for per-artifact guidance):
     (override with ``--cache-dir`` or ``REPRO_RESULTS_DIR``); re-running
     an identical command is a logged cache hit that recomputes nothing.
 
-``calibrate`` measures this host's kernel/streaming/worker throughput
-surface and writes the calibration artifact every knob consumer reads
-through ``REPRO_CALIBRATION`` (see :mod:`repro.tuning` and
-``docs/PERFORMANCE.md``).  ``check-deadline`` replays recorded workload
-specs against the current configuration and exits non-zero on any
-budget miss — the CI perf gate.
+``check-deadline`` replays recorded workload specs against the current
+configuration (built-in knobs plus any ``REPRO_*`` overrides; see
+:mod:`repro.tuning` and ``docs/PERFORMANCE.md``) and exits non-zero on
+any budget miss — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -527,37 +523,6 @@ def _run_serve_http(args: argparse.Namespace) -> None:
         registry.close()
 
 
-def _run_calibrate(args: argparse.Namespace) -> None:
-    """Measure this host and write the calibration artifact.
-
-    ``--fast`` runs a reduced sweep (fewer points and repeats) for CI
-    and smoke use; the full sweep is the one to record.  ``--report``
-    additionally writes the raw measurement report (the throughput
-    surface, scaling curves and derivation) as JSON.
-    """
-    from ..tuning import calibrate
-    from ..tuning.calibration import save_calibration
-
-    dim = _effective_dim(args)
-    calibration, report = calibrate(fast=args.fast, dim=dim, seed=args.seed)
-    out = args.out or "calibration.json"
-    path = save_calibration(calibration, out)
-    print(f"calibrated {report['host']['platform']} ({report['host']['cpus']} cpu(s), "
-          f"d={dim}, {'fast' if args.fast else 'full'} sweep)")
-    for section, knobs in calibration.knobs.items():
-        for name, value in knobs.items():
-            print(f"  {section}.{name} = {value}")
-    worst = report.get("auto_worst_over_best")
-    if worst is not None:
-        print(f"  auto dispatch worst-case vs best fixed backend: {worst:.3f}x")
-    print(f"wrote {path} — activate with REPRO_CALIBRATION={path}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote measurement report to {args.report}")
-
-
 def _run_check_deadline(args: argparse.Namespace) -> None:
     """Replay workload specs and fail on any blown budget."""
     from ..exceptions import CalibrationError
@@ -591,7 +556,6 @@ _TARGETS = {
     "train": _run_train,
     "serve": _run_serve,
     "serve-http": _run_serve_http,
-    "calibrate": _run_calibrate,
     "check-deadline": _run_check_deadline,
 }
 
@@ -622,9 +586,8 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"smaller, quicker run (dim capped at {FAST_DIM})")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel experiment cells (0 = one per CPU; "
-                             "default: REPRO_WORKERS env, then the calibration "
-                             "artifact, then 1); results are bit-identical "
-                             "for any value")
+                             "default: REPRO_WORKERS env, then 1); results "
+                             "are bit-identical for any value")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute even if a cached result exists, and do not cache")
     parser.add_argument("--cache-dir", default=None,
@@ -638,8 +601,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="value basis for the trained pipeline")
     serving.add_argument("--out", default=None, metavar="PATH",
                          help="where `train` writes the model artifact "
-                              "(required) and `calibrate` writes the "
-                              "calibration artifact (default: calibration.json)")
+                              "(required)")
     serving.add_argument("--model", action="append", default=None,
                          metavar="MODEL.npz",
                          help="model artifact `serve` loads (required); for "
@@ -676,8 +638,8 @@ def main(argv: list[str] | None = None) -> int:
     streaming.add_argument("--chunk-size", type=int, default=None,
                            help="rows per streamed chunk — the memory knob of "
                                 "--stream (default: REPRO_CHUNK_ROWS env, then "
-                                "the calibration artifact, then 1024; results "
-                                "are bit-identical for any value)")
+                                "1024; results are bit-identical for any "
+                                "value)")
     streaming.add_argument("--checkpoint", default=None, metavar="CKPT.npz",
                            help="atomic checkpoint file updated while "
                                 "streaming (train: every --checkpoint-every "
@@ -689,9 +651,8 @@ def main(argv: list[str] | None = None) -> int:
     streaming.add_argument("--cluster-workers", type=int, default=None,
                            help="worker *processes* for distributed `train "
                                 "--stream` ingest (default: "
-                                "REPRO_CLUSTER_WORKERS env, then the "
-                                "calibration artifact's cluster.workers, then "
-                                "1 = in-process); the final model is "
+                                "REPRO_CLUSTER_WORKERS env, then 1 = "
+                                "in-process); the final model is "
                                 "bit-identical for any value")
     streaming.add_argument("--ingest-kernel",
                            choices=["auto", "ref", "fused"],
@@ -714,22 +675,17 @@ def main(argv: list[str] | None = None) -> int:
                            "port and prints it (default: 8094)")
     http.add_argument("--batch-window-ms", type=float, default=None,
                       help="micro-batch coalescing window in ms (default: "
-                           "REPRO_SERVE_BATCH_WINDOW_MS env, then the "
-                           "calibration artifact's serve.batch_window_ms, "
-                           "then 2.0); answers are bit-identical for any "
-                           "value")
+                           "REPRO_SERVE_BATCH_WINDOW_MS env, then 2.0); "
+                           "answers are bit-identical for any value")
     http.add_argument("--batch-max", type=int, default=None,
                       help="max requests coalesced into one kernel call "
-                           "(default: REPRO_SERVE_BATCH_MAX env, then "
-                           "serve.batch_max, then 32); 1 disables coalescing")
+                           "(default: REPRO_SERVE_BATCH_MAX env, then 32); "
+                           "1 disables coalescing")
     http.add_argument("--max-queue", type=int, default=None,
                       help="max in-flight requests per model before 429 "
                            "backpressure (default: REPRO_SERVE_MAX_QUEUE env, "
-                           "then serve.max_queue, then 256)")
-    tuning = parser.add_argument_group("tuning (calibrate / check-deadline targets)")
-    tuning.add_argument("--report", default=None, metavar="REPORT.json",
-                        help="where `calibrate` writes the raw measurement "
-                             "report (surface, scaling curves, derivation)")
+                           "then 256)")
+    tuning = parser.add_argument_group("tuning (check-deadline target)")
     tuning.add_argument("--workload", action="append", default=None,
                         metavar="SPEC.json",
                         help="workload spec for `check-deadline` (repeatable); "
@@ -758,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_queue is not None and args.max_queue < 1:
         parser.error(f"--max-queue must be positive, got {args.max_queue}")
     if args.workers is None:
-        # Unconfigured callers get the calibrated default (builtin: 1);
+        # Unconfigured callers get the default (REPRO_WORKERS, then 1);
         # an explicit --workers (incl. 0 = one per CPU) passes through.
         from ..runtime.pool import default_workers
 

@@ -39,10 +39,7 @@ bit-identical** backends for it, plus a fused top-k retrieval kernel:
   overhead; the smallest problems stay on the plain ``xor`` scan.  The
   built-in thresholds (:data:`AUTO_CROSSOVER`,
   :data:`XOR_MT_MIN_CELLS`) were measured with
-  ``benchmarks/bench_kernels_similarity.py`` / ``repro calibrate``;
-  when a calibration artifact is active (see
-  :mod:`repro.tuning.calibration`) the dispatch uses the per-host
-  measured values instead.
+  ``benchmarks/bench_kernels_similarity.py``.
 
 Backend selection: an explicit ``backend=`` argument wins, then the
 ``REPRO_KERNEL`` environment variable, then ``"auto"``.  Every consumer
@@ -52,8 +49,7 @@ argument through, so any path is forceable for tests and benchmarks.
 The dispatch thresholds resolve through the one precedence rule of
 :func:`repro.tuning.calibration.resolve_knob`: explicit argument >
 ``REPRO_KERNEL_CROSSOVER`` / ``REPRO_KERNEL_MT_CELLS`` /
-``REPRO_KERNEL_THREADS`` environment variables > calibration artifact >
-built-in constant.
+``REPRO_KERNEL_THREADS`` environment variables > built-in constant.
 
 :func:`topk_hamming` fuses retrieval with the distance computation: it
 scans the table in budget-bounded blocks, keeping only the running best
@@ -75,7 +71,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ..exceptions import DimensionMismatchError, InvalidParameterError
-from ..tuning.calibration import ENV_CALIBRATION, register_cache, resolve_knob
+from ..tuning.calibration import resolve_knob
 from . import packed as _packed
 from .packed import (
     DEFAULT_CELL_BUDGET,
@@ -110,8 +106,8 @@ BACKENDS = ("auto", "gemm", "xor", "xor-mt")
 _ENV_BACKEND = "REPRO_KERNEL"
 
 #: Environment variables overriding the ``auto`` dispatch thresholds and
-#: the ``xor-mt`` thread count (each also has a calibration knob; see
-#: the module docstring for the full precedence chain).
+#: the ``xor-mt`` thread count (see the module docstring for the full
+#: precedence chain).
 _ENV_CROSSOVER = "REPRO_KERNEL_CROSSOVER"
 _ENV_MT_CELLS = "REPRO_KERNEL_MT_CELLS"
 _ENV_THREADS = "REPRO_KERNEL_THREADS"
@@ -122,18 +118,15 @@ _BACKEND_ALIASES = {"xor-popcount": "xor", "xor_mt": "xor-mt"}
 #: ``auto`` uses GEMM when ``n·m / (n + m)`` is at least this.  Measured
 #: crossover (see module docstring): below it the unpack toll dominates
 #: and the XOR paths win; the value is dimension-independent because the
-#: ``d`` factors cancel in the cost model.  Calibrated with
+#: ``d`` factors cancel in the cost model.  Recorded with
 #: ``benchmarks/bench_kernels_similarity.py`` (break-even sits near
-#: ``n = m = 32``; harmonic size 16).  A calibration artifact
-#: (``kernels.gemm_crossover``) replaces it with the per-host value.
+#: ``n = m = 32``; harmonic size 16).
 AUTO_CROSSOVER = 16.0
 
 #: Below the GEMM crossover, ``auto`` takes the ``xor-mt`` path once the
 #: XOR cube holds at least this many byte cells (``n·m·width``).  Under
 #: it, the widening + scheduling overhead of the blocked path exceeds
-#: the temporary tax of the reference scan.  Built-in default measured
-#: by ``repro calibrate``; the artifact knob is
-#: ``kernels.xor_mt_min_cells``.
+#: the temporary tax of the reference scan.
 XOR_MT_MIN_CELLS = 2_000_000
 
 #: Cache-sized cap, in ``uint64`` cells, on each thread's preallocated
@@ -183,35 +176,29 @@ def resolve_backend(backend: str | None = None) -> str:
 
 #: Memo of resolved dispatch knobs, keyed on the raw environment
 #: strings the precedence chain depends on.  Similarity calls can be
-#: microsecond-scale, so the dispatcher must not repay env parsing and
-#: artifact probing per call.  Registered with the calibration module,
-#: so ``invalidate_cache()`` and every ``save_calibration()`` clear it;
-#: an artifact rewritten *outside* those APIs needs an explicit
-#: :func:`repro.tuning.calibration.invalidate_cache`.
+#: microsecond-scale, so the dispatcher must not repay env parsing per
+#: call; an env change is a new key, so it re-resolves on the next call.
 _knob_memo: dict = {}
-register_cache(_knob_memo)
 
 
 def _auto_thresholds() -> tuple[float, int]:
     """The active ``(gemm_crossover, xor_mt_min_cells)`` pair, memoised."""
     env = os.environ
-    key = (env.get(_ENV_CROSSOVER), env.get(_ENV_MT_CELLS), env.get(ENV_CALIBRATION))
+    key = (env.get(_ENV_CROSSOVER), env.get(_ENV_MT_CELLS))
     hit = _knob_memo.get(key)
     if hit is None:
         hit = (
             float(
                 resolve_knob(
-                    "kernels",
-                    "gemm_crossover",
                     builtin=AUTO_CROSSOVER,
                     env_var=_ENV_CROSSOVER,
                     cast=float,
+                    minimum=0.0,
+                    strict=True,
                 )
             ),
             int(
                 resolve_knob(
-                    "kernels",
-                    "xor_mt_min_cells",
                     builtin=XOR_MT_MIN_CELLS,
                     env_var=_ENV_MT_CELLS,
                     cast=int,
@@ -239,10 +226,9 @@ def kernel_threads(threads: int | None = None) -> int:
     """The worker count for the ``xor-mt`` backend.
 
     Resolution: the explicit ``threads`` argument, then the
-    ``REPRO_KERNEL_THREADS`` environment variable, then the calibration
-    knob ``kernels.xor_mt_threads``, then the host CPU count.  The
-    result only schedules work — ``xor-mt`` output is bit-identical for
-    any thread count.
+    ``REPRO_KERNEL_THREADS`` environment variable, then the host CPU
+    count.  The result only schedules work — ``xor-mt`` output is
+    bit-identical for any thread count.
 
     >>> kernel_threads(3)
     3
@@ -252,12 +238,10 @@ def kernel_threads(threads: int | None = None) -> int:
     if threads is not None:
         return max(1, int(threads))
     env = os.environ
-    key = ("threads", env.get(_ENV_THREADS), env.get(ENV_CALIBRATION))
+    key = ("threads", env.get(_ENV_THREADS))
     hit = _knob_memo.get(key)
     if hit is None:
         value = resolve_knob(
-            "kernels",
-            "xor_mt_threads",
             builtin=os.cpu_count() or 1,
             env_var=_ENV_THREADS,
             cast=int,
@@ -278,7 +262,7 @@ def use_gemm(n: int, m: int, dim: int) -> bool:
     is flat in ``d`` (the cost model's ``d`` factors cancel — see the
     module docstring), so only the harmonic size ``n·m / (n+m)`` decides.
     The threshold is :data:`AUTO_CROSSOVER` unless overridden by
-    ``REPRO_KERNEL_CROSSOVER`` or an active calibration artifact.
+    ``REPRO_KERNEL_CROSSOVER`` (which must be ``> 0``).
 
     >>> use_gemm(1, 1000, 10_000)   # single query: unpack toll dominates
     False
@@ -299,7 +283,7 @@ def use_xor_mt(n: int, m: int, dim: int) -> bool:
     amortise its uint64-widening and scheduling overhead; tiny problems
     stay on the reference scan.  The threshold is
     :data:`XOR_MT_MIN_CELLS` unless overridden by
-    ``REPRO_KERNEL_MT_CELLS`` or an active calibration artifact.
+    ``REPRO_KERNEL_MT_CELLS``.
 
     >>> use_xor_mt(1, 4, 10_000)     # a few cells: scan wins
     False

@@ -82,9 +82,7 @@ def cell_budget() -> int:
     """The current kernel allocation budget, in cells.
 
     Reads ``REPRO_KERNEL_BUDGET`` on every call (so tests and constrained
-    runners can adjust it without re-importing), then the active
-    calibration artifact's ``kernels.cell_budget`` knob (see
-    :mod:`repro.tuning.calibration`), falling back to
+    runners can adjust it without re-importing), falling back to
     :data:`DEFAULT_CELL_BUDGET`.  The value bounds transient allocations
     only — results are bit-identical for any budget.
 
@@ -104,14 +102,6 @@ def cell_budget() -> int:
                 f"{_ENV_BUDGET} must be a positive integer, got {raw!r}"
             )
         return value
-    # Lazy import: this module sits below the tuning layer.
-    from ..tuning.calibration import active_calibration
-
-    calibration = active_calibration()
-    if calibration is not None:
-        calibrated = calibration.get("kernels", "cell_budget")
-        if calibrated is not None:
-            return int(calibrated)
     return DEFAULT_CELL_BUDGET
 
 #: Whether the running numpy exposes the hardware popcount ufunc.

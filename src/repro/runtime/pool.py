@@ -43,8 +43,7 @@ R = TypeVar("R")
 
 _BACKENDS = ("thread", "process")
 
-#: Environment variable overriding the calibrated default worker count
-#: (the calibration knob is ``runtime.workers``; see
+#: Environment variable overriding the default worker count (see
 #: :func:`default_workers`).
 _ENV_WORKERS = "REPRO_WORKERS"
 
@@ -91,14 +90,13 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def default_workers(workers: int | None = None) -> int:
-    """The calibrated default worker count for engines and drivers.
+    """The default worker count for engines and drivers.
 
     Resolution order (:func:`repro.tuning.calibration.resolve_knob`):
     the explicit ``workers`` argument, then the ``REPRO_WORKERS``
-    environment variable, then the active calibration artifact's
-    ``runtime.workers`` knob, then ``1`` (the serial reference —
-    uncalibrated processes behave exactly as before).  Worker counts
-    only schedule work: every consumer is bit-identical for any value.
+    environment variable, then ``1`` (the serial reference).  Worker
+    counts only schedule work: every consumer is bit-identical for any
+    value.
 
     Distinct from :func:`resolve_workers`, which normalises an explicit
     request (``None``/``0`` → one worker per CPU) *inside*
@@ -113,8 +111,6 @@ def default_workers(workers: int | None = None) -> int:
     from ..tuning.calibration import resolve_knob
 
     value = resolve_knob(
-        "runtime",
-        "workers",
         builtin=1,
         arg=workers,
         env_var=_ENV_WORKERS,

@@ -15,17 +15,15 @@ request on an idle server is dispatched immediately — the window never
 taxes light traffic — while a flood of concurrent requests fills
 batches up to ``max_batch`` before the window expires.
 
-Both knobs resolve through the calibration chain
+Both knobs resolve through the knob chain
 (:func:`~repro.tuning.calibration.resolve_knob`): explicit argument,
 then the ``REPRO_SERVE_BATCH_WINDOW_MS`` / ``REPRO_SERVE_BATCH_MAX``
-environment variables, then the active calibration artifact's
-``serve.batch_window_ms`` / ``serve.batch_max`` knobs (measured by
-``repro calibrate``), then the built-ins below.  Like every knob in the
-repository, they only move scheduling — answers are bit-identical for
-any value.
+environment variables, then the built-ins below.  Like every knob in
+the repository, they only move scheduling — answers are bit-identical
+for any value.
 
 Admission control is a bounded in-flight count per batcher
-(``serve.max_queue`` / ``REPRO_SERVE_MAX_QUEUE``): a submit over the
+(``max_queue`` / ``REPRO_SERVE_MAX_QUEUE``): a submit over the
 bound raises :class:`~repro.exceptions.BackpressureError` immediately,
 which the HTTP front end maps to ``429`` — clients see fast, explicit
 backpressure instead of unbounded queueing.  A multi-record request is
@@ -58,15 +56,14 @@ __all__ = [
 ]
 
 #: Built-in batch window: how long a non-full batch may wait for more
-#: concurrent traffic, in milliseconds.  ``repro calibrate`` measures a
-#: host-specific value (``serve.batch_window_ms``).
+#: concurrent traffic, in milliseconds.
 DEFAULT_BATCH_WINDOW_MS = 2.0
 
-#: Built-in cap on coalesced batch size (``serve.batch_max``).
+#: Built-in cap on coalesced batch size.
 DEFAULT_BATCH_MAX = 32
 
-#: Built-in bound on admitted-but-unanswered requests per model
-#: (``serve.max_queue``); beyond it, submits fail with backpressure.
+#: Built-in bound on admitted-but-unanswered requests per model; beyond
+#: it, submits fail with backpressure.
 DEFAULT_MAX_QUEUE = 256
 
 #: Upper edges (seconds) of the request-latency histogram kept in
@@ -102,18 +99,16 @@ def _observe(edges: tuple, counts: list[int], value: float) -> None:
 
 
 def default_batch_window_ms(window_ms: float | None = None) -> float:
-    """Resolve the micro-batch window through the calibration chain.
+    """Resolve the micro-batch window through the knob chain.
 
-    ``arg > REPRO_SERVE_BATCH_WINDOW_MS > serve.batch_window_ms >
-    built-in``.  ``0`` disables waiting entirely (a batch still
-    coalesces whatever is already queued).
+    ``arg > REPRO_SERVE_BATCH_WINDOW_MS > built-in``.  ``0`` disables
+    waiting entirely (a batch still coalesces whatever is already
+    queued).
 
     >>> default_batch_window_ms(1.5)
     1.5
     """
     value = resolve_knob(
-        "serve",
-        "batch_window_ms",
         builtin=DEFAULT_BATCH_WINDOW_MS,
         arg=window_ms,
         env_var="REPRO_SERVE_BATCH_WINDOW_MS",
@@ -124,17 +119,15 @@ def default_batch_window_ms(window_ms: float | None = None) -> float:
 
 
 def default_batch_max(batch_max: int | None = None) -> int:
-    """Resolve the micro-batch size cap through the calibration chain.
+    """Resolve the micro-batch size cap through the knob chain.
 
-    ``arg > REPRO_SERVE_BATCH_MAX > serve.batch_max > built-in``.
+    ``arg > REPRO_SERVE_BATCH_MAX > built-in``.
     ``1`` disables coalescing (every request is its own kernel call).
 
     >>> default_batch_max(8)
     8
     """
     value = resolve_knob(
-        "serve",
-        "batch_max",
         builtin=DEFAULT_BATCH_MAX,
         arg=batch_max,
         env_var="REPRO_SERVE_BATCH_MAX",
@@ -145,16 +138,14 @@ def default_batch_max(batch_max: int | None = None) -> int:
 
 
 def default_max_queue(max_queue: int | None = None) -> int:
-    """Resolve the admission-control bound through the calibration chain.
+    """Resolve the admission-control bound through the knob chain.
 
-    ``arg > REPRO_SERVE_MAX_QUEUE > serve.max_queue > built-in``.
+    ``arg > REPRO_SERVE_MAX_QUEUE > built-in``.
 
     >>> default_max_queue(64)
     64
     """
     value = resolve_knob(
-        "serve",
-        "max_queue",
         builtin=DEFAULT_MAX_QUEUE,
         arg=max_queue,
         env_var="REPRO_SERVE_MAX_QUEUE",
@@ -193,8 +184,8 @@ class MicroBatcher:
         next batch boundary and every response is computed by exactly
         one model generation.
     window_ms, max_batch, max_queue:
-        Scheduling knobs; ``None`` resolves through the calibration
-        chain (see the module docstring).
+        Scheduling knobs; ``None`` resolves through the knob chain
+        (see the module docstring).
     executor:
         Where the (GIL-releasing) kernel call runs.  ``None`` uses the
         event loop's default thread pool.

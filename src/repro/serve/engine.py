@@ -60,8 +60,7 @@ class InferenceEngine:
     workers:
         Worker count for encode/predict sharding.  ``None`` (default)
         resolves through :func:`~repro.runtime.pool.default_workers` —
-        the ``REPRO_WORKERS`` environment variable, then the active
-        calibration artifact's ``runtime.workers`` knob, then ``1``
+        the ``REPRO_WORKERS`` environment variable, then ``1``
         (inline) — and any value produces bit-identical answers.
     backend:
         Similarity-kernel backend for the distance scans

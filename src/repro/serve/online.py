@@ -43,7 +43,7 @@ class OnlineLearner:
         Worker count for the embedded engine's encode/predict sharding
         (``None`` resolves through
         :func:`~repro.runtime.pool.default_workers`: env var, then
-        calibration, then serial).
+        serial).
     backend:
         Similarity-kernel backend for the embedded engine's distance
         scans (``"auto"``/``"gemm"``/``"xor"``; ``None`` defers to the

@@ -130,7 +130,7 @@ class ServeServer:
     window_ms, max_batch, max_queue:
         Micro-batching knobs forwarded to every per-model
         :class:`~repro.serve.batching.MicroBatcher`; ``None`` resolves
-        through the calibration chain.
+        through each knob's ``REPRO_SERVE_*`` variable, then its built-in.
 
     Use :meth:`start` / :meth:`stop` from a running event loop, or
     :class:`ServerThread` for a synchronous harness.

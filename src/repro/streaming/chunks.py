@@ -45,22 +45,20 @@ __all__ = [
 #: at roughly ``rows × k × d`` bytes; lower it to shrink peak memory.
 DEFAULT_CHUNK_ROWS = 1024
 
-#: Environment variable overriding the default chunk size (the
-#: calibration knob is ``streaming.chunk_rows``; see
+#: Environment variable overriding the default chunk size (see
 #: :func:`default_chunk_rows`).
 _ENV_CHUNK_ROWS = "REPRO_CHUNK_ROWS"
 
 
 def default_chunk_rows(chunk_size: int | None = None) -> int:
-    """The streamed-chunk row default after calibration.
+    """The streamed-chunk row default.
 
     Resolution order (:func:`repro.tuning.calibration.resolve_knob`):
     the explicit ``chunk_size`` argument, then the ``REPRO_CHUNK_ROWS``
-    environment variable, then the active calibration artifact's
-    ``streaming.chunk_rows`` knob, then :data:`DEFAULT_CHUNK_ROWS`.
-    Safe to calibrate: streamed encoding is chunking-invariant (ties are
-    keyed by absolute row position), so the chunk size moves peak memory
-    and throughput, never results.
+    environment variable, then :data:`DEFAULT_CHUNK_ROWS`.  Safe to
+    tune: streamed encoding is chunking-invariant (ties are keyed by
+    absolute row position), so the chunk size moves peak memory and
+    throughput, never results.
 
     >>> default_chunk_rows(256)
     256
@@ -70,8 +68,6 @@ def default_chunk_rows(chunk_size: int | None = None) -> int:
     from ..tuning.calibration import resolve_knob
 
     value = resolve_knob(
-        "streaming",
-        "chunk_rows",
         builtin=DEFAULT_CHUNK_ROWS,
         arg=chunk_size,
         env_var=_ENV_CHUNK_ROWS,

@@ -449,9 +449,8 @@ def train_pipeline_stream(
         Rows per streamed chunk — the memory knob: peak RAM is
         O(chunk), independent of ``stream_samples``.  ``None`` resolves
         through :func:`~repro.streaming.chunks.default_chunk_rows`
-        (``REPRO_CHUNK_ROWS`` env, then the calibration artifact's
-        ``streaming.chunk_rows`` knob, then 1024); the streamed result
-        is bit-identical for any value.
+        (``REPRO_CHUNK_ROWS`` env, then 1024); the streamed result is
+        bit-identical for any value.
     workers:
         Worker threads for the per-chunk encode count phase
         (bit-identical for any value).

@@ -1,92 +1,35 @@
-"""repro.tuning — the measure → consume → enforce performance loop.
+"""repro.tuning — performance knobs and the deadlines that gate them.
 
-Every performance knob in this repository used to be a constant tuned on
-one development machine.  This package closes the loop on the host that
-actually runs the workload:
-
-* :mod:`repro.tuning.calibration` — the **artifact**: a versioned,
-  schema-checked JSON file of measured knobs (kernel crossovers, the
-  allocation budget, streaming chunk rows, worker counts), written
-  atomically and activated through the ``REPRO_CALIBRATION`` environment
-  variable.  :func:`resolve_knob` gives every consumer the one
-  precedence rule: explicit arg > env var > calibration > built-in.
-* :mod:`repro.tuning.measure` — the **measurement**: ``repro calibrate``
-  sweeps the xor / xor-mt / gemm / topk throughput surface plus the
-  streaming-chunk and worker-scaling curves, derives the knob values,
-  and persists both the artifact and the full crossover surface
-  (``BENCH_calibration.json``).
+* :mod:`repro.tuning.calibration` — the **knobs**: :func:`resolve_knob`
+  gives every consumer the one precedence rule, explicit arg >
+  ``REPRO_*`` env var > built-in.  Malformed env values (unparsable,
+  non-finite, out of bounds) raise
+  :class:`~repro.exceptions.CalibrationError`.
 * :mod:`repro.tuning.deadline` — the **gate**: ``repro check-deadline``
   replays a recorded workload spec (JSON: target, shape, latency / RSS
-  budget) against the calibrated configuration and fails non-zero on a
+  budget) against the current configuration and fails non-zero on a
   miss, which is what CI runs.
 
-Calibration moves only crossover, blocking and scheduling decisions —
-results are bit-identical for any artifact (property-tested with
-adversarial artifacts in ``tests/tuning/``).
+Knobs move only crossover, blocking and scheduling decisions — results
+are bit-identical for any value (property-tested through arguments and
+environment variables in ``tests/tuning/``).
 
->>> from repro.tuning import Calibration
->>> Calibration.from_knobs({"runtime": {"workers": 2}}).get("runtime", "workers")
+>>> from repro.tuning import resolve_knob
+>>> resolve_knob(builtin=1, arg=2)
 2
 """
 
 from __future__ import annotations
 
-import importlib
-
-from .calibration import (
-    ENV_CALIBRATION,
-    KNOB_SCHEMA,
-    SCHEMA_VERSION,
-    Calibration,
-    active_calibration,
-    invalidate_cache,
-    load_calibration,
-    resolve_knob,
-    save_calibration,
-)
+from .calibration import ENV_CALIBRATION, active_calibration, resolve_knob
+from .deadline import WorkloadSpec, check_deadline, load_workload, run_workload
 
 __all__ = [
-    "SCHEMA_VERSION",
     "ENV_CALIBRATION",
-    "KNOB_SCHEMA",
-    "Calibration",
-    "load_calibration",
-    "save_calibration",
     "active_calibration",
     "resolve_knob",
-    "invalidate_cache",
-    # lazy (imported on first attribute access; they pull in the heavy
-    # kernel / streaming / serving layers, which this package's consumers
-    # must not pay for just to read a knob):
-    "calibrate",
-    "default_knobs",
     "WorkloadSpec",
     "load_workload",
     "run_workload",
     "check_deadline",
 ]
-
-#: Lazily resolved attribute → submodule.  ``measure`` and ``deadline``
-#: import :mod:`repro.hdc` / :mod:`repro.streaming` / :mod:`repro.serve`;
-#: importing them eagerly here would create an import cycle (the kernel
-#: layer resolves its knobs through :mod:`repro.tuning.calibration`).
-_LAZY = {
-    "calibrate": "measure",
-    "default_knobs": "measure",
-    "WorkloadSpec": "deadline",
-    "load_workload": "deadline",
-    "run_workload": "deadline",
-    "check_deadline": "deadline",
-}
-
-
-def __getattr__(name: str):
-    submodule = _LAZY.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{submodule}", __name__)
-    return getattr(module, name)
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)

@@ -96,16 +96,16 @@ class TestCLI:
 class TestCLISubprocess:
     """End-to-end smoke tests: every subcommand via a real interpreter."""
 
-    # train/serve need --out/--model and calibrate/check-deadline need
-    # artifact/workload paths; those four have their own subprocess
-    # smoke tests (tests/serve/test_cli_serve.py,
-    # tests/tuning/test_cli_tuning.py).  Smoke the artifact targets.
+    # train/serve need --out/--model and check-deadline needs workload
+    # paths; those have their own subprocess smoke tests
+    # (tests/serve/test_cli_serve.py, tests/tuning/test_cli_tuning.py).
+    # Smoke the artifact targets.
     @pytest.mark.parametrize(
         "target",
         sorted(
             t
             for t in _TARGETS
-            if t not in ("train", "serve", "serve-http", "calibrate", "check-deadline")
+            if t not in ("train", "serve", "serve-http", "check-deadline")
         ),
     )
     def test_fast_smoke(self, target, tmp_path):

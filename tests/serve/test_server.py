@@ -245,7 +245,7 @@ class TestAdaptiveScheduling:
 
 
 class TestKnobResolution:
-    """The scheduling knobs resolve arg > env > calibration > built-in."""
+    """The scheduling knobs resolve arg > env > built-in."""
 
     def test_env_knobs_configure_the_batcher(
         self, regression_pipeline, monkeypatch

@@ -3,9 +3,9 @@
 The contract under test: ``xor-mt`` is the same function as the
 reference XOR scan — bit-for-bit — for any dimension (including tail
 masks), any thread count, any block size the budget induces, and with
-or without the hardware popcount; and the calibrated ``auto`` dispatch
-can *never* change results, only which backend computes them
-(adversarial artifacts included).
+or without the hardware popcount; and the ``auto`` dispatch can *never*
+change results, only which backend computes them (adversarial
+threshold settings included).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.hdc.kernels import (
     use_xor_mt,
 )
 from repro.hdc.packed import packed_pairwise_hamming
-from repro.tuning import Calibration, invalidate_cache, save_calibration
 
 #: Dimensions crossing the packed tail-mask edge and the uint64-widening
 #: padding edge (width % 8): every residue mod 8 plus word-aligned sizes.
@@ -30,16 +29,12 @@ ODD_DIMS = (1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 101, 511, 512, 1000, 100
 @pytest.fixture(autouse=True)
 def _clean_tuning_env(monkeypatch):
     for var in (
-        "REPRO_CALIBRATION",
         "REPRO_KERNEL",
         "REPRO_KERNEL_CROSSOVER",
         "REPRO_KERNEL_MT_CELLS",
         "REPRO_KERNEL_THREADS",
     ):
         monkeypatch.delenv(var, raising=False)
-    invalidate_cache()
-    yield
-    invalidate_cache()
 
 
 def batches(n, m, d, seed=0):
@@ -115,45 +110,32 @@ class TestExactness:
         )
 
 
-class TestAdversarialCalibration:
-    """A wrong artifact can cost time, never correctness."""
+class TestAdversarialThresholds:
+    """A wrong threshold setting can cost time, never correctness."""
 
     #: Threshold pairs that force every dispatch decision: everything to
-    #: gemm, everything to xor-mt, everything to xor, and the built-ins.
+    #: gemm, everything to xor-mt, everything to xor, and gemm-or-xor.
     ADVERSARIAL = [
-        {"gemm_crossover": 0.1, "xor_mt_min_cells": 1},
-        {"gemm_crossover": 1e12, "xor_mt_min_cells": 1},
-        {"gemm_crossover": 1e12, "xor_mt_min_cells": 10**15},
-        {"gemm_crossover": 1.0, "xor_mt_min_cells": 10**15},
+        {"REPRO_KERNEL_CROSSOVER": "0.1", "REPRO_KERNEL_MT_CELLS": "1"},
+        {"REPRO_KERNEL_CROSSOVER": "1e12", "REPRO_KERNEL_MT_CELLS": "1"},
+        {"REPRO_KERNEL_CROSSOVER": "1e12", "REPRO_KERNEL_MT_CELLS": str(10**15)},
+        {"REPRO_KERNEL_CROSSOVER": "1.0", "REPRO_KERNEL_MT_CELLS": str(10**15)},
     ]
 
     @pytest.mark.parametrize("knobs", ADVERSARIAL)
-    def test_auto_is_bit_identical_under_any_artifact(
-        self, tmp_path, monkeypatch, knobs
-    ):
-        path = save_calibration(
-            Calibration.from_knobs({"kernels": dict(knobs, xor_mt_threads=3)}),
-            tmp_path / "calibration.json",
-        )
-        monkeypatch.setenv("REPRO_CALIBRATION", str(path))
+    def test_auto_is_bit_identical_under_any_thresholds(self, monkeypatch, knobs):
+        for var, value in dict(knobs, REPRO_KERNEL_THREADS="3").items():
+            monkeypatch.setenv(var, value)
         for n, m, d in [(1, 4, 100), (13, 9, 333), (40, 60, 1001)]:
             a, b = batches(n, m, d, seed=d)
             ref = packed_pairwise_hamming(a, b)
             assert np.array_equal(pairwise_hamming(a, b, backend="auto"), ref), knobs
 
-    def test_artifact_moves_the_dispatch_decision(self, tmp_path, monkeypatch):
+    def test_env_moves_the_dispatch_decision(self, monkeypatch):
         assert not use_xor_mt(1, 2, 64)  # built-in floor is far higher
-        path = save_calibration(
-            Calibration.from_knobs({"kernels": {"xor_mt_min_cells": 1}}),
-            tmp_path / "calibration.json",
-        )
-        monkeypatch.setenv("REPRO_CALIBRATION", str(path))
+        monkeypatch.setenv("REPRO_KERNEL_MT_CELLS", "1")
         assert use_xor_mt(1, 2, 64)
 
-    def test_artifact_moves_thread_count(self, tmp_path, monkeypatch):
-        path = save_calibration(
-            Calibration.from_knobs({"kernels": {"xor_mt_threads": 7}}),
-            tmp_path / "calibration.json",
-        )
-        monkeypatch.setenv("REPRO_CALIBRATION", str(path))
+    def test_env_moves_thread_count(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "7")
         assert kernel_threads() == 7
