@@ -15,8 +15,11 @@ worthwhile:
 
 Gates (both modes): the batched and unbatched transcripts must be
 **bit-identical** to the oracle — coalescing must never change a single
-answer — and the replay must reach at least :data:`MIN_IN_FLIGHT`
-concurrent in-flight requests, or the run measured nothing.  In full
+answer — the replay must reach at least :data:`MIN_IN_FLIGHT`
+concurrent in-flight requests, or the run measured nothing, and the
+batched replay's per-request latency must stay within
+:data:`P50_MS_MAX` / :data:`P99_MS_MAX`.  The ``--fast`` trace is 128
+requests at d = 1024 with arrivals compressed 1000×.  In full
 mode the batched replay must additionally finish at least
 :data:`SPEEDUP_GATE` times faster than the unbatched one (fast mode
 records the ratio without gating it — CI runners are too noisy at the
@@ -66,6 +69,10 @@ MIN_IN_FLIGHT = 64
 
 #: Full mode: batched replay must beat the unbatched one by this factor.
 SPEEDUP_GATE = 1.5
+
+#: Per-request latency budgets (ms) of the batched replay.
+P50_MS_MAX = 150.0
+P99_MS_MAX = 400.0
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,6 +213,15 @@ def run_suite(fast: bool = False) -> dict:
     }
 
 
+def budget_failures(summary: dict) -> list[str]:
+    """One message per latency budget the batched replay misses."""
+    return [
+        f"batched replay {key} {summary['batched'][key]:.1f} exceeds its budget of {limit} ms"
+        for key, limit in (("p50_ms", P50_MS_MAX), ("p99_ms", P99_MS_MAX))
+        if summary["batched"][key] > limit
+    ]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
@@ -234,6 +250,9 @@ def main() -> None:
             f"FAIL: replay peaked at {peak} concurrent in-flight requests "
             f"(need >= {MIN_IN_FLIGHT}); the trace did not exercise concurrency"
         )
+    failures = budget_failures(summary)
+    if failures:
+        raise SystemExit("FAIL: " + "; ".join(failures))
     ratio = summary["batching_speedup"]
     if summary["mode"] == "full" and ratio < SPEEDUP_GATE:
         raise SystemExit(

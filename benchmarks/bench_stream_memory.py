@@ -8,9 +8,11 @@ real processes:
    ``stream_fit_classifier`` at two stream lengths (4× apart) and
    reports its own peak RSS (``ru_maxrss``).  The gate asserts the peak
    grows far slower than the data (streaming holds chunks, not splits).
-2. **Beats materialisation** — the larger run's peak RSS must stay well
-   below the bytes the *unpacked encoded split* would occupy
-   (``n × d``), i.e. the allocation the pre-streaming pipeline paid.
+2. **Budget and beats materialisation** — the larger run (60,000 rows
+   at d = 2048 with ``--fast``) must peak at no more than
+   :data:`PEAK_RSS_MB_MAX` and stay well below the bytes the *unpacked
+   encoded split* would occupy (``n × d``), i.e. the allocation the
+   pre-streaming pipeline paid.
 3. **Exactness** — in-process, a streamed fit at small scale must equal
    the monolithic fit bit for bit (the full property grid lives in
    ``tests/streaming/``; this is the perf job's sanity tripwire).
@@ -50,6 +52,9 @@ GROWTH_GATE = 1.35
 #: Peak RSS must stay below this fraction of the unpacked encoded-split
 #: bytes the monolithic path would have materialised.
 MATERIALISE_GATE = 0.75
+
+#: Peak RSS budget (MB) of the larger run.
+PEAK_RSS_MB_MAX = 160.0
 
 
 def _build(dim: int, rows: int, chunk_rows: int):
@@ -125,8 +130,8 @@ def check_exactness(dim: int = 512, rows: int = 300) -> None:
 
 def run_suite(fast: bool = False) -> dict:
     dim = 2048 if fast else 8192
-    base_rows = 30_000 if fast else 60_000
-    big_rows = base_rows * 4
+    big_rows = 60_000 if fast else 240_000
+    base_rows = big_rows // 4
 
     check_exactness()
     print("exactness: streamed fit == monolithic fit (bit-identical)")
@@ -137,6 +142,7 @@ def run_suite(fast: bool = False) -> dict:
     would_be_unpacked = big["rows"] * dim  # 1 byte/bit encoded split
     would_be_packed = big["rows"] * (dim // 8)
     ratio_vs_unpacked = big["peak_rss_bytes"] / would_be_unpacked
+    peak_mb = big["peak_rss_bytes"] / 1e6
 
     report = {
         "dim": dim,
@@ -146,9 +152,11 @@ def run_suite(fast: bool = False) -> dict:
         "would_be_unpacked_bytes": would_be_unpacked,
         "would_be_packed_bytes": would_be_packed,
         "peak_over_unpacked_split": ratio_vs_unpacked,
+        "peak_rss_mb": round(peak_mb, 1),
         "gates": {
             "growth_max": GROWTH_GATE,
             "materialise_max": MATERIALISE_GATE,
+            "peak_rss_mb_max": PEAK_RSS_MB_MAX,
         },
     }
     print(
@@ -165,6 +173,10 @@ def run_suite(fast: bool = False) -> dict:
     assert growth < GROWTH_GATE, (
         f"peak RSS grew {growth:.2f}x for 4x the rows — not O(chunk) "
         f"(gate: {GROWTH_GATE}x)"
+    )
+    assert peak_mb <= PEAK_RSS_MB_MAX, (
+        f"streaming peak RSS is {peak_mb:.0f} MB over {big['rows']} rows "
+        f"(budget: {PEAK_RSS_MB_MAX:.0f} MB)"
     )
     assert ratio_vs_unpacked < MATERIALISE_GATE, (
         f"streaming peak RSS is {100 * ratio_vs_unpacked:.0f}% of the "

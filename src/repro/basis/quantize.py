@@ -150,9 +150,17 @@ class CircularDiscretizer(Discretizer):
         arr = np.asarray(values, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise EncodingDomainError("values must be finite")
-        phase = (arr - self.low) / self._step
-        idx = np.rint(phase).astype(np.int64) % self._size
-        return idx
+        with np.errstate(over="ignore"):
+            phase = (arr - self.low) / self._step
+        overflow = ~np.isfinite(phase)
+        if overflow.any():
+            # |arr - low| / step left float range: wrap by the period
+            # first (fmod is exact), then take the phase of the remainder.
+            wrapped = np.fmod(arr, self.period) - math.fmod(self.low, self.period)
+            phase = np.where(overflow, wrapped / self._step, phase)
+        # Reduce before the integer cast: a phase of 2**63 or more would
+        # overflow int64.  fmod of an integer-valued float is exact.
+        return np.fmod(np.rint(phase), self._size).astype(np.int64) % self._size
 
     def value(self, indices: np.ndarray | int) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)

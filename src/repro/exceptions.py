@@ -82,13 +82,11 @@ class ModelFormatError(ReproError, ValueError):
 
 
 class CalibrationError(ReproError, ValueError):
-    """Raised when a performance knob or workload spec is unusable.
+    """Raised when a performance knob is unusable.
 
     Covers ``REPRO_*`` knob values that do not parse, are non-finite or
-    fall outside the knob's bound; a set ``REPRO_CALIBRATION`` (measured
-    knob files are no longer read); and workload specs that are
-    unreadable, carry an unknown schema version, or whose target or
-    budget fields are missing or out of range (see :mod:`repro.tuning`).
+    fall outside the knob's bound, and a set ``REPRO_CALIBRATION``
+    (measured knob files are no longer read; see :mod:`repro.tuning`).
     """
 
 

@@ -20,8 +20,6 @@ Usage::
     python -m repro.experiments serve-http --model NAME=model.npz \\
         [--model NAME2=other.npz ...] [--host H] [--port P] \\
         [--batch-window-ms W] [--batch-max B] [--max-queue Q]
-    python -m repro.experiments check-deadline --workload SPEC.json \\
-        [--workload SPEC2.json ...]
 
 ``train`` runs one paper pipeline (a JIGSAWS-like gesture task or the
 Mars Express regression) and writes the trained model as a portable
@@ -52,17 +50,14 @@ Runtime flags (see ``docs/REPRODUCING.md`` for per-artifact guidance):
 ``--workers N``
     Fan independent experiment cells out over ``N`` workers (``0`` =
     one per CPU).  Results are bit-identical to ``--workers 1``.
+    ``serve`` and ``serve-http`` predict on the calling thread and
+    reject the flag.
 ``--no-cache``
     Bypass the artifact cache.  By default, results for table1, table2,
     figure7 and figure8 are content-addressed by their full
     configuration and cached as JSON under ``benchmarks/results/``
     (override with ``--cache-dir`` or ``REPRO_RESULTS_DIR``); re-running
     an identical command is a logged cache hit that recomputes nothing.
-
-``check-deadline`` replays recorded workload specs against the current
-configuration (built-in knobs plus any ``REPRO_*`` overrides; see
-:mod:`repro.tuning` and ``docs/PERFORMANCE.md``) and exits non-zero on
-any budget miss — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -347,7 +342,7 @@ def _run_serve(args: argparse.Namespace) -> None:
     else:
         try:
             # Open the request source before paying the model-load cost,
-            # so a bad path fails cleanly without spinning up a pool.
+            # so a bad path fails cleanly without loading the model.
             stream = open(args.input, encoding="utf-8")
         except OSError as exc:
             raise SystemExit(f"cannot open --input {args.input}: {exc}") from exc
@@ -364,14 +359,10 @@ def _run_serve(args: argparse.Namespace) -> None:
                         f"{model_path} holds a {type(pipeline).__name__}, not a "
                         "TrainedPipeline; wrap bare models in a pipeline to serve them"
                     )
-                learner = OnlineLearner(
-                    pipeline, workers=args.workers, backend=args.kernel
-                )
+                learner = OnlineLearner(pipeline, backend=args.kernel)
                 engine = learner.engine
             else:
-                engine = InferenceEngine.from_path(
-                    model_path, workers=args.workers, backend=args.kernel
-                )
+                engine = InferenceEngine.from_path(model_path, backend=args.kernel)
         except (InvalidParameterError, ModelFormatError) as exc:
             raise SystemExit(f"cannot load --model {model_path}: {exc}") from exc
         mode = "stream-serving" if args.stream else "serving"
@@ -474,7 +465,7 @@ def _run_serve_http(args: argparse.Namespace) -> None:
 
     if not args.model:
         raise SystemExit("serve-http requires at least one --model NAME=MODEL.npz")
-    registry = ModelRegistry(workers=args.workers, backend=args.kernel)
+    registry = ModelRegistry(backend=args.kernel)
     try:
         for spec in args.model:
             name, sep, path = spec.partition("=")
@@ -517,33 +508,10 @@ def _run_serve_http(args: argparse.Namespace) -> None:
                 server.stop()
             except KeyboardInterrupt:
                 # A second Ctrl-C mid-drain: finish the teardown anyway
-                # so the port and worker pools are released cleanly.
+                # so the port and the engines are released cleanly.
                 server.stop()
     finally:
         registry.close()
-
-
-def _run_check_deadline(args: argparse.Namespace) -> None:
-    """Replay workload specs and fail on any blown budget."""
-    from ..exceptions import CalibrationError
-    from ..tuning import check_deadline
-
-    if not args.workload:
-        raise SystemExit("check-deadline requires at least one --workload SPEC.json")
-    try:
-        code, results = check_deadline(args.workload)
-    except CalibrationError as exc:
-        raise SystemExit(f"check-deadline: {exc}") from exc
-    for result in results:
-        status = "PASS" if result["ok"] else "FAIL"
-        print(f"[{status}] {result['name']} ({result['target']})")
-        for check in result["checks"]:
-            mark = "ok  " if check["ok"] else "MISS"
-            print(f"  {mark} {check['budget']}: measured {check['measured']} "
-                  f"<= budget {check['limit']}")
-    if code:
-        raise SystemExit(code)
-    print("all deadlines met")
 
 
 _TARGETS = {
@@ -556,7 +524,6 @@ _TARGETS = {
     "train": _run_train,
     "serve": _run_serve,
     "serve-http": _run_serve_http,
-    "check-deadline": _run_check_deadline,
 }
 
 
@@ -587,7 +554,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel experiment cells (0 = one per CPU; "
                              "default: REPRO_WORKERS env, then 1); results "
-                             "are bit-identical for any value")
+                             "are bit-identical for any value; not accepted "
+                             "by serve/serve-http")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute even if a cached result exists, and do not cache")
     parser.add_argument("--cache-dir", default=None,
@@ -685,12 +653,11 @@ def main(argv: list[str] | None = None) -> int:
                       help="max in-flight requests per model before 429 "
                            "backpressure (default: REPRO_SERVE_MAX_QUEUE env, "
                            "then 256)")
-    tuning = parser.add_argument_group("tuning (check-deadline target)")
-    tuning.add_argument("--workload", action="append", default=None,
-                        metavar="SPEC.json",
-                        help="workload spec for `check-deadline` (repeatable); "
-                             "see benchmarks/workloads/ for the format")
     args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 0:
+        parser.error(f"--workers must be >= 0 (0 = one per CPU), got {args.workers}")
+    if args.workers is not None and args.target in ("serve", "serve-http"):
+        parser.error(f"--workers has no effect on {args.target}: it predicts on one thread")
     if args.batch_size < 1:
         parser.error(f"--batch-size must be positive, got {args.batch_size}")
     if args.chunk_size is not None and args.chunk_size < 1:

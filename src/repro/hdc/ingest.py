@@ -42,7 +42,7 @@ encode, enforced by the property tests in ``tests/hdc/test_ingest.py``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -109,28 +109,14 @@ class EngineEncode:
 
     encoder: object
     seed: object = None
-    pool: object = field(default=None, compare=False)
 
     #: Tie-coin contract the fused path must reproduce (see module doc).
     tie_semantics = "engine"
 
     def __call__(self, chunk):
         return self.encoder.encode(
-            np.asarray(chunk.features, dtype=np.float64),
-            seed=self.seed,
-            packed=True,
-            pool=self.pool,
+            np.asarray(chunk.features, dtype=np.float64), seed=self.seed, packed=True
         )
-
-    def __getstate__(self):
-        # The thread pool is a per-process resource; workers encode
-        # serially, which is bit-identical.
-        state = self.__dict__.copy()
-        state["pool"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 # ---------------------------------------------------------------------------

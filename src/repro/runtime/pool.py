@@ -90,7 +90,7 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def default_workers(workers: int | None = None) -> int:
-    """The default worker count for engines and drivers.
+    """The default worker count for the experiment drivers and ``train``.
 
     Resolution order (:func:`repro.tuning.calibration.resolve_knob`):
     the explicit ``workers`` argument, then the ``REPRO_WORKERS``

@@ -12,8 +12,8 @@ servable:
 * :mod:`repro.serve.pipeline` — :class:`TrainedPipeline`, the servable
   unit (encoder specification + trained model + provenance);
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`, which loads a
-  pipeline once and answers single/micro-batched predict calls, with
-  optional :class:`~repro.runtime.pool.WorkerPool` sharding;
+  pipeline once and answers single/micro-batched predict calls on the
+  calling thread;
 * :mod:`repro.serve.online` — :class:`OnlineLearner`, incremental
   add/subtract/merge updates on a live model plus atomic checkpoints;
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`, named

@@ -9,10 +9,7 @@ predict calls.  There are two predict shapes:
 
 * **key–value pipelines** encode each record through the fused-table
   :class:`~repro.runtime.batch.BatchEncoder` and run the model's
-  similarity scan.  With ``workers > 1`` the encode count phase and the
-  distance scans shard over a :class:`~repro.runtime.pool.WorkerPool`
-  with deterministic merge, so answers are bit-identical for any worker
-  count.
+  similarity scan on the calling thread.
 * **keyless pipelines** quantise their one value to one of the
   embedding's ``m`` levels (``φ(x) = B[index(x)]``), so the answer is a
   pure function of the level index.  The engine pushes the ``m`` packed
@@ -41,10 +38,7 @@ import numpy as np
 from ..exceptions import EmptyModelError, InvalidParameterError
 from ..hdc.kernels import resolve_backend
 from ..hdc.packed import PackedHV
-from ..learning.classifier import CentroidClassifier
 from ..runtime.batch import BatchEncoder
-from ..runtime.parallel import predict_classifier_sharded, predict_regressor_sharded
-from ..runtime.pool import WorkerPool, default_workers
 from .pipeline import TrainedPipeline
 
 __all__ = ["InferenceEngine"]
@@ -57,11 +51,6 @@ class InferenceEngine:
     ----------
     pipeline:
         The :class:`~repro.serve.pipeline.TrainedPipeline` to serve.
-    workers:
-        Worker count for encode/predict sharding.  ``None`` (default)
-        resolves through :func:`~repro.runtime.pool.default_workers` —
-        the ``REPRO_WORKERS`` environment variable, then ``1``
-        (inline) — and any value produces bit-identical answers.
     backend:
         Similarity-kernel backend for the distance scans
         (:mod:`repro.hdc.kernels`): ``"auto"`` (default via the
@@ -70,8 +59,9 @@ class InferenceEngine:
         size — a single record scans with XOR + popcount, a large batch
         rides one BLAS product — and every choice is bit-identical.
 
-    The engine is a context manager (closes its worker pool on exit)
-    but can also be used without ``with`` for serial serving.
+    The engine is a context manager (:meth:`close` on exit marks it
+    closed for the registry's drain) but can also be used without
+    ``with``.
 
     Example
     -------
@@ -88,18 +78,12 @@ class InferenceEngine:
     13.0
     """
 
-    def __init__(
-        self,
-        pipeline: TrainedPipeline,
-        workers: int | None = None,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, pipeline: TrainedPipeline, backend: str | None = None) -> None:
         self.pipeline = pipeline
         # Resolve eagerly so a typo'd backend (or REPRO_KERNEL value)
         # fails at construction, not on the first mid-stream request.
         self.backend = resolve_backend(backend)
-        self._pool = WorkerPool(workers=default_workers(workers))
-        self._pool.__enter__()  # keep one executor alive across requests
+        self._closed = False
         if pipeline.keys is not None:
             self._encoder: BatchEncoder | None = BatchEncoder(
                 pipeline.keys, pipeline.embedding, tie_break=pipeline.tie_break
@@ -121,10 +105,7 @@ class InferenceEngine:
 
     @classmethod
     def from_path(
-        cls,
-        path: str | os.PathLike,
-        workers: int | None = None,
-        backend: str | None = None,
+        cls, path: str | os.PathLike, backend: str | None = None
     ) -> "InferenceEngine":
         """Load a saved pipeline (``save_model`` output) and wrap it.
 
@@ -142,18 +123,17 @@ class InferenceEngine:
                 f"{path} holds a {type(pipeline).__name__}, not a TrainedPipeline; "
                 "wrap bare models in a pipeline to serve them"
             )
-        return cls(pipeline, workers=workers, backend=backend)
+        return cls(pipeline, backend=backend)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        self._pool.close()
+        """Mark the engine closed (idempotent)."""
         self._closed = True
 
     @property
     def closed(self) -> bool:
         """True once :meth:`close` has run (the registry's drain marker)."""
-        return getattr(self, "_closed", False)
+        return self._closed
 
     def __enter__(self) -> "InferenceEngine":
         return self
@@ -194,9 +174,8 @@ class InferenceEngine:
         """
         batch = self._as_batch(features)
         if self._encoder is not None:
-            pool = None if self._pool.serial else self._pool
             return self._encoder.encode(
-                batch, seed=self.pipeline.encode_seed, packed=True, pool=pool
+                batch, seed=self.pipeline.encode_seed, packed=True
             )
         return self.pipeline.embedding.encode_packed(batch[:, 0])
 
@@ -238,24 +217,13 @@ class InferenceEngine:
 
         Accepts a single record or a micro-batch; always returns the
         batch form (a list of labels, or a float array).  Bit-identical
-        for any ``workers`` setting — sharded predictions merge in chunk
-        order — and for any ``backend`` (under ``"auto"``, each
-        micro-batch picks the similarity kernel for its own size).
+        for any ``backend`` (under ``"auto"``, each micro-batch picks
+        the similarity kernel for its own size).
         Keyless pipelines answer from the per-level table.
         """
         if self._encoder is None:
             return self._lookup(self._as_batch(features)[:, 0])
-        encoded = self.encode(features)
-        model = self.pipeline.model
-        if self._pool.serial:
-            return model.predict(encoded, backend=self.backend)
-        if isinstance(model, CentroidClassifier):
-            return predict_classifier_sharded(
-                model, encoded, self._pool, backend=self.backend
-            )
-        return predict_regressor_sharded(
-            model, encoded, self._pool, backend=self.backend
-        )
+        return self.pipeline.model.predict(self.encode(features), backend=self.backend)
 
     def predict_coalesced(self, records: Any) -> list:
         """Predict a coalesced micro-batch, bit-identical to ``predict_one``.
@@ -287,10 +255,7 @@ class InferenceEngine:
         if self._encoder is None:
             return list(self._lookup(batch[:, 0]))
         if self.pipeline.tie_break in ("zeros", "ones"):
-            pool = None if self._pool.serial else self._pool
-            encoded = self._encoder.encode(
-                batch, seed=self.pipeline.encode_seed, packed=True, pool=pool
-            )
+            encoded = self.encode(batch)
         else:
             rows = [
                 self._encoder.encode_one(
@@ -308,7 +273,7 @@ class InferenceEngine:
 
         The single-record fast path.  A key–value record encodes through
         :meth:`~repro.runtime.batch.BatchEncoder.encode_one` (no chunk
-        partitioning, no pool dispatch) and predicts inline — under
+        partitioning) and predicts inline — under
         ``"auto"`` a one-row scan always lands on the XOR kernel; a
         keyless record is one quantise and one per-level table lookup.
         The answer is bit-identical to ``predict([record])[0]``
@@ -332,5 +297,5 @@ class InferenceEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"InferenceEngine(kind={self.kind!r}, dim={self.pipeline.dim}, "
-            f"features={self.num_features}, workers={self._pool.workers})"
+            f"features={self.num_features}, backend={self.backend!r})"
         )

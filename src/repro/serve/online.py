@@ -39,11 +39,6 @@ class OnlineLearner:
         or reloaded).  The learner and its engine share the pipeline's
         model object — updates are visible to subsequent predictions
         immediately.
-    workers:
-        Worker count for the embedded engine's encode/predict sharding
-        (``None`` resolves through
-        :func:`~repro.runtime.pool.default_workers`: env var, then
-        serial).
     backend:
         Similarity-kernel backend for the embedded engine's distance
         scans (``"auto"``/``"gemm"``/``"xor"``; ``None`` defers to the
@@ -73,11 +68,10 @@ class OnlineLearner:
     def __init__(
         self,
         pipeline: TrainedPipeline,
-        workers: int | None = None,
         backend: str | None = None,
         ingest: str | None = None,
     ) -> None:
-        self.engine = InferenceEngine(pipeline, workers=workers, backend=backend)
+        self.engine = InferenceEngine(pipeline, backend=backend)
         self.ingest = ingest
 
     def _stream_encode(self):
@@ -93,17 +87,14 @@ class OnlineLearner:
         from ..hdc.ingest import EngineEncode
 
         if self.engine._encoder is not None:
-            pool = None if self.engine._pool.serial else self.engine._pool
-            return EngineEncode(
-                self.engine._encoder, self.pipeline.encode_seed, pool
-            )
+            return EngineEncode(self.engine._encoder, self.pipeline.encode_seed)
         from ..streaming.train import ValueEncode
 
         return ValueEncode(self.pipeline.embedding, 0)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the embedded engine's worker pool (idempotent)."""
+        """Close the embedded engine (idempotent)."""
         self.engine.close()
 
     def __enter__(self) -> "OnlineLearner":

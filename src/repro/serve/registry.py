@@ -9,7 +9,7 @@ process has loaded.  Its second job is **zero-downtime replacement**:
 building the fused encode table) *before* touching the live entry, then
 flips the entry's engine pointer atomically and lets the old engine
 drain: every request that already leased the old engine finishes on it,
-and the old worker pool is closed exactly when the last lease returns.
+and the old engine is closed exactly when the last lease returns.
 
 Crash safety falls out of the write path being read-only here: a swap
 never mutates the artifact on disk (checkpoints are written atomically
@@ -82,19 +82,18 @@ class ModelRegistry:
 
     Parameters
     ----------
-    workers, backend:
-        Defaults forwarded to every :class:`InferenceEngine` the
+    backend:
+        Default forwarded to every :class:`InferenceEngine` the
         registry builds from a path or pipeline (``None`` defers to the
-        ``REPRO_WORKERS`` / ``REPRO_KERNEL`` chains).  Pre-built engines
-        are registered as-is.
+        ``REPRO_KERNEL`` chain).  Pre-built engines are registered
+        as-is.
 
     The registry owns its engines: :meth:`close` (or leaving the
     ``with`` block) closes every live engine, and swapped-out engines
     are closed as soon as they drain.
     """
 
-    def __init__(self, workers: int | None = None, backend: str | None = None) -> None:
-        self._workers = workers
+    def __init__(self, backend: str | None = None) -> None:
         self._backend = backend
         self._lock = threading.Lock()
         self._entries: dict[str, EngineLease] = {}
@@ -106,12 +105,10 @@ class ModelRegistry:
             return source, f"<{type(source.pipeline).__name__}>"
         if isinstance(source, TrainedPipeline):
             return (
-                InferenceEngine(source, workers=self._workers, backend=self._backend),
+                InferenceEngine(source, backend=self._backend),
                 f"<{type(source).__name__}>",
             )
-        engine = InferenceEngine.from_path(
-            source, workers=self._workers, backend=self._backend
-        )
+        engine = InferenceEngine.from_path(source, backend=self._backend)
         return engine, str(source)
 
     def register(self, name: str, source: ModelSource) -> EngineLease:

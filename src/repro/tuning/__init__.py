@@ -1,18 +1,15 @@
-"""repro.tuning — performance knobs and the deadlines that gate them.
+"""repro.tuning — performance knobs.
 
-* :mod:`repro.tuning.calibration` — the **knobs**: :func:`resolve_knob`
-  gives every consumer the one precedence rule, explicit arg >
-  ``REPRO_*`` env var > built-in.  Malformed env values (unparsable,
-  non-finite, out of bounds) raise
-  :class:`~repro.exceptions.CalibrationError`.
-* :mod:`repro.tuning.deadline` — the **gate**: ``repro check-deadline``
-  replays a recorded workload spec (JSON: target, shape, latency / RSS
-  budget) against the current configuration and fails non-zero on a
-  miss, which is what CI runs.
+:mod:`repro.tuning.calibration` holds the **knobs**: :func:`resolve_knob`
+gives every consumer the one precedence rule, explicit arg > ``REPRO_*``
+env var > built-in.  Malformed env values (unparsable, non-finite, out
+of bounds) raise :class:`~repro.exceptions.CalibrationError`.
 
 Knobs move only crossover, blocking and scheduling decisions — results
 are bit-identical for any value (property-tested through arguments and
-environment variables in ``tests/tuning/``).
+environment variables in ``tests/tuning/``).  The budgets those
+decisions must meet are gated by the benchmark scripts CI runs; see
+``docs/PERFORMANCE.md``.
 
 >>> from repro.tuning import resolve_knob
 >>> resolve_knob(builtin=1, arg=2)
@@ -22,14 +19,5 @@ environment variables in ``tests/tuning/``).
 from __future__ import annotations
 
 from .calibration import ENV_CALIBRATION, active_calibration, resolve_knob
-from .deadline import WorkloadSpec, check_deadline, load_workload, run_workload
 
-__all__ = [
-    "ENV_CALIBRATION",
-    "active_calibration",
-    "resolve_knob",
-    "WorkloadSpec",
-    "load_workload",
-    "run_workload",
-    "check_deadline",
-]
+__all__ = ["ENV_CALIBRATION", "active_calibration", "resolve_knob"]

@@ -15,13 +15,14 @@ Verified properties (Section 5.1):
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.basis import CircularBasis, LevelBasis
+from repro.basis import CircularBasis, CircularDiscretizer, LevelBasis
 from repro.exceptions import InvalidParameterError
 from repro.stats import circular_distance
 from tests.conftest import binomial_tolerance
@@ -180,6 +181,53 @@ class TestRValue:
         assert basis.transitions_per_subset == 6.0
         basis = CircularBasis(12, 64, r=1.0, seed=16)
         assert basis.transitions_per_subset == 1.0
+
+
+class TestLargeInputs:
+    """Any finite value wraps into the period, however large.
+
+    Floats this large are integers, so exact integer arithmetic gives the
+    reference level: with ``period = m`` (step 1) value ``x`` sits on
+    level ``int(x) % m``; with ``period = m / 32`` (step 2**-5) the phase
+    ``32·x`` overflows to infinity near 1.7e308 and the level is
+    ``(32·int(x)) % m``.
+    """
+
+    VALUES = [-1e20, 1e20, 2.0**63, -(2.0**63), 2.0**64 + 2.0**12, 3.3e25, -7.1e200,
+              1.7e308, -1.7e308, np.finfo(np.float64).max]
+
+    def test_step_one_matches_integer_arithmetic(self):
+        disc = CircularDiscretizer(24, period=24.0)
+        expected = [int(x) % 24 for x in self.VALUES]
+        assert disc.index(np.array(self.VALUES)).tolist() == expected
+        assert int(disc.index(-1e20)) == 8
+
+    def test_overflowing_phase_wraps_by_period(self):
+        disc = CircularDiscretizer(24, period=24 / 32)
+        expected = [(32 * int(x)) % 24 for x in self.VALUES]
+        assert disc.index(np.array(self.VALUES)).tolist() == expected
+
+    @pytest.mark.parametrize("m", [5, 24, 360])
+    def test_ordinary_values_keep_their_levels(self, m):
+        """Below 2**63 the reduction changes nothing: every grid point,
+        half-step boundary and in-between value lands where plain
+        rounding puts it."""
+        disc = CircularDiscretizer(m, low=-1.5, period=float(m))
+        steps = np.arange(-4 * m, 4 * m, 0.25)
+        values = np.concatenate([steps - 1.5, [1e6 + 0.5, -1e6 - 0.5, 2.0**52 + 1]])
+        expected = np.rint(values + 1.5).astype(np.int64) % m
+        assert np.array_equal(disc.index(values), expected)
+
+    def test_huge_values_raise_no_warning(self):
+        disc = CircularDiscretizer(24, period=24 / 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            disc.index(np.array(self.VALUES))
+
+    def test_offset_overflow_wraps_by_period(self):
+        disc = CircularDiscretizer(24, low=-1.7e308, period=24.0)
+        for x in (1.7e308, 1.6e308, 1.5e308):  # x - low overflows to inf
+            assert int(disc.index(x)) == (int(x) - int(-1.7e308)) % 24
 
 
 @settings(max_examples=10, deadline=None)

@@ -86,6 +86,8 @@ class TestCLI:
         assert main([*args, "--workers", "4"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
+        assert main([*args, "--workers", "0"]) == 0  # one per CPU
+        assert capsys.readouterr().out == serial
 
     def test_fast_caps_dimension(self, capsys):
         assert main(["table2", "--dim", "9999", "--seed", "3", "--fast"]) == 0
@@ -96,17 +98,12 @@ class TestCLI:
 class TestCLISubprocess:
     """End-to-end smoke tests: every subcommand via a real interpreter."""
 
-    # train/serve need --out/--model and check-deadline needs workload
-    # paths; those have their own subprocess smoke tests
-    # (tests/serve/test_cli_serve.py, tests/tuning/test_cli_tuning.py).
-    # Smoke the artifact targets.
+    # train/serve need --out/--model; those have their own subprocess
+    # smoke tests (tests/serve/test_cli_serve.py).  Smoke the artifact
+    # targets.
     @pytest.mark.parametrize(
         "target",
-        sorted(
-            t
-            for t in _TARGETS
-            if t not in ("train", "serve", "serve-http", "check-deadline")
-        ),
+        sorted(t for t in _TARGETS if t not in ("train", "serve", "serve-http")),
     )
     def test_fast_smoke(self, target, tmp_path):
         proc = _run_cli([target, "--fast", "--dim", "256", "--no-cache"], tmp_path)
@@ -137,3 +134,17 @@ class TestCLISubprocess:
         assert first.returncode == 0 and second.returncode == 0
         assert "cache hit" not in second.stderr
         assert len(list(tmp_path.glob("table1-*.json"))) == 2
+
+    @pytest.mark.parametrize("workers", ["-1", "-2"])
+    def test_negative_workers_is_a_usage_error(self, workers, tmp_path):
+        proc = _run_cli(["figure8", "--fast", "--workers", workers], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "--workers must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("target", ["serve", "serve-http"])
+    def test_workers_on_serving_targets_is_a_usage_error(self, target, tmp_path):
+        proc = _run_cli([target, "--model", "m=missing.npz", "--workers", "2"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"--workers has no effect on {target}" in proc.stderr
+        assert "Traceback" not in proc.stderr

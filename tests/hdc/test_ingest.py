@@ -147,6 +147,8 @@ class TestAutoDispatch:
         chunk = Chunk(features=x, targets=np.asarray(y))
         assert ingest_chunk(streamed, chunk, EngineEncode(encoder, 42))
         assert_same_classifier(ref, streamed, tmp_path, f"engine-chunk-{rows}")
+        restored = pickle.loads(pickle.dumps(EngineEncode(encoder, 42)))
+        assert restored(chunk).data.tobytes() == encoder.encode(x, seed=42, packed=True).data.tobytes()
 
     def test_ref_backend_never_handles(self):
         stream, encoder = _cell()

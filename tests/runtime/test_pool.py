@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import CalibrationError, InvalidParameterError
 from repro.runtime import WorkerPool, resolve_workers
-from repro.runtime.pool import _star_apply, default_start_method
+from repro.runtime.pool import _star_apply, default_start_method, default_workers
 
 
 def _square(x: int) -> int:
@@ -30,6 +30,17 @@ class TestResolveWorkers:
             resolve_workers(-1)
         with pytest.raises(InvalidParameterError):
             resolve_workers(2.5)  # type: ignore[arg-type]
+
+
+def test_default_workers_resolution(monkeypatch):
+    assert default_workers(3) == 3
+    assert default_workers(1) == 1
+    monkeypatch.setenv("REPRO_WORKERS", "5")
+    assert default_workers() == 5
+    assert default_workers(2) == 2  # the explicit argument wins
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    with pytest.raises(CalibrationError, match="REPRO_WORKERS"):
+        default_workers()
 
 
 class TestWorkerPool:

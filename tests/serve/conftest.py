@@ -6,8 +6,8 @@ Two jobs:
   ``tie_break="random"`` classification pipeline that exercises the
   micro-batcher's per-record encode fallback), module-cached so the
   concurrency tests stay fast;
-* an **autouse thread-leak check**: every engine, learner, batcher and
-  server owns threads (worker pools, event loops, executors), and every
+* an **autouse thread-leak check**: batchers and servers own threads
+  (event loops, executors), and every
   test must release them — a test that exits with stray live threads
   fails here, which is how the ``with``/``close()`` discipline across
   ``tests/serve/`` is enforced.

@@ -4,10 +4,12 @@ Covers the acceptance contract of the serving subsystem: a model
 trained in one process, saved, and reloaded in a fresh engine answers
 every request with exactly the bits the in-memory model produces — for
 classification and regression pipelines, single records and
-micro-batches, serial and sharded workers.
+micro-batches, every kernel backend.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -62,13 +64,21 @@ class TestClassificationServing:
             singles = [engine.predict_one(row) for row in gesture_records]
         assert singles == batch
 
-    def test_workers_bit_identical(self, classification_pipeline, gesture_records, tmp_path):
+    def test_concurrent_callers_bit_identical(
+        self, classification_pipeline, gesture_records, tmp_path
+    ):
+        """The engine predicts on the calling thread; the HTTP server's
+        request threads share one engine, so concurrent callers must get
+        the serial answers."""
         path = tmp_path / "clf.npz"
         save_model(classification_pipeline, path)
-        with InferenceEngine.from_path(path, workers=1) as serial:
-            expected = serial.predict(gesture_records)
-        with InferenceEngine.from_path(path, workers=3) as sharded:
-            assert sharded.predict(gesture_records) == expected
+        with InferenceEngine.from_path(path) as engine:
+            expected = engine.predict(gesture_records)
+            with ThreadPoolExecutor(4) as pool:
+                batches = list(pool.map(lambda _: engine.predict(gesture_records), range(8)))
+                singles = list(pool.map(engine.predict_one, gesture_records))
+        assert all(batch == expected for batch in batches)
+        assert singles == expected
 
     def test_reported_accuracy_is_the_serving_accuracy(self, classification_pipeline):
         """metadata['test_accuracy'] must describe the serve path exactly."""
@@ -110,17 +120,20 @@ class TestRegressionServing:
             value = engine.predict_one([1.25])
         assert np.isscalar(value) or np.asarray(value).ndim == 0
 
-    def test_workers_bit_identical(self, regression_pipeline):
+    def test_concurrent_callers_bit_identical(self, regression_pipeline):
         anomalies = np.linspace(0.0, 2 * np.pi, 64)[:, None]
-        with InferenceEngine(regression_pipeline, workers=1) as serial:
-            expected = serial.predict(anomalies)
-        with InferenceEngine(regression_pipeline, workers=4) as sharded:
-            assert np.array_equal(sharded.predict(anomalies), expected)
+        with InferenceEngine(regression_pipeline) as engine:
+            expected = engine.predict(anomalies)
+            with ThreadPoolExecutor(4) as pool:
+                batches = list(pool.map(lambda _: engine.predict(anomalies), range(8)))
+                singles = list(pool.map(engine.predict_one, anomalies))
+        assert all(np.array_equal(batch, expected) for batch in batches)
+        assert np.array_equal(singles, expected)
 
     @pytest.mark.parametrize("model", ["binary", "integer"])
     @pytest.mark.parametrize("decode", ["argmin", "weighted"])
     def test_every_model_mode_bit_identical(self, model, decode):
-        """Sharded predict and coalesced predict equal sequential
+        """Batch predict and coalesced predict equal sequential
         predict_one for every HDRegressor model/decode combination."""
         emb = LevelBasis(32, 256, seed=5).linear_embedding(0.0, 1.0)
         x = np.linspace(0.0, 1.0, 48)
@@ -129,16 +142,15 @@ class TestRegressionServing:
         )
         pipeline = TrainedPipeline(kind="regression", model=reg, embedding=emb)
         rows = np.linspace(0.05, 0.95, 23)[:, None]
-        with InferenceEngine(pipeline, workers=1) as serial:
-            expected = [serial.predict_one(row) for row in rows]
-            assert np.array_equal(serial.predict_coalesced(rows), expected)
-        with InferenceEngine(pipeline, workers=3) as sharded:
-            assert np.array_equal(sharded.predict(rows), expected)
+        with InferenceEngine(pipeline) as engine:
+            expected = [engine.predict_one(row) for row in rows]
+            assert np.array_equal(engine.predict_coalesced(rows), expected)
+            assert np.array_equal(engine.predict(rows), expected)
 
 
 class TestKernelBackends:
     """The backend knob and the predict_one fast path are invisible in
-    the answers: every backend, worker count and entry point must agree
+    the answers: every backend and entry point must agree
     bit for bit."""
 
     def test_classifier_backends_bit_identical(
@@ -155,11 +167,8 @@ class TestKernelBackends:
         with InferenceEngine(regression_pipeline) as engine:
             expected = engine.predict(anomalies)
         for backend in ("gemm", "xor"):
-            for workers in (1, 3):
-                with InferenceEngine(
-                    regression_pipeline, workers=workers, backend=backend
-                ) as engine:
-                    assert np.array_equal(engine.predict(anomalies), expected)
+            with InferenceEngine(regression_pipeline, backend=backend) as engine:
+                assert np.array_equal(engine.predict(anomalies), expected)
 
     def test_env_knob_forces_backend(
         self, classification_pipeline, gesture_records, monkeypatch

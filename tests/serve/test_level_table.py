@@ -104,22 +104,22 @@ def _assert_served(engine, values, expected):
 # -- byte identity with the encode-then-scan path --------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("backend", ["gemm", "xor"])
 @pytest.mark.parametrize("model_mode", ["binary", "integer"])
 @pytest.mark.parametrize("decode", ["argmin", "weighted"])
 @pytest.mark.parametrize("make_embedding", [_circular, _linear], ids=["circular", "linear"])
-def test_regressor_table_is_byte_identical(workers, model_mode, decode, make_embedding):
+def test_regressor_table_is_byte_identical(backend, model_mode, decode, make_embedding):
     pipeline = _regression_pipeline(model_mode, decode, make_embedding())
     values = _values(pipeline.embedding)
-    with InferenceEngine(pipeline, workers=workers) as engine:
+    with InferenceEngine(pipeline, backend=backend) as engine:
         _assert_served(engine, values, _oracle(pipeline, values))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_classifier_table_is_byte_identical(workers):
+@pytest.mark.parametrize("backend", ["gemm", "xor"])
+def test_classifier_table_is_byte_identical(backend):
     pipeline = _classification_pipeline()
     values = _values(pipeline.embedding, seed=1)
-    with InferenceEngine(pipeline, workers=workers) as engine:
+    with InferenceEngine(pipeline, backend=backend) as engine:
         expected = _oracle(pipeline, values)
         assert len(set(expected)) == 4
         _assert_served(engine, values, expected)
@@ -130,7 +130,7 @@ def test_serving_never_calls_model_predict(monkeypatch):
     pipeline = _regression_pipeline("integer")
     values = _values(pipeline.embedding, n=50)
     expected = _oracle(pipeline, values)
-    with InferenceEngine(pipeline, workers=2) as engine:
+    with InferenceEngine(pipeline) as engine:
 
         def refuse(*args, **kwargs):
             raise AssertionError("model.predict ran on the serving path")
@@ -209,7 +209,7 @@ def test_hot_swap_serves_the_new_model(tmp_path):
     assert _changed(before, after)
     save_model(first, tmp_path / "a.npz")
     save_model(second, tmp_path / "b.npz")
-    with ModelRegistry(workers=1) as registry:
+    with ModelRegistry() as registry:
         registry.register("m", str(tmp_path / "a.npz"))
         _assert_served(registry.engine("m"), values, before)
         registry.swap("m", str(tmp_path / "b.npz"))

@@ -180,10 +180,10 @@ class TestCheckpoint:
             assert engine.predict(probe) == expected
 
     def test_learner_is_a_context_manager(self):
-        with OnlineLearner(_regression_pipeline(), workers=2) as learner:
+        with OnlineLearner(_regression_pipeline()) as learner:
             learner.learn(np.arange(4.0)[:, None], np.arange(4.0))
             assert learner.num_samples == 4
-        assert learner.engine._pool._executor is None  # pool shut down
+        assert learner.engine.closed
 
     def test_checkpoint_overwrites_atomically(self, tmp_path, make_learner):
         learner = make_learner(_regression_pipeline())

@@ -1,25 +1,20 @@
-"""The in-process predict path: exactness across worker counts and models.
+"""The in-process predict path: exactness across backends and models.
 
 The contract under test (see :mod:`repro.serve.engine`): serving has one
-predict path per call — ``model.predict``, its thread-sharded wrapper
-when ``workers > 1``, or for keyless pipelines a lookup in the per-level
-answer table — and for any worker count, batch size, model kind
-and decode mode it answers **bit-identically** to sequential
-``predict_one``.  That holds through hot swaps and online learning, and
-the worker-count and start-method defaults resolve as documented.
+predict path per call — ``model.predict`` on the calling thread, or for
+keyless pipelines a lookup in the per-level answer table — and for any
+kernel backend, batch size, model kind and decode mode it answers
+**bit-identically** to sequential ``predict_one``.  That holds through
+hot swaps and online learning.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.basis import LevelBasis
-from repro.exceptions import CalibrationError
 from repro.learning import HDRegressor
-from repro.runtime.pool import default_start_method, default_workers
 from repro.serve import (
     InferenceEngine,
     ModelRegistry,
@@ -44,17 +39,17 @@ def _regression_pipeline(model: str, decode: str, dim: int = 256):
     return TrainedPipeline(kind="regression", model=reg, embedding=emb)
 
 
-# -- exactness across worker counts, batch sizes and model kinds ---------------
+# -- exactness across backends, batch sizes and model kinds --------------------
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("backend", ["gemm", "xor"])
 @pytest.mark.parametrize("batch", [1, 7, 32])
-def test_classifier_matches_inline(classification_pipeline, workers, batch):
+def test_classifier_matches_inline(classification_pipeline, backend, batch):
     rows = _rows(classification_pipeline, batch, seed=batch)
-    with InferenceEngine(classification_pipeline, workers=1) as inline:
+    with InferenceEngine(classification_pipeline) as inline:
         expected = inline.predict(rows)
         expected_one = [inline.predict_one(r) for r in rows]
-    with InferenceEngine(classification_pipeline, workers=workers) as engine:
+    with InferenceEngine(classification_pipeline, backend=backend) as engine:
         assert engine.predict(rows) == expected == expected_one
         assert list(engine.predict_coalesced(rows)) == expected
 
@@ -64,37 +59,28 @@ def test_classifier_matches_inline(classification_pipeline, workers, batch):
 def test_regressor_matches_inline(model_mode, decode):
     pipeline = _regression_pipeline(model_mode, decode)
     rows = np.linspace(0.05, 0.95, 23)[:, None]
-    with InferenceEngine(pipeline, workers=1) as inline:
-        expected = inline.predict(rows)
-        expected_one = [inline.predict_one(r) for r in rows]
-    with InferenceEngine(pipeline, workers=3) as engine:
+    with InferenceEngine(pipeline) as engine:
+        expected = pipeline.model.predict(pipeline.embedding.encode_packed(rows[:, 0]))
+        expected_one = [engine.predict_one(r) for r in rows]
         np.testing.assert_array_equal(engine.predict(rows), expected)
         np.testing.assert_array_equal(engine.predict_coalesced(rows), expected_one)
+        np.testing.assert_array_equal(expected_one, expected)
 
 
 def test_random_tie_pipeline_matches_sequential(random_tie_pipeline):
-    """Coalesced answers of a sharded engine on a ``tie_break="random"``
-    pipeline still equal sequential predict_one row for row."""
+    """Coalesced answers on a ``tie_break="random"`` pipeline still equal
+    sequential predict_one row for row."""
     rows = np.random.default_rng(3).random((12, 4))
-    with InferenceEngine(random_tie_pipeline, workers=1) as inline:
+    with InferenceEngine(random_tie_pipeline) as inline:
         expected = [inline.predict_one(r) for r in rows]
-    with InferenceEngine(random_tie_pipeline, workers=2) as engine:
+    with InferenceEngine(random_tie_pipeline) as engine:
         assert engine.predict_coalesced(rows) == expected
 
 
 def test_empty_batch_and_repr(classification_pipeline):
-    with InferenceEngine(classification_pipeline, workers=2) as engine:
+    with InferenceEngine(classification_pipeline, backend="xor") as engine:
         assert engine.predict_coalesced(np.empty((0, engine.num_features))) == []
-        assert "workers=2" in repr(engine)
-
-
-def test_workers_above_rows_still_exact(classification_pipeline):
-    """More workers than rows: some shards are empty, answers unchanged."""
-    rows = _rows(classification_pipeline, 2, seed=6)
-    with InferenceEngine(classification_pipeline, workers=1) as inline:
-        expected = inline.predict(rows)
-    with InferenceEngine(classification_pipeline, workers=3) as engine:
-        assert engine.predict(rows) == expected
+        assert "backend='xor'" in repr(engine)
 
 
 # -- hot swap and online learning ------------------------------------------------
@@ -104,7 +90,7 @@ def test_hot_swap_keeps_answers(classification_pipeline, tmp_path):
     path = tmp_path / "a.npz"
     save_model(classification_pipeline, path)
     rows = _rows(classification_pipeline, 8, seed=2)
-    with ModelRegistry(workers=2) as registry:
+    with ModelRegistry() as registry:
         registry.register("m", str(path))
         engine_a = registry.engine("m")
         expected = engine_a.predict(rows)
@@ -121,32 +107,9 @@ def test_online_learning_is_served_at_once(classification_pipeline):
     """The engine predicts from the live model: a learned update shows in
     the very next answer, equal to a fresh engine on the mutated model."""
     rows = _rows(classification_pipeline, 6, seed=8)
-    with InferenceEngine(classification_pipeline, workers=2) as engine:
+    with InferenceEngine(classification_pipeline) as engine:
         engine.predict(rows)
         with OnlineLearner(classification_pipeline) as learner:
             learner.learn(rows, ["G1"] * len(rows))
-            with InferenceEngine(classification_pipeline, workers=1) as ref:
+            with InferenceEngine(classification_pipeline) as ref:
                 assert engine.predict(rows) == ref.predict(rows)
-
-
-# -- default resolution ----------------------------------------------------------
-
-
-def test_default_workers_resolution(monkeypatch):
-    assert default_workers(3) == 3
-    assert default_workers(1) == 1
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert default_workers() == 5
-    assert default_workers(2) == 2  # the explicit argument wins
-    monkeypatch.setenv("REPRO_WORKERS", "0")
-    with pytest.raises(CalibrationError, match="REPRO_WORKERS"):
-        default_workers()
-
-
-@pytest.mark.parametrize(
-    "methods, expected",
-    [(["fork", "spawn", "forkserver"], "fork"), (["spawn"], "spawn")],
-)
-def test_default_start_method_prefers_fork(monkeypatch, methods, expected):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    assert default_start_method() == expected

@@ -24,13 +24,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.basis import CircularBasis
 from repro.exceptions import BackpressureError, InvalidParameterError
+from repro.learning import HDRegressor
 from repro.serve import (
     HTTPReplayClient,
     InferenceEngine,
     MicroBatcher,
     ModelRegistry,
     ServerThread,
+    TrainedPipeline,
     generate_trace,
     json_scalar,
     oracle_transcript,
@@ -117,11 +120,11 @@ class TestCoalescedBitIdentity:
             )
         assert got == expected
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_count_is_invisible(self, classification_pipeline, workers):
+    @pytest.mark.parametrize("backend", ["gemm", "xor"])
+    def test_backend_is_invisible(self, classification_pipeline, backend):
         rows = _rows(classification_pipeline, 40, seed=5)
         expected = _oracle(classification_pipeline, rows)
-        with ModelRegistry(workers=workers) as registry:
+        with ModelRegistry(backend=backend) as registry:
             registry.register("m", classification_pipeline)
             got, _ = asyncio.run(_coalesced(registry, "m", rows, window_ms=2.0))
         assert got == expected
@@ -278,6 +281,22 @@ def http_server(classification_pipeline, regression_pipeline):
     registry.register("mars", regression_pipeline)
     with ServerThread(registry, window_ms=1.0, own_registry=True) as server:
         yield server
+
+
+def test_huge_finite_value_wraps_onto_its_level():
+    """Any finite JSON number reaches the quantiser: on a 24-level circle
+    of period 24, -1e20 sits on level 8 (10**20 % 24 == 16)."""
+    emb = CircularBasis(24, 512, seed=0).circular_embedding(period=24.0)
+    hours = np.arange(24.0)
+    model = HDRegressor(emb, seed=1).fit(emb.encode_packed(hours), hours)
+    registry = ModelRegistry()
+    registry.register("hours", TrainedPipeline(kind="regression", model=model, embedding=emb))
+    with ServerThread(registry, own_registry=True) as server:
+        status, body = server.request(
+            "POST", "/v1/models/hours:predict", {"records": [[-1e20], [8.0], [1e20]]}
+        )
+    assert status == 200
+    assert body["predictions"] == [8.0, 8.0, 16.0]
 
 
 class TestHTTPServer:
