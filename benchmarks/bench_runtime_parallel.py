@@ -52,6 +52,7 @@ from repro.experiments.classification import _value_embedding  # noqa: E402
 from repro.experiments.regression import make_regression_split, run_regression  # noqa: E402
 from repro.experiments.rsweep import _CLASSIFICATION, _REGRESSION  # noqa: E402
 from repro.hdc.hypervector import random_hypervectors  # noqa: E402
+from repro.hdc.ops import positional_tie_bits  # noqa: E402
 from repro.learning.classifier import CentroidClassifier  # noqa: E402
 from repro.learning.metrics import normalized_accuracy_error, normalized_mse  # noqa: E402
 
@@ -62,33 +63,33 @@ FAST_R_VALUES = (0.0, 0.1, 1.0)
 
 
 def legacy_encode_keyvalue_records(keys, value_indices, basis_vectors,
-                                   seed, chunk_size: int = 256):
-    """The PR-1 encode hot loop, vendored verbatim as the perf baseline.
+                                   seed, start: int = 0, chunk_size: int = 256):
+    """The PR-1 encode hot loop, vendored as the perf baseline.
 
     Per-call gather + XOR + int64 count sum + int64 majority threshold —
     the arithmetic the experiment drivers ran before the runtime landed.
     (The in-library encoder has since been optimised; this copy pins the
-    baseline so the recorded speedup tracks real progression.)  RNG
-    consumption is identical, so results are bit-for-bit comparable.
+    baseline so the recorded speedup tracks real progression.)  Ties
+    take the library's position-keyed coins — row ``t`` draws those of
+    ``(seed, start + t)`` — so results are bit-for-bit comparable.
     """
     import numpy as np
 
     n, k = value_indices.shape
     d = keys.shape[-1]
-    rng = ensure_rng(seed)
     out = np.empty((n, d), dtype=np.uint8)
-    for start in range(0, n, chunk_size):
-        stop = min(n, start + chunk_size)
-        vals = basis_vectors[value_indices[start:stop]]  # (c, k, d)
+    for lo in range(0, n, chunk_size):
+        hi = min(n, lo + chunk_size)
+        vals = basis_vectors[value_indices[lo:hi]]  # (c, k, d)
         bound = np.bitwise_xor(vals, keys[None, :, :])
         counts = bound.sum(axis=1, dtype=np.int64)  # (c, d)
         doubled = 2 * counts
         encoded = (doubled > k).astype(np.uint8)
         ties = doubled == k
         if np.any(ties):
-            coin = rng.integers(0, 2, size=counts.shape, dtype=np.uint8)
+            coin = positional_tie_bits(seed, np.arange(start + lo, start + hi), d)
             encoded[ties] = coin[ties]
-        out[start:stop] = encoded
+        out[lo:hi] = encoded
     return out
 
 
@@ -102,14 +103,17 @@ def legacy_classification_cell(task: str, basis_kind: str,
     embedding = _value_embedding(basis_kind, config, basis_rng, low=low, high=high)
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
 
-    def encode(features):
+    # The library's tie-key derivation: one int key, test rows after train.
+    tie_key = int(tie_rng.integers(0, 2**63))
+
+    def encode(features, start):
         indices = embedding.indices(features.ravel()).reshape(features.shape)
         return legacy_encode_keyvalue_records(
-            keys, indices, embedding.basis.vectors, seed=tie_rng
+            keys, indices, embedding.basis.vectors, seed=tie_key, start=start
         )
 
-    train_hvs = encode(split.train_features)
-    test_hvs = encode(split.test_features)
+    train_hvs = encode(split.train_features, 0)
+    test_hvs = encode(split.test_features, split.train_features.shape[0])
     classifier = CentroidClassifier(config.dim, seed=tie_rng)
     classifier.fit(train_hvs, split.train_labels.tolist())
     return classifier.score(test_hvs, split.test_labels.tolist())

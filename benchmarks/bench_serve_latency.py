@@ -1,9 +1,9 @@
 """Serve-loop micro-benchmark: per-call latency of ``predict_one``.
 
-``InferenceEngine.predict_one`` encodes through the single-record fast
-path (:meth:`repro.runtime.batch.BatchEncoder.encode_one`) and predicts
-inline, with the ``auto`` kernel dispatch landing one-row scans on the
-XOR backend.  This benchmark measures it on a classification pipeline
+``InferenceEngine.predict_one`` checks its one record, encodes it as a
+one-row batch (:meth:`repro.runtime.batch.BatchEncoder.encode`) and
+predicts inline, with the ``auto`` kernel dispatch landing one-row
+scans on the XOR backend.  This benchmark measures it on a classification pipeline
 (the JIGSAWS-like serving task) against the one-row ``predict`` batch
 route and gates:
 

@@ -74,8 +74,7 @@ def _build(dim: int, rows: int, chunk_rows: int):
         period=2.0 * np.pi
     )
     keys = random_hypervectors(18, dim, seed=2)
-    encoder = BatchEncoder(keys, embedding, tie_break="zeros",
-                           chunk_size=chunk_rows)
+    encoder = BatchEncoder(keys, embedding, tie_break="zeros")
     classifier = CentroidClassifier(dim, tie_break="zeros", seed=3)
     return stream, encoder, classifier
 
@@ -114,13 +113,13 @@ def _spawn(dim: int, rows: int, chunk_rows: int) -> dict:
 def check_exactness(dim: int = 512, rows: int = 300) -> None:
     """Streamed fit == monolithic fit, bit for bit (small in-process run)."""
     from repro.learning import CentroidClassifier
-    from repro.streaming import stream_encode, stream_fit_classifier
+    from repro.streaming import stream_fit_classifier
 
     stream, encoder, streamed = _build(dim, rows, CHUNK_ROWS)
     stream_fit_classifier(streamed, encoder, stream)
     x, y = stream.materialize()
     mono = CentroidClassifier(dim, tie_break="zeros", seed=3)
-    mono.fit(stream_encode(encoder, x), y.tolist())
+    mono.fit(encoder.encode(x, packed=True), y.tolist())
     assert streamed.classes == mono.classes
     for label in mono.classes:
         assert np.array_equal(

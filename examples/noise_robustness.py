@@ -42,8 +42,12 @@ def main() -> None:
     low, high = split.metadata["feature_range"]
     embedding = _value_embedding("circular", config, basis_rng, low=low, high=high)
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
-    train = encode_angular_records(split.train_features, keys, embedding, seed=tie_rng)
-    test = encode_angular_records(split.test_features, keys, embedding, seed=tie_rng)
+    tie_key = int(tie_rng.integers(0, 2**63))
+    n_train = split.train_features.shape[0]
+    train = encode_angular_records(split.train_features, keys, embedding, seed=tie_key)
+    test = encode_angular_records(
+        split.test_features, keys, embedding, seed=tie_key, start=n_train
+    )
 
     clf = CentroidClassifier(config.dim, seed=tie_rng)
     clf.fit(train, split.train_labels.tolist())

@@ -85,13 +85,17 @@ def main() -> None:
     low, high = split.metadata["feature_range"]
     embedding = _value_embedding("circular", config, basis_rng, low=low, high=high)
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
+    tie_key = int(tie_rng.integers(0, 2**63))
+    n_train = split.train_features.shape[0]
     clf = CentroidClassifier(config.dim, seed=tie_rng)
     clf.fit(
-        encode_angular_records(split.train_features, keys, embedding, seed=tie_rng),
+        encode_angular_records(split.train_features, keys, embedding, seed=tie_key),
         split.train_labels.tolist(),
     )
     predictions = clf.predict(
-        encode_angular_records(split.test_features, keys, embedding, seed=tie_rng)
+        encode_angular_records(
+            split.test_features, keys, embedding, seed=tie_key, start=n_train
+        )
     )
     matrix, labels = confusion_matrix(split.test_labels.tolist(), predictions)
     recalls = np.diagonal(matrix) / np.maximum(matrix.sum(axis=1), 1)

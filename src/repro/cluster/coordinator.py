@@ -147,15 +147,10 @@ class ClusterCoordinator:
         max_restarts: int = 5,
         mp_start: Union[str, None] = None,
         poll_interval: float = 0.05,
-        ingest: Union[str, None] = None,
     ) -> None:
         self.model = model
         self.source = source
         self.encode = encode
-        # Ingest path shipped to every worker plan (None means "auto");
-        # all choices produce byte-identical deltas, so this only moves
-        # throughput.
-        self.ingest = ingest
         self.workers = default_cluster_workers(workers)
         if workers is not None and (
             not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
@@ -223,7 +218,6 @@ class ClusterCoordinator:
             start_index=start_index,
             incarnation=incarnation,
             hook=self.hook,
-            ingest=self.ingest,
         )
         process = self._ctx.Process(
             target=worker_main,

@@ -34,7 +34,6 @@ from typing import Callable, Union
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..hdc.ingest import shard_ingest
 from ..learning.classifier import CentroidClassifier
 from ..learning.merge import shard_delta
 from ..learning.regression import HDRegressor
@@ -87,11 +86,6 @@ class WorkerPlan:
     start_index: int = 0
     incarnation: int = 0
     hook: Callable | None = None
-    #: Ingest path for the per-chunk delta computation
-    #: (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
-    #: ``"auto"``).  Every choice ships byte-identical deltas, so
-    #: replay after a crash is exact.
-    ingest: str | None = None
 
     def _fire(self, phase: str, chunk_index: int) -> None:
         if self.hook is not None:
@@ -106,7 +100,6 @@ def worker_main(plan: WorkerPlan, conn) -> None:
     closed on every exit path; an abrupt death (``SIGKILL``) closes it
     mid-message, which the coordinator reads as a crash.
     """
-    classify = isinstance(plan.proto, CentroidClassifier)
     try:
         total = 0
         for index, chunk in enumerate(plan.source):
@@ -124,25 +117,11 @@ def worker_main(plan: WorkerPlan, conn) -> None:
                     "cluster ingest needs labelled chunks; this source yields "
                     "targets=None"
                 )
-            # Fused ingest first: when the (proto, encode) pair is a
-            # recognised classifier combination the delta is computed
-            # without materialising the encoded chunk — byte-identical
-            # to shard_delta below (asserted in tests/hdc/test_ingest.py).
-            delta = shard_ingest(plan.proto, chunk, plan.encode, backend=plan.ingest)
-            if delta is None:
-                encoded = plan.encode(chunk)
-                targets = chunk.targets
-                if classify:
-                    # Same label normalisation as encode_reduce, so streamed
-                    # cluster models serialise exactly like serial ones.
-                    targets = (
-                        targets.tolist()
-                        if isinstance(targets, np.ndarray)
-                        else list(targets)
-                    )
-                else:
-                    targets = np.asarray(targets, dtype=np.float64)
-                delta = shard_delta(plan.proto, encoded, targets)
+            # Same label normalisation as ingest_chunk, so cluster
+            # models serialise exactly like serial ones.
+            targets = chunk.targets
+            targets = targets.tolist() if isinstance(targets, np.ndarray) else list(targets)
+            delta = shard_delta(plan.proto, plan.encode(chunk), targets)
             conn.send(
                 (
                     "delta",

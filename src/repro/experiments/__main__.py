@@ -12,8 +12,7 @@ Usage::
     python -m repro.experiments train --out model.npz --stream \\
         [--stream-samples N] [--chunk-size C] [--checkpoint CKPT.npz] \\
         [--cluster-workers N] [--resume] \\
-        [--input DATA.jsonl|DATA.csv|DATA.npy] \\
-        [--ingest-kernel auto|ref|fused]
+        [--input DATA.jsonl|DATA.csv|DATA.npy]
     python -m repro.experiments serve --model model.npz [--input -]
     python -m repro.experiments serve --model model.npz --stream \\
         [--checkpoint CKPT.npz] [--checkpoint-every N]
@@ -27,9 +26,7 @@ Mars Express regression) and writes the trained model as a portable
 consumed as an out-of-core chunk stream (:mod:`repro.streaming`), so
 ``--stream-samples`` may exceed RAM while peak memory stays
 O(``--chunk-size``); ``--input`` ingests a ``.jsonl``/``.csv``/``.npy``
-file instead of the synthetic generator, and ``--ingest-kernel ref`` forces
-the reference encode-then-``partial_fit`` path instead of the fused
-classifier path (:mod:`repro.hdc.ingest`).  ``serve`` loads such an artifact once and answers
+file instead of the synthetic generator.  ``serve`` loads such an artifact once and answers
 JSONL prediction requests from stdin or a file; with ``--stream`` it
 also learns incrementally from records carrying a ``"target"`` field,
 checkpointing atomically (see ``docs/SERVING.md`` for the model format
@@ -220,7 +217,6 @@ def _run_train(args: argparse.Namespace) -> None:
             cluster_workers=args.cluster_workers,
             resume=args.resume,
             input_path=None if args.input in (None, "-") else args.input,
-            ingest=args.ingest_kernel,
         )
     else:
         with WorkerPool(workers=args.workers) as pool:
@@ -622,14 +618,6 @@ def main(argv: list[str] | None = None) -> int:
                                 "REPRO_CLUSTER_WORKERS env, then 1 = "
                                 "in-process); the final model is "
                                 "bit-identical for any value")
-    streaming.add_argument("--ingest-kernel",
-                           choices=["auto", "ref", "fused"],
-                           default=None,
-                           help="ingest path for `train --stream` reduction: "
-                                "ref = encode then partial_fit; auto (the "
-                                "default) and fused = the fused classifier "
-                                "path; all choices train bit-identical "
-                                "models — see docs/PERFORMANCE.md")
     streaming.add_argument("--resume", action="store_true",
                            help="reload --checkpoint (with its resume cursor) "
                                 "and stream only the remaining chunks; the "

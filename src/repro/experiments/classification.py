@@ -29,7 +29,6 @@ from ..basis import CircularDiscretizer, Embedding, LinearDiscretizer, make_basi
 from ..datasets import JIGSAWS_TASKS, ClassificationSplit, make_jigsaws_like
 from ..exceptions import InvalidParameterError
 from ..hdc.hypervector import random_hypervectors
-from ..hdc.encoders import encode_keyvalue_records
 from ..learning.classifier import CentroidClassifier
 from ..runtime import (
     ArtifactStore,
@@ -94,12 +93,16 @@ def encode_angular_records(
     keys: np.ndarray,
     embedding: Embedding,
     tie_break: str = "random",
-    seed=None,
+    seed: int | None = 0,
+    start: int = 0,
 ) -> np.ndarray:
     """Encode ``(n, k)`` angular samples as key–value records.
 
     ``keys`` holds one random hypervector per channel; every channel
     shares the value embedding (all channels live on the same circle).
+    Encodes through :class:`~repro.runtime.batch.BatchEncoder`:
+    ``"random"`` ties of row ``i`` take the position-keyed coins of
+    ``(seed, start + i)``.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -108,9 +111,8 @@ def encode_angular_records(
         raise InvalidParameterError(
             f"got {keys.shape[0]} keys for {features.shape[1]} channels"
         )
-    indices = embedding.indices(features.ravel()).reshape(features.shape)
-    return encode_keyvalue_records(
-        keys, indices, embedding.basis.vectors, tie_break=tie_break, seed=seed
+    return BatchEncoder(keys, embedding, tie_break=tie_break).encode(
+        features, seed=seed, start=start
     )
 
 
@@ -161,11 +163,16 @@ def run_classification(
     embedding = _value_embedding(basis_kind, config, basis_rng, low=low, high=high)
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
 
-    # Whole-split batched encoding (fused key⊗basis table, packed output);
-    # bit-identical to the per-call encoder for the same chunk size.
+    # Whole-split batched encoding (fused key⊗basis table, packed output).
+    # One tie key for both splits; test rows sit after the train rows, so
+    # every record of the cell draws its own tie coins.
     encoder = BatchEncoder(keys, embedding)
-    train_hvs = encoder.encode(split.train_features, seed=tie_rng, packed=True, pool=pool)
-    test_hvs = encoder.encode(split.test_features, seed=tie_rng, packed=True, pool=pool)
+    tie_key = int(tie_rng.integers(0, 2**63))
+    n_train = split.train_features.shape[0]
+    train_hvs = encoder.encode(split.train_features, seed=tie_key, packed=True, pool=pool)
+    test_hvs = encoder.encode(
+        split.test_features, seed=tie_key, start=n_train, packed=True, pool=pool
+    )
 
     classifier = CentroidClassifier(config.dim, seed=tie_rng)
     if pool is None or pool.serial:

@@ -60,14 +60,16 @@ def train_classification_pipeline(
 ) -> TrainedPipeline:
     """Train one JIGSAWS-like task into a servable pipeline.
 
-    Mirrors :func:`~repro.experiments.classification.run_classification`
-    (same RNG spawning, same dataset split, same fused-table encode and
-    single-pass fit) with one deliberate difference: records are encoded
-    with the pipeline's deterministic serve-time tie policy (``"zeros"``)
-    rather than the experiment's shared random tie stream, so the
-    held-out accuracy recorded in the metadata is measured on exactly
-    the path that serves — what the artifact reports is what it
-    delivers.
+    Follows :func:`~repro.experiments.classification.run_classification`
+    (the same four spawned substreams, dataset split, fused-table encode
+    and single-pass fit) except in the tie policy: records are encoded
+    with the pipeline's serve-time ``"zeros"`` policy rather than the
+    experiment's ``"random"`` coins, which are keyed by a row's position
+    in its split — a live request has no such position.  The held-out
+    accuracy recorded in the metadata is therefore measured on exactly
+    the path that serves.  The classifier's tie-break seed is
+    ``tie_rng`` itself, whereas the experiment first draws its encode
+    key from it, so prototype ties may fall differently.
 
     Example
     -------
@@ -104,16 +106,14 @@ def train_classification_pipeline(
             train_hvs, split.train_labels.tolist(), epochs=config.refine_epochs
         )
     accuracy = classifier.score(test_hvs, split.test_labels.tolist())
-    # Serve-time encoding uses the deterministic "zeros" tie policy:
-    # a record's encoding must not depend on which micro-batch it
-    # arrives in, which the shared-stream "random" policy cannot offer.
+    # A served pipeline needs a position-free tie policy: "random"
+    # coins are keyed by a row's split position, which a request lacks.
     return TrainedPipeline(
         kind="classification",
         model=classifier,
         embedding=embedding,
         keys=keys,
         tie_break="zeros",
-        encode_seed=None,
         metadata={
             "task": task,
             "basis_kind": basis_kind,
@@ -174,7 +174,6 @@ def train_regression_pipeline(
         embedding=anomaly_embedding,
         keys=None,
         tie_break="zeros",
-        encode_seed=None,
         metadata={
             "task": "mars_express",
             "basis_kind": basis_kind,

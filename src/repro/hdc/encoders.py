@@ -31,10 +31,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .._rng import SeedLike, ensure_rng
+from .._rng import SeedLike
 from ..exceptions import DimensionMismatchError, InvalidParameterError
 from .hypervector import as_hypervector
-from .ops import TieBreak, bind_all, bundle, majority_from_counts, permute
+from .ops import TieBreak, _tie_seed, bind_all, bundle, permute, resolve_majority
 from .packed import PackedHV, packed_width
 
 __all__ = [
@@ -46,10 +46,8 @@ __all__ = [
     "encode_ngrams",
 ]
 
-#: Default records-per-chunk of the batched encoders.  The random
-#: tie-break RNG consumption pattern depends on chunk boundaries, so
-#: every encoder documenting bit-identity with this one must share this
-#: constant (:class:`repro.runtime.batch.BatchEncoder` imports it).
+#: Default records-per-chunk of the batched encoders; bounds their
+#: ``(chunk, k, d)`` intermediate.  The output does not depend on it.
 DEFAULT_CHUNK_SIZE = 256
 
 
@@ -88,14 +86,16 @@ def encode_keyvalue_records(
     value_indices: np.ndarray,
     basis_vectors: np.ndarray,
     tie_break: TieBreak = "random",
-    seed: SeedLike = None,
+    seed: Union[int, None] = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     packed: bool = False,
 ) -> Union[np.ndarray, PackedHV]:
     """Batched key–value record encoding from basis indices.
 
     Encodes ``n`` records at once: record ``t`` is
-    ``⊕_i keys[i] ⊗ basis_vectors[value_indices[t, i]]``.
+    ``⊕_i keys[i] ⊗ basis_vectors[value_indices[t, i]]``.  The per-call
+    reference of :meth:`repro.runtime.batch.BatchEncoder.encode`: same
+    bits for the same ``seed``.
 
     Parameters
     ----------
@@ -106,6 +106,12 @@ def encode_keyvalue_records(
         feature values of each record.
     basis_vectors:
         ``(m, d)`` basis-hypervector table (random / level / circular set).
+    tie_break:
+        Majority tie policy; see :func:`repro.hdc.ops.majority_from_counts`.
+    seed:
+        Integer key of the ``"random"`` tie coins (``None`` means ``0``):
+        record ``t`` takes the :func:`~repro.hdc.ops.positional_tie_bits`
+        of ``(seed, t)``.
     chunk_size:
         Number of records encoded per chunk; bounds the ``(chunk, k, d)``
         intermediate at roughly ``chunk * k * d`` bytes.
@@ -139,10 +145,10 @@ def encode_keyvalue_records(
         raise InvalidParameterError("value_indices out of range for the basis table")
     if chunk_size < 1:
         raise InvalidParameterError(f"chunk_size must be positive, got {chunk_size}")
+    _tie_seed(seed)
 
     n, k = value_indices.shape
     d = keys.shape[-1]
-    rng = ensure_rng(seed)
     if packed:
         out = np.empty((n, packed_width(d)), dtype=np.uint8)
     else:
@@ -153,7 +159,7 @@ def encode_keyvalue_records(
         vals = basis_vectors[value_indices[start:stop]]  # (c, k, d)
         bound = np.bitwise_xor(vals, keys[None, :, :])
         counts = bound.sum(axis=1, dtype=count_dtype)  # (c, d)
-        encoded = majority_from_counts(counts, k, tie_break=tie_break, seed=rng)
+        encoded = resolve_majority(counts, k, tie_break, seed, start)
         out[start:stop] = np.packbits(encoded, axis=-1) if packed else encoded
     return PackedHV(out, d) if packed else out
 

@@ -12,6 +12,9 @@ Semantics (binary spatter codes, as used in the paper):
 * **bundle** — element-wise majority.  Represents a set; the output is the
   mean-vector, similar to each operand.  Ties (possible only for an even
   number of operands) are resolved by an explicit, configurable policy.
+  Record encodings (:func:`resolve_majority`) draw the coins of the
+  ``"random"`` policy from :func:`positional_tie_bits`, keyed by the
+  record's absolute row, so a record's bits never depend on its batch.
 * **permute** — cyclic shift.  Encodes order; the output is dissimilar to
   the input; exactly invertible by the opposite shift.
 
@@ -48,6 +51,9 @@ __all__ = [
     "bind_all",
     "bundle",
     "majority_from_counts",
+    "positional_tie_bits",
+    "positional_tie_words",
+    "resolve_majority",
     "permute",
     "inverse_permute",
     "hamming_distance",
@@ -198,6 +204,111 @@ def majority_from_counts(
             parity = np.broadcast_to(parity, counts.shape)
             out[ties] = parity[ties]
         # "zeros": nothing to do, out already holds 0 at ties.
+    return out
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """Vectorised splitmix64 finaliser (wrapping uint64 arithmetic)."""
+    z = (x + _GAMMA).astype(np.uint64, copy=False)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _tie_seed(seed) -> np.uint64:
+    if seed is None:
+        return np.uint64(0)
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    raise InvalidParameterError(
+        f"positional tie seed must be an int or None, got {seed!r}"
+    )
+
+
+def positional_tie_words(seed, rows: np.ndarray, dim: int) -> np.ndarray:
+    """:func:`positional_tie_bits` in packed form.
+
+    Returns ``(len(rows), ⌈dim/64⌉)`` uint64 words whose bytes, read in
+    memory order, are the :func:`numpy.packbits` bytes of the coins (the
+    bits past ``dim`` in the last word are hash bits, not zero).  The
+    packed majority kernel of :class:`~repro.runtime.batch.BatchEncoder`
+    masks them with its tie words.
+
+    >>> import numpy as np
+    >>> words = positional_tie_words(7, np.array([3, 5]), 70)
+    >>> bits = np.unpackbits(words.view(np.uint8), axis=-1)[:, :70]
+    >>> bool(np.array_equal(bits, positional_tie_bits(7, np.array([3, 5]), 70)))
+    True
+    """
+    if dim < 1:
+        raise InvalidParameterError(f"dim must be positive, got {dim}")
+    rows64 = np.asarray(rows, dtype=np.uint64)
+    words = (dim + 63) // 64
+    base = _mix64(rows64 ^ _mix64(np.full_like(rows64, _tie_seed(seed))))
+    counters = (np.arange(words, dtype=np.uint64) * _GAMMA)[None, :]
+    hashed = _mix64(base[:, None] ^ counters)
+    return hashed.astype(">u8").view(np.uint64)
+
+
+def positional_tie_bits(seed, rows: np.ndarray, dim: int) -> np.ndarray:
+    """Deterministic per-row tie coins, keyed by absolute row position.
+
+    Returns a ``(len(rows), dim)`` uint8 bit array where bit ``(r, i)``
+    is a function of ``(seed, rows[r], i)`` alone — a counter-based
+    splitmix64 hash, so no stream state exists to depend on chunking.
+    Platform-independent (the hash runs in wrapping uint64 arithmetic
+    and words are serialised big-endian before unpacking).
+
+    >>> import numpy as np
+    >>> a = positional_tie_bits(7, np.array([3, 5]), 64)
+    >>> b = positional_tie_bits(7, np.array([5]), 64)
+    >>> bool(np.array_equal(a[1], b[0]))   # row 5 draws the same coins
+    True
+    >>> bool(0.3 < a.mean() < 0.7)         # fair coins
+    True
+    """
+    as_bytes = positional_tie_words(seed, rows, dim).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1)[:, :dim].astype(BIT_DTYPE, copy=False)
+
+
+def resolve_majority(
+    counts: np.ndarray,
+    total: int,
+    tie_break: TieBreak,
+    seed,
+    start: int,
+) -> np.ndarray:
+    """Threshold per-row one-counts with position-keyed tie handling.
+
+    The record-encoding form of :func:`majority_from_counts` for 2-D
+    ``(rows, d)`` count blocks whose first row sits at absolute offset
+    ``start``.  Non-``"random"`` policies delegate to
+    :func:`majority_from_counts` unchanged (they are position-free);
+    ``"random"`` resolves each tied row with its
+    :func:`positional_tie_bits` coins under the integer ``seed``.
+
+    >>> import numpy as np
+    >>> counts = np.array([[1, 2, 1, 0]], dtype=np.int64)
+    >>> resolve_majority(counts, 2, "zeros", None, 0).tolist()
+    [[0, 1, 0, 0]]
+    """
+    if tie_break != "random":
+        return majority_from_counts(counts, total, tie_break=tie_break)
+    counts64 = counts.astype(np.int64, copy=False)
+    out = (2 * counts64 > total).astype(BIT_DTYPE)
+    ties = 2 * counts64 == total
+    tie_rows = np.nonzero(ties.any(axis=-1))[0]
+    if tie_rows.size:
+        coins = positional_tie_bits(seed, start + tie_rows, counts.shape[-1])
+        block = out[tie_rows]
+        mask = ties[tie_rows]
+        block[mask] = coins[mask]
+        out[tie_rows] = block
     return out
 
 

@@ -526,6 +526,17 @@ class BundleAccumulator:
     #: materialising the full 8x-larger unpacked array.
     _CHUNK_BYTES = 32_000_000
 
+    def _fold(self, bits: np.ndarray, sign: int) -> None:
+        # uint16 column sums are exact up to 65,535 rows and several
+        # times faster than int64 ones; the int64 counts absorb them.
+        dtype = np.uint16 if bits.shape[0] <= 0xFFFF else np.int64
+        sums = bits.sum(axis=0, dtype=dtype)
+        if sign > 0:
+            self._counts += sums
+        else:
+            self._counts -= sums
+        self._total += sign * bits.shape[0]
+
     def _accumulate(self, hvs: Union[PackedHV, np.ndarray], sign: int) -> None:
         if is_packed(hvs):
             if hvs.dim != self._dim:
@@ -537,18 +548,14 @@ class BundleAccumulator:
             packed = PackedHV(rows, self._dim)
             chunk = max(1, self._CHUNK_BYTES // self._dim)
             for start in range(0, rows.shape[0], chunk):
-                bits = packed[start:start + chunk].unpack()
-                self._counts += sign * bits.sum(axis=0, dtype=np.int64)
-            self._total += sign * rows.shape[0]
+                self._fold(packed[start:start + chunk].unpack(), sign)
             return
         bits = as_hypervector(hvs)
         if bits.ndim == 1:
             bits = bits[None, :]
         if bits.shape[-1] != self._dim:
             raise DimensionMismatchError(self._dim, bits.shape[-1], "BundleAccumulator")
-        bits = bits.reshape(-1, self._dim)
-        self._counts += sign * bits.sum(axis=0, dtype=np.int64)
-        self._total += sign * bits.shape[0]
+        self._fold(bits.reshape(-1, self._dim), sign)
 
     def add(self, hvs: Union[PackedHV, np.ndarray]) -> "BundleAccumulator":
         """Accumulate hypervector(s) into the bundle; returns ``self``.
@@ -569,12 +576,10 @@ class BundleAccumulator:
     ) -> "BundleAccumulator":
         """Fold pre-reduced per-dimension one-bit counts in; returns ``self``.
 
-        The fused-ingest entry point (:mod:`repro.hdc.ingest`): a caller
-        that has already counted ``total`` hypervectors' one-bits per
-        dimension deposits the integers directly, skipping the
-        pack→unpack round trip of :meth:`add`.  Equivalent to ``add`` on
-        the batch the counts summarise — integer addition is exact and
-        order-free, so the accumulator state is bit-identical.
+        For a caller that already holds the integers — a saved model's
+        counts (:func:`repro.serve.load_model`), say.  Equivalent to
+        ``add`` on the ``total`` hypervectors the counts summarise:
+        integer addition is exact and order-free.
         """
         delta = np.asarray(counts)
         if delta.shape != (self._dim,):

@@ -209,30 +209,6 @@ class CentroidClassifier:
             self._invalidate()
         return self
 
-    def ingest_counts(
-        self, label_counts: Iterable[tuple[Hashable, np.ndarray, int]]
-    ) -> "CentroidClassifier":
-        """Fold pre-reduced per-class count deltas into the model.
-
-        The fused-ingest entry point (:mod:`repro.hdc.ingest`): each
-        ``(label, counts, total)`` triple is the integer reduction of
-        ``total`` already-thresholded hypervectors, deposited straight
-        into that class's :class:`~repro.hdc.packed.BundleAccumulator`
-        via :meth:`~repro.hdc.packed.BundleAccumulator.add_counts`.
-        Triples must arrive in first-seen label order over the rows they
-        summarise — class insertion order decides nearest-class tie
-        resolution, so it is part of the bit-identity contract.
-        Equivalent to :meth:`partial_fit` on the batch the counts came
-        from; the tie-break RNG is untouched (it is only consumed at
-        materialisation, exactly as in the reference path).
-        """
-        for label, counts, total in label_counts:
-            if label not in self._accumulators:
-                self._accumulators[label] = BundleAccumulator(self._dim)
-            self._accumulators[label].add_counts(counts, total)
-        self._invalidate()
-        return self
-
     def fit(self, encoded: EncodedBatch, labels: Sequence[Hashable]) -> "CentroidClassifier":
         """Single-pass training: bundle each class's samples (Section 2.2).
 

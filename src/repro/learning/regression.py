@@ -199,19 +199,6 @@ class HDRegressor:
             self._invalidate()
         return self
 
-    def ingest_counts(self, counts: np.ndarray, total: int) -> "HDRegressor":
-        """Fold a pre-reduced bound-term count delta into the model bundle.
-
-        ``counts`` is the per-dimension one-bit sum of ``total`` bound
-        terms ``φ(x_i) ⊗ φ_ℓ(y_i)``, e.g. the integers of a
-        :meth:`shard_bundle` delta.  Equivalent to :meth:`partial_fit`
-        on the batch they summarise — integer counts commute — and
-        leaves the tie-break RNG untouched until materialisation.
-        """
-        self._bundle.add_counts(counts, total)
-        self._invalidate()
-        return self
-
     def fit(self, encoded: EncodedBatch, y: np.ndarray) -> "HDRegressor":
         """Accumulate ``φ(x_i) ⊗ φ_ℓ(y_i)`` terms into the model bundle.
 

@@ -49,7 +49,8 @@ __all__ = ["ArtifactStore", "canonical_digest", "default_root"]
 logger = logging.getLogger("repro.runtime.artifacts")
 
 #: Bump when a change to the experiment pipeline invalidates old results.
-SCHEMA_VERSION = 1
+#: Version 2: record-encoding ties take position-keyed coins.
+SCHEMA_VERSION = 2
 
 #: Default cache location, relative to the repository root (see
 #: :func:`default_root`).

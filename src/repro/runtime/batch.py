@@ -15,18 +15,19 @@ not give on their own:
   compared with ``⌊k/2⌋`` to give packed "above" and "tied" masks, and
   the tie policy is applied on those words.  No per-bit byte sum and no
   ``(rows, k, d)`` gather cube;
-* **chunk-parallel counts** — the kernel is pure (no RNG), so chunks
-  can run on a :class:`~repro.runtime.pool.WorkerPool` while the
-  tie-breaking draws run serially over chunks in a fixed order.  The
-  output is **bit-identical** for any worker count, and identical to
+* **one tie rule** — a tied bit of row ``i`` under the ``"random"``
+  policy takes the position-keyed coin of
+  :func:`~repro.hdc.ops.positional_tie_words` for ``(seed, start + i)``,
+  so a record's bits never depend on its batch, its chunk or the worker
+  count.  Chunks run on a :class:`~repro.runtime.pool.WorkerPool` with
+  **bit-identical** output, equal to
   :func:`repro.hdc.encoders.encode_keyvalue_records` with the same
-  ``chunk_size``;
+  seed;
 * **packed output** — ``packed=True`` lands the corpus directly as a
   :class:`~repro.hdc.packed.PackedHV` of ``n × ceil(d / 8)`` bytes.
 
 :meth:`BatchEncoder.chunk_counts` keeps the byte-count reference (gather
-cube + integer sum) for the streaming encoder and the ``"ref"`` ingest
-path, which is what the kernel is checked against.
+cube + integer sum), which is what the kernel is checked against.
 
 Example
 -------
@@ -45,22 +46,31 @@ Example
 
 from __future__ import annotations
 
+import itertools
 from typing import Union
 
 import numpy as np
 
-from .._rng import SeedLike, ensure_rng
 from ..basis.base import Embedding
 from ..exceptions import DimensionMismatchError, InvalidParameterError
-from ..hdc.encoders import DEFAULT_CHUNK_SIZE
-from ..hdc.hypervector import BIT_DTYPE, as_hypervector
+from ..hdc.hypervector import as_hypervector
 # majority_from_counts is the byte-count threshold the kernel reproduces;
 # it stays importable here because perfbench/tracing.py wraps it by name.
-from ..hdc.ops import _TIE_BREAKS, TieBreak, majority_from_counts  # noqa: F401
+from ..hdc.ops import (
+    _TIE_BREAKS,
+    TieBreak,
+    _tie_seed,
+    majority_from_counts,  # noqa: F401
+    positional_tie_words,
+)
 from ..hdc.packed import PackedHV, packed_width
 from .pool import WorkerPool
 
 __all__ = ["BatchEncoder"]
+
+#: Records per pool task of :meth:`BatchEncoder.encode`.  Any value is
+#: bit-identical: tie coins are keyed by row position, not by chunk.
+_CHUNK_ROWS = 256
 
 #: uint64 words per kernel block of gathered planes: the ``(k + 1, rows,
 #: ⌈d/64⌉)`` stack of one block stays near 512 KiB, cache-resident.
@@ -145,12 +155,9 @@ class BatchEncoder:
         basis table).
     tie_break:
         Majority tie policy; see :func:`repro.hdc.ops.majority_from_counts`.
-    chunk_size:
-        Records per chunk: the unit of pool parallelism, and the RNG
-        consumption pattern of the ``"random"`` tie policy — results
-        depend on ``chunk_size`` (through tie draws) but **not** on the
-        worker count.  The kernel's own transient is bounded separately,
-        at about 512 KiB of gathered words per block.
+        ``"random"`` ties take position-keyed coins (see :meth:`encode`).
+        The kernel's transient is bounded at about 512 KiB of gathered
+        words per block.
 
     Example
     -------
@@ -168,18 +175,18 @@ class BatchEncoder:
         keys: np.ndarray,
         embedding: Embedding,
         tie_break: TieBreak = "random",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         keys = as_hypervector(keys)
         if keys.ndim != 2:
             raise InvalidParameterError(f"keys must be a (k, d) table, got shape {keys.shape}")
         if keys.shape[1] != embedding.dim:
             raise DimensionMismatchError(keys.shape[1], embedding.dim, "BatchEncoder")
-        if chunk_size < 1:
-            raise InvalidParameterError(f"chunk_size must be positive, got {chunk_size}")
+        if tie_break not in _TIE_BREAKS:
+            raise InvalidParameterError(
+                f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}"
+            )
         self.embedding = embedding
         self.tie_break = tie_break
-        self.chunk_size = int(chunk_size)
         self._keys = keys
         # Fused binding table: fused[i, m] = keys[i] ⊗ basis[m].  For the
         # paper's sizes (k=18, m≈12–720, d=10,000) this is a few MB and
@@ -229,9 +236,7 @@ class BatchEncoder:
         Counts are bounded by the channel count ``k``, so int16 is exact
         for every realistic encoder.  The byte-count reference
         :meth:`chunk_counts` reduces in it; the packed kernel behind
-        :meth:`encode` (and the fused ingest path of
-        :mod:`repro.hdc.ingest`) counts in bit-planes and needs no
-        count dtype.
+        :meth:`encode` counts in bit-planes and needs no count dtype.
         """
         return np.int16 if self.num_channels <= 16_000 else np.int64
 
@@ -256,9 +261,8 @@ class BatchEncoder:
         The byte-count reference: pure (no RNG, no state mutation),
         ``counts[t] = Σ_i bits(K_i ⊗ B[idx[t, i]])`` summed over the
         ``(rows, k, d)`` gather cube in the narrowest safe integer type.
-        :func:`~repro.streaming.reduce.stream_encode` and the ``"ref"``
-        ingest path encode through it; :meth:`encode` thresholds the
-        same counts with the packed kernel instead.
+        Thresholded by :func:`~repro.hdc.ops.resolve_majority` it gives
+        exactly what :meth:`encode` computes with the packed kernel.
         """
         gathered = self._fused[self._channel_index[None, :], indices_chunk]
         return gathered.sum(axis=1, dtype=self.count_dtype)
@@ -310,35 +314,27 @@ class BatchEncoder:
                 np.bitwise_or(above, scratch, out=above)
                 np.bitwise_xor(tied, scratch, out=tied)
 
-    def _settle(self, above: np.ndarray, tied: np.ndarray | None, rng) -> np.ndarray:
-        """Resolve tied bits into ``above`` in place; returns it.
+    def _settled_words(self, idx: np.ndarray, seed, start: int) -> np.ndarray:
+        """Majority words of index rows whose first row is ``start``.
 
-        Same policies and the same draws as
-        :func:`~repro.hdc.ops.majority_from_counts` on the block's
-        ``(rows, d)`` counts: ``"random"`` draws ``(rows, d)`` coins from
-        ``rng`` only when the block has a tie.
+        The one tie rule of record encoding: ``"random"`` ORs in the
+        tied bits of :func:`~repro.hdc.ops.positional_tie_words` for the
+        absolute rows ``start + i`` under ``seed`` — the bits
+        :func:`~repro.hdc.ops.resolve_majority` gives on the byte counts.
         """
+        above, tied = self._majority_words(idx)
         policy = self.tie_break
-        if policy not in _TIE_BREAKS:
-            raise InvalidParameterError(
-                f"tie_break must be one of {_TIE_BREAKS}, got {policy!r}"
-            )
         if tied is None or policy == "zeros":
             return above
         if policy == "ones":
             above |= tied
         elif policy == "alternate":
             above |= tied & _ALTERNATE
-        elif tied.any():
-            coins = rng.integers(0, 2, size=(above.shape[0], self.dim), dtype=BIT_DTYPE)
-            packed = np.zeros_like(above)
-            packed.view(np.uint8)[:, : packed_width(self.dim)] = np.packbits(coins, axis=-1)
-            above |= tied & packed
+        else:
+            rows = np.flatnonzero(tied.any(axis=1))
+            if rows.size:
+                above[rows] |= tied[rows] & positional_tie_words(seed, start + rows, self.dim)
         return above
-
-    def _tie_rng(self, seed: SeedLike):
-        """The generator tie draws come from; only ``"random"`` draws."""
-        return ensure_rng(seed) if self.tie_break == "random" else None
 
     def _emit(self, words: np.ndarray, packed: bool) -> np.ndarray:
         """Packed bytes or unpacked bits of kernel words."""
@@ -347,49 +343,15 @@ class BatchEncoder:
             return raw[:, : packed_width(self.dim)]
         return np.unpackbits(raw, axis=-1, count=self.dim)
 
-    def encode_one(
-        self,
-        features: np.ndarray,
-        seed: SeedLike = None,
-        packed: bool = False,
-    ) -> Union[np.ndarray, PackedHV]:
-        """Single-record fast path of :meth:`encode`.
-
-        Skips the batch machinery (chunk partitioning, worker-pool
-        dispatch, per-chunk bookkeeping) for the serving hot path where
-        records arrive one at a time.  Takes one ``(k,)`` feature record
-        and returns a ``(1, d)`` batch (packed when ``packed=True``) —
-        **bit-identical** to ``encode(features[None, :], ...)`` with the
-        same seed, including the RNG draws of the ``"random"`` tie
-        policy (asserted in ``tests/runtime/test_batch.py``).
-
-        >>> import numpy as np
-        >>> from repro.basis import LevelBasis
-        >>> from repro.hdc.hypervector import random_hypervectors
-        >>> emb = LevelBasis(4, 32, seed=0).linear_embedding(0.0, 1.0)
-        >>> enc = BatchEncoder(random_hypervectors(2, 32, seed=1), emb, tie_break="zeros")
-        >>> one = enc.encode_one(np.array([0.1, 0.9]))
-        >>> bool(np.array_equal(one, enc.encode(np.array([[0.1, 0.9]]))))
-        True
-        """
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape != (self.num_channels,):
-            raise InvalidParameterError(
-                f"expected one ({self.num_channels},) record, got shape {features.shape}"
-            )
-        idx = self.embedding.indices(features).reshape(1, self.num_channels)
-        above, tied = self._majority_words(idx)
-        encoded = self._emit(self._settle(above, tied, self._tie_rng(seed)), packed)
-        return PackedHV(encoded.copy(), self.dim) if packed else encoded
-
     def encode(
         self,
         features: np.ndarray,
-        seed: SeedLike = None,
+        seed: Union[int, None] = 0,
+        start: int = 0,
         packed: bool = False,
         pool: WorkerPool | None = None,
     ) -> Union[np.ndarray, PackedHV]:
-        """Encode a whole ``(n, k)`` split.
+        """Encode an ``(n, k)`` batch of records.
 
         Parameters
         ----------
@@ -397,42 +359,40 @@ class BatchEncoder:
             ``(n, k)`` raw feature values; quantised by the embedding's
             discretizer.
         seed:
-            Randomness for the ``"random"`` tie policy.  Consumed
-            serially over chunks in a fixed order, so the result is
-            independent of ``pool``.
+            Integer key of the ``"random"`` tie coins (``None`` means
+            ``0``).  Row ``i`` takes the coins of ``(seed, start + i)``,
+            so the output is deterministic and the same however a split
+            is cut into calls: encoding ``features[a:b]`` with
+            ``start=a`` gives rows ``a:b`` of the whole encode.
+        start:
+            Absolute position of the first row.
         packed:
             Emit a bit-packed batch (``n × ceil(d / 8)`` bytes) instead
             of an unpacked ``(n, d)`` array.  The bits are identical.
         pool:
             Optional :class:`~repro.runtime.pool.WorkerPool` running the
             packed majority kernel chunk-parallel.  ``None`` runs
-            serially.
+            serially; every choice is bit-identical.
 
         Returns
         -------
         numpy.ndarray or PackedHV
             The encoded records, bit-identical to
             :func:`repro.hdc.encoders.encode_keyvalue_records` with the
-            same ``chunk_size`` and seed.
+            same seed.
         """
+        _tie_seed(seed)  # an invalid key fails even when no tie is drawn
         idx = self.indices(features)
         n = idx.shape[0]
         d = self.dim
-        rng = self._tie_rng(seed)
-        starts = range(0, n, self.chunk_size)
-        chunks = [idx[s:s + self.chunk_size] for s in starts]
-        if pool is None or pool.serial:
-            masks = map(self._majority_words, chunks)
-        else:
-            masks = pool.map(self._majority_words, chunks)
-
+        starts = range(0, n, _CHUNK_ROWS)
+        jobs = [(idx[lo:lo + _CHUNK_ROWS], seed, start + lo) for lo in starts]
+        run = itertools.starmap if pool is None or pool.serial else pool.starmap
         out = np.empty((n, packed_width(d) if packed else d), dtype=np.uint8)
-        # Resolve ties serially, in chunk order, sharing one RNG stream:
-        # exactly the consumption pattern of the serial encoder.
-        for start, (above, tied) in zip(starts, masks):
-            self._settle(above, tied, rng)
-            out[start:start + above.shape[0]] = self._emit(above, packed)
+        for lo, words in zip(starts, run(self._settled_words, jobs)):
+            out[lo:lo + words.shape[0]] = self._emit(words, packed)
         return PackedHV(out, d) if packed else out
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BatchEncoder(channels={self.num_channels}, "

@@ -20,11 +20,11 @@ predict calls.  There are two predict shapes:
   :attr:`~repro.learning.regression.HDRegressor.version` moves (online
   ``learn``/``forget``/``absorb``).
 
-Because request-encoding ties draw from a stream freshly seeded with
-the pipeline's ``encode_seed`` on every call, the engine is stateless
-across requests: the same record always yields the same hypervector and
-therefore the same prediction — whether it arrives alone, inside a
-batch, today or from a reloaded replica next year.
+Because a served pipeline breaks request-encoding ties with a
+position-free policy, the engine is stateless across requests: the same
+record always yields the same hypervector and therefore the same
+prediction — whether it arrives alone, inside a batch, today or from a
+reloaded replica next year.
 """
 
 from __future__ import annotations
@@ -168,15 +168,13 @@ class InferenceEngine:
         """Encode raw feature records to packed hypervectors.
 
         ``features`` is one record ``(k,)`` or a micro-batch ``(n, k)``;
-        the result is always a packed ``(n, d)`` batch.  Deterministic:
-        encoding ties draw from a stream seeded with the pipeline's
-        ``encode_seed`` afresh on every call.
+        the result is always a packed ``(n, d)`` batch.  Deterministic,
+        and row by row independent of the batch: the pipeline's tie
+        policy is position-free.
         """
         batch = self._as_batch(features)
         if self._encoder is not None:
-            return self._encoder.encode(
-                batch, seed=self.pipeline.encode_seed, packed=True
-            )
+            return self._encoder.encode(batch, packed=True)
         return self.pipeline.embedding.encode_packed(batch[:, 0])
 
     def _level_answers(self) -> Union[list[Hashable], np.ndarray]:
@@ -230,21 +228,14 @@ class InferenceEngine:
 
         The serving tier's keystone: concurrent in-flight requests are
         coalesced by the :class:`~repro.serve.batching.MicroBatcher`
-        into **one** call here, so the distance scan runs as a single
-        kernel invocation (one BLAS product under ``"auto"`` for large
-        batches) instead of one scan per request — yet every row of the
-        answer is exactly what a sequential ``predict_one`` would have
-        returned for that record, *including tie-break RNG draws*:
-
-        * keyless pipelines quantise each value independently and index
-          the per-level answer table — no encode and no scan at all;
-        * position-free tie policies (``"zeros"``/``"ones"`` — the
-          serving default) batch-encode directly, since no record's
-          encoding can depend on its neighbours;
-        * the ``"random"`` policy shares one RNG stream across a batch
-          encode, so here each record is encoded through the same
-          freshly-seeded single-record path ``predict_one`` uses, and
-          only the distance scan is coalesced.
+        into **one** call here, so the encode and the distance scan run
+        as single kernel invocations (one BLAS product under ``"auto"``
+        for large batches) instead of one per request — yet every row of
+        the answer is exactly what a sequential ``predict_one`` would
+        have returned for that record: keyless pipelines index the
+        per-level answer table, and key–value pipelines batch-encode
+        under a position-free tie policy, so no record's encoding
+        depends on its neighbours.
 
         Returns a plain list of per-record labels/values (scalars), in
         request order.
@@ -254,32 +245,18 @@ class InferenceEngine:
             return []
         if self._encoder is None:
             return list(self._lookup(batch[:, 0]))
-        if self.pipeline.tie_break in ("zeros", "ones"):
-            encoded = self.encode(batch)
-        else:
-            rows = [
-                self._encoder.encode_one(
-                    row, seed=self.pipeline.encode_seed, packed=True
-                )
-                for row in batch
-            ]
-            encoded = PackedHV(
-                np.concatenate([r.data for r in rows], axis=0), self.pipeline.dim
-            )
-        return list(self.pipeline.model.predict(encoded, backend=self.backend))
+        return list(self.pipeline.model.predict(self.encode(batch), backend=self.backend))
 
     def predict_one(self, record: Any) -> Any:
         """Predict for exactly one record; returns a scalar label/value.
 
-        The single-record fast path.  A key–value record encodes through
-        :meth:`~repro.runtime.batch.BatchEncoder.encode_one` (no chunk
-        partitioning) and predicts inline — under
+        The single-record path: checks the record is one ``(k,)`` row,
+        encodes it as a one-row batch and predicts inline — under
         ``"auto"`` a one-row scan always lands on the XOR kernel; a
         keyless record is one quantise and one per-level table lookup.
         The answer is bit-identical to ``predict([record])[0]``
         (asserted in ``tests/serve/test_engine.py``); the per-call
-        latency drop is measured by
-        ``benchmarks/bench_serve_latency.py``.
+        latency is measured by ``benchmarks/bench_serve_latency.py``.
         """
         arr = np.asarray(record, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != self.num_features:
@@ -289,10 +266,7 @@ class InferenceEngine:
             )
         if self._encoder is None:
             return self._lookup(arr[:1])[0]
-        encoded = self._encoder.encode_one(
-            arr, seed=self.pipeline.encode_seed, packed=True
-        )
-        return self.pipeline.model.predict(encoded, backend=self.backend)[0]
+        return self.pipeline.model.predict(self.encode(arr), backend=self.backend)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

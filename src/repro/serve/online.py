@@ -43,12 +43,6 @@ class OnlineLearner:
         Similarity-kernel backend for the embedded engine's distance
         scans (``"auto"``/``"gemm"``/``"xor"``; ``None`` defers to the
         ``REPRO_KERNEL`` environment variable).
-    ingest:
-        Ingest path for :meth:`learn` / :meth:`learn_stream`
-        (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
-        ``"auto"``).  Every choice updates the model bit-identically —
-        including the serving engine's per-call tie RNG draws — so this
-        only moves throughput.
 
     Example
     -------
@@ -69,27 +63,21 @@ class OnlineLearner:
         self,
         pipeline: TrainedPipeline,
         backend: str | None = None,
-        ingest: str | None = None,
     ) -> None:
         self.engine = InferenceEngine(pipeline, backend=backend)
-        self.ingest = ingest
 
-    def _stream_encode(self):
-        """The picklable encode this pipeline's learn paths stream through.
+    def _chunk_encode(self):
+        """The picklable encode :meth:`learn_stream` streams through.
 
-        Keyed pipelines get :class:`~repro.hdc.ingest.EngineEncode`
-        (serving-engine tie semantics, bit-identical to
-        ``engine.encode``), whose tie marker the fused ingest path
-        recognises for classifiers, so :func:`~repro.hdc.ingest.ingest_chunk`
-        can skip the encoded-batch materialisation; keyless pipelines
-        embed one value column and take the reference path.
+        Keyed pipelines get a :class:`~repro.streaming.train.RecordEncode`
+        over the engine's encoder — bit-identical to ``engine.encode``,
+        since a served pipeline's tie policy is position-free; keyless
+        pipelines embed one value column.
         """
-        from ..hdc.ingest import EngineEncode
+        from ..streaming.train import RecordEncode, ValueEncode
 
         if self.engine._encoder is not None:
-            return EngineEncode(self.engine._encoder, self.pipeline.encode_seed)
-        from ..streaming.train import ValueEncode
-
+            return RecordEncode(self.engine._encoder)
         return ValueEncode(self.pipeline.embedding, 0)
 
     # -- lifecycle -------------------------------------------------------------
@@ -133,25 +121,14 @@ class OnlineLearner:
         addition — O(d) per class/model, independent of how much traffic
         was absorbed before, and bit-identical to batch-training on the
         same records.  Returns ``self``.
-
-        For a keyed classifier pipeline the fused ingest path
-        (:func:`repro.hdc.ingest.ingest_chunk`; ``ingest="ref"`` turns it
-        off) lands the same update without materialising the encoded
-        batch — identical bytes, including the engine's tie RNG draws.
         """
-        from ..hdc.ingest import ingest_chunk
-        from ..streaming.chunks import Chunk
-
-        batch = self.engine._as_batch(features)
-        targets = self._check_targets(targets, batch.shape[0])
+        encoded = self.engine.encode(features)
+        targets = self._check_targets(targets, encoded.shape[0])
         model = self.pipeline.model
-        if not isinstance(model, CentroidClassifier):
-            targets = np.asarray(targets, dtype=np.float64)
-        chunk = Chunk(features=batch, targets=targets)
-        if ingest_chunk(model, chunk, self._stream_encode(), backend=self.ingest):
-            return self
-        encoded = self.engine.encode(batch)
-        model.partial_fit([(encoded, targets)])
+        if isinstance(model, CentroidClassifier):
+            model.partial_fit([(encoded, targets)])
+        else:
+            model.partial_fit([(encoded, np.asarray(targets, dtype=np.float64))])
         return self
 
     def forget(
@@ -206,12 +183,10 @@ class OnlineLearner:
         through the serving engine (identical bits to request encoding)
         and reduced into the live model via the canonical
         ``partial_fit`` — memory stays O(chunk) however long the stream
-        runs; when the fused ingest tier recognises the pipeline the
-        encoded chunk is never materialised at all (same bytes, same
-        RNG draws).  With ``checkpoint`` set, the pipeline is atomically
-        snapshotted every ``checkpoint_every`` chunks (see
-        :meth:`checkpoint`).  Returns the
-        :class:`~repro.streaming.StreamStats` of the pass.
+        runs.  With
+        ``checkpoint`` set, the pipeline is atomically snapshotted every
+        ``checkpoint_every`` chunks (see :meth:`checkpoint`).  Returns
+        the :class:`~repro.streaming.StreamStats` of the pass.
         """
         from ..streaming.reduce import encode_reduce
 
@@ -223,9 +198,8 @@ class OnlineLearner:
         stats = encode_reduce(
             self.pipeline.model,
             source,
-            self._stream_encode(),
+            self._chunk_encode(),
             on_chunk=hook,
-            ingest=self.ingest,
         )
         if checkpoint is not None:
             # Final snapshot: the tail chunks past the last interval

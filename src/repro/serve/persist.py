@@ -83,16 +83,19 @@ __all__ = [
 #: The ``format`` field every manifest must carry.
 FORMAT_NAME = "repro-hdc-model"
 
-#: Current container version.  Loaders accept any file with the same
-#: major version; see docs/SERVING.md for the compatibility policy.
-FORMAT_VERSION = 1
+#: Current container version.  Loaders accept any file up to this
+#: version; see docs/SERVING.md for the compatibility policy.  Version 2
+#: dropped the request-encoding tie seed from the pipeline payload: a
+#: served pipeline's tie policy is position-free, so it needs no seed.
+#: Version-1 files still load (their seed field is ignored), except a
+#: pipeline saved with the ``"random"`` policy, which is refused.
+FORMAT_VERSION = 2
 
 #: Minor revision within :data:`FORMAT_VERSION`, for additive manifest
-#: fields readers may ignore.  Minor 1 added the optional top-level
-#: ``cursor`` entry (streaming/cluster resume state — see
-#: ``docs/DISTRIBUTED.md``); version-1 loaders that predate it read
-#: only ``type``/``payload`` and are unaffected.
-FORMAT_MINOR = 1
+#: fields readers may ignore.  The optional top-level ``cursor`` entry
+#: (streaming/cluster resume state — see ``docs/DISTRIBUTED.md``) is
+#: part of version 2 itself.
+FORMAT_MINOR = 0
 
 #: npz entry holding the UTF-8 JSON manifest.
 MANIFEST_KEY = "__manifest__"
@@ -361,9 +364,7 @@ def _restore_accumulator(dim: int, counts: np.ndarray, total: int) -> BundleAccu
         raise ModelFormatError(
             f"accumulator counts have shape {counts.shape}, expected ({acc.dim},)"
         )
-    acc._counts[:] = counts
-    acc._total = int(total)
-    return acc
+    return acc.add_counts(counts, total)
 
 
 def _load_accumulator(payload: dict, arrays: dict, prefix: str) -> BundleAccumulator:
@@ -480,7 +481,6 @@ def _save_pipeline(pipe: TrainedPipeline, arrays: dict, prefix: str) -> dict[str
     payload: dict[str, Any] = {
         "kind": pipe.kind,
         "tie_break": pipe.tie_break,
-        "encode_seed": pipe.encode_seed,
         "num_features": pipe.num_features,
         "metadata": dict(pipe.metadata),
         "embedding": _save_embedding(pipe.embedding, arrays, prefix + "embedding/"),
@@ -504,7 +504,6 @@ def _load_pipeline(payload: dict, arrays: dict, prefix: str) -> TrainedPipeline:
         embedding=embedding,
         keys=keys,
         tie_break=payload["tie_break"],
-        encode_seed=payload["encode_seed"],
         metadata=dict(payload.get("metadata", {})),
     )
 

@@ -16,14 +16,12 @@ Two encode shapes cover the paper's workloads:
   encoded directly through the embedding's basis table (the Mars
   Express regression pipeline).
 
-Majority ties during request encoding are resolved from a stream seeded
-with ``encode_seed`` on *every* call, so identical requests always
-produce identical hypervectors — across calls, processes and machines.
-For serving, prefer a position-free tie policy (``"zeros"``/``"ones"``
-— ``"zeros"`` is the default): under ``"random"`` the stream is shared
-across a micro-batch, so a record's tie bits depend on where in the
-batch it arrived, and single-record answers can differ from batched
-ones.
+Majority ties during request encoding take a position-free policy
+(:data:`SERVE_TIE_BREAKS`: ``"zeros"``, the default, ``"ones"`` or
+``"alternate"``), so identical requests always produce identical
+hypervectors — alone or inside any micro-batch, across calls,
+processes and machines.  ``"random"`` is rejected: its coins are keyed
+by a record's position in its split, which a request does not have.
 """
 
 from __future__ import annotations
@@ -35,14 +33,19 @@ import numpy as np
 
 from ..basis.base import Embedding
 from ..exceptions import InvalidParameterError
-from ..hdc.ops import _TIE_BREAKS, TieBreak
+from ..hdc.ops import TieBreak
 from ..learning.classifier import CentroidClassifier
 from ..learning.regression import HDRegressor
 
-__all__ = ["TrainedPipeline"]
+__all__ = ["SERVE_TIE_BREAKS", "TrainedPipeline"]
 
 #: The two pipeline kinds, matching the model object they carry.
 PIPELINE_KINDS = ("classification", "regression")
+
+#: The tie policies a served pipeline may encode requests with: the
+#: position-free ones, under which a record's bits never depend on its
+#: micro-batch.
+SERVE_TIE_BREAKS = ("zeros", "ones", "alternate")
 
 
 @dataclass
@@ -64,14 +67,8 @@ class TrainedPipeline:
         ``(k, d)`` channel-key hypervectors for key–value record
         encoding, or ``None`` for single-feature pipelines.
     tie_break:
-        Majority tie policy used when encoding requests.  Defaults to
-        the position-free ``"zeros"`` so a record's encoding never
-        depends on its micro-batch; see the module docstring before
-        choosing ``"random"``.
-    encode_seed:
-        Integer seed for the request-encoding tie stream (``None`` lets
-        ties fall to OS entropy — only sensible for ``tie_break`` values
-        that never draw, like ``"zeros"``).
+        Majority tie policy used when encoding requests, one of
+        :data:`SERVE_TIE_BREAKS` (default ``"zeros"``).
     metadata:
         Free-form JSON-serialisable provenance (task name, basis kind,
         training metrics, …); stored verbatim in the manifest.
@@ -95,7 +92,6 @@ class TrainedPipeline:
     embedding: Embedding
     keys: np.ndarray | None = None
     tie_break: TieBreak = "zeros"
-    encode_seed: int | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -111,9 +107,10 @@ class TrainedPipeline:
             )
         # Validate eagerly, as the engine resolves its backend: a typo'd
         # policy must fail here, not on every later learn or predict.
-        if self.tie_break not in _TIE_BREAKS:
+        if self.tie_break not in SERVE_TIE_BREAKS:
             raise InvalidParameterError(
-                f"tie_break must be one of {_TIE_BREAKS}, got {self.tie_break!r}"
+                f"a served pipeline's tie_break must be one of {SERVE_TIE_BREAKS}, "
+                f"got {self.tie_break!r}; retrain the pipeline with one of them"
             )
         if self.keys is not None:
             self.keys = np.asarray(self.keys)
@@ -126,8 +123,6 @@ class TrainedPipeline:
                     f"keys dim {self.keys.shape[1]} does not match embedding "
                     f"dim {self.embedding.dim}"
                 )
-        if self.encode_seed is not None:
-            self.encode_seed = int(self.encode_seed)
 
     @property
     def dim(self) -> int:

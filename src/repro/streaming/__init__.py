@@ -16,10 +16,10 @@ This package is that computation's single implementation:
   (:class:`JsonlChunkSource`, :class:`CsvChunkSource`,
   :class:`NpyMmapChunkSource`) for
   ``train --stream --input PATH``, O(chunk) resident memory;
-* :mod:`repro.streaming.reduce` — :func:`stream_encode` (chunking
-  invariant record encoding via position-keyed tie coins) and
-  :func:`encode_reduce` (the fused encode→\\ ``partial_fit`` stage,
-  O(chunk) peak memory);
+* :mod:`repro.streaming.reduce` — :func:`encode_reduce` (the fused
+  encode→\\ ``partial_fit`` stage, O(chunk) peak memory), plus the
+  re-exported position-keyed tie primitives of :mod:`repro.hdc.ops`
+  that make record encoding chunking invariant;
 * :mod:`repro.streaming.train` — typed drivers
   (``stream_fit_classifier`` / ``stream_fit_regressor`` and scoring
   counterparts) plus :func:`train_pipeline_stream`, the engine of the
@@ -57,7 +57,6 @@ from .reduce import (
     positional_tie_words,
     prefetch_chunks,
     resolve_majority,
-    stream_encode,
 )
 from .train import (
     CURSOR_VERSION,
@@ -93,7 +92,6 @@ __all__ = [
     "positional_tie_words",
     "prefetch_chunks",
     "resolve_majority",
-    "stream_encode",
     "CURSOR_VERSION",
     "RecordEncode",
     "ValueEncode",

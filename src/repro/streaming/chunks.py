@@ -16,8 +16,9 @@ Two invariants make the whole subsystem deterministic:
 * **absolute positions** — ``chunk.start`` is the chunk's offset in the
   logical split, which is what lets the encode stage key its tie-break
   randomness by *row* rather than by stream position
-  (:func:`repro.streaming.stream_encode`), making every downstream
-  result independent of how the rows were chunked.
+  (:meth:`repro.runtime.batch.BatchEncoder.encode` with ``start``),
+  making every downstream result independent of how the rows were
+  chunked.
 """
 
 from __future__ import annotations

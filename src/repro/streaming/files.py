@@ -20,8 +20,7 @@ speaks:
   mapping, so the OS pages rows in and out on demand.
 
 Both plug straight into ``train --stream --input PATH``
-(:func:`file_chunk_source` picks the reader from the extension) and
-therefore into the fused ingest tier (:mod:`repro.hdc.ingest`): the
+(:func:`file_chunk_source` picks the reader from the extension): the
 positional tie-coin discipline keys randomness by ``chunk.start``, so a
 file replayed with any ``chunk_size`` trains the identical model.
 """

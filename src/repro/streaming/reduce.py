@@ -1,27 +1,24 @@
 """Fused encode → reduce: chunks in, model statistics out, O(chunk) RAM.
 
-This is the computational core of the streaming subsystem.  Three pieces
+This is the computational core of the streaming subsystem.  Two pieces
 compose:
 
-* :func:`positional_tie_bits` — the chunking-invariant tie-break
-  randomness.  The batched encoders resolve majority ties of the
-  ``"random"`` policy from one *sequential* stream, which makes the
-  result depend on where chunk boundaries fall.  Streaming keys every
-  tie coin by ``(seed, absolute row, dimension)`` instead, computed
-  with a counter-based splitmix64 hash: the same row always draws the
-  same coins, whatever chunk it arrives in, on however many workers,
-  in however many ``partial_fit`` calls.
-* :func:`stream_encode` — the whole-batch record encoder built on that
-  discipline.  Bit-identical for every chunk size, worker count, and
-  for any split of the rows across calls (pass ``start`` for the
-  absolute offset).  For tie policies that never draw
-  (``"zeros"``/``"ones"``/``"alternate"``) it equals
-  :meth:`repro.runtime.batch.BatchEncoder.encode` exactly.
+* :func:`prefetch_chunks` — chunk generation one step ahead of the
+  consumer, on one background thread, in source order.
 * :func:`encode_reduce` — the fused stage: stream chunks through an
   encode function straight into a model's
   :meth:`~repro.learning.classifier.CentroidClassifier.partial_fit`,
   never materialising the encoded split.  Peak memory is O(chunk),
   not O(n).
+
+Record chunks encode through
+:meth:`~repro.runtime.batch.BatchEncoder.encode` with the chunk's
+absolute ``start``: majority ties of the ``"random"`` policy take the
+position-keyed coins of :func:`~repro.hdc.ops.positional_tie_bits`, so
+a row's bits are the same whatever chunk, worker or call it arrives in.
+The tie primitives (:func:`positional_tie_bits`,
+:func:`positional_tie_words`, :func:`resolve_majority`) live in
+:mod:`repro.hdc.ops` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -29,17 +26,20 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..hdc.hypervector import BIT_DTYPE
-from ..hdc.ops import majority_from_counts
-from ..hdc.packed import PackedHV, packed_width
-from ..runtime.batch import BatchEncoder
-from ..runtime.pool import WorkerPool
-from .chunks import ChunkSource, iter_slices
+# majority_from_counts stays importable here because perfbench/tracing.py
+# wraps it by name.
+from ..hdc.ops import (
+    majority_from_counts,  # noqa: F401
+    positional_tie_bits,
+    positional_tie_words,
+    resolve_majority,
+)
+from .chunks import ChunkSource
 
 __all__ = [
     "StreamStats",
@@ -48,171 +48,7 @@ __all__ = [
     "positional_tie_words",
     "prefetch_chunks",
     "resolve_majority",
-    "stream_encode",
 ]
-
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser (wrapping uint64 arithmetic)."""
-    z = (x + _GAMMA).astype(np.uint64, copy=False)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def _tie_seed(seed) -> np.uint64:
-    if seed is None:
-        return np.uint64(0)
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        return np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    raise InvalidParameterError(
-        f"streaming tie seed must be an int or None, got {seed!r}"
-    )
-
-
-def positional_tie_words(seed, rows: np.ndarray, dim: int) -> np.ndarray:
-    """:func:`positional_tie_bits` in packed form.
-
-    Returns ``(len(rows), ⌈dim/64⌉)`` uint64 words whose bytes, read in
-    memory order, are the :func:`numpy.packbits` bytes of the coins (the
-    bits past ``dim`` in the last word are hash bits, not zero).  The
-    packed majority kernel of :class:`~repro.runtime.batch.BatchEncoder`
-    masks them with its tie words.
-
-    >>> import numpy as np
-    >>> words = positional_tie_words(7, np.array([3, 5]), 70)
-    >>> bits = np.unpackbits(words.view(np.uint8), axis=-1)[:, :70]
-    >>> bool(np.array_equal(bits, positional_tie_bits(7, np.array([3, 5]), 70)))
-    True
-    """
-    if dim < 1:
-        raise InvalidParameterError(f"dim must be positive, got {dim}")
-    rows64 = np.asarray(rows, dtype=np.uint64)
-    words = (dim + 63) // 64
-    base = _mix64(rows64 ^ _mix64(np.full_like(rows64, _tie_seed(seed))))
-    counters = (np.arange(words, dtype=np.uint64) * _GAMMA)[None, :]
-    hashed = _mix64(base[:, None] ^ counters)
-    return hashed.astype(">u8").view(np.uint64)
-
-
-def positional_tie_bits(seed, rows: np.ndarray, dim: int) -> np.ndarray:
-    """Deterministic per-row tie coins, keyed by absolute row position.
-
-    Returns a ``(len(rows), dim)`` uint8 bit array where bit ``(r, i)``
-    is a function of ``(seed, rows[r], i)`` alone — a counter-based
-    splitmix64 hash, so no stream state exists to depend on chunking.
-    Platform-independent (the hash runs in wrapping uint64 arithmetic
-    and words are serialised big-endian before unpacking).
-
-    >>> import numpy as np
-    >>> a = positional_tie_bits(7, np.array([3, 5]), 64)
-    >>> b = positional_tie_bits(7, np.array([5]), 64)
-    >>> bool(np.array_equal(a[1], b[0]))   # row 5 draws the same coins
-    True
-    >>> bool(0.3 < a.mean() < 0.7)         # fair coins
-    True
-    """
-    as_bytes = positional_tie_words(seed, rows, dim).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=-1)[:, :dim].astype(BIT_DTYPE, copy=False)
-
-
-def resolve_majority(
-    counts: np.ndarray,
-    total: int,
-    tie_break: str,
-    seed,
-    start: int,
-) -> np.ndarray:
-    """Threshold per-row one-counts with position-keyed tie handling.
-
-    The streaming counterpart of
-    :func:`repro.hdc.ops.majority_from_counts` for 2-D ``(rows, d)``
-    count blocks whose first row sits at absolute offset ``start``.
-    Non-``"random"`` policies delegate to the shared primitive
-    unchanged (they are position-free already); ``"random"`` resolves
-    each tied row with its :func:`positional_tie_bits` coins.
-
-    >>> import numpy as np
-    >>> counts = np.array([[1, 2, 1, 0]], dtype=np.int64)
-    >>> resolve_majority(counts, 2, "zeros", None, 0).tolist()
-    [[0, 1, 0, 0]]
-    """
-    if tie_break != "random":
-        return majority_from_counts(counts, total, tie_break=tie_break)
-    counts64 = counts.astype(np.int64, copy=False)
-    out = (2 * counts64 > total).astype(BIT_DTYPE)
-    ties = 2 * counts64 == total
-    tie_rows = np.nonzero(ties.any(axis=-1))[0]
-    if tie_rows.size:
-        coins = positional_tie_bits(seed, start + tie_rows, counts.shape[-1])
-        block = out[tie_rows]
-        mask = ties[tie_rows]
-        block[mask] = coins[mask]
-        out[tie_rows] = block
-    return out
-
-
-def stream_encode(
-    encoder: BatchEncoder,
-    features: np.ndarray,
-    start: int = 0,
-    seed: Union[int, None] = 0,
-    packed: bool = True,
-    pool: WorkerPool | None = None,
-) -> Union[np.ndarray, PackedHV]:
-    """Chunking-invariant whole-batch record encoding.
-
-    Encodes ``(n, k)`` raw features through ``encoder``'s fused tables
-    exactly like :meth:`~repro.runtime.batch.BatchEncoder.encode`, with
-    one change: majority ties of the ``"random"`` policy draw
-    position-keyed coins (see :func:`positional_tie_bits`) seeded by the
-    integer ``seed`` and the row's absolute offset ``start + i``.  The
-    result is therefore **bit-identical** however the rows are split —
-    across encoder chunk sizes, worker counts, stream chunk boundaries
-    or separate calls — which is the property the whole streaming
-    subsystem is gated on.  For tie policies that never draw, the
-    output equals ``encoder.encode`` bit for bit.
-
-    >>> import numpy as np
-    >>> from repro.basis import LevelBasis
-    >>> from repro.hdc.hypervector import random_hypervectors
-    >>> from repro.runtime import BatchEncoder
-    >>> emb = LevelBasis(4, 32, seed=0).linear_embedding(0.0, 1.0)
-    >>> enc = BatchEncoder(random_hypervectors(2, 32, seed=1), emb)
-    >>> x = np.random.default_rng(2).random((6, 2))
-    >>> whole = stream_encode(enc, x, seed=9)
-    >>> parts = [stream_encode(enc, x[s:s + 2], start=s, seed=9) for s in (0, 2, 4)]
-    >>> bool(np.array_equal(whole.unpack(),
-    ...                     np.concatenate([p.unpack() for p in parts])))
-    True
-    """
-    idx = encoder.indices(features)
-    n = idx.shape[0]
-    d = encoder.dim
-    width = packed_width(d) if packed else d
-    out = np.empty((n, width), dtype=np.uint8)
-    bounds = iter_slices(n, encoder.chunk_size) if n else []
-
-    def fill(lo: int, hi: int, counts: np.ndarray) -> None:
-        bits = resolve_majority(
-            counts, encoder.num_channels, encoder.tie_break, seed, start + lo
-        )
-        out[lo:hi] = np.packbits(bits, axis=-1) if packed else bits
-
-    if pool is None or pool.serial:
-        # One sub-chunk in flight at a time: the transient stays O(chunk).
-        for lo, hi in bounds:
-            fill(lo, hi, encoder.chunk_counts(idx[lo:hi]))
-    else:
-        blocks = pool.map(encoder.chunk_counts, [idx[lo:hi] for lo, hi in bounds])
-        for (lo, hi), counts in zip(bounds, blocks):
-            fill(lo, hi, counts)
-    return PackedHV(out, d) if packed else out
-
 
 #: Sentinel marking the end of a prefetched stream.
 _PREFETCH_DONE = object()
@@ -302,14 +138,14 @@ def encode_reduce(
     on_chunk: Callable[[StreamStats], None] | None = None,
     prefetch: int = 1,
     stats: StreamStats | None = None,
-    ingest: str | None = None,
 ) -> StreamStats:
     """Stream chunks through ``encode`` straight into ``model``.
 
-    The fused out-of-core training stage: for every chunk of ``source``
-    the raw features are encoded (``encode(chunk)``) and immediately
-    reduced into the model via its canonical
-    ``partial_fit([(encoded, targets)])`` — the encoded split is never
+    The out-of-core training stage: every chunk of ``source`` goes
+    through :func:`repro.hdc.ingest.ingest_chunk` — its raw features are
+    encoded (``encode(chunk)``) and immediately reduced into the model
+    via its canonical ``partial_fit([(encoded, targets)])`` — the
+    encoded split is never
     materialised, so peak memory is O(chunk) regardless of the stream
     length.  ``on_chunk`` (if given) runs after every reduced chunk
     with the running :class:`StreamStats`; the ``train --stream`` CLI
@@ -333,15 +169,6 @@ def encode_reduce(
     arrays are converted to plain Python labels so streamed models
     serialise exactly like in-memory ones.
 
-    ``ingest`` selects the ingest path
-    (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
-    ``"auto"``, ``"ref"`` forces this reference path).  When
-    :func:`repro.hdc.ingest.ingest_chunk` recognises a classifier
-    ``(model, encode)`` pair it reduces the chunk without materialising
-    the encoded batch — bit-identical to this reference path — and the
-    encode-then-``partial_fit`` body below is skipped for that chunk;
-    otherwise (regressors included) the reference path runs unchanged.
-
     >>> import numpy as np
     >>> from repro.basis import LevelBasis
     >>> from repro.learning import HDRegressor
@@ -355,11 +182,9 @@ def encode_reduce(
     >>> (stats.rows, stats.chunks, model.num_samples)
     (20, 4, 20)
     """
-    from ..hdc.ingest import ingest_chunk
-    from ..learning.classifier import CentroidClassifier
+    from ..hdc import ingest
 
     stats = stats if stats is not None else StreamStats()
-    classify = isinstance(model, CentroidClassifier)
     chunks = prefetch_chunks(source, depth=prefetch) if prefetch else source
     for chunk in chunks:
         if chunk.targets is None:
@@ -367,20 +192,7 @@ def encode_reduce(
                 "encode_reduce needs labelled chunks; this source yields "
                 "targets=None"
             )
-        if ingest_chunk(model, chunk, encode, backend=ingest):
-            stats.absorb(chunk.rows)
-            if on_chunk is not None:
-                on_chunk(stats)
-            continue
-        encoded = encode(chunk)
-        targets = chunk.targets
-        if classify:
-            targets = (
-                targets.tolist() if isinstance(targets, np.ndarray) else list(targets)
-            )
-        else:
-            targets = np.asarray(targets, dtype=np.float64)
-        model.partial_fit([(encoded, targets)])
+        ingest.ingest_chunk(model, chunk, encode)
         stats.absorb(chunk.rows)
         if on_chunk is not None:
             on_chunk(stats)

@@ -44,7 +44,7 @@ from ..learning.regression import HDRegressor
 from ..runtime.batch import BatchEncoder
 from ..runtime.pool import WorkerPool
 from .chunks import Chunk, ChunkSource, default_chunk_rows, skip_chunks
-from .reduce import StreamStats, encode_reduce, stream_encode
+from .reduce import StreamStats, encode_reduce
 from .sources import JigsawsStream, MarsExpressStream
 
 __all__ = [
@@ -66,6 +66,11 @@ TWO_PI = 2.0 * math.pi
 #: ``cursor`` key — see :func:`repro.serve.persist.save_model`).
 CURSOR_VERSION = 1
 
+#: What :func:`train_pipeline_stream` accepts as ``ingest``: every name
+#: runs the one ingest path.  Kept because ``perfbench/train_child.py``
+#: passes ``"ref"`` and ``"auto"``.
+_INGEST_NAMES = (None, "auto", "ref")
+
 
 class _CountingSource:
     """Pass-through ChunkSource that tallies the rows it yields."""
@@ -84,10 +89,10 @@ class _CountingSource:
 class RecordEncode:
     """Picklable per-chunk encode for record streams (classification).
 
-    Wraps :func:`~repro.streaming.reduce.stream_encode` with the chunk's
-    absolute ``start`` as the tie-coin position key, so the encode of any
-    row is independent of chunking, process, and worker count.  Being a
-    plain dataclass (not a closure) it pickles into cluster worker
+    Wraps :meth:`~repro.runtime.batch.BatchEncoder.encode` with the
+    chunk's absolute ``start`` as the tie-coin position key, so the
+    encode of any row is independent of chunking, process, and worker
+    count.  Being a plain dataclass (not a closure) it pickles into cluster worker
     processes; the thread ``pool`` is a per-process resource and is
     deliberately dropped on pickle — workers encode serially, which is
     bit-identical.
@@ -97,19 +102,9 @@ class RecordEncode:
     seed: Union[int, None] = 0
     pool: WorkerPool | None = field(default=None, compare=False)
 
-    #: Tie-coin contract for the fused ingest tier
-    #: (:mod:`repro.hdc.ingest`): coins are keyed by absolute row
-    #: position, so a fused backend may block the rows however it likes.
-    tie_semantics = "positional"
-
     def __call__(self, chunk: Chunk):
-        return stream_encode(
-            self.encoder,
-            chunk.features,
-            start=chunk.start,
-            seed=self.seed,
-            packed=True,
-            pool=self.pool,
+        return self.encoder.encode(
+            chunk.features, seed=self.seed, start=chunk.start, packed=True, pool=self.pool
         )
 
     def __getstate__(self):
@@ -147,14 +142,13 @@ def stream_fit_classifier(
     pool: WorkerPool | None = None,
     on_chunk: Callable[[StreamStats], None] | None = None,
     stats: StreamStats | None = None,
-    ingest: str | None = None,
 ) -> StreamStats:
     """Train a centroid classifier from a chunk stream, O(chunk) memory.
 
-    Each chunk is encoded with :func:`~repro.streaming.stream_encode`
+    Each chunk is encoded with ``encoder.encode(..., start=chunk.start)``
     (position-keyed ties under ``seed``) and reduced straight into the
     classifier's accumulators — **bit-identical to a monolithic**
-    ``classifier.fit(stream_encode(encoder, all_features), labels)``
+    ``classifier.fit(encoder.encode(all_features, seed=seed), labels)``
     for every chunk size and worker count.  ``stats`` pre-seeds the
     accounting for resumed passes.
 
@@ -176,7 +170,6 @@ def stream_fit_classifier(
         RecordEncode(encoder, seed, pool),
         on_chunk=on_chunk,
         stats=stats,
-        ingest=ingest,
     )
 
 
@@ -187,7 +180,6 @@ def stream_fit_regressor(
     column: int = 0,
     on_chunk: Callable[[StreamStats], None] | None = None,
     stats: StreamStats | None = None,
-    ingest: str | None = None,
 ) -> StreamStats:
     """Train an HD regressor from a chunk stream, O(chunk) memory.
 
@@ -211,7 +203,6 @@ def stream_fit_regressor(
         ValueEncode(embedding, column),
         on_chunk=on_chunk,
         stats=stats,
-        ingest=ingest,
     )
 
 
@@ -478,10 +469,9 @@ def train_pipeline_stream(
         embedding/key construction and the held-out scoring stream; the
         file's rows must have the task's feature width.
     ingest:
-        Ingest path for the reduce stage
-        (:data:`repro.hdc.ingest.INGEST_BACKENDS`; ``None`` means
-        ``"auto"``, the fused classifier path; ``"ref"`` forces encode
-        then ``partial_fit``).  All choices train bit-identical models.
+        ``None``, ``"auto"`` or ``"ref"``; every value runs the one
+        ingest path (:func:`repro.hdc.ingest.ingest_chunk`), and any
+        other value raises.
 
     Returns
     -------
@@ -511,6 +501,10 @@ def train_pipeline_stream(
     from ..serve.persist import save_model
 
     chunk_size = default_chunk_rows(chunk_size)
+    if ingest not in _INGEST_NAMES:
+        raise InvalidParameterError(
+            f"ingest must be one of {_INGEST_NAMES}, got {ingest!r}"
+        )
     if basis_kind not in BASIS_KINDS:
         raise InvalidParameterError(
             f"basis_kind must be one of {BASIS_KINDS}, got {basis_kind!r}"
@@ -551,7 +545,6 @@ def train_pipeline_stream(
             embedding=anomaly_embedding,
             keys=None,
             tie_break="zeros",
-            encode_seed=None,
             metadata={"task": task, "basis_kind": basis_kind, "dim": config.dim,
                       "seed": config.seed},
         )
@@ -579,7 +572,6 @@ def train_pipeline_stream(
                 ValueEncode(anomaly_embedding),
                 workers=cluster_workers,
                 hook=cluster_hook,
-                ingest=ingest,
             )
 
             def cursor_fn(current: StreamStats) -> dict:
@@ -616,7 +608,6 @@ def train_pipeline_stream(
             )
             stats = stream_fit_regressor(
                 model, anomaly_embedding, train_source, on_chunk=hook, stats=stats,
-                ingest=ingest,
             )
         # Count the held-out rows on the scoring pass itself — a second
         # pass over the stream would regenerate all the telemetry.
@@ -663,7 +654,6 @@ def train_pipeline_stream(
             embedding=embedding,
             keys=keys,
             tie_break="zeros",
-            encode_seed=None,
             metadata={"task": task, "basis_kind": basis_kind, "dim": config.dim,
                       "seed": config.seed},
         )
@@ -692,7 +682,6 @@ def train_pipeline_stream(
                     RecordEncode(encoder, seed=0),
                     workers=cluster_workers,
                     hook=cluster_hook,
-                    ingest=ingest,
                 )
 
                 def cursor_fn(current: StreamStats) -> dict:
@@ -733,7 +722,7 @@ def train_pipeline_stream(
                 )
                 stats = stream_fit_classifier(
                     classifier, encoder, train_source, pool=pool,
-                    on_chunk=hook, stats=stats, ingest=ingest,
+                    on_chunk=hook, stats=stats,
                 )
             acc = stream_score_classifier(classifier, encoder, test_stream, pool=pool)
         stream_meta = {"chunk_size": chunk_size, "chunks": stats.chunks,

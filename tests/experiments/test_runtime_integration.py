@@ -142,8 +142,8 @@ def test_encoded_corpus_is_packed_end_to_end():
     feats = np.random.default_rng(2).random((60, 4))
     labels = list(np.arange(60) % 3)
 
-    packed = enc.encode(feats, seed=np.random.default_rng(3), packed=True)
-    unpacked = enc.encode(feats, seed=np.random.default_rng(3))
+    packed = enc.encode(feats, seed=3, packed=True)
+    unpacked = enc.encode(feats, seed=3)
     a = CentroidClassifier(DIM, tie_break="zeros").fit(packed, labels)
     b = CentroidClassifier(DIM, tie_break="zeros").fit(unpacked, labels)
     assert a.predict(packed) == b.predict(unpacked)

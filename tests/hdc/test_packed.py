@@ -232,6 +232,44 @@ class TestBundleAccumulator:
             bundle(stack, tie_break="alternate"),
         )
 
+    @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
+    @pytest.mark.parametrize("rows", [0xFFFF, 0x10000])
+    def test_column_sums_are_exact_at_the_narrow_limit(self, rows, packed):
+        """One batch at and just past 65,535 rows (the uint16 column-sum
+        limit) lands the int64 counts of a plain sum, and subtracting it
+        returns to zero."""
+        stack = np.ones((rows, 16), dtype=np.uint8)
+        stack[::3, :8] = 0
+        batch = PackedHV.pack(stack) if packed else stack
+        expected = stack.sum(axis=0, dtype=np.int64)
+        acc = BundleAccumulator(16).add(batch)
+        assert acc.counts.dtype == np.int64
+        np.testing.assert_array_equal(acc.counts, expected)
+        assert acc.total == rows
+        acc.subtract(batch)
+        np.testing.assert_array_equal(acc.counts, np.zeros(16, dtype=np.int64))
+        assert acc.total == 0
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
+    def test_single_vector_add_and_subtract(self, packed):
+        row = sample(1, 77, seed=23)[0]
+        hv = PackedHV.pack(row) if packed else row
+        acc = BundleAccumulator(77).add(hv)
+        np.testing.assert_array_equal(acc.counts, row.astype(np.int64))
+        assert acc.total == 1
+        acc.subtract(hv)
+        np.testing.assert_array_equal(acc.counts, np.zeros(77, dtype=np.int64))
+        assert acc.total == 0
+
+    def test_add_counts_equals_add(self):
+        stack = sample(6, 130, seed=22)
+        direct = BundleAccumulator(130).add(stack)
+        folded = BundleAccumulator(130).add_counts(direct.counts, direct.total)
+        np.testing.assert_array_equal(folded.counts, direct.counts)
+        assert folded.total == direct.total
+        with pytest.raises(InvalidParameterError):
+            folded.add_counts(direct.counts.astype(np.float64), 1)
+
     def test_signed_view(self):
         stack = sample(4, 64, seed=21)
         acc = BundleAccumulator(64).add(stack)

@@ -11,7 +11,7 @@ from repro.exceptions import (
     EmptyModelError,
     InvalidParameterError,
 )
-from repro.hdc import random_hypervectors
+from repro.hdc import BundleAccumulator, random_hypervectors
 from repro.learning import HDRegressor
 from repro.runtime.parallel import predict_regressor_sharded
 from repro.runtime.pool import WorkerPool
@@ -146,7 +146,7 @@ def _rebuilt(model: HDRegressor) -> HDRegressor:
     """A fresh regressor holding exactly ``model``'s counts (no cached table)."""
     return HDRegressor(
         model.label_embedding, decode=model.decode_mode, model=model.model_mode
-    ).ingest_counts(model._bundle.counts, model.num_samples)
+    ).absorb(model._bundle)
 
 
 class TestIntegerScoringTable:
@@ -186,7 +186,7 @@ class TestIntegerScoringTable:
         counts = np.where(emb.basis.vectors[16] == 1, total - pull, pull)
         assert np.abs(total - 2 * counts).sum() >= 2**24
         model = HDRegressor(emb, model="integer", decode="weighted")
-        model.ingest_counts(counts, total)
+        model.absorb(BundleAccumulator(d).add_counts(counts, total))
         queries = rng.integers(0, 2, (64, d)).astype(np.uint8)
         batched = model.predict(queries)
         per_row = np.concatenate([model.predict(q[None, :]) for q in queries])
@@ -198,13 +198,6 @@ class TestIntegerScoringTable:
         x, y, queries = data
         model, before = self._warm(emb, x[:60], y[:60], queries)
         model.partial_fit([(x[60:], y[60:])])
-        self._assert_fresh(model, queries, before)
-
-    def test_ingest_counts_drops_table(self, emb, data):
-        x, y, queries = data
-        model, before = self._warm(emb, x, y, queries)
-        delta = model.shard_bundle(x[:30], y[:30])
-        model.ingest_counts(delta.counts, delta.total)
         self._assert_fresh(model, queries, before)
 
     def test_forget_drops_table(self, emb, data):

@@ -9,7 +9,7 @@ from repro.basis import CircularBasis, LevelBasis
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.hdc.encoders import encode_keyvalue_records
 from repro.hdc.hypervector import random_hypervectors
-from repro.hdc.ops import majority_from_counts
+from repro.hdc.ops import resolve_majority
 from repro.hdc.packed import is_packed
 from repro.runtime import BatchEncoder, WorkerPool
 
@@ -37,11 +37,19 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             BatchEncoder(keys, basis.linear_embedding(0.0, 1.0))
 
-    def test_bad_chunk_size_rejected(self, encoder):
+    @pytest.mark.parametrize("policy", ["zero", "bogus", "Random"])
+    def test_unknown_tie_policy_rejected_at_construction(self, policy):
+        """Reproducer: a typo'd policy constructed and failed only at the
+        first encode."""
         basis = LevelBasis(LEVELS, DIM, seed=0)
         keys = random_hypervectors(CHANNELS, DIM, seed=1)
         with pytest.raises(InvalidParameterError):
-            BatchEncoder(keys, basis.linear_embedding(0.0, 1.0), chunk_size=0)
+            BatchEncoder(keys, basis.linear_embedding(0.0, 1.0), tie_break=policy)
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(0), 1.5, "7", True])
+    def test_non_integer_tie_key_rejected(self, encoder, seed):
+        with pytest.raises(InvalidParameterError):
+            encoder.encode(np.zeros((2, CHANNELS)), seed=seed)
 
     def test_introspection(self, encoder):
         assert encoder.num_channels == CHANNELS
@@ -56,27 +64,25 @@ class TestConstruction:
 
 
 class TestEquivalence:
-    def test_matches_legacy_encoder(self, encoder, features):
+    def test_matches_per_call_encoder(self, encoder, features):
         basis_vectors = encoder.embedding.basis.vectors
         keys = random_hypervectors(CHANNELS, DIM, seed=1)
         idx = encoder.indices(features)
-        legacy = encode_keyvalue_records(
-            keys, idx, basis_vectors, seed=np.random.default_rng(42)
-        )
-        mine = encoder.encode(features, seed=np.random.default_rng(42))
-        assert np.array_equal(legacy, mine)
+        reference = encode_keyvalue_records(keys, idx, basis_vectors, seed=42)
+        mine = encoder.encode(features, seed=42)
+        assert np.array_equal(reference, mine)
 
     def test_packed_output_same_bits(self, encoder, features):
-        unpacked = encoder.encode(features, seed=np.random.default_rng(5))
-        packed = encoder.encode(features, seed=np.random.default_rng(5), packed=True)
+        unpacked = encoder.encode(features, seed=5)
+        packed = encoder.encode(features, seed=5, packed=True)
         assert is_packed(packed)
         assert np.array_equal(unpacked, packed.unpack())
 
     def test_parallel_bit_identical(self, encoder, features):
-        serial = encoder.encode(features, seed=np.random.default_rng(9))
+        serial = encoder.encode(features, seed=9)
         for workers in (2, 4):
             with WorkerPool(workers=workers) as pool:
-                par = encoder.encode(features, seed=np.random.default_rng(9), pool=pool)
+                par = encoder.encode(features, seed=9, pool=pool)
             assert np.array_equal(serial, par)
 
     def test_circular_embedding(self, features):
@@ -98,35 +104,25 @@ class TestEquivalence:
         assert out.shape == (0, DIM)
 
 
-class TestEncodeOne:
-    def test_bit_identical_to_batch_path(self, encoder, features):
-        for row in features[:5]:
-            one = encoder.encode_one(row, seed=21)
-            batch = encoder.encode(row[None, :], seed=21)
-            assert np.array_equal(one, batch)
+class TestPositionKeyedTies:
+    """A row's bits depend on ``(seed, start + i)`` alone."""
 
-    def test_random_tie_policy_consumes_rng_identically(self, features):
-        # An even channel count with the "random" policy draws tie bits;
-        # the fast path must consume the stream exactly like the batch
-        # path for the answers to match.
-        basis = LevelBasis(LEVELS, DIM, seed=0)
-        keys = random_hypervectors(CHANNELS, DIM, seed=1)
-        enc = BatchEncoder(keys, basis.linear_embedding(0.0, 1.0), tie_break="random")
-        for row in features[:5]:
-            one = enc.encode_one(row, seed=33)
-            batch = enc.encode(row[None, :], seed=33)
-            assert np.array_equal(one, batch)
+    def test_one_row_equals_its_row_of_the_batch(self, encoder, features):
+        whole = encoder.encode(features, seed=21)
+        for i in (0, 1, 150, 299):
+            one = encoder.encode(features[i:i + 1], seed=21, start=i)
+            assert np.array_equal(one[0], whole[i])
 
-    def test_packed_output(self, encoder, features):
-        one = encoder.encode_one(features[0], seed=2, packed=True)
-        assert is_packed(one)
-        assert np.array_equal(one.unpack(), encoder.encode_one(features[0], seed=2))
+    def test_none_key_is_key_zero(self, encoder, features):
+        assert np.array_equal(
+            encoder.encode(features, seed=None), encoder.encode(features, seed=0)
+        )
 
-    def test_bad_shapes_rejected(self, encoder):
-        with pytest.raises(InvalidParameterError):
-            encoder.encode_one(np.zeros((2, CHANNELS)))
-        with pytest.raises(InvalidParameterError):
-            encoder.encode_one(np.zeros(CHANNELS + 1))
+    def test_keys_and_positions_move_the_coins(self, encoder, features):
+        # CHANNELS is even, so "random" ties are frequent.
+        base = encoder.encode(features, seed=3)
+        assert not np.array_equal(base, encoder.encode(features, seed=4))
+        assert not np.array_equal(base, encoder.encode(features, seed=3, start=1))
 
 
 KERNEL_CHUNK = 5
@@ -139,13 +135,13 @@ def thread_pool():
         yield pool
 
 
-def _reference_bits(enc: BatchEncoder, idx: np.ndarray, rng) -> np.ndarray:
-    """Byte-count reference: threshold ``chunk_counts`` chunk by chunk."""
+def _reference_bits(enc: BatchEncoder, idx: np.ndarray, seed, start: int = 0) -> np.ndarray:
+    """Byte-count reference: ``chunk_counts`` + ``resolve_majority``."""
     out = np.empty((idx.shape[0], enc.dim), dtype=np.uint8)
-    for lo in range(0, idx.shape[0], enc.chunk_size):
-        counts = enc.chunk_counts(idx[lo:lo + enc.chunk_size])
-        out[lo:lo + enc.chunk_size] = majority_from_counts(
-            counts, enc.num_channels, tie_break=enc.tie_break, seed=rng
+    for lo in range(0, idx.shape[0], KERNEL_CHUNK):
+        counts = enc.chunk_counts(idx[lo:lo + KERNEL_CHUNK])
+        out[lo:lo + KERNEL_CHUNK] = resolve_majority(
+            counts, enc.num_channels, enc.tie_break, seed, start + lo
         )
     return out
 
@@ -181,52 +177,56 @@ class TestPackedKernel:
     def test_encode_matches_references(self, policy, k, d, thread_pool):
         basis = LevelBasis(4, d, seed=k)
         keys = random_hypervectors(k, d, seed=d)
-        enc = BatchEncoder(
-            keys, basis.linear_embedding(0.0, 1.0), tie_break=policy,
-            chunk_size=KERNEL_CHUNK,
-        )
+        enc = BatchEncoder(keys, basis.linear_embedding(0.0, 1.0), tie_break=policy)
         width = (d + 7) // 8
         for n in (0, 1, KERNEL_CHUNK - 1, KERNEL_CHUNK + 1, 3 * KERNEL_CHUNK + 2):
             features = np.random.default_rng(n + 31 * k).random((n, k))
             idx = enc.indices(features)
-            ref_rng = np.random.default_rng(11)
-            expected = np.packbits(_reference_bits(enc, idx, ref_rng), axis=-1)
-            legacy_rng = np.random.default_rng(11)
-            legacy = encode_keyvalue_records(
-                keys, idx, basis.vectors, tie_break=policy, seed=legacy_rng,
+            expected = np.packbits(_reference_bits(enc, idx, 11), axis=-1)
+            per_call = encode_keyvalue_records(
+                keys, idx, basis.vectors, tie_break=policy, seed=11,
                 chunk_size=KERNEL_CHUNK, packed=True,
             )
-            assert np.array_equal(legacy.data, expected)
+            assert np.array_equal(per_call.data, expected)
             for pool in (None, thread_pool):
-                rng = np.random.default_rng(11)
-                packed = enc.encode(features, seed=rng, packed=True, pool=pool)
+                packed = enc.encode(features, seed=11, packed=True, pool=pool)
                 assert packed.data.shape == (n, width)
                 assert np.array_equal(packed.data, expected), (n, pool)
-                # Same number of tie draws as the reference.
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
                 if d % 8 and n:
                     assert not (packed.data[:, -1] & ((1 << (8 - d % 8)) - 1)).any()
-                unpacked = enc.encode(
-                    features, seed=np.random.default_rng(11), packed=False, pool=pool
-                )
+                unpacked = enc.encode(features, seed=11, packed=False, pool=pool)
                 assert np.array_equal(np.packbits(unpacked, axis=-1), expected)
-            if n == 1:
-                rng = np.random.default_rng(11)
-                one = enc.encode_one(features[0], seed=rng, packed=True)
-                assert np.array_equal(one.data, expected)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_random_ties_draw_only_for_tied_chunks(self):
-        # k odd: no ties are possible, so the generator is never touched.
-        emb = LevelBasis(4, 64, seed=0).linear_embedding(0.0, 1.0)
-        enc = BatchEncoder(random_hypervectors(3, 64, seed=1), emb, tie_break="random")
-        rng = np.random.default_rng(4)
-        before = rng.bit_generator.state
-        enc.encode(np.random.default_rng(5).random((20, 3)), seed=rng)
-        assert rng.bit_generator.state == before
 
-    def test_unknown_tie_policy_rejected_at_encode(self):
-        emb = LevelBasis(4, 64, seed=0).linear_embedding(0.0, 1.0)
-        enc = BatchEncoder(random_hypervectors(3, 64, seed=1), emb, tie_break="bogus")
-        with pytest.raises(InvalidParameterError):
-            enc.encode(np.zeros((2, 3)))
+SPLITS = [(0, 1, 2, 200), (0, 256, 257, 200), (0, 7, 100, 199, 200), (0, 200)]
+
+
+class TestOneTieRule:
+    """``encode(x, seed=s)`` equals every other way of computing it."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("k", [17, 18])
+    def test_any_split_pool_and_reference_agree(self, policy, k, thread_pool):
+        d = 130
+        basis = LevelBasis(6, d, seed=k)
+        keys = random_hypervectors(k, d, seed=3)
+        enc = BatchEncoder(keys, basis.linear_embedding(0.0, 1.0), tie_break=policy)
+        x = np.random.default_rng(k).random((200, k))
+        whole = enc.encode(x, seed=77, packed=True)
+        idx = enc.indices(x)
+        assert np.array_equal(
+            whole.data, np.packbits(_reference_bits(enc, idx, 77), axis=-1)
+        )
+        assert np.array_equal(
+            whole.data,
+            encode_keyvalue_records(
+                keys, idx, basis.vectors, tie_break=policy, seed=77, packed=True
+            ).data,
+        )
+        for cuts in SPLITS:
+            for pool in (None, thread_pool):
+                parts = [
+                    enc.encode(x[a:b], seed=77, start=a, packed=True, pool=pool).data
+                    for a, b in zip(cuts, cuts[1:])
+                ]
+                assert np.array_equal(np.concatenate(parts), whole.data), (cuts, pool)

@@ -3,9 +3,8 @@
 Two jobs:
 
 * small trained pipelines (classification, regression, and a
-  ``tie_break="random"`` classification pipeline that exercises the
-  micro-batcher's per-record encode fallback), module-cached so the
-  concurrency tests stay fast;
+  ``tie_break="alternate"`` classification pipeline whose encodes
+  really tie), module-cached so the concurrency tests stay fast;
 * an **autouse thread-leak check**: batchers and servers own threads
   (event loops, executors), and every
   test must release them — a test that exits with stray live threads
@@ -75,14 +74,12 @@ def regression_pipeline():
 
 
 @pytest.fixture(scope="module")
-def random_tie_pipeline():
-    """A classification pipeline with ``tie_break="random"``.
+def alternate_tie_pipeline():
+    """A classification pipeline with ``tie_break="alternate"``.
 
-    Its encode ties draw from a seeded RNG stream, which makes batch
-    encoding position-dependent — the case that forces the coalescer
-    onto the per-record ``encode_one`` path to stay bit-identical to
-    sequential serving.  Four keys (an even count) guarantee bundle
-    ties actually occur.
+    Four keys (an even count) guarantee encode ties actually occur, so
+    the position-free tie policy other than ``"zeros"`` is exercised by
+    batch encoding, the coalescer and online learning.
     """
     dim = 256
     embedding = LevelBasis(8, dim, seed=11).linear_embedding(0.0, 1.0)
@@ -92,8 +89,7 @@ def random_tie_pipeline():
         model=CentroidClassifier(dim=dim, seed=13),
         embedding=embedding,
         keys=keys,
-        tie_break="random",
-        encode_seed=123,
+        tie_break="alternate",
     )
     rng = np.random.default_rng(14)
     features = rng.random((60, 4))

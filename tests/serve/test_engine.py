@@ -225,6 +225,20 @@ class TestEngineGuards:
         with pytest.raises(InvalidParameterError, match="ClassificationConfig"):
             train_pipeline("suturing", config=RegressionConfig(dim=64))
 
+    @pytest.mark.parametrize("kind", ["classification_pipeline", "regression_pipeline"])
+    def test_random_tie_break_is_not_servable(self, kind, request):
+        """Random coins are keyed by a record's split position, which a
+        request does not have: a served pipeline refuses the policy."""
+        pipeline = request.getfixturevalue(kind)
+        with pytest.raises(InvalidParameterError, match="'random'"):
+            TrainedPipeline(
+                kind=pipeline.kind,
+                model=pipeline.model,
+                embedding=pipeline.embedding,
+                keys=pipeline.keys,
+                tie_break="random",
+            )
+
     def test_bad_tie_break_fails_at_construction(self, regression_pipeline):
         """A typo'd request tie policy used to pass construction and
         ``save_model`` and then fail every later learn or predict."""

@@ -26,7 +26,6 @@ def _classification_pipeline(seed=0):
         embedding=emb,
         keys=keys,
         tie_break="zeros",
-        encode_seed=seed,
     )
 
 

@@ -9,6 +9,7 @@ or unpacked inputs.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.basis import (
 from repro.exceptions import ModelFormatError
 from repro.hdc import BundleAccumulator, ItemMemory, PackedHV
 from repro.learning import CentroidClassifier, HDRegressor
-from repro.serve import describe_model, load_model, save_model
+from repro.serve import InferenceEngine, describe_model, load_model, save_model
 from repro.serve.persist import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -354,3 +355,41 @@ class TestContainerFormat:
         save_model(RandomBasis(9, DIM, seed=1), path)
         assert len(load_model(path)) == 9
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+# -- format version 1 ---------------------------------------------------------
+
+#: Pipelines saved by the format-1 writer: a d=128 Suturing classifier
+#: with the serve-time "zeros" policy, and a 4-channel pipeline encoding
+#: requests with "random" ties under a seed.
+DATA = Path(__file__).parent / "data"
+
+#: What the format-1 library answered for ``V1_ROWS`` with the "zeros"
+#: file, through both ``predict_coalesced`` and ``predict_one``.
+V1_ANSWERS = [2, 10, 7, 7, 5, 0, 13, 2, 2, 0, 14, 2, 12, 10, 7, 4]
+V1_ROWS = np.random.default_rng(2024).uniform(0.0, 2.0 * np.pi, (16, 18))
+
+
+class TestFormatVersion1:
+    def test_v1_zeros_pipeline_serves_the_same_answers(self, tmp_path):
+        path = DATA / "v1_zeros_pipeline.npz"
+        assert describe_model(path)["version"] == 1
+        pipeline = load_model(path)
+        assert pipeline.tie_break == "zeros"
+        with InferenceEngine(pipeline) as engine:
+            assert engine.predict_coalesced(V1_ROWS) == V1_ANSWERS
+            assert [engine.predict_one(r) for r in V1_ROWS] == V1_ANSWERS
+        # Re-saved, it is a current-version file with no seed field.
+        resaved = tmp_path / "v2.npz"
+        save_model(pipeline, resaved)
+        manifest = describe_model(resaved)
+        assert manifest["version"] == FORMAT_VERSION == 2
+        assert set(manifest["payload"]) == set(describe_model(path)["payload"]) - {
+            "encode_" + "seed"
+        }
+
+    def test_v1_random_tie_pipeline_is_refused(self):
+        path = DATA / "v1_random_pipeline.npz"
+        assert describe_model(path)["payload"]["tie_break"] == "random"
+        with pytest.raises(ModelFormatError, match="'random'"):
+            load_model(path)

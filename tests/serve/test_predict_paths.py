@@ -67,14 +67,30 @@ def test_regressor_matches_inline(model_mode, decode):
         np.testing.assert_array_equal(expected_one, expected)
 
 
-def test_random_tie_pipeline_matches_sequential(random_tie_pipeline):
-    """Coalesced answers on a ``tie_break="random"`` pipeline still equal
-    sequential predict_one row for row."""
+def test_alternate_tie_pipeline_matches_sequential(alternate_tie_pipeline):
+    """Coalesced answers on a pipeline whose encodes tie equal sequential
+    predict_one row for row."""
     rows = np.random.default_rng(3).random((12, 4))
-    with InferenceEngine(random_tie_pipeline) as inline:
+    with InferenceEngine(alternate_tie_pipeline) as inline:
         expected = [inline.predict_one(r) for r in rows]
-    with InferenceEngine(random_tie_pipeline) as engine:
+    with InferenceEngine(alternate_tie_pipeline) as engine:
         assert engine.predict_coalesced(rows) == expected
+
+
+@pytest.mark.parametrize("fixture", ["classification_pipeline", "alternate_tie_pipeline"])
+def test_coalesced_batch_encodes_once(fixture, request, monkeypatch):
+    """One predict path: a coalesced batch is encoded by one call."""
+    pipeline = request.getfixturevalue(fixture)
+    rows = _rows(pipeline, 9, seed=4)
+    with InferenceEngine(pipeline) as engine:
+        expected = engine.predict(rows)
+        calls = []
+        encode = engine.encode
+        monkeypatch.setattr(
+            engine, "encode", lambda batch: calls.append(len(batch)) or encode(batch)
+        )
+        assert engine.predict_coalesced(rows) == expected
+    assert calls == [9]
 
 
 def test_empty_batch_and_repr(classification_pipeline):

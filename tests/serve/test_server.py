@@ -27,6 +27,7 @@ import pytest
 from repro.basis import CircularBasis
 from repro.exceptions import BackpressureError, InvalidParameterError
 from repro.learning import HDRegressor
+from repro.runtime import BatchEncoder
 from repro.serve import (
     HTTPReplayClient,
     InferenceEngine,
@@ -42,10 +43,9 @@ from repro.serve import (
 from repro.serve.server import ServeServer
 
 #: The three pipeline families the coalescer must be exact for: keyed
-#: classification ("zeros" ties), keyless regression (no tie draws at
-#: all), and "random"-tie classification (per-record RNG draws — the
-#: case that forbids naive batch encoding).
-PIPELINES = ["classification_pipeline", "regression_pipeline", "random_tie_pipeline"]
+#: classification ("zeros" ties), keyless regression (no encode at
+#: all), and "alternate"-tie classification (ties that set bits).
+PIPELINES = ["classification_pipeline", "regression_pipeline", "alternate_tie_pipeline"]
 
 
 def _rows(pipeline, n, seed):
@@ -129,17 +129,22 @@ class TestCoalescedBitIdentity:
             got, _ = asyncio.run(_coalesced(registry, "m", rows, window_ms=2.0))
         assert got == expected
 
-    def test_random_ties_force_the_per_record_path(self, random_tie_pipeline):
-        """Prove the fixture draws real ties: batch encoding (shared RNG
-        stream) disagrees with per-record encoding, yet the coalescer
-        still reproduces the sequential transcript bit for bit."""
-        rows = _rows(random_tie_pipeline, 24, seed=3)
-        with InferenceEngine(random_tie_pipeline) as engine:
+    def test_tied_records_batch_encode_exactly(self, alternate_tie_pipeline):
+        """Prove the fixture draws real ties (its bits differ from the
+        "zeros" policy), yet one batch encode equals per-record encodes
+        and the coalescer reproduces the sequential transcript."""
+        rows = _rows(alternate_tie_pipeline, 24, seed=3)
+        with InferenceEngine(alternate_tie_pipeline) as engine:
             batch_bits = engine.encode(rows).data
             row_bits = np.concatenate(
                 [engine.encode(row[None]).data for row in rows]
             )
-            assert not np.array_equal(batch_bits, row_bits)
+            assert np.array_equal(batch_bits, row_bits)
+            zeros = BatchEncoder(
+                alternate_tie_pipeline.keys, alternate_tie_pipeline.embedding,
+                tie_break="zeros",
+            )
+            assert not np.array_equal(batch_bits, zeros.encode(rows, packed=True).data)
             expected = [json_scalar(engine.predict_one(row)) for row in rows]
             coalesced = [json_scalar(v) for v in engine.predict_coalesced(rows)]
         assert coalesced == expected

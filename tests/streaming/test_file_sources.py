@@ -359,7 +359,7 @@ class TestTrainFromFile:
                 a.model.class_vector(label), b.model.class_vector(label)
             )
 
-    @pytest.mark.parametrize("ingest", ["ref", "fused"])
+    @pytest.mark.parametrize("ingest", ["ref", "auto"])
     def test_ingest_backend_does_not_change_the_model(self, data_files, ingest):
         _, npy = data_files
         config = ClassificationConfig(dim=256, seed=7)

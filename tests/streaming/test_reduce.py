@@ -1,4 +1,4 @@
-"""Tests for positional tie coins, stream_encode and encode_reduce."""
+"""Tests for positional tie coins, start-keyed record encoding and encode_reduce."""
 
 from __future__ import annotations
 
@@ -17,16 +17,15 @@ from repro.streaming import (
     positional_tie_bits,
     prefetch_chunks,
     resolve_majority,
-    stream_encode,
 )
 
 TWO_PI = 2.0 * np.pi
 
 
-def make_encoder(dim=128, channels=4, tie_break="random", chunk_size=16):
+def make_encoder(dim=128, channels=4, tie_break="random"):
     emb = CircularBasis(12, dim, seed=1).circular_embedding(period=TWO_PI)
     keys = random_hypervectors(channels, dim, seed=2)
-    return BatchEncoder(keys, emb, tie_break=tie_break, chunk_size=chunk_size)
+    return BatchEncoder(keys, emb, tie_break=tie_break)
 
 
 class TestPositionalTieBits:
@@ -82,21 +81,23 @@ class TestResolveMajority:
         assert out[0, 3] == 0 and out[0, 4] == 1
 
 
-class TestStreamEncode:
+class TestStartKeyedEncode:
+    """``BatchEncoder.encode(..., start=)``: the streaming record encode."""
+
     @pytest.mark.parametrize("tie_break", ["random", "zeros"])
     @pytest.mark.parametrize("packed", [True, False])
-    def test_chunking_invariance(self, tie_break, packed):
+    def test_chunking_invariance(self, tie_break, packed, monkeypatch):
         feats = np.random.default_rng(0).uniform(0, TWO_PI, (40, 4))
+        enc = make_encoder(tie_break=tie_break)
         outputs = []
         for encoder_chunk in (3, 16, 64):
-            enc = make_encoder(tie_break=tie_break, chunk_size=encoder_chunk)
-            whole = stream_encode(enc, feats, seed=11, packed=packed)
+            monkeypatch.setattr("repro.runtime.batch._CHUNK_ROWS", encoder_chunk)
+            whole = enc.encode(feats, seed=11, packed=packed)
             whole = whole.unpack() if packed else whole
             outputs.append(whole)
             for split_at in (1, 7, 25):
                 parts = [
-                    stream_encode(enc, feats[s:s + split_at], start=s, seed=11,
-                                  packed=packed)
+                    enc.encode(feats[s:s + split_at], seed=11, start=s, packed=packed)
                     for s in range(0, 40, split_at)
                 ]
                 parts = [p.unpack() if packed else p for p in parts]
@@ -104,22 +105,22 @@ class TestStreamEncode:
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.batch._CHUNK_ROWS", 7)
         feats = np.random.default_rng(1).uniform(0, TWO_PI, (50, 4))
-        enc = make_encoder(chunk_size=7)
-        serial = stream_encode(enc, feats, seed=3)
+        enc = make_encoder()
+        serial = enc.encode(feats, seed=3, packed=True)
         for workers in (2, 4):
             with WorkerPool(workers=workers) as pool:
-                parallel = stream_encode(enc, feats, seed=3, pool=pool)
+                parallel = enc.encode(feats, seed=3, packed=True, pool=pool)
             assert np.array_equal(serial.unpack(), parallel.unpack())
 
-    def test_draw_free_policies_match_batch_encoder(self):
+    def test_draw_free_policies_ignore_the_position(self):
         feats = np.random.default_rng(2).uniform(0, TWO_PI, (30, 4))
         for policy in ("zeros", "ones", "alternate"):
-            enc = make_encoder(tie_break=policy, chunk_size=8)
+            enc = make_encoder(tie_break=policy)
             assert np.array_equal(
-                stream_encode(enc, feats, packed=False),
-                enc.encode(feats, packed=False),
+                enc.encode(feats, seed=4, start=9), enc.encode(feats)
             )
 
     def test_random_ties_actually_exercised(self):
@@ -128,13 +129,13 @@ class TestStreamEncode:
         feats = np.random.default_rng(3).uniform(0, TWO_PI, (30, 4))
         enc_rand = make_encoder(tie_break="random")
         enc_zero = make_encoder(tie_break="zeros")
-        a = stream_encode(enc_rand, feats, seed=5, packed=False)
-        b = stream_encode(enc_zero, feats, packed=False)
+        a = enc_rand.encode(feats, seed=5)
+        b = enc_zero.encode(feats)
         assert not np.array_equal(a, b)
 
     def test_empty_batch(self):
         enc = make_encoder()
-        out = stream_encode(enc, np.empty((0, 4)), packed=False)
+        out = enc.encode(np.empty((0, 4)), start=3)
         assert out.shape == (0, enc.dim)
 
 
@@ -146,7 +147,7 @@ class TestEncodeReduce:
         src = array_chunks(x, y, chunk_size=6)
         clf = CentroidClassifier(64, tie_break="zeros")
         stats = encode_reduce(
-            clf, src, lambda c: stream_encode(enc, c.features, start=c.start)
+            clf, src, lambda c: enc.encode(c.features, start=c.start, packed=True)
         )
         assert (stats.rows, stats.chunks) == (20, 4)
         assert clf.num_samples == 20
@@ -316,7 +317,7 @@ class TestPrefetchChunks:
             encode_reduce(
                 clf,
                 array_chunks(x, y, chunk_size=5),
-                lambda c: stream_encode(enc, c.features, start=c.start),
+                lambda c: enc.encode(c.features, start=c.start, packed=True),
                 prefetch=prefetch,
             )
             return clf

@@ -4,7 +4,8 @@ The acceptance property of the streaming subsystem: ``partial_fit``
 over *any* chunking — chunk size, worker count, packed/unpacked
 representation, basis family — reproduces the monolithic ``fit``
 bit for bit, including the tie-break RNG draws of the ``"random"``
-encode policy (which stream_encode keys by absolute row position).
+encode policy (which ``BatchEncoder.encode`` keys by absolute row
+position).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.streaming import (
     JigsawsStream,
     MarsExpressStream,
     array_chunks,
-    stream_encode,
     stream_fit_classifier,
     stream_fit_regressor,
     stream_score_classifier,
@@ -66,14 +66,14 @@ class TestClassifierStreamingBitIdentity:
         else:
             # unpacked representation through the same reducer
             for chunk in stream:
-                encoded = stream_encode(
-                    encoder, chunk.features, start=chunk.start, seed=77, packed=False
+                encoded = encoder.encode(
+                    chunk.features, seed=77, start=chunk.start, packed=False
                 )
                 streamed.partial_fit([(encoded, chunk.targets.tolist())])
         # monolithic path
         x, y = stream.materialize()
         mono = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        mono.fit(stream_encode(encoder, x, seed=77, packed=packed), y.tolist())
+        mono.fit(encoder.encode(x, seed=77, packed=packed), y.tolist())
         assert streamed.classes == mono.classes
         for label in mono.classes:
             assert np.array_equal(
@@ -111,7 +111,7 @@ class TestClassifierStreamingBitIdentity:
                 replica.class_vector(label), mono.class_vector(label)
             )
 
-    def test_tie_rng_draws_are_reproduced(self):
+    def test_tie_coins_are_reproduced(self):
         """The 'random' tie draws themselves are chunking-invariant."""
         stream = JigsawsStream("suturing", seed=21, chunk_size=29,
                                samples_per_gesture=4)
@@ -121,15 +121,15 @@ class TestClassifierStreamingBitIdentity:
         )
         x, _ = stream.materialize()
         # different stream seed -> different tie coins -> different encoding
-        a = stream_encode(encoder, x, seed=1).unpack()
-        b = stream_encode(encoder, x, seed=2).unpack()
+        a = encoder.encode(x, seed=1)
+        b = encoder.encode(x, seed=2)
         assert not np.array_equal(a, b)
         # and ties do occur for the even channel count
         zeros = BatchEncoder(
             random_hypervectors(18, DIM, seed=3), value_embedding("circular"),
             tie_break="zeros",
         )
-        assert not np.array_equal(a, stream_encode(zeros, x).unpack())
+        assert not np.array_equal(a, zeros.encode(x))
 
 
 class TestRegressorStreamingBitIdentity:

@@ -36,8 +36,6 @@ BUDGETS = [
     ("bench_stream_memory", "MATERIALISE_GATE", 0.75, "max"),
     ("bench_serve_concurrency", "P50_MS_MAX", 150.0, "max"),
     ("bench_serve_concurrency", "P99_MS_MAX", 400.0, "max"),
-    ("bench_ingest_fused", "SPEEDUP_GATE_FAST", 1 / 0.83, "min"),
-    ("bench_ingest_fused", "REPEATS", 3, "min"),
 ]
 
 
