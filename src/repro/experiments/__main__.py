@@ -69,6 +69,7 @@ import numpy as np
 
 from ..analysis import figure3_data, figure6_data, format_table, render_heatmap
 from ..exceptions import InvalidParameterError, ModelFormatError
+from ..hdc.kernels import BACKENDS
 from ..learning.metrics import normalized_mse
 from ..runtime import ArtifactStore, WorkerPool
 from ..serve import InferenceEngine, save_model
@@ -584,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
                               "interactive request/response clients; raise it "
                               "for bulk piped input (responses stay in request "
                               "order either way)")
-    serving.add_argument("--kernel", choices=["auto", "gemm", "xor", "xor-mt"],
+    serving.add_argument("--kernel", choices=BACKENDS,
                          default=None,
                          help="similarity-kernel backend for `serve` distance "
                               "scans (default: REPRO_KERNEL env or auto; all "

@@ -2,23 +2,18 @@
 
 Every prediction, retrieval and figure in this reproduction bottoms out
 in one computation — the all-pairs normalized Hamming distance between
-two batches of packed hypervectors.  This module provides three **exact,
-bit-identical** backends for it, plus a fused top-k retrieval kernel:
+two batches of packed hypervectors.  This module provides two **exact,
+bit-identical** backends for it, a size-aware ``"auto"`` choice between
+them, and a fused top-k retrieval kernel:
 
-* ``"xor"`` (alias ``"xor-popcount"``) — the reference path: broadcast
-  XOR over packed words + popcount, chunked to stay within the shared
-  allocation budget.  Memory-bandwidth bound; unbeatable when the
-  problem is tiny (a single query against a handful of class vectors).
-* ``"xor-mt"`` — the threaded-blocked XOR path for the regime where
-  GEMM's unpack toll loses but the problem is big enough to pay for
-  real blocking: the packed rows are widened to ``uint64`` words (the
-  padding bytes are zero, so popcount is unchanged — exact), the
-  larger operand axis is split into contiguous per-thread spans, and
-  each thread streams cache-sized blocks through **preallocated
-  scratch** (in-place ``bitwise_xor`` + ``bitwise_count``), killing
-  the numpy temporary tax that dominates the reference path.  Threads
-  write disjoint output spans, so the result is deterministic and
-  bit-identical for any thread count.
+* ``"xor"`` — the XOR + popcount scan, widened to ``uint64`` words: the
+  packed rows are zero-padded to a whole number of words (the padding
+  bits are zero, so popcount is unchanged — exact), and the larger
+  operand is streamed in cache-sized blocks through per-call scratch
+  (in-place ``bitwise_xor`` + ``bitwise_count``), so no per-block numpy
+  temporaries materialise.  It runs on the calling thread.  Unbeatable
+  when one side is small (a single query, or a batch against a handful
+  of class vectors).
 * ``"gemm"`` — the classic HDC identity
   ``popcount(a XOR b) = |a| + |b| − 2·(a · b)`` turns all-pairs distance
   into one BLAS matrix product over the unpacked operands.  Cache-blocked
@@ -28,28 +23,27 @@ bit-identical** backends for it, plus a fused top-k retrieval kernel:
   integer, so the result is **exact**, not approximate) and ``float64``
   beyond; the unpacked operand blocks never exceed the allocation budget
   (:func:`repro.hdc.packed.cell_budget`, ``REPRO_KERNEL_BUDGET``).
-* ``"auto"`` — per-call dispatch on the measured crossovers.  The cost
-  model: the XOR scan is ``O(n·m·d)`` byte traffic, while GEMM pays an
-  ``O((n+m)·d)`` unpack toll plus ``O(n·m·d)`` FLOPs at a far higher
-  throughput.  Equating the two, the ``d`` terms cancel and the
-  GEMM crossover collapses to the harmonic size ``n·m / (n+m)`` — GEMM
-  wins once *both* batches are big enough, regardless of ``d``.  Below
-  that, ``xor-mt`` takes over once the XOR cube (``n·m·width`` byte
-  cells) is large enough to amortise its widening and scheduling
-  overhead; the smallest problems stay on the plain ``xor`` scan.  The
-  built-in thresholds (:data:`AUTO_CROSSOVER`,
-  :data:`XOR_MT_MIN_CELLS`) were measured with
-  ``benchmarks/bench_kernels_similarity.py``.
+* ``"auto"`` — ``gemm`` if :func:`use_gemm` says so, else ``xor``.  The
+  cost model: the XOR scan is ``O(n·m·d)`` word traffic, while GEMM pays
+  an ``O((n+m)·d)`` unpack toll plus ``O(n·m·d)`` FLOPs at a far higher
+  throughput.  Equating the two, the ``d`` terms roughly cancel and the
+  crossover becomes the harmonic size ``n·m / (n+m)``: GEMM wins once
+  *both* batches are big enough.  The cancellation is not exact for the
+  word scan: the measured surface
+  (``benchmarks/bench_kernels_similarity.py``, 2 CPUs) puts break-even
+  between harmonic sizes 16 and 32 at ``d = 1,000`` and between 32 and
+  50 at ``d = 10,000``.  :data:`AUTO_CROSSOVER` stays at 16: the serving
+  and training paths run shapes far below it (a batch against a handful
+  of class vectors) or far above it (all-pairs figures).
 
 Backend selection: an explicit ``backend=`` argument wins, then the
 ``REPRO_KERNEL`` environment variable, then ``"auto"``.  Every consumer
 (ops layer, :class:`~repro.hdc.memory.ItemMemory`, the classifier and
 regressor, the analysis figures, the serving engine) threads the
 argument through, so any path is forceable for tests and benchmarks.
-The dispatch thresholds resolve through the one precedence rule of
+The crossover resolves through the one precedence rule of
 :func:`repro.tuning.calibration.resolve_knob`: explicit argument >
-``REPRO_KERNEL_CROSSOVER`` / ``REPRO_KERNEL_MT_CELLS`` /
-``REPRO_KERNEL_THREADS`` environment variables > built-in constant.
+``REPRO_KERNEL_CROSSOVER`` > built-in constant.
 
 :func:`topk_hamming` fuses retrieval with the distance computation: it
 scans the table in budget-bounded blocks, keeping only the running best
@@ -57,15 +51,17 @@ scans the table in budget-bounded blocks, keeping only the running best
 when ``k ≪ m``.  Ties break toward the lower table index — deterministic
 and identical to a stable full-matrix ``argsort``.
 
-All of this is property-tested for bitwise agreement across backends,
-odd dimensions (tail-mask edge) and budget settings in
+All of this is property-tested for bitwise agreement with the packed
+layer's byte-wise reference
+(:func:`~repro.hdc.packed.packed_pairwise_hamming`) across backends,
+odd dimensions (tail-mask and word-padding edges), both operand
+orientations, the lookup-table popcount fallback and budget settings in
 ``tests/hdc/test_kernels.py``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -76,63 +72,44 @@ from . import packed as _packed
 from .packed import (
     DEFAULT_CELL_BUDGET,
     PackedHV,
-    _chunked_xor_counts,
     cell_budget,
     coerce_packed,
-    packed_width,
     popcount,
 )
 
 __all__ = [
     "BACKENDS",
     "AUTO_CROSSOVER",
-    "XOR_MT_MIN_CELLS",
     "DEFAULT_CELL_BUDGET",
     "TopK",
     "cell_budget",
-    "kernel_threads",
     "resolve_backend",
     "use_gemm",
-    "use_xor_mt",
     "pairwise_hamming",
     "pairwise_hamming_counts",
     "topk_hamming",
 ]
 
-#: The selectable backends (``"auto"`` dispatches among the other three).
-BACKENDS = ("auto", "gemm", "xor", "xor-mt")
+#: The selectable backends (``"auto"`` picks one of the other two).
+BACKENDS = ("auto", "gemm", "xor")
 
 #: Environment variable selecting the default backend.
 _ENV_BACKEND = "REPRO_KERNEL"
 
-#: Environment variables overriding the ``auto`` dispatch thresholds and
-#: the ``xor-mt`` thread count (see the module docstring for the full
-#: precedence chain).
+#: Environment variable overriding :data:`AUTO_CROSSOVER` (see the
+#: module docstring for the full precedence chain).
 _ENV_CROSSOVER = "REPRO_KERNEL_CROSSOVER"
-_ENV_MT_CELLS = "REPRO_KERNEL_MT_CELLS"
-_ENV_THREADS = "REPRO_KERNEL_THREADS"
 
-#: Accepted spellings that normalise to a canonical backend name.
-_BACKEND_ALIASES = {"xor-popcount": "xor", "xor_mt": "xor-mt"}
-
-#: ``auto`` uses GEMM when ``n·m / (n + m)`` is at least this.  Measured
-#: crossover (see module docstring): below it the unpack toll dominates
-#: and the XOR paths win; the value is dimension-independent because the
-#: ``d`` factors cancel in the cost model.  Recorded with
-#: ``benchmarks/bench_kernels_similarity.py`` (break-even sits near
-#: ``n = m = 32``; harmonic size 16).
+#: ``auto`` uses GEMM when ``n·m / (n + m)`` is at least this.  Below
+#: it the unpack toll dominates and the XOR scan wins.  Recorded with
+#: ``benchmarks/bench_kernels_similarity.py`` (see the module docstring
+#: for the measured surface).
 AUTO_CROSSOVER = 16.0
 
-#: Below the GEMM crossover, ``auto`` takes the ``xor-mt`` path once the
-#: XOR cube holds at least this many byte cells (``n·m·width``).  Under
-#: it, the widening + scheduling overhead of the blocked path exceeds
-#: the temporary tax of the reference scan.
-XOR_MT_MIN_CELLS = 2_000_000
-
-#: Cache-sized cap, in ``uint64`` cells, on each thread's preallocated
-#: XOR scratch block (512 KiB of ``uint64`` + 64 KiB of counts) — small
+#: Cache-sized cap, in ``uint64`` cells, on the XOR scan's per-call
+#: scratch block (512 KiB of ``uint64`` + 64 KiB of counts) — small
 #: enough to stay cache-resident, large enough to amortise dispatch.
-_MT_BLOCK_CELLS = 1 << 16
+_XOR_BLOCK_CELLS = 1 << 16
 
 #: Largest ``d`` for which float32 dot products of {0,1} vectors are
 #: exact (every partial sum is an integer ≤ d < 2^24).
@@ -149,105 +126,48 @@ class TopK(NamedTuple):
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Normalise a backend request to a canonical :data:`BACKENDS` name.
+    """Normalise a backend request to a :data:`BACKENDS` name.
 
     ``None`` falls back to the ``REPRO_KERNEL`` environment variable and
-    then to ``"auto"``.  The aliases ``"xor-popcount"`` (for ``"xor"``)
-    and ``"xor_mt"`` (for ``"xor-mt"``) are accepted.  Unknown names
-    raise :class:`~repro.exceptions.InvalidParameterError`.
+    then to ``"auto"``.  Unknown names raise
+    :class:`~repro.exceptions.InvalidParameterError` naming the valid
+    backends.
 
     >>> resolve_backend("auto")
     'auto'
-    >>> resolve_backend("xor-popcount")
+    >>> resolve_backend("xor")
     'xor'
-    >>> resolve_backend("xor_mt")
-    'xor-mt'
     """
     if backend is None:
         backend = os.environ.get(_ENV_BACKEND) or "auto"
-    name = _BACKEND_ALIASES.get(backend, backend)
-    if name not in BACKENDS:
+    if backend not in BACKENDS:
         raise InvalidParameterError(
-            f"kernel backend must be one of {BACKENDS} (or 'xor-popcount'), "
-            f"got {backend!r}"
+            f"kernel backend must be one of {BACKENDS}, got {backend!r}"
         )
-    return name
+    return backend
 
 
-#: Memo of resolved dispatch knobs, keyed on the raw environment
-#: strings the precedence chain depends on.  Similarity calls can be
-#: microsecond-scale, so the dispatcher must not repay env parsing per
-#: call; an env change is a new key, so it re-resolves on the next call.
+#: Memo of the resolved crossover, keyed on the raw environment string.
+#: Similarity calls can be microsecond-scale, so the dispatcher must not
+#: repay env parsing per call; an env change is a new key, so it
+#: re-resolves on the next call.
 _knob_memo: dict = {}
 
 
-def _auto_thresholds() -> tuple[float, int]:
-    """The active ``(gemm_crossover, xor_mt_min_cells)`` pair, memoised."""
-    env = os.environ
-    key = (env.get(_ENV_CROSSOVER), env.get(_ENV_MT_CELLS))
-    hit = _knob_memo.get(key)
-    if hit is None:
-        hit = (
-            float(
-                resolve_knob(
-                    builtin=AUTO_CROSSOVER,
-                    env_var=_ENV_CROSSOVER,
-                    cast=float,
-                    minimum=0.0,
-                    strict=True,
-                )
-            ),
-            int(
-                resolve_knob(
-                    builtin=XOR_MT_MIN_CELLS,
-                    env_var=_ENV_MT_CELLS,
-                    cast=int,
-                    minimum=1,
-                )
-            ),
-        )
-        if len(_knob_memo) > 64:
-            _knob_memo.clear()
-        _knob_memo[key] = hit
-    return hit
-
-
 def _gemm_crossover() -> float:
-    """The active harmonic-size GEMM threshold (see precedence chain)."""
-    return _auto_thresholds()[0]
-
-
-def _xor_mt_min_cells() -> int:
-    """The active ``xor-mt`` cell threshold (see precedence chain)."""
-    return _auto_thresholds()[1]
-
-
-def kernel_threads(threads: int | None = None) -> int:
-    """The worker count for the ``xor-mt`` backend.
-
-    Resolution: the explicit ``threads`` argument, then the
-    ``REPRO_KERNEL_THREADS`` environment variable, then the host CPU
-    count.  The result only schedules work — ``xor-mt`` output is
-    bit-identical for any thread count.
-
-    >>> kernel_threads(3)
-    3
-    >>> kernel_threads() >= 1
-    True
-    """
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ
-    key = ("threads", env.get(_ENV_THREADS))
+    """The active harmonic-size GEMM threshold, memoised."""
+    key = os.environ.get(_ENV_CROSSOVER)
     hit = _knob_memo.get(key)
     if hit is None:
-        value = resolve_knob(
-            builtin=os.cpu_count() or 1,
-            env_var=_ENV_THREADS,
-            cast=int,
-            minimum=1,
+        hit = float(
+            resolve_knob(
+                builtin=AUTO_CROSSOVER,
+                env_var=_ENV_CROSSOVER,
+                cast=float,
+                minimum=0.0,
+                strict=True,
+            )
         )
-        hit = max(1, int(value))
         if len(_knob_memo) > 64:
             _knob_memo.clear()
         _knob_memo[key] = hit
@@ -258,11 +178,11 @@ def use_gemm(n: int, m: int, dim: int) -> bool:
     """The ``auto`` GEMM decision for an ``(n, d) × (m, d)`` product.
 
     ``dim`` is part of the signature because the dispatch is defined over
-    the full problem size ``n·m·d``, but the measured crossover surface
-    is flat in ``d`` (the cost model's ``d`` factors cancel — see the
-    module docstring), so only the harmonic size ``n·m / (n+m)`` decides.
-    The threshold is :data:`AUTO_CROSSOVER` unless overridden by
-    ``REPRO_KERNEL_CROSSOVER`` (which must be ``> 0``).
+    the full problem size ``n·m·d``, but the cost model's ``d`` factors
+    roughly cancel (see the module docstring), so only the harmonic size
+    ``n·m / (n+m)`` decides.  The threshold is :data:`AUTO_CROSSOVER`
+    unless overridden by ``REPRO_KERNEL_CROSSOVER`` (which must be
+    ``> 0``).
 
     >>> use_gemm(1, 1000, 10_000)   # single query: unpack toll dominates
     False
@@ -273,26 +193,6 @@ def use_gemm(n: int, m: int, dim: int) -> bool:
     if n <= 0 or m <= 0:
         return False
     return n * m >= _gemm_crossover() * (n + m)
-
-
-def use_xor_mt(n: int, m: int, dim: int) -> bool:
-    """The ``auto`` decision between ``xor-mt`` and plain ``xor``.
-
-    Consulted only when :func:`use_gemm` said no.  The blocked path wins
-    once the XOR cube (``n · m · width`` byte cells) is large enough to
-    amortise its uint64-widening and scheduling overhead; tiny problems
-    stay on the reference scan.  The threshold is
-    :data:`XOR_MT_MIN_CELLS` unless overridden by
-    ``REPRO_KERNEL_MT_CELLS``.
-
-    >>> use_xor_mt(1, 4, 10_000)     # a few cells: scan wins
-    False
-    >>> use_xor_mt(4, 2000, 10_000)  # GEMM-losing but big: blocked path
-    True
-    """
-    if n <= 0 or m <= 0:
-        return False
-    return n * m * packed_width(dim) >= _xor_mt_min_cells()
 
 
 def _as_rows(hv: Union[PackedHV, np.ndarray], context: str) -> PackedHV:
@@ -367,8 +267,8 @@ def _widen_u64(data: np.ndarray) -> np.ndarray:
     """View packed ``uint8`` rows as ``uint64`` words, zero-padding the tail.
 
     The pad bytes are zero, so XOR + popcount over the widened words is
-    exactly the byte-wise result — this is what lets ``xor-mt`` process
-    8 bytes per word without any masking.
+    exactly the byte-wise result — this is what lets the ``xor`` scan
+    process 8 bytes per word without any masking.
     """
     rows, width = data.shape
     w64 = (width + 7) // 8
@@ -394,69 +294,49 @@ def _popcount_block(buf: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return table[buf.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
-def _xor_mt_counts(
-    data_a: np.ndarray,
-    data_b: np.ndarray,
-    dim: int,
-    normalize: bool = False,
-    threads: int | None = None,
+def _xor_counts(
+    data_a: np.ndarray, data_b: np.ndarray, dim: int, normalize: bool = False
 ) -> np.ndarray:
-    """Hamming counts via the threaded-blocked uint64 XOR+popcount path.
+    """Hamming counts via the blocked ``uint64`` XOR + popcount scan.
 
     The packed rows are widened to ``uint64`` (exact — pad bytes are
-    zero), the larger operand axis is split into one contiguous span per
-    thread, and each thread streams cache-sized blocks of its span
-    through preallocated XOR/count scratch (in-place ``bitwise_xor`` +
-    ``bitwise_count``), so the reference path's per-chunk temporaries
-    never materialise.  Threads write disjoint output spans: the result
-    is bit-identical to the reference scan for any thread count, block
-    size or budget.
+    zero), and blocks of the larger operand stream through XOR/count
+    scratch allocated once per call (in-place ``bitwise_xor`` +
+    ``bitwise_count``), so no per-block temporaries materialise.  The
+    scratch is per call, never module-level, so concurrent callers on
+    different threads never share it.  Block size only schedules work:
+    the result is bit-identical to the byte-wise reference for any
+    budget.  ``normalize=True`` divides each block as it is written.
     """
     n = data_a.shape[0]
     m = data_b.shape[0]
     out = np.empty((n, m), dtype=np.float64 if normalize else np.int64)
     if n == 0 or m == 0:
         return out
-    # Block and thread over the larger side so spans are worth a thread.
+    # Block over the larger side; the smaller one is the resident cube axis.
     swap = n > m
     lhs, rhs = (data_b, data_a) if swap else (data_a, data_b)
     wa = _widen_u64(lhs)
     wb = wa if rhs is lhs else _widen_u64(rhs)
     rows_a, w64 = wa.shape
     rows_b = wb.shape[0]
-    nthreads = min(kernel_threads(threads), rows_b)
-    # Per-thread scratch is a (rows_a, block, w64) cube, capped by the
+    # The scratch is a (rows_a, block, w64) cube, capped by the
     # cache-sized block constant and the shared allocation budget
     # (uint64 cells are 8 byte cells of budget).
-    limit = min(_MT_BLOCK_CELLS, max(1, cell_budget() // (8 * max(1, nthreads))))
+    limit = min(_XOR_BLOCK_CELLS, max(1, cell_budget() // 8))
     block = max(1, min(rows_b, limit // max(1, rows_a * w64)))
-
-    def run_span(lo_span: int, hi_span: int) -> None:
-        buf = np.empty((rows_a, block, w64), dtype=np.uint64)
-        cnt = np.empty((rows_a, block, w64), dtype=np.uint8)
-        for lo in range(lo_span, hi_span, block):
-            hi = min(hi_span, lo + block)
-            blk = hi - lo
-            np.bitwise_xor(wa[:, None, :], wb[None, lo:hi, :], out=buf[:, :blk])
-            counts = _popcount_block(buf[:, :blk], cnt[:, :blk])
-            target = counts / dim if normalize else counts
-            if swap:
-                out[lo:hi, :] = target.T
-            else:
-                out[:, lo:hi] = target
-
-    if nthreads <= 1:
-        run_span(0, rows_b)
-        return out
-    bounds = [rows_b * i // nthreads for i in range(nthreads + 1)]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [
-            pool.submit(run_span, bounds[i], bounds[i + 1])
-            for i in range(nthreads)
-            if bounds[i] < bounds[i + 1]
-        ]
-        for future in futures:
-            future.result()
+    buf = np.empty((rows_a, block, w64), dtype=np.uint64)
+    cnt = np.empty((rows_a, block, w64), dtype=np.uint8)
+    for lo in range(0, rows_b, block):
+        hi = min(rows_b, lo + block)
+        blk = hi - lo
+        np.bitwise_xor(wa[:, None, :], wb[None, lo:hi, :], out=buf[:, :blk])
+        counts = _popcount_block(buf[:, :blk], cnt[:, :blk])
+        target = counts / dim if normalize else counts
+        if swap:
+            out[lo:hi, :] = target.T
+        else:
+            out[:, lo:hi] = target
     return out
 
 
@@ -465,28 +345,15 @@ def _counts(
 ) -> np.ndarray:
     """Dispatch counts (or, ``normalize``-d, distances) through a backend.
 
-    The ``"xor"`` reference loop is owned by the packed layer
-    (:func:`repro.hdc.packed._chunked_xor_counts` — the same code behind
-    :func:`~repro.hdc.packed.packed_pairwise_hamming`).  Every backend
-    fills one output matrix chunk-/block-wise; normalization happens per
-    chunk so the distance form never materialises a counts matrix too.
+    Both backends fill one output matrix block-wise; normalization
+    happens per block so the distance form never materialises a counts
+    matrix too.
     """
     if backend == "auto":
-        n, m = pa.data.shape[0], pb.data.shape[0]
-        # One memo probe covers both thresholds (cheaper than calling
-        # the use_gemm / use_xor_mt predicates, which resolve separately).
-        crossover, min_cells = _auto_thresholds()
-        if n * m >= crossover * (n + m):
-            backend = "gemm"
-        elif n * m * packed_width(pa.dim) >= min_cells:
-            backend = "xor-mt"
-        else:
-            backend = "xor"
+        backend = "gemm" if use_gemm(pa.data.shape[0], pb.data.shape[0], pa.dim) else "xor"
     if backend == "gemm":
         return _gemm_counts(pa.data, pb.data, pa.dim, normalize=normalize)
-    if backend == "xor-mt":
-        return _xor_mt_counts(pa.data, pb.data, pa.dim, normalize=normalize)
-    return _chunked_xor_counts(pa.data, pb.data, dim=pa.dim if normalize else None)
+    return _xor_counts(pa.data, pb.data, pa.dim, normalize=normalize)
 
 
 def _as_pair(

@@ -31,7 +31,6 @@ unpacked bit arrays.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence, Union
 
 import numpy as np
@@ -43,6 +42,7 @@ from ..exceptions import (
     InvalidHypervectorError,
     InvalidParameterError,
 )
+from ..tuning.calibration import resolve_knob
 from .hypervector import BIT_DTYPE, as_hypervector
 
 __all__ = [
@@ -81,28 +81,16 @@ _ENV_BUDGET = "REPRO_KERNEL_BUDGET"
 def cell_budget() -> int:
     """The current kernel allocation budget, in cells.
 
-    Reads ``REPRO_KERNEL_BUDGET`` on every call (so tests and constrained
-    runners can adjust it without re-importing), falling back to
-    :data:`DEFAULT_CELL_BUDGET`.  The value bounds transient allocations
-    only — results are bit-identical for any budget.
+    Resolves ``REPRO_KERNEL_BUDGET`` through
+    :func:`repro.tuning.calibration.resolve_knob` on every call (so tests
+    and constrained runners can adjust it without re-importing), falling
+    back to :data:`DEFAULT_CELL_BUDGET`.  The value bounds transient
+    allocations only — results are bit-identical for any budget.
 
     >>> cell_budget() >= 1
     True
     """
-    raw = os.environ.get(_ENV_BUDGET)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidParameterError(
-                f"{_ENV_BUDGET} must be a positive integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidParameterError(
-                f"{_ENV_BUDGET} must be a positive integer, got {raw!r}"
-            )
-        return value
-    return DEFAULT_CELL_BUDGET
+    return resolve_knob(builtin=DEFAULT_CELL_BUDGET, env_var=_ENV_BUDGET, minimum=1)
 
 #: Whether the running numpy exposes the hardware popcount ufunc.
 #: Module-level so tests can force the lookup-table fallback.

@@ -64,7 +64,7 @@ from ..basis.scatter import ScatterBasis
 from ..exceptions import ModelFormatError
 from ..hdc.hypervector import BIT_DTYPE
 from ..hdc.memory import ItemMemory
-from ..hdc.packed import BundleAccumulator, PackedHV
+from ..hdc.packed import BundleAccumulator, PackedHV, _tail_mask, packed_width
 from ..learning.classifier import CentroidClassifier
 from ..learning.regression import HDRegressor
 from .pipeline import TrainedPipeline
@@ -195,6 +195,30 @@ def _get_array(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
         raise ModelFormatError(f"model container is missing array {name!r}") from None
 
 
+def _get_packed(arrays: dict[str, np.ndarray], name: str, dim: int) -> PackedHV:
+    """Read a bit-packed table, checking the invariants the XOR scans need.
+
+    Packed rows must be ``uint8`` with ``ceil(dim / 8)`` bytes each, and
+    the padding bits past ``dim`` in the final byte must be zero: every
+    XOR + popcount kernel counts them, so one set pad bit would silently
+    shift distances.  Any violation raises
+    :class:`~repro.exceptions.ModelFormatError` naming the array.
+    """
+    data = _get_array(arrays, name)
+    width = packed_width(dim)
+    if data.dtype != np.uint8 or data.ndim < 1 or data.shape[-1] != width:
+        raise ModelFormatError(
+            f"array {name!r} must hold uint8 rows of {width} bytes for "
+            f"dim={dim}, got dtype {data.dtype} and shape {data.shape}"
+        )
+    pad = np.uint8(0xFF ^ _tail_mask(dim))
+    if pad and np.any(data[..., -1] & pad):
+        raise ModelFormatError(
+            f"array {name!r} has non-zero padding bits past dim={dim}"
+        )
+    return PackedHV(np.ascontiguousarray(data), dim)
+
+
 # -- basis sets ---------------------------------------------------------------
 
 _BASIS_TYPES: dict[type, str] = {
@@ -244,9 +268,8 @@ def _load_basis(payload: dict, arrays: dict, prefix: str) -> BasisSet:
     cls = _BASIS_BY_NAME.get(name)
     if cls is None:
         raise ModelFormatError(f"unknown basis type {name!r} in manifest")
-    dim = int(payload["dim"])
-    packed = _get_array(arrays, prefix + "vectors")
-    vectors = _unpack_table(packed, dim)
+    packed = _get_packed(arrays, prefix + "vectors", int(payload["dim"]))
+    vectors = packed.unpack()
     if vectors.shape[0] != int(payload["size"]):
         raise ModelFormatError(
             f"basis table has {vectors.shape[0]} rows, manifest says {payload['size']}"
@@ -256,7 +279,7 @@ def _load_basis(payload: dict, arrays: dict, prefix: str) -> BasisSet:
     # that the analysis methods (expected_distance etc.) consult.
     basis = cls.__new__(cls)
     BasisSet.__init__(basis, vectors)
-    basis._packed = PackedHV(np.ascontiguousarray(packed), dim)
+    basis._packed = packed
     if cls is LevelBasis:
         basis.r = float(payload["r"])
         basis._profile_name = payload["profile_name"]
@@ -339,13 +362,13 @@ def _load_item_memory(payload: dict, arrays: dict, prefix: str) -> ItemMemory:
     mem = ItemMemory(int(payload["dim"]))
     keys = [_decode_label(node) for node in payload.get("keys", [])]
     if keys:
-        rows = _get_array(arrays, prefix + "rows")
+        rows = _get_packed(arrays, prefix + "rows", mem.dim).data
         if rows.shape[0] != len(keys):
             raise ModelFormatError(
                 f"item memory has {rows.shape[0]} rows for {len(keys)} keys"
             )
         for key, row in zip(keys, rows):
-            mem.add(key, PackedHV(np.ascontiguousarray(row), mem.dim))
+            mem.add(key, PackedHV(row, mem.dim))
     return mem
 
 
@@ -407,7 +430,7 @@ def _load_classifier(payload: dict, arrays: dict, prefix: str) -> CentroidClassi
     if classes:
         counts = _get_array(arrays, prefix + "counts")
         totals = _get_array(arrays, prefix + "totals")
-        prototypes = _get_array(arrays, prefix + "prototypes")
+        table = _get_packed(arrays, prefix + "prototypes", clf.dim)
         if counts.shape != (len(classes), clf.dim) or totals.shape != (len(classes),):
             raise ModelFormatError(
                 f"classifier state shapes {counts.shape}/{totals.shape} do not "
@@ -417,12 +440,11 @@ def _load_classifier(payload: dict, arrays: dict, prefix: str) -> CentroidClassi
             clf._accumulators[label] = _restore_accumulator(
                 clf.dim, counts[row], total
             )
-        if prototypes.shape[0] != len(classes):
+        if table.data.shape[0] != len(classes):
             raise ModelFormatError(
-                f"classifier prototypes table has {prototypes.shape[0]} rows "
+                f"classifier prototypes table has {table.data.shape[0]} rows "
                 f"for {len(classes)} classes"
             )
-        table = PackedHV(np.ascontiguousarray(prototypes), clf.dim)
         clf._packed_table = table
         clf._class_order = list(classes)
         clf._class_vectors = dict(zip(classes, table.unpack()))
@@ -467,9 +489,7 @@ def _load_regressor(payload: dict, arrays: dict, prefix: str) -> HDRegressor:
         model.dim, _get_array(arrays, prefix + "counts"), payload["total"]
     )
     if payload.get("materialised"):
-        packed = PackedHV(
-            np.ascontiguousarray(_get_array(arrays, prefix + "model")), model.dim
-        )
+        packed = _get_packed(arrays, prefix + "model", model.dim)
         model._packed_model = packed
         model._model = packed.unpack()
     return model

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.__main__ import _TARGETS, main
+from repro.hdc.kernels import BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -88,6 +89,15 @@ class TestCLI:
         assert serial == parallel
         assert main([*args, "--workers", "0"]) == 0  # one per CPU
         assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("target", ["serve", "serve-http"])
+    def test_kernel_choices_are_the_kernel_backends(self, target, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([target, "--model", "m=missing.npz", "--kernel", "xor-mt"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--kernel: invalid choice: 'xor-mt'" in err
+        assert all(backend in err for backend in BACKENDS)
 
     def test_fast_caps_dimension(self, capsys):
         assert main(["table2", "--dim", "9999", "--seed", "3", "--fast"]) == 0

@@ -1,17 +1,28 @@
 """Property tests for the similarity-kernel subsystem.
 
 The contract under test: ``gemm``, ``xor`` and ``auto`` are **the same
-function** — bit-for-bit — differing only in speed; ``topk_hamming``
+function** as the packed layer's byte-wise reference
+(:func:`~repro.hdc.packed.packed_pairwise_hamming`) — bit-for-bit —
+differing only in speed, for any dimension (tail-mask and ``uint64``
+word-padding edges), either operand orientation, with or without the
+hardware popcount, and under any crossover setting; ``topk_hamming``
 equals a stable full-matrix argsort with lower-index tie-breaking; the
 allocation budget and the backend knob change nothing but block sizes.
 """
 
 from __future__ import annotations
 
+import re
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionMismatchError, InvalidParameterError
+from repro.exceptions import (
+    CalibrationError,
+    DimensionMismatchError,
+    InvalidParameterError,
+)
 from repro.hdc import ItemMemory, PackedHV, pairwise_hamming
 from repro.hdc.kernels import (
     AUTO_CROSSOVER,
@@ -26,9 +37,10 @@ from repro.hdc.kernels import (
 from repro.hdc.packed import packed_pairwise_hamming
 from repro.runtime import WorkerPool, memory_query_topk_sharded
 
-#: Dimensions chosen to cross the packed tail-mask edge: multiples of 8,
-#: every residue mod 8, and the degenerate d=1.
-ODD_DIMS = (1, 3, 7, 8, 9, 15, 16, 17, 100, 101, 1000, 1001)
+#: Dimensions chosen to cross the packed tail-mask edge (multiples of 8,
+#: every residue mod 8, and the degenerate d=1) and the ``uint64``
+#: word-padding edge of the ``xor`` scan (63/64/65, 511/512).
+ODD_DIMS = (1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 101, 511, 512, 1000, 1001)
 
 
 def batches(n, m, d, seed=0):
@@ -47,13 +59,39 @@ class TestBackendAgreement:
         for backend in BACKENDS:
             assert np.array_equal(pairwise_hamming(a, b, backend=backend), ref), backend
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 50), (50, 1), (40, 60), (33, 33)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (1, 50), (50, 1), (1, 64), (64, 1), (7, 33), (40, 60), (33, 33)],
+    )
     def test_backends_bitwise_identical_across_shapes(self, shape):
+        # The xor scan blocks over the larger operand, so both
+        # orientations (and its transpose-on-swap write) are exercised.
         n, m = shape
         a, b = batches(n, m, 257, seed=n * 100 + m)
-        ref = pairwise_hamming(a, b, backend="xor")
-        assert np.array_equal(pairwise_hamming(a, b, backend="gemm"), ref)
-        assert np.array_equal(pairwise_hamming(a, b, backend="auto"), ref)
+        for lhs, rhs in ((a, b), (b, a)):
+            ref = packed_pairwise_hamming(lhs, rhs)
+            for backend in BACKENDS:
+                got = pairwise_hamming(lhs, rhs, backend=backend)
+                assert np.array_equal(got, ref), backend
+
+    def test_backends_bitwise_identical_without_hardware_popcount(self, monkeypatch):
+        from repro.hdc import packed as packed_mod
+
+        a, b = batches(11, 23, 333, seed=3)
+        ref = packed_pairwise_hamming(a, b)
+        monkeypatch.setattr(packed_mod, "_HAVE_BITWISE_COUNT", False)
+        for backend in BACKENDS:
+            assert np.array_equal(pairwise_hamming(a, b, backend=backend), ref), backend
+
+    def test_concurrent_callers_do_not_share_scratch(self):
+        # Experiment cells run on a thread pool; each scan's scratch is
+        # its own, so concurrent calls answer exactly as serial ones.
+        pairs = [batches(9, 57, 1001, seed=s) for s in range(8)]
+        refs = [packed_pairwise_hamming(a, b) for a, b in pairs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda p: pairwise_hamming(*p, backend="xor"), pairs))
+        for out, ref in zip(got, refs):
+            assert np.array_equal(out, ref)
 
     def test_packed_and_unpacked_inputs_agree(self):
         a, b = batches(11, 7, 123, seed=3)
@@ -73,9 +111,11 @@ class TestBackendAgreement:
 
     def test_counts_are_integer_form_of_distances(self):
         a, b = batches(6, 8, 93, seed=7)
-        counts = pairwise_hamming_counts(a, b, backend="gemm")
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts / 93, pairwise_hamming(a, b, backend="xor"))
+        ref = packed_pairwise_hamming(a, b)
+        for backend in BACKENDS:
+            counts = pairwise_hamming_counts(a, b, backend=backend)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts / 93, ref), backend
 
     def test_dimension_mismatch_raises(self):
         a, _ = batches(4, 1, 64, seed=1)
@@ -95,13 +135,13 @@ class TestBudget:
     @pytest.mark.parametrize("raw", ["0", "-5", "lots", "1.5"])
     def test_invalid_budget_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_KERNEL_BUDGET", raw)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(CalibrationError, match="REPRO_KERNEL_BUDGET"):
             cell_budget()
 
-    @pytest.mark.parametrize("budget", ["1", "64", "1000"])
+    @pytest.mark.parametrize("budget", ["1", "64", "1000", "4096"])
     def test_tiny_budget_forces_blocking_without_changing_bits(self, monkeypatch, budget):
         a, b = batches(17, 23, 129, seed=11)
-        ref = pairwise_hamming(a, b, backend="xor")
+        ref = packed_pairwise_hamming(a, b)
         tk_ref = topk_hamming(a, b, 5, backend="xor")
         monkeypatch.setenv("REPRO_KERNEL_BUDGET", budget)
         for backend in BACKENDS:
@@ -124,8 +164,14 @@ class TestDispatch:
         monkeypatch.setenv("REPRO_KERNEL", "gemm")
         assert resolve_backend() == "gemm"
         assert resolve_backend("xor") == "xor"  # explicit argument wins
-        monkeypatch.setenv("REPRO_KERNEL", "xor-popcount")
-        assert resolve_backend() == "xor"
+
+    @pytest.mark.parametrize("name", ["xor-mt", "xor_mt", "xor-popcount"])
+    def test_retired_backend_names_rejected_from_env(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_KERNEL", name)
+        with pytest.raises(InvalidParameterError, match=re.escape(str(BACKENDS))):
+            resolve_backend()
+        with pytest.raises(InvalidParameterError, match=name):
+            pairwise_hamming(*batches(2, 2, 16))
 
     def test_unknown_backend_rejected(self, monkeypatch):
         with pytest.raises(InvalidParameterError):
@@ -134,11 +180,44 @@ class TestDispatch:
         with pytest.raises(InvalidParameterError):
             pairwise_hamming(*batches(2, 2, 16))
 
+    @pytest.mark.parametrize("crossover", ["0.1", "1e12"])
+    def test_auto_is_bit_identical_under_any_crossover(self, monkeypatch, crossover):
+        # 0.1 sends every call to gemm, 1e12 every call to xor: a wrong
+        # threshold can cost time, never correctness.
+        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", crossover)
+        for n, m, d in [(1, 4, 100), (13, 9, 333), (40, 60, 1001)]:
+            a, b = batches(n, m, d, seed=d)
+            ref = packed_pairwise_hamming(a, b)
+            assert np.array_equal(pairwise_hamming(a, b, backend="auto"), ref)
+
     def test_env_backend_is_honoured_by_consumers(self, monkeypatch):
         a, b = batches(5, 5, 40, seed=17)
         ref = pairwise_hamming(a, b, backend="xor")
         monkeypatch.setenv("REPRO_KERNEL", "gemm")
         assert np.array_equal(pairwise_hamming(a, b), ref)
+
+    @pytest.mark.parametrize("shape", [(1, 10), (32, 10), (1024, 15), (64, 64)])
+    def test_auto_runs_the_backend_use_gemm_names(self, monkeypatch, shape):
+        from repro.hdc import kernels
+
+        ran = []
+
+        def spy(name):
+            real = getattr(kernels, name)
+
+            def recorded(*args, **kwargs):
+                ran.append(name)
+                return real(*args, **kwargs)
+
+            return recorded
+
+        for name in ("_gemm_counts", "_xor_counts"):
+            monkeypatch.setattr(kernels, name, spy(name))
+        n, m = shape
+        a, b = batches(n, m, 100, seed=n + m)
+        got = pairwise_hamming(a, b, backend="auto")
+        assert np.array_equal(got, packed_pairwise_hamming(a, b))
+        assert ran == ["_gemm_counts" if use_gemm(n, m, 100) else "_xor_counts"]
 
     def test_auto_crossover_shape(self):
         # The unpack toll sinks GEMM whenever one side is tiny …

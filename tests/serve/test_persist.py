@@ -41,6 +41,12 @@ def _roundtrip(obj, tmp_path, name="model.npz"):
     return load_model(path)
 
 
+def _one_row_memory(dim):
+    mem = ItemMemory(dim=dim)
+    mem.add("a", np.ones(dim, dtype=np.uint8))
+    return mem
+
+
 # -- basis sets ---------------------------------------------------------------
 
 BASIS_CASES = [
@@ -347,6 +353,77 @@ class TestContainerFormat:
         np.savez(path, **{MANIFEST_KEY: blob, **arrays})
         with pytest.raises(ModelFormatError, match="prototypes"):
             load_model(path)
+
+    def test_set_pad_bits_in_basis_vectors_rejected(self, tmp_path):
+        """Every XOR scan counts the padding bits, so a file with one set
+        pad bit would load and answer with distances off by that bit."""
+        path = tmp_path / "basis.npz"
+        save_model(CircularBasis(size=8, dim=1001, seed=5), path)
+        manifest, arrays = _read_container(path)
+        arrays["vectors"][0, -1] |= 0x7F  # d=1001 keeps 1 bit of the last byte
+        blob = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        np.savez(path, **{MANIFEST_KEY: blob, **arrays})
+        with pytest.raises(ModelFormatError, match="'vectors'.*padding"):
+            load_model(path)
+
+    #: One saved object per loader that reads a packed table, with the
+    #: array that loader checks.
+    PACKED_TABLES = [
+        pytest.param(lambda: CircularBasis(8, 1001, seed=5), "vectors", id="basis"),
+        pytest.param(
+            lambda: _one_row_memory(1001), "rows", id="item-memory"
+        ),
+        pytest.param(
+            lambda: CentroidClassifier(dim=1001, seed=0).fit(
+                np.eye(4, 1001, dtype=np.uint8), [0, 0, 1, 1]
+            ),
+            "prototypes", id="classifier",
+        ),
+        pytest.param(
+            lambda: HDRegressor(
+                LevelBasis(4, 1001, seed=0).linear_embedding(0.0, 1.0), seed=0
+            ).fit(np.eye(4, 1001, dtype=np.uint8), [0.0, 0.3, 0.6, 1.0]),
+            "model", id="regressor",
+        ),
+    ]
+
+    def _corrupt(self, make, name, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        save_model(make(), path)
+        manifest, arrays = _read_container(path)
+        arrays[name] = edit(arrays[name])
+        blob = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+        np.savez(path, **{MANIFEST_KEY: blob, **arrays})
+        return path
+
+    @pytest.mark.parametrize("make, name", PACKED_TABLES)
+    def test_every_packed_table_checks_its_padding(self, make, name, tmp_path):
+        def set_pad_bit(data):
+            data = data.copy()
+            data[..., -1] |= 0x01
+            return data
+
+        path = self._corrupt(make, name, tmp_path, set_pad_bit)
+        with pytest.raises(ModelFormatError, match=f"'{name}'.*padding"):
+            load_model(path)
+
+    @pytest.mark.parametrize("make, name", PACKED_TABLES)
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda d: d.astype(np.int16), lambda d: d[..., :-1]],
+        ids=["dtype", "width"],
+    )
+    def test_every_packed_table_checks_dtype_and_width(
+        self, make, name, edit, tmp_path
+    ):
+        path = self._corrupt(make, name, tmp_path, edit)
+        with pytest.raises(ModelFormatError, match=f"'{name}'.*uint8 rows"):
+            load_model(path)
+
+    @pytest.mark.parametrize("make, name", PACKED_TABLES)
+    def test_clean_packed_tables_still_load(self, make, name, tmp_path):
+        path = self._corrupt(make, name, tmp_path, lambda d: d)
+        load_model(path)
 
     def test_atomic_overwrite(self, tmp_path):
         """Saving over an existing model replaces it completely."""

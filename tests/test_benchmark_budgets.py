@@ -36,6 +36,9 @@ BUDGETS = [
     ("bench_stream_memory", "MATERIALISE_GATE", 0.75, "max"),
     ("bench_serve_concurrency", "P50_MS_MAX", 150.0, "max"),
     ("bench_serve_concurrency", "P99_MS_MAX", 400.0, "max"),
+    ("bench_kernels_similarity", "GATE_TOLERANCE", 1.25, "max"),
+    ("bench_kernels_similarity", "GATE_MIN_SECONDS", 0.002, "max"),
+    ("bench_kernels_similarity", "HEADLINE_FLOOR", 5.0, "min"),
 ]
 
 
@@ -108,3 +111,52 @@ class TestServeConcurrencyBudgets:
         failures = bench.budget_failures(summary)
         assert len(failures) == 1
         assert key in failures[0]
+
+
+class TestKernelGates:
+    """``check_gates``: gemm must not lose to ``xor`` beyond the crossover,
+    and the full-scale headline must clear the floor over the byte scan."""
+
+    @staticmethod
+    def summary(point_xor=0.010, point_gemm=0.004, byte_scan_speedup=10.0):
+        return {
+            "crossover_surface": [
+                {"n": 100, "m": 100, "d": 10_000, "auto_picks": "gemm",
+                 "seconds": {"xor": point_xor, "gemm": point_gemm}},
+                # xor's side of the crossover is recorded, never gated.
+                {"n": 1, "m": 100, "d": 10_000, "auto_picks": "xor",
+                 "seconds": {"xor": 0.010, "gemm": 1.0}},
+            ],
+            "headline": {"xor_seconds": 0.40, "gemm_seconds": 0.15,
+                         "speedup_gemm_over_byte_scan": byte_scan_speedup},
+        }
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_pass(self, fast):
+        bench = _script("bench_kernels_similarity")
+        assert bench.check_gates(self.summary(), fast=fast) == []
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_crossover_miss_is_reported(self, fast):
+        bench = _script("bench_kernels_similarity")
+        slow_gemm = 0.010 * bench.GATE_TOLERANCE * 1.01
+        failures = bench.check_gates(self.summary(point_gemm=slow_gemm), fast=fast)
+        assert len(failures) == 1
+        assert "n=100 m=100 d=10000" in failures[0]
+
+    def test_microsecond_points_are_not_gated(self):
+        bench = _script("bench_kernels_similarity")
+        tiny = bench.GATE_MIN_SECONDS / 2
+        assert bench.check_gates(self.summary(point_xor=tiny, point_gemm=1.0), fast=False) == []
+
+    def test_full_scale_headline_miss_is_reported(self):
+        bench = _script("bench_kernels_similarity")
+        summary = self.summary(byte_scan_speedup=bench.HEADLINE_FLOOR - 0.1)
+        failures = bench.check_gates(summary, fast=False)
+        assert len(failures) == 1
+        assert "floor" in failures[0]
+
+    def test_headline_floor_is_skipped_under_fast(self):
+        bench = _script("bench_kernels_similarity")
+        summary = self.summary(byte_scan_speedup=bench.HEADLINE_FLOOR - 0.1)
+        assert bench.check_gates(summary, fast=True) == []

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.exceptions import CalibrationError, InvalidParameterError
+from repro.exceptions import CalibrationError
 from repro.tuning import active_calibration, resolve_knob
 
 #: Every knob variable a consumer reads; cleared before each test so the
@@ -26,8 +26,6 @@ KNOB_VARS = (
     "REPRO_CLUSTER_WORKERS",
     "REPRO_KERNEL_BUDGET",
     "REPRO_KERNEL_CROSSOVER",
-    "REPRO_KERNEL_MT_CELLS",
-    "REPRO_KERNEL_THREADS",
     "REPRO_SERVE_BATCH_WINDOW_MS",
     "REPRO_SERVE_BATCH_MAX",
     "REPRO_SERVE_MAX_QUEUE",
@@ -167,18 +165,6 @@ def _kernel_crossover():
     return _gemm_crossover()
 
 
-def _kernel_mt_cells():
-    from repro.hdc.kernels import _xor_mt_min_cells
-
-    return _xor_mt_min_cells()
-
-
-def _kernel_threads():
-    from repro.hdc.kernels import kernel_threads
-
-    return kernel_threads()
-
-
 def _chunk_rows():
     from repro.streaming import default_chunk_rows
 
@@ -220,8 +206,6 @@ def _max_queue():
 KNOB_BOUNDS = (
     ("REPRO_KERNEL_BUDGET", _kernel_budget, "0"),
     ("REPRO_KERNEL_CROSSOVER", _kernel_crossover, "0"),
-    ("REPRO_KERNEL_MT_CELLS", _kernel_mt_cells, "0"),
-    ("REPRO_KERNEL_THREADS", _kernel_threads, "0"),
     ("REPRO_CHUNK_ROWS", _chunk_rows, "0"),
     ("REPRO_WORKERS", _workers, "0"),
     ("REPRO_CLUSTER_WORKERS", _cluster_workers, "0"),
@@ -230,9 +214,8 @@ KNOB_BOUNDS = (
     ("REPRO_SERVE_MAX_QUEUE", _max_queue, "0"),
 )
 
-#: The cell budget is read below the tuning layer and raises the
-#: parameter error; every other knob goes through ``resolve_knob``.
-KNOB_ERRORS = (CalibrationError, InvalidParameterError)
+#: Every knob, the cell budget included, goes through ``resolve_knob``.
+KNOB_ERRORS = CalibrationError
 
 
 class TestValidation:
@@ -303,65 +286,34 @@ class TestConsumers:
         monkeypatch.setenv("REPRO_KERNEL_BUDGET", "2000000")
         assert cell_budget() == 2_000_000
 
-    def test_kernel_thresholds_consumer(self, monkeypatch):
-        from repro.hdc.kernels import use_gemm, use_xor_mt
+    def test_kernel_crossover_consumer(self, monkeypatch):
+        from repro.hdc.kernels import use_gemm
 
         assert not use_gemm(4, 4, 64)  # harmonic 2 < built-in 16
-        assert not use_xor_mt(1, 1, 8)
         monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "2.0")
-        monkeypatch.setenv("REPRO_KERNEL_MT_CELLS", "1")
         assert use_gemm(4, 4, 64)      # harmonic 2 >= 2.0
-        assert use_xor_mt(1, 1, 8)     # every cube is over a 1-cell floor
         monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "1000000")
         assert not use_gemm(4, 4, 64)
-
-    def test_kernel_threads_consumer(self, monkeypatch):
-        from repro.hdc.kernels import kernel_threads
-
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "5")
-        assert kernel_threads() == 5
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
-        assert kernel_threads() == 2
-        assert kernel_threads(9) == 9
 
 
 class TestKernelKnobCacheInvalidation:
     """The memoised kernel dispatch knobs never serve a stale env value.
 
-    The kernel tier memoises its resolved ``(gemm_crossover,
-    xor_mt_min_cells)`` pair and thread count for hot-loop dispatch,
-    keyed on the raw environment strings, so flipping a variable
-    mid-process re-resolves on the next call with no cache hook.
+    The kernel tier memoises its resolved GEMM crossover for hot-loop
+    dispatch, keyed on the raw environment string, so flipping the
+    variable mid-process re-resolves on the next call with no cache hook.
     """
-
-    def test_env_switch_mid_process_re_resolves(self, monkeypatch):
-        from repro.hdc import kernels
-
-        monkeypatch.setenv("REPRO_KERNEL_MT_CELLS", "11")
-        assert kernels._xor_mt_min_cells() == 11
-        assert kernels._knob_memo  # warmed
-        monkeypatch.setenv("REPRO_KERNEL_MT_CELLS", "222")
-        assert kernels._xor_mt_min_cells() == 222
-        monkeypatch.delenv("REPRO_KERNEL_MT_CELLS")
-        assert kernels._xor_mt_min_cells() == kernels.XOR_MT_MIN_CELLS
 
     def test_crossover_switch_mid_process_re_resolves(self, monkeypatch):
         from repro.hdc import kernels
 
         monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "3.5")
         assert kernels._gemm_crossover() == 3.5
+        assert kernels._knob_memo  # warmed
         monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "7")
         assert kernels._gemm_crossover() == 7.0
         monkeypatch.delenv("REPRO_KERNEL_CROSSOVER")
         assert kernels._gemm_crossover() == kernels.AUTO_CROSSOVER
-
-    def test_thread_switch_mid_process_re_resolves(self, monkeypatch):
-        from repro.hdc import kernels
-
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-        assert kernels.kernel_threads() == 3
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "6")
-        assert kernels.kernel_threads() == 6
 
     def test_invalid_value_is_never_memoised(self, monkeypatch):
         from repro.hdc import kernels
