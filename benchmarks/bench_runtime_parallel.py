@@ -1,30 +1,30 @@
-"""Benchmark: the parallel experiment runtime on the Figure 8 r-sweep.
+"""Benchmark: the experiment runtime's cell fan-out and artifact cache.
 
-Times the paper's heaviest artifact — the full r-sweep
-(``datasets × (1 + |r|)`` independent experiment cells) — three ways:
+Times the two artifacts with the most independent cells at ``workers=1``
+and at ``workers=N`` (default 2) through the library drivers:
 
-1. **legacy serial** — the pre-runtime code path: per-call unpacked
-   encoding (:func:`repro.hdc.encoders.encode_keyvalue_records`) and a
-   plain serial cell loop, reconstructed here as the baseline;
-2. **runtime serial** — :func:`repro.experiments.run_rsweep` with
-   ``workers=1`` (fused-table :class:`~repro.runtime.BatchEncoder`,
-   packed corpus end-to-end);
-3. **runtime parallel** — the same with ``workers=N`` (default 4).
+1. the full Figure 8 r-sweep (:func:`repro.experiments.run_rsweep`,
+   ``datasets × (1 + |r|)`` cells);
+2. Table 2 (:func:`repro.experiments.run_table2`, ``datasets × bases``
+   cells).
 
-It asserts the three produce identical curves, then times the artifact
-cache (cold table1 vs a second, cache-hit invocation) and writes a
-machine-readable summary to ``benchmarks/results/BENCH_runtime.json``
-(committed, so the perf trajectory is tracked across PRs).
+Each pair runs ``REPEATS`` times, alternating which worker count goes
+first, and the medians are compared.  The script asserts that every run
+returns the serial result exactly, then times the artifact cache (cold
+table1 vs a second, cache-hit invocation) and writes a machine-readable
+summary to ``benchmarks/results/BENCH_runtime.json`` (committed, so the
+perf trajectory is tracked across changes).
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_runtime_parallel.py [--fast] [--workers N]
 
-``--fast`` shrinks the sweep for a smoke run and skips the JSON write
-(the committed file records paper resolution only).  The recorded
-parallel speedup is hardware-dependent: cells are numpy-heavy threads
-that scale with physical cores (``cpu_count`` is recorded next to every
-number; on a single-core container the parallel factor is ~1×).
+``--fast`` shrinks the sweep for a smoke run, times each side once and
+skips the JSON write (the committed file records paper resolution
+only).  The recorded speedup is hardware-dependent: cells are
+numpy-heavy threads that scale with physical cores (``cpu_count`` is
+recorded next to every number; on a single-core host the factor is
+~1×).
 """
 
 from __future__ import annotations
@@ -34,115 +34,28 @@ import _bootstrap  # noqa: F401  (sys.path shim: run from checkout or install)
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from repro._rng import ensure_rng  # noqa: E402
-from repro.datasets import make_jigsaws_like  # noqa: E402
 from repro.experiments import (  # noqa: E402
     ClassificationConfig,
     RegressionConfig,
     run_rsweep,
     run_table1,
+    run_table2,
 )
-from repro.experiments.classification import _value_embedding  # noqa: E402
-from repro.experiments.regression import make_regression_split, run_regression  # noqa: E402
 from repro.experiments.rsweep import _CLASSIFICATION, _REGRESSION  # noqa: E402
-from repro.hdc.hypervector import random_hypervectors  # noqa: E402
-from repro.hdc.ops import positional_tie_bits  # noqa: E402
-from repro.learning.classifier import CentroidClassifier  # noqa: E402
-from repro.learning.metrics import normalized_accuracy_error, normalized_mse  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 PAPER_R_VALUES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
 FAST_R_VALUES = (0.0, 0.1, 1.0)
 
-
-def legacy_encode_keyvalue_records(keys, value_indices, basis_vectors,
-                                   seed, start: int = 0, chunk_size: int = 256):
-    """The PR-1 encode hot loop, vendored as the perf baseline.
-
-    Per-call gather + XOR + int64 count sum + int64 majority threshold —
-    the arithmetic the experiment drivers ran before the runtime landed.
-    (The in-library encoder has since been optimised; this copy pins the
-    baseline so the recorded speedup tracks real progression.)  Ties
-    take the library's position-keyed coins — row ``t`` draws those of
-    ``(seed, start + t)`` — so results are bit-for-bit comparable.
-    """
-    import numpy as np
-
-    n, k = value_indices.shape
-    d = keys.shape[-1]
-    out = np.empty((n, d), dtype=np.uint8)
-    for lo in range(0, n, chunk_size):
-        hi = min(n, lo + chunk_size)
-        vals = basis_vectors[value_indices[lo:hi]]  # (c, k, d)
-        bound = np.bitwise_xor(vals, keys[None, :, :])
-        counts = bound.sum(axis=1, dtype=np.int64)  # (c, d)
-        doubled = 2 * counts
-        encoded = (doubled > k).astype(np.uint8)
-        ties = doubled == k
-        if np.any(ties):
-            coin = positional_tie_bits(seed, np.arange(start + lo, start + hi), d)
-            encoded[ties] = coin[ties]
-        out[lo:hi] = encoded
-    return out
-
-
-def legacy_classification_cell(task: str, basis_kind: str,
-                               config: ClassificationConfig, split) -> float:
-    """One Table 1 cell exactly as the pre-runtime experiment driver ran it:
-    unpacked per-call encoding, unpacked training corpus."""
-    master = ensure_rng(config.seed)
-    _, basis_rng, key_rng, tie_rng = master.spawn(4)
-    low, high = split.metadata.get("feature_range", (0.0, 6.283185307179586))
-    embedding = _value_embedding(basis_kind, config, basis_rng, low=low, high=high)
-    keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
-
-    # The library's tie-key derivation: one int key, test rows after train.
-    tie_key = int(tie_rng.integers(0, 2**63))
-
-    def encode(features, start):
-        indices = embedding.indices(features.ravel()).reshape(features.shape)
-        return legacy_encode_keyvalue_records(
-            keys, indices, embedding.basis.vectors, seed=tie_key, start=start
-        )
-
-    train_hvs = encode(split.train_features, 0)
-    test_hvs = encode(split.test_features, split.train_features.shape[0])
-    classifier = CentroidClassifier(config.dim, seed=tie_rng)
-    classifier.fit(train_hvs, split.train_labels.tolist())
-    return classifier.score(test_hvs, split.test_labels.tolist())
-
-
-def legacy_rsweep(r_values, datasets, c_config, r_config) -> dict[str, tuple[float, ...]]:
-    """The pre-runtime serial sweep loop (regression cells shared with the
-    library — their legacy path differed only in packing, not arithmetic)."""
-    curves: dict[str, tuple[float, ...]] = {}
-    for dataset in datasets:
-        if dataset in _CLASSIFICATION:
-            data_rng = ensure_rng(c_config.seed).spawn(4)[0]
-            split = make_jigsaws_like(task=dataset, seed=data_rng)
-            reference = legacy_classification_cell(dataset, "random", c_config, split)
-            series = []
-            for r in r_values:
-                cfg = replace(c_config, circular_r=float(r))
-                acc = legacy_classification_cell(dataset, "circular", cfg, split)
-                series.append(normalized_accuracy_error(acc, reference))
-        else:
-            split = make_regression_split(dataset, r_config)
-            reference = run_regression(dataset, "random", config=r_config, split=split).mse
-            series = []
-            for r in r_values:
-                cfg = replace(r_config, circular_r=float(r))
-                mse = run_regression(dataset, "circular", config=cfg, split=split).mse
-                series.append(normalized_mse(mse, reference))
-        curves[dataset] = tuple(series)
-    return curves
+#: Timed (serial, parallel) pairs per artifact at full scale.
+REPEATS = 3
 
 
 def time_call(fn):
@@ -151,46 +64,65 @@ def time_call(fn):
     return result, time.perf_counter() - start
 
 
+def compare(name: str, run, workers: int, repeats: int) -> dict:
+    """Time ``run(1)`` against ``run(workers)``, alternating the order.
+
+    Every result must equal the first serial one.  Returns the per-run
+    seconds of both sides, their medians and the median speedup.
+    """
+    reference = None
+    times: dict[int, list[float]] = {1: [], workers: []}
+    for i in range(repeats):
+        for w in ((1, workers) if i % 2 == 0 else (workers, 1)):
+            result, seconds = time_call(lambda: run(w))
+            if reference is None:
+                reference = result
+            assert result == reference, f"{name} at workers={w} diverged"
+            times[w].append(seconds)
+    serial = statistics.median(times[1])
+    parallel = statistics.median(times[workers])
+    print(f"  {name:<7} workers=1  : {serial:8.2f} s  (median of {repeats})")
+    print(f"  {name:<7} workers={workers:<2} : {parallel:8.2f} s  "
+          f"-> {serial / parallel:.2f}x")
+    return {
+        f"{name}_serial_s": [round(t, 3) for t in times[1]],
+        f"{name}_parallel_s": [round(t, 3) for t in times[workers]],
+        f"{name}_serial_median_s": round(serial, 3),
+        f"{name}_parallel_median_s": round(parallel, 3),
+        f"{name}_speedup": round(serial / parallel, 3),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
-                        help="small sweep, no JSON write")
-    parser.add_argument("--workers", type=int, default=4)
+                        help="small sweep, one timing each, no JSON write")
+    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     dim = 1024 if args.fast else 10_000
+    repeats = 1 if args.fast else REPEATS
     r_values = FAST_R_VALUES if args.fast else PAPER_R_VALUES
     c_config = ClassificationConfig(dim=dim)
     r_config = RegressionConfig(dim=dim)
     datasets = tuple(_CLASSIFICATION) + tuple(_REGRESSION)
-    sweep_kwargs = dict(
-        datasets=datasets,
-        classification_config=c_config,
-        regression_config=r_config,
-    )
 
-    print(f"r-sweep benchmark: d={dim}, {len(r_values)} r-values, "
+    print(f"runtime benchmark: d={dim}, {len(r_values)} r-values, "
           f"{len(datasets)} datasets, workers={args.workers}, "
           f"cpu_count={os.cpu_count()}")
 
-    legacy_curves, legacy_s = time_call(lambda: legacy_rsweep(
-        r_values, datasets, c_config, r_config))
-    print(f"  legacy serial path   : {legacy_s:8.2f} s")
-
-    serial, serial_s = time_call(lambda: run_rsweep(r_values, **sweep_kwargs))
-    print(f"  runtime, workers=1   : {serial_s:8.2f} s")
-
-    parallel, parallel_s = time_call(lambda: run_rsweep(
-        r_values, workers=args.workers, **sweep_kwargs))
-    print(f"  runtime, workers={args.workers:<2}  : {parallel_s:8.2f} s")
-
-    assert serial == parallel, "parallel sweep diverged from serial"
-    assert dict(serial.normalized_error) == legacy_curves, \
-        "runtime sweep diverged from the legacy path"
-    speedup_vs_legacy = legacy_s / parallel_s
-    speedup_vs_serial = serial_s / parallel_s
-    print(f"  speedup vs legacy    : {speedup_vs_legacy:8.2f} x")
-    print(f"  speedup vs runtime-1 : {speedup_vs_serial:8.2f} x")
+    summary = compare(
+        "rsweep",
+        lambda w: run_rsweep(
+            r_values, datasets=datasets, classification_config=c_config,
+            regression_config=r_config, workers=w,
+        ),
+        args.workers,
+        repeats,
+    )
+    summary |= compare(
+        "table2", lambda w: run_table2(r_config, workers=w), args.workers, repeats
+    )
 
     # Artifact cache: cold table1 vs cache-hit re-invocation.
     from repro.runtime import ArtifactStore
@@ -212,11 +144,8 @@ def main() -> int:
             "datasets": list(datasets),
             "workers": args.workers,
             "cpu_count": os.cpu_count(),
-            "rsweep_legacy_serial_s": round(legacy_s, 3),
-            "rsweep_runtime_serial_s": round(serial_s, 3),
-            "rsweep_runtime_parallel_s": round(parallel_s, 3),
-            "rsweep_speedup_vs_legacy": round(speedup_vs_legacy, 3),
-            "rsweep_speedup_vs_runtime_serial": round(speedup_vs_serial, 3),
+            "repeats": repeats,
+            **summary,
             "table1_cold_s": round(cold_s, 3),
             "table1_cache_hit_s": round(warm_s, 5),
             "table1_cache_speedup": round(cache_speedup, 1),

@@ -29,8 +29,8 @@ Package map
   Express surrogates),
 * :mod:`repro.hashing` — the hyperdimensional consistent-hashing system
   circular-hypervectors originate from,
-* :mod:`repro.runtime` — parallel experiment runtime: batched encoding,
-  sharded execution, artifact caching,
+* :mod:`repro.runtime` — experiment runtime: batched encoding, a
+  worker pool for independent cells, artifact caching,
 * :mod:`repro.streaming` — out-of-core chunked reducer: chunk sources,
   chunking-invariant encoding, streamed training with checkpoints,
 * :mod:`repro.experiments` — one driver per table/figure,

@@ -45,10 +45,11 @@ Runtime flags (see ``docs/REPRODUCING.md`` for per-artifact guidance):
     Shrink dimensionality (and, for figure8, the sweep resolution) for a
     quick look; defaults follow the paper (d = 10,000).
 ``--workers N``
-    Fan independent experiment cells out over ``N`` workers (``0`` =
-    one per CPU).  Results are bit-identical to ``--workers 1``.
+    Fan independent experiment cells out over ``N`` worker threads
+    (``0`` = one per CPU).  Results are bit-identical to ``--workers 1``.
     ``serve`` and ``serve-http`` predict on the calling thread and
-    reject the flag.
+    reject the flag; so does ``train``, whose only fan-out is
+    ``--stream --cluster-workers N``.
 ``--no-cache``
     Bypass the artifact cache.  By default, results for table1, table2,
     figure7 and figure8 are content-addressed by their full
@@ -71,7 +72,7 @@ from ..analysis import figure3_data, figure6_data, format_table, render_heatmap
 from ..exceptions import InvalidParameterError, ModelFormatError
 from ..hdc.kernels import BACKENDS
 from ..learning.metrics import normalized_mse
-from ..runtime import ArtifactStore, WorkerPool
+from ..runtime import ArtifactStore
 from ..serve import InferenceEngine, save_model
 from .classification import BASIS_KINDS, run_table1
 from .config import ClassificationConfig, RegressionConfig
@@ -212,7 +213,6 @@ def _run_train(args: argparse.Namespace) -> None:
             config=config,
             stream_samples=args.stream_samples,
             chunk_size=chunk_rows,
-            workers=args.workers,
             checkpoint=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             cluster_workers=args.cluster_workers,
@@ -220,8 +220,7 @@ def _run_train(args: argparse.Namespace) -> None:
             input_path=None if args.input in (None, "-") else args.input,
         )
     else:
-        with WorkerPool(workers=args.workers) as pool:
-            pipeline = train_pipeline(args.task, args.basis, config=config, pool=pool)
+        pipeline = train_pipeline(args.task, args.basis, config=config)
         stats = None
     path = save_model(pipeline, args.out)
     meta = pipeline.metadata
@@ -552,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="parallel experiment cells (0 = one per CPU; "
                              "default: REPRO_WORKERS env, then 1); results "
                              "are bit-identical for any value; not accepted "
-                             "by serve/serve-http")
+                             "by train/serve/serve-http")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute even if a cached result exists, and do not cache")
     parser.add_argument("--cache-dir", default=None,
@@ -647,6 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workers must be >= 0 (0 = one per CPU), got {args.workers}")
     if args.workers is not None and args.target in ("serve", "serve-http"):
         parser.error(f"--workers has no effect on {args.target}: it predicts on one thread")
+    if args.workers is not None and args.target == "train":
+        parser.error("--workers has no effect on train: use --stream --cluster-workers N")
     if args.batch_size < 1:
         parser.error(f"--batch-size must be positive, got {args.batch_size}")
     if args.chunk_size is not None and args.chunk_size < 1:
@@ -669,9 +670,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--batch-max must be positive, got {args.batch_max}")
     if args.max_queue is not None and args.max_queue < 1:
         parser.error(f"--max-queue must be positive, got {args.max_queue}")
-    if args.workers is None:
-        # Unconfigured callers get the default (REPRO_WORKERS, then 1);
-        # an explicit --workers (incl. 0 = one per CPU) passes through.
+    if args.workers is None and args.target not in ("train", "serve", "serve-http"):
+        # Unconfigured cell drivers get the default (REPRO_WORKERS, then
+        # 1); an explicit --workers (incl. 0 = one per CPU) passes through.
         from ..runtime.pool import default_workers
 
         args.workers = default_workers()

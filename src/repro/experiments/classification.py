@@ -30,13 +30,7 @@ from ..datasets import JIGSAWS_TASKS, ClassificationSplit, make_jigsaws_like
 from ..exceptions import InvalidParameterError
 from ..hdc.hypervector import random_hypervectors
 from ..learning.classifier import CentroidClassifier
-from ..runtime import (
-    ArtifactStore,
-    BatchEncoder,
-    WorkerPool,
-    fit_classifier_sharded,
-    score_classifier_sharded,
-)
+from ..runtime import ArtifactStore, BatchEncoder, WorkerPool
 from .config import ClassificationConfig
 
 __all__ = [
@@ -121,19 +115,12 @@ def run_classification(
     basis_kind: str,
     config: ClassificationConfig | None = None,
     split: ClassificationSplit | None = None,
-    pool: WorkerPool | None = None,
 ) -> ClassificationResult:
     """Run one cell of Table 1 and return its accuracy.
 
     ``split`` can be supplied to reuse one generated dataset across basis
     kinds (as the paper does — the data does not change between columns);
     otherwise it is generated from the config seed.
-
-    ``pool`` optionally shards the encode / train / predict stages of
-    *this one cell* over a :class:`~repro.runtime.pool.WorkerPool`; the
-    accuracy is bit-identical to the serial run for any worker count
-    (the runtime fans out only the pure count phases and merges them in
-    a fixed order).
 
     Example
     -------
@@ -169,26 +156,16 @@ def run_classification(
     encoder = BatchEncoder(keys, embedding)
     tie_key = int(tie_rng.integers(0, 2**63))
     n_train = split.train_features.shape[0]
-    train_hvs = encoder.encode(split.train_features, seed=tie_key, packed=True, pool=pool)
-    test_hvs = encoder.encode(
-        split.test_features, seed=tie_key, start=n_train, packed=True, pool=pool
-    )
+    train_hvs = encoder.encode(split.train_features, seed=tie_key, packed=True)
+    test_hvs = encoder.encode(split.test_features, seed=tie_key, start=n_train, packed=True)
 
     classifier = CentroidClassifier(config.dim, seed=tie_rng)
-    if pool is None or pool.serial:
-        classifier.fit(train_hvs, split.train_labels.tolist())
-    else:
-        fit_classifier_sharded(classifier, train_hvs, split.train_labels.tolist(), pool)
+    classifier.fit(train_hvs, split.train_labels.tolist())
     if config.refine_epochs:
         classifier.refine(
             train_hvs, split.train_labels.tolist(), epochs=config.refine_epochs
         )
-    if pool is None or pool.serial:
-        acc = classifier.score(test_hvs, split.test_labels.tolist())
-    else:
-        acc = score_classifier_sharded(
-            classifier, test_hvs, split.test_labels.tolist(), pool
-        )
+    acc = classifier.score(test_hvs, split.test_labels.tolist())
     return ClassificationResult(
         task=task,
         basis_kind=basis_kind,
@@ -202,7 +179,7 @@ def run_classification(
 def _table1_cell(
     task: str, kind: str, config: ClassificationConfig, split: ClassificationSplit
 ) -> float:
-    """One (task, basis) cell — module-level so process pools can pickle it."""
+    """One (task, basis) cell of :func:`run_table1`."""
     return run_classification(task, kind, config=config, split=split).accuracy
 
 
@@ -224,7 +201,6 @@ def run_table1(
     tasks: tuple[str, ...] = tuple(JIGSAWS_TASKS),
     basis_kinds: tuple[str, ...] = BASIS_KINDS,
     workers: int = 1,
-    backend: str = "thread",
     store: ArtifactStore | None = None,
 ) -> Mapping[str, Mapping[str, float]]:
     """Regenerate Table 1: accuracy per (task, basis kind).
@@ -234,10 +210,10 @@ def run_table1(
 
     Parameters
     ----------
-    workers, backend:
+    workers:
         Fan the independent (task, basis) cells out over a
-        :class:`~repro.runtime.pool.WorkerPool`.  Every cell derives its
-        randomness from ``config.seed`` alone, so the table is
+        :class:`~repro.runtime.pool.WorkerPool` of threads.  Every cell
+        derives its randomness from ``config.seed`` alone, so the table is
         **bit-identical to the serial run for any worker count**.
     store:
         Optional :class:`~repro.runtime.artifacts.ArtifactStore`; when
@@ -257,7 +233,7 @@ def run_table1(
         data_rng = ensure_rng(config.seed).spawn(4)[0]
         splits[task] = make_jigsaws_like(task=task, seed=data_rng)
     cells = [(task, kind, config, splits[task]) for task in tasks for kind in basis_kinds]
-    with WorkerPool(workers=workers, backend=backend) as pool:
+    with WorkerPool(workers=workers) as pool:
         accuracies = pool.starmap(_table1_cell, cells)
 
     results: dict[str, dict[str, float]] = {task: {} for task in tasks}

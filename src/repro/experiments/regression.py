@@ -33,14 +33,8 @@ from ..datasets import RegressionSplit, make_beijing_like, make_mars_express_lik
 from ..datasets.beijing import DAYS_PER_YEAR
 from ..exceptions import InvalidParameterError
 from ..hdc.encoders import encode_bound_records
-from ..learning.metrics import mean_squared_error
 from ..learning.regression import HDRegressor
-from ..runtime import (
-    ArtifactStore,
-    WorkerPool,
-    fit_regressor_sharded,
-    predict_regressor_sharded,
-)
+from ..runtime import ArtifactStore, WorkerPool
 from .config import RegressionConfig
 
 __all__ = [
@@ -102,40 +96,12 @@ def _label_embedding(split: RegressionSplit, config: RegressionConfig, seed) -> 
     return Embedding(basis, LinearDiscretizer(low, high, config.label_levels, clip=True))
 
 
-def _fit_and_score(
-    model: HDRegressor,
-    train_hvs,
-    train_labels: np.ndarray,
-    test_hvs,
-    test_labels: np.ndarray,
-    pool: WorkerPool | None,
-) -> float:
-    """Train and score one regression cell, sharding over ``pool`` if given.
-
-    The sharded path folds integer bundle shards in sample order and
-    concatenates prediction chunks in chunk order, so the MSE is
-    bit-identical to the serial path.
-    """
-    if pool is None or pool.serial:
-        model.fit(train_hvs, train_labels)
-        return model.score(test_hvs, test_labels)
-    fit_regressor_sharded(model, train_hvs, train_labels, pool)
-    predictions = predict_regressor_sharded(model, test_hvs, pool)
-    return mean_squared_error(np.asarray(test_labels, dtype=np.float64), predictions)
-
-
 def run_beijing(
     basis_kind: str,
     config: RegressionConfig | None = None,
     split: RegressionSplit | None = None,
-    pool: WorkerPool | None = None,
 ) -> RegressionResult:
-    """One Beijing cell of Table 2: temperature-forecast MSE.
-
-    ``pool`` optionally shards this cell's training and prediction over
-    a :class:`~repro.runtime.pool.WorkerPool`; the MSE is bit-identical
-    to the serial run.
-    """
+    """One Beijing cell of Table 2: temperature-forecast MSE."""
     config = config or RegressionConfig()
     master = ensure_rng(config.seed)
     data_rng, year_rng, day_rng, hour_rng, label_rng, tie_rng = master.spawn(6)
@@ -177,14 +143,8 @@ def run_beijing(
     model = HDRegressor(
         label_embedding, seed=tie_rng, decode=config.decode, model=config.model
     )
-    mse = _fit_and_score(
-        model,
-        encode(split.train_features),
-        split.train_labels,
-        encode(split.test_features),
-        split.test_labels,
-        pool,
-    )
+    model.fit(encode(split.train_features), split.train_labels)
+    mse = model.score(encode(split.test_features), split.test_labels)
     return RegressionResult(
         dataset="beijing",
         basis_kind=basis_kind,
@@ -199,14 +159,8 @@ def run_mars_express(
     basis_kind: str,
     config: RegressionConfig | None = None,
     split: RegressionSplit | None = None,
-    pool: WorkerPool | None = None,
 ) -> RegressionResult:
-    """One Mars Express cell of Table 2: power-prediction MSE.
-
-    ``pool`` optionally shards this cell's training and prediction over
-    a :class:`~repro.runtime.pool.WorkerPool`; the MSE is bit-identical
-    to the serial run.
-    """
+    """One Mars Express cell of Table 2: power-prediction MSE."""
     config = config or RegressionConfig()
     master = ensure_rng(config.seed)
     data_rng, anomaly_rng, label_rng, tie_rng = master.spawn(4)
@@ -222,13 +176,9 @@ def run_mars_express(
     model = HDRegressor(
         label_embedding, seed=tie_rng, decode=config.decode, model=config.model
     )
-    mse = _fit_and_score(
-        model,
-        anomaly_embedding.encode_packed(split.train_features[:, 0]),
-        split.train_labels,
-        anomaly_embedding.encode_packed(split.test_features[:, 0]),
-        split.test_labels,
-        pool,
+    model.fit(anomaly_embedding.encode_packed(split.train_features[:, 0]), split.train_labels)
+    mse = model.score(
+        anomaly_embedding.encode_packed(split.test_features[:, 0]), split.test_labels
     )
     return RegressionResult(
         dataset="mars_express",
@@ -245,7 +195,6 @@ def run_regression(
     basis_kind: str,
     config: RegressionConfig | None = None,
     split: RegressionSplit | None = None,
-    pool: WorkerPool | None = None,
 ) -> RegressionResult:
     """Dispatch to :func:`run_beijing` / :func:`run_mars_express` by name.
 
@@ -259,9 +208,9 @@ def run_regression(
     True
     """
     if dataset == "beijing":
-        return run_beijing(basis_kind, config=config, split=split, pool=pool)
+        return run_beijing(basis_kind, config=config, split=split)
     if dataset == "mars_express":
-        return run_mars_express(basis_kind, config=config, split=split, pool=pool)
+        return run_mars_express(basis_kind, config=config, split=split)
     raise InvalidParameterError(
         f"unknown dataset {dataset!r}; expected one of {REGRESSION_DATASETS}"
     )
@@ -286,7 +235,7 @@ def make_regression_split(dataset: str, config: RegressionConfig) -> RegressionS
 def _table2_cell(
     dataset: str, kind: str, config: RegressionConfig, split: RegressionSplit
 ) -> float:
-    """One (dataset, basis) cell — module-level so process pools can pickle it."""
+    """One (dataset, basis) cell of :func:`run_table2`."""
     return run_regression(dataset, kind, config=config, split=split).mse
 
 
@@ -308,7 +257,6 @@ def run_table2(
     basis_kinds: tuple[str, ...] = ("random", "level", "circular"),
     datasets: tuple[str, ...] = REGRESSION_DATASETS,
     workers: int = 1,
-    backend: str = "thread",
     store: ArtifactStore | None = None,
 ) -> Mapping[str, Mapping[str, float]]:
     """Regenerate Table 2: MSE per (dataset, basis kind).
@@ -320,9 +268,9 @@ def run_table2(
 
     Parameters
     ----------
-    workers, backend:
+    workers:
         Fan the independent (dataset, basis) cells out over a
-        :class:`~repro.runtime.pool.WorkerPool`; results are
+        :class:`~repro.runtime.pool.WorkerPool` of threads; results are
         bit-identical to the serial run for any worker count.
     store:
         Optional :class:`~repro.runtime.artifacts.ArtifactStore` serving
@@ -341,7 +289,7 @@ def run_table2(
         for dataset in datasets
         for kind in basis_kinds
     ]
-    with WorkerPool(workers=workers, backend=backend) as pool:
+    with WorkerPool(workers=workers) as pool:
         errors = pool.starmap(_table2_cell, cells)
 
     results: dict[str, dict[str, float]] = {dataset: {} for dataset in datasets}

@@ -97,8 +97,8 @@ def _sweep_cell(
 ) -> float:
     """One sweep cell: raw accuracy/MSE for (dataset, r).
 
-    ``r=None`` is the random-basis reference cell.  Module-level (and
-    fully self-seeded) so process pools can pickle and replay it.
+    ``r=None`` is the random-basis reference cell.  Fully self-seeded,
+    so its value never depends on which worker thread runs it.
     """
     if dataset in _CLASSIFICATION:
         if r is None:
@@ -136,7 +136,6 @@ def run_rsweep(
     classification_config: ClassificationConfig | None = None,
     regression_config: RegressionConfig | None = None,
     workers: int = 1,
-    backend: str = "thread",
     store: ArtifactStore | None = None,
 ) -> RSweepResult:
     """Regenerate Figure 8.
@@ -147,9 +146,10 @@ def run_rsweep(
 
     Parameters
     ----------
-    workers, backend:
+    workers:
         Fan the ``len(datasets) × (1 + len(r_values))`` independent
-        cells out over a :class:`~repro.runtime.pool.WorkerPool`.  Every
+        cells out over a :class:`~repro.runtime.pool.WorkerPool` of
+        threads.  Every
         cell seeds itself from its config, so the sweep is
         **bit-identical to the serial run for any worker count**.
     store:
@@ -205,7 +205,7 @@ def run_rsweep(
         for dataset in datasets
         for r in (None, *r_values)
     ]
-    with WorkerPool(workers=workers, backend=backend) as pool:
+    with WorkerPool(workers=workers) as pool:
         raw = pool.starmap(_sweep_cell, cells)
 
     results: dict[tuple[str, float | None], float] = {

@@ -33,7 +33,7 @@ from ..exceptions import InvalidParameterError
 from ..hdc.hypervector import random_hypervectors
 from ..learning.classifier import CentroidClassifier
 from ..learning.regression import HDRegressor
-from ..runtime import BatchEncoder, WorkerPool
+from ..runtime import BatchEncoder
 from ..serve.pipeline import TrainedPipeline
 from .classification import BASIS_KINDS, _value_embedding
 from .config import ClassificationConfig, RegressionConfig
@@ -56,7 +56,6 @@ def train_classification_pipeline(
     task: str,
     basis_kind: str = "circular",
     config: ClassificationConfig | None = None,
-    pool: WorkerPool | None = None,
 ) -> TrainedPipeline:
     """Train one JIGSAWS-like task into a servable pipeline.
 
@@ -96,8 +95,8 @@ def train_classification_pipeline(
     # The serve-time encode policy, end to end: training corpus, held-out
     # metric and live requests all use the same deterministic encoding.
     encoder = BatchEncoder(keys, embedding, tie_break="zeros")
-    train_hvs = encoder.encode(split.train_features, packed=True, pool=pool)
-    test_hvs = encoder.encode(split.test_features, packed=True, pool=pool)
+    train_hvs = encoder.encode(split.train_features, packed=True)
+    test_hvs = encoder.encode(split.test_features, packed=True)
 
     classifier = CentroidClassifier(config.dim, seed=tie_rng)
     classifier.fit(train_hvs, split.train_labels.tolist())
@@ -190,7 +189,6 @@ def train_pipeline(
     task: str,
     basis_kind: str = "circular",
     config: Union[ClassificationConfig, RegressionConfig, None] = None,
-    pool: WorkerPool | None = None,
 ) -> TrainedPipeline:
     """Train any servable task into a pipeline, dispatching on ``task``.
 
@@ -210,7 +208,7 @@ def train_pipeline(
     if task in JIGSAWS_TASKS:
         if config is not None and not isinstance(config, ClassificationConfig):
             raise InvalidParameterError(f"{task} needs a ClassificationConfig")
-        return train_classification_pipeline(task, basis_kind, config=config, pool=pool)
+        return train_classification_pipeline(task, basis_kind, config=config)
     raise InvalidParameterError(
         f"unknown task {task!r}; expected one of {SERVABLE_TASKS}"
     )

@@ -5,7 +5,7 @@ the same three-branch dance — "is it packed? promote 1-D to a batch,
 check the dimensionality, keep the native representation" — in slightly
 different shapes (``CentroidClassifier._check_batch``,
 ``HDRegressor._check_batch``, ``ItemMemory._coerce_query``,
-``Embedding.decode``, ``runtime.parallel._num_rows``, …).  This module is
+``Embedding.decode``, …).  This module is
 the single implementation those call sites now delegate to:
 
 * :func:`as_encoded_batch` — normalise either representation to a 2-D

@@ -142,48 +142,6 @@ class ItemMemory:
         """Return the stored hypervector for ``key`` in packed form."""
         return PackedHV(self._rows[self._index[key]], self._dim)
 
-    def shards(self, num_shards: int) -> list["ItemMemory"]:
-        """Partition the stored rows into contiguous sub-memories.
-
-        Returns up to ``num_shards`` non-empty :class:`ItemMemory`
-        instances covering the rows in insertion order (the packed row
-        buffers are shared, not copied).  Because insertion order is
-        preserved, horizontally concatenating the shards' distance
-        matrices reproduces :meth:`distances` on the whole table exactly
-        — the deterministic merge used by
-        :func:`repro.runtime.parallel.memory_distances_sharded`.
-
-        Example
-        -------
-        >>> import numpy as np
-        >>> mem = ItemMemory(dim=8)
-        >>> for i in range(5):
-        ...     mem.add(i, np.full(8, i % 2, dtype=np.uint8))
-        >>> [m.keys() for m in mem.shards(2)]
-        [[0, 1], [2, 3, 4]]
-        """
-        if (
-            not isinstance(num_shards, (int, np.integer))
-            or isinstance(num_shards, bool)
-            or num_shards < 1
-        ):
-            raise InvalidParameterError(
-                f"num_shards must be a positive integer, got {num_shards!r}"
-            )
-        total = len(self._keys)
-        num_shards = min(int(num_shards), max(total, 1))
-        bounds = np.linspace(0, total, num_shards + 1).astype(int)
-        out: list[ItemMemory] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo == hi:
-                continue
-            shard = ItemMemory(self._dim)
-            shard._keys = self._keys[lo:hi]
-            shard._index = {k: i for i, k in enumerate(shard._keys)}
-            shard._rows = self._rows[lo:hi]
-            out.append(shard)
-        return out
-
     # -- retrieval ---------------------------------------------------------------
     def _table(self) -> PackedHV:
         if not self._rows:

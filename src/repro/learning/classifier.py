@@ -228,11 +228,10 @@ class CentroidClassifier:
         label to a fresh :class:`~repro.hdc.packed.BundleAccumulator`,
         keyed in first-seen order, computed without touching the
         classifier's state.  :meth:`partial_fit` folds these in with
-        :meth:`absorb_counts`; parallel trainers
-        (:func:`repro.runtime.parallel.fit_classifier_sharded`) compute
-        them on worker threads and absorb in shard order — both
-        bit-identical to one serial :meth:`fit` over the concatenated
-        samples.
+        :meth:`absorb_counts`; the ingest cluster
+        (:mod:`repro.cluster`) computes them in worker processes and
+        absorbs in chunk order — both bit-identical to one serial
+        :meth:`fit` over the concatenated samples.
 
         Example
         -------
@@ -389,10 +388,9 @@ class CentroidClassifier:
         """Materialise the packed prototype table eagerly; returns ``self``.
 
         Prototypes are normally built lazily on the first prediction,
-        which consumes the tie-break RNG.  Sharded inference calls
-        ``prepare()`` once *before* fanning prediction chunks out to a
-        worker pool, so the workers only ever read frozen state (and the
-        RNG draw order matches a serial run exactly).
+        which consumes the tie-break RNG.  The serving engine and
+        :func:`~repro.serve.persist.save_model` call ``prepare()`` up
+        front, so predictions only ever read frozen state.
         """
         self._materialise()
         return self

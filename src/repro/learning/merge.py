@@ -1,9 +1,9 @@
 """The one merge entry point for distributed/parallel training deltas.
 
-Every scale-out training path in the repository — thread-sharded fits
-(:mod:`repro.runtime.parallel`), replica absorption in online serving
-(:class:`repro.serve.OnlineLearner`), and the multi-process ingest
-cluster (:mod:`repro.cluster`) — reduces to the same two steps:
+Every scale-out training path in the repository — replica absorption
+in online serving (:class:`repro.serve.OnlineLearner`) and the
+multi-process ingest cluster (:mod:`repro.cluster`) — reduces to the
+same two steps:
 
 * compute a **delta**: the pure per-shard bundle statistics of a slice
   of training data (:func:`shard_delta`), leaving the model untouched;

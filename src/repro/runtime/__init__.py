@@ -1,37 +1,28 @@
-"""Parallel experiment runtime: batching, sharding and artifact caching.
+"""Experiment runtime: batched encoding, a cell worker pool and artifact caching.
 
 This package is the orchestration layer between the learning models and
 the experiment drivers (see ``docs/ARCHITECTURE.md`` for the full layer
-map).  It contributes three independent capabilities:
+map).  It contributes two independent capabilities, plus the pool that
+fans experiment cells out:
 
 * :class:`BatchEncoder` (:mod:`repro.runtime.batch`) — whole-split
-  record encoding with fused key⊗basis tables, chunked to bound memory,
-  optionally bit-packed, and chunk-parallel;
-* sharded execution (:mod:`repro.runtime.parallel`) — training and
-  query work partitioned over a :class:`WorkerPool` with deterministic
-  merge, bit-identical to serial for any worker count;
+  record encoding with fused key⊗basis tables, chunked to bound memory
+  and optionally bit-packed;
 * :class:`ArtifactStore` (:mod:`repro.runtime.artifacts`) — a
   content-addressed JSON cache under ``benchmarks/results/`` that turns
   repeated ``python -m repro.experiments`` invocations into logged
   cache hits.
 
-The experiment drivers in :mod:`repro.experiments` accept ``workers=``
-and ``store=`` arguments that activate all three; nothing here depends
-on the experiments, so the runtime is equally usable for new workloads.
+:class:`WorkerPool` (:mod:`repro.runtime.pool`) runs the independent
+cells of a table, figure or sweep on threads, in task order.  The
+experiment drivers in :mod:`repro.experiments` accept ``workers=`` and
+``store=`` arguments that activate the pool and the cache; nothing here
+depends on the experiments, so the runtime is equally usable for new
+workloads.
 """
 
 from .artifacts import ArtifactStore, canonical_digest
 from .batch import BatchEncoder
-from .parallel import (
-    fit_classifier_sharded,
-    fit_regressor_sharded,
-    memory_distances_sharded,
-    memory_query_sharded,
-    memory_query_topk_sharded,
-    predict_classifier_sharded,
-    predict_regressor_sharded,
-    score_classifier_sharded,
-)
 from .pool import WorkerPool, default_workers, resolve_workers
 
 __all__ = [
@@ -41,12 +32,4 @@ __all__ = [
     "default_workers",
     "canonical_digest",
     "resolve_workers",
-    "fit_classifier_sharded",
-    "predict_classifier_sharded",
-    "score_classifier_sharded",
-    "fit_regressor_sharded",
-    "predict_regressor_sharded",
-    "memory_distances_sharded",
-    "memory_query_sharded",
-    "memory_query_topk_sharded",
 ]

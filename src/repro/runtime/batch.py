@@ -18,9 +18,8 @@ not give on their own:
 * **one tie rule** — a tied bit of row ``i`` under the ``"random"``
   policy takes the position-keyed coin of
   :func:`~repro.hdc.ops.positional_tie_words` for ``(seed, start + i)``,
-  so a record's bits never depend on its batch, its chunk or the worker
-  count.  Chunks run on a :class:`~repro.runtime.pool.WorkerPool` with
-  **bit-identical** output, equal to
+  so a record's bits never depend on its batch or its chunk, and the
+  output is **bit-identical** to
   :func:`repro.hdc.encoders.encode_keyvalue_records` with the same
   seed;
 * **packed output** — ``packed=True`` lands the corpus directly as a
@@ -46,7 +45,6 @@ Example
 
 from __future__ import annotations
 
-import itertools
 from typing import Union
 
 import numpy as np
@@ -64,12 +62,12 @@ from ..hdc.ops import (
     positional_tie_words,
 )
 from ..hdc.packed import PackedHV, packed_width
-from .pool import WorkerPool
 
 __all__ = ["BatchEncoder"]
 
-#: Records per pool task of :meth:`BatchEncoder.encode`.  Any value is
-#: bit-identical: tie coins are keyed by row position, not by chunk.
+#: Records per chunk of :meth:`BatchEncoder.encode`: bounds the
+#: ``above``/``tied`` scratch words.  Any value is bit-identical: tie
+#: coins are keyed by row position, not by chunk.
 _CHUNK_ROWS = 256
 
 #: uint64 words per kernel block of gathered planes: the ``(k + 1, rows,
@@ -349,7 +347,6 @@ class BatchEncoder:
         seed: Union[int, None] = 0,
         start: int = 0,
         packed: bool = False,
-        pool: WorkerPool | None = None,
     ) -> Union[np.ndarray, PackedHV]:
         """Encode an ``(n, k)`` batch of records.
 
@@ -369,10 +366,6 @@ class BatchEncoder:
         packed:
             Emit a bit-packed batch (``n × ceil(d / 8)`` bytes) instead
             of an unpacked ``(n, d)`` array.  The bits are identical.
-        pool:
-            Optional :class:`~repro.runtime.pool.WorkerPool` running the
-            packed majority kernel chunk-parallel.  ``None`` runs
-            serially; every choice is bit-identical.
 
         Returns
         -------
@@ -385,11 +378,9 @@ class BatchEncoder:
         idx = self.indices(features)
         n = idx.shape[0]
         d = self.dim
-        starts = range(0, n, _CHUNK_ROWS)
-        jobs = [(idx[lo:lo + _CHUNK_ROWS], seed, start + lo) for lo in starts]
-        run = itertools.starmap if pool is None or pool.serial else pool.starmap
         out = np.empty((n, packed_width(d) if packed else d), dtype=np.uint8)
-        for lo, words in zip(starts, run(self._settled_words, jobs)):
+        for lo in range(0, n, _CHUNK_ROWS):
+            words = self._settled_words(idx[lo:lo + _CHUNK_ROWS], seed, start + lo)
             out[lo:lo + words.shape[0]] = self._emit(words, packed)
         return PackedHV(out, d) if packed else out
 

@@ -1,17 +1,17 @@
-"""Deterministic worker pools for the experiment runtime.
+"""Deterministic worker pool for independent experiment cells.
 
-Every parallel path in :mod:`repro.runtime` funnels through
-:class:`WorkerPool`, which maps a function over a task list on a thread
-or process pool and returns results **in task order** — never in
-completion order.  Determinism therefore never depends on scheduling:
-a pool with ``workers=4`` produces exactly the list that ``workers=1``
-produces, just faster.
+The table, figure and sweep drivers of :mod:`repro.experiments` fan
+their cells out through :class:`WorkerPool`, which maps a function over
+a task list on a thread pool and returns results **in task order** —
+never in completion order.  Determinism therefore never depends on
+scheduling: a pool with ``workers=4`` produces exactly the list that
+``workers=1`` produces, just faster.
 
-Thread workers are the default: the hot kernels (XOR, popcount, gather,
-integer sums) are numpy calls that release the GIL, so threads scale on
-multi-core hardware without pickling any arrays.  The ``"process"``
-backend is available for workloads dominated by Python-level code; task
-functions submitted to it must be picklable (module-level functions).
+Threads suffice: a cell's hot kernels (XOR, popcount, gather, integer
+sums, GEMM) are numpy calls that release the GIL, so cells overlap on
+multi-core hardware without pickling any arrays.  Process-level
+fan-out belongs to the ingest cluster (:mod:`repro.cluster`), which
+starts its workers with :func:`default_start_method`.
 
 Example
 -------
@@ -26,7 +26,7 @@ Example
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..exceptions import InvalidParameterError
@@ -41,17 +41,9 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-_BACKENDS = ("thread", "process")
-
 #: Environment variable overriding the default worker count (see
 #: :func:`default_workers`).
 _ENV_WORKERS = "REPRO_WORKERS"
-
-
-def _star_apply(fn_args: tuple[Callable[..., R], tuple]) -> R:
-    """Unpack ``(fn, args)`` — module-level so the process backend can pickle it."""
-    fn, args = fn_args
-    return fn(*args)
 
 
 def default_start_method() -> str:
@@ -82,11 +74,11 @@ def resolve_workers(workers: int | None) -> int:
     >>> resolve_workers(None) >= 1
     True
     """
-    if workers is None or workers == 0:
-        return os.cpu_count() or 1
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 0:
+    if workers is not None and (
+        not isinstance(workers, int) or isinstance(workers, bool) or workers < 0
+    ):
         raise InvalidParameterError(f"workers must be a non-negative integer, got {workers!r}")
-    return workers
+    return workers or os.cpu_count() or 1
 
 
 def default_workers(workers: int | None = None) -> int:
@@ -121,7 +113,7 @@ def default_workers(workers: int | None = None) -> int:
 
 
 class WorkerPool:
-    """Ordered map over a thread/process pool (or inline when serial).
+    """Ordered map over a thread pool (or inline when serial).
 
     Parameters
     ----------
@@ -131,9 +123,6 @@ class WorkerPool:
         which is also the reference behaviour parallel runs must
         reproduce bit-for-bit.  ``None``/``0`` auto-sizes to the CPU
         count.
-    backend:
-        ``"thread"`` (default; zero-copy, GIL released by the numpy
-        kernels) or ``"process"`` (picklable tasks only).
 
     The pool is a context manager; it may also be used without ``with``,
     in which case each :meth:`map` call tears its executor down before
@@ -146,14 +135,9 @@ class WorkerPool:
     [8, 9]
     """
 
-    def __init__(self, workers: int | None = 1, backend: str = "thread") -> None:
-        if backend not in _BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
+    def __init__(self, workers: int | None = 1) -> None:
         self.workers = resolve_workers(workers)
-        self.backend = backend
-        self._executor: Executor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._entered = False
 
     @property
@@ -162,9 +146,7 @@ class WorkerPool:
         return self.workers <= 1
 
     # -- lifecycle -------------------------------------------------------------
-    def _make_executor(self) -> Executor:
-        if self.backend == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
+    def _make_executor(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(max_workers=self.workers)
 
     def __enter__(self) -> "WorkerPool":
@@ -201,7 +183,7 @@ class WorkerPool:
 
     def starmap(self, fn: Callable[..., R], tasks: Iterable[tuple]) -> list[R]:
         """Like :meth:`map` but unpacks each task tuple into arguments."""
-        return self.map(_star_apply, [(fn, tuple(args)) for args in tasks])
+        return self.map(lambda args: fn(*args), tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"WorkerPool(workers={self.workers}, backend={self.backend!r})"
+        return f"WorkerPool(workers={self.workers})"

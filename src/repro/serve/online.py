@@ -163,8 +163,7 @@ class OnlineLearner:
         disjoint traffic and fold their statistics into one model in any
         order.  Returns ``self``.  Dispatch lives in
         :func:`repro.learning.merge.absorb_delta` — the same entry point
-        the sharded runtime helpers and the ingest cluster merge
-        through.
+        the ingest cluster merges through.
         """
         from ..learning.merge import absorb_delta
 

@@ -1,7 +1,7 @@
 """Streaming out-of-core pipeline: the one chunked reducer for training.
 
-Every training path in the repository — batch experiment cells, sharded
-parallel fits, online serving updates — reduces to the same computation:
+Every training path in the repository — batch experiment cells, cluster
+ingest, online serving updates — reduces to the same computation:
 *encode a slab of records, accumulate integer bundle counts, merge*.
 This package is that computation's single implementation:
 
@@ -26,7 +26,7 @@ This package is that computation's single implementation:
   ``train --stream`` CLI, with atomic checkpoints.
 
 The models' ``partial_fit`` / ``shard_counts`` / ``absorb_counts``
-methods, the :mod:`repro.runtime.parallel` sharded helpers and
+methods, the :mod:`repro.cluster` workers and
 :class:`repro.serve.OnlineLearner` are all thin wrappers over these
 pieces — see ``docs/STREAMING.md`` for the protocol, the memory model
 and the checkpoint format.

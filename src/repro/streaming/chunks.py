@@ -142,9 +142,9 @@ class ChunkSource(Protocol):
 def iter_slices(total: int, size: int) -> list[tuple[int, int]]:
     """Contiguous ``(start, stop)`` bounds covering ``range(total)``.
 
-    The one chunk-partitioning rule every layer shares (the batch
-    encoder, the sharded runtime helpers and the streaming sources all
-    slice with this), so partitions can never drift apart.
+    The one chunk-partitioning rule every layer shares (the in-memory
+    chunk views and the streaming sources all slice with this), so
+    partitions can never drift apart.
 
     >>> iter_slices(7, 3)
     [(0, 3), (3, 6), (6, 7)]

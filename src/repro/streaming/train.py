@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -42,7 +42,6 @@ from ..learning.classifier import CentroidClassifier
 from ..learning.metrics import mean_squared_error
 from ..learning.regression import HDRegressor
 from ..runtime.batch import BatchEncoder
-from ..runtime.pool import WorkerPool
 from .chunks import Chunk, ChunkSource, default_chunk_rows, skip_chunks
 from .reduce import StreamStats, encode_reduce
 from .sources import JigsawsStream, MarsExpressStream
@@ -92,28 +91,17 @@ class RecordEncode:
     Wraps :meth:`~repro.runtime.batch.BatchEncoder.encode` with the
     chunk's absolute ``start`` as the tie-coin position key, so the
     encode of any row is independent of chunking, process, and worker
-    count.  Being a plain dataclass (not a closure) it pickles into cluster worker
-    processes; the thread ``pool`` is a per-process resource and is
-    deliberately dropped on pickle — workers encode serially, which is
-    bit-identical.
+    count.  Being a plain dataclass (not a closure) it pickles into
+    cluster worker processes.
     """
 
     encoder: BatchEncoder
     seed: Union[int, None] = 0
-    pool: WorkerPool | None = field(default=None, compare=False)
 
     def __call__(self, chunk: Chunk):
         return self.encoder.encode(
-            chunk.features, seed=self.seed, start=chunk.start, packed=True, pool=self.pool
+            chunk.features, seed=self.seed, start=chunk.start, packed=True
         )
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["pool"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 @dataclass
@@ -139,7 +127,6 @@ def stream_fit_classifier(
     encoder: BatchEncoder,
     source: ChunkSource,
     seed: Union[int, None] = 0,
-    pool: WorkerPool | None = None,
     on_chunk: Callable[[StreamStats], None] | None = None,
     stats: StreamStats | None = None,
 ) -> StreamStats:
@@ -149,7 +136,7 @@ def stream_fit_classifier(
     (position-keyed ties under ``seed``) and reduced straight into the
     classifier's accumulators — **bit-identical to a monolithic**
     ``classifier.fit(encoder.encode(all_features, seed=seed), labels)``
-    for every chunk size and worker count.  ``stats`` pre-seeds the
+    for every chunk size.  ``stats`` pre-seeds the
     accounting for resumed passes.
 
     >>> import numpy as np
@@ -167,7 +154,7 @@ def stream_fit_classifier(
     return encode_reduce(
         classifier,
         source,
-        RecordEncode(encoder, seed, pool),
+        RecordEncode(encoder, seed),
         on_chunk=on_chunk,
         stats=stats,
     )
@@ -211,7 +198,6 @@ def stream_score_classifier(
     encoder: BatchEncoder,
     source: ChunkSource,
     seed: Union[int, None] = 0,
-    pool: WorkerPool | None = None,
     backend: str | None = None,
 ) -> float:
     """Accuracy over a labelled chunk stream, never materialising it.
@@ -225,7 +211,7 @@ def stream_score_classifier(
     """
     correct = 0
     total = 0
-    encode = RecordEncode(encoder, seed, pool)
+    encode = RecordEncode(encoder, seed)
     for chunk in source:
         if chunk.targets is None:
             raise InvalidParameterError("scoring needs labelled chunks")
@@ -404,7 +390,6 @@ def train_pipeline_stream(
     config=None,
     stream_samples: int | None = None,
     chunk_size: int | None = None,
-    workers: int = 1,
     checkpoint: Union[str, os.PathLike, None] = None,
     checkpoint_every: int = 8,
     cluster_workers: Union[int, None] = None,
@@ -442,9 +427,6 @@ def train_pipeline_stream(
         through :func:`~repro.streaming.chunks.default_chunk_rows`
         (``REPRO_CHUNK_ROWS`` env, then 1024); the streamed result is
         bit-identical for any value.
-    workers:
-        Worker threads for the per-chunk encode count phase
-        (bit-identical for any value).
     cluster_workers:
         Worker *processes* for distributed ingest.  ``None`` or ``1``
         trains in-process; ``> 1`` shards the stream across a
@@ -514,7 +496,6 @@ def train_pipeline_stream(
     from ..cluster import ClusterCoordinator, default_cluster_workers
 
     cluster_workers = default_cluster_workers(cluster_workers)
-    config_echo = None  # filled per task below
     if task == "mars_express":
         config = config or RegressionConfig()
         if not isinstance(config, RegressionConfig):
@@ -527,8 +508,7 @@ def train_pipeline_stream(
             num_samples=stream_samples or 2500,
             seed=np.random.SeedSequence(int(data_rng.integers(0, 2**63))),
         )
-        test_stream = train_stream.with_part("test")
-        anomaly_embedding = _feature_embedding(
+        embedding = _feature_embedding(
             basis_kind, config.anomaly_levels, TWO_PI, config, anomaly_rng
         )
         low, high = train_stream.label_range()
@@ -539,91 +519,8 @@ def train_pipeline_stream(
         model = HDRegressor(
             label_embedding, seed=tie_rng, decode=config.decode, model=config.model
         )
-        pipeline = TrainedPipeline(
-            kind="regression",
-            model=model,
-            embedding=anomaly_embedding,
-            keys=None,
-            tie_break="zeros",
-            metadata={"task": task, "basis_kind": basis_kind, "dim": config.dim,
-                      "seed": config.seed},
-        )
-        config_echo = {"task": task, "basis_kind": basis_kind, "dim": config.dim,
-                       "seed": config.seed, "stream_samples": stream_samples}
-        stats = StreamStats()
-        ingest_source: ChunkSource = train_stream
-        if input_path is not None:
-            from .files import file_chunk_source
-
-            ingest_source = file_chunk_source(input_path, chunk_size=chunk_size)
-        train_source: ChunkSource = ingest_source
-        per_worker_resume = None
-        if resume:
-            pipeline, cursor = _load_resume_state(checkpoint, config_echo, chunk_size)
-            model = pipeline.model
-            _restore_model_rng(model, cursor)
-            stats = StreamStats(chunks=int(cursor["chunks"]), rows=int(cursor["rows"]))
-            train_source = skip_chunks(ingest_source, stats.chunks)
-            per_worker_resume = cursor["per_worker"]
-        if cluster_workers > 1:
-            coordinator = ClusterCoordinator(
-                model,
-                ingest_source,
-                ValueEncode(anomaly_embedding),
-                workers=cluster_workers,
-                hook=cluster_hook,
-            )
-
-            def cursor_fn(current: StreamStats) -> dict:
-                return _build_cursor(
-                    "cluster", current, chunk_size, coordinator.workers,
-                    coordinator.per_worker_cursor(), model, config_echo,
-                )
-
-            hook = _compose_hooks(
-                checkpointer(pipeline, checkpoint, checkpoint_every, cursor=cursor_fn)
-                if checkpoint is not None
-                else None,
-                on_chunk,
-            )
-            stats = coordinator.run(
-                on_chunk=hook,
-                start=stats.chunks,
-                per_worker=per_worker_resume,
-                stats=stats,
-            )
-        else:
-
-            def cursor_fn(current: StreamStats) -> dict:
-                return _build_cursor(
-                    "stream", current, chunk_size, 1,
-                    {"0": current.chunks}, model, config_echo,
-                )
-
-            hook = _compose_hooks(
-                checkpointer(pipeline, checkpoint, checkpoint_every, cursor=cursor_fn)
-                if checkpoint is not None
-                else None,
-                on_chunk,
-            )
-            stats = stream_fit_regressor(
-                model, anomaly_embedding, train_source, on_chunk=hook, stats=stats,
-            )
-        # Count the held-out rows on the scoring pass itself — a second
-        # pass over the stream would regenerate all the telemetry.
-        counted = _CountingSource(test_stream)
-        mse = stream_score_regressor(model, anomaly_embedding, counted)
-        num_test = counted.rows
-        stream_meta = {"chunk_size": chunk_size, "chunks": stats.chunks,
-                       "entropy": train_stream.entropy}
-        if input_path is not None:
-            stream_meta["input"] = str(input_path)
-        pipeline.metadata.update(
-            num_train=stats.rows,
-            num_test=num_test,
-            test_mse=float(mse),
-            stream=stream_meta,
-        )
+        kind, keys = "regression", None
+        encode = ValueEncode(embedding)
     else:
         config = config or ClassificationConfig()
         if not isinstance(config, ClassificationConfig):
@@ -640,101 +537,88 @@ def train_pipeline_stream(
             seed=np.random.SeedSequence(int(data_rng.integers(0, 2**63))),
             samples_per_gesture=per_gesture,
         )
-        test_stream = train_stream.with_part("test")
         low, high = train_stream.meta["feature_range"]
         embedding = _value_embedding(basis_kind, config, basis_rng, low=low, high=high)
         keys = random_hypervectors(train_stream.num_features, config.dim, seed=key_rng)
         # Serve-time policy end to end: "zeros" ties, so the streamed
         # encode equals the serving engine's encode bit for bit.
         encoder = BatchEncoder(keys, embedding, tie_break="zeros")
-        classifier = CentroidClassifier(config.dim, seed=tie_rng)
-        pipeline = TrainedPipeline(
-            kind="classification",
-            model=classifier,
-            embedding=embedding,
-            keys=keys,
-            tie_break="zeros",
-            metadata={"task": task, "basis_kind": basis_kind, "dim": config.dim,
-                      "seed": config.seed},
+        model = CentroidClassifier(config.dim, seed=tie_rng)
+        kind = "classification"
+        encode = RecordEncode(encoder, seed=0)
+    test_stream = train_stream.with_part("test")
+    pipeline = TrainedPipeline(
+        kind=kind,
+        model=model,
+        embedding=embedding,
+        keys=keys,
+        tie_break="zeros",
+        metadata={"task": task, "basis_kind": basis_kind, "dim": config.dim,
+                  "seed": config.seed},
+    )
+    config_echo = {"task": task, "basis_kind": basis_kind, "dim": config.dim,
+                   "seed": config.seed, "stream_samples": stream_samples}
+    stats = StreamStats()
+    ingest_source: ChunkSource = train_stream
+    if input_path is not None:
+        from .files import file_chunk_source
+
+        ingest_source = file_chunk_source(input_path, chunk_size=chunk_size)
+    train_source: ChunkSource = ingest_source
+    per_worker_resume = None
+    if resume:
+        pipeline, cursor = _load_resume_state(checkpoint, config_echo, chunk_size)
+        model = pipeline.model
+        _restore_model_rng(model, cursor)
+        stats = StreamStats(chunks=int(cursor["chunks"]), rows=int(cursor["rows"]))
+        train_source = skip_chunks(ingest_source, stats.chunks)
+        per_worker_resume = cursor["per_worker"]
+    coordinator = None
+    if cluster_workers > 1:
+        coordinator = ClusterCoordinator(
+            model, ingest_source, encode, workers=cluster_workers, hook=cluster_hook
         )
-        config_echo = {"task": task, "basis_kind": basis_kind, "dim": config.dim,
-                       "seed": config.seed, "stream_samples": stream_samples}
-        stats = StreamStats()
-        ingest_source = train_stream
-        if input_path is not None:
-            from .files import file_chunk_source
 
-            ingest_source = file_chunk_source(input_path, chunk_size=chunk_size)
-        train_source = ingest_source
-        per_worker_resume = None
-        if resume:
-            pipeline, cursor = _load_resume_state(checkpoint, config_echo, chunk_size)
-            classifier = pipeline.model
-            _restore_model_rng(classifier, cursor)
-            stats = StreamStats(chunks=int(cursor["chunks"]), rows=int(cursor["rows"]))
-            train_source = skip_chunks(ingest_source, stats.chunks)
-            per_worker_resume = cursor["per_worker"]
-        with WorkerPool(workers=workers) as pool:
-            if cluster_workers > 1:
-                coordinator = ClusterCoordinator(
-                    classifier,
-                    ingest_source,
-                    RecordEncode(encoder, seed=0),
-                    workers=cluster_workers,
-                    hook=cluster_hook,
-                )
-
-                def cursor_fn(current: StreamStats) -> dict:
-                    return _build_cursor(
-                        "cluster", current, chunk_size, coordinator.workers,
-                        coordinator.per_worker_cursor(), classifier, config_echo,
-                    )
-
-                hook = _compose_hooks(
-                    checkpointer(
-                        pipeline, checkpoint, checkpoint_every, cursor=cursor_fn
-                    )
-                    if checkpoint is not None
-                    else None,
-                    on_chunk,
-                )
-                stats = coordinator.run(
-                    on_chunk=hook,
-                    start=stats.chunks,
-                    per_worker=per_worker_resume,
-                    stats=stats,
-                )
-            else:
-
-                def cursor_fn(current: StreamStats) -> dict:
-                    return _build_cursor(
-                        "stream", current, chunk_size, 1,
-                        {"0": current.chunks}, classifier, config_echo,
-                    )
-
-                hook = _compose_hooks(
-                    checkpointer(
-                        pipeline, checkpoint, checkpoint_every, cursor=cursor_fn
-                    )
-                    if checkpoint is not None
-                    else None,
-                    on_chunk,
-                )
-                stats = stream_fit_classifier(
-                    classifier, encoder, train_source, pool=pool,
-                    on_chunk=hook, stats=stats,
-                )
-            acc = stream_score_classifier(classifier, encoder, test_stream, pool=pool)
-        stream_meta = {"chunk_size": chunk_size, "chunks": stats.chunks,
-                       "entropy": train_stream.entropy}
-        if input_path is not None:
-            stream_meta["input"] = str(input_path)
-        pipeline.metadata.update(
-            num_train=stats.rows,
-            num_test=test_stream.num_rows,
-            test_accuracy=float(acc),
-            stream=stream_meta,
+    def cursor_fn(current: StreamStats) -> dict:
+        if coordinator is None:
+            return _build_cursor(
+                "stream", current, chunk_size, 1,
+                {"0": current.chunks}, model, config_echo,
+            )
+        return _build_cursor(
+            "cluster", current, chunk_size, coordinator.workers,
+            coordinator.per_worker_cursor(), model, config_echo,
         )
+
+    hook = _compose_hooks(
+        checkpointer(pipeline, checkpoint, checkpoint_every, cursor=cursor_fn)
+        if checkpoint is not None
+        else None,
+        on_chunk,
+    )
+    if coordinator is None:
+        stats = encode_reduce(model, train_source, encode, on_chunk=hook, stats=stats)
+    else:
+        stats = coordinator.run(
+            on_chunk=hook,
+            start=stats.chunks,
+            per_worker=per_worker_resume,
+            stats=stats,
+        )
+    stream_meta = {"chunk_size": chunk_size, "chunks": stats.chunks,
+                   "entropy": train_stream.entropy}
+    if input_path is not None:
+        stream_meta["input"] = str(input_path)
+    if kind == "regression":
+        # Count the held-out rows on the scoring pass itself — a second
+        # pass over the stream would regenerate all the telemetry.
+        counted = _CountingSource(test_stream)
+        mse = stream_score_regressor(model, embedding, counted)
+        metric = {"num_test": counted.rows, "test_mse": float(mse)}
+    else:
+        acc = stream_score_classifier(model, encoder, test_stream)
+        metric = {"num_test": test_stream.num_rows, "test_accuracy": float(acc)}
+    pipeline.metadata.update(num_train=stats.rows, **metric, stream=stream_meta)
     if checkpoint is not None:
         save_model(pipeline, checkpoint, cursor=cursor_fn(stats))
     return pipeline, stats

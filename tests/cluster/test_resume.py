@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import InvalidParameterError, ModelFormatError
-from repro.experiments.config import ClassificationConfig
+from repro.experiments.config import ClassificationConfig, RegressionConfig
 from repro.serve import load_checkpoint, save_model
 from repro.streaming import CURSOR_VERSION, train_pipeline_stream
 
@@ -105,6 +105,61 @@ class TestCursorRoundTrip:
             "suturing", "circular", config=config(), checkpoint=resumed,
             resume=True, cluster_workers=3, **CFG,  # cluster finishes it
         )
+        assert model_fingerprint(baseline) == model_fingerprint(resumed)
+
+
+def task_config(task):
+    if task == "mars_express":
+        return RegressionConfig(dim=128, seed=11)
+    return config()
+
+
+class TestBothTaskKinds:
+    """Gesture and Mars Express runs share one ingest tail: cluster or
+    in-process, checkpoint cursor, then the ``on_chunk`` hook."""
+
+    @pytest.mark.parametrize("task", ["suturing", "mars_express"])
+    def test_cluster_matches_in_process(self, tmp_path, task):
+        runs = {}
+        for workers in (None, 2):
+            seen = []
+            path = tmp_path / f"{task}-{workers}.npz"
+            pipe, stats = train_pipeline_stream(
+                task, "circular", config=task_config(task), checkpoint=path,
+                cluster_workers=workers,
+                on_chunk=lambda s, seen=seen: seen.append((s.chunks, s.rows)),
+                **CFG,
+            )
+            assert seen[-1] == (stats.chunks, stats.rows)
+            _, cursor = load_checkpoint(path)
+            assert cursor["kind"] == ("stream" if workers is None else "cluster")
+            runs[workers] = (seen, pipe.metadata, model_fingerprint(path))
+        assert runs[None] == runs[2]
+
+    @pytest.mark.parametrize("cluster_workers", [None, 3])
+    def test_regression_resume_matches_uninterrupted(self, tmp_path, cluster_workers):
+        cfg = task_config("mars_express")
+        baseline = tmp_path / "baseline.npz"
+        full, _ = train_pipeline_stream(
+            "mars_express", "circular", config=cfg, checkpoint=baseline, **CFG
+        )
+
+        def bomb(stats):
+            if stats.chunks == 5:
+                raise Interrupt
+
+        resumed = tmp_path / "resumed.npz"
+        with pytest.raises(Interrupt):
+            train_pipeline_stream(
+                "mars_express", "circular", config=cfg, checkpoint=resumed,
+                on_chunk=bomb, cluster_workers=cluster_workers, **CFG,
+            )
+        pipe, stats = train_pipeline_stream(
+            "mars_express", "circular", config=cfg, checkpoint=resumed,
+            resume=True, cluster_workers=cluster_workers, **CFG,
+        )
+        assert pipe.kind == "regression"
+        assert stats.rows == full.metadata["num_train"]
         assert model_fingerprint(baseline) == model_fingerprint(resumed)
 
 

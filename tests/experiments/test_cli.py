@@ -152,9 +152,11 @@ class TestCLISubprocess:
         assert "--workers must be >= 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("target", ["serve", "serve-http"])
-    def test_workers_on_serving_targets_is_a_usage_error(self, target, tmp_path):
+    @pytest.mark.parametrize("target", ["serve", "serve-http", "train"])
+    def test_workers_on_non_cell_targets_is_a_usage_error(self, target, tmp_path):
         proc = _run_cli([target, "--model", "m=missing.npz", "--workers", "2"], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert f"--workers has no effect on {target}" in proc.stderr
+        if target == "train":
+            assert "use --stream --cluster-workers N" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,10 +1,9 @@
 """Runtime integration: parallel drivers are bit-identical and cached.
 
-These tests pin the two load-bearing guarantees of the PR-2 runtime:
+These tests pin the two load-bearing guarantees of the runtime:
 
 * ``run_table1`` / ``run_table2`` / ``run_rsweep`` with ``workers > 1``
-  (thread or process backend) return exactly what the serial run
-  returns, and
+  return exactly what the serial run returns, and
 * a second invocation with an identical configuration is served from
   the :class:`~repro.runtime.artifacts.ArtifactStore` without
   recomputation.
@@ -19,13 +18,11 @@ from repro.experiments import (
     ClassificationConfig,
     RegressionConfig,
     RSweepResult,
-    run_classification,
-    run_regression,
     run_rsweep,
     run_table1,
     run_table2,
 )
-from repro.runtime import ArtifactStore, WorkerPool
+from repro.runtime import ArtifactStore
 
 DIM = 256
 C_CONFIG = ClassificationConfig(dim=DIM, seed=13)
@@ -38,11 +35,6 @@ class TestParallelBitIdentical:
         serial = run_table1(C_CONFIG)
         assert run_table1(C_CONFIG, workers=4) == serial
 
-    def test_table1_process_backend(self):
-        serial = run_table1(C_CONFIG, tasks=("suturing",))
-        assert run_table1(C_CONFIG, tasks=("suturing",), workers=2,
-                          backend="process") == serial
-
     def test_table2_workers(self):
         serial = run_table2(R_CONFIG)
         assert run_table2(R_CONFIG, workers=4) == serial
@@ -53,20 +45,6 @@ class TestParallelBitIdentical:
         parallel = run_rsweep(R_VALUES, classification_config=C_CONFIG,
                               regression_config=R_CONFIG, workers=4)
         assert serial == parallel
-
-    def test_cell_with_pool_matches_serial(self):
-        serial = run_classification("knot_tying", "circular", config=C_CONFIG)
-        with WorkerPool(workers=4) as pool:
-            sharded = run_classification("knot_tying", "circular",
-                                         config=C_CONFIG, pool=pool)
-        assert serial.accuracy == sharded.accuracy
-
-    def test_regression_cell_with_pool_matches_serial(self):
-        serial = run_regression("mars_express", "circular", config=R_CONFIG)
-        with WorkerPool(workers=4) as pool:
-            sharded = run_regression("mars_express", "circular",
-                                     config=R_CONFIG, pool=pool)
-        assert serial.mse == sharded.mse
 
 
 class TestArtifactCaching:

@@ -25,7 +25,7 @@ from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ingest import ingest_chunk
 from repro.learning import CentroidClassifier, HDRegressor
 from repro.learning.merge import shard_delta
-from repro.runtime import BatchEncoder, WorkerPool
+from repro.runtime import BatchEncoder
 from repro.serve import save_model
 from repro.streaming import (
     JigsawsStream,
@@ -168,16 +168,6 @@ class TestClassifierBitIdentity:
         got = CentroidClassifier(DIM, tie_break="zeros", seed=5)
         stream_fit_classifier(got, encoder, stream, seed=9)
         assert_same_classifier(ref, got, tmp_path, f"encoder-rows-{encoder_rows}")
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_pool_invariance(self, workers, tmp_path):
-        stream, encoder = _cell("random", 37)
-        serial = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        stream_fit_classifier(serial, encoder, stream, seed=4)
-        pooled = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        with WorkerPool(workers=workers) as pool:
-            stream_fit_classifier(pooled, encoder, stream, seed=4, pool=pool)
-        assert_same_classifier(serial, pooled, tmp_path, f"workers-{workers}")
 
     def test_unpacked_encode_equals_streamed(self, tmp_path):
         """Packed and unpacked encoded chunks land the same integers."""

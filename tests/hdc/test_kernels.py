@@ -35,7 +35,6 @@ from repro.hdc.kernels import (
     use_gemm,
 )
 from repro.hdc.packed import packed_pairwise_hamming
-from repro.runtime import WorkerPool, memory_query_topk_sharded
 
 #: Dimensions chosen to cross the packed tail-mask edge (multiples of 8,
 #: every residue mod 8, and the degenerate d=1) and the ``uint64``
@@ -316,34 +315,32 @@ class TestItemMemoryTopK:
         assert isinstance(hits, list) and len(hits) == 3
         assert isinstance(hits[0], tuple)
 
-    @pytest.mark.parametrize("workers", (1, 2, 3, 5))
-    def test_sharded_topk_bit_identical(self, workers):
+    @pytest.mark.parametrize("chunk", (1, 2, 3, 5))
+    def test_query_topk_over_query_slices(self, chunk):
+        # A query's ranking never depends on the batch it arrives in.
         mem = self.memory(n=23, seed=61)
-        q = np.random.default_rng(67).integers(0, 2, (4, 65), dtype=np.uint8)
-        serial = mem.query_topk(q, 6)
-        with WorkerPool(workers=workers) as pool:
-            for backend in BACKENDS:
-                assert memory_query_topk_sharded(
-                    mem, q, 6, pool, backend=backend
-                ) == serial
+        q = np.random.default_rng(67).integers(0, 2, (5, 65), dtype=np.uint8)
+        for backend in BACKENDS:
+            whole = mem.query_topk(q, 6, backend=backend)
+            parts = [
+                hits
+                for lo in range(0, len(q), chunk)
+                for hits in mem.query_topk(q[lo:lo + chunk], 6, backend=backend)
+            ]
+            assert parts == whole, backend
 
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_sharded_topk_tie_break_across_shard_boundaries(self, workers):
-        # Identical rows stored under different keys land in different
-        # shards; the merged ranking must still follow insertion order.
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_query_topk_ties_follow_insertion_order(self, backend):
         d = 48
         row = np.random.default_rng(71).integers(0, 2, d, dtype=np.uint8)
         mem = ItemMemory(dim=d)
         for i in range(9):
             mem.add(i, row)
-        serial = mem.query_topk(row, 5)
-        assert [key for key, _ in serial] == [0, 1, 2, 3, 4]
-        with WorkerPool(workers=workers) as pool:
-            assert memory_query_topk_sharded(mem, row, 5, pool) == serial
+        hits = mem.query_topk(row, 5, backend=backend)
+        assert [key for key, _ in hits] == [0, 1, 2, 3, 4]
 
-    def test_sharded_topk_k_too_large_rejected(self):
+    def test_query_topk_k_too_large_rejected(self):
         mem = self.memory(n=4, seed=73)
         q = np.zeros(65, dtype=np.uint8)
-        with WorkerPool(workers=2) as pool:
-            with pytest.raises(InvalidParameterError):
-                memory_query_topk_sharded(mem, q, 5, pool)
+        with pytest.raises(InvalidParameterError):
+            mem.query_topk(q, 5)

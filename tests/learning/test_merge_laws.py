@@ -3,8 +3,8 @@
 Bundle accumulators are integer count vectors and model deltas are
 (dicts of) accumulators, so merging is elementwise addition — a
 state-based CRDT.  These property tests pin the laws every consumer
-(``partial_fit``, the sharded runtime helpers,
-:class:`~repro.serve.OnlineLearner`, the ingest cluster) relies on:
+(``partial_fit``, :class:`~repro.serve.OnlineLearner`, the ingest
+cluster) relies on:
 commutativity, associativity, and shard-merge == monolithic, across
 packed/unpacked representations and every basis family.
 """

@@ -13,9 +13,8 @@ from repro.exceptions import (
 )
 from repro.hdc import BundleAccumulator, random_hypervectors
 from repro.learning import HDRegressor
-from repro.runtime.parallel import predict_regressor_sharded
-from repro.runtime.pool import WorkerPool
 from repro.serve import OnlineLearner, TrainedPipeline, load_model, save_model
+from repro.streaming import iter_slices
 
 DIM = 4096
 
@@ -172,7 +171,7 @@ class TestIntegerScoringTable:
         assert np.array_equal(after, _rebuilt(model).predict(queries))
         assert not np.array_equal(after, before)  # the mutation moved the answers
 
-    def test_batch_row_and_sharded_bytes_agree_above_float32_range(self):
+    def test_batch_row_and_chunk_bytes_agree_above_float32_range(self):
         """Reproducer: with ``Σ_d |total − 2·counts_d| ≥ 2**24`` the float32
         GEMM rounded differently per batch shape, so a query's answer
         depended on the batch it arrived in."""
@@ -190,9 +189,8 @@ class TestIntegerScoringTable:
         queries = rng.integers(0, 2, (64, d)).astype(np.uint8)
         batched = model.predict(queries)
         per_row = np.concatenate([model.predict(q[None, :]) for q in queries])
-        with WorkerPool(workers=2) as pool:
-            sharded = predict_regressor_sharded(model, queries, pool, chunk_size=7)
-        assert batched.tobytes() == per_row.tobytes() == sharded.tobytes()
+        chunked = np.concatenate([model.predict(queries[a:b]) for a, b in iter_slices(64, 7)])
+        assert batched.tobytes() == per_row.tobytes() == chunked.tobytes()
 
     def test_partial_fit_drops_table(self, emb, data):
         x, y, queries = data

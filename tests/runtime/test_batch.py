@@ -11,7 +11,7 @@ from repro.hdc.encoders import encode_keyvalue_records
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ops import resolve_majority
 from repro.hdc.packed import is_packed
-from repro.runtime import BatchEncoder, WorkerPool
+from repro.runtime import BatchEncoder
 
 DIM = 512
 CHANNELS = 6
@@ -78,12 +78,11 @@ class TestEquivalence:
         assert is_packed(packed)
         assert np.array_equal(unpacked, packed.unpack())
 
-    def test_parallel_bit_identical(self, encoder, features):
-        serial = encoder.encode(features, seed=9)
-        for workers in (2, 4):
-            with WorkerPool(workers=workers) as pool:
-                par = encoder.encode(features, seed=9, pool=pool)
-            assert np.array_equal(serial, par)
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 299, 4096])
+    def test_chunk_rows_invariance(self, encoder, features, chunk_rows, monkeypatch):
+        whole = encoder.encode(features, seed=9)
+        monkeypatch.setattr("repro.runtime.batch._CHUNK_ROWS", chunk_rows)
+        assert np.array_equal(whole, encoder.encode(features, seed=9))
 
     def test_circular_embedding(self, features):
         basis = CircularBasis(LEVELS, DIM, r=0.1, seed=3)
@@ -129,12 +128,6 @@ KERNEL_CHUNK = 5
 POLICIES = ("zeros", "ones", "alternate", "random")
 
 
-@pytest.fixture(scope="module")
-def thread_pool():
-    with WorkerPool(workers=2) as pool:
-        yield pool
-
-
 def _reference_bits(enc: BatchEncoder, idx: np.ndarray, seed, start: int = 0) -> np.ndarray:
     """Byte-count reference: ``chunk_counts`` + ``resolve_majority``."""
     out = np.empty((idx.shape[0], enc.dim), dtype=np.uint8)
@@ -174,7 +167,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("k", [1, 2, 3, 17, 18, 33])
     @pytest.mark.parametrize("d", [1, 7, 63, 64, 65, 301])
-    def test_encode_matches_references(self, policy, k, d, thread_pool):
+    def test_encode_matches_references(self, policy, k, d):
         basis = LevelBasis(4, d, seed=k)
         keys = random_hypervectors(k, d, seed=d)
         enc = BatchEncoder(keys, basis.linear_embedding(0.0, 1.0), tie_break=policy)
@@ -188,14 +181,13 @@ class TestPackedKernel:
                 chunk_size=KERNEL_CHUNK, packed=True,
             )
             assert np.array_equal(per_call.data, expected)
-            for pool in (None, thread_pool):
-                packed = enc.encode(features, seed=11, packed=True, pool=pool)
-                assert packed.data.shape == (n, width)
-                assert np.array_equal(packed.data, expected), (n, pool)
-                if d % 8 and n:
-                    assert not (packed.data[:, -1] & ((1 << (8 - d % 8)) - 1)).any()
-                unpacked = enc.encode(features, seed=11, packed=False, pool=pool)
-                assert np.array_equal(np.packbits(unpacked, axis=-1), expected)
+            packed = enc.encode(features, seed=11, packed=True)
+            assert packed.data.shape == (n, width)
+            assert np.array_equal(packed.data, expected), n
+            if d % 8 and n:
+                assert not (packed.data[:, -1] & ((1 << (8 - d % 8)) - 1)).any()
+            unpacked = enc.encode(features, seed=11, packed=False)
+            assert np.array_equal(np.packbits(unpacked, axis=-1), expected)
 
 
 SPLITS = [(0, 1, 2, 200), (0, 256, 257, 200), (0, 7, 100, 199, 200), (0, 200)]
@@ -206,7 +198,7 @@ class TestOneTieRule:
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("k", [17, 18])
-    def test_any_split_pool_and_reference_agree(self, policy, k, thread_pool):
+    def test_any_split_and_reference_agree(self, policy, k):
         d = 130
         basis = LevelBasis(6, d, seed=k)
         keys = random_hypervectors(k, d, seed=3)
@@ -224,9 +216,8 @@ class TestOneTieRule:
             ).data,
         )
         for cuts in SPLITS:
-            for pool in (None, thread_pool):
-                parts = [
-                    enc.encode(x[a:b], seed=77, start=a, packed=True, pool=pool).data
-                    for a, b in zip(cuts, cuts[1:])
-                ]
-                assert np.array_equal(np.concatenate(parts), whole.data), (cuts, pool)
+            parts = [
+                enc.encode(x[a:b], seed=77, start=a, packed=True).data
+                for a, b in zip(cuts, cuts[1:])
+            ]
+            assert np.array_equal(np.concatenate(parts), whole.data), cuts

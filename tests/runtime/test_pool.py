@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import CalibrationError, InvalidParameterError
 from repro.runtime import WorkerPool, resolve_workers
-from repro.runtime.pool import _star_apply, default_start_method, default_workers
+from repro.runtime.pool import default_start_method, default_workers
 
 
 def _square(x: int) -> int:
@@ -30,6 +30,13 @@ class TestResolveWorkers:
             resolve_workers(-1)
         with pytest.raises(InvalidParameterError):
             resolve_workers(2.5)  # type: ignore[arg-type]
+        # Reproducer: False == 0 matched the "one per CPU" case before
+        # bools were rejected, so False fanned out to every CPU.
+        for flag in (False, True):
+            with pytest.raises(InvalidParameterError):
+                resolve_workers(flag)
+            with pytest.raises(InvalidParameterError):
+                WorkerPool(workers=flag)
 
 
 def test_default_workers_resolution(monkeypatch):
@@ -66,11 +73,6 @@ class TestWorkerPool:
         with WorkerPool(workers=2) as pool:
             assert pool.starmap(_add, [(1, 2), (3, 4)]) == [3, 7]
 
-    def test_process_backend(self):
-        with WorkerPool(workers=2, backend="process") as pool:
-            assert pool.map(_square, [2, 3]) == [4, 9]
-            assert pool.starmap(_add, [(1, 2), (5, 5)]) == [3, 10]
-
     def test_exceptions_propagate(self):
         def boom(x: int) -> int:
             raise ValueError("boom")
@@ -78,13 +80,6 @@ class TestWorkerPool:
         with WorkerPool(workers=2) as pool:
             with pytest.raises(ValueError, match="boom"):
                 pool.map(boom, [1, 2, 3])
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            WorkerPool(workers=2, backend="fork")
-
-    def test_star_apply(self):
-        assert _star_apply((_add, (2, 3))) == 5
 
     def test_close_idempotent(self):
         pool = WorkerPool(workers=2)

@@ -45,9 +45,8 @@ def _records(rng, n=24):
 def make_learner():
     """OnlineLearner factory that closes every learner at teardown.
 
-    Learners own worker pools; constructing them bare in a test leaks
-    pool threads across the suite (caught by the autouse thread-leak
-    fixture in ``conftest.py``).
+    Each learner owns an :class:`~repro.serve.InferenceEngine`; closing
+    it at teardown keeps engines from outliving their test.
     """
     created = []
 

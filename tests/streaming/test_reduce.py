@@ -10,7 +10,7 @@ from repro.exceptions import InvalidParameterError
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ops import majority_from_counts
 from repro.learning import CentroidClassifier, HDRegressor
-from repro.runtime import BatchEncoder, WorkerPool
+from repro.runtime import BatchEncoder
 from repro.streaming import (
     array_chunks,
     encode_reduce,
@@ -104,16 +104,6 @@ class TestStartKeyedEncode:
                 assert np.array_equal(whole, np.concatenate(parts))
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
-
-    def test_worker_invariance(self, monkeypatch):
-        monkeypatch.setattr("repro.runtime.batch._CHUNK_ROWS", 7)
-        feats = np.random.default_rng(1).uniform(0, TWO_PI, (50, 4))
-        enc = make_encoder()
-        serial = enc.encode(feats, seed=3, packed=True)
-        for workers in (2, 4):
-            with WorkerPool(workers=workers) as pool:
-                parallel = enc.encode(feats, seed=3, packed=True, pool=pool)
-            assert np.array_equal(serial.unpack(), parallel.unpack())
 
     def test_draw_free_policies_ignore_the_position(self):
         feats = np.random.default_rng(2).uniform(0, TWO_PI, (30, 4))

@@ -20,7 +20,7 @@ from repro.experiments.config import ClassificationConfig, RegressionConfig
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.packed import PackedHV
 from repro.learning import CentroidClassifier, HDRegressor
-from repro.runtime import BatchEncoder, WorkerPool
+from repro.runtime import BatchEncoder
 from repro.serve import OnlineLearner, TrainedPipeline, load_model
 from repro.streaming import (
     JigsawsStream,
@@ -79,22 +79,6 @@ class TestClassifierStreamingBitIdentity:
             assert np.array_equal(
                 streamed.class_vector(label), mono.class_vector(label)
             ), (basis_kind, chunk_size, packed, label)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_count_invariance(self, workers):
-        stream = JigsawsStream("knot_tying", seed=4, chunk_size=37,
-                               samples_per_gesture=5)
-        encoder = BatchEncoder(
-            random_hypervectors(18, DIM, seed=3), value_embedding("circular"),
-            tie_break="random",
-        )
-        clf = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        with WorkerPool(workers=workers) as pool:
-            stream_fit_classifier(clf, encoder, stream, seed=9, pool=pool)
-        serial = CentroidClassifier(DIM, tie_break="zeros", seed=5)
-        stream_fit_classifier(serial, encoder, stream, seed=9)
-        for label in serial.classes:
-            assert np.array_equal(clf.class_vector(label), serial.class_vector(label))
 
     def test_partial_fit_across_calls_equals_one_fit(self):
         """Sharded training across separate partial_fit calls (replicas)."""
@@ -236,14 +220,6 @@ class TestTrainPipelineStream:
             assert np.array_equal(
                 a.model.class_vector(label), b.model.class_vector(label)
             )
-        assert a.metadata["test_accuracy"] == b.metadata["test_accuracy"]
-
-    def test_worker_count_does_not_change_the_model(self):
-        config = ClassificationConfig(dim=256, seed=3)
-        a, _ = train_pipeline_stream("knot_tying", "circular", config=config,
-                                     workers=1)
-        b, _ = train_pipeline_stream("knot_tying", "circular", config=config,
-                                     workers=3)
         assert a.metadata["test_accuracy"] == b.metadata["test_accuracy"]
 
     def test_regression_pipeline(self):
