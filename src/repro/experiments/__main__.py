@@ -63,7 +63,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 
 import numpy as np
@@ -74,6 +73,7 @@ from ..hdc.kernels import BACKENDS
 from ..learning.metrics import normalized_mse
 from ..runtime import ArtifactStore
 from ..serve import InferenceEngine, save_model
+from ..serve.server import finite_number
 from .classification import BASIS_KINDS, run_table1
 from .config import ClassificationConfig, RegressionConfig
 from .regression import run_table2
@@ -254,17 +254,6 @@ def _json_safe(value) -> object:
     return json_scalar(value)
 
 
-def _finite_number(value) -> bool:
-    try:
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(float(value))
-        )
-    except OverflowError:  # ints too large for float
-        return False
-
-
 def _parse_request(
     line: str, lineno: int, num_features: int, allow_target: bool = False
 ) -> tuple[list[float], float | None]:
@@ -287,7 +276,7 @@ def _parse_request(
                     "run serve with --stream to learn from targets"
                 )
             target = payload["target"]
-            if not _finite_number(target):
+            if not finite_number(target):
                 raise InvalidParameterError(
                     f"request line {lineno} target must be a finite number"
                 )
@@ -302,7 +291,7 @@ def _parse_request(
             f"this model takes {num_features}"
         )
     for v in payload:
-        if not _finite_number(v):
+        if not finite_number(v):
             raise InvalidParameterError(
                 f"request line {lineno} must contain only finite numbers"
             )

@@ -1,16 +1,23 @@
 """Adaptive micro-batching: coalesce concurrent requests into one kernel call.
 
-The GEMM similarity kernels reward batching — one BLAS product over 32
-stacked queries costs far less than 32 single-row scans — so the serving
-tier's scheduler turns *concurrency* into *batch size*: requests that
-are in flight at the same instant are coalesced into a single
-:meth:`~repro.serve.engine.InferenceEngine.predict_coalesced` call,
-which answers every row bit-identically to a sequential ``predict_one``
-(including tie-break RNG draws; that property is what makes coalescing
-safe to do silently).
+Encoding a key–value record and scanning the prototypes both cost far
+less per row in one batched call than in one call per request, so the
+serving tier's scheduler turns *concurrency* into *batch size*: the
+rows of every request in flight at the same instant are packed into a
+single :meth:`~repro.serve.engine.InferenceEngine.predict_coalesced`
+call, which answers every row bit-identically to a sequential
+``predict_one`` (no record's answer depends on its batch neighbours;
+that property is what makes coalescing safe to do silently).
 
-The scheduler is **adaptive**: the batch window only holds a batch open
-while there are other admitted requests still unanswered.  A lone
+The unit of work is the **request**: :meth:`MicroBatcher.submit_records`
+admits an ``(n, k)`` block of rows and queues it as one entry with one
+future.  The scheduler packs queued rows into batches of up to
+``max_batch`` rows, splitting a request across batches when it does
+not fit, and resolves the request's future once, when its last span is
+answered.  :meth:`MicroBatcher.submit` is the one-row case.
+
+The scheduler is **adaptive**: the batch window only holds a non-full
+batch open while other admitted requests are still unanswered.  A lone
 request on an idle server is dispatched immediately — the window never
 taxes light traffic — while a flood of concurrent requests fills
 batches up to ``max_batch`` before the window expires.
@@ -22,18 +29,22 @@ environment variables, then the built-ins below.  Like every knob in
 the repository, they only move scheduling — answers are bit-identical
 for any value.
 
-Admission control is a bounded in-flight count per batcher
-(``max_queue`` / ``REPRO_SERVE_MAX_QUEUE``): a submit over the
-bound raises :class:`~repro.exceptions.BackpressureError` immediately,
-which the HTTP front end maps to ``429`` — clients see fast, explicit
-backpressure instead of unbounded queueing.  A multi-record request is
-admitted all or nothing through :meth:`MicroBatcher.admit`, so a
-rejected request never leaves rows behind in the queue.
+Admission control is a bounded count of admitted-but-unanswered
+**rows** per batcher (``max_queue`` / ``REPRO_SERVE_MAX_QUEUE``).  A
+request is admitted all or nothing, in one synchronous step: either
+every row fits and the request is queued, or
+:class:`~repro.exceptions.BackpressureError` is raised with nothing
+queued (the HTTP front end maps it to ``429``), so clients see fast,
+explicit backpressure instead of unbounded queueing.  Rows are the
+admission unit, so the ``requests``, ``rejected`` and batch-size
+counters in :attr:`MicroBatcher.stats` count rows; the latency
+histogram takes one sample per request.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from concurrent.futures import Executor
 from typing import Any, Sequence
 
@@ -62,8 +73,8 @@ DEFAULT_BATCH_WINDOW_MS = 2.0
 #: Built-in cap on coalesced batch size.
 DEFAULT_BATCH_MAX = 32
 
-#: Built-in bound on admitted-but-unanswered requests per model; beyond
-#: it, submits fail with backpressure.
+#: Built-in bound on admitted-but-unanswered rows per model; a request
+#: that would pass it fails with backpressure.
 DEFAULT_MAX_QUEUE = 256
 
 #: Upper edges (seconds) of the request-latency histogram kept in
@@ -155,22 +166,20 @@ def default_max_queue(max_queue: int | None = None) -> int:
     return max(1, int(value))
 
 
-class _Slots:
-    """Queue slots reserved by :meth:`MicroBatcher.admit`, spent one per
-    submit; leaving the ``with`` block returns the unspent ones."""
+class _Request:
+    """One admitted request: its rows, its future and how far it got.
 
-    __slots__ = ("_batcher", "left")
+    ``sent`` rows have been handed to batches; ``answers`` holds the
+    predictions of the spans answered so far, in row order.
+    """
 
-    def __init__(self, batcher: "MicroBatcher", rows: int) -> None:
-        self._batcher = batcher
-        self.left = rows
+    __slots__ = ("rows", "future", "sent", "answers")
 
-    def __enter__(self) -> "_Slots":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._batcher._reserved -= self.left
-        self.left = 0
+    def __init__(self, rows: np.ndarray, future: asyncio.Future) -> None:
+        self.rows = rows
+        self.future = future
+        self.sent = 0
+        self.answers: list = []
 
 
 class MicroBatcher:
@@ -181,8 +190,8 @@ class MicroBatcher:
     registry, name:
         Where predictions come from.  The batcher leases the model's
         *current* engine per batch, so a hot swap takes effect on the
-        next batch boundary and every response is computed by exactly
-        one model generation.
+        next batch boundary and every row is computed by exactly one
+        model generation.
     window_ms, max_batch, max_queue:
         Scheduling knobs; ``None`` resolves through the knob chain
         (see the module docstring).
@@ -191,8 +200,8 @@ class MicroBatcher:
         event loop's default thread pool.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`
-    explicitly.  :meth:`submit` is the whole request API; :meth:`admit`
-    reserves the slots of a multi-record request up front.
+    explicitly.  :meth:`submit_records` is the request API;
+    :meth:`submit` predicts a single record through it.
 
     Example
     -------
@@ -205,9 +214,12 @@ class MicroBatcher:
     ...     with ModelRegistry() as registry:
     ...         registry.register("mars", pipe)
     ...         async with MicroBatcher(registry, "mars") as batcher:
-    ...             return await batcher.submit([1.25])
-    >>> isinstance(asyncio.run(demo()), float)
-    True
+    ...             one = await batcher.submit([1.25])
+    ...             many = await batcher.submit_records([[1.25], [2.5]])
+    ...             return one, many
+    >>> one, many = asyncio.run(demo())
+    >>> isinstance(one, float), len(many), bool(many[0] == one)
+    (True, 2, True)
     """
 
     def __init__(
@@ -226,9 +238,11 @@ class MicroBatcher:
         self.max_batch = default_batch_max(max_batch)
         self.max_queue = default_max_queue(max_queue)
         self._executor = executor
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._pending = 0  # admitted, not yet answered (adaptive signal)
-        self._reserved = 0  # held by admit(), not yet submitted
+        self._queue: deque[_Request] = deque()
+        self._arrived = asyncio.Event()  # set when a request is queued
+        self._pending = 0  # rows admitted, not yet answered (adaptive signal)
+        self._idle = asyncio.Event()  # set while nothing is pending
+        self._idle.set()
         self._task: asyncio.Task | None = None
         self.stats = {
             "requests": 0,
@@ -253,11 +267,11 @@ class MicroBatcher:
         return self
 
     async def stop(self) -> None:
-        """Drain queued requests, then cancel the scheduler loop."""
+        """Wait until every admitted request is answered, then cancel the
+        scheduler loop."""
         if self._task is None:
             return
-        while self._pending > 0:  # let in-flight work finish
-            await asyncio.sleep(0.001)
+        await self._idle.wait()
         self._task.cancel()
         try:
             await self._task
@@ -272,133 +286,162 @@ class MicroBatcher:
         await self.stop()
 
     # -- request path ----------------------------------------------------------
-    def _check_capacity(self, rows: int) -> None:
-        if self._task is None:
-            raise RuntimeError("MicroBatcher.start() has not been awaited")
-        if self._pending + self._reserved + rows > self.max_queue:
-            self.stats["rejected"] += rows
-            raise BackpressureError(
-                f"model {self.name!r} has {self._pending + self._reserved} "
-                f"requests in flight and cannot admit {rows} more "
-                f"(max_queue={self.max_queue}); retry later"
-            )
+    def submit_records(self, records: Any) -> asyncio.Future:
+        """Admit an ``(n, k)`` block of records as one request.
 
-    def admit(self, rows: int) -> _Slots:
-        """Reserve ``rows`` queue slots at once, or raise without queueing.
-
-        All-or-nothing admission for a multi-record request: either every
-        row gets a slot — use the result as ``with batcher.admit(n) as
-        slots:`` and pass ``slots`` to :meth:`submit` for each row — or
-        :class:`~repro.exceptions.BackpressureError` is raised before
-        anything is queued.  A request larger than ``max_queue`` can
-        never be admitted and raises
-        :class:`~repro.exceptions.InvalidParameterError`.  Slots still
-        unspent when the ``with`` block exits (the request was
-        cancelled) are returned.
+        Returns the request's one future, which resolves to the ``n``
+        predictions in row order; await it.  Admission is all or nothing
+        and happens here, synchronously: a request larger than
+        ``max_queue`` can never be admitted and raises
+        :class:`~repro.exceptions.InvalidParameterError`; one that does
+        not fit the rows still free raises
+        :class:`~repro.exceptions.BackpressureError`.  Either way nothing
+        is queued.  Cancelling the future drops the rows not yet
+        computed.
         """
-        if rows > self.max_queue:
+        rows = np.asarray(records, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[0] == 0:
             raise InvalidParameterError(
-                f"{rows} records exceed model {self.name!r}'s "
+                f"submit_records takes a non-empty (n, k) block of records, "
+                f"got shape {rows.shape}"
+            )
+        n = rows.shape[0]
+        if n > self.max_queue:
+            raise InvalidParameterError(
+                f"{n} records exceed model {self.name!r}'s "
                 f"max_queue={self.max_queue}; split the request"
             )
-        self._check_capacity(rows)
-        self._reserved += rows
-        return _Slots(self, rows)
-
-    async def submit(
-        self, features: Sequence[float], slots: _Slots | None = None
-    ) -> Any:
-        """Predict one record; coalesced with concurrent submits.
-
-        Raises :class:`~repro.exceptions.BackpressureError` when the
-        admitted-but-unanswered count is at ``max_queue`` — admission
-        control happens *before* queueing, so an overloaded model fails
-        fast instead of buffering unboundedly.  With ``slots`` from
-        :meth:`admit` the record spends a slot reserved earlier instead.
-        """
-        if slots is None:
-            self._check_capacity(1)
-        elif slots.left > 0:
-            slots.left -= 1
-            self._reserved -= 1
-        else:
-            raise RuntimeError("admission slots are spent or released")
-        self._pending += 1
-        self.stats["requests"] += 1
+        if self._task is None:
+            raise RuntimeError("MicroBatcher.start() has not been awaited")
+        if self._pending + n > self.max_queue:
+            self.stats["rejected"] += n
+            raise BackpressureError(
+                f"model {self.name!r} has {self._pending} "
+                f"requests in flight and cannot admit {n} more "
+                f"(max_queue={self.max_queue}); retry later"
+            )
+        self._pending += n
+        self._idle.clear()
+        self.stats["requests"] += n
         self.stats["max_pending_seen"] = max(
             self.stats["max_pending_seen"], self._pending
         )
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._queue.put_nowait((features, future))
+        future = loop.create_future()
         start = loop.time()
-        try:
-            return await future
-        finally:
-            self._pending -= 1
+
+        def settle(_: asyncio.Future) -> None:
+            self._pending -= n
+            if self._pending == 0:
+                self._idle.set()
             elapsed = loop.time() - start
             self.stats["latency_seconds_sum"] += elapsed
             _observe(LATENCY_BUCKETS_S, self.stats["latency_buckets"], elapsed)
 
+        future.add_done_callback(settle)
+        self._queue.append(_Request(rows, future))
+        self._arrived.set()
+        return future
+
+    async def submit(self, features: Sequence[float]) -> Any:
+        """Predict one record; coalesced with concurrent requests.
+
+        The one-row case of :meth:`submit_records`: admission control
+        happens *before* queueing, so an overloaded model raises
+        :class:`~repro.exceptions.BackpressureError` at once instead of
+        buffering unboundedly.
+        """
+        row = np.asarray(features, dtype=np.float64)
+        if row.ndim != 1:
+            raise InvalidParameterError(
+                f"submit takes one (k,) record, got shape {row.shape}"
+            )
+        return (await self.submit_records(row[None]))[0]
+
     # -- scheduler loop ----------------------------------------------------------
-    async def _collect(self) -> list[tuple]:
-        """Gather one batch: first request, then coalesce adaptively."""
-        loop = asyncio.get_running_loop()
-        batch = [await self._queue.get()]
-        deadline = loop.time() + self.window_s
-        while len(batch) < self.max_batch:
-            # Drain whatever is already queued without yielding.
-            try:
-                batch.append(self._queue.get_nowait())
+    def _fill(self, spans: list, room: int) -> int:
+        """Move up to ``room`` queued rows into ``spans``; return the room
+        left.  Requests already cancelled (or failed) are dropped."""
+        queue = self._queue
+        while room and queue:
+            req = queue[0]
+            if req.future.done():
+                queue.popleft()
                 continue
-            except asyncio.QueueEmpty:
-                pass
-            # Adaptive hold: only wait while other admitted requests are
-            # still on their way to the queue; an idle server dispatches
-            # a lone request immediately.
+            n = req.rows.shape[0]
+            take = min(room, n - req.sent)
+            spans.append((req, req.sent, req.sent + take))
+            req.sent += take
+            room -= take
+            if req.sent == n:
+                queue.popleft()
+        return room
+
+    async def _collect(self) -> list[tuple]:
+        """Gather one batch of ``(request, lo, hi)`` spans, adaptively."""
+        loop = asyncio.get_running_loop()
+        spans: list[tuple] = []
+        while not spans:
+            while not self._queue:
+                self._arrived.clear()
+                await self._arrived.wait()
+            room = self._fill(spans, self.max_batch)
+        deadline = loop.time() + self.window_s
+        while room:
+            # Adaptive hold: only wait while requests outside this batch
+            # are still unanswered; an idle server dispatches at once.
             remaining = deadline - loop.time()
-            if remaining <= 0 or self._pending <= len(batch):
+            in_batch = sum(req.rows.shape[0] for req, _, _ in spans)
+            if remaining <= 0 or self._pending <= in_batch:
                 break
+            self._arrived.clear()
             try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                )
+                await asyncio.wait_for(self._arrived.wait(), timeout=remaining)
             except asyncio.TimeoutError:
                 break
-        return batch
+            room = self._fill(spans, room)
+        return spans
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            batch = await self._collect()
+            spans = await self._collect()
+            size = sum(hi - lo for _, lo, hi in spans)
             self.stats["batches"] += 1
-            self.stats["max_batch_seen"] = max(
-                self.stats["max_batch_seen"], len(batch)
-            )
-            self.stats["batch_rows_sum"] += len(batch)
-            _observe(BATCH_SIZE_BUCKETS, self.stats["batch_buckets"], len(batch))
+            self.stats["max_batch_seen"] = max(self.stats["max_batch_seen"], size)
+            self.stats["batch_rows_sum"] += size
+            _observe(BATCH_SIZE_BUCKETS, self.stats["batch_buckets"], size)
             lease = self.registry.lease(self.name)
             try:
-                rows = np.asarray([features for features, _ in batch], dtype=np.float64)
+                if len(spans) == 1:
+                    req, lo, hi = spans[0]
+                    rows = req.rows[lo:hi]
+                else:
+                    rows = np.concatenate([req.rows[lo:hi] for req, lo, hi in spans])
                 predictions = await loop.run_in_executor(
                     self._executor, lease.engine.predict_coalesced, rows
                 )
             except asyncio.CancelledError:  # pragma: no cover - stop() path
                 self.registry.release(lease)
-                for _, future in batch:
-                    if not future.done():
-                        future.cancel()
+                for req, _, _ in spans:
+                    req.future.cancel()
                 raise
             except Exception as exc:
                 self.registry.release(lease)
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(exc)
+                for req, _, _ in spans:
+                    if not req.future.done():
+                        req.future.set_exception(exc)
                 continue
             self.registry.release(lease)
-            for (_, future), prediction in zip(batch, predictions):
-                if not future.done():
-                    future.set_result(prediction)
+            at = 0
+            for req, lo, hi in spans:
+                answered = predictions[at:at + hi - lo]
+                at += hi - lo
+                if req.future.done():
+                    continue
+                req.answers.extend(answered)
+                if len(req.answers) == req.rows.shape[0]:
+                    req.future.set_result(req.answers)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

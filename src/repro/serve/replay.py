@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Mapping, Sequence
@@ -54,7 +53,7 @@ import numpy as np
 from .._rng import ensure_rng
 from ..exceptions import BackpressureError, InvalidParameterError
 from .engine import InferenceEngine
-from .server import json_scalar
+from .server import finite_number, json_scalar
 
 __all__ = [
     "TraceRequest",
@@ -219,14 +218,14 @@ def _trace_line(line: str, lineno: int) -> TraceRequest:
     rid, t, model, features = obj["id"], obj["t"], obj["model"], obj["features"]
     if not isinstance(rid, int) or isinstance(rid, bool) or rid < 0:
         raise bad(f"'id' must be a non-negative integer, got {rid!r}")
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t) or t < 0:
+    if not finite_number(t) or t < 0:
         raise bad(f"'t' must be a finite non-negative number, got {t!r}")
     if not isinstance(model, str) or not model:
         raise bad(f"'model' must be a non-empty string, got {model!r}")
     if not isinstance(features, list) or not features:
         raise bad("'features' must be a non-empty list")
     for v in features:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not finite_number(v):
             raise bad(f"'features' must hold finite numbers, got {v!r}")
     return TraceRequest(
         id=rid, t=float(t), model=model, features=tuple(float(v) for v in features)

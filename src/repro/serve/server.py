@@ -14,8 +14,8 @@ API surface (all request/response bodies are JSON):
 ===========================================  =================================
 ``GET /healthz``                             liveness + model names
 ``GET /metrics``                             Prometheus text exposition:
-                                             per-model request/rejection
-                                             counters, batch-size and
+                                             per-model admitted/rejected
+                                             row counters, batch-size and
                                              request-latency histograms
 ``GET /v1/models``                           registry listing with metadata
 ``POST /v1/models/<name>:predict``           ``{"features": [...]}`` → one
@@ -47,6 +47,7 @@ import json
 import math
 import os
 import threading
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -55,7 +56,7 @@ from ..exceptions import BackpressureError, InvalidParameterError, ReproError
 from .batching import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S, MicroBatcher
 from .registry import ModelRegistry
 
-__all__ = ["ServeServer", "ServerThread", "json_scalar"]
+__all__ = ["ServeServer", "ServerThread", "finite_number", "json_scalar"]
 
 #: Private test hook: seconds to sleep between building a swapped-in
 #: engine and flipping the registry pointer.  Lets the hot-swap tests
@@ -95,15 +96,56 @@ def json_scalar(value: Any) -> Any:
     return value
 
 
-def _finite_row(row: Any) -> bool:
-    if not isinstance(row, list) or not row:
+def finite_number(value: Any) -> bool:
+    """True for a JSON number that is a finite float64.
+
+    The one check every serving input path applies to a feature value
+    (the HTTP body, the JSONL loop and replay traces): booleans, strings
+    and ``null`` are refused, and so is an integer too large for a
+    float64, which ``float`` rejects with ``OverflowError``.
+
+    >>> finite_number(1.5), finite_number(True), finite_number(10**400)
+    (True, False, False)
+    """
+    try:
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(float(value))
+        )
+    except OverflowError:
         return False
-    for v in row:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return False
-        if not math.isfinite(float(v)):
-            return False
-    return True
+
+
+def _finite_row(row: Any) -> bool:
+    return isinstance(row, list) and bool(row) and all(map(finite_number, row))
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _rows_array(rows: list, num_features: int) -> np.ndarray | None:
+    """``rows`` as an ``(n, num_features)`` float64 array, or ``None``.
+
+    The vectorised pass over a body that is already a non-empty list:
+    every row a list of ``num_features`` JSON numbers (never a bool,
+    which ``np.fromiter`` would silently take as 0 or 1), every value
+    finite.  ``None`` means some row breaks a rule; the per-row loop in
+    :meth:`ServeServer._validated_rows` then names the first one.
+    """
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {num_features}:
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
+        return None
+    try:
+        arr = np.fromiter(
+            chain.from_iterable(rows), np.float64, len(rows) * num_features
+        )
+    except OverflowError:  # an int too large for float64
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    return arr.reshape(len(rows), num_features)
 
 
 class _HTTPError(Exception):
@@ -251,12 +293,12 @@ class ServeServer:
 
         counter(
             "repro_serve_requests_total",
-            "Requests admitted to the micro-batch scheduler.",
+            "Rows admitted to the micro-batch scheduler (a records body counts each row).",
             "requests",
         )
         counter(
             "repro_serve_rejected_total",
-            "Requests rejected with 429 backpressure before queueing.",
+            "Rows refused with 429 backpressure before queueing.",
             "rejected",
         )
         counter(
@@ -266,7 +308,7 @@ class ServeServer:
         )
         histogram(
             "repro_serve_request_latency_seconds",
-            "Wall time from admission to answer, per request.",
+            "Wall time from admission to answer, one sample per predict request.",
             LATENCY_BUCKETS_S,
             "latency_buckets",
             "latency_seconds_sum",
@@ -409,12 +451,13 @@ class ServeServer:
             raise _HTTPError(400, "request body must be a JSON object")
         return payload
 
-    def _validated_rows(self, name: str, payload: dict) -> tuple[list, bool]:
+    def _validated_rows(self, name: str, payload: dict) -> tuple[np.ndarray, bool]:
         """Extract ``(rows, batched)`` from a predict body, fully checked.
 
-        Validation happens *before* admission so a malformed record can
-        never poison a coalesced batch: everything the scheduler queues
-        is already known to be a finite row of the right arity.
+        ``rows`` is one ``(n, k)`` float64 array.  Validation happens
+        *before* admission so a malformed record can never poison a
+        coalesced batch: everything the scheduler queues is already
+        known to be a finite row of the right arity.
         """
         num_features = self.registry.engine(name).num_features
         if "features" in payload and "records" in payload:
@@ -428,6 +471,10 @@ class ServeServer:
             batched = True
         else:
             raise _HTTPError(400, "predict body needs 'features' or 'records'")
+        arr = _rows_array(rows, num_features)
+        if arr is not None:
+            return arr, batched
+        # Slow path: name the first bad record.
         for i, row in enumerate(rows):
             if not _finite_row(row):
                 raise _HTTPError(
@@ -439,30 +486,26 @@ class ServeServer:
                     f"record {i} has {len(row)} feature(s); "
                     f"model {name!r} takes {num_features}",
                 )
-        return rows, batched
+        raise AssertionError("the vectorised check refused a valid body")
 
     async def _predict(self, name: str, payload: dict) -> tuple[int, dict]:
         rows, batched = self._validated_rows(name, payload)
         batcher = self._batchers[name]
-        if batched:
-            # Reserve every row's slot before queueing any (a rejected
-            # request computes nothing), then submit concurrently: the
-            # scheduler coalesces the rows (plus any other in-flight
-            # traffic) into shared batches.
-            try:
-                slots = batcher.admit(len(rows))
-            except InvalidParameterError as exc:  # more rows than max_queue
-                raise _HTTPError(413, str(exc)) from None
-            with slots:
-                values = await asyncio.gather(
-                    *(batcher.submit(row, slots) for row in rows)
-                )
-            return 200, {
-                "model": name,
-                "predictions": [json_scalar(v) for v in values],
-            }
-        value = await batcher.submit(rows[0])
-        return 200, {"model": name, "prediction": json_scalar(value)}
+        if not batched:
+            value = await batcher.submit(rows[0])
+            return 200, {"model": name, "prediction": json_scalar(value)}
+        # One queued entry for the whole body, admitted all or nothing (a
+        # rejected request computes nothing); the scheduler packs its
+        # rows, plus any other in-flight traffic, into shared batches.
+        try:
+            answer = batcher.submit_records(rows)
+        except InvalidParameterError as exc:  # more rows than max_queue
+            raise _HTTPError(413, str(exc)) from None
+        values = await answer
+        return 200, {
+            "model": name,
+            "predictions": [json_scalar(v) for v in values],
+        }
 
     async def _swap(self, name: str, payload: dict) -> tuple[int, dict]:
         path = payload.get("path")

@@ -145,6 +145,18 @@ class TestServeCLI:
         answered = [json.loads(line) for line in result.stdout.splitlines()]
         assert len(answered) == 1  # [1.0] answered before the failure
 
+    def test_integer_beyond_float64_rejected(self, regression_model):
+        """An integer too large for a float64 is a bad value, not a crash."""
+        path, _ = regression_model
+        result = _run_cli(
+            ["serve", "--model", str(path)], stdin="[1.0]\n[1%s]\n" % ("0" * 400)
+        )
+        assert result.returncode != 0
+        assert "request line 2 must contain only finite numbers" in result.stderr
+        assert "OverflowError" not in result.stderr
+        answered = [json.loads(line) for line in result.stdout.splitlines()]
+        assert len(answered) == 1
+
     def test_missing_input_file_fails_cleanly(self, regression_model):
         path, _ = regression_model
         result = _run_cli(["serve", "--model", str(path), "--input", "nosuch.jsonl"])

@@ -107,6 +107,11 @@ class TestTraceFiles:
                 '{"id": 0, "t": 0.0, "model": "m", "features": ["x"]}',
                 "finite numbers",
             ),
+            (
+                '{"id": 0, "t": 0.0, "model": "m", "features": [1%s]}' % ("0" * 400),
+                "finite numbers",
+            ),
+            ('{"id": 0, "t": 1%s, "model": "m", "features": [1.0]}' % ("0" * 400), "finite"),
         ],
     )
     def test_malformed_line_fails_with_its_line_number(self, tmp_path, line, needle):

@@ -204,35 +204,28 @@ class TestAdaptiveScheduling:
             if not isinstance(got, BaseException):
                 assert json_scalar(got) == want  # served answers still exact
 
-    def test_admit_reserves_all_rows_or_none(self, regression_pipeline):
+    def test_records_are_admitted_all_or_none(self, regression_pipeline):
         with ModelRegistry() as registry:
             registry.register("m", regression_pipeline)
 
             async def run():
                 async with MicroBatcher(registry, "m", max_queue=4) as batcher:
-                    with batcher.admit(4) as slots:
-                        with pytest.raises(BackpressureError):
-                            with batcher.admit(1):
-                                pass
-                        with pytest.raises(BackpressureError):
-                            await batcher.submit([0.5])  # reserved slots count
-                        value = await batcher.submit([1.25], slots)
-                    # The three unspent slots went back on exit.
-                    assert (batcher._pending, batcher._reserved) == (0, 0)
-                    with pytest.raises(RuntimeError, match="spent"):
-                        await batcher.submit([1.25], slots)
-                    with batcher.admit(4):
-                        pass
+                    held = batcher.submit_records([[0.5], [0.75], [1.0]])
+                    with pytest.raises(BackpressureError, match="has 3 requests"):
+                        batcher.submit_records([[0.5], [0.75]])
+                    assert len(batcher._queue) == 1  # the refused rows never queued
+                    value = await batcher.submit([1.25])  # the last free row
+                    await held
+                    assert batcher._pending == 0
                     with pytest.raises(InvalidParameterError, match="max_queue=4"):
-                        with batcher.admit(5):
-                            pass
+                        batcher.submit_records([[1.0]] * 5)
                     return value, dict(batcher.stats)
 
             value, stats = asyncio.run(run())
         assert json_scalar(value) == _oracle(regression_pipeline, [[1.25]])[0]
-        assert stats["requests"] == 1
-        assert stats["rejected"] == 2  # one admit row + one submit, none queued
-        assert stats["batch_rows_sum"] == 1
+        assert stats["requests"] == 4
+        assert stats["rejected"] == 2  # the 429'd rows; a 413 rejects nothing
+        assert stats["batch_rows_sum"] == 4
 
     def test_submit_requires_started_scheduler(self, regression_pipeline):
         with ModelRegistry() as registry:
@@ -250,6 +243,137 @@ class TestAdaptiveScheduling:
             registry.register("m", regression_pipeline)
             with pytest.raises(Exception, match="unknown model"):
                 MicroBatcher(registry, "nope")
+
+
+class _CountingEngine(InferenceEngine):
+    """Counts ``predict_coalesced`` calls; raises on the first ``fail``
+    of them, and waits for ``gate`` (when given) before each one, which
+    holds a batch in flight for exactly as long as a test needs."""
+
+    def __init__(self, pipeline, fail=0, gate=None):
+        super().__init__(pipeline)
+        self.calls = 0
+        self.fail = fail
+        self.gate = gate
+
+    def predict_coalesced(self, records):
+        self.calls += 1
+        if self.gate is not None:
+            assert self.gate.wait(timeout=30), "gate never opened"
+        if self.calls <= self.fail:
+            raise InvalidParameterError("engine fault")
+        return super().predict_coalesced(records)
+
+
+async def _until(predicate):
+    """Yield to the event loop until ``predicate()`` holds."""
+    deadline = time.monotonic() + 30
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+class TestRequestQueue:
+    """A records request is one queued entry with one future, packed
+    into batches of at most ``max_batch`` rows."""
+
+    def test_request_splits_across_batches_and_resolves_once(
+        self, classification_pipeline
+    ):
+        rows = _rows(classification_pipeline, 64, seed=31)
+        with ModelRegistry() as registry:
+            registry.register("m", classification_pipeline)
+
+            async def run():
+                async with MicroBatcher(registry, "m", max_batch=32) as batcher:
+                    future = batcher.submit_records(rows)
+                    assert isinstance(future, asyncio.Future)
+                    assert len(batcher._queue) == 1  # one entry, not 64
+                    values = await future
+                    return values, batcher._pending, dict(batcher.stats)
+
+            values, pending, stats = asyncio.run(run())
+        assert [json_scalar(v) for v in values] == _oracle(classification_pipeline, rows)
+        assert stats["batches"] == 2
+        assert stats["max_batch_seen"] == 32
+        assert stats["batch_rows_sum"] == 64
+        assert stats["requests"] == 64  # counters count rows ...
+        assert sum(stats["latency_buckets"]) == 1  # ... latency, requests
+        assert pending == 0
+
+    def test_engine_error_fails_the_request_once_and_skips_its_tail(
+        self, regression_pipeline
+    ):
+        engine = _CountingEngine(regression_pipeline, fail=1)
+        with ModelRegistry() as registry:
+            registry.register("m", engine)
+
+            async def run():
+                async with MicroBatcher(registry, "m", max_batch=32) as batcher:
+                    future = batcher.submit_records(_rows(regression_pipeline, 64, 2))
+                    with pytest.raises(InvalidParameterError, match="engine fault"):
+                        await future
+                    # The scheduler keeps serving after the fault.
+                    value = await batcher.submit([1.25])
+                    return value, batcher._pending, dict(batcher.stats)
+
+            value, pending, stats = asyncio.run(run())
+        assert json_scalar(value) == _oracle(regression_pipeline, [[1.25]])[0]
+        assert engine.calls == 2  # the failed span, then the single row
+        assert stats["batch_rows_sum"] == 32 + 1  # the second span never ran
+        assert pending == 0
+
+    def test_cancelled_requests_compute_no_more_rows(self, regression_pipeline):
+        """Cancel one request mid-split and one still queued: neither
+        computes another row, and the pending count returns to 0."""
+        gate = threading.Event()
+        engine = _CountingEngine(regression_pipeline, gate=gate)
+        with ModelRegistry() as registry:
+            registry.register("m", engine)
+
+            async def run():
+                async with MicroBatcher(registry, "m", max_batch=32) as batcher:
+                    split = batcher.submit_records(_rows(regression_pipeline, 64, 3))
+                    await _until(lambda: batcher.stats["batches"] == 1)
+                    queued = batcher.submit_records(_rows(regression_pipeline, 8, 4))
+                    split.cancel()
+                    queued.cancel()
+                    await asyncio.sleep(0)  # run the futures' done callbacks
+                    assert batcher._pending == 0
+                    gate.set()
+                    value = await batcher.submit([1.25])
+                    return value, dict(batcher.stats)
+
+            try:
+                value, stats = asyncio.run(run())
+            finally:
+                gate.set()
+        assert json_scalar(value) == _oracle(regression_pipeline, [[1.25]])[0]
+        assert engine.calls == 2
+        assert stats["batch_rows_sum"] == 32 + 1
+
+    def test_stop_waits_for_the_request_in_flight(self, regression_pipeline):
+        gate = threading.Event()
+        with ModelRegistry() as registry:
+            registry.register("m", _CountingEngine(regression_pipeline, gate=gate))
+
+            async def run():
+                batcher = await MicroBatcher(registry, "m").start()
+                future = batcher.submit_records([[0.5], [1.0]])
+                stopping = asyncio.ensure_future(batcher.stop())
+                await asyncio.sleep(0.05)
+                assert not stopping.done()  # still waiting on the answer
+                gate.set()
+                await stopping
+                return await future
+
+            try:
+                values = asyncio.run(run())
+            finally:
+                gate.set()
+        assert [json_scalar(v) for v in values] == _oracle(
+            regression_pipeline, [[0.5], [1.0]]
+        )
 
 
 class TestKnobResolution:
@@ -302,6 +426,63 @@ def test_huge_finite_value_wraps_onto_its_level():
         )
     assert status == 200
     assert body["predictions"] == [8.0, 8.0, 16.0]
+
+
+def _post_raw(server, path, body: bytes):
+    """POST ``body`` verbatim (it may not be valid JSON output)."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        conn.close()
+
+
+_HUGE_INT = "1" + "0" * 400  # a JSON integer beyond float64's range
+
+#: Bad predict bodies for the one-feature model ``mars`` and the exact
+#: error each gets: the first bad record is named, whatever breaks it.
+BAD_BODIES = [
+    pytest.param('{"records": [[1.0], [true]]}', "record 1 must be a list of finite numbers", id="bool"),
+    pytest.param('{"records": [[1.0], ["1.5"]]}', "record 1 must be a list of finite numbers", id="string"),
+    pytest.param('{"records": [[null]]}', "record 0 must be a list of finite numbers", id="null"),
+    pytest.param('{"records": [[1.0], [[1.0]]]}', "record 1 must be a list of finite numbers", id="nested"),
+    pytest.param('{"records": [[1.0], 1.0]}', "record 1 must be a list of finite numbers", id="scalar-row"),
+    pytest.param('{"records": [[1.0], [1.0, 2.0]]}', "record 1 has 2 feature(s); model 'mars' takes 1", id="ragged"),
+    pytest.param('{"records": [[1.0], []]}', "record 1 must be a list of finite numbers", id="empty-row"),
+    pytest.param('{"records": [[1.0], [NaN]]}', "record 1 must be a list of finite numbers", id="nan"),
+    pytest.param('{"records": [[1e400]]}', "record 0 must be a list of finite numbers", id="1e400"),
+    pytest.param('{"records": [[2.0, 1.0]]}', "record 0 has 2 feature(s); model 'mars' takes 1", id="arity"),
+    pytest.param('{"records": [[1.0], [2.0, "x"], [true]]}', "record 1 must be a list of finite numbers", id="first-bad-wins"),
+    pytest.param('{"records": [[1.0, 2.0], [true]]}', "record 0 has 2 feature(s); model 'mars' takes 1", id="arity-before-bool"),
+    pytest.param('{"records": {"a": [1.0]}}', "'records' must be a non-empty list of rows", id="records-dict"),
+    pytest.param('{"features": [true]}', "record 0 must be a list of finite numbers", id="features-bool"),
+    pytest.param('{"features": 1.0}', "record 0 must be a list of finite numbers", id="features-scalar"),
+    pytest.param('{"features": [Infinity]}', "record 0 must be a list of finite numbers", id="features-inf"),
+    pytest.param('{"features": []}', "record 0 must be a list of finite numbers", id="features-empty"),
+    pytest.param('{"features": [1.0, 2.0]}', "record 0 has 2 feature(s); model 'mars' takes 1", id="features-arity"),
+    pytest.param('{"features": [%s]}' % _HUGE_INT, "record 0 must be a list of finite numbers", id="features-huge-int"),
+    pytest.param('{"records": [[1.0], [%s]]}' % _HUGE_INT, "record 1 must be a list of finite numbers", id="records-huge-int"),
+]
+
+
+@pytest.mark.parametrize("body,message", BAD_BODIES)
+def test_bad_predict_bodies_name_the_first_bad_record(http_server, body, message):
+    """Every malformed body is a 400 with the message naming its first
+    bad record, and computes nothing (an integer too large for a float64
+    is a bad value too, not a 500)."""
+    status, payload = _post_raw(http_server, "/v1/models/mars:predict", body.encode())
+    assert (status, payload) == (400, {"error": message})
+    assert http_server.server.stats()["mars"]["requests"] == 0
+
+
+def test_integer_features_are_served_like_floats(http_server, regression_pipeline):
+    status, body = http_server.request(
+        "POST", "/v1/models/mars:predict", {"records": [[1], [2.0], [3]]}
+    )
+    assert status == 200
+    assert body["predictions"] == _oracle(regression_pipeline, [[1.0], [2.0], [3.0]])
 
 
 class TestHTTPServer:
@@ -402,19 +583,6 @@ class TestHTTPServer:
             conn.close()
 
 
-class _GatedEngine(InferenceEngine):
-    """An engine whose coalesced predicts wait for ``gate`` — holds a
-    batch in flight for exactly as long as a test needs."""
-
-    def __init__(self, pipeline, gate):
-        super().__init__(pipeline)
-        self.gate = gate
-
-    def predict_coalesced(self, records):
-        assert self.gate.wait(timeout=30), "gate never opened"
-        return super().predict_coalesced(records)
-
-
 def _spy_on_responses(monkeypatch):
     """Record ``(status, pending, requests, batch rows)`` of the model
     ``mars`` at the instant each response is written."""
@@ -449,7 +617,7 @@ class TestHTTPBackpressure:
         seen = _spy_on_responses(monkeypatch)
         gate = threading.Event()
         registry = ModelRegistry()
-        registry.register("mars", _GatedEngine(regression_pipeline, gate))
+        registry.register("mars", _CountingEngine(regression_pipeline, gate=gate))
         with ServerThread(
             registry, window_ms=1.0, max_queue=8, own_registry=True
         ) as server:
