@@ -1,8 +1,9 @@
 """Similarity-kernel benchmark: speedups, crossover surface, exactness.
 
-Measures the exact kernel backends of :mod:`repro.hdc.kernels`
-(``xor``, ``gemm``, ``auto``) against each other and against the packed
-layer's byte-wise reference scan
+Measures the two exact backends of :mod:`repro.hdc.kernels` — the
+private ``_xor_counts`` and ``_gemm_counts``, called directly — and the
+dispatching ``pairwise_hamming`` (reported as ``auto``) against each
+other and against the packed layer's byte-wise reference scan
 (:func:`~repro.hdc.packed.packed_pairwise_hamming`), and writes a
 machine-readable report to ``benchmarks/results/BENCH_kernels.json``
 (committed, so the perf trajectory is tracked across PRs).  Four
@@ -12,17 +13,17 @@ sections:
   d = 10,000): the GEMM backend must beat the byte-wise reference scan
   by ≥ 5× (the acceptance gate of the kernels PR; skipped at ``--fast``
   scale where the problem is too small for the floor to be meaningful).
-  The ``uint64`` word scan behind ``backend="xor"`` is timed alongside
-  and recorded, not gated;
+  The ``uint64`` word scan (``xor``) is timed alongside and recorded,
+  not gated;
 * **crossover surface** — per-backend timings over an ``(n, m, d)``
-  grid, the evidence behind the ``auto`` dispatch rule (GEMM once the
-  harmonic size ``n·m / (n+m)`` reaches the crossover;
-  ``REPRO_KERNEL_CROSSOVER`` moves it);
+  grid, the evidence behind the dispatch rule (GEMM once the harmonic
+  size ``n·m / (n+m)`` reaches ``AUTO_CROSSOVER``);
 * **topk** — fused :func:`~repro.hdc.kernels.topk_hamming` against the
   materialise-then-argsort route it replaces;
 * **retrieval** — end-to-end :class:`~repro.hdc.memory.ItemMemory`
-  batch queries, where the ``auto`` dispatch turns the whole scan into
-  one BLAS product.
+  batch queries, where the dispatch turns the whole scan into one BLAS
+  product (timed against the same queries with the dispatch held on the
+  XOR scan).
 
 Every timed pair is also checked for **bitwise agreement** — a backend
 that drifts by one ULP fails the run, in CI too (the perf-smoke job runs
@@ -46,11 +47,12 @@ import _bootstrap  # noqa: F401  (sys.path shim: run from checkout or install)
 import argparse
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from repro.hdc import ItemMemory, PackedHV
+from repro.hdc import ItemMemory, PackedHV, kernels
 from repro.hdc.kernels import (
     AUTO_CROSSOVER,
     pairwise_hamming,
@@ -115,23 +117,49 @@ def _packed_pair(rng, n, m, d) -> tuple[PackedHV, PackedHV]:
     return PackedHV.pack(_random_rows(rng, n, d)), PackedHV.pack(_random_rows(rng, m, d))
 
 
+def _xor(a: PackedHV, b: PackedHV) -> np.ndarray:
+    """Distances from the XOR scan backend alone."""
+    return kernels._xor_counts(a.data, b.data, a.dim, normalize=True)
+
+
+def _gemm(a: PackedHV, b: PackedHV) -> np.ndarray:
+    """Distances from the GEMM backend alone."""
+    return kernels._gemm_counts(a.data, b.data, a.dim, normalize=True)
+
+
+@contextmanager
+def _dispatch_held_on_xor():
+    """Send every dispatched call to the XOR scan until the block exits.
+
+    The dispatch reads :data:`~repro.hdc.kernels.AUTO_CROSSOVER` per
+    call, so an infinite threshold routes a whole consumer (here
+    :class:`~repro.hdc.memory.ItemMemory`) through ``xor``.
+    """
+    saved = kernels.AUTO_CROSSOVER
+    kernels.AUTO_CROSSOVER = float("inf")
+    try:
+        yield
+    finally:
+        kernels.AUTO_CROSSOVER = saved
+
+
 def _measure_point(a: PackedHV, b: PackedHV, repeats) -> dict:
-    """Time all three backends on one (n, m, d) point; assert agreement
-    with the byte-wise reference scan."""
+    """Time both backends and the dispatch on one (n, m, d) point; assert
+    agreement with the byte-wise reference scan."""
     n, m, d = a.shape[0], b.shape[0], a.dim
     ref = packed_pairwise_hamming(a, b)
     results = {}
-    for backend in ("xor", "gemm", "auto"):
-        assert np.array_equal(pairwise_hamming(a, b, backend=backend), ref), (
-            f"backend {backend} disagrees bitwise at n={n} m={m} d={d}"
+    for name, fn in (("xor", _xor), ("gemm", _gemm), ("auto", pairwise_hamming)):
+        assert np.array_equal(fn(a, b), ref), (
+            f"backend {name} disagrees bitwise at n={n} m={m} d={d}"
         )
-        results[backend] = _time(lambda be=backend: pairwise_hamming(a, b, backend=be), repeats)
+        results[name] = _time(lambda fn=fn: fn(a, b), repeats)
     return {
         "n": n,
         "m": m,
         "d": d,
         "harmonic_size": round(n * m / (n + m), 2),
-        "auto_picks": "gemm" if use_gemm(n, m, d) else "xor",
+        "auto_picks": "gemm" if use_gemm(n, m) else "xor",
         "seconds": {k: round(v, 6) for k, v in results.items()},
         "xor_over_gemm": round(results["xor"] / results["gemm"], 2),
     }
@@ -177,7 +205,7 @@ def run_suite(fast: bool = False) -> dict:
     table = PackedHV.pack(_random_rows(rng, tk_m, tk_d))
 
     def full_sort():
-        dist = pairwise_hamming(queries, table, backend="xor")
+        dist = _xor(queries, table)
         order = np.argsort(dist, axis=1, kind="stable")[:, :tk_k]
         return order, np.take_along_axis(dist, order, axis=1)
 
@@ -201,17 +229,16 @@ def run_suite(fast: bool = False) -> dict:
     for i in range(mem_m):
         mem.add(i, table_rows[i])
     mem_queries = PackedHV.pack(_random_rows(rng, mem_q, mem_d))
-    assert mem.query_batch(mem_queries, backend="auto") == mem.query_batch(
-        mem_queries, backend="xor"
-    ), "ItemMemory answers differ across backends"
+    answers = mem.query_batch(mem_queries)
+    with _dispatch_held_on_xor():
+        assert mem.query_batch(mem_queries) == answers, (
+            "ItemMemory answers differ across backends"
+        )
+        xor_seconds = _time(lambda: mem.query_batch(mem_queries), repeats)
     retrieval = {
         "workload": f"ItemMemory.query_batch, {mem_q} queries over {mem_m} items, d={mem_d}",
-        "xor_seconds": round(
-            _time(lambda: mem.query_batch(mem_queries, backend="xor"), repeats), 6
-        ),
-        "auto_seconds": round(
-            _time(lambda: mem.query_batch(mem_queries, backend="auto"), repeats), 6
-        ),
+        "xor_seconds": round(xor_seconds, 6),
+        "auto_seconds": round(_time(lambda: mem.query_batch(mem_queries), repeats), 6),
     }
     retrieval["speedup_auto_over_xor"] = round(
         retrieval["xor_seconds"] / retrieval["auto_seconds"], 2

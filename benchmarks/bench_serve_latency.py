@@ -2,8 +2,8 @@
 
 ``InferenceEngine.predict_one`` checks its one record, encodes it as a
 one-row batch (:meth:`repro.runtime.batch.BatchEncoder.encode`) and
-predicts inline, with the ``auto`` kernel dispatch landing one-row
-scans on the XOR backend.  This benchmark measures it on a classification pipeline
+predicts inline, with the kernel dispatch landing one-row scans on the
+XOR backend.  This benchmark measures it on a classification pipeline
 (the JIGSAWS-like serving task) against the one-row ``predict`` batch
 route and gates:
 

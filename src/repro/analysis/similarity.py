@@ -9,9 +9,8 @@ ASCII heatmaps.
 
 All distances route through the shared similarity-kernel subsystem
 (:mod:`repro.hdc.kernels`) on each basis set's cached packed table —
-this module derives no distance arithmetic of its own.  Every function
-threads an optional ``backend=`` argument (``"auto"``/``"gemm"``/
-``"xor"``); all backends produce bit-identical matrices.
+this module derives no distance arithmetic of its own, and the kernel
+picks its own exact backend for each matrix.
 """
 
 from __future__ import annotations
@@ -39,23 +38,20 @@ def basis_similarity_matrix(
     dim: int,
     r: float = 0.0,
     seed: SeedLike = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Pairwise similarity matrix ``1 − δ`` of a freshly generated basis.
 
-    Computed by the basis set itself over its cached packed table;
-    ``backend`` selects the similarity kernel
-    (:mod:`repro.hdc.kernels` — every choice is bit-identical).
+    Computed by the basis set itself over its cached packed table
+    (:mod:`repro.hdc.kernels`).
     """
     basis = make_basis(kind, size, dim, r=r, seed=seed)
-    return basis.similarity_matrix(backend=backend)
+    return basis.similarity_matrix()
 
 
 def figure3_data(
     size: int = 10,
     dim: int = 10_000,
     seed: SeedLike = None,
-    backend: str | None = None,
 ) -> dict[str, np.ndarray]:
     """Similarity matrices for the three basis kinds of Figure 3.
 
@@ -64,7 +60,7 @@ def figure3_data(
     """
     rng = ensure_rng(seed)
     return {
-        kind: basis_similarity_matrix(kind, size, dim, seed=rng, backend=backend)
+        kind: basis_similarity_matrix(kind, size, dim, seed=rng)
         for kind in FIGURE3_KINDS
     }
 
@@ -75,7 +71,6 @@ def reference_similarity_profile(
     r: float,
     reference: int = 0,
     seed: SeedLike = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Similarity of every circular-set member to a reference member.
 
@@ -87,7 +82,7 @@ def reference_similarity_profile(
             f"reference must index into the set of size {size}, got {reference}"
         )
     basis = make_basis("circular", size, dim, r=r, seed=seed)
-    return basis.similarity_matrix(backend=backend)[reference]
+    return basis.similarity_matrix()[reference]
 
 
 def figure6_data(
@@ -95,11 +90,10 @@ def figure6_data(
     size: int = 10,
     dim: int = 10_000,
     seed: SeedLike = None,
-    backend: str | None = None,
 ) -> dict[float, np.ndarray]:
     """Reference-similarity profiles for each ``r`` of Figure 6."""
     rng = ensure_rng(seed)
     return {
-        float(r): reference_similarity_profile(size, dim, r, seed=rng, backend=backend)
+        float(r): reference_similarity_profile(size, dim, r, seed=rng)
         for r in r_values
     }

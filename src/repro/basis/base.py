@@ -90,18 +90,18 @@ class BasisSet(abc.ABC):
         """Empirical normalized Hamming distance between members ``i`` and ``j``."""
         return float(hamming_distance(self._vectors[i], self._vectors[j]))
 
-    def distance_matrix(self, backend: str | None = None) -> np.ndarray:
+    def distance_matrix(self) -> np.ndarray:
         """All-pairs normalized Hamming distance, shape ``(m, m)``.
 
         Runs on the cached packed table through the similarity-kernel
         subsystem (:mod:`repro.hdc.kernels`), so repeated analyses never
-        re-pack the vectors; ``backend`` forces a kernel (bit-identical).
+        re-pack the vectors.
         """
-        return pairwise_hamming(self.packed, backend=backend)
+        return pairwise_hamming(self.packed)
 
-    def similarity_matrix(self, backend: str | None = None) -> np.ndarray:
+    def similarity_matrix(self) -> np.ndarray:
         """All-pairs similarity ``1 − δ`` — the quantity plotted in Figure 3."""
-        return 1.0 - self.distance_matrix(backend=backend)
+        return 1.0 - self.distance_matrix()
 
     @abc.abstractmethod
     def expected_distance(self, i: int, j: int) -> float:
@@ -200,18 +200,17 @@ class Embedding:
         idx = self.indices(values)
         return PackedHV(self.basis.packed.data[idx], self.dim)
 
-    def decode(self, hv: np.ndarray | PackedHV, backend: str | None = None) -> np.ndarray:
+    def decode(self, hv: np.ndarray | PackedHV) -> np.ndarray:
         """Decode hypervector(s) to representative value(s) ``ξ_l``.
 
         Performs a cleanup against the whole basis table (nearest member
         by Hamming distance, via the similarity-kernel subsystem) and
         returns that member's grid value — exactly the two-step decode
         ``l = arg min δ(·, L_i)``, ``x = φ_ℓ⁻¹(L_l)`` from the paper's
-        regression framework.  Accepts packed or unpacked queries;
-        ``backend`` forces a kernel (bit-identical).
+        regression framework.  Accepts packed or unpacked queries.
         """
         batch, single = as_packed_batch(hv, self.dim, "Embedding.decode")
-        dist = pairwise_hamming(batch, self.basis.packed, backend=backend)
+        dist = pairwise_hamming(batch, self.basis.packed)
         idx = np.argmin(dist, axis=-1)
         values = self.discretizer.value(idx)
         return values[0] if single else values

@@ -69,7 +69,6 @@ import numpy as np
 
 from ..analysis import figure3_data, figure6_data, format_table, render_heatmap
 from ..exceptions import InvalidParameterError, ModelFormatError
-from ..hdc.kernels import BACKENDS
 from ..learning.metrics import normalized_mse
 from ..runtime import ArtifactStore
 from ..serve import InferenceEngine, save_model
@@ -344,10 +343,10 @@ def _run_serve(args: argparse.Namespace) -> None:
                         f"{model_path} holds a {type(pipeline).__name__}, not a "
                         "TrainedPipeline; wrap bare models in a pipeline to serve them"
                     )
-                learner = OnlineLearner(pipeline, backend=args.kernel)
+                learner = OnlineLearner(pipeline)
                 engine = learner.engine
             else:
-                engine = InferenceEngine.from_path(model_path, backend=args.kernel)
+                engine = InferenceEngine.from_path(model_path)
         except (InvalidParameterError, ModelFormatError) as exc:
             raise SystemExit(f"cannot load --model {model_path}: {exc}") from exc
         mode = "stream-serving" if args.stream else "serving"
@@ -450,7 +449,7 @@ def _run_serve_http(args: argparse.Namespace) -> None:
 
     if not args.model:
         raise SystemExit("serve-http requires at least one --model NAME=MODEL.npz")
-    registry = ModelRegistry(backend=args.kernel)
+    registry = ModelRegistry()
     try:
         for spec in args.model:
             name, sep, path = spec.partition("=")
@@ -573,11 +572,6 @@ def main(argv: list[str] | None = None) -> int:
                               "interactive request/response clients; raise it "
                               "for bulk piped input (responses stay in request "
                               "order either way)")
-    serving.add_argument("--kernel", choices=BACKENDS,
-                         default=None,
-                         help="similarity-kernel backend for `serve` distance "
-                              "scans (default: REPRO_KERNEL env or auto; all "
-                              "choices answer bit-identically)")
     streaming = parser.add_argument_group("streaming (train --stream / serve --stream)")
     streaming.add_argument("--stream", action="store_true",
                            help="train: consume the training set as an "

@@ -22,12 +22,9 @@ from .hypervector import (
 )
 from .kernels import (
     AUTO_CROSSOVER,
-    BACKENDS,
     DEFAULT_CELL_BUDGET,
     TopK,
     cell_budget,
-    pairwise_hamming_counts,
-    resolve_backend,
     topk_hamming,
     use_gemm,
 )
@@ -109,14 +106,11 @@ __all__ = [
     "similarity",
     "pairwise_hamming",
     "pairwise_similarity",
-    "BACKENDS",
     "AUTO_CROSSOVER",
     "DEFAULT_CELL_BUDGET",
     "TopK",
     "cell_budget",
-    "resolve_backend",
     "use_gemm",
-    "pairwise_hamming_counts",
     "topk_hamming",
     "ingest_chunk",
     "PackedHV",

@@ -2,19 +2,19 @@
 
 Every prediction, retrieval and figure in this reproduction bottoms out
 in one computation — the all-pairs normalized Hamming distance between
-two batches of packed hypervectors.  This module provides two **exact,
-bit-identical** backends for it, a size-aware ``"auto"`` choice between
-them, and a fused top-k retrieval kernel:
+two batches of packed hypervectors.  This module computes it with two
+**exact, bit-identical** private backends, picks between them from the
+input size, and adds a fused top-k retrieval kernel:
 
-* ``"xor"`` — the XOR + popcount scan, widened to ``uint64`` words: the
-  packed rows are zero-padded to a whole number of words (the padding
-  bits are zero, so popcount is unchanged — exact), and the larger
-  operand is streamed in cache-sized blocks through per-call scratch
-  (in-place ``bitwise_xor`` + ``bitwise_count``), so no per-block numpy
-  temporaries materialise.  It runs on the calling thread.  Unbeatable
-  when one side is small (a single query, or a batch against a handful
-  of class vectors).
-* ``"gemm"`` — the classic HDC identity
+* ``_xor_counts`` — the XOR + popcount scan, widened to ``uint64``
+  words: the packed rows are zero-padded to a whole number of words
+  (the padding bits are zero, so popcount is unchanged — exact), and
+  the larger operand is streamed in cache-sized blocks through per-call
+  scratch (in-place ``bitwise_xor`` + ``bitwise_count``), so no
+  per-block numpy temporaries materialise.  It runs on the calling
+  thread.  Unbeatable when one side is small (a single query, or a
+  batch against a handful of class vectors).
+* ``_gemm_counts`` — the classic HDC identity
   ``popcount(a XOR b) = |a| + |b| − 2·(a · b)`` turns all-pairs distance
   into one BLAS matrix product over the unpacked operands.  Cache-blocked
   and SIMD-vectorised by BLAS, it is many times faster than the XOR scan
@@ -23,27 +23,21 @@ them, and a fused top-k retrieval kernel:
   integer, so the result is **exact**, not approximate) and ``float64``
   beyond; the unpacked operand blocks never exceed the allocation budget
   (:func:`repro.hdc.packed.cell_budget`, ``REPRO_KERNEL_BUDGET``).
-* ``"auto"`` — ``gemm`` if :func:`use_gemm` says so, else ``xor``.  The
-  cost model: the XOR scan is ``O(n·m·d)`` word traffic, while GEMM pays
-  an ``O((n+m)·d)`` unpack toll plus ``O(n·m·d)`` FLOPs at a far higher
-  throughput.  Equating the two, the ``d`` terms roughly cancel and the
-  crossover becomes the harmonic size ``n·m / (n+m)``: GEMM wins once
-  *both* batches are big enough.  The cancellation is not exact for the
-  word scan: the measured surface
-  (``benchmarks/bench_kernels_similarity.py``, 2 CPUs) puts break-even
-  between harmonic sizes 16 and 32 at ``d = 1,000`` and between 32 and
-  50 at ``d = 10,000``.  :data:`AUTO_CROSSOVER` stays at 16: the serving
-  and training paths run shapes far below it (a batch against a handful
-  of class vectors) or far above it (all-pairs figures).
 
-Backend selection: an explicit ``backend=`` argument wins, then the
-``REPRO_KERNEL`` environment variable, then ``"auto"``.  Every consumer
-(ops layer, :class:`~repro.hdc.memory.ItemMemory`, the classifier and
-regressor, the analysis figures, the serving engine) threads the
-argument through, so any path is forceable for tests and benchmarks.
-The crossover resolves through the one precedence rule of
-:func:`repro.tuning.calibration.resolve_knob`: explicit argument >
-``REPRO_KERNEL_CROSSOVER`` > built-in constant.
+Selection is this module's own decision: every call runs ``gemm`` if
+:func:`use_gemm` says so, else ``xor``.  The cost model: the XOR scan is
+``O(n·m·d)`` word traffic, while GEMM pays an ``O((n+m)·d)`` unpack toll
+plus ``O(n·m·d)`` FLOPs at a far higher throughput.  Equating the two,
+the ``d`` terms roughly cancel and the crossover becomes the harmonic
+size ``n·m / (n+m)``: GEMM wins once *both* batches are big enough.  The
+cancellation is not exact for the word scan: the measured surface
+(``benchmarks/bench_kernels_similarity.py``, 2 CPUs) puts break-even
+between harmonic sizes 16 and 32 at ``d = 1,000`` and between 32 and 50
+at ``d = 10,000``.  :data:`AUTO_CROSSOVER` stays at 16: the serving and
+training paths run shapes far below it (a batch against a handful of
+class vectors) or far above it (all-pairs figures).  Since both backends
+return the same bits, the choice moves time only, so no caller gets to
+override it.
 
 :func:`topk_hamming` fuses retrieval with the distance computation: it
 scans the table in budget-bounded blocks, keeping only the running best
@@ -53,21 +47,20 @@ and identical to a stable full-matrix ``argsort``.
 
 All of this is property-tested for bitwise agreement with the packed
 layer's byte-wise reference
-(:func:`~repro.hdc.packed.packed_pairwise_hamming`) across backends,
-odd dimensions (tail-mask and word-padding edges), both operand
-orientations, the lookup-table popcount fallback and budget settings in
+(:func:`~repro.hdc.packed.packed_pairwise_hamming`) across both
+backends, the dispatch on either side of the crossover, odd dimensions
+(tail-mask and word-padding edges), both operand orientations, the
+lookup-table popcount fallback and budget settings in
 ``tests/hdc/test_kernels.py``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from ..exceptions import DimensionMismatchError, InvalidParameterError
-from ..tuning.calibration import resolve_knob
 from . import packed as _packed
 from .packed import (
     DEFAULT_CELL_BUDGET,
@@ -78,29 +71,16 @@ from .packed import (
 )
 
 __all__ = [
-    "BACKENDS",
     "AUTO_CROSSOVER",
     "DEFAULT_CELL_BUDGET",
     "TopK",
     "cell_budget",
-    "resolve_backend",
     "use_gemm",
     "pairwise_hamming",
-    "pairwise_hamming_counts",
     "topk_hamming",
 ]
 
-#: The selectable backends (``"auto"`` picks one of the other two).
-BACKENDS = ("auto", "gemm", "xor")
-
-#: Environment variable selecting the default backend.
-_ENV_BACKEND = "REPRO_KERNEL"
-
-#: Environment variable overriding :data:`AUTO_CROSSOVER` (see the
-#: module docstring for the full precedence chain).
-_ENV_CROSSOVER = "REPRO_KERNEL_CROSSOVER"
-
-#: ``auto`` uses GEMM when ``n·m / (n + m)`` is at least this.  Below
+#: The dispatch uses GEMM when ``n·m / (n + m)`` is at least this.  Below
 #: it the unpack toll dominates and the XOR scan wins.  Recorded with
 #: ``benchmarks/bench_kernels_similarity.py`` (see the module docstring
 #: for the measured surface).
@@ -125,74 +105,21 @@ class TopK(NamedTuple):
     distances: np.ndarray
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Normalise a backend request to a :data:`BACKENDS` name.
+def use_gemm(n: int, m: int) -> bool:
+    """Whether an ``(n, d) × (m, d)`` distance matrix runs on GEMM.
 
-    ``None`` falls back to the ``REPRO_KERNEL`` environment variable and
-    then to ``"auto"``.  Unknown names raise
-    :class:`~repro.exceptions.InvalidParameterError` naming the valid
-    backends.
+    The cost model's ``d`` factors roughly cancel (see the module
+    docstring), so only the harmonic size ``n·m / (n+m)`` decides,
+    against :data:`AUTO_CROSSOVER`.
 
-    >>> resolve_backend("auto")
-    'auto'
-    >>> resolve_backend("xor")
-    'xor'
-    """
-    if backend is None:
-        backend = os.environ.get(_ENV_BACKEND) or "auto"
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"kernel backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
-#: Memo of the resolved crossover, keyed on the raw environment string.
-#: Similarity calls can be microsecond-scale, so the dispatcher must not
-#: repay env parsing per call; an env change is a new key, so it
-#: re-resolves on the next call.
-_knob_memo: dict = {}
-
-
-def _gemm_crossover() -> float:
-    """The active harmonic-size GEMM threshold, memoised."""
-    key = os.environ.get(_ENV_CROSSOVER)
-    hit = _knob_memo.get(key)
-    if hit is None:
-        hit = float(
-            resolve_knob(
-                builtin=AUTO_CROSSOVER,
-                env_var=_ENV_CROSSOVER,
-                cast=float,
-                minimum=0.0,
-                strict=True,
-            )
-        )
-        if len(_knob_memo) > 64:
-            _knob_memo.clear()
-        _knob_memo[key] = hit
-    return hit
-
-
-def use_gemm(n: int, m: int, dim: int) -> bool:
-    """The ``auto`` GEMM decision for an ``(n, d) × (m, d)`` product.
-
-    ``dim`` is part of the signature because the dispatch is defined over
-    the full problem size ``n·m·d``, but the cost model's ``d`` factors
-    roughly cancel (see the module docstring), so only the harmonic size
-    ``n·m / (n+m)`` decides.  The threshold is :data:`AUTO_CROSSOVER`
-    unless overridden by ``REPRO_KERNEL_CROSSOVER`` (which must be
-    ``> 0``).
-
-    >>> use_gemm(1, 1000, 10_000)   # single query: unpack toll dominates
+    >>> use_gemm(1, 1000)   # single query: unpack toll dominates
     False
-    >>> use_gemm(100, 100, 10_000)  # both sides big: BLAS wins
+    >>> use_gemm(100, 100)  # both sides big: BLAS wins
     True
     """
-    del dim
     if n <= 0 or m <= 0:
         return False
-    return n * m >= _gemm_crossover() * (n + m)
+    return n * m >= AUTO_CROSSOVER * (n + m)
 
 
 def _as_rows(hv: Union[PackedHV, np.ndarray], context: str) -> PackedHV:
@@ -340,18 +267,14 @@ def _xor_counts(
     return out
 
 
-def _counts(
-    pa: PackedHV, pb: PackedHV, backend: str, normalize: bool = False
-) -> np.ndarray:
-    """Dispatch counts (or, ``normalize``-d, distances) through a backend.
+def _counts(pa: PackedHV, pb: PackedHV, normalize: bool = False) -> np.ndarray:
+    """Counts (or, ``normalize``-d, distances) on the :func:`use_gemm` backend.
 
     Both backends fill one output matrix block-wise; normalization
     happens per block so the distance form never materialises a counts
     matrix too.
     """
-    if backend == "auto":
-        backend = "gemm" if use_gemm(pa.data.shape[0], pb.data.shape[0], pa.dim) else "xor"
-    if backend == "gemm":
+    if use_gemm(pa.data.shape[0], pb.data.shape[0]):
         return _gemm_counts(pa.data, pb.data, pa.dim, normalize=normalize)
     return _xor_counts(pa.data, pb.data, pa.dim, normalize=normalize)
 
@@ -370,67 +293,43 @@ def _as_pair(
     return pa, pb
 
 
-def pairwise_hamming_counts(
-    vectors: Union[PackedHV, np.ndarray],
-    others: Union[PackedHV, np.ndarray, None] = None,
-    backend: str | None = None,
-) -> np.ndarray:
-    """All-pairs **raw** Hamming counts (``int64``), backend-dispatched.
-
-    The integer form of :func:`pairwise_hamming`; exposed for callers
-    that merge or rank counts themselves (top-k sharding does).
-
-    >>> import numpy as np
-    >>> a = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.uint8)
-    >>> pairwise_hamming_counts(a).tolist()
-    [[0, 1], [1, 0]]
-    """
-    pa, pb = _as_pair(vectors, others)
-    return _counts(pa, pb, resolve_backend(backend))
-
-
 def pairwise_hamming(
     vectors: Union[PackedHV, np.ndarray],
     others: Union[PackedHV, np.ndarray, None] = None,
-    backend: str | None = None,
 ) -> np.ndarray:
-    """All-pairs normalized Hamming distance, backend-dispatched.
+    """All-pairs normalized Hamming distance.
 
     Compares an ``(n, d)`` batch against an ``(m, d)`` batch (default:
     itself) and returns the ``(n, m)`` float matrix.  Accepts packed or
-    unpacked rows.  ``backend`` is ``"auto"`` (default), ``"gemm"`` or
-    ``"xor"``; all three return bit-identical matrices — the knob trades
-    time for nothing else.
+    unpacked rows.  The backend is the one :func:`use_gemm` picks for
+    ``(n, m)``; both return the same bits.
 
     >>> import numpy as np
-    >>> rng = np.random.default_rng(0)
-    >>> batch = rng.integers(0, 2, (40, 100), dtype=np.uint8)
-    >>> bool(np.array_equal(pairwise_hamming(batch, backend="gemm"),
-    ...                     pairwise_hamming(batch, backend="xor")))
-    True
+    >>> a = np.array([[0, 1, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
+    >>> pairwise_hamming(a).tolist()
+    [[0.0, 0.5], [0.5, 0.0]]
     """
     pa, pb = _as_pair(vectors, others)
-    return _counts(pa, pb, resolve_backend(backend), normalize=True)
+    return _counts(pa, pb, normalize=True)
 
 
 def topk_hamming(
     queries: Union[PackedHV, np.ndarray],
     table: Union[PackedHV, np.ndarray],
     k: int,
-    backend: str | None = None,
 ) -> TopK:
     """The ``k`` nearest table rows per query, without the full matrix.
 
     The table is scanned in blocks sized by the allocation budget; each
-    block's distances (computed by the selected backend) are merged into
-    a running best-``k`` per query, so at most
+    block's distances (on the backend :func:`use_gemm` picks for the
+    block) are merged into a running best-``k`` per query, so at most
     ``n × (block + k)`` candidate cells ever exist — for ``k ≪ m`` the
     full ``(n, m)`` matrix is never materialised.
 
     Results are sorted ascending by ``(distance, table index)``: ties
     break toward the **lower index**, deterministically, matching a
-    stable full-matrix argsort and independent of the backend, the
-    budget, and any sharding of the table (property-tested).
+    stable full-matrix argsort and independent of the backend and the
+    budget (property-tested).
 
     ``queries`` may be a single hypervector ``(d,)`` (returns ``(k,)``
     arrays) or a batch ``(n, d)`` (returns ``(n, k)`` arrays).
@@ -464,12 +363,11 @@ def topk_hamming(
         raise InvalidParameterError(
             f"top-k merge keys would overflow int64 for dim={dim}, m={m}"
         )
-    backend = resolve_backend(backend)
     block = int(min(m, max(k, cell_budget() // max(1, n))))
     best: np.ndarray | None = None  # (n, ≤k) combined keys, each row sorted
     for lo in range(0, m, block):
         hi = min(m, lo + block)
-        counts = _counts(pq, pt[lo:hi], backend)
+        counts = _counts(pq, pt[lo:hi])
         # Combined sort key: counts·m + index is ascending-lexicographic
         # in (count, index), so one integer sort gives the deterministic
         # lower-index tie-break.

@@ -11,9 +11,9 @@ similarity queries.  It is the retrieval half of every HDC pipeline:
 
 Storage is bit-packed (:mod:`repro.hdc.packed`): every row occupies
 ``ceil(d / 8)`` bytes and queries run through the similarity-kernel
-subsystem (:mod:`repro.hdc.kernels`) against the packed table — GEMM for
-large scans, XOR + popcount for small ones, selectable per call via
-``backend=``.  True top-k retrieval (:meth:`ItemMemory.query_topk`)
+subsystem (:mod:`repro.hdc.kernels`) against the packed table — the
+kernel picks GEMM for large scans and XOR + popcount for small ones,
+with identical results.  True top-k retrieval (:meth:`ItemMemory.query_topk`)
 never materialises the full distance matrix.  The public API still
 speaks unpacked arrays — ``add``/``query`` accept either representation
 and :meth:`ItemMemory.get` returns unpacked bits — so callers written
@@ -153,22 +153,20 @@ class ItemMemory:
     def _coerce_query(self, query: np.ndarray | PackedHV, context: str) -> tuple[PackedHV, bool]:
         return as_packed_batch(query, self._dim, context)
 
-    def distances(self, query: np.ndarray | PackedHV, backend: str | None = None) -> np.ndarray:
+    def distances(self, query: np.ndarray | PackedHV) -> np.ndarray:
         """Normalized Hamming distance from ``query`` to every stored item.
 
         ``query`` may be a single hypervector ``(d,)`` (returns ``(k,)``)
         or a batch ``(n, d)`` (returns ``(n, k)``), where ``k`` is the
         number of stored items, ordered as :meth:`keys`; packed queries
-        are compared without unpacking anything.  ``backend`` selects the
-        similarity kernel (:mod:`repro.hdc.kernels`); all backends are
-        bit-identical.
+        are compared without unpacking anything.
         """
         table = self._table()
         batch, single = self._coerce_query(query, "ItemMemory.distances")
-        dist = pairwise_hamming(batch, table, backend=backend)
+        dist = pairwise_hamming(batch, table)
         return dist[0] if single else dist
 
-    def query(self, hv: np.ndarray | PackedHV, backend: str | None = None) -> Hashable:
+    def query(self, hv: np.ndarray | PackedHV) -> Hashable:
         """Return the key of the most similar stored hypervector.
 
         Takes exactly one hypervector; use :meth:`query_batch` for a
@@ -180,26 +178,22 @@ class ItemMemory:
                 f"ItemMemory.query takes a single hypervector, got shape "
                 f"{batch.shape}; use query_batch for batches"
             )
-        return self.query_batch(batch, backend=backend)[0]
+        return self.query_batch(batch)[0]
 
-    def query_batch(
-        self, hvs: np.ndarray | PackedHV, backend: str | None = None
-    ) -> list[Hashable]:
+    def query_batch(self, hvs: np.ndarray | PackedHV) -> list[Hashable]:
         """Vectorised :meth:`query` over a batch ``(n, d)``.
 
         Ties are resolved toward the earliest-inserted item, matching
         ``numpy.argmin`` semantics; deterministic and documented so that
         experiments are reproducible.
         """
-        dist = self.distances(hvs, backend=backend)
+        dist = self.distances(hvs)
         if dist.ndim == 1:
             dist = dist[None, :]
         winners = np.argmin(dist, axis=-1)
         return [self._keys[i] for i in winners]
 
-    def topk(
-        self, hvs: np.ndarray | PackedHV, k: int, backend: str | None = None
-    ) -> TopK:
+    def topk(self, hvs: np.ndarray | PackedHV, k: int) -> TopK:
         """Raw top-``k`` retrieval: row indices + distances, fused kernel.
 
         The low-level form of :meth:`query_topk` — returns a
@@ -211,14 +205,12 @@ class ItemMemory:
         """
         table = self._table()
         batch, single = self._coerce_query(hvs, "ItemMemory.topk")
-        result = topk_hamming(batch, table, k, backend=backend)
+        result = topk_hamming(batch, table, k)
         if single:
             return TopK(result.indices[0], result.distances[0])
         return result
 
-    def query_topk(
-        self, hvs: np.ndarray | PackedHV, k: int, backend: str | None = None
-    ) -> list:
+    def query_topk(self, hvs: np.ndarray | PackedHV, k: int) -> list:
         """The ``k`` most similar stored items with their distances.
 
         For a single query ``(d,)`` returns a list of ``(key, distance)``
@@ -237,7 +229,7 @@ class ItemMemory:
         >>> mem.query_topk(np.zeros(8, dtype=np.uint8), k=2)
         [(0, 0.0), (1, 0.125)]
         """
-        result = self.topk(hvs, k, backend=backend)
+        result = self.topk(hvs, k)
         single = result.indices.ndim == 1
         out = [
             [(self._keys[int(i)], float(d)) for i, d in zip(row_i, row_d)]
@@ -247,7 +239,7 @@ class ItemMemory:
         ]
         return out[0] if single else out
 
-    def cleanup(self, hv: np.ndarray | PackedHV, backend: str | None = None) -> np.ndarray:
+    def cleanup(self, hv: np.ndarray | PackedHV) -> np.ndarray:
         """Snap a noisy hypervector to the nearest stored one.
 
         This is the "cleanup memory" role used by the regression decode
@@ -255,5 +247,5 @@ class ItemMemory:
         label hypervector plus noise; cleanup recovers the exact ``L_l``.
         Returns unpacked bits regardless of the query representation.
         """
-        key = self.query(hv, backend=backend)
+        key = self.query(hv)
         return self.get(key)

@@ -23,13 +23,17 @@ Distances:
 * **hamming_distance** — the normalized Hamming distance
   ``δ : H × H → [0, 1]`` of Section 2.
 * **similarity** — ``1 − δ`` as defined in the paper.
+* **pairwise_hamming** — the all-pairs ``δ`` matrix, re-exported from
+  the similarity-kernel subsystem (:mod:`repro.hdc.kernels`), which
+  picks its own exact backend from the input size.  It is the
+  computation behind the Figure 3 heatmaps and every nearest-neighbour
+  query in the item memory and the models.
 
 Representation dispatch: every operation accepts both the unpacked
 byte-per-bit arrays and the bit-packed :class:`~repro.hdc.packed.PackedHV`
 backend.  Packed operands are routed to the packed kernels (packed in →
 packed out for bind/bundle/permute) and the distance functions always run
-on packed words via XOR + popcount, which is the shared kernel behind the
-item memory, the classifier and the Figure 3 matrices.
+on packed words.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ import numpy as np
 
 from .._rng import SeedLike, ensure_rng
 from ..exceptions import DimensionMismatchError, InvalidParameterError
-from . import kernels as _kernels
 from . import packed as _packed
 from .coerce import any_packed
 from .hypervector import BIT_DTYPE, as_hypervector
+from .kernels import pairwise_hamming
 
 __all__ = [
     "TieBreak",
@@ -383,31 +387,9 @@ def similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - hamming_distance(a, b)
 
 
-def pairwise_hamming(
-    vectors: np.ndarray,
-    others: np.ndarray | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
-    """All-pairs normalized Hamming distance.
-
-    ``vectors`` has shape ``(n, d)``; ``others`` defaults to ``vectors``
-    and has shape ``(m, d)``.  Returns an ``(n, m)`` matrix.  This is the
-    computation behind the Figure 3 heatmaps and behind every
-    nearest-neighbour query in the item memory.  It runs on the
-    similarity-kernel subsystem (:mod:`repro.hdc.kernels`): ``backend``
-    picks ``"auto"`` (size-aware dispatch, the default), ``"gemm"``
-    (BLAS matrix product) or ``"xor"`` (chunked XOR + popcount);
-    ``None`` defers to the ``REPRO_KERNEL`` environment variable.  All
-    backends are bit-identical — unpacked operands are packed once per
-    call, :class:`~repro.hdc.packed.PackedHV` operands skip even that.
-    """
-    return _kernels.pairwise_hamming(vectors, others, backend=backend)
-
-
 def pairwise_similarity(
     vectors: np.ndarray,
     others: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """All-pairs similarity ``1 − δ``; see :func:`pairwise_hamming`."""
-    return 1.0 - pairwise_hamming(vectors, others, backend=backend)
+    return 1.0 - pairwise_hamming(vectors, others)

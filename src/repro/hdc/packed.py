@@ -417,9 +417,8 @@ def _chunked_xor_counts(
 ) -> np.ndarray:
     """All-pairs Hamming counts on packed rows, chunked XOR + popcount.
 
-    The reference loop shared by :func:`packed_pairwise_hamming` and the
-    ``"xor"`` backend of :mod:`repro.hdc.kernels`: the
-    ``(chunk, m, width)`` XOR intermediate is chunked to stay within
+    The byte-wise reference loop behind :func:`packed_pairwise_hamming`:
+    the ``(chunk, m, width)`` XOR intermediate is chunked to stay within
     :func:`cell_budget`.  Returns raw ``int64`` counts, or — when
     ``dim`` is given — ``float64`` normalized distances filled
     chunk-wise, so only one full ``(n, m)`` matrix ever exists.
@@ -442,10 +441,9 @@ def packed_pairwise_hamming(
 ) -> np.ndarray:
     """All-pairs normalized Hamming distance on packed rows.
 
-    The XOR + popcount reference kernel: what
-    :func:`repro.hdc.ops.pairwise_hamming` and every distance consumer
-    run when the ``"xor"`` backend is selected (the GEMM and dispatching
-    backends live in :mod:`repro.hdc.kernels`).  Compares an ``(n, d)``
+    The byte-wise XOR + popcount reference kernel: both backends of
+    :mod:`repro.hdc.kernels` (which every distance consumer runs) are
+    tested for bitwise agreement with it.  Compares an ``(n, d)``
     batch against an ``(m, d)`` batch (default: itself) and returns an
     ``(n, m)`` float matrix.
     """

@@ -395,36 +395,27 @@ class CentroidClassifier:
         self._materialise()
         return self
 
-    def decision_distances(
-        self, encoded: EncodedBatch, backend: str | None = None
-    ) -> tuple[np.ndarray, list[Hashable]]:
+    def decision_distances(self, encoded: EncodedBatch) -> tuple[np.ndarray, list[Hashable]]:
         """Distance of each sample to every class-vector.
 
         Returns ``(distances, class_order)`` with ``distances`` of shape
         ``(n, k)``, computed against the packed prototype table through
         the similarity-kernel subsystem (:mod:`repro.hdc.kernels`).
-        ``backend`` forces ``"gemm"``/``"xor"``; the default ``"auto"``
-        dispatches on the batch size, and every choice is bit-identical.
         """
         self._materialise()
         assert self._packed_table is not None
         batch = self._check_batch(encoded)
-        distances = pairwise_hamming(batch, self._packed_table, backend=backend)
+        distances = pairwise_hamming(batch, self._packed_table)
         return distances, list(self._class_order)
 
-    def predict(self, encoded: EncodedBatch, backend: str | None = None) -> list[Hashable]:
+    def predict(self, encoded: EncodedBatch) -> list[Hashable]:
         """Nearest class-vector labels for a batch of encoded samples."""
-        distances, order = self.decision_distances(encoded, backend=backend)
+        distances, order = self.decision_distances(encoded)
         winners = np.argmin(distances, axis=-1)
         return [order[i] for i in winners]
 
-    def score(
-        self,
-        encoded: EncodedBatch,
-        labels: Sequence[Hashable],
-        backend: str | None = None,
-    ) -> float:
+    def score(self, encoded: EncodedBatch, labels: Sequence[Hashable]) -> float:
         """Accuracy of :meth:`predict` against the provided labels."""
-        predictions = self.predict(encoded, backend=backend)
+        predictions = self.predict(encoded)
         return accuracy(np.asarray(list(labels), dtype=object),
                         np.asarray(predictions, dtype=object))

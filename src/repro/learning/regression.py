@@ -337,12 +337,12 @@ class HDRegressor:
             self._scoring = table
         return table
 
-    def _label_scores(self, batch: EncodedBatch, backend: str | None = None) -> np.ndarray:
+    def _label_scores(self, batch: EncodedBatch) -> np.ndarray:
         """Alignment of each query with each label grid point, in ``[−1, 1]``.
 
         For the binary model this is ``1 − 2δ(M ⊗ φ(x̂), L_k)``, computed
         against the packed label table through the similarity-kernel
-        subsystem (``backend`` selects GEMM/XOR; bit-identical); for the
+        subsystem; for the
         integer model it is the normalised inner product between the
         signed accumulator (sign-flipped by the query bits) and the
         bipolar label vectors — the same quantity without the majority
@@ -355,27 +355,20 @@ class HDRegressor:
         if self.model_mode == "binary":
             queries = batch if is_packed(batch) else PackedHV.pack(batch)
             unbound = packed_bind(queries, self.packed_model)
-            distances = pairwise_hamming(
-                unbound, self.label_embedding.basis.packed, backend=backend
-            )
+            distances = pairwise_hamming(unbound, self.label_embedding.basis.packed)
             return 1.0 - 2.0 * distances
         colsum, weighted, norm = self._integer_table()
         bits = batch.unpack() if is_packed(batch) else batch
         scores = colsum[None, :] - 2.0 * (bits.astype(weighted.dtype) @ weighted)
         return scores / norm
 
-    def predict(self, encoded: EncodedBatch, backend: str | None = None) -> np.ndarray:
-        """Decode predicted labels for a batch of encoded samples.
-
-        ``backend`` selects the similarity kernel used by the cleanup
-        scan (:mod:`repro.hdc.kernels`); predictions are bit-identical
-        for every choice.
-        """
+    def predict(self, encoded: EncodedBatch) -> np.ndarray:
+        """Decode predicted labels for a batch of encoded samples."""
         batch = self._check_batch(encoded)
         if self._bundle.total == 0:
             raise EmptyModelError("regressor has no training data")
         grid = self.label_embedding.discretizer.points
-        scores = self._label_scores(batch, backend=backend)
+        scores = self._label_scores(batch)
         if self.decode_mode == "argmin":
             return grid[np.argmax(scores, axis=-1)]
         # Weighted decode: weight each label grid point by its positive
@@ -391,8 +384,8 @@ class HDRegressor:
             out[good] = (weights[good] * grid[None, :]).sum(axis=-1) / totals[good]
         return out
 
-    def score(self, encoded: EncodedBatch, y: np.ndarray, backend: str | None = None) -> float:
+    def score(self, encoded: EncodedBatch, y: np.ndarray) -> float:
         """Mean squared error of :meth:`predict` against ``y``."""
         return mean_squared_error(
-            np.asarray(y, dtype=np.float64), self.predict(encoded, backend=backend)
+            np.asarray(y, dtype=np.float64), self.predict(encoded)
         )

@@ -36,7 +36,6 @@ from typing import Any, Hashable, Union
 import numpy as np
 
 from ..exceptions import EmptyModelError, InvalidParameterError
-from ..hdc.kernels import resolve_backend
 from ..hdc.packed import PackedHV
 from ..runtime.batch import BatchEncoder
 from .pipeline import TrainedPipeline
@@ -51,13 +50,16 @@ class InferenceEngine:
     ----------
     pipeline:
         The :class:`~repro.serve.pipeline.TrainedPipeline` to serve.
-    backend:
-        Similarity-kernel backend for the distance scans
-        (:mod:`repro.hdc.kernels`): ``"auto"`` (default via the
-        ``REPRO_KERNEL`` environment variable), ``"gemm"`` or ``"xor"``.
-        Under ``"auto"`` every micro-batch picks the kernel for its own
-        size — a single record scans with XOR + popcount, a large batch
-        rides one BLAS product — and every choice is bit-identical.
+
+    The distance scans run on :mod:`repro.hdc.kernels`, which picks its
+    exact backend from the harmonic size ``n·k / (n+k)`` of an
+    ``n``-row batch against ``k`` model rows.  A classifier scans
+    against one prototype per class, so with at most 16 classes (a
+    Suturing model has 15) the harmonic size stays below the crossover
+    of 16 for every batch and the scan is always XOR + popcount.  GEMM
+    runs only where both sides are large: a binary regressor's cleanup
+    against its label levels (128 in ``RegressionConfig``) once a batch
+    reaches 19 rows, and the keyless per-level table build.
 
     The engine is a context manager (:meth:`close` on exit marks it
     closed for the registry's drain) but can also be used without
@@ -78,11 +80,8 @@ class InferenceEngine:
     13.0
     """
 
-    def __init__(self, pipeline: TrainedPipeline, backend: str | None = None) -> None:
+    def __init__(self, pipeline: TrainedPipeline) -> None:
         self.pipeline = pipeline
-        # Resolve eagerly so a typo'd backend (or REPRO_KERNEL value)
-        # fails at construction, not on the first mid-stream request.
-        self.backend = resolve_backend(backend)
         self._closed = False
         if pipeline.keys is not None:
             self._encoder: BatchEncoder | None = BatchEncoder(
@@ -104,9 +103,7 @@ class InferenceEngine:
             pass
 
     @classmethod
-    def from_path(
-        cls, path: str | os.PathLike, backend: str | None = None
-    ) -> "InferenceEngine":
+    def from_path(cls, path: str | os.PathLike) -> "InferenceEngine":
         """Load a saved pipeline (``save_model`` output) and wrap it.
 
         The one-time cost — reading the container, unpacking the basis
@@ -123,7 +120,7 @@ class InferenceEngine:
                 f"{path} holds a {type(pipeline).__name__}, not a TrainedPipeline; "
                 "wrap bare models in a pipeline to serve them"
             )
-        return cls(pipeline, backend=backend)
+        return cls(pipeline)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -196,9 +193,7 @@ class InferenceEngine:
             version = model.version
             if self._table is None or self._table[0] != version:
                 model.prepare()
-                answers = model.predict(
-                    self.pipeline.embedding.basis.packed, backend=self.backend
-                )
+                answers = model.predict(self.pipeline.embedding.basis.packed)
                 self._table = (version, answers)
             return self._table[1]
 
@@ -214,14 +209,12 @@ class InferenceEngine:
         """Predict labels (classification) or values (regression).
 
         Accepts a single record or a micro-batch; always returns the
-        batch form (a list of labels, or a float array).  Bit-identical
-        for any ``backend`` (under ``"auto"``, each micro-batch picks
-        the similarity kernel for its own size).
-        Keyless pipelines answer from the per-level table.
+        batch form (a list of labels, or a float array).  Keyless
+        pipelines answer from the per-level table.
         """
         if self._encoder is None:
             return self._lookup(self._as_batch(features)[:, 0])
-        return self.pipeline.model.predict(self.encode(features), backend=self.backend)
+        return self.pipeline.model.predict(self.encode(features))
 
     def predict_coalesced(self, records: Any) -> list:
         """Predict a coalesced micro-batch, bit-identical to ``predict_one``.
@@ -229,8 +222,9 @@ class InferenceEngine:
         The serving tier's keystone: concurrent in-flight requests are
         coalesced by the :class:`~repro.serve.batching.MicroBatcher`
         into **one** call here, so the encode and the distance scan run
-        as single kernel invocations (one BLAS product under ``"auto"``
-        for large batches) instead of one per request — yet every row of
+        as single kernel invocations instead of one per request (the
+        scan's backend is the kernel's own choice; see the class
+        docstring for where it is GEMM) — yet every row of
         the answer is exactly what a sequential ``predict_one`` would
         have returned for that record: keyless pipelines index the
         per-level answer table, and key–value pipelines batch-encode
@@ -245,15 +239,15 @@ class InferenceEngine:
             return []
         if self._encoder is None:
             return list(self._lookup(batch[:, 0]))
-        return list(self.pipeline.model.predict(self.encode(batch), backend=self.backend))
+        return list(self.pipeline.model.predict(self.encode(batch)))
 
     def predict_one(self, record: Any) -> Any:
         """Predict for exactly one record; returns a scalar label/value.
 
         The single-record path: checks the record is one ``(k,)`` row,
-        encodes it as a one-row batch and predicts inline — under
-        ``"auto"`` a one-row scan always lands on the XOR kernel; a
-        keyless record is one quantise and one per-level table lookup.
+        encodes it as a one-row batch and predicts inline — a one-row
+        scan always runs on the XOR kernel; a keyless record is one
+        quantise and one per-level table lookup.
         The answer is bit-identical to ``predict([record])[0]``
         (asserted in ``tests/serve/test_engine.py``); the per-call
         latency is measured by ``benchmarks/bench_serve_latency.py``.
@@ -266,10 +260,10 @@ class InferenceEngine:
             )
         if self._encoder is None:
             return self._lookup(arr[:1])[0]
-        return self.pipeline.model.predict(self.encode(arr), backend=self.backend)[0]
+        return self.pipeline.model.predict(self.encode(arr))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"InferenceEngine(kind={self.kind!r}, dim={self.pipeline.dim}, "
-            f"features={self.num_features}, backend={self.backend!r})"
+            f"features={self.num_features})"
         )

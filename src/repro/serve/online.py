@@ -39,10 +39,6 @@ class OnlineLearner:
         or reloaded).  The learner and its engine share the pipeline's
         model object — updates are visible to subsequent predictions
         immediately.
-    backend:
-        Similarity-kernel backend for the embedded engine's distance
-        scans (``"auto"``/``"gemm"``/``"xor"``; ``None`` defers to the
-        ``REPRO_KERNEL`` environment variable).
 
     Example
     -------
@@ -59,12 +55,8 @@ class OnlineLearner:
     12
     """
 
-    def __init__(
-        self,
-        pipeline: TrainedPipeline,
-        backend: str | None = None,
-    ) -> None:
-        self.engine = InferenceEngine(pipeline, backend=backend)
+    def __init__(self, pipeline: TrainedPipeline) -> None:
+        self.engine = InferenceEngine(pipeline)
 
     def _chunk_encode(self):
         """The picklable encode :meth:`learn_stream` streams through.

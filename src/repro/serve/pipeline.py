@@ -105,8 +105,8 @@ class TrainedPipeline:
                 f"a {self.kind} pipeline needs a {expected.__name__}, "
                 f"got {type(self.model).__name__}"
             )
-        # Validate eagerly, as the engine resolves its backend: a typo'd
-        # policy must fail here, not on every later learn or predict.
+        # Validate eagerly: a typo'd policy must fail here, not on every
+        # later learn or predict.
         if self.tie_break not in SERVE_TIE_BREAKS:
             raise InvalidParameterError(
                 f"a served pipeline's tie_break must be one of {SERVE_TIE_BREAKS}, "

@@ -80,21 +80,13 @@ class EngineLease:
 class ModelRegistry:
     """Thread-safe name → engine mapping with atomic hot swap.
 
-    Parameters
-    ----------
-    backend:
-        Default forwarded to every :class:`InferenceEngine` the
-        registry builds from a path or pipeline (``None`` defers to the
-        ``REPRO_KERNEL`` chain).  Pre-built engines are registered
-        as-is.
-
-    The registry owns its engines: :meth:`close` (or leaving the
+    Paths and pipelines are wrapped in a new :class:`InferenceEngine`;
+    pre-built engines are registered as-is.  The registry owns its engines: :meth:`close` (or leaving the
     ``with`` block) closes every live engine, and swapped-out engines
     are closed as soon as they drain.
     """
 
-    def __init__(self, backend: str | None = None) -> None:
-        self._backend = backend
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, EngineLease] = {}
         self._closed = False
@@ -104,11 +96,8 @@ class ModelRegistry:
         if isinstance(source, InferenceEngine):
             return source, f"<{type(source.pipeline).__name__}>"
         if isinstance(source, TrainedPipeline):
-            return (
-                InferenceEngine(source, backend=self._backend),
-                f"<{type(source).__name__}>",
-            )
-        engine = InferenceEngine.from_path(source, backend=self._backend)
+            return InferenceEngine(source), f"<{type(source).__name__}>"
+        engine = InferenceEngine.from_path(source)
         return engine, str(source)
 
     def register(self, name: str, source: ModelSource) -> EngineLease:

@@ -198,7 +198,6 @@ def stream_score_classifier(
     encoder: BatchEncoder,
     source: ChunkSource,
     seed: Union[int, None] = 0,
-    backend: str | None = None,
 ) -> float:
     """Accuracy over a labelled chunk stream, never materialising it.
 
@@ -215,7 +214,7 @@ def stream_score_classifier(
     for chunk in source:
         if chunk.targets is None:
             raise InvalidParameterError("scoring needs labelled chunks")
-        predictions = classifier.predict(encode(chunk), backend=backend)
+        predictions = classifier.predict(encode(chunk))
         labels = np.asarray(chunk.targets).tolist()
         correct += sum(p == t for p, t in zip(predictions, labels))
         total += chunk.rows
@@ -229,7 +228,6 @@ def stream_score_regressor(
     embedding: Embedding,
     source: ChunkSource,
     column: int = 0,
-    backend: str | None = None,
 ) -> float:
     """Mean squared error over a chunk stream, never materialising it.
 
@@ -244,7 +242,7 @@ def stream_score_regressor(
     for chunk in source:
         if chunk.targets is None:
             raise InvalidParameterError("scoring needs labelled chunks")
-        predictions = model.predict(encode(chunk), backend=backend)
+        predictions = model.predict(encode(chunk))
         y = np.asarray(chunk.targets, dtype=np.float64)
         sq_sum += float(mean_squared_error(y, predictions)) * chunk.rows
         total += chunk.rows

@@ -5,7 +5,7 @@ gives every consumer the one precedence rule, explicit arg > ``REPRO_*``
 env var > built-in.  Malformed env values (unparsable, non-finite, out
 of bounds) raise :class:`~repro.exceptions.CalibrationError`.
 
-Knobs move only crossover, blocking and scheduling decisions — results
+Knobs move only blocking and scheduling decisions — results
 are bit-identical for any value (property-tested through arguments and
 environment variables in ``tests/tuning/``).  The budgets those
 decisions must meet are gated by the benchmark scripts CI runs; see

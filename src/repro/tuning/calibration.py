@@ -1,13 +1,14 @@
 """Performance knobs: one precedence chain, ``arg > env var > built-in``.
 
-Every performance knob in this repository — the kernel crossovers, the
-streaming chunk size, the worker counts, the serving batch window —
+Every performance knob in this repository — the kernels' allocation
+budget, the streaming chunk size, the worker counts, the serving batch
+window —
 resolves through :func:`resolve_knob`: an explicit argument wins, then
 the knob's own ``REPRO_*`` environment variable, then the built-in
 constant.  A knob can therefore be forced per call (tests) or per
 process (env), and an unconfigured process runs on the built-ins.
 
-Knobs only move crossover, blocking and scheduling decisions.  Every
+Knobs only move blocking and scheduling decisions.  Every
 consumer is bit-identical for any knob value (property-tested through
 arguments and environment variables in ``tests/tuning/``), so a wrong
 value can cost time but never correctness.  Malformed environment
@@ -68,7 +69,6 @@ def resolve_knob(
     env_var: str | None = None,
     cast: Callable[[str], T] = int,
     minimum: T | None = None,
-    strict: bool = False,
 ) -> T:
     """Resolve one performance knob through the precedence chain.
 
@@ -89,9 +89,8 @@ def resolve_knob(
     cast:
         Parser for the env string (``int`` or ``float``).  Non-finite
         floats (``nan``, ``inf``) are rejected.
-    minimum, strict:
-        Lower bound enforced on env values: ``value >= minimum``, or
-        ``value > minimum`` when ``strict``.
+    minimum:
+        Lower bound enforced on env values: ``value >= minimum``.
 
     >>> resolve_knob(builtin=1024, arg=512)
     512
@@ -112,8 +111,6 @@ def resolve_knob(
         ) from None
     if isinstance(value, float) and not math.isfinite(value):
         raise CalibrationError(f"{env_var} must be finite, got {raw!r}")
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        raise CalibrationError(
-            f"{env_var} must be {'>' if strict else '>='} {minimum}, got {raw!r}"
-        )
+    if minimum is not None and value < minimum:
+        raise CalibrationError(f"{env_var} must be >= {minimum}, got {raw!r}")
     return value

@@ -28,6 +28,20 @@ def dim() -> int:
     return 1024
 
 
+#: ``AUTO_CROSSOVER`` values that send every non-empty distance call to
+#: one similarity-kernel backend.
+FORCED_CROSSOVER = {"xor": float("inf"), "gemm": 0.0}
+
+
+@pytest.fixture(params=sorted(FORCED_CROSSOVER))
+def kernel_side(request, monkeypatch) -> str:
+    """Force the kernel dispatch onto one backend for the whole test."""
+    from repro.hdc import kernels
+
+    monkeypatch.setattr(kernels, "AUTO_CROSSOVER", FORCED_CROSSOVER[request.param])
+    return request.param
+
+
 def binomial_tolerance(dim: int, sigmas: float = 5.0) -> float:
     """Concentration bound for an empirical Hamming distance.
 

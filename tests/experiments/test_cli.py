@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.__main__ import _TARGETS, main
-from repro.hdc.kernels import BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -91,13 +90,12 @@ class TestCLI:
         assert capsys.readouterr().out == serial
 
     @pytest.mark.parametrize("target", ["serve", "serve-http"])
-    def test_kernel_choices_are_the_kernel_backends(self, target, capsys):
+    def test_kernel_flag_is_an_unknown_argument(self, target, capsys):
+        # The kernel picks its own backend; there is no flag to choose one.
         with pytest.raises(SystemExit) as exc:
-            main([target, "--model", "m=missing.npz", "--kernel", "xor-mt"])
+            main([target, "--model", "m=missing.npz", "--kernel", "xor"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--kernel: invalid choice: 'xor-mt'" in err
-        assert all(backend in err for backend in BACKENDS)
+        assert "unrecognized arguments: --kernel xor" in capsys.readouterr().err
 
     def test_fast_caps_dimension(self, capsys):
         assert main(["table2", "--dim", "9999", "--seed", "3", "--fast"]) == 0

@@ -4,7 +4,7 @@ Covers the acceptance contract of the serving subsystem: a model
 trained in one process, saved, and reloaded in a fresh engine answers
 every request with exactly the bits the in-memory model produces — for
 classification and regression pipelines, single records and
-micro-batches, every kernel backend.
+micro-batches, with the kernel dispatch on either side.
 """
 
 from __future__ import annotations
@@ -148,45 +148,17 @@ class TestRegressionServing:
             assert np.array_equal(engine.predict(rows), expected)
 
 
-class TestKernelBackends:
-    """The backend knob and the predict_one fast path are invisible in
-    the answers: every backend and entry point must agree
-    bit for bit."""
+class TestFastPath:
+    """The predict_one fast path is invisible in the answers: every
+    entry point must agree bit for bit."""
 
-    def test_classifier_backends_bit_identical(
-        self, classification_pipeline, gesture_records
+    def test_fast_path_matches_batch_on_either_kernel_side(
+        self, classification_pipeline, gesture_records, kernel_side
     ):
         with InferenceEngine(classification_pipeline) as engine:
-            expected = engine.predict(gesture_records)
-        for backend in ("auto", "gemm", "xor"):
-            with InferenceEngine(classification_pipeline, backend=backend) as engine:
-                assert engine.predict(gesture_records) == expected
-
-    def test_regression_backends_bit_identical(self, regression_pipeline):
-        anomalies = np.linspace(0.0, 2 * np.pi, 40)[:, None]
-        with InferenceEngine(regression_pipeline) as engine:
-            expected = engine.predict(anomalies)
-        for backend in ("gemm", "xor"):
-            with InferenceEngine(regression_pipeline, backend=backend) as engine:
-                assert np.array_equal(engine.predict(anomalies), expected)
-
-    def test_env_knob_forces_backend(
-        self, classification_pipeline, gesture_records, monkeypatch
-    ):
-        with InferenceEngine(classification_pipeline) as engine:
-            expected = engine.predict(gesture_records)
-        monkeypatch.setenv("REPRO_KERNEL", "gemm")
-        with InferenceEngine(classification_pipeline) as engine:
-            assert engine.predict(gesture_records) == expected
-
-    def test_fast_path_matches_batch_per_backend(
-        self, classification_pipeline, gesture_records
-    ):
-        for backend in ("auto", "gemm", "xor"):
-            with InferenceEngine(classification_pipeline, backend=backend) as engine:
-                batch = engine.predict(gesture_records[:10])
-                singles = [engine.predict_one(row) for row in gesture_records[:10]]
-                assert singles == batch
+            batch = engine.predict(gesture_records[:10])
+            singles = [engine.predict_one(row) for row in gesture_records[:10]]
+            assert singles == batch
 
     def test_fast_path_matches_batch_keyless(self, regression_pipeline):
         with InferenceEngine(regression_pipeline) as engine:
@@ -194,13 +166,6 @@ class TestKernelBackends:
             batch = engine.predict(values[:, None])
             singles = np.array([engine.predict_one([v]) for v in values])
             assert np.array_equal(singles, batch)
-
-    def test_bad_backend_fails_at_construction(self, classification_pipeline, monkeypatch):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            InferenceEngine(classification_pipeline, backend="simd")
-        monkeypatch.setenv("REPRO_KERNEL", "typo")
-        with pytest.raises(InvalidParameterError, match="backend"):
-            InferenceEngine(classification_pipeline)
 
     def test_fast_path_rejects_bad_shapes(self, classification_pipeline):
         with InferenceEngine(classification_pipeline) as engine:

@@ -104,22 +104,20 @@ def _assert_served(engine, values, expected):
 # -- byte identity with the encode-then-scan path --------------------------------
 
 
-@pytest.mark.parametrize("backend", ["gemm", "xor"])
 @pytest.mark.parametrize("model_mode", ["binary", "integer"])
 @pytest.mark.parametrize("decode", ["argmin", "weighted"])
 @pytest.mark.parametrize("make_embedding", [_circular, _linear], ids=["circular", "linear"])
-def test_regressor_table_is_byte_identical(backend, model_mode, decode, make_embedding):
+def test_regressor_table_is_byte_identical(kernel_side, model_mode, decode, make_embedding):
     pipeline = _regression_pipeline(model_mode, decode, make_embedding())
     values = _values(pipeline.embedding)
-    with InferenceEngine(pipeline, backend=backend) as engine:
+    with InferenceEngine(pipeline) as engine:
         _assert_served(engine, values, _oracle(pipeline, values))
 
 
-@pytest.mark.parametrize("backend", ["gemm", "xor"])
-def test_classifier_table_is_byte_identical(backend):
+def test_classifier_table_is_byte_identical(kernel_side):
     pipeline = _classification_pipeline()
     values = _values(pipeline.embedding, seed=1)
-    with InferenceEngine(pipeline, backend=backend) as engine:
+    with InferenceEngine(pipeline) as engine:
         expected = _oracle(pipeline, values)
         assert len(set(expected)) == 4
         _assert_served(engine, values, expected)
@@ -234,10 +232,10 @@ def test_concurrent_rebuild_builds_once():
         builds = []
         predict = served.model.predict
 
-        def counted(encoded, backend=None):
+        def counted(encoded):
             builds.append(encoded.shape[0])
             time.sleep(0.05)  # a slow build: racing threads pile up here
-            return predict(encoded, backend=backend)
+            return predict(encoded)
 
         served.model.predict = counted
         barrier = threading.Barrier(8)

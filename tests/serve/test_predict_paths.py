@@ -1,9 +1,9 @@
-"""The in-process predict path: exactness across backends and models.
+"""The in-process predict path: exactness across kernel sides and models.
 
 The contract under test (see :mod:`repro.serve.engine`): serving has one
 predict path per call — ``model.predict`` on the calling thread, or for
-keyless pipelines a lookup in the per-level answer table — and for any
-kernel backend, batch size, model kind and decode mode it answers
+keyless pipelines a lookup in the per-level answer table — and for
+either kernel backend, any batch size, model kind and decode mode it answers
 **bit-identically** to sequential ``predict_one``.  That holds through
 hot swaps and online learning.
 """
@@ -39,17 +39,16 @@ def _regression_pipeline(model: str, decode: str, dim: int = 256):
     return TrainedPipeline(kind="regression", model=reg, embedding=emb)
 
 
-# -- exactness across backends, batch sizes and model kinds --------------------
+# -- exactness across kernel sides, batch sizes and model kinds ----------------
 
 
-@pytest.mark.parametrize("backend", ["gemm", "xor"])
 @pytest.mark.parametrize("batch", [1, 7, 32])
-def test_classifier_matches_inline(classification_pipeline, backend, batch):
+def test_classifier_matches_inline(classification_pipeline, kernel_side, batch):
     rows = _rows(classification_pipeline, batch, seed=batch)
     with InferenceEngine(classification_pipeline) as inline:
         expected = inline.predict(rows)
         expected_one = [inline.predict_one(r) for r in rows]
-    with InferenceEngine(classification_pipeline, backend=backend) as engine:
+    with InferenceEngine(classification_pipeline) as engine:
         assert engine.predict(rows) == expected == expected_one
         assert list(engine.predict_coalesced(rows)) == expected
 
@@ -94,9 +93,9 @@ def test_coalesced_batch_encodes_once(fixture, request, monkeypatch):
 
 
 def test_empty_batch_and_repr(classification_pipeline):
-    with InferenceEngine(classification_pipeline, backend="xor") as engine:
+    with InferenceEngine(classification_pipeline) as engine:
         assert engine.predict_coalesced(np.empty((0, engine.num_features))) == []
-        assert "backend='xor'" in repr(engine)
+        assert repr(engine).startswith("InferenceEngine(kind='classification'")
 
 
 # -- hot swap and online learning ------------------------------------------------

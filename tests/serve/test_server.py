@@ -120,11 +120,10 @@ class TestCoalescedBitIdentity:
             )
         assert got == expected
 
-    @pytest.mark.parametrize("backend", ["gemm", "xor"])
-    def test_backend_is_invisible(self, classification_pipeline, backend):
+    def test_either_kernel_side_is_exact(self, classification_pipeline, kernel_side):
         rows = _rows(classification_pipeline, 40, seed=5)
         expected = _oracle(classification_pipeline, rows)
-        with ModelRegistry(backend=backend) as registry:
+        with ModelRegistry() as registry:
             registry.register("m", classification_pipeline)
             got, _ = asyncio.run(_coalesced(registry, "m", rows, window_ms=2.0))
         assert got == expected

@@ -25,7 +25,6 @@ KNOB_VARS = (
     "REPRO_WORKERS",
     "REPRO_CLUSTER_WORKERS",
     "REPRO_KERNEL_BUDGET",
-    "REPRO_KERNEL_CROSSOVER",
     "REPRO_SERVE_BATCH_WINDOW_MS",
     "REPRO_SERVE_BATCH_MAX",
     "REPRO_SERVE_MAX_QUEUE",
@@ -102,12 +101,6 @@ class TestPrecedence:
         with pytest.raises(CalibrationError, match=">= 1"):
             self._resolve(minimum=1)
 
-    def test_strict_minimum_excludes_the_bound(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "1")
-        assert self._resolve(minimum=1) == 1
-        with pytest.raises(CalibrationError, match="> 1"):
-            self._resolve(minimum=1, strict=True)
-
     def test_env_change_takes_effect_immediately(self, monkeypatch):
         monkeypatch.setenv(self.ENV, "128")
         assert self._resolve() == 128
@@ -138,31 +131,11 @@ class TestEnvValidation:
         monkeypatch.setenv("REPRO_SERVE_BATCH_WINDOW_MS", "0")
         assert default_batch_window_ms() == 0.0
 
-    @pytest.mark.parametrize("raw", ["-5", "0", "nan", "inf"])
-    def test_crossover_must_be_positive_and_finite(self, monkeypatch, raw):
-        from repro.hdc.kernels import use_gemm
-
-        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", raw)
-        with pytest.raises(CalibrationError, match="REPRO_KERNEL_CROSSOVER"):
-            use_gemm(1, 1000, 10_000)
-
-    def test_small_positive_crossover_accepted(self, monkeypatch):
-        from repro.hdc.kernels import use_gemm
-
-        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "0.1")
-        assert use_gemm(1, 1000, 10_000)
-
 
 def _kernel_budget():
     from repro.hdc.kernels import cell_budget
 
     return cell_budget()
-
-
-def _kernel_crossover():
-    from repro.hdc.kernels import _gemm_crossover
-
-    return _gemm_crossover()
 
 
 def _chunk_rows():
@@ -205,7 +178,6 @@ def _max_queue():
 #: just outside its bound.
 KNOB_BOUNDS = (
     ("REPRO_KERNEL_BUDGET", _kernel_budget, "0"),
-    ("REPRO_KERNEL_CROSSOVER", _kernel_crossover, "0"),
     ("REPRO_CHUNK_ROWS", _chunk_rows, "0"),
     ("REPRO_WORKERS", _workers, "0"),
     ("REPRO_CLUSTER_WORKERS", _cluster_workers, "0"),
@@ -286,39 +258,3 @@ class TestConsumers:
         monkeypatch.setenv("REPRO_KERNEL_BUDGET", "2000000")
         assert cell_budget() == 2_000_000
 
-    def test_kernel_crossover_consumer(self, monkeypatch):
-        from repro.hdc.kernels import use_gemm
-
-        assert not use_gemm(4, 4, 64)  # harmonic 2 < built-in 16
-        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "2.0")
-        assert use_gemm(4, 4, 64)      # harmonic 2 >= 2.0
-        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "1000000")
-        assert not use_gemm(4, 4, 64)
-
-
-class TestKernelKnobCacheInvalidation:
-    """The memoised kernel dispatch knobs never serve a stale env value.
-
-    The kernel tier memoises its resolved GEMM crossover for hot-loop
-    dispatch, keyed on the raw environment string, so flipping the
-    variable mid-process re-resolves on the next call with no cache hook.
-    """
-
-    def test_crossover_switch_mid_process_re_resolves(self, monkeypatch):
-        from repro.hdc import kernels
-
-        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "3.5")
-        assert kernels._gemm_crossover() == 3.5
-        assert kernels._knob_memo  # warmed
-        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "7")
-        assert kernels._gemm_crossover() == 7.0
-        monkeypatch.delenv("REPRO_KERNEL_CROSSOVER")
-        assert kernels._gemm_crossover() == kernels.AUTO_CROSSOVER
-
-    def test_invalid_value_is_never_memoised(self, monkeypatch):
-        from repro.hdc import kernels
-
-        monkeypatch.setenv("REPRO_KERNEL_CROSSOVER", "-5")
-        for _ in range(2):  # a raise on the first call must not be cached
-            with pytest.raises(CalibrationError):
-                kernels._gemm_crossover()
