@@ -8,8 +8,8 @@ deterministically.  This package is that scale-out tier:
 
 * :mod:`repro.cluster.worker` — the worker process: iterates its own
   copy of the (picklable, deterministically re-iterable) chunk source,
-  encodes its assigned chunks, and ships
-  :func:`~repro.learning.merge.shard_delta` results back over a pipe;
+  encodes its assigned chunks, and ships the model's ``shard`` results
+  back over a pipe;
 * :mod:`repro.cluster.coordinator` —
   :class:`~repro.cluster.coordinator.ClusterCoordinator`: round-robin
   chunk assignment, strict in-order delta absorption (a reorder buffer

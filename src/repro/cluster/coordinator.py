@@ -14,10 +14,10 @@ with three properties the fault-injection suite pins down:
   detects the death, restarts the worker at its chunk cursor (the
   smallest assigned chunk not yet received), and dedupes any chunk the
   dead incarnation had already delivered;
-* **checkpointability** — :meth:`per_worker_cursor` exposes exactly
-  the replay state a checkpoint needs: with the model having absorbed
-  chunks ``[0, frontier)``, each worker's cursor is its first assigned
-  chunk at or past the frontier.
+* **checkpointability** — absorption is strictly in order, so the
+  absorbed frontier (chunks ``[0, frontier)``) is the whole replay
+  state a checkpoint needs: on resume each worker starts at its first
+  assigned chunk at or past it.
 
 Worker assignment is round robin by global chunk index (``index %
 workers``); workers regenerate the stream independently (the sources
@@ -33,16 +33,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from ..exceptions import ClusterError, InvalidParameterError
-from ..learning.merge import absorb_delta
 from ..runtime.pool import default_start_method
 from ..streaming.chunks import ChunkSource
 from ..streaming.reduce import StreamStats
-from .worker import WorkerPlan, worker_main, worker_proto
+from .worker import WorkerPlan, worker_main
 
 __all__ = ["ClusterCoordinator", "default_cluster_workers"]
 
 #: Environment variable overriding the default cluster worker count.
 _ENV_CLUSTER_WORKERS = "REPRO_CLUSTER_WORKERS"
+
+#: Seconds the run loop waits on worker pipes before checking for
+#: dead workers.
+_POLL_INTERVAL_S = 0.05
 
 
 def default_cluster_workers(workers: Union[int, None] = None) -> int:
@@ -89,8 +92,9 @@ class ClusterCoordinator:
     model:
         The live model deltas are folded into
         (:class:`~repro.learning.classifier.CentroidClassifier` or
-        :class:`~repro.learning.regression.HDRegressor`).  Only the
-        coordinator ever touches it.
+        :class:`~repro.learning.regression.HDRegressor`).  Workers get
+        a copy for its pure ``shard`` method; only the coordinator
+        ever mutates it, through ``absorb``.
     source:
         A picklable, deterministically re-iterable
         :class:`~repro.streaming.ChunkSource`; every worker iterates
@@ -108,9 +112,9 @@ class ClusterCoordinator:
     max_restarts:
         Restart budget *per worker*; exceeding it raises
         :class:`~repro.exceptions.ClusterError`.
-    mp_start:
-        Multiprocessing start method (default: ``"fork"`` where
-        available, else ``"spawn"``).
+
+    Workers start with :func:`~repro.runtime.pool.default_start_method`
+    (``"fork"`` where available, else ``"spawn"``).
 
     Example
     -------
@@ -145,9 +149,12 @@ class ClusterCoordinator:
         workers: Union[int, None] = None,
         hook: Callable | None = None,
         max_restarts: int = 5,
-        mp_start: Union[str, None] = None,
-        poll_interval: float = 0.05,
     ) -> None:
+        if not all(callable(getattr(model, m, None)) for m in ("shard", "absorb")):
+            raise InvalidParameterError(
+                f"cluster ingest needs a model with shard/absorb "
+                f"(CentroidClassifier, HDRegressor), got {type(model).__name__}"
+            )
         self.model = model
         self.source = source
         self.encode = encode
@@ -164,9 +171,7 @@ class ClusterCoordinator:
             )
         self.hook = hook
         self.max_restarts = max_restarts
-        self.poll_interval = poll_interval
-        self._ctx = multiprocessing.get_context(mp_start or default_start_method())
-        self._proto = worker_proto(model)
+        self._ctx = multiprocessing.get_context(default_start_method())
         # merge state (rebuilt by run())
         self._frontier = 0
         self._buffer: dict[int, tuple[int, object]] = {}
@@ -177,22 +182,6 @@ class ClusterCoordinator:
     def _first_assigned(self, worker_id: int, at: int) -> int:
         """Smallest chunk index ``>= at`` assigned to ``worker_id``."""
         return at + ((worker_id - at) % self.workers)
-
-    def per_worker_cursor(self) -> dict[str, int]:
-        """Replay cursor per worker, relative to the *absorbed* frontier.
-
-        The checkpointed model has absorbed exactly chunks
-        ``[0, frontier)`` (absorption is strictly in order), so worker
-        ``w`` must replay from its first assigned chunk at or past the
-        frontier.  Deltas sitting in the reorder buffer are deliberately
-        *not* credited — they exist only in coordinator memory and die
-        with a coordinator crash, which is the event this cursor exists
-        to survive.
-        """
-        return {
-            str(w): self._first_assigned(w, self._frontier)
-            for w in range(self.workers)
-        }
 
     def _next_unreceived(self, worker_id: int) -> int:
         """Smallest assigned chunk neither absorbed nor buffered.
@@ -214,7 +203,7 @@ class ClusterCoordinator:
             num_workers=self.workers,
             source=self.source,
             encode=self.encode,
-            proto=self._proto,
+            model=self.model,
             start_index=start_index,
             incarnation=incarnation,
             hook=self.hook,
@@ -283,7 +272,7 @@ class ClusterCoordinator:
     ) -> None:
         while self._frontier in self._buffer:
             rows, delta = self._buffer.pop(self._frontier)
-            absorb_delta(self.model, delta)
+            self.model.absorb(delta)
             self._frontier += 1
             stats.absorb(rows)
             if on_chunk is not None:
@@ -349,20 +338,18 @@ class ClusterCoordinator:
         self,
         on_chunk: Union[Callable[[StreamStats], None], None] = None,
         start: int = 0,
-        per_worker: Union[dict, None] = None,
         stats: Union[StreamStats, None] = None,
     ) -> StreamStats:
         """Ingest the whole stream; return the pass's :class:`StreamStats`.
 
         ``start`` is the absorbed-chunk frontier of a resumed run (the
-        checkpoint cursor's ``chunks``); ``per_worker`` is the persisted
-        per-worker cursor map, honoured when it is consistent with the
-        frontier (replaying *earlier* than required is always safe —
-        duplicates dedupe — so an inconsistent entry falls back to the
-        frontier-derived cursor rather than risking a lost chunk).
-        ``on_chunk`` runs after every absorbed chunk, in global chunk
-        order — checkpoints hook here exactly as in the single-process
-        reducer.  ``stats`` pre-seeds the accounting for resumed runs.
+        checkpoint cursor's ``chunks``); each worker starts at its first
+        assigned chunk at or past it.  Deltas that were only in a
+        crashed coordinator's reorder buffer are not in the checkpoint,
+        so they are replayed.  ``on_chunk`` runs after every absorbed
+        chunk, in global chunk order — checkpoints hook here exactly as
+        in the single-process reducer.  ``stats`` pre-seeds the
+        accounting for resumed runs.
         """
         if start < 0:
             raise InvalidParameterError(f"start must be non-negative, got {start}")
@@ -373,17 +360,9 @@ class ClusterCoordinator:
         self._states = {}
         try:
             for worker_id in range(self.workers):
-                derived = self._first_assigned(worker_id, self._frontier)
-                cursor = derived
-                if per_worker is not None:
-                    stored = per_worker.get(str(worker_id), derived)
-                    if (
-                        isinstance(stored, int)
-                        and 0 <= stored <= derived
-                        and stored % self.workers == worker_id
-                    ):
-                        cursor = stored
-                self._states[worker_id] = self._spawn(worker_id, 0, cursor)
+                self._states[worker_id] = self._spawn(
+                    worker_id, 0, self._first_assigned(worker_id, self._frontier)
+                )
             while True:
                 conns = [
                     state.conn
@@ -392,7 +371,7 @@ class ClusterCoordinator:
                 ]
                 if conns:
                     ready = multiprocessing.connection.wait(
-                        conns, timeout=self.poll_interval
+                        conns, timeout=_POLL_INTERVAL_S
                     )
                     for conn in ready:
                         state = next(
@@ -406,7 +385,7 @@ class ClusterCoordinator:
                             finally:
                                 state.conn = None
                 else:
-                    time.sleep(self.poll_interval)
+                    time.sleep(_POLL_INTERVAL_S)
                 self._absorb_ready(stats, on_chunk)
                 if self._finished():
                     break

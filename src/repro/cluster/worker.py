@@ -2,8 +2,11 @@
 
 A worker owns nothing but a :class:`WorkerPlan` — its own copy of the
 (picklable, deterministically re-iterable) chunk source, a picklable
-encode callable, and an untrained model clone used purely for
-:func:`~repro.learning.merge.shard_delta` type dispatch.  It iterates
+encode callable, and a copy of the model, whose pure ``shard`` method
+turns an encoded chunk into a delta.  ``shard`` reads only the model's
+dimensionality and (for a regressor) its label embedding — never its
+accumulators or tie-break RNG — so the copy's state is irrelevant and
+the coordinator's model is the only one that changes.  It iterates
 the source from the beginning (the synthetic sources have no random
 chunk access; generation is cheap next to encoding), encodes only the
 chunks assigned to it by round robin (``index % num_workers ==
@@ -19,8 +22,9 @@ one message per chunk over its pipe:
     a Python-level failure (bad data, encode error) — distinct from a
     *crash*, which sends nothing and is detected by pipe EOF.
 
-Workers never see each other and never see the merged model; all
-ordering and dedupe lives in the coordinator.  Because the source and
+Workers never see each other, and nothing they do reaches the
+coordinator's model except the deltas they ship; all ordering and
+dedupe lives in the coordinator.  Because the source and
 encode are deterministic, a restarted worker (``incarnation + 1``,
 ``start_index`` = its cursor) regenerates byte-identical deltas for any
 chunk it replays — the property that makes ``kill -9`` recovery exact.
@@ -29,42 +33,11 @@ chunk it replays — the property that makes ``kill -9`` recovery exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
-
-import numpy as np
+from typing import Callable
 
 from ..exceptions import InvalidParameterError
-from ..learning.classifier import CentroidClassifier
-from ..learning.merge import shard_delta
-from ..learning.regression import HDRegressor
 
-__all__ = ["WorkerPlan", "worker_main", "worker_proto"]
-
-
-def worker_proto(
-    model: Union[CentroidClassifier, HDRegressor],
-) -> Union[CentroidClassifier, HDRegressor]:
-    """An untrained, RNG-free clone of ``model`` for pure delta work.
-
-    Workers only call :func:`~repro.learning.merge.shard_delta`, which
-    needs the model's type, dimensionality and (for regressors) label
-    embedding — never its accumulators or tie-break RNG.  Shipping a
-    stripped clone keeps worker plans small and makes it structurally
-    impossible for a worker to consume the real model's RNG stream.
-    """
-    if isinstance(model, CentroidClassifier):
-        return CentroidClassifier(model.dim, tie_break="zeros")
-    if isinstance(model, HDRegressor):
-        return HDRegressor(
-            model.label_embedding,
-            tie_break="zeros",
-            decode=model.decode_mode,
-            model=model.model_mode,
-        )
-    raise InvalidParameterError(
-        f"no cluster worker dispatch for {type(model).__name__}; supported: "
-        "CentroidClassifier, HDRegressor"
-    )
+__all__ = ["WorkerPlan", "worker_main"]
 
 
 @dataclass
@@ -82,7 +55,7 @@ class WorkerPlan:
     num_workers: int
     source: object
     encode: Callable
-    proto: object
+    model: object
     start_index: int = 0
     incarnation: int = 0
     hook: Callable | None = None
@@ -117,11 +90,7 @@ def worker_main(plan: WorkerPlan, conn) -> None:
                     "cluster ingest needs labelled chunks; this source yields "
                     "targets=None"
                 )
-            # Same label normalisation as ingest_chunk, so cluster
-            # models serialise exactly like serial ones.
-            targets = chunk.targets
-            targets = targets.tolist() if isinstance(targets, np.ndarray) else list(targets)
-            delta = shard_delta(plan.proto, plan.encode(chunk), targets)
+            delta = plan.model.shard(plan.encode(chunk), chunk.targets)
             conn.send(
                 (
                     "delta",

@@ -3,16 +3,15 @@
 Streaming training (:func:`repro.streaming.reduce.encode_reduce`, the
 serving :class:`~repro.serve.OnlineLearner`) absorbs a labelled chunk in
 one way: encode its features and hand the encoded batch to the model's
-canonical ``partial_fit``.  Bundle counts are integer sums, so the
-result is bit-identical to one monolithic ``fit`` for any chunking
-(``tests/hdc/test_ingest.py``).
+canonical ``partial_fit``, which is ``absorb(shard(...))`` — the same
+two methods the ingest cluster splits across processes.  Bundle counts
+are integer sums, so the result is bit-identical to one monolithic
+``fit`` for any chunking (``tests/hdc/test_ingest.py``).
 """
 
 from __future__ import annotations
 
 from typing import Callable
-
-import numpy as np
 
 __all__ = ["ingest_chunk"]
 
@@ -22,11 +21,8 @@ def ingest_chunk(model, chunk, encode: Callable[[object], object]) -> None:
 
     ``model`` is anything with ``partial_fit`` — a
     :class:`~repro.learning.classifier.CentroidClassifier` or
-    :class:`~repro.learning.regression.HDRegressor`.  Label arrays become
-    plain Python values, so a streamed classifier's class labels (and
-    hence its saved bytes) equal an in-memory one's; a regressor converts
-    them back to float64 exactly.
+    :class:`~repro.learning.regression.HDRegressor`.  The chunk's targets
+    pass through as they are: the model normalises them (class labels to
+    plain Python values, regression targets to float64).
     """
-    targets = chunk.targets
-    targets = targets.tolist() if isinstance(targets, np.ndarray) else list(targets)
-    model.partial_fit([(encode(chunk), targets)])
+    model.partial_fit([(encode(chunk), chunk.targets)])

@@ -12,7 +12,6 @@
 
 from .baselines import KNNBaseline, NearestCentroidBaseline, TrigRegressionBaseline
 from .classifier import CentroidClassifier
-from .merge import absorb_delta, shard_delta
 from .metrics import (
     accuracy,
     confusion_matrix,
@@ -27,8 +26,6 @@ from .regression import HDRegressor
 __all__ = [
     "CentroidClassifier",
     "HDRegressor",
-    "shard_delta",
-    "absorb_delta",
     "NearestCentroidBaseline",
     "KNNBaseline",
     "TrigRegressionBaseline",

@@ -151,7 +151,10 @@ class CentroidClassifier:
         nearest-class tie resolution, so it must be deterministic and
         must not depend on how the samples are sharded.
         """
-        labels = list(labels)
+        # Label arrays become plain Python values, so a model trained
+        # from ndarray labels names (and saves) its classes exactly like
+        # one trained from a list.
+        labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
         if len(labels) != count:
             raise InvalidParameterError(
                 f"got {count} samples but {len(labels)} labels"
@@ -178,8 +181,8 @@ class CentroidClassifier:
         in-memory list, a generator over a
         :class:`~repro.streaming.ChunkSource`, or a single-element list
         (which is exactly what :meth:`fit` passes).  Every chunk is
-        reduced to per-class bundle statistics (:meth:`shard_counts`)
-        and folded in with :meth:`absorb_counts`; because bundle counts
+        reduced to per-class bundle statistics (:meth:`shard`) and
+        folded in with :meth:`absorb`; because bundle counts
         are integer sums, the result is **bit-identical to one
         monolithic** :meth:`fit` over the concatenated samples for any
         chunking, and peak memory is O(chunk), not O(n).  Returns
@@ -197,16 +200,7 @@ class CentroidClassifier:
         True
         """
         for encoded, labels in chunks:
-            batch = self._check_batch(encoded)
-            # Accumulate straight into the persistent per-class counts —
-            # one pass, no transient accumulators on the online hot path.
-            # shard_counts/absorb_counts are the pure/merge split of this
-            # same reduction for workers that cannot share state.
-            for label, mask in self._label_masks(labels, batch.shape[0]):
-                if label not in self._accumulators:
-                    self._accumulators[label] = BundleAccumulator(self._dim)
-                self._accumulators[label].add(batch[mask])
-            self._invalidate()
+            self.absorb(self.shard(encoded, labels))
         return self
 
     def fit(self, encoded: EncodedBatch, labels: Sequence[Hashable]) -> "CentroidClassifier":
@@ -219,19 +213,19 @@ class CentroidClassifier:
         """
         return self.partial_fit([(encoded, labels)])
 
-    def shard_counts(
+    def shard(
         self, encoded: EncodedBatch, labels: Sequence[Hashable]
     ) -> dict[Hashable, BundleAccumulator]:
         """Per-class bundle statistics of one training chunk (pure).
 
-        The reduce step of the canonical chunked reducer: a mapping from
+        The reduce step of the training-delta protocol: a mapping from
         label to a fresh :class:`~repro.hdc.packed.BundleAccumulator`,
         keyed in first-seen order, computed without touching the
-        classifier's state.  :meth:`partial_fit` folds these in with
-        :meth:`absorb_counts`; the ingest cluster
-        (:mod:`repro.cluster`) computes them in worker processes and
-        absorbs in chunk order — both bit-identical to one serial
-        :meth:`fit` over the concatenated samples.
+        classifier's state (only :attr:`dim` is read).
+        :meth:`partial_fit` is ``absorb(shard(...))`` per chunk; the
+        ingest cluster (:mod:`repro.cluster`) computes shards in worker
+        processes and absorbs them in chunk order — both bit-identical
+        to one serial :meth:`fit` over the concatenated samples.
 
         Example
         -------
@@ -240,8 +234,10 @@ class CentroidClassifier:
         >>> x = np.eye(8, dtype=np.uint8)
         >>> y = [0, 0, 1, 1, 0, 1, 1, 0]
         >>> serial = CentroidClassifier(dim=8, tie_break="zeros").fit(x, y)
-        >>> sharded = clf.absorb_counts(clf.shard_counts(x[:5], y[:5]))
-        >>> sharded = clf.absorb_counts(clf.shard_counts(x[5:], y[5:]))
+        >>> delta = clf.shard(x[:5], y[:5])
+        >>> sorted(delta), clf.num_samples        # pure: clf untouched
+        ([0, 1], 0)
+        >>> _ = clf.absorb(delta).absorb(clf.shard(x[5:], y[5:]))
         >>> bool(np.array_equal(clf.class_vector(0), serial.class_vector(0)))
         True
         """
@@ -253,19 +249,32 @@ class CentroidClassifier:
             shard[label] = acc
         return shard
 
-    def absorb_counts(
+    def absorb(
         self, shard: dict[Hashable, BundleAccumulator]
     ) -> "CentroidClassifier":
-        """Fold a :meth:`shard_counts` result into the classifier.
+        """Fold a :meth:`shard` result into the classifier.
 
         Merging is integer addition of per-class counts, so absorbing
         shards in sample order reproduces a serial :meth:`fit` exactly
         (bundle counts commute; class insertion order is the shard-order
-        first-seen order, matching the serial rule).  Returns ``self``.
+        first-seen order, matching the serial rule).  Every entry is
+        validated before any is merged, so a rejected delta leaves the
+        model untouched.  Returns ``self``.
         """
-        for label, acc in shard.items():
+        if not isinstance(shard, dict):
+            raise InvalidParameterError(
+                "classification models absorb {label: BundleAccumulator} "
+                f"deltas, got {type(shard).__name__}"
+            )
+        for acc in shard.values():
+            if not isinstance(acc, BundleAccumulator):
+                raise InvalidParameterError(
+                    "classification models absorb {label: BundleAccumulator} "
+                    f"deltas, got a {type(acc).__name__} entry"
+                )
             if acc.dim != self._dim:
-                raise DimensionMismatchError(self._dim, acc.dim, "absorb_counts")
+                raise DimensionMismatchError(self._dim, acc.dim, "absorb")
+        for label, acc in shard.items():
             if label not in self._accumulators:
                 self._accumulators[label] = BundleAccumulator(self._dim)
             self._accumulators[label].merge(acc)

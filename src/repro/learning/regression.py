@@ -172,7 +172,7 @@ class HDRegressor:
         in-memory list, a generator over a
         :class:`~repro.streaming.ChunkSource`, or the single-element
         list :meth:`fit` passes.  Every chunk is reduced to a fresh
-        bundle (:meth:`shard_bundle`) and folded in with :meth:`absorb`;
+        bundle (:meth:`shard`) and folded in with :meth:`absorb`;
         integer counts commute, so the result is **bit-identical to one
         monolithic** :meth:`fit` over the concatenated samples for any
         chunking, with O(chunk) peak memory.  Returns ``self``.
@@ -191,12 +191,7 @@ class HDRegressor:
         True
         """
         for encoded, y in chunks:
-            batch, targets = self._check_xy(encoded, y)
-            # Accumulate straight into the persistent bundle — one pass,
-            # no transient accumulator on the online hot path (the
-            # shard_bundle/absorb pair is the stateless form for workers).
-            self._bundle.add(self._bind_labels(batch, targets))
-            self._invalidate()
+            self.absorb(self.shard(encoded, y))
         return self
 
     def fit(self, encoded: EncodedBatch, y: np.ndarray) -> "HDRegressor":
@@ -241,14 +236,15 @@ class HDRegressor:
         self._invalidate()
         return self
 
-    def shard_bundle(self, encoded: EncodedBatch, y: np.ndarray) -> BundleAccumulator:
+    def shard(self, encoded: EncodedBatch, y: np.ndarray) -> BundleAccumulator:
         """Bundle statistics of one training shard (pure).
 
         Computes the ``φ(x_i) ⊗ φ_ℓ(y_i)`` terms of these samples into a
         *fresh* :class:`~repro.hdc.packed.BundleAccumulator`, leaving the
-        model untouched — the unit of parallel training work.  Folding
-        the shards back with :meth:`absorb` (in any order; integer counts
-        commute) reproduces a serial :meth:`fit` bit for bit.
+        model untouched (only :attr:`dim` and the label embedding are
+        read) — the unit of parallel training work.  Folding the shards
+        back with :meth:`absorb` (in any order; integer counts commute)
+        reproduces a serial :meth:`fit` bit for bit.
 
         Example
         -------
@@ -259,8 +255,8 @@ class HDRegressor:
         >>> y = np.linspace(0.0, 1.0, 6)
         >>> serial = HDRegressor(emb, tie_break="zeros").fit(x, y)
         >>> sharded = HDRegressor(emb, tie_break="zeros")
-        >>> _ = sharded.absorb(sharded.shard_bundle(x[:3], y[:3]))
-        >>> _ = sharded.absorb(sharded.shard_bundle(x[3:], y[3:]))
+        >>> _ = sharded.absorb(sharded.shard(x[:3], y[:3]))
+        >>> _ = sharded.absorb(sharded.shard(x[3:], y[3:]))
         >>> bool(np.array_equal(serial.model, sharded.model))
         True
         """
@@ -270,7 +266,12 @@ class HDRegressor:
         return acc
 
     def absorb(self, shard: BundleAccumulator) -> "HDRegressor":
-        """Fold a :meth:`shard_bundle` result into the model; returns ``self``."""
+        """Fold a :meth:`shard` result into the model; returns ``self``."""
+        if not isinstance(shard, BundleAccumulator):
+            raise InvalidParameterError(
+                "regression models absorb a BundleAccumulator delta, "
+                f"got {type(shard).__name__}"
+            )
         self._bundle.merge(shard)
         self._invalidate()
         return self
@@ -281,10 +282,10 @@ class HDRegressor:
         The binary model is normally thresholded lazily on first use,
         consuming the tie-break RNG; the integer model builds its
         ``(d, k)`` scoring table (:meth:`_integer_table`) lazily on
-        first use.  Sharded inference and the serving engine call
-        ``prepare()`` before fanning chunks out to worker threads so the
-        workers only read frozen state.  Every mutation drops that
-        state again.
+        first use.  The serving engine and
+        :func:`~repro.serve.persist.save_model` call ``prepare()`` up
+        front, so predictions only ever read frozen state.  Every
+        mutation drops that state again.
         """
         if self._bundle.total > 0:
             if self.model_mode == "binary":

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from concurrent.futures import Executor
 from typing import Any, Sequence
 
 import numpy as np
@@ -195,9 +194,9 @@ class MicroBatcher:
     window_ms, max_batch, max_queue:
         Scheduling knobs; ``None`` resolves through the knob chain
         (see the module docstring).
-    executor:
-        Where the (GIL-releasing) kernel call runs.  ``None`` uses the
-        event loop's default thread pool.
+
+    The (GIL-releasing) kernel call runs on the event loop's default
+    thread pool.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`
     explicitly.  :meth:`submit_records` is the request API;
@@ -229,7 +228,6 @@ class MicroBatcher:
         window_ms: float | None = None,
         max_batch: int | None = None,
         max_queue: int | None = None,
-        executor: Executor | None = None,
     ) -> None:
         registry.engine(name)  # fail fast on unknown models
         self.registry = registry
@@ -237,7 +235,6 @@ class MicroBatcher:
         self.window_s = default_batch_window_ms(window_ms) / 1e3
         self.max_batch = default_batch_max(max_batch)
         self.max_queue = default_max_queue(max_queue)
-        self._executor = executor
         self._queue: deque[_Request] = deque()
         self._arrived = asyncio.Event()  # set when a request is queued
         self._pending = 0  # rows admitted, not yet answered (adaptive signal)
@@ -419,7 +416,7 @@ class MicroBatcher:
                 else:
                     rows = np.concatenate([req.rows[lo:hi] for req, lo, hi in spans])
                 predictions = await loop.run_in_executor(
-                    self._executor, lease.engine.predict_coalesced, rows
+                    None, lease.engine.predict_coalesced, rows
                 )
             except asyncio.CancelledError:  # pragma: no cover - stop() path
                 self.registry.release(lease)

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..hdc.packed import BundleAccumulator
-from ..learning.classifier import CentroidClassifier
 from .engine import InferenceEngine
 from .pipeline import TrainedPipeline
 
@@ -116,11 +115,7 @@ class OnlineLearner:
         """
         encoded = self.engine.encode(features)
         targets = self._check_targets(targets, encoded.shape[0])
-        model = self.pipeline.model
-        if isinstance(model, CentroidClassifier):
-            model.partial_fit([(encoded, targets)])
-        else:
-            model.partial_fit([(encoded, np.asarray(targets, dtype=np.float64))])
+        self.pipeline.model.partial_fit([(encoded, targets)])
         return self
 
     def forget(
@@ -135,11 +130,7 @@ class OnlineLearner:
         """
         encoded = self.engine.encode(features)
         targets = self._check_targets(targets, encoded.shape[0])
-        model = self.pipeline.model
-        if isinstance(model, CentroidClassifier):
-            model.forget(encoded, targets)
-        else:
-            model.forget(encoded, np.asarray(targets, dtype=np.float64))
+        self.pipeline.model.forget(encoded, targets)
         return self
 
     def absorb(
@@ -147,19 +138,19 @@ class OnlineLearner:
     ) -> "OnlineLearner":
         """Merge pre-aggregated bundle statistics into the model.
 
-        ``shard`` is what a sibling replica produced with
-        :meth:`~repro.learning.classifier.CentroidClassifier.shard_counts`
-        (a per-class accumulator dict) or
-        :meth:`~repro.learning.regression.HDRegressor.shard_bundle` (one
+        ``shard`` is what a sibling replica produced with its model's
+        ``shard`` method:
+        :meth:`CentroidClassifier.shard
+        <repro.learning.classifier.CentroidClassifier.shard>` (a
+        per-class accumulator dict) or :meth:`HDRegressor.shard
+        <repro.learning.regression.HDRegressor.shard>` (one
         accumulator).  Integer counts commute, so replicas can train on
         disjoint traffic and fold their statistics into one model in any
-        order.  Returns ``self``.  Dispatch lives in
-        :func:`repro.learning.merge.absorb_delta` — the same entry point
-        the ingest cluster merges through.
+        order.  The model's own ``absorb`` does the merge — the same
+        method ``partial_fit`` and the ingest cluster use — and rejects
+        a delta of the wrong family.  Returns ``self``.
         """
-        from ..learning.merge import absorb_delta
-
-        absorb_delta(self.pipeline.model, shard)
+        self.pipeline.model.absorb(shard)
         return self
 
     def learn_stream(

@@ -25,10 +25,11 @@ This package is that computation's single implementation:
   counterparts) plus :func:`train_pipeline_stream`, the engine of the
   ``train --stream`` CLI, with atomic checkpoints.
 
-The models' ``partial_fit`` / ``shard_counts`` / ``absorb_counts``
-methods, the :mod:`repro.cluster` workers and
-:class:`repro.serve.OnlineLearner` are all thin wrappers over these
-pieces — see ``docs/STREAMING.md`` for the protocol, the memory model
+Both models train through one delta protocol: ``shard`` (pure
+per-chunk bundle statistics) and ``absorb`` (their integer merge);
+``partial_fit`` is ``absorb(shard(...))`` per chunk.  The
+:mod:`repro.cluster` workers and :class:`repro.serve.OnlineLearner`
+call the same two methods over these pieces — see ``docs/STREAMING.md`` for the protocol, the memory model
 and the checkpoint format.
 """
 

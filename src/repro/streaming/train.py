@@ -11,8 +11,8 @@ fit in RAM, and can drop an atomic checkpoint every few chunks while it
 runs.
 
 Checkpoints written here carry a **resume cursor** (see
-:func:`repro.serve.persist.save_model`): the chunk frontier, per-worker
-replay positions, and the model's tie-break RNG state.  ``train
+:func:`repro.serve.persist.save_model`): the absorbed chunk frontier
+and the model's tie-break RNG state.  ``train
 --stream --resume`` reloads the checkpoint, restores the RNG, skips the
 already-absorbed chunks (:func:`~repro.streaming.chunks.skip_chunks`)
 and streams the rest — landing on the same final bytes as an
@@ -63,7 +63,13 @@ TWO_PI = 2.0 * math.pi
 #: Schema revision of the checkpoint resume cursor written by
 #: :func:`train_pipeline_stream` (stored under the manifest's
 #: ``cursor`` key — see :func:`repro.serve.persist.save_model`).
-CURSOR_VERSION = 1
+#: Version 2 dropped version 1's per-worker replay map, which always
+#: equalled what the chunk frontier derives; resume reads both versions
+#: and ignores that extra key.
+CURSOR_VERSION = 2
+
+#: Cursor versions :func:`train_pipeline_stream` can resume from.
+_READABLE_CURSOR_VERSIONS = (1, CURSOR_VERSION)
 
 #: What :func:`train_pipeline_stream` accepts as ``ingest``: every name
 #: runs the one ingest path.  Kept because ``perfbench/train_child.py``
@@ -316,7 +322,6 @@ def _build_cursor(
     stats: StreamStats,
     chunk_size: int,
     workers: int,
-    per_worker: dict,
     model,
     config_echo: dict,
 ) -> dict:
@@ -329,7 +334,6 @@ def _build_cursor(
         "rows": stats.rows,
         "chunk_size": chunk_size,
         "workers": workers,
-        "per_worker": {str(k): int(v) for k, v in per_worker.items()},
         "rng_state": _rng_state(_model_rng(model)),
         "config": config_echo,
     }
@@ -352,12 +356,12 @@ def _load_resume_state(checkpoint, config_echo: dict, chunk_size: int):
             "cursor-bearing streaming run"
         )
     version = cursor.get("version")
-    if version != CURSOR_VERSION:
+    if version not in _READABLE_CURSOR_VERSIONS:
         raise ModelFormatError(
             f"{checkpoint} carries cursor version {version!r}; this build "
-            f"reads version {CURSOR_VERSION}"
+            f"reads versions {_READABLE_CURSOR_VERSIONS}"
         )
-    for key in ("chunks", "rows", "chunk_size", "per_worker", "rng_state"):
+    for key in ("chunks", "rows", "chunk_size", "rng_state"):
         if key not in cursor:
             raise ModelFormatError(
                 f"{checkpoint} has a malformed cursor: missing {key!r}"
@@ -563,14 +567,12 @@ def train_pipeline_stream(
 
         ingest_source = file_chunk_source(input_path, chunk_size=chunk_size)
     train_source: ChunkSource = ingest_source
-    per_worker_resume = None
     if resume:
         pipeline, cursor = _load_resume_state(checkpoint, config_echo, chunk_size)
         model = pipeline.model
         _restore_model_rng(model, cursor)
         stats = StreamStats(chunks=int(cursor["chunks"]), rows=int(cursor["rows"]))
         train_source = skip_chunks(ingest_source, stats.chunks)
-        per_worker_resume = cursor["per_worker"]
     coordinator = None
     if cluster_workers > 1:
         coordinator = ClusterCoordinator(
@@ -579,13 +581,9 @@ def train_pipeline_stream(
 
     def cursor_fn(current: StreamStats) -> dict:
         if coordinator is None:
-            return _build_cursor(
-                "stream", current, chunk_size, 1,
-                {"0": current.chunks}, model, config_echo,
-            )
+            return _build_cursor("stream", current, chunk_size, 1, model, config_echo)
         return _build_cursor(
-            "cluster", current, chunk_size, coordinator.workers,
-            coordinator.per_worker_cursor(), model, config_echo,
+            "cluster", current, chunk_size, coordinator.workers, model, config_echo
         )
 
     hook = _compose_hooks(
@@ -597,12 +595,7 @@ def train_pipeline_stream(
     if coordinator is None:
         stats = encode_reduce(model, train_source, encode, on_chunk=hook, stats=stats)
     else:
-        stats = coordinator.run(
-            on_chunk=hook,
-            start=stats.chunks,
-            per_worker=per_worker_resume,
-            stats=stats,
-        )
+        stats = coordinator.run(on_chunk=hook, start=stats.chunks, stats=stats)
     stream_meta = {"chunk_size": chunk_size, "chunks": stats.chunks,
                    "entropy": train_stream.entropy}
     if input_path is not None:

@@ -1,8 +1,8 @@
 """Checkpoint-cursor resume: interrupted runs finish byte-identically.
 
 Satellite of the distributed tier: every checkpoint written by
-``train --stream`` carries a cursor (chunk frontier, per-worker replay
-positions, tie-break RNG state).  Killing the driver and resuming from
+``train --stream`` carries a cursor (absorbed chunk frontier, tie-break
+RNG state).  Killing the driver and resuming from
 the checkpoint must land on exactly the bytes of an uninterrupted run —
 for the single-process reducer and the cluster coordinator alike.
 """
@@ -53,7 +53,7 @@ class TestCursorRoundTrip:
         assert cursor["kind"] == "stream"
         assert cursor["chunks"] == 4 and cursor["rows"] == 40
         assert cursor["chunk_size"] == 10
-        assert cursor["per_worker"] == {"0": 4}
+        assert "per_worker" not in cursor  # version 1's derivable map
         assert cursor["rng_state"]["bit_generator"] in (
             "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
         )
@@ -74,7 +74,8 @@ class TestCursorRoundTrip:
         assert model_fingerprint(baseline) == model_fingerprint(resumed)
 
     def test_cluster_resume_matches_serial(self, tmp_path):
-        """Coordinator checkpoints a per-worker cursor; resume replays from it."""
+        """Coordinator checkpoints its frontier; every worker resumes from
+        its first assigned chunk at or past it."""
         baseline = tmp_path / "baseline.npz"
         train_pipeline_stream(
             "suturing", "circular", config=config(), checkpoint=baseline, **CFG
@@ -83,13 +84,38 @@ class TestCursorRoundTrip:
         interrupted_run(resumed, crash_after=5, cluster_workers=3)
         _, cursor = load_checkpoint(resumed)
         assert cursor["kind"] == "cluster" and cursor["workers"] == 3
-        # per-worker cursors: first assigned chunk at or past the frontier
-        frontier = cursor["chunks"]
-        for wid, pos in cursor["per_worker"].items():
-            assert pos >= frontier and pos % 3 == int(wid)
+        assert cursor["version"] == CURSOR_VERSION and "per_worker" not in cursor
         train_pipeline_stream(
             "suturing", "circular", config=config(), checkpoint=resumed,
             resume=True, cluster_workers=3, **CFG,
+        )
+        assert model_fingerprint(baseline) == model_fingerprint(resumed)
+
+    @pytest.mark.parametrize("cluster_workers", [None, 3])
+    def test_version_1_cursor_still_resumes(self, tmp_path, cluster_workers):
+        """A version-1 cursor (with its per-worker map) resumes to the
+        baseline bytes; the map is ignored."""
+        baseline = tmp_path / "baseline.npz"
+        train_pipeline_stream(
+            "suturing", "circular", config=config(), checkpoint=baseline, **CFG
+        )
+        resumed = tmp_path / "resumed.npz"
+        interrupted_run(resumed, crash_after=5, cluster_workers=cluster_workers)
+        pipeline, cursor = load_checkpoint(resumed)
+        frontier = cursor["chunks"]
+        workers = cursor["workers"]
+        cursor = dict(
+            cursor,
+            version=1,
+            per_worker={
+                str(w): frontier + (w - frontier) % workers for w in range(workers)
+            },
+        )
+        save_model(pipeline, resumed, cursor=cursor)
+        assert load_checkpoint(resumed)[1]["version"] == 1
+        train_pipeline_stream(
+            "suturing", "circular", config=config(), checkpoint=resumed,
+            resume=True, cluster_workers=cluster_workers, **CFG,
         )
         assert model_fingerprint(baseline) == model_fingerprint(resumed)
 
@@ -179,6 +205,17 @@ class TestResumeValidation:
         with pytest.raises(ModelFormatError, match="no resume cursor"):
             train_pipeline_stream(
                 "suturing", "circular", config=config(), checkpoint=plain,
+                resume=True, **CFG,
+            )
+
+    def test_resume_rejects_unknown_cursor_version(self, tmp_path):
+        ckpt = tmp_path / "ckpt.npz"
+        interrupted_run(ckpt, crash_after=4)
+        pipeline, cursor = load_checkpoint(ckpt)
+        save_model(pipeline, ckpt, cursor=dict(cursor, version=CURSOR_VERSION + 1))
+        with pytest.raises(ModelFormatError, match="cursor version"):
+            train_pipeline_stream(
+                "suturing", "circular", config=config(), checkpoint=ckpt,
                 resume=True, **CFG,
             )
 

@@ -5,7 +5,7 @@ it to the model's ``partial_fit``.  Streamed training through it must
 equal a monolithic ``fit`` byte for byte in the saved-model container
 and draw for draw in the tie-break RNG, for any chunk size (one row
 included), encoder chunking, thread count, packed or unpacked encode
-and tie policy; a cluster worker ships exactly ``shard_delta``'s bytes.
+and tie policy; a cluster worker ships exactly ``model.shard``'s bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.experiments.config import ClassificationConfig
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ingest import ingest_chunk
 from repro.learning import CentroidClassifier, HDRegressor
-from repro.learning.merge import shard_delta
 from repro.runtime import BatchEncoder
 from repro.serve import save_model
 from repro.streaming import (
@@ -245,10 +244,10 @@ class _Pipe:
         pass
 
 
-def _worker_delta(proto, chunk, encode):
+def _worker_delta(model, chunk, encode):
     pipe = _Pipe()
     plan = WorkerPlan(
-        worker_id=0, num_workers=1, source=[chunk], encode=encode, proto=proto,
+        worker_id=0, num_workers=1, source=[chunk], encode=encode, model=model,
     )
     worker_main(plan, pipe)
     (kind, *_, rows, got), done = pipe.sent
@@ -257,7 +256,7 @@ def _worker_delta(proto, chunk, encode):
 
 
 class TestClusterDeltas:
-    """A cluster worker ships exactly the bytes of ``shard_delta``."""
+    """A cluster worker ships exactly the bytes of ``model.shard``."""
 
     @pytest.mark.parametrize("tie_break", ["random", "zeros", "ones", "alternate"])
     def test_classifier_shard_is_byte_identical(self, tie_break):
@@ -265,7 +264,7 @@ class TestClusterDeltas:
         chunk = next(iter(stream))
         proto = CentroidClassifier(DIM, tie_break="zeros", seed=5)
         encode = RecordEncode(encoder, 7)
-        reference = shard_delta(proto, encode(chunk), chunk.targets.tolist())
+        reference = proto.shard(encode(chunk), chunk.targets.tolist())
         got = _worker_delta(proto, chunk, encode)
         assert pickle.dumps(got) == pickle.dumps(reference)
         assert proto.num_samples == 0  # pure: the prototype is untouched
@@ -276,7 +275,7 @@ class TestClusterDeltas:
         chunk = Chunk(features=y[:, None], targets=y)
         proto = HDRegressor(embedding, tie_break="zeros", seed=1)
         encode = ValueEncode(embedding, 0)
-        reference = shard_delta(proto, encode(chunk), y)
+        reference = proto.shard(encode(chunk), y)
         got = _worker_delta(proto, chunk, encode)
         assert pickle.dumps(got) == pickle.dumps(reference)
         assert proto.num_samples == 0
@@ -298,7 +297,7 @@ class TestClusterDeltas:
         chunk = Chunk(features=(y * 1.0)[:, None], targets=y)
         proto = HDRegressor(embedding, tie_break="zeros", seed=1)
         encode = ValueEncode(embedding, 0)
-        reference = shard_delta(proto, encode(chunk), y.astype(np.float64))
+        reference = proto.shard(encode(chunk), y.astype(np.float64))
         got = _worker_delta(proto, chunk, encode)
         assert pickle.dumps(got) == pickle.dumps(reference)
 

@@ -75,18 +75,18 @@ class TestClassifier:
         hits = sum(int(p == t) for p, t in zip(chunked, y))
         assert clf.score(x, y) == hits / len(y)
 
-    def test_shard_counts_is_pure(self, class_data):
+    def test_shard_is_pure(self, class_data):
         x, y = class_data
         clf = CentroidClassifier(DIM)
-        shard = clf.shard_counts(x, y)
+        shard = clf.shard(x, y)
         assert sorted(shard) == sorted(set(y))
         assert clf.classes == [] and clf.num_samples == 0
 
-    def test_shard_counts_label_count_mismatch(self, class_data):
+    def test_shard_label_count_mismatch(self, class_data):
         x, y = class_data
         clf = CentroidClassifier(DIM)
         with pytest.raises(InvalidParameterError):
-            clf.shard_counts(x, y[:-1])
+            clf.shard(x, y[:-1])
         assert clf.classes == []
 
 

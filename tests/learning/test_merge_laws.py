@@ -2,9 +2,11 @@
 
 Bundle accumulators are integer count vectors and model deltas are
 (dicts of) accumulators, so merging is elementwise addition — a
-state-based CRDT.  These property tests pin the laws every consumer
-(``partial_fit``, :class:`~repro.serve.OnlineLearner`, the ingest
-cluster) relies on:
+state-based CRDT.  Both models expose the same delta protocol —
+``shard`` (pure per-chunk statistics) and ``absorb`` (their merge) —
+and every consumer (``partial_fit``, which is ``absorb(shard(...))``,
+:class:`~repro.serve.OnlineLearner` and the ingest cluster) runs
+through it.  These property tests pin the laws it relies on:
 commutativity, associativity, and shard-merge == monolithic, across
 packed/unpacked representations and every basis family.
 """
@@ -16,8 +18,11 @@ import pytest
 
 from repro.basis import make_basis
 from repro.hdc.packed import BundleAccumulator, PackedHV
-from repro.learning import CentroidClassifier, HDRegressor, absorb_delta, shard_delta
-from repro.exceptions import InvalidParameterError
+from repro.learning import CentroidClassifier, HDRegressor
+from repro.exceptions import DimensionMismatchError, InvalidParameterError
+from repro.serve import save_model
+
+from tests.cluster.harness import model_fingerprint
 
 DIM = 160  # not a multiple of 64: exercises the packed tail lanes
 
@@ -86,7 +91,7 @@ class TestAccumulatorLaws:
 
 
 class TestModelDeltaLaws:
-    """shard_delta / absorb_delta: the one merge entry point, both families."""
+    """``model.shard`` / ``model.absorb``: one delta protocol, both families."""
 
     def _classifier_data(self, packed):
         rows = encoded_rows("circular", 20, packed, seed=6)
@@ -99,8 +104,7 @@ class TestModelDeltaLaws:
         mono = CentroidClassifier(DIM, tie_break="zeros").fit(rows, labels)
         merged = CentroidClassifier(DIM, tie_break="zeros")
         for lo, hi in ((0, 7), (7, 13), (13, 20)):
-            delta = shard_delta(merged, rows[lo:hi], labels[lo:hi])
-            absorb_delta(merged, delta)
+            merged.absorb(merged.shard(rows[lo:hi], labels[lo:hi]))
         assert merged.classes == mono.classes
         for label in mono.classes:
             assert np.array_equal(
@@ -113,48 +117,106 @@ class TestModelDeltaLaws:
         order-sensitive bit, which is why the cluster absorbs in stream
         order — asserted by tests/cluster)."""
         rows, labels = self._classifier_data(packed)
-        d1 = shard_delta(CentroidClassifier(DIM), rows[:10], labels[:10])
-        d2 = shard_delta(CentroidClassifier(DIM), rows[10:], labels[10:])
-        ab = CentroidClassifier(DIM, tie_break="zeros")
-        absorb_delta(ab, d1)
-        absorb_delta(ab, d2)
-        ba = CentroidClassifier(DIM, tie_break="zeros")
-        absorb_delta(ba, d2)
-        absorb_delta(ba, d1)
+        d1 = CentroidClassifier(DIM).shard(rows[:10], labels[:10])
+        d2 = CentroidClassifier(DIM).shard(rows[10:], labels[10:])
+        ab = CentroidClassifier(DIM, tie_break="zeros").absorb(d1).absorb(d2)
+        ba = CentroidClassifier(DIM, tie_break="zeros").absorb(d2).absorb(d1)
         assert sorted(ab.classes) == sorted(ba.classes)
         for label in ab.classes:
             assert np.array_equal(
                 ab._accumulators[label].counts, ba._accumulators[label].counts
             )
 
-    def test_regressor_shard_merge_equals_monolithic(self):
+    @pytest.mark.parametrize("basis_kind", BASIS_KINDS)
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_regressor_shard_merge_equals_monolithic(self, basis_kind, packed):
         basis = make_basis("level", 12, DIM, seed=7)
         emb = basis.linear_embedding(0.0, 1.0)
         y = np.linspace(0.0, 1.0, 18)
-        encoded = emb.encode_packed(y)
+        encoded = encoded_rows(basis_kind, 18, packed, seed=8)
         mono = HDRegressor(emb, tie_break="zeros").fit(encoded, y)
         merged = HDRegressor(emb, tie_break="zeros")
         for lo, hi in ((0, 4), (4, 11), (11, 18)):
-            absorb_delta(merged, shard_delta(merged, encoded[lo:hi], y[lo:hi]))
+            merged.absorb(merged.shard(encoded[lo:hi], y[lo:hi]))
         assert np.array_equal(merged.model, mono.model)
         assert merged.num_samples == mono.num_samples
 
-    def test_absorb_delta_type_errors(self):
+    def test_absorb_type_errors(self):
         clf = CentroidClassifier(DIM)
         with pytest.raises(InvalidParameterError, match="classification"):
-            absorb_delta(clf, BundleAccumulator(DIM))
+            clf.absorb(BundleAccumulator(DIM))
+        with pytest.raises(InvalidParameterError, match="classification"):
+            clf.absorb({0: np.zeros(DIM, dtype=np.int64)})
         basis = make_basis("level", 4, DIM, seed=0)
         reg = HDRegressor(basis.linear_embedding(0.0, 1.0))
         with pytest.raises(InvalidParameterError, match="regression"):
-            absorb_delta(reg, {})
-        with pytest.raises(InvalidParameterError):
-            absorb_delta(object(), BundleAccumulator(DIM))
-        with pytest.raises(InvalidParameterError):
-            shard_delta(object(), np.zeros((1, DIM), dtype=np.uint8), [0])
+            reg.absorb({})
+        with pytest.raises(DimensionMismatchError):
+            reg.absorb(BundleAccumulator(DIM + 8))
+        assert reg.num_samples == 0 and reg.version == 0
 
     def test_deltas_are_pure(self):
-        """shard_delta never mutates the model it dispatches on."""
+        """``shard`` never mutates the model it is called on."""
         rows, labels = self._classifier_data(True)
         clf = CentroidClassifier(DIM, tie_break="zeros")
-        shard_delta(clf, rows, labels)
-        assert clf.classes == [] and clf.num_samples == 0
+        clf.shard(rows, labels)
+        assert clf.classes == [] and clf.num_samples == 0 and clf.version == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda: BundleAccumulator(DIM + 8),  # wrong dim
+            lambda: np.zeros(DIM, dtype=np.int64),  # not an accumulator
+        ],
+        ids=["dim", "type"],
+    )
+    def test_rejected_classifier_delta_is_not_half_applied(self, tmp_path, bad):
+        """A delta whose *second* entry is invalid must not touch the
+        model: counts, version, the cached prototypes and the saved
+        bytes all stay as they were before the call."""
+        rows, labels = self._classifier_data(True)
+        clf = CentroidClassifier(DIM, tie_break="zeros", seed=0).fit(rows, labels)
+        twin = CentroidClassifier(DIM, tie_break="zeros", seed=0).fit(rows, labels)
+        before = clf.predict(rows)
+        version = clf.version
+        good = BundleAccumulator(DIM)
+        good.add(rows[:5])
+        with pytest.raises((DimensionMismatchError, InvalidParameterError)):
+            clf.absorb({0: good, 1: bad()})
+        assert clf.version == version
+        assert clf.classes == twin.classes
+        for label in twin.classes:
+            assert np.array_equal(
+                clf._accumulators[label].counts, twin._accumulators[label].counts
+            )
+            assert clf._accumulators[label].total == twin._accumulators[label].total
+        assert clf.predict(rows) == before == twin.predict(rows)
+        save_model(clf, tmp_path / "clf.npz")
+        save_model(twin, tmp_path / "twin.npz")
+        assert model_fingerprint(tmp_path / "clf.npz") == model_fingerprint(
+            tmp_path / "twin.npz"
+        )
+
+
+class TestLabelNormalisation:
+    """Class labels become plain Python values in one place, the model."""
+
+    @pytest.mark.parametrize(
+        "labels", [[2, 0, 1, 2, 0, 1], ["b", "a", "c", "b", "a", "c"]],
+        ids=["int", "str"],
+    )
+    def test_ndarray_labels_fit_like_a_list(self, tmp_path, labels):
+        rows = encoded_rows("circular", 6, True, seed=9)
+        from_list = CentroidClassifier(DIM, tie_break="zeros", seed=0).fit(rows, labels)
+        from_array = CentroidClassifier(DIM, tie_break="zeros", seed=0)
+        from_array.fit(rows, np.array(labels))
+        assert from_array.classes == from_list.classes
+        assert [type(c) for c in from_array.classes] == [
+            type(c) for c in from_list.classes
+        ]
+        save_model(from_list, tmp_path / "list.npz")
+        save_model(from_array, tmp_path / "array.npz")
+        assert model_fingerprint(tmp_path / "list.npz") == model_fingerprint(
+            tmp_path / "array.npz"
+        )
+

@@ -207,7 +207,7 @@ class TestIntegerScoringTable:
     def test_absorb_drops_table(self, emb, data):
         x, y, queries = data
         model, before = self._warm(emb, x[:60], y[:60], queries)
-        model.absorb(model.shard_bundle(x[60:], y[60:]))
+        model.absorb(model.shard(x[60:], y[60:]))
         self._assert_fresh(model, queries, before)
 
     def test_online_learner_learn_and_forget_drop_table(self, emb):

@@ -174,8 +174,8 @@ def test_learn_forget_absorb_are_served_at_once(model_mode):
 
         previous = current
         encoded = served.embedding.encode_packed(features[:, 0])
-        learner.absorb(served.model.shard_bundle(encoded, targets))
-        twin_learner.absorb(twin.model.shard_bundle(encoded, targets))
+        learner.absorb(served.model.shard(encoded, targets))
+        twin_learner.absorb(twin.model.shard(encoded, targets))
         current = _oracle(twin, values)
         assert _changed(previous, current)
         _assert_served(engine, values, current)

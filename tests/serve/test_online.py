@@ -142,7 +142,7 @@ class TestAbsorb:
         direct.learn(features, labels)
         merged = make_learner(_classification_pipeline())
         encoded = merged.engine.encode(features)
-        shard = merged.pipeline.model.shard_counts(encoded, labels)
+        shard = merged.pipeline.model.shard(encoded, labels)
         merged.absorb(shard)
         probe = rng.random((12, 4))
         assert merged.predict(probe) == direct.predict(probe)
@@ -150,7 +150,7 @@ class TestAbsorb:
     def test_regressor_absorb(self, make_learner):
         learner = make_learner(_regression_pipeline())
         hours = np.arange(16.0)[:, None]
-        shard = learner.pipeline.model.shard_bundle(
+        shard = learner.pipeline.model.shard(
             learner.engine.encode(hours), hours[:, 0]
         )
         learner.absorb(shard)
