@@ -4,9 +4,10 @@ Measures the two exact backends of :mod:`repro.hdc.kernels` — the
 private ``_xor_counts`` and ``_gemm_counts``, called directly — and the
 dispatching ``pairwise_hamming`` (reported as ``auto``) against each
 other and against the packed layer's byte-wise reference scan
-(:func:`~repro.hdc.packed.packed_pairwise_hamming`), and writes a
-machine-readable report to ``benchmarks/results/BENCH_kernels.json``
-(committed, so the perf trajectory is tracked across PRs).  Four
+(:func:`~repro.hdc.packed.packed_pairwise_hamming`).  A full run
+writes a machine-readable report to
+``benchmarks/results/BENCH_kernels.json`` (committed, so the perf
+trajectory is tracked across PRs); ``--fast`` writes nothing.  Four
 sections:
 
 * **headline** — the paper-scale all-pairs workload (n = m ≈ 1k,
@@ -291,9 +292,9 @@ def main() -> None:
     args = parser.parse_args()
 
     summary = run_suite(fast=args.fast)
-    out_path = write_result("BENCH_kernels", summary)
     print(json.dumps(summary, indent=2))
-    print(f"\nsummary written to {out_path}")
+    if not args.fast:  # a --fast run never overwrites the committed full result
+        print(f"\nsummary written to {write_result('BENCH_kernels', summary)}")
     head = summary["headline"]
     print(f"headline: {head['speedup_gemm_over_byte_scan']}x gemm over the byte-wise "
           f"scan, {head['speedup_gemm_over_xor']}x over the xor word scan "

@@ -27,7 +27,8 @@ reduced scale).  A socket-level replay through a live ``serve-http``
 server (:class:`~repro.serve.replay.HTTPReplayClient`) re-checks
 bit-identity over the full network path.
 
-Writes ``benchmarks/results/BENCH_serve_concurrency.json``.  Run it::
+A full run writes ``benchmarks/results/BENCH_serve_concurrency.json``;
+``--fast`` checks the same gates and writes nothing.  Run it::
 
     PYTHONPATH=src python benchmarks/bench_serve_concurrency.py [--fast]
 """
@@ -229,9 +230,9 @@ def main() -> None:
     args = parser.parse_args()
 
     summary = run_suite(fast=args.fast)
-    out_path = write_result("BENCH_serve_concurrency", summary)
     print(json.dumps(summary, indent=2))
-    print(f"\nsummary written to {out_path}")
+    if not args.fast:  # a --fast run never overwrites the committed full result
+        print(f"\nsummary written to {write_result('BENCH_serve_concurrency', summary)}")
 
     oracle = summary["oracle"]
     for key in ("batched_mismatches", "unbatched_mismatches", "http_mismatches"):

@@ -16,7 +16,8 @@ route and gates:
   interleaved, so they see the same machine state, and one noisy pass
   cannot move the median.
 
-Writes ``benchmarks/results/BENCH_serve_latency.json``.  Run it::
+A full run writes ``benchmarks/results/BENCH_serve_latency.json``;
+``--fast`` checks the same budgets and writes nothing.  Run it::
 
     PYTHONPATH=src python benchmarks/bench_serve_latency.py [--fast]
 """
@@ -120,9 +121,9 @@ def main() -> None:
     args = parser.parse_args()
 
     summary = run_suite(fast=args.fast)
-    out_path = write_result("BENCH_serve_latency", summary)
     print(json.dumps(summary, indent=2))
-    print(f"\nsummary written to {out_path}")
+    if not args.fast:  # a --fast run never overwrites the committed full result
+        print(f"\nsummary written to {write_result('BENCH_serve_latency', summary)}")
 
     failures = budget_failures(summary)
     if failures:

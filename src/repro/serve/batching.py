@@ -195,8 +195,9 @@ class MicroBatcher:
         Scheduling knobs; ``None`` resolves through the knob chain
         (see the module docstring).
 
-    The (GIL-releasing) kernel call runs on the event loop's default
-    thread pool.
+    The kernel call runs on the event loop's own thread, one batch at a
+    time: ``max_batch`` bounds how long it holds the loop, and the
+    scheduler yields to the loop between batches.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`
     explicitly.  :meth:`submit_records` is the request API;
@@ -375,7 +376,8 @@ class MicroBatcher:
         return room
 
     async def _collect(self) -> list[tuple]:
-        """Gather one batch of ``(request, lo, hi)`` spans, adaptively."""
+        """Gather and count one batch of ``(request, lo, hi)`` spans,
+        adaptively."""
         loop = asyncio.get_running_loop()
         spans: list[tuple] = []
         while not spans:
@@ -397,17 +399,16 @@ class MicroBatcher:
             except asyncio.TimeoutError:
                 break
             room = self._fill(spans, room)
+        size = sum(hi - lo for _, lo, hi in spans)
+        self.stats["batches"] += 1
+        self.stats["max_batch_seen"] = max(self.stats["max_batch_seen"], size)
+        self.stats["batch_rows_sum"] += size
+        _observe(BATCH_SIZE_BUCKETS, self.stats["batch_buckets"], size)
         return spans
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             spans = await self._collect()
-            size = sum(hi - lo for _, lo, hi in spans)
-            self.stats["batches"] += 1
-            self.stats["max_batch_seen"] = max(self.stats["max_batch_seen"], size)
-            self.stats["batch_rows_sum"] += size
-            _observe(BATCH_SIZE_BUCKETS, self.stats["batch_buckets"], size)
             lease = self.registry.lease(self.name)
             try:
                 if len(spans) == 1:
@@ -415,30 +416,27 @@ class MicroBatcher:
                     rows = req.rows[lo:hi]
                 else:
                     rows = np.concatenate([req.rows[lo:hi] for req, lo, hi in spans])
-                predictions = await loop.run_in_executor(
-                    None, lease.engine.predict_coalesced, rows
-                )
-            except asyncio.CancelledError:  # pragma: no cover - stop() path
-                self.registry.release(lease)
-                for req, _, _ in spans:
-                    req.future.cancel()
-                raise
+                predictions = lease.engine.predict_coalesced(rows)
             except Exception as exc:
-                self.registry.release(lease)
                 for req, _, _ in spans:
                     if not req.future.done():
                         req.future.set_exception(exc)
-                continue
-            self.registry.release(lease)
-            at = 0
-            for req, lo, hi in spans:
-                answered = predictions[at:at + hi - lo]
-                at += hi - lo
-                if req.future.done():
-                    continue
-                req.answers.extend(answered)
-                if len(req.answers) == req.rows.shape[0]:
-                    req.future.set_result(req.answers)
+            else:
+                at = 0
+                for req, lo, hi in spans:
+                    answered = predictions[at:at + hi - lo]
+                    at += hi - lo
+                    if req.future.done():
+                        continue
+                    req.answers.extend(answered)
+                    if len(req.answers) == req.rows.shape[0]:
+                        req.future.set_result(req.answers)
+            finally:
+                self.registry.release(lease)
+            # The batch ran on the loop thread: let the HTTP handlers run
+            # before the next one, so a request split across batches
+            # blocks the loop for one batch at a time.
+            await asyncio.sleep(0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

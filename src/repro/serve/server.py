@@ -609,7 +609,7 @@ class ServerThread:
         finally:
             try:
                 loop.run_until_complete(loop.shutdown_asyncgens())
-                # The batchers run kernels on the loop's default executor;
+                # ``:swap`` loads models on the loop's default executor;
                 # join its threads or they outlive the server (leak-checked
                 # by the serve test suite).
                 loop.run_until_complete(loop.shutdown_default_executor())

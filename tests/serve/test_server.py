@@ -245,23 +245,55 @@ class TestAdaptiveScheduling:
 
 
 class _CountingEngine(InferenceEngine):
-    """Counts ``predict_coalesced`` calls; raises on the first ``fail``
-    of them, and waits for ``gate`` (when given) before each one, which
-    holds a batch in flight for exactly as long as a test needs."""
+    """Counts ``predict_coalesced`` calls and records the thread each one
+    runs on (and ``probe()``, when given); raises on the first ``fail``
+    of them."""
 
-    def __init__(self, pipeline, fail=0, gate=None):
+    def __init__(self, pipeline, fail=0, probe=None):
         super().__init__(pipeline)
         self.calls = 0
         self.fail = fail
-        self.gate = gate
+        self.probe = probe
+        self.threads = []
+        self.probed = []
 
     def predict_coalesced(self, records):
         self.calls += 1
-        if self.gate is not None:
-            assert self.gate.wait(timeout=30), "gate never opened"
+        self.threads.append(threading.get_ident())
+        if self.probe is not None:
+            self.probed.append(self.probe())
         if self.calls <= self.fail:
             raise InvalidParameterError("engine fault")
         return super().predict_coalesced(records)
+
+
+class _BatchGate:
+    """Holds every batch in flight, once its rows are taken and counted,
+    until :meth:`open` — for exactly as long as a test needs.  The batch
+    waits on the event loop, so the loop (and the HTTP front end on it)
+    keeps running meanwhile."""
+
+    def __init__(self, monkeypatch):
+        self.held = 0
+        self._event = asyncio.Event()
+        self._loop = None
+        collect = MicroBatcher._collect
+
+        async def held(batcher):
+            spans = await collect(batcher)
+            self._loop = asyncio.get_running_loop()
+            self.held += 1
+            await self._event.wait()
+            return spans
+
+        monkeypatch.setattr(MicroBatcher, "_collect", held)
+
+    def open(self):
+        """Release every held batch, and every later one; any thread."""
+        if self._loop is None:
+            self._event.set()
+        else:
+            self._loop.call_soon_threadsafe(self._event.set)
 
 
 async def _until(predicate):
@@ -322,11 +354,13 @@ class TestRequestQueue:
         assert stats["batch_rows_sum"] == 32 + 1  # the second span never ran
         assert pending == 0
 
-    def test_cancelled_requests_compute_no_more_rows(self, regression_pipeline):
+    def test_cancelled_requests_compute_no_more_rows(
+        self, regression_pipeline, monkeypatch
+    ):
         """Cancel one request mid-split and one still queued: neither
         computes another row, and the pending count returns to 0."""
-        gate = threading.Event()
-        engine = _CountingEngine(regression_pipeline, gate=gate)
+        gate = _BatchGate(monkeypatch)
+        engine = _CountingEngine(regression_pipeline)
         with ModelRegistry() as registry:
             registry.register("m", engine)
 
@@ -334,45 +368,93 @@ class TestRequestQueue:
                 async with MicroBatcher(registry, "m", max_batch=32) as batcher:
                     split = batcher.submit_records(_rows(regression_pipeline, 64, 3))
                     await _until(lambda: batcher.stats["batches"] == 1)
+                    assert gate.held == 1  # the first span is in flight
                     queued = batcher.submit_records(_rows(regression_pipeline, 8, 4))
                     split.cancel()
                     queued.cancel()
                     await asyncio.sleep(0)  # run the futures' done callbacks
                     assert batcher._pending == 0
-                    gate.set()
+                    gate.open()
                     value = await batcher.submit([1.25])
                     return value, dict(batcher.stats)
 
-            try:
-                value, stats = asyncio.run(run())
-            finally:
-                gate.set()
+            value, stats = asyncio.run(run())
         assert json_scalar(value) == _oracle(regression_pipeline, [[1.25]])[0]
         assert engine.calls == 2
         assert stats["batch_rows_sum"] == 32 + 1
 
-    def test_stop_waits_for_the_request_in_flight(self, regression_pipeline):
-        gate = threading.Event()
+    def test_stop_waits_for_the_request_in_flight(
+        self, regression_pipeline, monkeypatch
+    ):
+        gate = _BatchGate(monkeypatch)
         with ModelRegistry() as registry:
-            registry.register("m", _CountingEngine(regression_pipeline, gate=gate))
+            registry.register("m", _CountingEngine(regression_pipeline))
 
             async def run():
                 batcher = await MicroBatcher(registry, "m").start()
                 future = batcher.submit_records([[0.5], [1.0]])
                 stopping = asyncio.ensure_future(batcher.stop())
                 await asyncio.sleep(0.05)
-                assert not stopping.done()  # still waiting on the answer
-                gate.set()
+                assert gate.held == 1  # the batch is in flight ...
+                assert not stopping.done()  # ... and stop() waits on its answer
+                gate.open()
                 await stopping
                 return await future
 
-            try:
-                values = asyncio.run(run())
-            finally:
-                gate.set()
+            values = asyncio.run(run())
         assert [json_scalar(v) for v in values] == _oracle(
             regression_pipeline, [[0.5], [1.0]]
         )
+
+
+class TestLoopThreadDispatch:
+    """Batches run on the event loop's own thread, one at a time."""
+
+    def test_server_predicts_on_the_loop_thread(self, regression_pipeline):
+        engine = _CountingEngine(regression_pipeline)
+        registry = ModelRegistry()
+        registry.register("mars", engine)
+        with ServerThread(
+            registry, window_ms=1.0, max_batch=4, own_registry=True
+        ) as server:
+            loop_thread = server._thread.ident
+            for n in (1, 3, 10):
+                status, _ = server.request(
+                    "POST", "/v1/models/mars:predict", _records(n)
+                )
+                assert status == 200
+        assert engine.calls == 1 + 1 + 3  # 10 rows split 4 + 4 + 2
+        assert set(engine.threads) == {loop_thread}
+        assert loop_thread != threading.get_ident()
+
+    def test_scheduler_yields_between_batches(self, regression_pipeline):
+        """A 128-row request splits into four 32-row batches; a ticker
+        coroutine must run between every two of them, or one request
+        could hold the loop (and every HTTP handler) for all four."""
+        ticks = [0]
+        engine = _CountingEngine(regression_pipeline, probe=lambda: ticks[0])
+        with ModelRegistry() as registry:
+            registry.register("m", engine)
+
+            async def run():
+                async def ticker():
+                    while True:
+                        ticks[0] += 1
+                        await asyncio.sleep(0)
+
+                async with MicroBatcher(registry, "m", max_batch=32) as batcher:
+                    task = asyncio.ensure_future(ticker())
+                    values = await batcher.submit_records(
+                        _rows(regression_pipeline, 128, 5)
+                    )
+                    task.cancel()
+                    return values, dict(batcher.stats)
+
+            values, stats = asyncio.run(run())
+        assert len(values) == 128
+        assert stats["batches"] == engine.calls == 4
+        probed = engine.probed
+        assert all(b > a for a, b in zip(probed, probed[1:])), probed
 
 
 class TestKnobResolution:
@@ -614,9 +696,9 @@ class TestHTTPBackpressure:
         is refused whole: 429, no row queued, nothing computed for it,
         and the server keeps serving afterwards."""
         seen = _spy_on_responses(monkeypatch)
-        gate = threading.Event()
+        gate = _BatchGate(monkeypatch)
         registry = ModelRegistry()
-        registry.register("mars", _CountingEngine(regression_pipeline, gate=gate))
+        registry.register("mars", _CountingEngine(regression_pipeline))
         with ServerThread(
             registry, window_ms=1.0, max_queue=8, own_registry=True
         ) as server:
@@ -629,14 +711,14 @@ class TestHTTPBackpressure:
             first.start()
             try:
                 deadline = time.monotonic() + 30
-                while server.server.stats()["mars"]["requests"] < 6:
-                    assert time.monotonic() < deadline, "6-row request never admitted"
+                while gate.held < 1:
+                    assert time.monotonic() < deadline, "6-row batch never held"
                     time.sleep(0.001)
                 status, body = server.request(
                     "POST", "/v1/models/mars:predict", _records(4, offset=10)
                 )
             finally:
-                gate.set()
+                gate.open()
                 first.join(timeout=30)
             assert status == 429
             assert body["backpressure"] is True
