@@ -42,10 +42,13 @@ class BasisSet(abc.ABC):
     """A table of ``m`` basis-hypervectors of dimension ``d``.
 
     Concrete subclasses generate :attr:`vectors` in their constructor; this
-    base class is agnostic to how they were produced.
+    base class is agnostic to how they were produced.  ``vectors`` may
+    also be a packed :class:`~repro.hdc.packed.PackedHV` table (a saved
+    model's basis): it unpacks to bits by construction, so it skips the
+    value check an unpacked table gets.
     """
 
-    def __init__(self, vectors: np.ndarray) -> None:
+    def __init__(self, vectors: np.ndarray | PackedHV) -> None:
         arr = as_hypervector(vectors)
         if arr.ndim != 2:
             raise InvalidParameterError(

@@ -107,6 +107,26 @@ def ones(dim: int = DEFAULT_DIMENSION) -> np.ndarray:
     return np.ones(_validate_dimension(dim), dtype=BIT_DTYPE)
 
 
+def _is_bit_dtype(dtype: np.dtype) -> bool:
+    """Booleans and integers can hold bits; floats and objects cannot."""
+    return dtype == np.bool_ or np.issubdtype(dtype, np.integer)
+
+
+def _holds_bits(arr: np.ndarray) -> bool:
+    """True if every entry of a non-empty bool or integer array is 0 or 1.
+
+    The one bit check behind :func:`is_hypervector` and
+    :func:`as_hypervector`: at most two reductions and no temporaries
+    (``np.isin`` would sort a copy, several times the table's size), and
+    an unsigned array needs only its ``max``.
+    """
+    if arr.dtype == np.bool_:
+        return True
+    if int(arr.max()) > 1:
+        return False
+    return arr.dtype.kind == "u" or int(arr.min()) >= 0
+
+
 def is_hypervector(array: object) -> bool:
     """Return ``True`` if ``array`` is a valid binary hypervector (batch).
 
@@ -117,11 +137,7 @@ def is_hypervector(array: object) -> bool:
         return True
     if not isinstance(array, np.ndarray) or array.ndim < 1 or array.size == 0:
         return False
-    if array.dtype == np.bool_:
-        return True
-    if not np.issubdtype(array.dtype, np.integer):
-        return False
-    return bool(np.isin(array, (0, 1)).all())
+    return _is_bit_dtype(array.dtype) and _holds_bits(array)
 
 
 def as_hypervector(array: object) -> np.ndarray:
@@ -141,13 +157,11 @@ def as_hypervector(array: object) -> np.ndarray:
         raise InvalidHypervectorError(
             f"hypervector must be a non-empty array, got shape {arr.shape}"
         )
-    if arr.dtype == np.bool_:
-        return arr.astype(BIT_DTYPE)
-    if not np.issubdtype(arr.dtype, np.integer):
+    if not _is_bit_dtype(arr.dtype):
         raise InvalidHypervectorError(
             f"hypervector entries must be integers in {{0, 1}}, got dtype {arr.dtype}"
         )
-    if not np.isin(arr, (0, 1)).all():
+    if not _holds_bits(arr):
         raise InvalidHypervectorError("hypervector entries must be 0 or 1")
     return arr.astype(BIT_DTYPE, copy=False)
 

@@ -42,6 +42,23 @@ __all__ = [
 ]
 
 
+def _holds_bipolar(arr: np.ndarray) -> bool:
+    """True if every entry of ``arr`` is ``−1`` or ``+1``.
+
+    Integer arrays take two reductions and a non-zero count, with no
+    temporaries; any other dtype keeps the exact membership test.
+    """
+    if arr.dtype.kind not in "iu":
+        return bool(np.isin(arr, (-1, 1)).all())
+    if arr.size == 0:
+        return True
+    return (
+        int(arr.min()) >= -1
+        and int(arr.max()) <= 1
+        and np.count_nonzero(arr) == arr.size
+    )
+
+
 def binary_to_bipolar(hv: np.ndarray) -> np.ndarray:
     """Map binary bits ``{0, 1}`` to bipolar entries ``{+1, −1}``.
 
@@ -56,7 +73,7 @@ def binary_to_bipolar(hv: np.ndarray) -> np.ndarray:
 def bipolar_to_binary(hv: np.ndarray) -> np.ndarray:
     """Inverse of :func:`binary_to_bipolar` (``+1 → 0``, ``−1 → 1``)."""
     arr = np.asarray(hv)
-    if not np.isin(arr, (-1, 1)).all():
+    if not _holds_bipolar(arr):
         raise InvalidHypervectorError("bipolar hypervector entries must be -1 or +1")
     return ((1 - arr.astype(np.int8)) // 2).astype(BIT_DTYPE)
 
@@ -239,7 +256,7 @@ class MAPSpace(VectorSpace):
     @staticmethod
     def _validate(arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        if not np.isin(arr, (-1, 1)).all():
+        if not _holds_bipolar(arr):
             raise InvalidHypervectorError("MAP hypervector entries must be -1 or +1")
         return arr.astype(np.int8, copy=False)
 

@@ -331,8 +331,12 @@ class HDRegressor:
             total = self._bundle.total
             signed = total - 2 * np.asarray(self._bundle.counts, dtype=np.int64)
             dtype = np.float32 if int(np.abs(signed).sum()) < 2**24 else np.float64
-            label_bipolar = 1.0 - 2.0 * self.label_embedding.basis.vectors.astype(dtype)
-            weighted = signed.astype(dtype)[:, None] * label_bipolar.T  # (d, k)
+            # (d, k), built in place in the label table's transposed
+            # layout: one table-sized allocation and no temporaries.
+            weighted = self.label_embedding.basis.vectors.T.astype(dtype)
+            weighted *= -2
+            weighted += 1  # the bipolar label table Lᵀ
+            weighted *= signed.astype(dtype)[:, None]
             colsum = weighted.sum(axis=0, dtype=np.float64).astype(dtype)
             table = (colsum, weighted, self._dim * max(total, 1))
             self._scoring = table

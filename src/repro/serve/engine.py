@@ -42,6 +42,13 @@ from .pipeline import TrainedPipeline
 
 __all__ = ["InferenceEngine"]
 
+#: Input levels per ``model.predict`` call when building a keyless
+#: pipeline's per-level table.  The build's transient (unpacked bits and
+#: their float copy in the integer regressor) is bounded by this many
+#: rows instead of all ``m`` levels; rows score independently of their
+#: batch, so the table is the same bytes for any chunking.
+LEVEL_CHUNK_ROWS = 64
+
 
 class InferenceEngine:
     """Encode-then-predict serving loop over a trained pipeline.
@@ -59,7 +66,8 @@ class InferenceEngine:
     of 16 for every batch and the scan is always XOR + popcount.  GEMM
     runs only where both sides are large: a binary regressor's cleanup
     against its label levels (128 in ``RegressionConfig``) once a batch
-    reaches 19 rows, and the keyless per-level table build.
+    reaches 19 rows, and the keyless per-level table build (in chunks of
+    :data:`LEVEL_CHUNK_ROWS` levels; a short final chunk scans on XOR).
 
     The engine is a context manager (:meth:`close` on exit marks it
     closed for the registry's drain) but can also be used without
@@ -177,10 +185,11 @@ class InferenceEngine:
     def _level_answers(self) -> Union[list[Hashable], np.ndarray]:
         """A keyless pipeline's answer for each of its ``m`` input levels.
 
-        ``model.predict(basis.packed)`` after ``model.prepare()``: row
-        ``i`` is exactly what ``model.predict`` returns for any value
-        quantised to level ``i`` (every predict path scores each row
-        independently of its batch).  Cached against the model's
+        ``model.predict(basis.packed)`` after ``model.prepare()``, run
+        :data:`LEVEL_CHUNK_ROWS` levels at a time: row ``i`` is exactly
+        what ``model.predict`` returns for any value quantised to level
+        ``i`` (every predict path scores each row independently of its
+        batch, so the chunking changes no byte).  Cached against the model's
         ``version``, which is read *before* building, so a mutation that
         races the build leaves a stale version behind and the next call
         rebuilds.  ``prepare()`` makes the binary model's tie draws
@@ -193,7 +202,15 @@ class InferenceEngine:
             version = model.version
             if self._table is None or self._table[0] != version:
                 model.prepare()
-                answers = model.predict(self.pipeline.embedding.basis.packed)
+                levels = self.pipeline.embedding.basis.packed
+                parts = [
+                    model.predict(levels[lo:lo + LEVEL_CHUNK_ROWS])
+                    for lo in range(0, len(levels), LEVEL_CHUNK_ROWS)
+                ]
+                if isinstance(parts[0], np.ndarray):
+                    answers = np.concatenate(parts)
+                else:
+                    answers = [label for part in parts for label in part]
                 self._table = (version, answers)
             return self._table[1]
 
@@ -231,15 +248,18 @@ class InferenceEngine:
         under a position-free tie policy, so no record's encoding
         depends on its neighbours.
 
-        Returns a plain list of per-record labels/values (scalars), in
-        request order.
+        Returns a plain list of per-record answers, in request order: a
+        regressor's values become Python floats in one ``tolist()`` per
+        batch, and a classifier's labels are the model's own objects.
         """
         batch = self._as_batch(records)
         if batch.shape[0] == 0:
             return []
         if self._encoder is None:
-            return list(self._lookup(batch[:, 0]))
-        return list(self.pipeline.model.predict(self.encode(batch)))
+            answers = self._lookup(batch[:, 0])
+        else:
+            answers = self.pipeline.model.predict(self.encode(batch))
+        return answers.tolist() if isinstance(answers, np.ndarray) else list(answers)
 
     def predict_one(self, record: Any) -> Any:
         """Predict for exactly one record; returns a scalar label/value.

@@ -269,16 +269,17 @@ def _load_basis(payload: dict, arrays: dict, prefix: str) -> BasisSet:
     if cls is None:
         raise ModelFormatError(f"unknown basis type {name!r} in manifest")
     packed = _get_packed(arrays, prefix + "vectors", int(payload["dim"]))
-    vectors = packed.unpack()
-    if vectors.shape[0] != int(payload["size"]):
+    if packed.shape[0] != int(payload["size"]):
         raise ModelFormatError(
-            f"basis table has {vectors.shape[0]} rows, manifest says {payload['size']}"
+            f"basis table has {packed.shape[0]} rows, manifest says {payload['size']}"
         )
     # Bypass the stochastic constructors: the generated table *is* the
     # basis, so restore it verbatim and reattach the per-type metadata
-    # that the analysis methods (expected_distance etc.) consult.
+    # that the analysis methods (expected_distance etc.) consult.  Fed
+    # the packed table, the constructor unpacks it with no value check:
+    # unpackbits output is bits by construction.
     basis = cls.__new__(cls)
-    BasisSet.__init__(basis, vectors)
+    BasisSet.__init__(basis, packed)
     basis._packed = packed
     if cls is LevelBasis:
         basis.r = float(payload["r"])

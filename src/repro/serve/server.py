@@ -96,6 +96,25 @@ def json_scalar(value: Any) -> Any:
     return value
 
 
+def _json_fallback(value: Any) -> Any:
+    """``json.dumps`` hook: what :func:`json_scalar` makes of ``value``.
+
+    ``json.dumps`` calls it only for objects it cannot encode itself, so
+    a response body is byte-identical to one whose values all went
+    through :func:`json_scalar` first (numpy floats and strings
+    subclass ``float`` and ``str`` and encode the same either way).
+    """
+    plain = json_scalar(value)
+    if plain is value:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return plain
+
+
+#: The response encoder: ``json.dumps`` defaults plus the fallback above,
+#: built once (``json.dumps(default=...)`` would build one per call).
+_JSON = json.JSONEncoder(default=_json_fallback)
+
+
 def finite_number(value: Any) -> bool:
     """True for a JSON number that is a finite float64.
 
@@ -399,7 +418,7 @@ class ServeServer:
             body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            body = (json.dumps(payload) + "\n").encode("utf-8")
+            body = (_JSON.encode(payload) + "\n").encode("utf-8")
             content_type = "application/json"
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
@@ -501,11 +520,11 @@ class ServeServer:
             answer = batcher.submit_records(rows)
         except InvalidParameterError as exc:  # more rows than max_queue
             raise _HTTPError(413, str(exc)) from None
-        values = await answer
-        return 200, {
-            "model": name,
-            "predictions": [json_scalar(v) for v in values],
-        }
+        # The answers go out as they are: a regressor's are Python floats
+        # already, and a numpy label takes the json_scalar fallback of
+        # _write_response, so the bytes match mapping every value through
+        # json_scalar.
+        return 200, {"model": name, "predictions": await answer}
 
     async def _swap(self, name: str, payload: dict) -> tuple[int, dict]:
         path = payload.get("path")

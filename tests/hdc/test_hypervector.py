@@ -127,6 +127,48 @@ class TestValidation:
             as_hypervector(np.array([], dtype=np.uint8))
 
 
+def _strided_with_a_two() -> np.ndarray:
+    base = np.zeros((4, 16), dtype=np.int16)
+    base[2, 6] = 2
+    view = base[::2, ::3]
+    assert not view.flags.contiguous and 2 in view
+    return view
+
+
+#: Out-of-range inputs at the edges the min/max bit check must catch.
+INVALID_BITS = {
+    "int8 -1": np.array([0, 1, -1], dtype=np.int8),
+    "uint16 2": np.array([1, 2, 0], dtype=np.uint16),
+    "int64 2**40": np.array([0, 2**40], dtype=np.int64),
+    "strided view with a 2": _strided_with_a_two(),
+}
+
+
+class TestBitCheckEdges:
+    @pytest.mark.parametrize("arr", INVALID_BITS.values(), ids=INVALID_BITS.keys())
+    def test_rejected_by_is_hypervector(self, arr):
+        assert not is_hypervector(arr)
+
+    @pytest.mark.parametrize("arr", INVALID_BITS.values(), ids=INVALID_BITS.keys())
+    def test_rejected_by_as_hypervector(self, arr):
+        with pytest.raises(InvalidHypervectorError):
+            as_hypervector(arr)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_valid_bits_of_any_integer_dtype_accepted(self, dtype):
+        arr = np.array([[0, 1], [1, 0]], dtype=dtype)
+        assert is_hypervector(arr)
+        out = as_hypervector(arr)
+        assert out.dtype == BIT_DTYPE
+        np.testing.assert_array_equal(out, arr)
+
+    def test_valid_uint8_batch_returned_without_copy(self):
+        arr = random_hypervectors(8, 64, seed=3)
+        assert as_hypervector(arr) is arr
+        view = arr[::2, ::3]
+        assert as_hypervector(view) is view
+
+
 class TestBitPacking:
     @pytest.mark.parametrize("dim", [8, 16, 100, 1001])
     def test_round_trip(self, dim):

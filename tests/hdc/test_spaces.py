@@ -23,6 +23,28 @@ class TestConversions:
         with pytest.raises(InvalidHypervectorError):
             bipolar_to_binary(np.array([1, 0]))
 
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([1, -1, 0], dtype=np.int8),
+            np.array([1, 2], dtype=np.uint16),
+            np.array([-1, -2**40], dtype=np.int64),
+            np.array([1.0, 0.5]),
+            np.array([[1, 1, 0], [1, 1, 1]], dtype=np.int8)[:, ::2],
+        ],
+        ids=["int8 0", "uint16 2", "int64 -2**40", "float 0.5", "strided view with a 0"],
+    )
+    def test_bipolar_edges_rejected(self, arr):
+        with pytest.raises(InvalidHypervectorError):
+            bipolar_to_binary(arr)
+        with pytest.raises(InvalidHypervectorError):
+            MAPSpace(dim=arr.shape[-1]).bind(arr, arr)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_bipolar_of_any_numeric_dtype_accepted(self, dtype):
+        arr = np.array([[1, -1], [-1, 1]], dtype=dtype)
+        np.testing.assert_array_equal(bipolar_to_binary(arr), [[0, 1], [1, 0]])
+
 
 class TestBSCSpace:
     def test_random_shape(self):

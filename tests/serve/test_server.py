@@ -26,7 +26,7 @@ import pytest
 
 from repro.basis import CircularBasis
 from repro.exceptions import BackpressureError, InvalidParameterError
-from repro.learning import HDRegressor
+from repro.learning import CentroidClassifier, HDRegressor
 from repro.runtime import BatchEncoder
 from repro.serve import (
     HTTPReplayClient,
@@ -564,6 +564,58 @@ def test_integer_features_are_served_like_floats(http_server, regression_pipelin
     )
     assert status == 200
     assert body["predictions"] == _oracle(regression_pipeline, [[1.0], [2.0], [3.0]])
+
+
+def _post_bytes(server, path, payload):
+    """POST ``payload`` as JSON; return the status and the raw body bytes."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.request(
+            "POST", path, body=json.dumps(payload),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def _int_label_pipeline():
+    """A keyless classifier whose labels are numpy integers, not JSON ones."""
+    emb = CircularBasis(16, 256, seed=2).circular_embedding(period=16.0)
+    x = np.arange(64) % 16 + 0.25
+    labels = [np.int64(v // 4) for v in x]
+    clf = CentroidClassifier(dim=256, seed=4).fit(emb.encode_packed(x), labels)
+    return TrainedPipeline(kind="classification", model=clf, embedding=emb)
+
+
+@pytest.mark.parametrize(
+    "make_pipeline",
+    [
+        lambda request: request.getfixturevalue("regression_pipeline"),
+        lambda request: request.getfixturevalue("classification_pipeline"),
+        lambda request: _int_label_pipeline(),
+    ],
+    ids=["regressor", "string-label classifier", "numpy-int-label classifier"],
+)
+def test_records_body_bytes_equal_json_scalar_serialisation(request, make_pipeline):
+    """A records response is the bytes of mapping every answer through
+    ``json_scalar``, though the server no longer calls it per value."""
+    pipeline = make_pipeline(request)
+    rows = _rows(pipeline, 40, seed=31)
+    with InferenceEngine(pipeline) as engine:
+        answers = engine.predict(rows)
+    expected = json.dumps(
+        {"model": "m", "predictions": [json_scalar(v) for v in answers]}
+    ) + "\n"
+    registry = ModelRegistry()
+    registry.register("m", pipeline)
+    with ServerThread(registry, window_ms=1.0, own_registry=True) as server:
+        status, body = _post_bytes(
+            server, "/v1/models/m:predict", {"records": rows.tolist()}
+        )
+    assert status == 200
+    assert body == expected.encode("utf-8")
 
 
 class TestHTTPServer:
