@@ -11,8 +11,7 @@ The module is also runnable directly::
     python benchmarks/bench_ops_throughput.py
 
 which times packed against unpacked kernels without any pytest plugin and
-writes a machine-readable summary to ``benchmarks/results/BENCH_ops.json``
-(committed, so the perf trajectory is tracked across PRs).  The headline
+prints a JSON summary to stdout; it writes no file.  The headline
 number is the pairwise-Hamming speedup of the packed backend over the
 naive unpacked scan at d = 10,000, which must stay ≥ 3×.
 """
@@ -23,7 +22,6 @@ import _bootstrap  # noqa: F401  (sys.path shim: run from checkout or install)
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -41,8 +39,6 @@ from repro.hdc import (
 
 DIM = 10_000
 N, M = 512, 128
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def naive_pairwise_hamming(vectors: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -214,13 +210,9 @@ def run_suite(repeats: int = 5) -> dict:
 
 def main() -> None:
     summary = run_suite()
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out_path = RESULTS_DIR / "BENCH_ops.json"
-    out_path.write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
     speedup = summary["speedups"]["pairwise_hamming_packed_vs_unpacked"]
     print(f"\npairwise Hamming speedup (packed vs unpacked, d={DIM}): {speedup}x")
-    print(f"summary written to {out_path}")
     if speedup < 3.0:
         raise SystemExit(f"FAIL: packed speedup {speedup}x is below the 3x floor")
 

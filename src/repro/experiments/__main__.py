@@ -72,7 +72,7 @@ from ..exceptions import InvalidParameterError, ModelFormatError
 from ..learning.metrics import normalized_mse
 from ..runtime import ArtifactStore
 from ..serve import InferenceEngine, save_model
-from ..serve.server import finite_number
+from ..serve.server import finite_number, json_scalar
 from .classification import BASIS_KINDS, run_table1
 from .config import ClassificationConfig, RegressionConfig
 from .regression import run_table2
@@ -241,18 +241,6 @@ def _run_train(args: argparse.Namespace) -> None:
     print(f"saved model to {path} ({path.stat().st_size} bytes)")
 
 
-def _json_safe(value) -> object:
-    """Coerce a prediction to a JSON-serialisable scalar.
-
-    Delegates to :func:`repro.serve.server.json_scalar` — the JSONL loop
-    and the HTTP tier must serialise identically, or transcripts from
-    the two paths would not compare.
-    """
-    from ..serve.server import json_scalar
-
-    return json_scalar(value)
-
-
 def _parse_request(
     line: str, lineno: int, num_features: int, allow_target: bool = False
 ) -> tuple[list[float], float | None]:
@@ -330,7 +318,6 @@ def _run_serve(args: argparse.Namespace) -> None:
             stream = open(args.input, encoding="utf-8")
         except OSError as exc:
             raise SystemExit(f"cannot open --input {args.input}: {exc}") from exc
-    engine = None
     learner = None
     try:
         try:
@@ -390,10 +377,10 @@ def _run_serve(args: argparse.Namespace) -> None:
                     # Single-record fast path (bit-identical to the batch
                     # route); the request/response loop lives here.
                     value = engine.predict_one(feats[0])
-                    print(json.dumps({"prediction": _json_safe(value)}), flush=True)
+                    print(json.dumps({"prediction": json_scalar(value)}), flush=True)
                 else:
                     for value in engine.predict(feats):
-                        print(json.dumps({"prediction": _json_safe(value)}), flush=True)
+                        print(json.dumps({"prediction": json_scalar(value)}), flush=True)
                 i = j
 
         pending: list[tuple[list[float], float | None]] = []
@@ -427,10 +414,6 @@ def _run_serve(args: argparse.Namespace) -> None:
         if learner is not None and args.checkpoint and state["since_checkpoint"]:
             learner.checkpoint(args.checkpoint)
     finally:
-        if learner is not None:
-            learner.close()
-        elif engine is not None:
-            engine.close()
         if stream is not sys.stdin:
             stream.close()
 
@@ -492,7 +475,7 @@ def _run_serve_http(args: argparse.Namespace) -> None:
                 server.stop()
             except KeyboardInterrupt:
                 # A second Ctrl-C mid-drain: finish the teardown anyway
-                # so the port and the engines are released cleanly.
+                # so the port is released cleanly.
                 server.stop()
     finally:
         registry.close()

@@ -17,8 +17,7 @@ servable:
 * :mod:`repro.serve.online` — :class:`OnlineLearner`, incremental
   add/subtract/merge updates on a live model plus atomic checkpoints;
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`, named
-  multi-model serving with zero-downtime hot swap and lease-based
-  drain;
+  multi-model serving with zero-downtime hot swap (one pointer flip);
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, the adaptive
   scheduler that coalesces concurrent requests into single kernel
   calls, bit-identical to sequential serving;
@@ -48,7 +47,7 @@ from .persist import (
     save_model,
 )
 from .pipeline import TrainedPipeline
-from .registry import EngineLease, ModelRegistry
+from .registry import ModelRegistry
 from .replay import (
     HTTPReplayClient,
     ReplayReport,
@@ -74,7 +73,6 @@ __all__ = [
     "InferenceEngine",
     "OnlineLearner",
     "ModelRegistry",
-    "EngineLease",
     "MicroBatcher",
     "ServeServer",
     "ServerThread",

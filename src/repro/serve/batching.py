@@ -16,6 +16,12 @@ future.  The scheduler packs queued rows into batches of up to
 not fit, and resolves the request's future once, when its last span is
 answered.  :meth:`MicroBatcher.submit` is the one-row case.
 
+Each batch reads the model's current engine from the registry once, so
+every row of a batch is answered by one model generation and a hot
+swap takes effect at the next batch boundary.  A request split across
+batches can straddle a swap: each of its spans is one generation, but
+its spans need not be the same one.
+
 The scheduler is **adaptive**: the batch window only holds a non-full
 batch open while other admitted requests are still unanswered.  A lone
 request on an idle server is dispatched immediately — the window never
@@ -187,10 +193,9 @@ class MicroBatcher:
     Parameters
     ----------
     registry, name:
-        Where predictions come from.  The batcher leases the model's
-        *current* engine per batch, so a hot swap takes effect on the
-        next batch boundary and every row is computed by exactly one
-        model generation.
+        Where predictions come from.  The batcher reads the model's
+        *current* engine once per batch (see the module docstring for
+        what that means across a hot swap).
     window_ms, max_batch, max_queue:
         Scheduling knobs; ``None`` resolves through the knob chain
         (see the module docstring).
@@ -409,14 +414,13 @@ class MicroBatcher:
     async def _run(self) -> None:
         while True:
             spans = await self._collect()
-            lease = self.registry.lease(self.name)
             try:
                 if len(spans) == 1:
                     req, lo, hi = spans[0]
                     rows = req.rows[lo:hi]
                 else:
                     rows = np.concatenate([req.rows[lo:hi] for req, lo, hi in spans])
-                predictions = lease.engine.predict_coalesced(rows)
+                predictions = self.registry.engine(self.name).predict_coalesced(rows)
             except Exception as exc:
                 for req, _, _ in spans:
                     if not req.future.done():
@@ -431,8 +435,6 @@ class MicroBatcher:
                     req.answers.extend(answered)
                     if len(req.answers) == req.rows.shape[0]:
                         req.future.set_result(req.answers)
-            finally:
-                self.registry.release(lease)
             # The batch ran on the loop thread: let the HTTP handlers run
             # before the next one, so a request split across batches
             # blocks the loop for one batch at a time.

@@ -5,7 +5,10 @@ drivers: it wraps a :class:`~repro.serve.pipeline.TrainedPipeline`
 (either freshly trained or reloaded via
 :func:`~repro.serve.persist.load_model`), builds its frozen predict state
 once at start-up, and then answers single-record and micro-batched
-predict calls.  There are two predict shapes:
+predict calls.  Every predict entry point (:meth:`InferenceEngine.predict`,
+:meth:`~InferenceEngine.predict_coalesced`, :meth:`~InferenceEngine.predict_one`)
+checks its input's shape and hands one ``(n, k)`` float64 batch to the
+same private path, which has two shapes:
 
 * **key–value pipelines** encode each record through the fused-table
   :class:`~repro.runtime.batch.BatchEncoder` and run the model's
@@ -25,6 +28,11 @@ position-free policy, the engine is stateless across requests: the same
 record always yields the same hypervector and therefore the same
 prediction — whether it arrives alone, inside a batch, today or from a
 reloaded replica next year.
+
+An engine owns no file, thread or process (the container is read whole
+at load), so it needs no closing: it lives as long as something
+references it.  A hot swap (:meth:`~repro.serve.registry.ModelRegistry.swap`)
+only drops the registry's reference.
 """
 
 from __future__ import annotations
@@ -69,9 +77,8 @@ class InferenceEngine:
     reaches 19 rows, and the keyless per-level table build (in chunks of
     :data:`LEVEL_CHUNK_ROWS` levels; a short final chunk scans on XOR).
 
-    The engine is a context manager (:meth:`close` on exit marks it
-    closed for the registry's drain) but can also be used without
-    ``with``.
+    The engine needs no closing; ``with InferenceEngine(...) as engine``
+    is accepted and does nothing on exit.
 
     Example
     -------
@@ -90,7 +97,6 @@ class InferenceEngine:
 
     def __init__(self, pipeline: TrainedPipeline) -> None:
         self.pipeline = pipeline
-        self._closed = False
         if pipeline.keys is not None:
             self._encoder: BatchEncoder | None = BatchEncoder(
                 pipeline.keys, pipeline.embedding, tie_break=pipeline.tie_break
@@ -130,21 +136,11 @@ class InferenceEngine:
             )
         return cls(pipeline)
 
-    # -- lifecycle -------------------------------------------------------------
-    def close(self) -> None:
-        """Mark the engine closed (idempotent)."""
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run (the registry's drain marker)."""
-        return self._closed
-
     def __enter__(self) -> "InferenceEngine":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        pass
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -214,9 +210,17 @@ class InferenceEngine:
                 self._table = (version, answers)
             return self._table[1]
 
-    def _lookup(self, values: np.ndarray) -> Union[list[Hashable], np.ndarray]:
-        """Keyless predict: quantise ``values`` and index the level table."""
-        levels = self.pipeline.embedding.indices(values)
+    def _predict_batch(self, batch: np.ndarray) -> Union[list[Hashable], np.ndarray]:
+        """The one predict path, over a checked ``(n, k)`` float64 batch.
+
+        Key–value pipelines encode (through :meth:`encode`, whose shape
+        check on a ready float64 batch copies nothing) and run the
+        model's scan; keyless pipelines quantise their value and index
+        the per-level table.
+        """
+        if self._encoder is not None:
+            return self.pipeline.model.predict(self.encode(batch))
+        levels = self.pipeline.embedding.indices(batch[:, 0])
         answers = self._level_answers()
         if isinstance(answers, np.ndarray):
             return answers[levels]
@@ -229,9 +233,7 @@ class InferenceEngine:
         batch form (a list of labels, or a float array).  Keyless
         pipelines answer from the per-level table.
         """
-        if self._encoder is None:
-            return self._lookup(self._as_batch(features)[:, 0])
-        return self.pipeline.model.predict(self.encode(features))
+        return self._predict_batch(self._as_batch(features))
 
     def predict_coalesced(self, records: Any) -> list:
         """Predict a coalesced micro-batch, bit-identical to ``predict_one``.
@@ -255,10 +257,7 @@ class InferenceEngine:
         batch = self._as_batch(records)
         if batch.shape[0] == 0:
             return []
-        if self._encoder is None:
-            answers = self._lookup(batch[:, 0])
-        else:
-            answers = self.pipeline.model.predict(self.encode(batch))
+        answers = self._predict_batch(batch)
         return answers.tolist() if isinstance(answers, np.ndarray) else list(answers)
 
     def predict_one(self, record: Any) -> Any:
@@ -278,9 +277,7 @@ class InferenceEngine:
                 f"predict_one takes a single ({self.num_features},) record, "
                 f"got shape {arr.shape}"
             )
-        if self._encoder is None:
-            return self._lookup(arr[:1])[0]
-        return self.pipeline.model.predict(self.encode(arr))[0]
+        return self._predict_batch(arr[None])[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -71,17 +71,6 @@ class OnlineLearner:
             return RecordEncode(self.engine._encoder)
         return ValueEncode(self.pipeline.embedding, 0)
 
-    # -- lifecycle -------------------------------------------------------------
-    def close(self) -> None:
-        """Close the embedded engine (idempotent)."""
-        self.engine.close()
-
-    def __enter__(self) -> "OnlineLearner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     @property
     def pipeline(self) -> TrainedPipeline:
         """The live pipeline being updated and served."""

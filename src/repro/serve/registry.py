@@ -7,9 +7,10 @@ process has loaded.  Its second job is **zero-downtime replacement**:
 :meth:`ModelRegistry.swap` builds a fresh engine from a new artifact
 (the expensive part — reading the container, unpacking the basis,
 building the fused encode table) *before* touching the live entry, then
-flips the entry's engine pointer atomically and lets the old engine
-drain: every request that already leased the old engine finishes on it,
-and the old engine is closed exactly when the last lease returns.
+flips the entry's engine pointer under the registry lock.  An engine
+owns no file, thread or process, so there is nothing to drain: a batch
+that already read the old engine finishes on it, and Python frees the
+old engine once the last such batch lets go of it.
 
 Crash safety falls out of the write path being read-only here: a swap
 never mutates the artifact on disk (checkpoints are written atomically
@@ -25,7 +26,7 @@ Example
 >>> from repro.serve import ModelRegistry
 >>> pipe = train_regression_pipeline("circular", config=RegressionConfig(dim=128, seed=3))
 >>> with ModelRegistry() as registry:
-...     lease = registry.register("mars", pipe)
+...     entry = registry.register("mars", pipe)
 ...     registry.names()
 ['mars']
 """
@@ -35,13 +36,13 @@ from __future__ import annotations
 import os
 import re
 import threading
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from ..exceptions import InvalidParameterError
 from .engine import InferenceEngine
 from .pipeline import TrainedPipeline
 
-__all__ = ["ModelRegistry", "EngineLease"]
+__all__ = ["ModelRegistry"]
 
 #: Model names must be URL-path safe: they appear in ``/v1/models/<name>``.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -51,45 +52,26 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 ModelSource = Union[str, os.PathLike, TrainedPipeline, InferenceEngine]
 
 
-class EngineLease:
-    """One generation of a model: an engine plus its in-flight refcount.
+class ModelEntry(NamedTuple):
+    """One generation of a model: what :meth:`ModelRegistry.register`
+    and :meth:`~ModelRegistry.swap` return."""
 
-    Callers never construct these; :meth:`ModelRegistry.lease` hands one
-    out per request (or per coalesced batch) and
-    :meth:`ModelRegistry.release` returns it.  A lease pins its engine:
-    a hot swap that lands mid-request flips the registry pointer
-    immediately but only closes this engine after its final release —
-    the drain step of zero-downtime replacement.
-    """
-
-    __slots__ = ("engine", "generation", "source", "_count", "_retired")
-
-    def __init__(self, engine: InferenceEngine, generation: int, source: str) -> None:
-        self.engine = engine
-        self.generation = generation
-        self.source = source
-        self._count = 0
-        self._retired = False
-
-    @property
-    def in_flight(self) -> int:
-        """Requests currently holding this lease."""
-        return self._count
+    engine: InferenceEngine
+    generation: int
+    source: str
 
 
 class ModelRegistry:
     """Thread-safe name → engine mapping with atomic hot swap.
 
     Paths and pipelines are wrapped in a new :class:`InferenceEngine`;
-    pre-built engines are registered as-is.  The registry owns its engines: :meth:`close` (or leaving the
-    ``with`` block) closes every live engine, and swapped-out engines
-    are closed as soon as they drain.
+    pre-built engines are registered as-is.  :meth:`close` (or leaving
+    the ``with`` block) drops every model.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: dict[str, EngineLease] = {}
-        self._closed = False
+        self._entries: dict[str, ModelEntry] = {}
 
     # -- construction ----------------------------------------------------------
     def _build(self, source: ModelSource) -> tuple[InferenceEngine, str]:
@@ -100,7 +82,7 @@ class ModelRegistry:
         engine = InferenceEngine.from_path(source)
         return engine, str(source)
 
-    def register(self, name: str, source: ModelSource) -> EngineLease:
+    def register(self, name: str, source: ModelSource) -> ModelEntry:
         """Add a model under ``name``; rejects duplicates and bad names.
 
         ``source`` is an artifact path (loaded via
@@ -114,13 +96,9 @@ class ModelRegistry:
             )
         engine, source_label = self._build(source)
         with self._lock:
-            if self._closed:
-                engine.close()
-                raise InvalidParameterError("registry is closed")
             if name in self._entries:
-                engine.close()
                 raise InvalidParameterError(f"model {name!r} is already registered")
-            entry = EngineLease(engine, generation=1, source=source_label)
+            entry = ModelEntry(engine, generation=1, source=source_label)
             self._entries[name] = entry
         return entry
 
@@ -141,7 +119,7 @@ class ModelRegistry:
         with self._lock:
             return len(self._entries)
 
-    def _entry(self, name: str) -> EngineLease:
+    def _entry(self, name: str) -> ModelEntry:
         entry = self._entries.get(name)
         if entry is None:
             raise InvalidParameterError(
@@ -150,9 +128,12 @@ class ModelRegistry:
         return entry
 
     def engine(self, name: str) -> InferenceEngine:
-        """The model's *current* engine (unleased — prefer :meth:`lease`
-        inside request handlers, which pins the generation across a
-        concurrent swap)."""
+        """The model's *current* engine.
+
+        Read it once per unit of work: the returned engine keeps
+        answering with its own generation even if a swap lands while
+        the caller still holds it.
+        """
         with self._lock:
             return self._entry(name).engine
 
@@ -173,74 +154,28 @@ class ModelRegistry:
             }
         return info
 
-    # -- leasing (the drain protocol) ------------------------------------------
-    def lease(self, name: str) -> EngineLease:
-        """Pin the model's current engine for one request/batch.
-
-        Must be paired with :meth:`release`.  Between the two, the
-        leased engine stays open even if a swap replaces it — so a
-        response is always computed by exactly one model generation,
-        never a mix.
-        """
-        with self._lock:
-            if self._closed:
-                raise InvalidParameterError("registry is closed")
-            entry = self._entry(name)
-            entry._count += 1
-            return entry
-
-    def release(self, lease: EngineLease) -> None:
-        """Return a lease; closes a swapped-out engine on its last release."""
-        close_engine = None
-        with self._lock:
-            lease._count -= 1
-            if lease._count <= 0 and lease._retired:
-                close_engine = lease.engine
-        if close_engine is not None:
-            close_engine.close()
-
     # -- hot swap ---------------------------------------------------------------
-    def swap(self, name: str, source: ModelSource) -> EngineLease:
+    def swap(self, name: str, source: ModelSource) -> ModelEntry:
         """Replace ``name``'s engine with one built from ``source``.
 
         Zero-downtime: the new engine is fully constructed *before* the
-        flip (requests keep landing on the old engine meanwhile), the
-        pointer flip is atomic under the registry lock, and the old
-        engine drains — it closes when its last in-flight lease is
-        released (immediately, if idle).  Returns the new entry.
+        flip (requests keep landing on the old engine meanwhile), and
+        the flip is one pointer store under the registry lock.  Work
+        that already read the old engine finishes on it.  Returns the
+        new entry.
         """
         engine, source_label = self._build(source)
         with self._lock:
-            if self._closed:
-                engine.close()
-                raise InvalidParameterError("registry is closed")
-            try:
-                old = self._entry(name)
-            except InvalidParameterError:
-                engine.close()
-                raise
-            entry = EngineLease(
-                engine, generation=old.generation + 1, source=source_label
-            )
+            old = self._entry(name)
+            entry = ModelEntry(engine, old.generation + 1, source_label)
             self._entries[name] = entry
-            old._retired = True
-            drain_now = old._count <= 0
-        if drain_now:
-            old.engine.close()
         return entry
 
     # -- lifecycle --------------------------------------------------------------
     def close(self) -> None:
-        """Close every live engine (idempotent).  In-flight leases on
-        swapped-out engines still close on their final release."""
+        """Drop every model (idempotent)."""
         with self._lock:
-            self._closed = True
-            entries = list(self._entries.values())
-            for entry in entries:
-                entry._retired = True
             self._entries.clear()
-        for entry in entries:
-            entry.engine.close()
 
     def __enter__(self) -> "ModelRegistry":
         return self

@@ -45,7 +45,6 @@ import asyncio
 import http.client
 import json
 import math
-import os
 import threading
 from itertools import chain
 from typing import Any
@@ -57,12 +56,6 @@ from .batching import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S, MicroBatcher
 from .registry import ModelRegistry
 
 __all__ = ["ServeServer", "ServerThread", "finite_number", "json_scalar"]
-
-#: Private test hook: seconds to sleep between building a swapped-in
-#: engine and flipping the registry pointer.  Lets the hot-swap tests
-#: park a server deterministically *mid-swap* (e.g. to ``kill -9`` it
-#: there); never set outside tests.
-_SWAP_HOLD_ENV = "_REPRO_SERVE_SWAP_HOLD_S"
 
 #: Request bodies above this are rejected outright (1 MiB is ~16k
 #: float features — far beyond any legitimate record batch here).
@@ -531,17 +524,8 @@ class ServeServer:
         if not isinstance(path, str) or not path:
             raise _HTTPError(400, "swap body needs a 'path' string")
         loop = asyncio.get_running_loop()
-
-        def do_swap():
-            hold = float(os.environ.get(_SWAP_HOLD_ENV, "0") or 0)
-            if hold > 0:  # deterministic mid-swap parking spot for tests
-                import time
-
-                time.sleep(hold)
-            return self.registry.swap(name, path)
-
         try:
-            entry = await loop.run_in_executor(None, do_swap)
+            entry = await loop.run_in_executor(None, self.registry.swap, name, path)
         except ReproError as exc:
             raise _HTTPError(400, f"swap failed: {exc}") from None
         return 200, {

@@ -214,15 +214,15 @@ class TestIntegerScoringTable:
         model = HDRegressor(emb, model="integer", decode="weighted")
         pipeline = TrainedPipeline(kind="regression", model=model, embedding=emb)
         rows = np.linspace(0.0, 1.0, 40)[:, None]
-        with OnlineLearner(pipeline) as learner:
-            learner.learn(rows[:20], rows[:20, 0])
-            queries = learner.engine.encode(rows[::3])
-            before = model.predict(queries)
-            learner.learn(rows[20:], 1.0 - rows[20:, 0])
-            self._assert_fresh(model, queries, before)
-            before = model.predict(queries)
-            learner.forget(rows[:20], rows[:20, 0])
-            self._assert_fresh(model, queries, before)
+        learner = OnlineLearner(pipeline)
+        learner.learn(rows[:20], rows[:20, 0])
+        queries = learner.engine.encode(rows[::3])
+        before = model.predict(queries)
+        learner.learn(rows[20:], 1.0 - rows[20:, 0])
+        self._assert_fresh(model, queries, before)
+        before = model.predict(queries)
+        learner.forget(rows[:20], rows[:20, 0])
+        self._assert_fresh(model, queries, before)
 
     def test_save_load_ignores_table(self, emb, data, tmp_path):
         x, y, queries = data

@@ -94,6 +94,5 @@ def alternate_tie_pipeline():
     rng = np.random.default_rng(14)
     features = rng.random((60, 4))
     labels = [int(v) for v in rng.integers(0, 3, 60)]
-    with OnlineLearner(pipeline) as learner:
-        learner.learn(features, labels)
+    OnlineLearner(pipeline).learn(features, labels)
     return pipeline

@@ -1,17 +1,22 @@
-"""Zero-downtime hot swap: drain, sustained load, and kill -9 safety.
+"""Zero-downtime hot swap: the pointer flip, batch boundaries, sustained
+load, and kill -9 safety.
 
-Three layers of the swap contract:
+Four layers of the swap contract:
 
-* the **lease/drain protocol** in isolation — a swapped-out engine stays
-  open exactly until its last in-flight lease returns;
+* the **registry flip** in isolation — a swap installs a new engine
+  under the next generation number;
+* the **generation boundary** — every batch is answered by exactly one
+  generation, and a swap that lands while a batch runs takes effect at
+  the next batch, so a ``records`` body split across batches straddles
+  it span by span;
 * a swap landing **under sustained load** — every request is answered
   (none dropped), every answer comes from exactly one model generation
   (old or new, never a mix), and traffic after the flip is served by the
   new model;
-* **crash safety** — ``kill -9`` parked *mid-swap* (via the private
-  ``_REPRO_SERVE_SWAP_HOLD_S`` hook) corrupts nothing on disk, and a
-  restarted server configured with the original paths serves the old
-  model.
+* **crash safety** — ``kill -9`` parked *mid-swap* (new engine built,
+  pointer not yet flipped; the test launcher below parks it there)
+  corrupts nothing on disk, and a restarted server configured with the
+  original paths serves the old model.
 """
 
 from __future__ import annotations
@@ -73,32 +78,18 @@ def _transcript(source, rows=PROBE):
         return [json_scalar(engine.predict_one(row)) for row in rows]
 
 
-class TestDrainProtocol:
-    def test_idle_swap_closes_the_old_engine_immediately(
-        self, pipeline_a, pipeline_b
-    ):
+class TestRegistrySwap:
+    def test_swap_flips_to_the_next_generation(self, pipeline_a, pipeline_b):
         with ModelRegistry() as registry:
             registry.register("m", pipeline_a)
             old_engine = registry.engine("m")
             entry = registry.swap("m", pipeline_b)
-            assert old_engine.closed  # nothing in flight: drained instantly
             assert entry.generation == 2
-            assert registry.engine("m") is not old_engine
-
-    def test_leased_engine_survives_a_swap_until_released(
-        self, pipeline_a, pipeline_b
-    ):
-        with ModelRegistry() as registry:
-            registry.register("m", pipeline_a)
-            lease = registry.lease("m")
-            registry.swap("m", pipeline_b)
-            # The in-flight lease pins the old generation: still open,
-            # still answering with the old model's bits.
-            assert not lease.engine.closed
-            assert _transcript(lease.engine) == _transcript(pipeline_a)
-            assert registry.engine("m") is not lease.engine
-            registry.release(lease)
-            assert lease.engine.closed  # last release = drain complete
+            assert registry.engine("m") is entry.engine is not old_engine
+            # An engine read before the flip keeps answering with its
+            # own generation's bits.
+            assert _transcript(old_engine) == _transcript(pipeline_a)
+            assert _transcript(entry.engine) == _transcript(pipeline_b)
 
     def test_swap_unknown_model_rejected(self, pipeline_a, pipeline_b):
         with ModelRegistry() as registry:
@@ -115,12 +106,85 @@ class TestDrainProtocol:
             assert registry.describe()["m"]["generation"] == 3
 
 
+class TestGenerationBoundary:
+    """A swap that lands *while a batch is being answered*, made
+    deterministic: generation 1's ``predict_coalesced`` calls
+    ``registry.swap`` before it answers, so the flip happens exactly
+    inside the first batch."""
+
+    MAX_BATCH = 4
+    ROWS = PROBE[: 2 * MAX_BATCH]
+
+    def _run(self, pipeline_a, pipeline_b, submit):
+        """Serve ``submit(batcher)`` with the swap wired into generation
+        1; return the awaited answers and the batcher's batch count."""
+        engine_a = InferenceEngine(pipeline_a)
+        registry = ModelRegistry()
+        registry.register("m", engine_a)
+        answer = engine_a.predict_coalesced
+
+        def swap_then_answer(rows):
+            registry.swap("m", pipeline_b)
+            return answer(rows)
+
+        engine_a.predict_coalesced = swap_then_answer
+
+        async def run():
+            async with MicroBatcher(
+                registry, "m", window_ms=0.0, max_batch=self.MAX_BATCH
+            ) as batcher:
+                # Every request is queued before the scheduler runs, so
+                # the batches are exactly the first and the next
+                # MAX_BATCH rows.
+                futures = submit(batcher)
+                return await asyncio.gather(*futures), batcher.stats["batches"]
+
+        with registry:
+            got, batches = asyncio.run(run())
+            # Generation 1 answered exactly one batch: a second call
+            # would have swapped again.
+            assert registry.describe()["m"]["generation"] == 2
+        return got, batches
+
+    def _expected(self, pipeline_a, pipeline_b):
+        """Generation 1's answers for the first batch, generation 2's for
+        the next."""
+        oracle_a = _transcript(pipeline_a, self.ROWS)
+        oracle_b = _transcript(pipeline_b, self.ROWS)
+        # Every row tells the generations apart.
+        assert all(a != b for a, b in zip(oracle_a, oracle_b))
+        return oracle_a[: self.MAX_BATCH] + oracle_b[self.MAX_BATCH:]
+
+    def test_each_batch_is_one_generation(self, pipeline_a, pipeline_b):
+        got, batches = self._run(
+            pipeline_a,
+            pipeline_b,
+            lambda batcher: [batcher.submit_records(row[None]) for row in self.ROWS],
+        )
+        assert batches == 2
+        # The batch that was running when the swap landed is all
+        # generation 1; the next batch is all generation 2.
+        assert [json_scalar(answers[0]) for answers in got] == self._expected(
+            pipeline_a, pipeline_b
+        )
+
+    def test_records_body_straddles_the_swap_span_by_span(
+        self, pipeline_a, pipeline_b
+    ):
+        (got,), batches = self._run(
+            pipeline_a, pipeline_b, lambda batcher: [batcher.submit_records(self.ROWS)]
+        )
+        assert batches == 2
+        # One response, two generations: the body's first span was
+        # answered before the flip took effect, its second span after.
+        assert [json_scalar(v) for v in got] == self._expected(pipeline_a, pipeline_b)
+
+
 class TestSwapUnderLoad:
     def test_no_drops_and_no_mixed_generations(self, pipeline_a, pipeline_b):
         """300 requests arriving over ~0.45 s, swap landing ~0.12 s in:
         every response must match one full generation's oracle for that
-        row, early traffic is old-model, late traffic is new-model, and
-        the old engine is closed once the load drains."""
+        row, early traffic is old-model, and late traffic is new-model."""
         rng = np.random.default_rng(31)
         rows = rng.uniform(0.0, 2 * np.pi, size=(300, 1))
         oracle_a = _transcript(pipeline_a, rows)
@@ -128,7 +192,6 @@ class TestSwapUnderLoad:
         assert oracle_a != oracle_b  # the generations are distinguishable
         with ModelRegistry() as registry:
             registry.register("m", pipeline_a)
-            old_engine = registry.engine("m")
 
             async def run():
                 async with MicroBatcher(
@@ -153,7 +216,6 @@ class TestSwapUnderLoad:
                     return [json_scalar(v) for v in results]
 
             got = asyncio.run(run())
-            assert old_engine.closed  # drained after the load passed
             # Post-swap traffic is served by the new generation.
             assert _transcript(registry.engine("m")) == _transcript(pipeline_b)
         from_a = from_b = 0
@@ -178,15 +240,15 @@ class TestSwapUnderLoad:
         with ModelRegistry() as registry:
             registry.register("m", pipeline_a)
             before = _transcript(registry.engine("m"))
-            with OnlineLearner(fresh) as learner:
-                # A heavy, far-out-of-distribution update so the swap's
-                # effect is unambiguous on the probe transcript.
-                drift = np.linspace(0.0, 2 * np.pi, 200)[:, None]
-                learner.learn(drift, np.full(200, 9999.0))
-                path = learner.checkpoint(tmp_path / "ckpt.npz")
-                expected = [
-                    json_scalar(learner.engine.predict_one(row)) for row in PROBE
-                ]
+            learner = OnlineLearner(fresh)
+            # A heavy, far-out-of-distribution update so the swap's
+            # effect is unambiguous on the probe transcript.
+            drift = np.linspace(0.0, 2 * np.pi, 200)[:, None]
+            learner.learn(drift, np.full(200, 9999.0))
+            path = learner.checkpoint(tmp_path / "ckpt.npz")
+            expected = [
+                json_scalar(learner.engine.predict_one(row)) for row in PROBE
+            ]
             entry = registry.swap("m", path)
             assert entry.generation == 2
             after = _transcript(registry.engine("m"))
@@ -224,15 +286,46 @@ class TestSwapUnderLoad:
 
 # -- kill -9 crash safety (subprocess) -----------------------------------------
 
-def _spawn_server(models: dict, extra_env: dict | None = None):
-    """Start ``repro serve-http`` in a subprocess; return (proc, host, port)."""
+#: Runs the CLI (``argv[4:]``) with a parking spot between building a
+#: swapped-in engine and the registry's pointer flip: once the engine
+#: for the artifact named ``argv[1]`` is built, touch the marker file
+#: ``argv[2]``, then sleep ``argv[3]`` seconds before handing it over.
+_PARKING_LAUNCHER = """
+import sys, time
+from pathlib import Path
+from repro.experiments.__main__ import main
+from repro.serve import InferenceEngine
+
+park_name, marker, hold = sys.argv[1], Path(sys.argv[2]), float(sys.argv[3])
+build = InferenceEngine.from_path
+
+def from_path(path):
+    engine = build(path)
+    if Path(path).name == park_name:
+        marker.touch()
+        time.sleep(hold)
+    return engine
+
+InferenceEngine.from_path = staticmethod(from_path)
+sys.exit(main(sys.argv[4:]))
+"""
+
+
+def _spawn_server(models: dict, park: tuple | None = None):
+    """Start ``repro serve-http`` in a subprocess; return (proc, host, port).
+
+    ``park=(artifact_name, marker_path, hold_s)`` starts it through
+    :data:`_PARKING_LAUNCHER` instead.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    if extra_env:
-        env.update(extra_env)
-    args = [sys.executable, "-m", "repro.experiments", "serve-http", "--port", "0"]
+    if park is None:
+        args = [sys.executable, "-m", "repro.experiments"]
+    else:
+        args = [sys.executable, "-c", _PARKING_LAUNCHER, *map(str, park)]
+    args += ["serve-http", "--port", "0"]
     for name, path in models.items():
         args += ["--model", f"{name}={path}"]
     proc = subprocess.Popen(
@@ -284,13 +377,16 @@ class TestKillDuringSwap:
         save_model(pipeline_b, b_path)
         a_bytes, b_bytes = a_path.read_bytes(), b_path.read_bytes()
         probe = [2.5]
-        with InferenceEngine.from_path(a_path) as engine:
-            want_a = json_scalar(engine.predict_one(probe))
+        want_a = json_scalar(InferenceEngine.from_path(a_path).predict_one(probe))
+        # The probe tells the generations apart, so a swap that completes
+        # before the kill shows in the parked predict below.
+        assert want_a != _transcript(pipeline_b, [probe])[0]
 
         # Park the server mid-swap: new engine built, pointer NOT yet
         # flipped, then SIGKILL — the worst possible instant.
+        marker = tmp_path / "parked"
         proc, host, port = _spawn_server(
-            {"m": a_path}, extra_env={"_REPRO_SERVE_SWAP_HOLD_S": "30"}
+            {"m": a_path}, park=(b_path.name, marker, 30)
         )
         try:
             status, body = _post(host, port, "/v1/models/m:predict", {"features": probe})
@@ -307,7 +403,14 @@ class TestKillDuringSwap:
 
             swapper = threading.Thread(target=fire_swap, daemon=True)
             swapper.start()
-            time.sleep(2.0)  # well inside the 30 s hold window
+            deadline = time.monotonic() + 30.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert marker.exists(), "the swap never built the new engine"
+            # Parked: the new engine is built, but the old one still
+            # answers — the flip has not happened.
+            status, body = _post(host, port, "/v1/models/m:predict", {"features": probe})
+            assert (status, body["prediction"]) == (200, want_a)
             proc.kill()  # SIGKILL: no handlers, no cleanup, nothing
             proc.wait(timeout=30)
             swapper.join(timeout=30)

@@ -154,31 +154,32 @@ def test_learn_forget_absorb_are_served_at_once(model_mode):
     # Pull every value in the first quarter turn towards a far label.
     features = np.linspace(0.0, PERIOD / 4, 40)[:, None]
     targets = np.full(40, 0.8 * PERIOD)
-    with OnlineLearner(served) as learner, OnlineLearner(twin) as twin_learner:
-        engine = learner.engine
-        previous = _oracle(twin, values)
-        _assert_served(engine, values, previous)
+    learner = OnlineLearner(served)
+    twin_learner = OnlineLearner(twin)
+    engine = learner.engine
+    previous = _oracle(twin, values)
+    _assert_served(engine, values, previous)
 
-        learner.learn(features, targets)
-        twin_learner.learn(features, targets)
-        current = _oracle(twin, values)
-        assert _changed(previous, current)
-        _assert_served(engine, values, current)
+    learner.learn(features, targets)
+    twin_learner.learn(features, targets)
+    current = _oracle(twin, values)
+    assert _changed(previous, current)
+    _assert_served(engine, values, current)
 
-        previous = current
-        learner.forget(features, targets)
-        twin_learner.forget(features, targets)
-        current = _oracle(twin, values)
-        assert _changed(previous, current)
-        _assert_served(engine, values, current)
+    previous = current
+    learner.forget(features, targets)
+    twin_learner.forget(features, targets)
+    current = _oracle(twin, values)
+    assert _changed(previous, current)
+    _assert_served(engine, values, current)
 
-        previous = current
-        encoded = served.embedding.encode_packed(features[:, 0])
-        learner.absorb(served.model.shard(encoded, targets))
-        twin_learner.absorb(twin.model.shard(encoded, targets))
-        current = _oracle(twin, values)
-        assert _changed(previous, current)
-        _assert_served(engine, values, current)
+    previous = current
+    encoded = served.embedding.encode_packed(features[:, 0])
+    learner.absorb(served.model.shard(encoded, targets))
+    twin_learner.absorb(twin.model.shard(encoded, targets))
+    current = _oracle(twin, values)
+    assert _changed(previous, current)
+    _assert_served(engine, values, current)
 
 
 def test_classifier_learn_is_served_at_once():
@@ -187,14 +188,15 @@ def test_classifier_learn_is_served_at_once():
     values = _values(served.embedding, n=200, seed=3)
     features = np.linspace(0.0, PERIOD / 2, 60)[:, None]
     labels = ["q3"] * 60
-    with OnlineLearner(served) as learner, OnlineLearner(twin) as twin_learner:
-        previous = _oracle(twin, values)
-        _assert_served(learner.engine, values, previous)
-        learner.learn(features, labels)
-        twin_learner.learn(features, labels)
-        current = _oracle(twin, values)
-        assert _changed(previous, current)
-        _assert_served(learner.engine, values, current)
+    learner = OnlineLearner(served)
+    twin_learner = OnlineLearner(twin)
+    previous = _oracle(twin, values)
+    _assert_served(learner.engine, values, previous)
+    learner.learn(features, labels)
+    twin_learner.learn(features, labels)
+    current = _oracle(twin, values)
+    assert _changed(previous, current)
+    _assert_served(learner.engine, values, current)
 
 
 def test_hot_swap_serves_the_new_model(tmp_path):
@@ -225,36 +227,37 @@ def test_concurrent_rebuild_builds_once():
     targets = np.full(41, 0.8 * PERIOD)
     results: list = []
     interval = sys.getswitchinterval()
-    with OnlineLearner(served) as learner, OnlineLearner(twin) as twin_learner:
-        learner.learn(features, targets)
-        twin_learner.learn(features, targets)
-        expected = _oracle(twin, values)
-        builds = []
-        predict = served.model.predict
+    learner = OnlineLearner(served)
+    twin_learner = OnlineLearner(twin)
+    learner.learn(features, targets)
+    twin_learner.learn(features, targets)
+    expected = _oracle(twin, values)
+    builds = []
+    predict = served.model.predict
 
-        def counted(encoded):
-            builds.append(encoded.shape[0])
-            time.sleep(0.05)  # a slow build: racing threads pile up here
-            return predict(encoded)
+    def counted(encoded):
+        builds.append(encoded.shape[0])
+        time.sleep(0.05)  # a slow build: racing threads pile up here
+        return predict(encoded)
 
-        served.model.predict = counted
-        barrier = threading.Barrier(8)
+    served.model.predict = counted
+    barrier = threading.Barrier(8)
 
-        def hammer():
-            barrier.wait(timeout=10)
-            for _ in range(5):
-                results.append(learner.engine.predict_coalesced(values[:, None]))
+    def hammer():
+        barrier.wait(timeout=10)
+        for _ in range(5):
+            results.append(learner.engine.predict_coalesced(values[:, None]))
 
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+    threads = [threading.Thread(target=hammer) for _ in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert builds == [len(served.embedding)]
     assert len(results) == 40
     for answers in results:
@@ -271,17 +274,18 @@ def test_empty_bootstrap_then_learn(model_mode):
     twin = _regression_pipeline(model_mode, samples=0)
     values = _values(pipeline.embedding, n=100, seed=5)
     x = np.linspace(0.0, PERIOD, 48, endpoint=False)
-    with OnlineLearner(pipeline) as learner, OnlineLearner(twin) as twin_learner:
-        engine = learner.engine
-        with pytest.raises(EmptyModelError):
-            engine.predict(values[:, None])
-        with pytest.raises(EmptyModelError):
-            engine.predict_coalesced(values[:, None])
-        with pytest.raises(EmptyModelError):
-            engine.predict_one([0.5])
-        learner.learn(x[:, None], x)
-        twin_learner.learn(x[:, None], x)
-        _assert_served(engine, values, _oracle(twin, values))
+    learner = OnlineLearner(pipeline)
+    twin_learner = OnlineLearner(twin)
+    engine = learner.engine
+    with pytest.raises(EmptyModelError):
+        engine.predict(values[:, None])
+    with pytest.raises(EmptyModelError):
+        engine.predict_coalesced(values[:, None])
+    with pytest.raises(EmptyModelError):
+        engine.predict_one([0.5])
+    learner.learn(x[:, None], x)
+    twin_learner.learn(x[:, None], x)
+    _assert_served(engine, values, _oracle(twin, values))
 
 
 @pytest.mark.parametrize("samples", [0, 48])

@@ -41,37 +41,18 @@ def _records(rng, n=24):
     return features, labels
 
 
-@pytest.fixture
-def make_learner():
-    """OnlineLearner factory that closes every learner at teardown.
-
-    Each learner owns an :class:`~repro.serve.InferenceEngine`; closing
-    it at teardown keeps engines from outliving their test.
-    """
-    created = []
-
-    def factory(pipeline, **kwargs):
-        learner = OnlineLearner(pipeline, **kwargs)
-        created.append(learner)
-        return learner
-
-    yield factory
-    for learner in created:
-        learner.close()
-
-
 class TestLearnAndForget:
-    def test_learn_then_predict(self, make_learner):
+    def test_learn_then_predict(self):
         rng = np.random.default_rng(0)
-        learner = make_learner(_classification_pipeline())
+        learner = OnlineLearner(_classification_pipeline())
         features, labels = _records(rng)
         learner.learn(features, labels)
         assert learner.num_samples == len(labels)
         assert len(learner.predict(features)) == len(labels)
 
-    def test_forget_inverts_learn_exactly(self, make_learner):
+    def test_forget_inverts_learn_exactly(self):
         rng = np.random.default_rng(1)
-        learner = make_learner(_classification_pipeline())
+        learner = OnlineLearner(_classification_pipeline())
         base_features, base_labels = _records(rng)
         learner.learn(base_features, base_labels)
         probe = rng.random((10, 4))
@@ -90,39 +71,39 @@ class TestLearnAndForget:
                 serial._accumulators[label].counts,
             )
 
-    def test_regression_learn_forget(self, make_learner):
-        learner = make_learner(_regression_pipeline())
+    def test_regression_learn_forget(self):
+        learner = OnlineLearner(_regression_pipeline())
         hours = np.arange(16.0)[:, None]
         learner.learn(hours, hours[:, 0])
         before = learner.predict(hours).copy()
         learner.learn(hours[:4], hours[:4, 0]).forget(hours[:4], hours[:4, 0])
         assert np.array_equal(learner.predict(hours), before)
 
-    def test_target_length_mismatch(self, make_learner):
-        learner = make_learner(_classification_pipeline())
+    def test_target_length_mismatch(self):
+        learner = OnlineLearner(_classification_pipeline())
         with pytest.raises(InvalidParameterError, match="targets"):
             learner.learn(np.random.default_rng(0).random((4, 4)), [1, 2])
 
-    def test_forget_more_than_fitted_rejected(self, make_learner):
+    def test_forget_more_than_fitted_rejected(self):
         """Double-expiring traffic must fail loudly, not corrupt counts."""
         rng = np.random.default_rng(5)
-        learner = make_learner(_classification_pipeline())
+        learner = OnlineLearner(_classification_pipeline())
         features = rng.random((2, 4))
         learner.learn(features, [0, 0])
         overdraw = rng.random((4, 4))
         with pytest.raises(InvalidParameterError, match="forget"):
             learner.forget(overdraw, [0, 0, 0, 0])
         assert learner.num_samples == 2  # rejected call left the model untouched
-        reg = make_learner(_regression_pipeline())
+        reg = OnlineLearner(_regression_pipeline())
         reg.learn(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(InvalidParameterError, match="forget"):
             reg.forget(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
         assert reg.num_samples == 1
 
-    def test_fully_forgotten_class_is_removed(self, make_learner):
+    def test_fully_forgotten_class_is_removed(self):
         """fit → forget is a true inverse: no ghost class can be predicted."""
         rng = np.random.default_rng(6)
-        learner = make_learner(_classification_pipeline())
+        learner = OnlineLearner(_classification_pipeline())
         a_features = rng.random((4, 4))
         b_features = rng.random((4, 4))
         learner.learn(a_features, [0, 0, 0, 0])
@@ -135,20 +116,20 @@ class TestLearnAndForget:
 
 
 class TestAbsorb:
-    def test_classifier_shard_absorb_equals_fit(self, make_learner):
+    def test_classifier_shard_absorb_equals_fit(self):
         rng = np.random.default_rng(2)
         features, labels = _records(rng)
-        direct = make_learner(_classification_pipeline())
+        direct = OnlineLearner(_classification_pipeline())
         direct.learn(features, labels)
-        merged = make_learner(_classification_pipeline())
+        merged = OnlineLearner(_classification_pipeline())
         encoded = merged.engine.encode(features)
         shard = merged.pipeline.model.shard(encoded, labels)
         merged.absorb(shard)
         probe = rng.random((12, 4))
         assert merged.predict(probe) == direct.predict(probe)
 
-    def test_regressor_absorb(self, make_learner):
-        learner = make_learner(_regression_pipeline())
+    def test_regressor_absorb(self):
+        learner = OnlineLearner(_regression_pipeline())
         hours = np.arange(16.0)[:, None]
         shard = learner.pipeline.model.shard(
             learner.engine.encode(hours), hours[:, 0]
@@ -156,19 +137,19 @@ class TestAbsorb:
         learner.absorb(shard)
         assert learner.num_samples == 16
 
-    def test_shard_type_mismatch_rejected(self, make_learner):
-        clf_learner = make_learner(_classification_pipeline())
+    def test_shard_type_mismatch_rejected(self):
+        clf_learner = OnlineLearner(_classification_pipeline())
         with pytest.raises(InvalidParameterError, match="absorb"):
             clf_learner.absorb(BundleAccumulator(DIM))
-        reg_learner = make_learner(_regression_pipeline())
+        reg_learner = OnlineLearner(_regression_pipeline())
         with pytest.raises(InvalidParameterError, match="absorb"):
             reg_learner.absorb({})
 
 
 class TestCheckpoint:
-    def test_checkpoint_reload_is_bit_identical(self, tmp_path, make_learner):
+    def test_checkpoint_reload_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
-        learner = make_learner(_classification_pipeline())
+        learner = OnlineLearner(_classification_pipeline())
         features, labels = _records(rng)
         learner.learn(features, labels)
         path = learner.checkpoint(tmp_path / "ckpt.npz")
@@ -177,14 +158,8 @@ class TestCheckpoint:
         with InferenceEngine(load_model(path)) as engine:
             assert engine.predict(probe) == expected
 
-    def test_learner_is_a_context_manager(self):
-        with OnlineLearner(_regression_pipeline()) as learner:
-            learner.learn(np.arange(4.0)[:, None], np.arange(4.0))
-            assert learner.num_samples == 4
-        assert learner.engine.closed
-
-    def test_checkpoint_overwrites_atomically(self, tmp_path, make_learner):
-        learner = make_learner(_regression_pipeline())
+    def test_checkpoint_overwrites_atomically(self, tmp_path):
+        learner = OnlineLearner(_regression_pipeline())
         hours = np.arange(16.0)[:, None]
         learner.learn(hours, hours[:, 0])
         path = tmp_path / "ckpt.npz"

@@ -165,13 +165,13 @@ class TestDelegation:
         model = HDRegressor(emb, tie_break="zeros", seed=1)
         pipe = TrainedPipeline(kind="regression", model=model, embedding=emb)
         hours = np.linspace(0.0, TWO_PI, 24, endpoint=False)
-        with OnlineLearner(pipe) as learner:
-            learner.learn(hours[:, None], hours)
-            assert learner.num_samples == 24
-            mono = HDRegressor(emb, tie_break="zeros", seed=1).fit(
-                emb.encode_packed(hours), hours
-            )
-            assert np.array_equal(model.model, mono.model)
+        learner = OnlineLearner(pipe)
+        learner.learn(hours[:, None], hours)
+        assert learner.num_samples == 24
+        mono = HDRegressor(emb, tie_break="zeros", seed=1).fit(
+            emb.encode_packed(hours), hours
+        )
+        assert np.array_equal(model.model, mono.model)
 
     def test_online_learner_learn_stream(self, tmp_path):
         emb = value_embedding("circular", dim=256, levels=12)
@@ -179,12 +179,12 @@ class TestDelegation:
         pipe = TrainedPipeline(kind="regression", model=model, embedding=emb)
         hours = np.linspace(0.0, TWO_PI, 48, endpoint=False)
         ckpt = tmp_path / "live.npz"
-        with OnlineLearner(pipe) as learner:
-            stats = learner.learn_stream(
-                array_chunks(hours[:, None], hours, chunk_size=10),
-                checkpoint=ckpt,
-                checkpoint_every=2,
-            )
+        learner = OnlineLearner(pipe)
+        stats = learner.learn_stream(
+            array_chunks(hours[:, None], hours, chunk_size=10),
+            checkpoint=ckpt,
+            checkpoint_every=2,
+        )
         assert stats.rows == 48
         assert ckpt.exists()
         mono = HDRegressor(emb, tie_break="zeros", seed=1).fit(
