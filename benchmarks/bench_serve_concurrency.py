@@ -58,6 +58,7 @@ from repro.serve import (
     oracle_transcript,
     replay_async,
 )
+from repro.serve.batching import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS
 
 from _results import write_result
 
@@ -89,7 +90,8 @@ def _build_pipelines(dim: int):
 
 
 def _replay_through_batchers(
-    trace, cls_pipe, reg_pipe, *, max_batch=None, window_ms=None, speedup
+    trace, cls_pipe, reg_pipe, *, max_batch=DEFAULT_BATCH_MAX,
+    window_ms=DEFAULT_BATCH_WINDOW_MS, speedup
 ):
     """One concurrent replay through per-model schedulers.
 

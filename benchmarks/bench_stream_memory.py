@@ -17,8 +17,8 @@ real processes:
    the monolithic fit bit for bit (the full property grid lives in
    ``tests/streaming/``; this is the perf job's sanity tripwire).
 
-Writes ``benchmarks/results/BENCH_stream.json`` (full mode only: a
-``--fast`` run checks the same budgets and writes nothing).  Run it::
+Both modes check the same budgets and print the report as JSON to
+stdout; the script writes no file.  Run it::
 
     PYTHONPATH=src python benchmarks/bench_stream_memory.py [--fast]
 
@@ -40,7 +40,6 @@ from pathlib import Path
 
 import numpy as np
 
-RESULTS_DIR = Path(__file__).parent / "results"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 #: Streaming chunk size under test (rows) — the configured memory unit.
@@ -200,11 +199,7 @@ def main() -> int:
         worker(args.dim, args.worker_rows, args.chunk_size)
         return 0
     report = run_suite(fast=args.fast)  # checks every budget, in both modes
-    if not args.fast:  # a --fast run never overwrites the committed full result
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        out = RESULTS_DIR / "BENCH_stream.json"
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

@@ -29,13 +29,12 @@ source.  Topology, cursor format and a failover walkthrough live in
 ``docs/DISTRIBUTED.md``.
 """
 
-from .coordinator import ClusterCoordinator, default_cluster_workers
+from .coordinator import ClusterCoordinator
 from .fault import PHASE_CHUNK_SENT, PHASE_CHUNK_START, CrashPlan
 from .worker import WorkerPlan, worker_main
 
 __all__ = [
     "ClusterCoordinator",
-    "default_cluster_workers",
     "CrashPlan",
     "PHASE_CHUNK_START",
     "PHASE_CHUNK_SENT",

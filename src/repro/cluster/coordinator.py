@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from ..exceptions import ClusterError, InvalidParameterError
@@ -38,41 +38,11 @@ from ..streaming.chunks import ChunkSource
 from ..streaming.reduce import StreamStats
 from .worker import WorkerPlan, worker_main
 
-__all__ = ["ClusterCoordinator", "default_cluster_workers"]
-
-#: Environment variable overriding the default cluster worker count.
-_ENV_CLUSTER_WORKERS = "REPRO_CLUSTER_WORKERS"
+__all__ = ["ClusterCoordinator"]
 
 #: Seconds the run loop waits on worker pipes before checking for
 #: dead workers.
 _POLL_INTERVAL_S = 0.05
-
-
-def default_cluster_workers(workers: Union[int, None] = None) -> int:
-    """The default ingest worker-process count.
-
-    Resolution order (:func:`repro.tuning.calibration.resolve_knob`):
-    the explicit ``workers`` argument, then ``REPRO_CLUSTER_WORKERS``,
-    then ``1``.  Worker counts only schedule work — the merged model is
-    bit-identical for any value.
-
-    >>> default_cluster_workers(3)
-    3
-    >>> default_cluster_workers() >= 1
-    True
-    """
-    from ..tuning.calibration import resolve_knob
-
-    value = resolve_knob(
-        builtin=1,
-        arg=workers,
-        env_var=_ENV_CLUSTER_WORKERS,
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
-
-
 
 
 @dataclass
@@ -104,8 +74,9 @@ class ClusterCoordinator:
         (:class:`~repro.streaming.train.RecordEncode` /
         :class:`~repro.streaming.train.ValueEncode`).
     workers:
-        Worker process count (``None`` resolves through
-        :func:`default_cluster_workers`).
+        Worker process count, a positive integer (default ``1``).  It
+        only schedules work: the merged model is bit-identical for any
+        value.
     hook:
         Optional picklable fault-injection hook installed into every
         worker (see :class:`~repro.cluster.fault.CrashPlan`).
@@ -146,7 +117,7 @@ class ClusterCoordinator:
         model,
         source: ChunkSource,
         encode: Callable,
-        workers: Union[int, None] = None,
+        workers: int = 1,
         hook: Callable | None = None,
         max_restarts: int = 5,
     ) -> None:
@@ -158,13 +129,11 @@ class ClusterCoordinator:
         self.model = model
         self.source = source
         self.encode = encode
-        self.workers = default_cluster_workers(workers)
-        if workers is not None and (
-            not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
-        ):
+        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise InvalidParameterError(
                 f"cluster workers must be a positive integer, got {workers!r}"
             )
+        self.workers = workers
         if max_restarts < 0:
             raise InvalidParameterError(
                 f"max_restarts must be non-negative, got {max_restarts}"

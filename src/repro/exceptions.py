@@ -82,11 +82,13 @@ class ModelFormatError(ReproError, ValueError):
 
 
 class CalibrationError(ReproError, ValueError):
-    """Raised when a performance knob is unusable.
+    """Raised when the process environment configures a knob unusably.
 
-    Covers ``REPRO_*`` knob values that do not parse, are non-finite or
-    fall outside the knob's bound, and a set ``REPRO_CALIBRATION``
-    (measured knob files are no longer read; see :mod:`repro.tuning`).
+    Covers a ``REPRO_KERNEL_BUDGET`` that is not an integer ``>= 1``
+    (:func:`repro.hdc.packed.cell_budget`) and a set
+    ``REPRO_CALIBRATION`` (measured knob files are no longer read; see
+    :mod:`repro.tuning`).  A knob passed as an argument is checked by
+    its owner, which raises :class:`InvalidParameterError`.
     """
 
 

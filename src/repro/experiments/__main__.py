@@ -72,7 +72,10 @@ from ..exceptions import InvalidParameterError, ModelFormatError
 from ..learning.metrics import normalized_mse
 from ..runtime import ArtifactStore
 from ..serve import InferenceEngine, save_model
+from ..serve.batching import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
 from ..serve.server import finite_number, json_scalar
+from ..streaming.chunks import DEFAULT_CHUNK_ROWS
+from ..tuning.calibration import active_calibration
 from .classification import BASIS_KINDS, run_table1
 from .config import ClassificationConfig, RegressionConfig
 from .regression import run_table2
@@ -202,16 +205,14 @@ def _run_train(args: argparse.Namespace) -> None:
     else:
         config = ClassificationConfig(dim=dim, seed=args.seed)
     if args.stream:
-        from ..streaming.chunks import default_chunk_rows
         from ..streaming.train import train_pipeline_stream
 
-        chunk_rows = default_chunk_rows(args.chunk_size)
         pipeline, stats = train_pipeline_stream(
             args.task,
             args.basis,
             config=config,
             stream_samples=args.stream_samples,
-            chunk_size=chunk_rows,
+            chunk_size=args.chunk_size,
             checkpoint=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             cluster_workers=args.cluster_workers,
@@ -236,7 +237,7 @@ def _run_train(args: argparse.Namespace) -> None:
     if stats is not None:
         print(
             f"streamed {stats.rows} rows in {stats.chunks} chunks "
-            f"of <= {chunk_rows} rows (peak memory O(chunk))"
+            f"of <= {args.chunk_size} rows (peak memory O(chunk))"
         )
     print(f"saved model to {path} ({path.stat().st_size} bytes)")
 
@@ -518,11 +519,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", type=int, default=10, help="basis size (figure3)")
     parser.add_argument("--fast", action="store_true",
                         help=f"smaller, quicker run (dim capped at {FAST_DIM})")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=int, default=1,
                         help="parallel experiment cells (0 = one per CPU; "
-                             "default: REPRO_WORKERS env, then 1); results "
-                             "are bit-identical for any value; not accepted "
-                             "by train/serve/serve-http")
+                             "default: 1); results are bit-identical for any "
+                             "value; not accepted by train/serve/serve-http")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute even if a cached result exists, and do not cache")
     parser.add_argument("--cache-dir", default=None,
@@ -565,11 +565,10 @@ def main(argv: list[str] | None = None) -> int:
                            help="total training rows `train --stream` generates "
                                 "(default: the generator's paper-scale size); "
                                 "may exceed RAM — memory stays O(--chunk-size)")
-    streaming.add_argument("--chunk-size", type=int, default=None,
+    streaming.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_ROWS,
                            help="rows per streamed chunk — the memory knob of "
-                                "--stream (default: REPRO_CHUNK_ROWS env, then "
-                                "1024; results are bit-identical for any "
-                                "value)")
+                                f"--stream (default: {DEFAULT_CHUNK_ROWS}; "
+                                "results are bit-identical for any value)")
     streaming.add_argument("--checkpoint", default=None, metavar="CKPT.npz",
                            help="atomic checkpoint file updated while "
                                 "streaming (train: every --checkpoint-every "
@@ -578,12 +577,11 @@ def main(argv: list[str] | None = None) -> int:
     streaming.add_argument("--checkpoint-every", type=int, default=8,
                            help="checkpoint interval for --checkpoint "
                                 "(default: 8)")
-    streaming.add_argument("--cluster-workers", type=int, default=None,
+    streaming.add_argument("--cluster-workers", type=int, default=1,
                            help="worker *processes* for distributed `train "
-                                "--stream` ingest (default: "
-                                "REPRO_CLUSTER_WORKERS env, then 1 = "
-                                "in-process); the final model is "
-                                "bit-identical for any value")
+                                "--stream` ingest (default: 1 = in-process); "
+                                "the final model is bit-identical for any "
+                                "value")
     streaming.add_argument("--resume", action="store_true",
                            help="reload --checkpoint (with its resume cursor) "
                                 "and stream only the remaining chunks; the "
@@ -595,53 +593,47 @@ def main(argv: list[str] | None = None) -> int:
     http.add_argument("--port", type=int, default=8094,
                       help="bind port for serve-http; 0 picks an ephemeral "
                            "port and prints it (default: 8094)")
-    http.add_argument("--batch-window-ms", type=float, default=None,
-                      help="micro-batch coalescing window in ms (default: "
-                           "REPRO_SERVE_BATCH_WINDOW_MS env, then 2.0); "
+    http.add_argument("--batch-window-ms", type=float, default=DEFAULT_BATCH_WINDOW_MS,
+                      help="micro-batch coalescing window in ms, finite and "
+                           f">= 0 (default: {DEFAULT_BATCH_WINDOW_MS}); "
                            "answers are bit-identical for any value")
-    http.add_argument("--batch-max", type=int, default=None,
-                      help="max requests coalesced into one kernel call "
-                           "(default: REPRO_SERVE_BATCH_MAX env, then 32); "
-                           "1 disables coalescing")
-    http.add_argument("--max-queue", type=int, default=None,
-                      help="max in-flight requests per model before 429 "
-                           "backpressure (default: REPRO_SERVE_MAX_QUEUE env, "
-                           "then 256)")
+    http.add_argument("--batch-max", type=int, default=DEFAULT_BATCH_MAX,
+                      help="max rows coalesced into one kernel call "
+                           f"(default: {DEFAULT_BATCH_MAX}); 1 disables "
+                           "coalescing")
+    http.add_argument("--max-queue", type=int, default=DEFAULT_MAX_QUEUE,
+                      help="max in-flight rows per model before 429 "
+                           f"backpressure (default: {DEFAULT_MAX_QUEUE})")
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 0:
+    active_calibration()
+    if args.workers < 0:
         parser.error(f"--workers must be >= 0 (0 = one per CPU), got {args.workers}")
-    if args.workers is not None and args.target in ("serve", "serve-http"):
+    if args.workers != 1 and args.target in ("serve", "serve-http"):
         parser.error(f"--workers has no effect on {args.target}: it predicts on one thread")
-    if args.workers is not None and args.target == "train":
+    if args.workers != 1 and args.target == "train":
         parser.error("--workers has no effect on train: use --stream --cluster-workers N")
     if args.batch_size < 1:
         parser.error(f"--batch-size must be positive, got {args.batch_size}")
-    if args.chunk_size is not None and args.chunk_size < 1:
+    if args.chunk_size < 1:
         parser.error(f"--chunk-size must be positive, got {args.chunk_size}")
     if args.checkpoint_every < 1:
         parser.error(f"--checkpoint-every must be positive, got {args.checkpoint_every}")
-    if args.cluster_workers is not None and args.cluster_workers < 1:
+    if args.cluster_workers < 1:
         parser.error(
             f"--cluster-workers must be positive, got {args.cluster_workers}"
         )
-    if args.cluster_workers is not None and not args.stream:
+    if args.cluster_workers != 1 and not args.stream:
         parser.error("--cluster-workers requires --stream")
     if args.resume and not (args.stream and args.checkpoint):
         parser.error("--resume requires --stream and --checkpoint")
     if args.port < 0:
         parser.error(f"--port must be >= 0, got {args.port}")
-    if args.batch_window_ms is not None and args.batch_window_ms < 0:
-        parser.error(f"--batch-window-ms must be >= 0, got {args.batch_window_ms}")
-    if args.batch_max is not None and args.batch_max < 1:
+    if not finite_number(args.batch_window_ms) or args.batch_window_ms < 0:
+        parser.error(f"--batch-window-ms must be finite and >= 0, got {args.batch_window_ms}")
+    if args.batch_max < 1:
         parser.error(f"--batch-max must be positive, got {args.batch_max}")
-    if args.max_queue is not None and args.max_queue < 1:
+    if args.max_queue < 1:
         parser.error(f"--max-queue must be positive, got {args.max_queue}")
-    if args.workers is None and args.target not in ("train", "serve", "serve-http"):
-        # Unconfigured cell drivers get the default (REPRO_WORKERS, then
-        # 1); an explicit --workers (incl. 0 = one per CPU) passes through.
-        from ..runtime.pool import default_workers
-
-        args.workers = default_workers()
     logging.basicConfig(
         level=logging.INFO, stream=sys.stderr, format="[%(name)s] %(message)s"
     )

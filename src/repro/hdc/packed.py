@@ -31,18 +31,19 @@ unpacked bit arrays.
 
 from __future__ import annotations
 
+import os
 from typing import Sequence, Union
 
 import numpy as np
 
 from .._rng import SeedLike
 from ..exceptions import (
+    CalibrationError,
     DimensionMismatchError,
     EmptyModelError,
     InvalidHypervectorError,
     InvalidParameterError,
 )
-from ..tuning.calibration import resolve_knob
 from .hypervector import BIT_DTYPE, as_hypervector
 
 __all__ = [
@@ -81,16 +82,27 @@ _ENV_BUDGET = "REPRO_KERNEL_BUDGET"
 def cell_budget() -> int:
     """The current kernel allocation budget, in cells.
 
-    Resolves ``REPRO_KERNEL_BUDGET`` through
-    :func:`repro.tuning.calibration.resolve_knob` on every call (so tests
-    and constrained runners can adjust it without re-importing), falling
-    back to :data:`DEFAULT_CELL_BUDGET`.  The value bounds transient
-    allocations only — results are bit-identical for any budget.
+    Reads ``REPRO_KERNEL_BUDGET`` on every call (so tests and
+    constrained runners can adjust it without re-importing), falling
+    back to :data:`DEFAULT_CELL_BUDGET` when it is unset or empty.  A
+    value that is not an integer ``>= 1`` raises
+    :class:`~repro.exceptions.CalibrationError` naming the variable.
+    The value bounds transient allocations only — results are
+    bit-identical for any budget.
 
     >>> cell_budget() >= 1
     True
     """
-    return resolve_knob(builtin=DEFAULT_CELL_BUDGET, env_var=_ENV_BUDGET, minimum=1)
+    raw = os.environ.get(_ENV_BUDGET)
+    if not raw:
+        return DEFAULT_CELL_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        raise CalibrationError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise CalibrationError(f"{_ENV_BUDGET} must be >= 1, got {raw!r}")
+    return value
 
 #: Whether the running numpy exposes the hardware popcount ufunc.
 #: Module-level so tests can force the lookup-table fallback.

@@ -23,13 +23,12 @@ workloads.
 
 from .artifacts import ArtifactStore, canonical_digest
 from .batch import BatchEncoder
-from .pool import WorkerPool, default_workers, resolve_workers
+from .pool import WorkerPool, resolve_workers
 
 __all__ = [
     "ArtifactStore",
     "BatchEncoder",
     "WorkerPool",
-    "default_workers",
     "canonical_digest",
     "resolve_workers",
 ]

@@ -34,17 +34,11 @@ from ..exceptions import InvalidParameterError
 __all__ = [
     "WorkerPool",
     "default_start_method",
-    "default_workers",
     "resolve_workers",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Environment variable overriding the default worker count (see
-#: :func:`default_workers`).
-_ENV_WORKERS = "REPRO_WORKERS"
-
 
 def default_start_method() -> str:
     """The ``multiprocessing`` start method process-backed tiers use.
@@ -79,37 +73,6 @@ def resolve_workers(workers: int | None) -> int:
     ):
         raise InvalidParameterError(f"workers must be a non-negative integer, got {workers!r}")
     return workers or os.cpu_count() or 1
-
-
-def default_workers(workers: int | None = None) -> int:
-    """The default worker count for the experiment drivers and ``train``.
-
-    Resolution order (:func:`repro.tuning.calibration.resolve_knob`):
-    the explicit ``workers`` argument, then the ``REPRO_WORKERS``
-    environment variable, then ``1`` (the serial reference).  Worker
-    counts only schedule work: every consumer is bit-identical for any
-    value.
-
-    Distinct from :func:`resolve_workers`, which normalises an explicit
-    request (``None``/``0`` → one worker per CPU) *inside*
-    :class:`WorkerPool`; this function decides what unconfigured callers
-    ask for in the first place.
-
-    >>> default_workers(4)
-    4
-    >>> default_workers() >= 1
-    True
-    """
-    from ..tuning.calibration import resolve_knob
-
-    value = resolve_knob(
-        builtin=1,
-        arg=workers,
-        env_var=_ENV_WORKERS,
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
 
 
 class WorkerPool:

@@ -28,17 +28,16 @@ request on an idle server is dispatched immediately — the window never
 taxes light traffic — while a flood of concurrent requests fills
 batches up to ``max_batch`` before the window expires.
 
-Both knobs resolve through the knob chain
-(:func:`~repro.tuning.calibration.resolve_knob`): explicit argument,
-then the ``REPRO_SERVE_BATCH_WINDOW_MS`` / ``REPRO_SERVE_BATCH_MAX``
-environment variables, then the built-ins below.  Like every knob in
-the repository, they only move scheduling — answers are bit-identical
-for any value.
+Both knobs are constructor arguments (``window_ms``, ``max_batch``)
+whose defaults are the built-ins below; :class:`MicroBatcher` checks
+them once and raises :class:`~repro.exceptions.InvalidParameterError`
+for a value outside its bound.  Like every knob in the repository,
+they only move scheduling — answers are bit-identical for any value.
 
 Admission control is a bounded count of admitted-but-unanswered
-**rows** per batcher (``max_queue`` / ``REPRO_SERVE_MAX_QUEUE``).  A
-request is admitted all or nothing, in one synchronous step: either
-every row fits and the request is queued, or
+**rows** per batcher (``max_queue``).  A request is admitted all or
+nothing, in one synchronous step: either every row fits and the
+request is queued, or
 :class:`~repro.exceptions.BackpressureError` is raised with nothing
 queued (the HTTP front end maps it to ``429``), so clients see fast,
 explicit backpressure instead of unbounded queueing.  Rows are the
@@ -50,13 +49,14 @@ histogram takes one sample per request.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 from collections import deque
 from typing import Any, Sequence
 
 import numpy as np
 
 from ..exceptions import BackpressureError, InvalidParameterError
-from ..tuning.calibration import resolve_knob
 from .registry import ModelRegistry
 
 __all__ = [
@@ -65,9 +65,6 @@ __all__ = [
     "DEFAULT_MAX_QUEUE",
     "LATENCY_BUCKETS_S",
     "BATCH_SIZE_BUCKETS",
-    "default_batch_window_ms",
-    "default_batch_max",
-    "default_max_queue",
     "MicroBatcher",
 ]
 
@@ -114,63 +111,6 @@ def _observe(edges: tuple, counts: list[int], value: float) -> None:
     counts[-1] += 1
 
 
-def default_batch_window_ms(window_ms: float | None = None) -> float:
-    """Resolve the micro-batch window through the knob chain.
-
-    ``arg > REPRO_SERVE_BATCH_WINDOW_MS > built-in``.  ``0`` disables
-    waiting entirely (a batch still coalesces whatever is already
-    queued).
-
-    >>> default_batch_window_ms(1.5)
-    1.5
-    """
-    value = resolve_knob(
-        builtin=DEFAULT_BATCH_WINDOW_MS,
-        arg=window_ms,
-        env_var="REPRO_SERVE_BATCH_WINDOW_MS",
-        cast=float,
-        minimum=0.0,
-    )
-    return max(0.0, float(value))
-
-
-def default_batch_max(batch_max: int | None = None) -> int:
-    """Resolve the micro-batch size cap through the knob chain.
-
-    ``arg > REPRO_SERVE_BATCH_MAX > built-in``.
-    ``1`` disables coalescing (every request is its own kernel call).
-
-    >>> default_batch_max(8)
-    8
-    """
-    value = resolve_knob(
-        builtin=DEFAULT_BATCH_MAX,
-        arg=batch_max,
-        env_var="REPRO_SERVE_BATCH_MAX",
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
-
-
-def default_max_queue(max_queue: int | None = None) -> int:
-    """Resolve the admission-control bound through the knob chain.
-
-    ``arg > REPRO_SERVE_MAX_QUEUE > built-in``.
-
-    >>> default_max_queue(64)
-    64
-    """
-    value = resolve_knob(
-        builtin=DEFAULT_MAX_QUEUE,
-        arg=max_queue,
-        env_var="REPRO_SERVE_MAX_QUEUE",
-        cast=int,
-        minimum=1,
-    )
-    return max(1, int(value))
-
-
 class _Request:
     """One admitted request: its rows, its future and how far it got.
 
@@ -196,9 +136,15 @@ class MicroBatcher:
         Where predictions come from.  The batcher reads the model's
         *current* engine once per batch (see the module docstring for
         what that means across a hot swap).
-    window_ms, max_batch, max_queue:
-        Scheduling knobs; ``None`` resolves through the knob chain
-        (see the module docstring).
+    window_ms:
+        How long a non-full batch may wait for more concurrent traffic,
+        in milliseconds: finite and ``>= 0``.  ``0`` disables waiting
+        (a batch still coalesces whatever is already queued).
+    max_batch:
+        Cap on rows per coalesced batch, ``>= 1``; ``1`` disables
+        coalescing.
+    max_queue:
+        Bound on admitted-but-unanswered rows, ``>= 1``.
 
     The kernel call runs on the event loop's own thread, one batch at a
     time: ``max_batch`` bounds how long it holds the loop, and the
@@ -231,16 +177,26 @@ class MicroBatcher:
         self,
         registry: ModelRegistry,
         name: str,
-        window_ms: float | None = None,
-        max_batch: int | None = None,
-        max_queue: int | None = None,
+        window_ms: float = DEFAULT_BATCH_WINDOW_MS,
+        max_batch: int = DEFAULT_BATCH_MAX,
+        max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> None:
+        if not (isinstance(window_ms, numbers.Real) and math.isfinite(window_ms)
+                and window_ms >= 0):
+            raise InvalidParameterError(
+                f"window_ms must be finite and >= 0, got {window_ms!r}"
+            )
+        for knob, value in (("max_batch", max_batch), ("max_queue", max_queue)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise InvalidParameterError(
+                    f"{knob} must be a positive integer, got {value!r}"
+                )
         registry.engine(name)  # fail fast on unknown models
         self.registry = registry
         self.name = name
-        self.window_s = default_batch_window_ms(window_ms) / 1e3
-        self.max_batch = default_batch_max(max_batch)
-        self.max_queue = default_max_queue(max_queue)
+        self.window_s = float(window_ms) / 1e3
+        self.max_batch = int(max_batch)
+        self.max_queue = int(max_queue)
         self._queue: deque[_Request] = deque()
         self._arrived = asyncio.Event()  # set when a request is queued
         self._pending = 0  # rows admitted, not yet answered (adaptive signal)

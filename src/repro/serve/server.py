@@ -52,7 +52,14 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import BackpressureError, InvalidParameterError, ReproError
-from .batching import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S, MicroBatcher
+from .batching import (
+    BATCH_SIZE_BUCKETS,
+    DEFAULT_BATCH_MAX,
+    DEFAULT_BATCH_WINDOW_MS,
+    DEFAULT_MAX_QUEUE,
+    LATENCY_BUCKETS_S,
+    MicroBatcher,
+)
 from .registry import ModelRegistry
 
 __all__ = ["ServeServer", "ServerThread", "finite_number", "json_scalar"]
@@ -183,8 +190,8 @@ class ServeServer:
         from :attr:`port` after :meth:`start`).
     window_ms, max_batch, max_queue:
         Micro-batching knobs forwarded to every per-model
-        :class:`~repro.serve.batching.MicroBatcher`; ``None`` resolves
-        through each knob's ``REPRO_SERVE_*`` variable, then its built-in.
+        :class:`~repro.serve.batching.MicroBatcher`, which checks them;
+        the defaults are its built-ins.
 
     Use :meth:`start` / :meth:`stop` from a running event loop, or
     :class:`ServerThread` for a synchronous harness.
@@ -195,9 +202,9 @@ class ServeServer:
         registry: ModelRegistry,
         host: str = "127.0.0.1",
         port: int = 0,
-        window_ms: float | None = None,
-        max_batch: int | None = None,
-        max_queue: int | None = None,
+        window_ms: float = DEFAULT_BATCH_WINDOW_MS,
+        max_batch: int = DEFAULT_BATCH_MAX,
+        max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> None:
         self.registry = registry
         self.host = host
@@ -564,9 +571,9 @@ class ServerThread:
         registry: ModelRegistry,
         host: str = "127.0.0.1",
         port: int = 0,
-        window_ms: float | None = None,
-        max_batch: int | None = None,
-        max_queue: int | None = None,
+        window_ms: float = DEFAULT_BATCH_WINDOW_MS,
+        max_batch: int = DEFAULT_BATCH_MAX,
+        max_queue: int = DEFAULT_MAX_QUEUE,
         own_registry: bool = False,
     ) -> None:
         self.server = ServeServer(

@@ -38,7 +38,6 @@ from .chunks import (
     Chunk,
     ChunkSource,
     array_chunks,
-    default_chunk_rows,
     iter_slices,
     rechunk,
     skip_chunks,
@@ -76,7 +75,6 @@ __all__ = [
     "Chunk",
     "ChunkSource",
     "array_chunks",
-    "default_chunk_rows",
     "iter_slices",
     "rechunk",
     "skip_chunks",

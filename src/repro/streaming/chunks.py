@@ -23,6 +23,7 @@ Two invariants make the whole subsystem deterministic:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol, runtime_checkable
 
@@ -35,7 +36,6 @@ __all__ = [
     "Chunk",
     "ChunkSource",
     "array_chunks",
-    "default_chunk_rows",
     "iter_slices",
     "rechunk",
     "skip_chunks",
@@ -45,37 +45,6 @@ __all__ = [
 #: Default rows per streamed chunk.  Bounds the transient encode gather
 #: at roughly ``rows × k × d`` bytes; lower it to shrink peak memory.
 DEFAULT_CHUNK_ROWS = 1024
-
-#: Environment variable overriding the default chunk size (see
-#: :func:`default_chunk_rows`).
-_ENV_CHUNK_ROWS = "REPRO_CHUNK_ROWS"
-
-
-def default_chunk_rows(chunk_size: int | None = None) -> int:
-    """The streamed-chunk row default.
-
-    Resolution order (:func:`repro.tuning.calibration.resolve_knob`):
-    the explicit ``chunk_size`` argument, then the ``REPRO_CHUNK_ROWS``
-    environment variable, then :data:`DEFAULT_CHUNK_ROWS`.  Safe to
-    tune: streamed encoding is chunking-invariant (ties are keyed by
-    absolute row position), so the chunk size moves peak memory and
-    throughput, never results.
-
-    >>> default_chunk_rows(256)
-    256
-    >>> default_chunk_rows() >= 1
-    True
-    """
-    from ..tuning.calibration import resolve_knob
-
-    value = resolve_knob(
-        builtin=DEFAULT_CHUNK_ROWS,
-        arg=chunk_size,
-        env_var=_ENV_CHUNK_ROWS,
-        cast=int,
-        minimum=1,
-    )
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -149,8 +118,8 @@ def iter_slices(total: int, size: int) -> list[tuple[int, int]]:
     >>> iter_slices(7, 3)
     [(0, 3), (3, 6), (6, 7)]
     """
-    if size < 1:
-        raise InvalidParameterError(f"chunk size must be positive, got {size}")
+    if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+        raise InvalidParameterError(f"chunk size must be a positive integer, got {size!r}")
     if total < 0:
         raise InvalidParameterError(f"total must be non-negative, got {total}")
     return [(s, min(total, s + size)) for s in range(0, total, size)]
@@ -180,13 +149,13 @@ class _ArrayChunks:
                     f"targets must match the {features.shape[0]} rows, "
                     f"got shape {targets.shape}"
                 )
+        iter_slices(0, chunk_size)  # validate chunk_size
         self._features = features
         self._targets = targets
         self.chunk_size = int(chunk_size)
         self.split = split
         self.start = int(start)
         self.meta = dict(meta)
-        iter_slices(features.shape[0], self.chunk_size)  # validate eagerly
 
     @property
     def num_rows(self) -> int:

@@ -37,7 +37,7 @@ from typing import Any, Iterator, Union
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from .chunks import Chunk, default_chunk_rows
+from .chunks import DEFAULT_CHUNK_ROWS, Chunk, iter_slices
 
 __all__ = [
     "JsonlChunkSource",
@@ -93,12 +93,13 @@ class JsonlChunkSource:
     def __init__(
         self,
         path: Union[str, os.PathLike],
-        chunk_size: Union[int, None] = None,
+        chunk_size: int = DEFAULT_CHUNK_ROWS,
         split: str = "train",
         meta: Union[dict[str, Any], None] = None,
     ) -> None:
         self.path = Path(path)
-        self.chunk_size = default_chunk_rows(chunk_size)
+        iter_slices(0, chunk_size)  # validate chunk_size
+        self.chunk_size = int(chunk_size)
         self.split = split
         self.meta = dict(meta or {})
         self.meta.setdefault("source", str(self.path))
@@ -224,12 +225,13 @@ class CsvChunkSource:
     def __init__(
         self,
         path: Union[str, os.PathLike],
-        chunk_size: Union[int, None] = None,
+        chunk_size: int = DEFAULT_CHUNK_ROWS,
         split: str = "train",
         meta: Union[dict[str, Any], None] = None,
     ) -> None:
         self.path = Path(path)
-        self.chunk_size = default_chunk_rows(chunk_size)
+        iter_slices(0, chunk_size)  # validate chunk_size
+        self.chunk_size = int(chunk_size)
         self.split = split
         self.meta = dict(meta or {})
         self.meta.setdefault("source", str(self.path))
@@ -385,13 +387,14 @@ class NpyMmapChunkSource:
         self,
         features_path: Union[str, os.PathLike],
         targets_path: Union[str, os.PathLike, None] = None,
-        chunk_size: Union[int, None] = None,
+        chunk_size: int = DEFAULT_CHUNK_ROWS,
         split: str = "train",
         meta: Union[dict[str, Any], None] = None,
     ) -> None:
         self.path = Path(features_path)
         self.targets_path = None if targets_path is None else Path(targets_path)
-        self.chunk_size = default_chunk_rows(chunk_size)
+        iter_slices(0, chunk_size)  # validate chunk_size
+        self.chunk_size = int(chunk_size)
         self.split = split
         self.meta = dict(meta or {})
         self.meta.setdefault("source", str(self.path))
@@ -457,7 +460,7 @@ class NpyMmapChunkSource:
 
 def file_chunk_source(
     path: Union[str, os.PathLike],
-    chunk_size: Union[int, None] = None,
+    chunk_size: int = DEFAULT_CHUNK_ROWS,
     split: str = "train",
 ):
     """Open ``path`` as a chunk source, picking the reader by extension.

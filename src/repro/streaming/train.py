@@ -42,7 +42,7 @@ from ..learning.classifier import CentroidClassifier
 from ..learning.metrics import mean_squared_error
 from ..learning.regression import HDRegressor
 from ..runtime.batch import BatchEncoder
-from .chunks import Chunk, ChunkSource, default_chunk_rows, skip_chunks
+from .chunks import DEFAULT_CHUNK_ROWS, Chunk, ChunkSource, skip_chunks
 from .reduce import StreamStats, encode_reduce
 from .sources import JigsawsStream, MarsExpressStream
 
@@ -391,10 +391,10 @@ def train_pipeline_stream(
     basis_kind: str = "circular",
     config=None,
     stream_samples: int | None = None,
-    chunk_size: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK_ROWS,
     checkpoint: Union[str, os.PathLike, None] = None,
     checkpoint_every: int = 8,
-    cluster_workers: Union[int, None] = None,
+    cluster_workers: int = 1,
     resume: bool = False,
     on_chunk: Callable[[StreamStats], None] | None = None,
     cluster_hook: Callable | None = None,
@@ -425,16 +425,13 @@ def train_pipeline_stream(
         paper-scale default.
     chunk_size:
         Rows per streamed chunk — the memory knob: peak RAM is
-        O(chunk), independent of ``stream_samples``.  ``None`` resolves
-        through :func:`~repro.streaming.chunks.default_chunk_rows`
-        (``REPRO_CHUNK_ROWS`` env, then 1024); the streamed result is
-        bit-identical for any value.
+        O(chunk), independent of ``stream_samples``.  The streamed
+        result is bit-identical for any value.
     cluster_workers:
-        Worker *processes* for distributed ingest.  ``None`` or ``1``
-        trains in-process; ``> 1`` shards the stream across a
-        :class:`~repro.cluster.ClusterCoordinator` fleet — the final
-        model is bit-identical for any value (``REPRO_CLUSTER_WORKERS``
-        / the ``cluster.workers`` knob set the default).
+        Worker *processes* for distributed ingest.  ``1`` (the default)
+        trains in-process; any other value shards the stream across a
+        :class:`~repro.cluster.ClusterCoordinator` fleet, which checks
+        it — the final model is bit-identical for any valid value.
     resume:
         Reload ``checkpoint`` (which must exist and carry a cursor) and
         stream only the chunks past its frontier; the finished model is
@@ -484,7 +481,6 @@ def train_pipeline_stream(
     from ..serve.pipeline import TrainedPipeline
     from ..serve.persist import save_model
 
-    chunk_size = default_chunk_rows(chunk_size)
     if ingest not in _INGEST_NAMES:
         raise InvalidParameterError(
             f"ingest must be one of {_INGEST_NAMES}, got {ingest!r}"
@@ -495,9 +491,8 @@ def train_pipeline_stream(
         )
     if resume and checkpoint is None:
         raise InvalidParameterError("resume needs a checkpoint path to reload")
-    from ..cluster import ClusterCoordinator, default_cluster_workers
+    from ..cluster import ClusterCoordinator
 
-    cluster_workers = default_cluster_workers(cluster_workers)
     if task == "mars_express":
         config = config or RegressionConfig()
         if not isinstance(config, RegressionConfig):
@@ -574,7 +569,7 @@ def train_pipeline_stream(
         stats = StreamStats(chunks=int(cursor["chunks"]), rows=int(cursor["rows"]))
         train_source = skip_chunks(ingest_source, stats.chunks)
     coordinator = None
-    if cluster_workers > 1:
+    if cluster_workers != 1:
         coordinator = ClusterCoordinator(
             model, ingest_source, encode, workers=cluster_workers, hook=cluster_hook
         )

@@ -14,7 +14,7 @@ import pytest
 from repro.basis import LevelBasis
 from repro.basis.base import Embedding
 from repro.basis.quantize import LinearDiscretizer
-from repro.cluster import ClusterCoordinator, default_cluster_workers
+from repro.cluster import ClusterCoordinator
 from repro.exceptions import ClusterError, InvalidParameterError
 from repro.learning import HDRegressor
 from repro.serve import save_model
@@ -104,7 +104,11 @@ class TestCoordinatorValidation:
         with pytest.raises(ClusterError, match="encode exploded"):
             coordinator.run()
 
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_WORKERS", "4")
-        assert default_cluster_workers() == 4
-        assert default_cluster_workers(2) == 2
+    def test_default_workers_and_bool_rejection(self):
+        clf = train_serial(make_stream(), make_encoder())
+        assert ClusterCoordinator(clf, make_stream(), lambda c: c).workers == 1
+        assert ClusterCoordinator(clf, make_stream(), lambda c: c, workers=2).workers == 2
+        # True == 1 and False == 0: a bool is refused, never read as a count.
+        for flag in (True, False):
+            with pytest.raises(InvalidParameterError):
+                ClusterCoordinator(clf, make_stream(), lambda c: c, workers=flag)

@@ -91,7 +91,7 @@ class TestCursorRoundTrip:
         )
         assert model_fingerprint(baseline) == model_fingerprint(resumed)
 
-    @pytest.mark.parametrize("cluster_workers", [None, 3])
+    @pytest.mark.parametrize("cluster_workers", [1, 3])
     def test_version_1_cursor_still_resumes(self, tmp_path, cluster_workers):
         """A version-1 cursor (with its per-worker map) resumes to the
         baseline bytes; the map is ignored."""
@@ -147,7 +147,7 @@ class TestBothTaskKinds:
     @pytest.mark.parametrize("task", ["suturing", "mars_express"])
     def test_cluster_matches_in_process(self, tmp_path, task):
         runs = {}
-        for workers in (None, 2):
+        for workers in (1, 2):
             seen = []
             path = tmp_path / f"{task}-{workers}.npz"
             pipe, stats = train_pipeline_stream(
@@ -158,11 +158,11 @@ class TestBothTaskKinds:
             )
             assert seen[-1] == (stats.chunks, stats.rows)
             _, cursor = load_checkpoint(path)
-            assert cursor["kind"] == ("stream" if workers is None else "cluster")
+            assert cursor["kind"] == ("stream" if workers == 1 else "cluster")
             runs[workers] = (seen, pipe.metadata, model_fingerprint(path))
-        assert runs[None] == runs[2]
+        assert runs[1] == runs[2]
 
-    @pytest.mark.parametrize("cluster_workers", [None, 3])
+    @pytest.mark.parametrize("cluster_workers", [1, 3])
     def test_regression_resume_matches_uninterrupted(self, tmp_path, cluster_workers):
         cfg = task_config("mars_express")
         baseline = tmp_path / "baseline.npz"

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import CalibrationError, InvalidParameterError
+from repro.exceptions import InvalidParameterError
 from repro.runtime import WorkerPool, resolve_workers
-from repro.runtime.pool import default_start_method, default_workers
+from repro.runtime.pool import default_start_method
 
 
 def _square(x: int) -> int:
@@ -39,15 +39,12 @@ class TestResolveWorkers:
                 WorkerPool(workers=flag)
 
 
-def test_default_workers_resolution(monkeypatch):
-    assert default_workers(3) == 3
-    assert default_workers(1) == 1
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert default_workers() == 5
-    assert default_workers(2) == 2  # the explicit argument wins
-    monkeypatch.setenv("REPRO_WORKERS", "0")
-    with pytest.raises(CalibrationError, match="REPRO_WORKERS"):
-        default_workers()
+def test_default_workers_resolution():
+    # The built-in is the serial reference; an explicit count is literal.
+    assert WorkerPool().workers == 1
+    assert WorkerPool(workers=3).workers == 3
+    assert resolve_workers(3) == 3
+    assert resolve_workers(1) == 1
 
 
 class TestWorkerPool:

@@ -169,6 +169,16 @@ class TestServeCLI:
         assert result.returncode != 0
         assert "--model" in result.stderr
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_batch_window_is_a_usage_error(self, window):
+        # Checked before any model loads, so the missing model is never read.
+        result = _run_cli([
+            "serve-http", "--model", "m=missing.npz", f"--batch-window-ms={window}",
+        ])
+        assert result.returncode == 2, result.stderr
+        assert "--batch-window-ms must be finite and >= 0" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_cli_served_predictions_match_in_memory_engine(self, classification_model):
         """Acceptance: CLI-trained artifact served in a fresh process is
         bit-identical to the same pipeline trained and queried in-memory."""

@@ -40,6 +40,7 @@ from repro.serve import (
     oracle_transcript,
     replay_async,
 )
+from repro.serve.batching import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
 from repro.serve.server import ServeServer
 
 #: The three pipeline families the coalescer must be exact for: keyed
@@ -458,30 +459,26 @@ class TestLoopThreadDispatch:
 
 
 class TestKnobResolution:
-    """The scheduling knobs resolve arg > env > built-in."""
+    """The scheduling knobs are arguments whose defaults are the built-ins."""
 
-    def test_env_knobs_configure_the_batcher(
-        self, regression_pipeline, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SERVE_BATCH_WINDOW_MS", "7.5")
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "5")
-        monkeypatch.setenv("REPRO_SERVE_MAX_QUEUE", "17")
+    def test_built_ins_configure_an_unconfigured_batcher(self, regression_pipeline):
         with ModelRegistry() as registry:
             registry.register("m", regression_pipeline)
             batcher = MicroBatcher(registry, "m")
+        assert batcher.window_s == pytest.approx(DEFAULT_BATCH_WINDOW_MS / 1e3)
+        assert batcher.max_batch == DEFAULT_BATCH_MAX
+        assert batcher.max_queue == DEFAULT_MAX_QUEUE
+
+    def test_explicit_args_configure_the_batcher(self, regression_pipeline):
+        with ModelRegistry() as registry:
+            registry.register("m", regression_pipeline)
+            batcher = MicroBatcher(
+                registry, "m", window_ms=7.5, max_batch=5, max_queue=17
+            )
+            assert MicroBatcher(registry, "m", window_ms=0.0).window_s == 0.0
         assert batcher.window_s == pytest.approx(0.0075)
         assert batcher.max_batch == 5
         assert batcher.max_queue == 17
-
-    def test_explicit_args_beat_the_environment(
-        self, regression_pipeline, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "5")
-        with ModelRegistry() as registry:
-            registry.register("m", regression_pipeline)
-            batcher = MicroBatcher(registry, "m", max_batch=3, window_ms=0.0)
-        assert batcher.max_batch == 3
-        assert batcher.window_s == 0.0
 
 
 @pytest.fixture
