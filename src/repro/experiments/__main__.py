@@ -32,12 +32,15 @@ also learns incrementally from records carrying a ``"target"`` field,
 checkpointing atomically (see ``docs/SERVING.md`` for the model format
 and ``docs/STREAMING.md`` for the streaming protocol).
 
-``serve-http`` is the network tier: one process serves *every*
-``--model NAME=PATH`` over HTTP with adaptive micro-batching (concurrent
-requests coalesce into single kernel calls, bit-identical to sequential
-serving), bounded-queue admission control (429 on overload) and a
-zero-downtime ``:swap`` endpoint for hot model replacement — see
-``docs/SERVING.md`` for the full walkthrough.
+``serve-http`` is the network tier: it loads *every* ``--model
+NAME=PATH`` once, then forks one copy of the server per CPU it may run
+on (restrict that with ``taskset`` or a cpuset); each connection is
+served start to finish by one process.  Every process serves every model
+over HTTP with adaptive micro-batching (concurrent requests coalesce
+into single kernel calls, bit-identical to sequential serving),
+bounded-queue admission control (429 on overload) and a zero-downtime
+``:swap`` endpoint that replaces a model in every process, all or
+nothing — see ``docs/SERVING.md`` for the full walkthrough.
 
 Runtime flags (see ``docs/REPRODUCING.md`` for per-artifact guidance):
 
@@ -47,8 +50,9 @@ Runtime flags (see ``docs/REPRODUCING.md`` for per-artifact guidance):
 ``--workers N``
     Fan independent experiment cells out over ``N`` worker threads
     (``0`` = one per CPU).  Results are bit-identical to ``--workers 1``.
-    ``serve`` and ``serve-http`` predict on the calling thread and
-    reject the flag; so does ``train``, whose only fan-out is
+    ``serve`` and ``serve-http`` reject the flag: each of their
+    processes predicts on its loop thread, and ``serve-http`` already
+    runs one process per CPU.  So does ``train``, whose only fan-out is
     ``--stream --cluster-workers N``.
 ``--no-cache``
     Bypass the artifact cache.  By default, results for table1, table2,
@@ -422,14 +426,16 @@ def _run_serve(args: argparse.Namespace) -> None:
 def _run_serve_http(args: argparse.Namespace) -> None:
     """Serve every ``--model NAME=PATH`` over HTTP with micro-batching.
 
-    Binds the asyncio front end (:mod:`repro.serve.server`), prints the
-    bound address (``--port 0`` picks an ephemeral port — scripts parse
-    the printed line), and serves until interrupted.  Concurrent
-    requests to the same model coalesce into single kernel calls
-    (bit-identical to sequential serving); ``POST
-    /v1/models/NAME:swap`` hot-swaps a model with zero downtime.
+    Loads every model once, then serves from one process per CPU this
+    process may run on (:func:`repro.serve.prefork.serve`), prints the
+    bound address once every process is ready (``--port 0`` picks an
+    ephemeral port — scripts parse the printed line), and serves until
+    interrupted.  Concurrent requests to the same model coalesce into
+    single kernel calls (bit-identical to sequential serving); ``POST
+    /v1/models/NAME:swap`` hot-swaps a model in every process, all or
+    nothing.
     """
-    from ..serve import ModelRegistry, ServerThread
+    from ..serve import ModelRegistry, prefork
 
     if not args.model:
         raise SystemExit("serve-http requires at least one --model NAME=MODEL.npz")
@@ -451,33 +457,14 @@ def _run_serve_http(args: argparse.Namespace) -> None:
                 f"(d={engine.pipeline.dim}, {engine.num_features} feature(s)/record)",
                 file=sys.stderr,
             )
-        server = ServerThread(
+        prefork.serve(
             registry,
             host=args.host,
             port=args.port,
             window_ms=args.batch_window_ms,
             max_batch=args.batch_max,
             max_queue=args.max_queue,
-        ).start()
-        try:
-            print(
-                f"serving {len(registry)} model(s) on "
-                f"http://{server.host}:{server.port}",
-                flush=True,
-            )
-            import time as _time
-
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            print("shutting down", file=sys.stderr)
-        finally:
-            try:
-                server.stop()
-            except KeyboardInterrupt:
-                # A second Ctrl-C mid-drain: finish the teardown anyway
-                # so the port is released cleanly.
-                server.stop()
+        )
     finally:
         registry.close()
 
@@ -541,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="MODEL.npz",
                          help="model artifact `serve` loads (required); for "
                               "`serve-http` repeatable NAME=MODEL.npz pairs — "
-                              "every named model is served from one process")
+                              "every process serves every named model")
     serving.add_argument("--input", default="-",
                          help="JSONL request source for `serve` (a path, or - "
                               "for stdin); for `train --stream`, a .jsonl, "
@@ -609,7 +596,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers < 0:
         parser.error(f"--workers must be >= 0 (0 = one per CPU), got {args.workers}")
     if args.workers != 1 and args.target in ("serve", "serve-http"):
-        parser.error(f"--workers has no effect on {args.target}: it predicts on one thread")
+        parser.error(
+            f"--workers has no effect on {args.target}: each process predicts on one thread"
+        )
     if args.workers != 1 and args.target == "train":
         parser.error("--workers has no effect on train: use --stream --cluster-workers N")
     if args.batch_size < 1:

@@ -186,22 +186,20 @@ class BatchEncoder:
         self.embedding = embedding
         self.tie_break = tie_break
         self._keys = keys
-        # Fused binding table: fused[i, m] = keys[i] ⊗ basis[m].  For the
-        # paper's sizes (k=18, m≈12–720, d=10,000) this is a few MB and
-        # removes the per-sample XOR from the encode hot loop.
-        self._fused = np.bitwise_xor(
-            keys[:, None, :], embedding.basis.vectors[None, :, :]
-        )
-        self._channel_index = np.arange(keys.shape[0])
-        # The kernel's copy of the same table, packed into 64-bit words
-        # (packbits byte order, zero-padded to whole words), followed by
-        # m all-zero rows: the plane the adder tree's half adders read,
-        # gathered like a (k+1)-th channel.
-        k, m, d = self._fused.shape
+        # The kernel's binding table: row i·m + j holds keys[i] ⊗ basis[j]
+        # packed into 64-bit words (packbits byte order, zero-padded to
+        # whole words), built from the packed keys and basis because XOR
+        # commutes with packing.  m all-zero rows follow: the plane the
+        # adder tree's half adders read, gathered like a (k+1)-th channel.
+        k, d = keys.shape
+        basis = embedding.basis.packed.data
+        m = basis.shape[0]
         words = (d + 63) // 64
         table = np.zeros(((k + 1) * m, words * 8), dtype=np.uint8)
-        table[: k * m, : packed_width(d)] = np.packbits(self._fused, axis=-1).reshape(k * m, -1)
+        bound = table[: k * m].reshape(k, m, -1)[..., : packed_width(d)]
+        np.bitwise_xor(np.packbits(keys, axis=-1)[:, None, :], basis[None, :, :], out=bound)
         self._words = table.view(np.uint64)
+        self._channel_offsets = np.arange(k) * m
         self._layers, self._compare = _csa_plan(k)
         first = self._layers[0][0] if self._layers else np.arange(k + 1)
         self._first_columns = np.minimum(first, k - 1)
@@ -224,8 +222,8 @@ class BatchEncoder:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the fused ``(k, m, d)`` binding table."""
-        return self._fused.nbytes
+        """Bytes held by the packed ``((k + 1)·m, ⌈d/64⌉)`` binding table."""
+        return self._words.nbytes
 
     @property
     def count_dtype(self) -> type:
@@ -258,11 +256,14 @@ class BatchEncoder:
 
         The byte-count reference: pure (no RNG, no state mutation),
         ``counts[t] = Σ_i bits(K_i ⊗ B[idx[t, i]])`` summed over the
-        ``(rows, k, d)`` gather cube in the narrowest safe integer type.
-        Thresholded by :func:`~repro.hdc.ops.resolve_majority` it gives
-        exactly what :meth:`encode` computes with the packed kernel.
+        ``(rows, k, d)`` gather cube in the narrowest safe integer type;
+        the cube's rows are gathered from the packed binding table and
+        unpacked here.  Thresholded by
+        :func:`~repro.hdc.ops.resolve_majority` it gives exactly what
+        :meth:`encode` computes with the packed kernel.
         """
-        gathered = self._fused[self._channel_index[None, :], indices_chunk]
+        rows = self._words.take(indices_chunk + self._channel_offsets, axis=0)
+        gathered = np.unpackbits(rows.view(np.uint8), axis=-1, count=self.dim)
         return gathered.sum(axis=1, dtype=self.count_dtype)
 
     def _majority_words(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

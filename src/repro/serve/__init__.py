@@ -24,6 +24,10 @@ servable:
 * :mod:`repro.serve.server` — :class:`ServeServer` /
   :class:`ServerThread`, the asyncio HTTP front end (multi-model
   routing, 429 backpressure, ``:swap`` endpoint);
+* :mod:`repro.serve.prefork` — ``serve``, what ``serve-http`` runs:
+  the loaded server forked into one process per CPU, each connection
+  handed to one of them, ``/metrics`` summed and ``:swap`` all or
+  nothing across them;
 * :mod:`repro.serve.replay` — seeded trace generation, concurrent
   replay and the sequential ``predict_one`` oracle used to prove the
   batched path bit-identical.

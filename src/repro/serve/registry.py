@@ -1,13 +1,14 @@
 """Named multi-model registry with zero-downtime hot swap.
 
-One serving process, many models: the registry maps URL-safe names to
-live :class:`~repro.serve.engine.InferenceEngine` instances so a single
+One registry, many models: the registry maps URL-safe names to live
+:class:`~repro.serve.engine.InferenceEngine` instances so a single
 front end (:mod:`repro.serve.server`) can serve every pipeline the
 process has loaded.  Its second job is **zero-downtime replacement**:
 :meth:`ModelRegistry.swap` builds a fresh engine from a new artifact
 (the expensive part — reading the container, unpacking the basis,
-building the fused encode table) *before* touching the live entry, then
-flips the entry's engine pointer under the registry lock.  An engine
+building the packed encode table; :meth:`~ModelRegistry.build`) *before*
+touching the live entry, then flips the entry's engine pointer under the
+registry lock (:meth:`~ModelRegistry.flip`).  An engine
 owns no file, thread or process, so there is nothing to drain: a batch
 that already read the old engine finishes on it, and Python frees the
 old engine once the last such batch lets go of it.
@@ -74,7 +75,12 @@ class ModelRegistry:
         self._entries: dict[str, ModelEntry] = {}
 
     # -- construction ----------------------------------------------------------
-    def _build(self, source: ModelSource) -> tuple[InferenceEngine, str]:
+    def build(self, source: ModelSource) -> tuple[InferenceEngine, str]:
+        """``(engine, source label)`` for ``source``; the registry is untouched.
+
+        The expensive half of :meth:`swap`, safe to run off the loop
+        thread.  Hand the result to :meth:`flip`, or drop it.
+        """
         if isinstance(source, InferenceEngine):
             return source, f"<{type(source.pipeline).__name__}>"
         if isinstance(source, TrainedPipeline):
@@ -94,7 +100,7 @@ class ModelRegistry:
                 f"model name {name!r} must match {_NAME_RE.pattern} "
                 "(it becomes part of the request URL)"
             )
-        engine, source_label = self._build(source)
+        engine, source_label = self.build(source)
         with self._lock:
             if name in self._entries:
                 raise InvalidParameterError(f"model {name!r} is already registered")
@@ -158,16 +164,23 @@ class ModelRegistry:
     def swap(self, name: str, source: ModelSource) -> ModelEntry:
         """Replace ``name``'s engine with one built from ``source``.
 
-        Zero-downtime: the new engine is fully constructed *before* the
-        flip (requests keep landing on the old engine meanwhile), and
-        the flip is one pointer store under the registry lock.  Work
-        that already read the old engine finishes on it.  Returns the
-        new entry.
+        Zero-downtime: :meth:`build` constructs the new engine *before*
+        :meth:`flip` stores it (requests keep landing on the old engine
+        meanwhile).  Work that already read the old engine finishes on
+        it.  Returns the new entry.
         """
-        engine, source_label = self._build(source)
+        return self.flip(name, *self.build(source))
+
+    def flip(self, name: str, engine: InferenceEngine, source: str) -> ModelEntry:
+        """Make a built ``engine`` ``name``'s next generation.
+
+        One pointer store under the registry lock.  A multi-process
+        server builds in every process first and flips only once every
+        build succeeded, so its generations stay equal.
+        """
         with self._lock:
             old = self._entry(name)
-            entry = ModelEntry(engine, old.generation + 1, source_label)
+            entry = ModelEntry(engine, old.generation + 1, source)
             self._entries[name] = entry
         return entry
 

@@ -1,7 +1,7 @@
 """Asyncio HTTP front end: many models, micro-batched, backpressured.
 
 ``repro serve-http`` turns the single-model stdin/stdout JSONL loop into
-a real network tier: one process serves every model in a
+a real network tier: one server serves every model in a
 :class:`~repro.serve.registry.ModelRegistry` over a small HTTP/1.1 API,
 with per-model :class:`~repro.serve.batching.MicroBatcher` scheduling
 (concurrent requests coalesce into single kernel calls, bit-identical
@@ -36,7 +36,8 @@ a rejected one computes no row.
 :class:`ServerThread` runs the whole stack (event loop, server,
 batchers) in a background thread — the harness tests, the docs
 walkthrough and the concurrency benchmark all drive a real socket
-server through it.
+server through it.  ``serve-http`` runs one server per CPU through
+:func:`repro.serve.prefork.serve`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import asyncio
 import http.client
 import json
 import math
+import socket
 import threading
 from itertools import chain
 from typing import Any
@@ -176,6 +178,21 @@ class _HTTPError(Exception):
         self.payload = {"error": message, **extra}
 
 
+class _Alone:
+    """The default :attr:`ServeServer.tree`: the server is the whole tree."""
+
+    def __init__(self, server: "ServeServer") -> None:
+        self._server = server
+
+    async def stats(self) -> dict[str, dict]:
+        return self._server.stats()
+
+    async def swap(self, name: str, source: str) -> tuple[int, str]:
+        loop = asyncio.get_running_loop()
+        entry = await loop.run_in_executor(None, self._server.registry.swap, name, source)
+        return entry.generation, entry.source
+
+
 class ServeServer:
     """The asyncio serving front end over a model registry.
 
@@ -195,6 +212,12 @@ class ServeServer:
 
     Use :meth:`start` / :meth:`stop` from a running event loop, or
     :class:`ServerThread` for a synchronous harness.
+
+    :attr:`tree` is what ``/metrics`` and ``:swap`` act on: an object
+    with ``async stats()`` (the counters ``/metrics`` renders) and
+    ``async swap(name, path) -> (generation, source)``.  By default it
+    is this server alone; :func:`repro.serve.prefork.serve` replaces it
+    so that both act on every process it forked.
     """
 
     def __init__(
@@ -216,6 +239,7 @@ class ServeServer:
         self._batchers: dict[str, MicroBatcher] = {}
         # Live connection handlers and their writers, closed by stop().
         self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self.tree: Any = _Alone(self)
 
     @property
     def port(self) -> int:
@@ -225,8 +249,12 @@ class ServeServer:
         return self._server.sockets[0].getsockname()[1]
 
     # -- lifecycle -------------------------------------------------------------
-    async def start(self) -> "ServeServer":
-        """Bind the socket and spawn one micro-batcher per model."""
+    async def start(self, listen: bool = True) -> "ServeServer":
+        """Spawn one micro-batcher per model and bind the socket.
+
+        ``listen=False`` binds nothing: the server then answers only the
+        connections handed to :meth:`adopt`.
+        """
         for name in self.registry.names():
             batcher = MicroBatcher(
                 self.registry,
@@ -237,10 +265,21 @@ class ServeServer:
             )
             await batcher.start()
             self._batchers[name] = batcher
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self._requested_port
-        )
+        if listen:
+            self._server = await asyncio.start_server(
+                self._handle_client, host=self.host, port=self._requested_port
+            )
         return self
+
+    async def adopt(self, sock: socket.socket) -> None:
+        """Serve a connection some other code accepted, as if it were ours."""
+        loop = asyncio.get_running_loop()
+        await loop.connect_accepted_socket(
+            lambda: asyncio.StreamReaderProtocol(
+                asyncio.StreamReader(), self._handle_client
+            ),
+            sock,
+        )
 
     async def stop(self) -> None:
         """Stop accepting, close live connections, drain every batcher.
@@ -275,7 +314,8 @@ class ServeServer:
         """Per-model scheduler counters (requests, batches, rejections)."""
         return {name: dict(b.stats) for name, b in self._batchers.items()}
 
-    def _render_metrics(self) -> str:
+    @staticmethod
+    def _render_metrics(stats: dict[str, dict]) -> str:
         """The ``/metrics`` body: Prometheus text exposition format.
 
         One sample per model per family, rendered straight from the
@@ -284,7 +324,7 @@ class ServeServer:
         ladder Prometheus histograms require is computed here, at
         scrape time.
         """
-        stats = {name: self._batchers[name].stats for name in sorted(self._batchers)}
+        stats = dict(sorted(stats.items()))
         out: list[str] = []
 
         def counter(metric: str, help_text: str, key: str) -> None:
@@ -441,7 +481,7 @@ class ServeServer:
         if path == "/metrics":
             if method != "GET":
                 raise _HTTPError(405, "metrics is GET-only")
-            return 200, self._render_metrics()
+            return 200, self._render_metrics(await self.tree.stats())
         if path == "/v1/models":
             if method != "GET":
                 raise _HTTPError(405, "model listing is GET-only")
@@ -530,16 +570,15 @@ class ServeServer:
         path = payload.get("path")
         if not isinstance(path, str) or not path:
             raise _HTTPError(400, "swap body needs a 'path' string")
-        loop = asyncio.get_running_loop()
         try:
-            entry = await loop.run_in_executor(None, self.registry.swap, name, path)
+            generation, source = await self.tree.swap(name, path)
         except ReproError as exc:
             raise _HTTPError(400, f"swap failed: {exc}") from None
         return 200, {
             "model": name,
             "swapped": True,
-            "generation": entry.generation,
-            "source": entry.source,
+            "generation": generation,
+            "source": source,
         }
 
 

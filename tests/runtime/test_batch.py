@@ -54,7 +54,9 @@ class TestConstruction:
     def test_introspection(self, encoder):
         assert encoder.num_channels == CHANNELS
         assert encoder.dim == DIM
-        assert encoder.nbytes == CHANNELS * LEVELS * DIM
+        # The packed binding table: k·m bound rows plus m zero rows, each
+        # ⌈d/64⌉ 64-bit words.
+        assert encoder.nbytes == (CHANNELS + 1) * LEVELS * -(-DIM // 64) * 8
 
     def test_bad_feature_shapes_rejected(self, encoder):
         with pytest.raises(InvalidParameterError):
