@@ -19,7 +19,7 @@ route and gates:
 A full run writes ``benchmarks/results/BENCH_serve_latency.json``;
 ``--fast`` checks the same budgets and writes nothing.  Run it::
 
-    PYTHONPATH=src python benchmarks/bench_serve_latency.py [--fast]
+    python benchmarks/bench_serve_latency.py [--fast]
 """
 
 from __future__ import annotations

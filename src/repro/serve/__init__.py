@@ -28,9 +28,9 @@ servable:
   the loaded server forked into one process per CPU, each connection
   handed to one of them, ``/metrics`` summed and ``:swap`` all or
   nothing across them;
-* :mod:`repro.serve.replay` — seeded trace generation, concurrent
-  replay and the sequential ``predict_one`` oracle used to prove the
-  batched path bit-identical.
+* :mod:`repro.serve.replay` — :func:`oracle_transcript`, the
+  sequential ``predict_one`` answers every batched or HTTP answer must
+  equal bit for bit.
 
 The CLI surface lives one layer up: ``python -m repro.experiments train
 --out model.npz``, ``… serve --model model.npz --input -`` and
@@ -52,17 +52,7 @@ from .persist import (
 )
 from .pipeline import TrainedPipeline
 from .registry import ModelRegistry
-from .replay import (
-    HTTPReplayClient,
-    ReplayReport,
-    TraceRequest,
-    generate_trace,
-    load_trace,
-    oracle_transcript,
-    replay,
-    replay_async,
-    save_trace,
-)
+from .replay import TraceRequest, oracle_transcript
 from .server import ServerThread, ServeServer, json_scalar
 
 __all__ = [
@@ -82,12 +72,5 @@ __all__ = [
     "ServerThread",
     "json_scalar",
     "TraceRequest",
-    "ReplayReport",
-    "generate_trace",
-    "save_trace",
-    "load_trace",
-    "replay",
-    "replay_async",
     "oracle_transcript",
-    "HTTPReplayClient",
 ]

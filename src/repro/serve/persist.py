@@ -677,6 +677,25 @@ def _read_container(path: str | os.PathLike) -> tuple[dict[str, Any], dict[str, 
     return manifest, arrays
 
 
+def _load(path: str | os.PathLike) -> tuple[Any, dict[str, Any]]:
+    """The object a container holds, and the manifest it came with."""
+    manifest, arrays = _read_container(path)
+    try:
+        model = _load_object(
+            {"type": manifest.get("type"), "payload": manifest.get("payload")},
+            arrays,
+            "",
+        )
+    except ModelFormatError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # Any structural surprise inside the typed loaders (missing
+        # payload fields, wrong value types) is a malformed file, not a
+        # caller bug — keep the documented error contract.
+        raise ModelFormatError(f"{path} has a malformed manifest: {exc!r}") from exc
+    return model, manifest
+
+
 def load_model(path: str | os.PathLike) -> Any:
     """Reconstruct a model object saved by :func:`save_model`.
 
@@ -698,20 +717,7 @@ def load_model(path: str | os.PathLike) -> Any:
     >>> bool(np.array_equal(load_model(path).vectors, basis.vectors))
     True
     """
-    manifest, arrays = _read_container(path)
-    try:
-        return _load_object(
-            {"type": manifest.get("type"), "payload": manifest.get("payload")},
-            arrays,
-            "",
-        )
-    except ModelFormatError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        # Any structural surprise inside the typed loaders (missing
-        # payload fields, wrong value types) is a malformed file, not a
-        # caller bug — keep the documented error contract.
-        raise ModelFormatError(f"{path} has a malformed manifest: {exc!r}") from exc
+    return _load(path)[0]
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[Any, dict[str, Any] | None]:
@@ -741,17 +747,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[Any, dict[str, Any] | None
     >>> (model.dim, cursor["chunks"])
     (8, 3)
     """
-    manifest, arrays = _read_container(path)
-    try:
-        model = _load_object(
-            {"type": manifest.get("type"), "payload": manifest.get("payload")},
-            arrays,
-            "",
-        )
-    except ModelFormatError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path} has a malformed manifest: {exc!r}") from exc
+    model, manifest = _load(path)
     cursor = manifest.get("cursor")
     if cursor is not None and not isinstance(cursor, dict):
         raise ModelFormatError(

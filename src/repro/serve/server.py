@@ -70,14 +70,27 @@ __all__ = ["ServeServer", "ServerThread", "finite_number", "json_scalar"]
 #: float features — far beyond any legitimate record batch here).
 _MAX_BODY_BYTES = 1 << 20
 
+#: The longest request or header line (the connection's stream limit),
+#: and the most header fields a request may carry.
+_MAX_LINE_BYTES = 1 << 16
+_MAX_HEADER_FIELDS = 100
+
+#: How long a connection closed after a bad head keeps reading (and
+#: discarding) what the client still sends, so the close does not reset
+#: the connection before the client has read the error.
+_LINGER_S = 2.0
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
 
 
@@ -85,7 +98,7 @@ def json_scalar(value: Any) -> Any:
     """Coerce a model prediction to a JSON-serialisable scalar.
 
     The one canonical scalar mapping shared by the HTTP server, the
-    JSONL serve loop, the replay oracle and the benchmarks — responses
+    JSONL serve loop, the ``predict_one`` oracle and the benchmarks — responses
     compared across those paths must be identical *as JSON*, so they
     must all serialise through the same function.
 
@@ -121,7 +134,7 @@ def finite_number(value: Any) -> bool:
     """True for a JSON number that is a finite float64.
 
     The one check every serving input path applies to a feature value
-    (the HTTP body, the JSONL loop and replay traces): booleans, strings
+    (the HTTP body and the JSONL loop): booleans, strings
     and ``null`` are refused, and so is an integer too large for a
     float64, which ``float`` rejects with ``OverflowError``.
 
@@ -176,6 +189,31 @@ class _HTTPError(Exception):
         super().__init__(message)
         self.status = status
         self.payload = {"error": message, **extra}
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One head line; a line over the stream limit is ``status``."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's LimitOverrunError, re-raised by readline
+        raise _HTTPError(status, f"{what} exceeds {_MAX_LINE_BYTES} bytes") from None
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Half-close, then discard input until the client closes (or
+    :data:`_LINGER_S` passes): closing with unread input would reset the
+    connection under the response just written."""
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def discard() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        await asyncio.wait_for(discard(), _LINGER_S)
+    except asyncio.TimeoutError:
+        pass
 
 
 class _Alone:
@@ -267,7 +305,10 @@ class ServeServer:
             self._batchers[name] = batcher
         if listen:
             self._server = await asyncio.start_server(
-                self._handle_client, host=self.host, port=self._requested_port
+                self._handle_client,
+                host=self.host,
+                port=self._requested_port,
+                limit=_MAX_LINE_BYTES,
             )
         return self
 
@@ -276,7 +317,7 @@ class ServeServer:
         loop = asyncio.get_running_loop()
         await loop.connect_accepted_socket(
             lambda: asyncio.StreamReaderProtocol(
-                asyncio.StreamReader(), self._handle_client
+                asyncio.StreamReader(_MAX_LINE_BYTES), self._handle_client
             ),
             sock,
         )
@@ -389,7 +430,14 @@ class ServeServer:
         self._clients[task] = writer
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HTTPError as exc:
+                    # The stream cannot be resynchronised past a bad
+                    # head: answer it, then close the connection.
+                    await self._write_response(writer, exc.status, exc.payload, False)
+                    await _linger(reader, writer)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -407,8 +455,8 @@ class ServeServer:
                 await self._write_response(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, _HTTPError):
-            pass  # client went away or spoke garbage; drop the connection
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # client went away; drop the connection
         finally:
             del self._clients[task]
             try:
@@ -420,7 +468,7 @@ class ServeServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        line = await reader.readline()
+        line = await _read_line(reader, 414, "request line")
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -428,8 +476,8 @@ class ServeServer:
             raise _HTTPError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(_MAX_HEADER_FIELDS + 1):
+            raw = await _read_line(reader, 431, "header line")
             if raw in (b"\r\n", b"\n"):
                 break
             if not raw:
@@ -437,11 +485,15 @@ class ServeServer:
             key, sep, value = raw.decode("latin-1").partition(":")
             if sep:
                 headers[key.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HTTPError(400, "malformed Content-Length") from None
-        if length < 0 or length > _MAX_BODY_BYTES:
+        else:
+            raise _HTTPError(431, f"more than {_MAX_HEADER_FIELDS} header fields")
+        if "transfer-encoding" in headers:
+            raise _HTTPError(501, "Transfer-Encoding is not supported; send Content-Length")
+        value = headers.get("content-length", "0")
+        if not (value.isascii() and value.isdigit()):
+            raise _HTTPError(400, "malformed Content-Length")
+        length = int(value)
+        if length > _MAX_BODY_BYTES:
             raise _HTTPError(413, f"request body exceeds {_MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         return method, target.split("?", 1)[0], headers, body

@@ -38,15 +38,9 @@ import pytest
 
 from repro.experiments.config import ClassificationConfig, RegressionConfig
 from repro.experiments.serving import train_pipeline
-from repro.serve import (
-    HTTPReplayClient,
-    InferenceEngine,
-    generate_trace,
-    json_scalar,
-    oracle_transcript,
-    replay_async,
-    save_model,
-)
+from repro.serve import InferenceEngine, json_scalar, oracle_transcript, save_model
+
+from .http_load import mixed_trace, post_all
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -215,26 +209,17 @@ def _counter(metrics: str, family: str, model: str) -> float:
     return float(match.group(1))
 
 
-def _replay(tree: Tree, trace, connections: int = 8):
-    async def run():
-        async with HTTPReplayClient(tree.host, tree.port, connections=connections) as client:
-            return await replay_async(trace, client.submit, speedup=20.0)
-
-    return asyncio.run(run())
-
-
 def test_transcripts_equal_the_oracle(tree_factory, artifacts):
     models = {"suturing": artifacts["suturing"], "mars": artifacts["mars"]}
     tree = tree_factory(models)
     engines = {name: InferenceEngine.from_path(path) for name, path in models.items()}
-    specs = {"suturing": (18, (-2.0, 2.0)), "mars": (1, (0.0, 400.0))}
-    trace = generate_trace(specs, 400, seed=29, rate_hz=2000.0)
-    report = _replay(tree, trace)
-    assert report.errors == {}
+    specs = {"suturing": (18, -2.0, 2.0), "mars": (1, 0.0, 400.0)}
+    trace = mixed_trace(specs, 400, seed=29)
+    answers, _ = asyncio.run(post_all(tree.host, tree.port, trace, connections=8))
+    assert [status for status, _ in answers] == [200] * len(trace)
     want = oracle_transcript(trace, engines)
-    assert json.dumps(report.responses) == json.dumps(want)
-    for name in models:
-        assert any(r.model == name for r in trace)
+    assert json.dumps([body["prediction"] for _, body in answers]) == json.dumps(want)
+    assert {req.model for req in trace} == set(models)
     assert tree.interrupt() == 0
 
 
@@ -348,21 +333,20 @@ def test_member_shares_the_loaded_models(tree_factory, artifacts):
     models = {"suturing": artifacts["suturing"], "mars": artifacts["mars"]}
     tree = tree_factory(models)
     (member,) = tree.members
-    specs = {"suturing": (18, (-2.0, 2.0)), "mars": (1, (0.0, 400.0))}
-    trace = generate_trace(specs, 600, seed=31, rate_hz=1000.0)
+    specs = {"suturing": (18, -2.0, 2.0), "mars": (1, 0.0, 400.0)}
+    trace = mixed_trace(specs, 600, seed=31)
     peak = _private_mb(member)
 
     async def load_and_sample():
-        async with HTTPReplayClient(tree.host, tree.port, connections=4) as client:
-            task = asyncio.ensure_future(replay_async(trace, client.submit, speedup=2.0))
-            nonlocal peak
-            while not task.done():
-                peak = max(peak, _private_mb(member))
-                await asyncio.sleep(0.02)
-            return await task
+        task = asyncio.ensure_future(post_all(tree.host, tree.port, trace, connections=4))
+        nonlocal peak
+        while not task.done():
+            peak = max(peak, _private_mb(member))
+            await asyncio.sleep(0.02)
+        return await task
 
-    report = asyncio.run(load_and_sample())
-    assert report.errors == {}
+    answers, _ = asyncio.run(load_and_sample())
+    assert [status for status, _ in answers] == [200] * len(trace)
     # A member that shares the coordinator's pages reads about 6 MB; one
     # that loads its own copy of both models reads about 25 MB.
     assert peak < 16.0, f"member peak private memory {peak:.1f} MB"

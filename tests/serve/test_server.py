@@ -16,6 +16,7 @@ import gc
 import http.client
 import json
 import logging
+import socket
 import sys
 import threading
 import time
@@ -29,19 +30,18 @@ from repro.exceptions import BackpressureError, InvalidParameterError
 from repro.learning import CentroidClassifier, HDRegressor
 from repro.runtime import BatchEncoder
 from repro.serve import (
-    HTTPReplayClient,
     InferenceEngine,
     MicroBatcher,
     ModelRegistry,
     ServerThread,
     TrainedPipeline,
-    generate_trace,
     json_scalar,
     oracle_transcript,
-    replay_async,
 )
 from repro.serve.batching import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
 from repro.serve.server import ServeServer
+
+from .http_load import mixed_trace, post_all
 
 #: The three pipeline families the coalescer must be exact for: keyed
 #: classification ("zeros" ties), keyless regression (no encode at
@@ -699,6 +699,124 @@ class TestHTTPServer:
         assert response.status == 400
         assert "not JSON" in body["error"]
 
+    @pytest.mark.parametrize(
+        "raw,status,needle",
+        [
+            (b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+            (b"GET /healthz\r\n\r\n", 400, "malformed request line"),
+            (b"GET /healthz FTP/1.0\r\n\r\n", 400, "malformed request line"),
+            (
+                b"POST /v1/models/mars:predict HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /v1/models/mars:predict HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /v1/models/mars:predict HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
+                413,
+                "request body exceeds",
+            ),
+            (
+                b"POST /v1/models/mars:predict HTTP/1.1\r\nContent-Length: +1\r\n\r\n{",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /v1/models/mars:predict HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /v1/models/mars:predict HTTP/1.1\r\nContent-Length:\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                414,
+                "request line exceeds 65536 bytes",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+                431,
+                "header line exceeds 65536 bytes",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n" + b"X-N: 1\r\n" * 101 + b"\r\n",
+                431,
+                "more than 100 header fields",
+            ),
+            (
+                b"POST /v1/models/mars:predict HTTP/1.1\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+                501,
+                "Transfer-Encoding is not supported",
+            ),
+        ],
+        ids=[
+            "request-line", "no-version", "not-http", "content-length",
+            "negative-length", "oversized-body", "signed-length",
+            "underscored-length", "empty-length", "long-request-line",
+            "long-header-line", "too-many-headers", "chunked",
+        ],
+    )
+    def test_malformed_head_is_answered_then_closed(self, http_server, raw, status, needle):
+        head, body = _exchange_raw(http_server, raw)
+        assert head[0].split()[1] == str(status)
+        assert "Connection: close" in head[1:]
+        assert needle in json.loads(body)["error"]
+
+    def test_sent_oversized_body_still_gets_its_413(self, http_server):
+        """The server reads and drops the unread body after answering, so
+        closing does not reset the connection under the 413."""
+        body = b"[" + b"0," * (1 << 20) + b"0]"
+        raw = (
+            b"POST /v1/models/mars:predict HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        head, payload = _exchange_raw(http_server, raw)
+        assert head[0].split()[1] == "413"
+        assert "request body exceeds" in json.loads(payload)["error"]
+        assert http_server.request("GET", "/healthz")[0] == 200
+
+    def test_stop_ends_a_lingering_connection(self, regression_pipeline):
+        """A client that keeps its socket open after a bad head does not
+        hold up shutdown for the linger time."""
+        registry = ModelRegistry()
+        registry.register("mars", regression_pipeline)
+        server = ServerThread(registry, own_registry=True).start()
+        try:
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(b"GARBAGE\r\n\r\n")
+                assert sock.recv(4096).startswith(b"HTTP/1.1 400")
+                started = time.perf_counter()
+                server.stop()
+                assert time.perf_counter() - started < 1.0
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"get /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz?verbose=1 HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\nConnection: close\n\n",
+            b"GET /healthz HTTP/1.1\r\nNo-Colon-Here\r\nConnection: close\r\n\r\n",
+            b"POST /v1/models/mars:predict HTTP/1.1\r\nconnection: CLOSE\r\n"
+            b"CONTENT-length: 20\r\n\r\n{\"features\": [1.5]}\n",
+        ],
+        ids=["lowercase-method", "query-string", "bare-lf", "no-colon-header", "header-case"],
+    )
+    def test_lenient_heads_are_served(self, http_server, raw):
+        head, body = _exchange_raw(http_server, raw)
+        assert head[0].split()[1] == "200"
+        assert "Connection: close" in head[1:]
+        assert "error" not in json.loads(body)
+
     def test_keep_alive_serves_many_requests_per_connection(self, http_server):
         conn = http.client.HTTPConnection(
             http_server.host, http_server.port, timeout=10
@@ -711,6 +829,18 @@ class TestHTTPServer:
                 response.read()
         finally:
             conn.close()
+
+
+def _exchange_raw(server, raw: bytes) -> tuple[list[str], bytes]:
+    """Send ``raw`` on a fresh socket and read until the server closes:
+    the response's head lines and its body."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(raw)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.decode("latin-1").split("\r\n"), body
 
 
 def _spy_on_responses(monkeypatch):
@@ -841,14 +971,13 @@ class TestConcurrentReplayHTTP:
         """The acceptance property, over a real socket: ≥64 concurrent
         in-flight requests across two models, transcript exactly equal
         to the sequential oracle."""
-        trace = generate_trace(
+        trace = mixed_trace(
             {
-                "gesture": (classification_pipeline.num_features, (0.0, 1.0)),
-                "mars": (1, (0.0, float(2 * np.pi))),
+                "gesture": (classification_pipeline.num_features, 0.0, 1.0),
+                "mars": (1, 0.0, float(2 * np.pi)),
             },
-            num_requests=96,
+            n=96,
             seed=29,
-            rate_hz=2000.0,
         )
         with InferenceEngine(classification_pipeline) as cls_engine, \
                 InferenceEngine(regression_pipeline) as reg_engine:
@@ -859,29 +988,15 @@ class TestConcurrentReplayHTTP:
         registry.register("gesture", classification_pipeline)
         registry.register("mars", regression_pipeline)
         with ServerThread(registry, window_ms=2.0, own_registry=True) as server:
-
-            async def run():
-                gauge = {"now": 0, "peak": 0}
-                async with HTTPReplayClient(
-                    server.host, server.port, connections=32
-                ) as client:
-
-                    async def submit(model, features):
-                        gauge["now"] += 1
-                        gauge["peak"] = max(gauge["peak"], gauge["now"])
-                        try:
-                            return await client.submit(model, features)
-                        finally:
-                            gauge["now"] -= 1
-
-                    report = await replay_async(trace, submit, speedup=1000.0)
-                return report, gauge["peak"]
-
-            report, peak = asyncio.run(run())
+            # One connection per request: every request is on the wire at once.
+            answers, peak = asyncio.run(
+                post_all(server.host, server.port, trace, connections=len(trace))
+            )
             stats = server.server.stats()
-        assert report.errors == {}
+        assert [status for status, _ in answers] == [200] * len(trace)
         assert peak >= 64, f"only {peak} requests were concurrently in flight"
-        assert report.responses == expected  # bit-identical, every request
+        # bit-identical, every request
+        assert [body["prediction"] for _, body in answers] == expected
         assert sum(s["requests"] for s in stats.values()) == len(trace)
         assert max(s["max_batch_seen"] for s in stats.values()) > 1
 
