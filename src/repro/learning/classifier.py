@@ -151,6 +151,23 @@ class CentroidClassifier:
         nearest-class tie resolution, so it must be deterministic and
         must not depend on how the samples are sharded.
         """
+        if (
+            isinstance(labels, np.ndarray)
+            and labels.ndim == 1
+            and labels.dtype.kind in "biu"
+        ):
+            if labels.shape[0] != count:
+                raise InvalidParameterError(
+                    f"got {count} samples but {labels.shape[0]} labels"
+                )
+            # Integer and bool arrays code their labels in C; ordering
+            # the classes by first index gives first-seen order.
+            values, first, codes = np.unique(
+                labels, return_index=True, return_inverse=True
+            )
+            return [
+                (values[code].item(), codes == code) for code in np.argsort(first)
+            ]
         # Label arrays become plain Python values, so a model trained
         # from ndarray labels names (and saves) its classes exactly like
         # one trained from a list.

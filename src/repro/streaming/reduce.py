@@ -3,13 +3,14 @@
 This is the computational core of the streaming subsystem.  Two pieces
 compose:
 
-* :func:`prefetch_chunks` — chunk generation one step ahead of the
-  consumer, on one background thread, in source order.
+* :func:`prefetch_chunks` — iteration of a source one step ahead of
+  the consumer, on one background thread, in source order.
 * :func:`encode_reduce` — the fused stage: stream chunks through an
   encode function straight into a model's
   :meth:`~repro.learning.classifier.CentroidClassifier.partial_fit`,
-  never materialising the encoded split.  Peak memory is O(chunk),
-  not O(n).
+  never materialising the encoded split.  The encode runs on the
+  prefetch thread, so chunk n+1 encodes while chunk n is absorbed.
+  Peak memory is O(chunk), not O(n).
 
 Record chunks encode through
 :meth:`~repro.runtime.batch.BatchEncoder.encode` with the chunk's
@@ -23,6 +24,7 @@ The tie primitives (:func:`positional_tie_bits`,
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 from dataclasses import dataclass
@@ -55,13 +57,14 @@ _PREFETCH_DONE = object()
 
 
 def prefetch_chunks(source: ChunkSource, depth: int = 1) -> Iterator:
-    """Iterate a chunk source with chunk generation one step ahead.
+    """Iterate a source one step ahead, on a background thread.
 
-    A single background thread pulls chunks from ``source`` into a
+    A single background thread pulls items from ``source`` into a
     bounded queue (``depth`` slots — ``1`` is classic double buffering)
-    while the consumer processes the current one, overlapping chunk
-    *generation* (synthetic streams burn real CPU producing rows) with
-    chunk *encoding*.  Chunks arrive in source order through a FIFO
+    while the consumer processes the current one, overlapping whatever
+    work iterating the source does (generating synthetic rows, slicing
+    a file, and in :func:`encode_reduce` encoding each chunk) with the
+    consumer's own.  Items arrive in source order through a FIFO
     queue from one producer, so everything downstream is bit-identical
     to plain iteration; exceptions raised by the source re-raise at the
     consumer.  Abandoning the iterator early (``break``, error) stops
@@ -141,22 +144,25 @@ def encode_reduce(
 ) -> StreamStats:
     """Stream chunks through ``encode`` straight into ``model``.
 
-    The out-of-core training stage: every chunk of ``source`` goes
-    through :func:`repro.hdc.ingest.ingest_chunk` — its raw features are
-    encoded (``encode(chunk)``) and immediately reduced into the model
-    via its canonical ``partial_fit([(encoded, targets)])`` — the
-    encoded split is never
-    materialised, so peak memory is O(chunk) regardless of the stream
-    length.  ``on_chunk`` (if given) runs after every reduced chunk
-    with the running :class:`StreamStats`; the ``train --stream`` CLI
-    hooks its atomic checkpoints there.
+    The out-of-core training stage: every chunk of ``source`` is encoded
+    (``encode(chunk)``) and immediately reduced into the model via its
+    canonical ``partial_fit([(encoded, targets)])`` — the encoded split
+    is never materialised, so peak memory is O(chunk) regardless of the
+    stream length.  ``on_chunk`` (if given) runs after every reduced
+    chunk with the running :class:`StreamStats`; the ``train --stream``
+    CLI hooks its atomic checkpoints there.
 
-    With ``prefetch`` ≥ 1 (default: 1, double buffering) the next chunk
-    is generated on a background thread (:func:`prefetch_chunks`) while
-    the current one encodes, overlapping the two stages; peak memory
-    grows by at most ``prefetch`` raw chunks and the result stays
-    bit-identical (chunks arrive in source order).  ``prefetch=0``
-    iterates the source inline.
+    With ``prefetch`` ≥ 1 (default: 1, double buffering) chunks are
+    generated *and encoded* on the background thread of
+    :func:`prefetch_chunks`, so chunk n+1 encodes while chunk n is
+    absorbed and ``on_chunk`` runs.  ``partial_fit``, the stats and the
+    hook stay on the calling thread in source order, so the result is
+    bit-identical to ``prefetch=0``, which runs everything inline.  The
+    pairing pays because encode and absorb both spend their time in
+    numpy calls that release the GIL.  ``encode`` must therefore be
+    safe to call next to the absorb and the hook: it may read shared
+    state (the encoder's tables) but not change it.  Peak memory grows
+    by at most ``prefetch`` encoded chunks, plus the one encoding.
 
     ``stats`` (optional) is a pre-seeded :class:`StreamStats` to keep
     accounting — a resumed pass (``train --stream --resume``) continues
@@ -182,18 +188,26 @@ def encode_reduce(
     >>> (stats.rows, stats.chunks, model.num_samples)
     (20, 4, 20)
     """
-    from ..hdc import ingest
-
     stats = stats if stats is not None else StreamStats()
-    chunks = prefetch_chunks(source, depth=prefetch) if prefetch else source
-    for chunk in chunks:
+    pairs = _encoded(source, encode)
+    if prefetch:
+        pairs = prefetch_chunks(pairs, depth=prefetch)
+    # Closing stops the producer when the absorb or a hook raises.
+    with contextlib.closing(pairs):
+        for chunk, encoded in pairs:
+            model.partial_fit([(encoded, chunk.targets)])
+            stats.absorb(chunk.rows)
+            if on_chunk is not None:
+                on_chunk(stats)
+    return stats
+
+
+def _encoded(source: ChunkSource, encode: Callable[[object], object]) -> Iterator:
+    """``(chunk, encode(chunk))`` for each labelled chunk of ``source``."""
+    for chunk in source:
         if chunk.targets is None:
             raise InvalidParameterError(
                 "encode_reduce needs labelled chunks; this source yields "
                 "targets=None"
             )
-        ingest.ingest_chunk(model, chunk, encode)
-        stats.absorb(chunk.rows)
-        if on_chunk is not None:
-            on_chunk(stats)
-    return stats
+        yield chunk, encode(chunk)

@@ -122,6 +122,12 @@ class ValueEncode:
     embedding: Embedding
     column: int = 0
 
+    def __post_init__(self) -> None:
+        # Build the lazily cached packed table up front: encode_reduce
+        # calls this encode on its prefetch thread, next to checkpoint
+        # deep copies of the same embedding, so the call must only read.
+        _ = self.embedding.basis.packed
+
     def __call__(self, chunk: Chunk):
         return self.embedding.encode_packed(
             np.asarray(chunk.features, dtype=np.float64)[:, self.column]
@@ -451,8 +457,8 @@ def train_pipeline_stream(
         file's rows must have the task's feature width.
     ingest:
         ``None``, ``"auto"`` or ``"ref"``; every value runs the one
-        ingest path (:func:`repro.hdc.ingest.ingest_chunk`), and any
-        other value raises.
+        ingest path (:func:`~repro.streaming.reduce.encode_reduce`), and
+        any other value raises.
 
     Returns
     -------

@@ -129,10 +129,32 @@ class TestLabelMasks:
             assert mask.dtype == bool
             assert mask.tolist() == [l == label for l in labels]
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.random.default_rng(0).permutation(np.arange(60) % 7),
+            np.array([9, -2, 9, 0, -2], dtype=np.int32),
+            np.random.default_rng(1).integers(0, 2, 25).astype(bool),
+            np.full(6, 3, dtype=np.uint8),
+        ],
+    )
+    def test_integer_arrays_match_the_list_path(self, labels):
+        """Int and bool arrays take a vectorised path; the same values
+        passed as a list take the dict path, the reference."""
+        fast = CentroidClassifier._label_masks(labels, len(labels))
+        slow = CentroidClassifier._label_masks(labels.tolist(), len(labels))
+        assert [label for label, _ in fast] == [label for label, _ in slow]
+        assert [type(label) for label, _ in fast] == [type(label) for label, _ in slow]
+        for (_, got), (_, want) in zip(fast, slow):
+            assert got.dtype == bool
+            assert np.array_equal(got, want)
+
     def test_empty_and_mismatch(self):
         assert CentroidClassifier._label_masks([], 0) == []
-        with pytest.raises(InvalidParameterError):
-            CentroidClassifier._label_masks([1, 2], 3)
+        assert CentroidClassifier._label_masks(np.array([], dtype=np.int64), 0) == []
+        for labels in ([1, 2], np.array([1, 2])):
+            with pytest.raises(InvalidParameterError):
+                CentroidClassifier._label_masks(labels, 3)
 
 
 class TestRefinement:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ops import majority_from_counts
 from repro.learning import CentroidClassifier, HDRegressor
 from repro.runtime import BatchEncoder
+from repro.serve import TrainedPipeline
 from repro.streaming import (
     array_chunks,
     encode_reduce,
@@ -18,6 +23,7 @@ from repro.streaming import (
     prefetch_chunks,
     resolve_majority,
 )
+from repro.streaming.train import RecordEncode, ValueEncode, checkpointer
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,6 +32,19 @@ def make_encoder(dim=128, channels=4, tie_break="random"):
     emb = CircularBasis(12, dim, seed=1).circular_embedding(period=TWO_PI)
     keys = random_hypervectors(channels, dim, seed=2)
     return BatchEncoder(keys, emb, tie_break=tie_break)
+
+
+def _prefetch_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-chunk-prefetch"]
+
+
+def _assert_producer_gone():
+    deadline = time.monotonic() + 2.0
+    while time.monotonic() < deadline:
+        if not any(t.is_alive() for t in _prefetch_threads()):
+            return
+        time.sleep(0.01)
+    raise AssertionError("prefetch producer thread is still alive")
 
 
 class TestPositionalTieBits:
@@ -233,30 +252,13 @@ class TestPrefetchChunks:
         assert first.rows == 2
         it.close()  # generator finalisation must not hang or raise
 
-    def _prefetch_threads(self):
-        import threading
-
-        return [
-            t for t in threading.enumerate() if t.name == "repro-chunk-prefetch"
-        ]
-
-    def _assert_producer_gone(self):
-        import time
-
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:
-            if not any(t.is_alive() for t in self._prefetch_threads()):
-                return
-            time.sleep(0.01)
-        raise AssertionError("prefetch producer thread is still alive")
-
     def test_empty_source_yields_nothing(self):
         class Empty:
             def __iter__(self):
                 return iter(())
 
         assert list(prefetch_chunks(Empty())) == []
-        self._assert_producer_gone()
+        _assert_producer_gone()
 
     def test_single_chunk_stream(self):
         x = np.arange(6.0).reshape(3, 2)
@@ -264,7 +266,7 @@ class TestPrefetchChunks:
         assert len(chunks) == 1
         assert chunks[0].start == 0
         assert np.array_equal(chunks[0].features, x)
-        self._assert_producer_gone()
+        _assert_producer_gone()
 
     def test_close_joins_the_producer_thread(self):
         """Abandoning the iterator must actually stop the thread, not
@@ -273,9 +275,9 @@ class TestPrefetchChunks:
         x = np.zeros((400, 2))
         it = prefetch_chunks(array_chunks(x, chunk_size=2), depth=1)
         next(it)
-        assert any(t.is_alive() for t in self._prefetch_threads())
+        assert any(t.is_alive() for t in _prefetch_threads())
         it.close()
-        self._assert_producer_gone()
+        _assert_producer_gone()
 
     @pytest.mark.parametrize("depth", [2, 4])
     def test_mid_stream_error_reraises_at_depth(self, depth):
@@ -295,7 +297,7 @@ class TestPrefetchChunks:
                 consumed.append(chunk.rows)
         assert excinfo.value is boom
         assert consumed == [2, 2, 2, 2]
-        self._assert_producer_gone()
+        _assert_producer_gone()
 
     def test_encode_reduce_prefetch_is_bit_identical(self):
         y = np.arange(24) % 3
@@ -318,3 +320,159 @@ class TestPrefetchChunks:
             assert np.array_equal(
                 inline.class_vector(label), buffered.class_vector(label)
             )
+
+
+class TestEncodeOverlap:
+    """encode_reduce encodes on the prefetch thread, absorbs on the caller's."""
+
+    def _classifier_run(self):
+        y = np.arange(40) % 3
+        x = np.random.default_rng(11).uniform(0, TWO_PI, (40, 4))
+        enc = make_encoder(dim=64)
+        return x, y, enc
+
+    def test_next_chunk_encodes_while_the_hook_runs(self):
+        """Chunk n's hook waits for chunk n+1's encode to start, so a
+        serial encode → absorb → hook loop fails here."""
+        x, y, enc = self._classifier_run()
+        started = [threading.Event() for _ in range(8)]
+        threads = []
+
+        def encode(chunk):
+            threads.append(threading.current_thread().name)
+            started[chunk.start // 5].set()
+            return enc.encode(chunk.features, start=chunk.start, packed=True)
+
+        def hook(stats):
+            if stats.chunks < len(started):
+                assert started[stats.chunks].wait(10.0), (
+                    f"chunk {stats.chunks} did not start encoding while chunk "
+                    f"{stats.chunks - 1} was in its hook"
+                )
+
+        clf = CentroidClassifier(64, tie_break="zeros")
+        stats = encode_reduce(
+            clf, array_chunks(x, y, chunk_size=5), encode, on_chunk=hook, prefetch=1
+        )
+        assert stats.chunks == 8
+        assert set(threads) == {"repro-chunk-prefetch"}
+        _assert_producer_gone()
+
+    def test_inline_encodes_on_the_calling_thread(self):
+        x, y, enc = self._classifier_run()
+        threads = []
+
+        def encode(chunk):
+            threads.append(threading.current_thread())
+            return enc.encode(chunk.features, start=chunk.start, packed=True)
+
+        encode_reduce(
+            CentroidClassifier(64, tie_break="zeros"),
+            array_chunks(x, y, chunk_size=5),
+            encode,
+            prefetch=0,
+        )
+        assert threads == [threading.current_thread()] * 8
+
+    @pytest.mark.parametrize("prefetch", [0, 1, 2])
+    def test_encode_error_after_absorbed_chunks(self, prefetch):
+        """Chunks before the failing encode are absorbed with their hooks
+        fired; then the encode's own exception object re-raises."""
+        x, y, enc = self._classifier_run()
+        boom = RuntimeError("encode failed")
+
+        def encode(chunk):
+            if chunk.start == 15:
+                raise boom
+            return enc.encode(chunk.features, start=chunk.start, packed=True)
+
+        seen = []
+        clf = CentroidClassifier(64, tie_break="zeros")
+        with pytest.raises(RuntimeError) as excinfo:
+            encode_reduce(
+                clf,
+                array_chunks(x, y, chunk_size=5),
+                encode,
+                on_chunk=lambda stats: seen.append((stats.chunks, stats.rows)),
+                prefetch=prefetch,
+            )
+        assert excinfo.value is boom
+        assert seen == [(1, 5), (2, 10), (3, 15)]
+        assert clf.num_samples == 15
+        _assert_producer_gone()
+
+    def test_hook_error_stops_the_producer(self):
+        x = np.zeros((400, 1))
+        y = np.arange(400) % 2
+        emb = LevelBasis(8, 64, seed=0).linear_embedding(0.0, 1.0)
+        boom = OSError("disk full")
+        encoded = []
+
+        def encode(chunk):
+            encoded.append(chunk.start)
+            return emb.encode_packed(chunk.features[:, 0])
+
+        def hook(stats):
+            raise boom
+
+        with pytest.raises(OSError) as excinfo:
+            encode_reduce(
+                CentroidClassifier(64, tie_break="zeros"),
+                array_chunks(x, y, chunk_size=2),
+                encode,
+                on_chunk=hook,
+                prefetch=1,
+            )
+        assert excinfo.value is boom
+        _assert_producer_gone()
+        # One chunk absorbed, at most one queued and one mid-encode.
+        assert len(encoded) <= 3
+
+    @pytest.mark.parametrize("kind", ["classification", "regression"])
+    def test_checkpoints_are_byte_identical(self, tmp_path, kind):
+        """Every pipeline checkpoint of an overlapped run equals the inline
+        run's: the hook sees the model after exactly the same chunks, and
+        its deep copy races no encode.  The overlapped run switches
+        threads every microsecond to shake out interleavings."""
+        x, y, _ = self._classifier_run()
+
+        def pipeline():
+            if kind == "classification":
+                emb = CircularBasis(12, 64, seed=1).circular_embedding(period=TWO_PI)
+                keys = random_hypervectors(4, 64, seed=2)
+                clf = CentroidClassifier(64, seed=5)
+                pipe = TrainedPipeline(kind, clf, emb, keys=keys)
+                return pipe, RecordEncode(BatchEncoder(keys, emb), seed=3), y
+            features = CircularBasis(12, 64, seed=4).circular_embedding(period=TWO_PI)
+            labels = LevelBasis(8, 64, seed=6).linear_embedding(0.0, 3.0)
+            pipe = TrainedPipeline(kind, HDRegressor(labels, seed=5), features)
+            return pipe, ValueEncode(features), y.astype(np.float64)
+
+        def run(prefetch):
+            pipe, encode, targets = pipeline()
+            path = tmp_path / f"ckpt-{prefetch}.npz"
+            save = checkpointer(pipe, path, every=1)
+            written = []
+
+            def hook(stats):
+                save(stats)
+                written.append(path.read_bytes())
+
+            encode_reduce(
+                pipe.model,
+                array_chunks(x, targets, chunk_size=5),
+                encode,
+                on_chunk=hook,
+                prefetch=prefetch,
+            )
+            return written
+
+        inline = run(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = run(1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(inline) == 8
+        assert overlapped == inline
