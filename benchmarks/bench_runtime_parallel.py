@@ -34,11 +34,14 @@ import _bootstrap  # noqa: F401  (sys.path shim: run from checkout or install)
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.experiments import (  # noqa: E402
     ClassificationConfig,
@@ -56,6 +59,24 @@ FAST_R_VALUES = (0.0, 0.1, 1.0)
 
 #: Timed (serial, parallel) pairs per artifact at full scale.
 REPEATS = 3
+
+
+def host() -> dict:
+    """The machine a recorded number was measured on."""
+    model = ""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            model = next((ln.split(":", 1)[1].strip() for ln in fh
+                          if ln.startswith("model name")), "")
+    except OSError:  # not Linux
+        pass
+    return {
+        "cpu_model": model or platform.processor(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
 
 
 def time_call(fn):
@@ -144,6 +165,7 @@ def main() -> int:
             "datasets": list(datasets),
             "workers": args.workers,
             "cpu_count": os.cpu_count(),
+            "host": host(),
             "repeats": repeats,
             **summary,
             "table1_cold_s": round(cold_s, 3),

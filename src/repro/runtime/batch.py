@@ -9,12 +9,14 @@ not give on their own:
 * **packed majority kernel** — the ``K_i ⊗ B_m`` bindings are
   precomputed once per encoder into a ``(k, m, ⌈d/64⌉)`` table of
   64-bit words.  A block of records gathers its ``k`` channel rows with
-  one ``take`` and reduces them with a carry-save adder tree whose
-  layers are a handful of bitwise ufuncs over stacked channel groups
-  (O(log k) numpy calls per block).  The resulting count bit-planes are
-  compared with ``⌊k/2⌋`` to give packed "above" and "tied" masks, and
-  the tie policy is applied on those words.  No per-bit byte sum and no
-  ``(rows, k, d)`` gather cube;
+  one ``take`` into ``k`` slots, then a static schedule of single-plane
+  full and half adders sums them: each adder writes its sum and carry
+  over its own input slots (five ufunc calls and one scratch plane per
+  full adder), so nothing is re-stacked and nothing is allocated per
+  block.  The ``k.bit_length()`` count planes left are compared with
+  ``⌊k/2⌋`` to give a packed "above" mask, plus a "tied" mask only when
+  the tie policy reads it, and the policy is applied on those words.  No
+  per-bit byte sum and no ``(rows, k, d)`` gather cube;
 * **one tie rule** — a tied bit of row ``i`` under the ``"random"``
   policy takes the position-keyed coin of
   :func:`~repro.hdc.ops.positional_tie_words` for ``(seed, start + i)``,
@@ -70,9 +72,10 @@ __all__ = ["BatchEncoder"]
 #: coins are keyed by row position, not by chunk.
 _CHUNK_ROWS = 256
 
-#: uint64 words per kernel block of gathered planes: the ``(k + 1, rows,
-#: ⌈d/64⌉)`` stack of one block stays near 512 KiB, cache-resident.
-_BLOCK_WORDS = 1 << 16
+#: uint64 words per kernel block: the ``(k, rows, ⌈d/64⌉)`` slots that
+#: the adders rewrite in place stay near 1 MiB (46 rows at k = 18,
+#: d = 10,000), resident in a 2 MiB L2.  Any value is bit-identical.
+_BLOCK_WORDS = 1 << 17
 
 #: Tied bits under ``"alternate"`` take their dimension's parity; in the
 #: MSB-first byte layout of ``np.packbits`` every odd dimension is one of
@@ -80,68 +83,69 @@ _BLOCK_WORDS = 1 << 16
 _ALTERNATE = np.uint64(0x5555555555555555)
 
 
-def _csa_plan(k: int) -> tuple[list[tuple[np.ndarray, int]], list[tuple[int, int]]]:
-    """Static carry-save schedule that sums ``k`` one-bit planes.
+def _csa_plan(k: int) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Static single-plane adder schedule that sums ``k`` one-bit planes.
 
-    Every layer works on a stack laid out as ``[X, Y, Z, rest, zero]``:
-    ``G`` full adders add ``X[j] + Y[j] + Z[j]`` (all of one weight; a
-    half adder uses the all-zero last plane as ``Z``) and leave
-    ``[carry, sum, rest, zero]`` behind, which the next layer re-selects
-    with one ``take``.  Returns ``(layers, compare)``: ``layers`` is the
-    ``(selection, G)`` list (the first selection indexes the gathered
-    channels, with ``k`` for the zero plane), ``compare`` the
-    ``(plane, bit of ⌊k/2⌋)`` steps from the top count bit down.
-    Planes of weight ``2**w > k`` are provably zero and are dropped.
+    Works weight by weight from the bottom: while a weight holds three
+    planes a full adder ``(a, b, c)`` adds them, leaving the sum in slot
+    ``a`` and the carry, one weight up, in slot ``b``; two left over take
+    a half adder ``(a, b, -1)``.  Weight ``w`` receives ``⌊k/2**w⌋``
+    planes and ends with one, so the count's ``k.bit_length()`` bits are
+    one slot each and no carry ever reaches a weight above ``k``.
+    Returns ``(adders, final)``: ``final[w]`` is the slot of count bit
+    ``w``.
     """
-    weights: list = [0] * k
-    layers = []
-    while True:
-        by_weight: dict[int, list[int]] = {}
-        for i, w in enumerate(weights):
-            if w is not None:
-                by_weight.setdefault(w, []).append(i)
-        if all(len(planes) == 1 for planes in by_weight.values()):
-            break
-        zero = len(weights)
-        xs, ys, zs, added, rest, rest_w = [], [], [], [], [], []
-        settled = True  # no carry can still arrive at this weight
-        for w in sorted(by_weight):
-            planes = by_weight[w]
-            q, r = divmod(len(planes), 3)
-            xs += planes[0:3 * q:3]
-            ys += planes[1:3 * q:3]
-            zs += planes[2:3 * q:3]
-            added += [w] * q
-            if r == 2 and (q or settled):
-                xs.append(planes[-2])
-                ys.append(planes[-1])
-                zs.append(zero)
-                added.append(w)
-                r = 0
-            rest += planes[len(planes) - r:]
-            rest_w += [w] * r
-            settled = settled and len(planes) == 1
-        layers.append((np.array(xs + ys + zs + rest + [zero], dtype=np.intp), len(xs)))
-        weights = (
-            [w + 1 if 2 ** (w + 1) <= k else None for w in added] + added + rest_w
-        )
-    final = {w: i for i, w in enumerate(weights) if w is not None}
-    zero = len(weights)
-    half = k // 2
-    compare = [
-        (final.get(w, zero), (half >> w) & 1)
-        for w in range(k.bit_length() - 1, -1, -1)
-    ]
-    return layers, compare
+    planes = list(range(k))
+    adders = []
+    final = []
+    while planes:
+        carries = []
+        while len(planes) > 1:
+            a, b, *c = planes[:3]
+            del planes[1:3]
+            adders.append((a, b, c[0] if c else -1))
+            carries.append(b)
+        final.append(planes[0])
+        planes = carries
+    return adders, final
+
+
+def _greater_plan(final: list[int], h: int) -> list[tuple[np.ufunc | None, int]]:
+    """Steps that leave ``count > h`` from the count bit slots ``final``.
+
+    ``count > h`` is the carry out of ``count + ~h`` over the count's
+    bits, formed from the bottom: a 1 bit of ``~h`` ORs its plane into
+    the carry, a 0 bit ANDs it.  The first step (``None`` ufunc) names
+    the plane the carry starts from; ``h < 2**(len(final) - 1)`` keeps
+    the list non-empty.
+    """
+    steps: list = []
+    for w, plane in enumerate(final):
+        if not (h >> w) & 1:
+            steps.append((np.bitwise_or, plane) if steps else (None, plane))
+        elif steps:
+            steps.append((np.bitwise_and, plane))
+    return steps
+
+
+def _greater(slots: np.ndarray, steps: list, out: np.ndarray) -> None:
+    """Run a :func:`_greater_plan` over count slots into ``out``."""
+    (_, first), *rest = steps
+    src = slots[first]
+    if not rest:
+        np.copyto(out, src)
+    for op, plane in rest:
+        op(src, slots[plane], out=out)
+        src = out
 
 
 class BatchEncoder:
     """Vectorised key–value record encoder over whole splits.
 
     Encodes through a packed majority kernel: the ``k`` bound channel
-    rows of a record are summed as 64-bit bit-planes by a carry-save
-    adder tree and compared with ``k / 2`` on the words (see the module
-    docstring), bit-identical to thresholding :meth:`chunk_counts`.
+    rows of a record are summed as 64-bit bit-planes by in-place
+    carry-save adders and compared with ``k / 2`` on the words (see the
+    module docstring), bit-identical to thresholding :meth:`chunk_counts`.
 
     Parameters
     ----------
@@ -154,8 +158,8 @@ class BatchEncoder:
     tie_break:
         Majority tie policy; see :func:`repro.hdc.ops.majority_from_counts`.
         ``"random"`` ties take position-keyed coins (see :meth:`encode`).
-        The kernel's transient is bounded at about 512 KiB of gathered
-        words per block.
+        The kernel's transient is bounded at about 1 MiB of slots per
+        block.
 
     Example
     -------
@@ -189,25 +193,24 @@ class BatchEncoder:
         # The kernel's binding table: row i·m + j holds keys[i] ⊗ basis[j]
         # packed into 64-bit words (packbits byte order, zero-padded to
         # whole words), built from the packed keys and basis because XOR
-        # commutes with packing.  m all-zero rows follow: the plane the
-        # adder tree's half adders read, gathered like a (k+1)-th channel.
+        # commutes with packing.
         k, d = keys.shape
         basis = embedding.basis.packed.data
         m = basis.shape[0]
         words = (d + 63) // 64
-        table = np.zeros(((k + 1) * m, words * 8), dtype=np.uint8)
-        bound = table[: k * m].reshape(k, m, -1)[..., : packed_width(d)]
-        np.bitwise_xor(np.packbits(keys, axis=-1)[:, None, :], basis[None, :, :], out=bound)
-        self._words = table.view(np.uint64)
+        table = np.zeros((k, m, words * 8), dtype=np.uint8)
+        np.bitwise_xor(
+            np.packbits(keys, axis=-1)[:, None, :], basis[None, :, :],
+            out=table[..., : packed_width(d)],
+        )
+        self._words = table.reshape(k * m, -1).view(np.uint64)
         self._channel_offsets = np.arange(k) * m
-        self._layers, self._compare = _csa_plan(k)
-        first = self._layers[0][0] if self._layers else np.arange(k + 1)
-        self._first_columns = np.minimum(first, k - 1)
-        self._first_offsets = first * m
-        valid = np.zeros(words * 8, dtype=np.uint8)
-        valid[: packed_width(d)] = np.packbits(np.ones(d, dtype=np.uint8))
-        self._valid = valid.view(np.uint64)
-        self._block_rows = max(1, _BLOCK_WORDS // ((k + 1) * words))
+        self._adders, final = _csa_plan(k)
+        half = k // 2
+        self._above_steps = _greater_plan(final, half)
+        # count == k/2 is count > k/2 - 1 minus count > k/2.
+        self._tied_steps = _greater_plan(final, half - 1) if k % 2 == 0 else None
+        self._block_rows = max(1, _BLOCK_WORDS // (k * words))
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -222,7 +225,7 @@ class BatchEncoder:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the packed ``((k + 1)·m, ⌈d/64⌉)`` binding table."""
+        """Bytes held by the packed ``(k·m, ⌈d/64⌉)`` word table: ``k·m·⌈d/64⌉·8``."""
         return self._words.nbytes
 
     @property
@@ -266,52 +269,71 @@ class BatchEncoder:
         gathered = np.unpackbits(rows.view(np.uint8), axis=-1, count=self.dim)
         return gathered.sum(axis=1, dtype=self.count_dtype)
 
-    def _majority_words(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def _majority_words(
+        self, idx: np.ndarray, ties: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Packed majority masks of index rows: ``(above, tied)``.
 
         ``above`` holds the bits whose count exceeds ``k / 2``; ``tied``
         the bits whose count equals it, or ``None`` when ``k`` is odd
-        (no ties possible).  Both are ``(rows, ⌈d/64⌉)`` uint64 words in
+        (no ties possible) or ``ties`` is false (the caller reads only
+        ``above``).  Both are ``(rows, ⌈d/64⌉)`` uint64 words in
         :func:`numpy.packbits` byte order with zero pad bits.  Pure, and
-        allocates everything it writes, so concurrent calls are safe.
+        allocates everything it writes (the slots and scratch plane the
+        blocks reuse included), so concurrent calls are safe.
         """
         rows = idx.shape[0]
-        k = self.num_channels
-        above = np.empty((rows, self._words.shape[1]), dtype=np.uint64)
-        tied = np.empty_like(above)
-        step = self._block_rows
+        k, width = self.num_channels, self._words.shape[1]
+        above = np.empty((rows, width), dtype=np.uint64)
+        tied = np.empty_like(above) if ties and self._tied_steps else None
+        step = max(1, min(self._block_rows, rows))
+        slots = np.empty(k * step * width, dtype=np.uint64)
+        scratch = np.empty(step * width, dtype=np.uint64)
+        flat = (idx + self._channel_offsets).T
         for lo in range(0, rows, step):
-            self._majority_block(idx[lo:lo + step], above[lo:lo + step], tied[lo:lo + step])
-        return above, (tied if k % 2 == 0 else None)
+            n = min(step, rows - lo)
+            self._majority_block(
+                flat[:, lo:lo + n],
+                slots[: k * n * width].reshape(k, n, width),
+                scratch[: n * width].reshape(n, width),
+                above[lo:lo + n],
+                None if tied is None else tied[lo:lo + n],
+            )
+        return above, tied
 
-    def _majority_block(self, idx: np.ndarray, above: np.ndarray, tied: np.ndarray) -> None:
-        """One cache-sized block of :meth:`_majority_words`, written in place."""
-        flat = idx.take(self._first_columns, axis=1) + self._first_offsets
-        stack = self._words.take(flat.T, axis=0)
-        for i, (select, g) in enumerate(self._layers):
-            if i:
-                stack = stack.take(select, axis=0)
-            x, y, z = stack[:g], stack[g:2 * g], stack[2 * g:3 * g]
-            xy = stack[:2 * g].reshape((2,) + z.shape)
-            parity = np.bitwise_xor(x, y)
-            np.bitwise_xor(xy, z, out=xy)  # x ^ z, y ^ z
-            np.bitwise_and(x, y, out=x)
-            np.bitwise_xor(z, x, out=y)  # carry = majority(x, y, z)
-            np.bitwise_xor(z, parity, out=z)  # sum = x ^ y ^ z
-            stack = stack[g:]
-        # count > ⌊k/2⌋ and count == ⌊k/2⌋, bit-plane by bit-plane from
-        # the top; the top bit of ⌊k/2⌋ is always 0.
-        (top, _), *rest = self._compare
-        np.copyto(above, stack[top])
-        np.bitwise_xor(self._valid, above, out=tied)
-        scratch = np.empty_like(above)
-        for plane, bit in rest:
-            if bit:
-                np.bitwise_and(tied, stack[plane], out=tied)
-            else:
-                np.bitwise_and(tied, stack[plane], out=scratch)
-                np.bitwise_or(above, scratch, out=above)
-                np.bitwise_xor(tied, scratch, out=tied)
+    def _majority_block(
+        self,
+        flat: np.ndarray,
+        slots: np.ndarray,
+        scratch: np.ndarray,
+        above: np.ndarray,
+        tied: np.ndarray | None,
+    ) -> None:
+        """One cache-sized block of :meth:`_majority_words`, written in place.
+
+        ``flat`` holds the ``(k, rows)`` table rows to gather into
+        ``slots``; every adder then rewrites its own input slots.
+        """
+        # The rows come from the discretizer, so they are in range; "clip"
+        # writes straight into ``slots``, where "raise" would buffer ``out``.
+        np.take(self._words, flat, axis=0, out=slots, mode="clip")
+        for a, b, c in self._adders:
+            x, y = slots[a], slots[b]
+            if c < 0:  # x, y = x ^ y, x & y
+                np.bitwise_xor(x, y, out=x)
+                np.bitwise_and(x, y, out=scratch)  # y & ~x
+                np.bitwise_xor(y, scratch, out=y)
+            else:  # x, y = x ^ y ^ z, majority(x, y, z)
+                z = slots[c]
+                np.bitwise_xor(x, y, out=scratch)
+                np.bitwise_and(x, y, out=y)
+                np.bitwise_xor(scratch, z, out=x)
+                np.bitwise_and(scratch, z, out=scratch)
+                np.bitwise_or(y, scratch, out=y)
+        _greater(slots, self._above_steps, above)
+        if tied is not None:
+            _greater(slots, self._tied_steps, tied)
+            np.bitwise_xor(tied, above, out=tied)
 
     def _settled_words(self, idx: np.ndarray, seed, start: int) -> np.ndarray:
         """Majority words of index rows whose first row is ``start``.
@@ -321,9 +343,9 @@ class BatchEncoder:
         absolute rows ``start + i`` under ``seed`` — the bits
         :func:`~repro.hdc.ops.resolve_majority` gives on the byte counts.
         """
-        above, tied = self._majority_words(idx)
         policy = self.tie_break
-        if tied is None or policy == "zeros":
+        above, tied = self._majority_words(idx, ties=policy != "zeros")
+        if tied is None:
             return above
         if policy == "ones":
             above |= tied

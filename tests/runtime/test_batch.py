@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.basis import CircularBasis, LevelBasis
+from repro.basis.base import BasisSet
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 from repro.hdc.encoders import encode_keyvalue_records
 from repro.hdc.hypervector import random_hypervectors
 from repro.hdc.ops import resolve_majority
 from repro.hdc.packed import is_packed
 from repro.runtime import BatchEncoder
+from repro.runtime.batch import _csa_plan
 
 DIM = 512
 CHANNELS = 6
@@ -54,9 +59,9 @@ class TestConstruction:
     def test_introspection(self, encoder):
         assert encoder.num_channels == CHANNELS
         assert encoder.dim == DIM
-        # The packed binding table: k·m bound rows plus m zero rows, each
-        # ⌈d/64⌉ 64-bit words.
-        assert encoder.nbytes == (CHANNELS + 1) * LEVELS * -(-DIM // 64) * 8
+        # The packed binding table: k·m bound rows, each ⌈d/64⌉ 64-bit
+        # words.
+        assert encoder.nbytes == CHANNELS * LEVELS * -(-DIM // 64) * 8
 
     def test_bad_feature_shapes_rejected(self, encoder):
         with pytest.raises(InvalidParameterError):
@@ -223,3 +228,107 @@ class TestOneTieRule:
                 for a, b in zip(cuts, cuts[1:])
             ]
             assert np.array_equal(np.concatenate(parts), whole.data), cuts
+
+
+class _ZerosOnes(BasisSet):
+    """Level 0 all zeros, level 1 all ones: under all-zero keys every bit
+    of a record counts the record's 1 indices."""
+
+    def __init__(self, dim: int) -> None:
+        super().__init__(np.array([[0], [1]], dtype=np.uint8).repeat(dim, axis=1))
+
+    def expected_distance(self, i, j):  # pragma: no cover
+        return float(i != j)
+
+
+SCHEDULE_KS = [*range(1, 41), 64, 65]
+
+
+class TestAdderSchedule:
+    """The static adder schedule for every channel count in reach."""
+
+    @pytest.mark.parametrize("k", SCHEDULE_KS)
+    def test_one_plane_per_weight(self, k):
+        adders, final = _csa_plan(k)
+        weight = dict.fromkeys(range(k), 0)
+        for a, b, c in adders:
+            inputs = [a, b] if c < 0 else [a, b, c]
+            (w,) = {weight.pop(slot) for slot in inputs}
+            weight[a], weight[b] = w, w + 1
+        assert len(final) == k.bit_length()
+        assert weight == {slot: w for w, slot in enumerate(final)}
+
+    @pytest.mark.parametrize("k", SCHEDULE_KS)
+    @pytest.mark.parametrize("d", [65, 130])
+    def test_masks_match_counts_every_k(self, k, d, monkeypatch):
+        # Blocks of 7 rows, so a call spans several blocks and a short one.
+        monkeypatch.setattr("repro.runtime.batch._BLOCK_WORDS", 7 * k * -(-d // 64))
+        rng = np.random.default_rng(k * d)
+        # Row t of ``exhaustive`` has t channels at level 1: counts 0..k.
+        exhaustive = np.arange(k)[None, :] < np.arange(k + 1)[:, None]
+        zero_keys = np.zeros((k, d), dtype=np.uint8)
+        cases = [
+            (
+                BatchEncoder(zero_keys, _ZerosOnes(d).linear_embedding(0.0, 1.0)),
+                rng.permuted(exhaustive.astype(np.intp), axis=1),
+            ),
+            (
+                BatchEncoder(
+                    random_hypervectors(k, d, seed=d),
+                    LevelBasis(5, d, seed=k).linear_embedding(0.0, 1.0),
+                ),
+                rng.integers(0, 5, (40, k)),
+            ),
+        ]
+        width = (d + 7) // 8
+        for enc, idx in cases:
+            counts = enc.chunk_counts(idx).astype(np.int64)
+            above, tied = enc._majority_words(idx)
+            bits = above.view(np.uint8)
+            assert np.array_equal(bits[:, :width], np.packbits(2 * counts > k, axis=-1))
+            assert not bits[:, width:].any()
+            if k % 2:
+                assert tied is None
+            else:
+                bits = tied.view(np.uint8)
+                assert np.array_equal(bits[:, :width], np.packbits(2 * counts == k, axis=-1))
+                assert not bits[:, width:].any()
+            assert np.array_equal(enc._majority_words(idx, ties=False)[0], above)
+
+
+class TestConcurrentEncode:
+    """The kernel allocates everything it writes, so threads may share one
+    encoder (a training prefetch thread encodes while the caller does)."""
+
+    @pytest.mark.parametrize("policy", ["zeros", "random"])
+    def test_two_threads_match_serial(self, policy):
+        k, d, n = 18, 1000, 600
+        emb = CircularBasis(12, d, r=0.1, seed=6).circular_embedding(period=1.0)
+        enc = BatchEncoder(random_hypervectors(k, d, seed=5), emb, tie_break=policy)
+        x = np.random.default_rng(8).random((n, k))
+        serial = enc.encode(x, seed=3, packed=True).data
+        ranges = [(0, n // 2), (n // 2, n)]
+        results: list[list[np.ndarray]] = [[], []]
+        barrier = threading.Barrier(2)
+
+        def work(i: int) -> None:
+            a, b = ranges[i]
+            barrier.wait(timeout=30)
+            for _ in range(4):
+                results[i].append(enc.encode(x[a:b], seed=3, start=a, packed=True).data)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (a, b), runs in zip(ranges, results):
+            assert len(runs) == 4
+            for run in runs:
+                assert np.array_equal(run, serial[a:b])
