@@ -13,7 +13,11 @@ contains.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
@@ -30,3 +34,21 @@ def write_result(name: str, payload: dict) -> Path:
     canonical = RESULTS_DIR / f"{name}.json"
     canonical.write_text(json.dumps(payload, indent=2) + "\n")
     return canonical
+
+
+def host() -> dict:
+    """The machine a recorded number was measured on."""
+    model = ""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            model = next((ln.split(":", 1)[1].strip() for ln in fh
+                          if ln.startswith("model name")), "")
+    except OSError:  # not Linux
+        pass
+    return {
+        "cpu_model": model or platform.processor(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }

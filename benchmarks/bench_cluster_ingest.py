@@ -3,8 +3,10 @@
 Measures ``ClusterCoordinator`` throughput over a synthetic labelled
 stream against the single-process ``stream_fit_classifier`` baseline,
 sweeping the worker-process count, and asserts the tier's defining
-property on every point: the merged model is **bitwise identical** to
-the serial one (class order, accumulator counts, prototypes).
+property on every run: the merged model is **bitwise identical** to
+the serial one (class order, accumulator counts, prototypes).  The full
+mode runs the ``train_file`` shape of ``perfbench/`` and records the
+host and every repeat.
 
 Two regimes are recorded:
 
@@ -28,7 +30,9 @@ import _bootstrap  # noqa: F401  (sys.path shim: run from checkout or install)
 
 import argparse
 import json
+import statistics
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +49,15 @@ from repro.learning import CentroidClassifier
 from repro.runtime import BatchEncoder
 from repro.streaming import JigsawsStream, RecordEncode, stream_fit_classifier
 
-from _results import write_result
+from _results import host, write_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Full mode runs perfbench's ``train_file`` shape: Suturing rows at
+#: d = 10,000 in 1,024-row chunks, 15 gestures x 6,700 = 100,500 rows,
+#: each side timed this many times, in alternating order.
+FULL_PER_GESTURE = 6_700
+FULL_REPEATS = 5
 
 #: Fault-recovery overhead ceiling: a two-kill run may cost at most this
 #: many times the clean run at the same worker count (replay is bounded
@@ -73,38 +83,49 @@ def _build(dim: int, chunk_size: int, per_gesture: int):
 
 
 def run_suite(fast: bool = False) -> dict:
-    dim = 1024 if fast else 8192
-    chunk_size = 25 if fast else 100
-    per_gesture = 10 if fast else 40
-    worker_counts = (1, 2, 3) if fast else (1, 2, 4, 8)
+    if fast:
+        dim, chunk_size, per_gesture = 1024, 25, 10
+        worker_counts, repeats = (1, 2, 3), 1
+    else:  # perfbench's train_file shape
+        dim, chunk_size, per_gesture = 10_000, 1024, FULL_PER_GESTURE
+        worker_counts, repeats = (1, 2), FULL_REPEATS
 
     stream, encoder = _build(dim, chunk_size, per_gesture)
 
-    start = time.perf_counter()
-    serial = CentroidClassifier(dim, tie_break="zeros", seed=0)
-    stats = stream_fit_classifier(serial, encoder, stream)
-    serial_seconds = time.perf_counter() - start
-    total_chunks = stats.chunks
-
-    def cluster_run(workers: int, hook=None) -> tuple[float, bool]:
+    def in_process() -> CentroidClassifier:
         model = CentroidClassifier(dim, tie_break="zeros", seed=0)
-        begin = time.perf_counter()
+        stream_fit_classifier(model, encoder, stream)
+        return model
+
+    def cluster_run(workers: int, hook=None) -> CentroidClassifier:
+        model = CentroidClassifier(dim, tie_break="zeros", seed=0)
         ClusterCoordinator(
             model, stream, RecordEncode(encoder), workers=workers, hook=hook
         ).run()
-        return time.perf_counter() - begin, _models_equal(model, serial)
+        return model
 
+    serial = in_process()
+    rows, total_chunks = stream.num_rows, -(-stream.num_rows // chunk_size)
+    sides = {0: in_process, **{w: partial(cluster_run, w) for w in worker_counts}}
+    runs: dict[int, list[float]] = {side: [] for side in sides}
+    for i in range(repeats):  # alternate the order, so drift hits every side
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            begin = time.perf_counter()
+            model = sides[side]()
+            runs[side].append(time.perf_counter() - begin)
+            assert _models_equal(model, serial), f"diverged from serial at workers={side}"
+    serial_seconds = statistics.median(runs[0])
     scaling = []
     for workers in worker_counts:
-        seconds, exact = cluster_run(workers)
-        assert exact, f"cluster model diverged from serial at workers={workers}"
+        seconds = statistics.median(runs[workers])
         scaling.append(
             {
                 "workers": workers,
+                "runs": [round(t, 4) for t in runs[workers]],
                 "seconds": round(seconds, 4),
-                "rows_per_second": round(stats.rows / seconds, 1),
+                "rows_per_second": round(rows / seconds, 1),
                 "speedup_vs_serial": round(serial_seconds / seconds, 2),
-                "bitwise_identical": exact,
+                "bitwise_identical": True,  # every run asserted above
             }
         )
 
@@ -116,27 +137,31 @@ def run_suite(fast: bool = False) -> dict:
         (victims[1], 0, min(faulty_workers + victims[1], total_chunks - 1),
          PHASE_CHUNK_SENT),
     )
-    fault_seconds, fault_exact = cluster_run(faulty_workers, hook=plan)
+    begin = time.perf_counter()
+    faulty_model = cluster_run(faulty_workers, hook=plan)
+    fault_seconds = time.perf_counter() - begin
+    fault_exact = _models_equal(faulty_model, serial)
     assert fault_exact, "fault-injected cluster model diverged from serial"
-    clean_seconds = scaling[-1]["seconds"]
     faulty = {
         "workers": faulty_workers,
         "kills": len(plan.kills),
         "seconds": round(fault_seconds, 4),
-        "overhead_vs_clean": round(fault_seconds / clean_seconds, 2),
+        "overhead_vs_clean": round(fault_seconds / scaling[-1]["seconds"], 2),
         "bitwise_identical": fault_exact,
     }
 
     return {
         "mode": "fast" if fast else "full",
-        "numpy": np.__version__,
+        "host": host(),
         "workload": {
             "task": "suturing",
             "dim": dim,
-            "rows": stats.rows,
+            "rows": rows,
             "chunks": total_chunks,
             "chunk_size": chunk_size,
         },
+        "repeats": repeats,
+        "serial_runs": [round(t, 4) for t in runs[0]],
         "serial_seconds": round(serial_seconds, 4),
         "scaling": scaling,
         "faulty": faulty,

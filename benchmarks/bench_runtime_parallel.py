@@ -21,10 +21,10 @@ Run::
 
 ``--fast`` shrinks the sweep for a smoke run, times each side once and
 skips the JSON write (the committed file records paper resolution
-only).  The recorded speedup is hardware-dependent: cells are
-numpy-heavy threads that scale with physical cores (``cpu_count`` is
-recorded next to every number; on a single-core host the factor is
-~1×).
+only).  The recorded speedup is hardware-dependent: the drivers fan
+their cells out with :func:`repro.runtime.fan_out`, one forked process
+per worker, so it scales with physical cores (the host is recorded
+next to every number; on a single-core host the factor is ~1×).
 """
 
 from __future__ import annotations
@@ -32,16 +32,11 @@ from __future__ import annotations
 import _bootstrap  # noqa: F401  (sys.path shim: run from checkout or install)
 
 import argparse
-import json
 import os
-import platform
 import statistics
 import sys
 import tempfile
 import time
-from pathlib import Path
-
-import numpy as np
 
 from repro.experiments import (  # noqa: E402
     ClassificationConfig,
@@ -52,31 +47,14 @@ from repro.experiments import (  # noqa: E402
 )
 from repro.experiments.rsweep import _CLASSIFICATION, _REGRESSION  # noqa: E402
 
-RESULTS_DIR = Path(__file__).parent / "results"
+from _results import host, write_result
+
 
 PAPER_R_VALUES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
 FAST_R_VALUES = (0.0, 0.1, 1.0)
 
 #: Timed (serial, parallel) pairs per artifact at full scale.
-REPEATS = 3
-
-
-def host() -> dict:
-    """The machine a recorded number was measured on."""
-    model = ""
-    try:
-        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
-            model = next((ln.split(":", 1)[1].strip() for ln in fh
-                          if ln.startswith("model name")), "")
-    except OSError:  # not Linux
-        pass
-    return {
-        "cpu_model": model or platform.processor(),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
+REPEATS = 5
 
 
 def time_call(fn):
@@ -158,7 +136,6 @@ def main() -> int:
     print(f"  table1 cache hit     : {warm_s:8.4f} s  ({cache_speedup:.0f}x)")
 
     if not args.fast:
-        RESULTS_DIR.mkdir(exist_ok=True)
         payload = {
             "dim": dim,
             "r_values": list(r_values),
@@ -173,9 +150,7 @@ def main() -> int:
             "table1_cache_speedup": round(cache_speedup, 1),
             "bit_identical": True,
         }
-        out = RESULTS_DIR / "BENCH_runtime.json"
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
+        print(f"wrote {write_result('BENCH_runtime', payload)}")
     return 0
 
 

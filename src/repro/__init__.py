@@ -74,7 +74,7 @@ from .hdc import (
     similarity,
 )
 from .learning import CentroidClassifier, HDRegressor
-from .runtime import ArtifactStore, BatchEncoder, WorkerPool
+from .runtime import ArtifactStore, BatchEncoder
 from .serve import (
     InferenceEngine,
     OnlineLearner,
@@ -118,7 +118,6 @@ __all__ = [
     # runtime
     "ArtifactStore",
     "BatchEncoder",
-    "WorkerPool",
     # serving
     "save_model",
     "load_model",

@@ -6,10 +6,10 @@ scales out without approximation: shard the chunk stream across worker
 *processes*, compute per-chunk deltas independently, and fold them back
 deterministically.  This package is that scale-out tier:
 
-* :mod:`repro.cluster.worker` — the worker process: iterates its own
-  copy of the (picklable, deterministically re-iterable) chunk source,
-  encodes its assigned chunks, and ships the model's ``shard`` results
-  back over a pipe;
+* :mod:`repro.cluster.worker` — the worker process, forked by
+  :mod:`repro.runtime.tree`: iterates its own copy of the
+  (deterministically re-iterable) chunk source, encodes its assigned
+  chunks, and ships the model's ``shard`` results back over a pipe;
 * :mod:`repro.cluster.coordinator` —
   :class:`~repro.cluster.coordinator.ClusterCoordinator`: round-robin
   chunk assignment, strict in-order delta absorption (a reorder buffer

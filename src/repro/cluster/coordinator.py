@@ -27,13 +27,15 @@ cheap relative to encoding) and only encode their own chunks.
 
 from __future__ import annotations
 
-import multiprocessing
+import gc
+import os
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Pipe, wait
 from typing import Callable, Union
 
 from ..exceptions import ClusterError, InvalidParameterError
-from ..runtime.pool import default_start_method
+from ..runtime.tree import fork, reap
 from ..streaming.chunks import ChunkSource
 from ..streaming.reduce import StreamStats
 from .worker import WorkerPlan, worker_main
@@ -47,7 +49,7 @@ _POLL_INTERVAL_S = 0.05
 
 @dataclass
 class _WorkerState:
-    process: object
+    pid: Union[int, None]  # None once waited for
     conn: object
     incarnation: int = 0
     done: bool = False
@@ -66,11 +68,11 @@ class ClusterCoordinator:
         a copy for its pure ``shard`` method; only the coordinator
         ever mutates it, through ``absorb``.
     source:
-        A picklable, deterministically re-iterable
+        A deterministically re-iterable
         :class:`~repro.streaming.ChunkSource`; every worker iterates
-        its own copy.
+        its own forked copy.
     encode:
-        A picklable per-chunk encode callable
+        The per-chunk encode callable
         (:class:`~repro.streaming.train.RecordEncode` /
         :class:`~repro.streaming.train.ValueEncode`).
     workers:
@@ -78,14 +80,15 @@ class ClusterCoordinator:
         only schedules work: the merged model is bit-identical for any
         value.
     hook:
-        Optional picklable fault-injection hook installed into every
-        worker (see :class:`~repro.cluster.fault.CrashPlan`).
+        Optional fault-injection hook installed into every worker (see
+        :class:`~repro.cluster.fault.CrashPlan`).
     max_restarts:
         Restart budget *per worker*; exceeding it raises
         :class:`~repro.exceptions.ClusterError`.
 
-    Workers start with :func:`~repro.runtime.pool.default_start_method`
-    (``"fork"`` where available, else ``"spawn"``).
+    Workers are forked by :func:`~repro.runtime.tree.fork` after the
+    model, source and encoder are loaded, so they share those pages and
+    nothing but the deltas is pickled (Linux).
 
     Example
     -------
@@ -140,7 +143,6 @@ class ClusterCoordinator:
             )
         self.hook = hook
         self.max_restarts = max_restarts
-        self._ctx = multiprocessing.get_context(default_start_method())
         # merge state (rebuilt by run())
         self._frontier = 0
         self._buffer: dict[int, tuple[int, object]] = {}
@@ -166,7 +168,7 @@ class ClusterCoordinator:
 
     # -- worker lifecycle ------------------------------------------------------
     def _spawn(self, worker_id: int, incarnation: int, start_index: int) -> _WorkerState:
-        recv_end, send_end = self._ctx.Pipe(duplex=False)
+        recv_end, send_end = Pipe(duplex=False)
         plan = WorkerPlan(
             worker_id=worker_id,
             num_workers=self.workers,
@@ -177,17 +179,13 @@ class ClusterCoordinator:
             incarnation=incarnation,
             hook=self.hook,
         )
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(plan, send_end),
-            name=f"repro-cluster-w{worker_id}i{incarnation}",
-            daemon=True,
-        )
-        process.start()
+        receivers = [state.conn for state in self._states.values() if state.conn is not None]
+        pid = fork(worker_main, plan, send_end, close=[recv_end, *receivers])
+        gc.unfreeze()  # frozen for the fork only: this process lives on
         # Close the parent's copy of the send end so a worker death
         # surfaces as EOF on the receive end instead of a silent hang.
         send_end.close()
-        return _WorkerState(process=process, conn=recv_end, incarnation=incarnation)
+        return _WorkerState(pid=pid, conn=recv_end, incarnation=incarnation)
 
     def _handle(self, message: object) -> None:
         if not isinstance(message, tuple) or not message:
@@ -217,10 +215,8 @@ class ClusterCoordinator:
             raise ClusterError(f"unknown worker message kind {kind!r}")
 
     def _drain_conn(self, state: _WorkerState) -> None:
-        """Pull every message still queued on a (possibly dead) pipe."""
-        if state.conn is None:
-            return
-        while True:
+        """Pull every message queued on a (possibly dead) worker's pipe."""
+        while state.conn is not None:
             try:
                 if not state.conn.poll(0):
                     return
@@ -228,11 +224,8 @@ class ClusterCoordinator:
             except (EOFError, OSError, ValueError):
                 # EOF, a torn mid-send message, or an unpicklable tail —
                 # this channel is spent either way.
-                try:
-                    state.conn.close()
-                finally:
-                    state.conn = None
-                return
+                state.conn.close()
+                state.conn = None
 
     def _absorb_ready(
         self,
@@ -253,12 +246,14 @@ class ClusterCoordinator:
             and self._frontier >= self._expected_total
         )
 
-    def _reap(self) -> None:
+    def _restart_dead(self) -> None:
         """Detect dead workers; restart them from their chunk cursor."""
         for worker_id, state in self._states.items():
             if state.done:
                 continue
-            alive = state.process.is_alive()
+            if state.pid is not None and os.waitpid(state.pid, os.WNOHANG)[0]:
+                state.pid = None  # waited for: never waited for again
+            alive = state.pid is not None
             if alive and state.conn is not None:
                 continue
             # The pipe may still hold complete messages the dead worker
@@ -287,20 +282,13 @@ class ClusterCoordinator:
             self._states[worker_id] = replacement
 
     def _cleanup(self) -> None:
+        """Close every pipe, then kill and reap every worker not yet waited for."""
         for state in self._states.values():
             if state.conn is not None:
-                try:
-                    state.conn.close()
-                except Exception:
-                    pass
+                state.conn.close()
                 state.conn = None
-            process = state.process
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stubborn straggler
-                process.kill()
-                process.join(timeout=2.0)
+        pids = [state.pid for state in self._states.values() if state.pid is not None]
+        reap(pids, timeout=0.0)  # a worker still running owes nothing
 
     # -- the run loop ----------------------------------------------------------
     def run(
@@ -333,32 +321,16 @@ class ClusterCoordinator:
                     worker_id, 0, self._first_assigned(worker_id, self._frontier)
                 )
             while True:
-                conns = [
-                    state.conn
-                    for state in self._states.values()
-                    if state.conn is not None
-                ]
+                conns = {s.conn: s for s in self._states.values() if s.conn is not None}
                 if conns:
-                    ready = multiprocessing.connection.wait(
-                        conns, timeout=_POLL_INTERVAL_S
-                    )
-                    for conn in ready:
-                        state = next(
-                            s for s in self._states.values() if s.conn is conn
-                        )
-                        try:
-                            self._handle(conn.recv())
-                        except (EOFError, OSError, ValueError):
-                            try:
-                                conn.close()
-                            finally:
-                                state.conn = None
+                    for conn in wait(list(conns), timeout=_POLL_INTERVAL_S):
+                        self._drain_conn(conns[conn])
                 else:
                     time.sleep(_POLL_INTERVAL_S)
                 self._absorb_ready(stats, on_chunk)
                 if self._finished():
                     break
-                self._reap()
+                self._restart_dead()
                 if (
                     all(state.done for state in self._states.values())
                     and not self._finished()

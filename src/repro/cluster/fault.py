@@ -35,7 +35,7 @@ PHASE_CHUNK_SENT = "chunk_sent"
 
 @dataclass(frozen=True)
 class CrashPlan:
-    """A picklable ``kill -9`` schedule for cluster workers.
+    """A ``kill -9`` schedule for cluster workers.
 
     ``kills`` holds ``(worker_id, incarnation, chunk_index, phase)``
     tuples; when a worker's hook fires with a matching coordinate the

@@ -1,8 +1,8 @@
 """The cluster worker process: assigned chunks in, deltas out.
 
-A worker owns nothing but a :class:`WorkerPlan` — its own copy of the
-(picklable, deterministically re-iterable) chunk source, a picklable
-encode callable, and a copy of the model, whose pure ``shard`` method
+A worker owns nothing but a :class:`WorkerPlan` — its forked copy of
+the (deterministically re-iterable) chunk source, the encode callable,
+and a copy of the model, whose pure ``shard`` method
 turns an encoded chunk into a delta.  ``shard`` reads only the model's
 dimensionality and (for a regressor) its label embedding — never its
 accumulators or tie-break RNG — so the copy's state is irrelevant and
@@ -42,10 +42,10 @@ __all__ = ["WorkerPlan", "worker_main"]
 
 @dataclass
 class WorkerPlan:
-    """Everything one worker process needs, fully picklable.
+    """Everything one worker process needs.
 
-    ``hook`` (optional) is the fault-injection seam: a picklable
-    callable ``hook(phase, worker_id, incarnation, chunk_index)`` fired
+    ``hook`` (optional) is the fault-injection seam: a callable
+    ``hook(phase, worker_id, incarnation, chunk_index)`` fired
     before each assigned chunk encodes (``"chunk_start"``) and after its
     delta is sent (``"chunk_sent"``) — see
     :class:`~repro.cluster.fault.CrashPlan`.
@@ -68,10 +68,9 @@ class WorkerPlan:
 def worker_main(plan: WorkerPlan, conn) -> None:
     """Process entry point: stream, encode, ship, exit.
 
-    Module-level (not a closure) so worker processes can be started
-    under the ``spawn`` method as well as ``fork``.  The connection is
-    closed on every exit path; an abrupt death (``SIGKILL``) closes it
-    mid-message, which the coordinator reads as a crash.
+    The connection is closed on every exit path; an abrupt death
+    (``SIGKILL``) closes it mid-message, which the coordinator reads as
+    a crash.
     """
     try:
         total = 0

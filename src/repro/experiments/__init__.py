@@ -9,8 +9,8 @@
 Run from the command line with ``python -m repro.experiments <target>``.
 
 Every table/sweep driver accepts ``workers=`` (independent cells fanned
-out over a :class:`~repro.runtime.pool.WorkerPool`, bit-identical to the
-serial run) and ``store=`` (an
+out over forked processes by :func:`~repro.runtime.tree.fan_out`,
+bit-identical to the serial run) and ``store=`` (an
 :class:`~repro.runtime.artifacts.ArtifactStore` serving repeated
 identical configurations from a content-addressed cache); the CLI maps
 these to ``--workers`` and ``--no-cache``/``--cache-dir``.

@@ -48,8 +48,8 @@ Runtime flags (see ``docs/REPRODUCING.md`` for per-artifact guidance):
     Shrink dimensionality (and, for figure8, the sweep resolution) for a
     quick look; defaults follow the paper (d = 10,000).
 ``--workers N``
-    Fan independent experiment cells out over ``N`` worker threads
-    (``0`` = one per CPU).  Results are bit-identical to ``--workers 1``.
+    Fan independent experiment cells out over ``N`` forked processes
+    (``0`` = one per CPU; Linux).  Results are bit-identical to ``--workers 1``.
     ``serve`` and ``serve-http`` reject the flag: each of their
     processes predicts on its loop thread, and ``serve-http`` already
     runs one process per CPU.  So does ``train``, whose only fan-out is

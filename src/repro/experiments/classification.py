@@ -30,7 +30,7 @@ from ..datasets import JIGSAWS_TASKS, ClassificationSplit, make_jigsaws_like
 from ..exceptions import InvalidParameterError
 from ..hdc.hypervector import random_hypervectors
 from ..learning.classifier import CentroidClassifier
-from ..runtime import ArtifactStore, BatchEncoder, WorkerPool
+from ..runtime import ArtifactStore, BatchEncoder, fan_out
 from .config import ClassificationConfig
 
 __all__ = [
@@ -176,13 +176,6 @@ def run_classification(
     )
 
 
-def _table1_cell(
-    task: str, kind: str, config: ClassificationConfig, split: ClassificationSplit
-) -> float:
-    """One (task, basis) cell of :func:`run_table1`."""
-    return run_classification(task, kind, config=config, split=split).accuracy
-
-
 def table1_cache_params(
     config: ClassificationConfig,
     tasks: tuple[str, ...],
@@ -211,10 +204,10 @@ def run_table1(
     Parameters
     ----------
     workers:
-        Fan the independent (task, basis) cells out over a
-        :class:`~repro.runtime.pool.WorkerPool` of threads.  Every cell
-        derives its randomness from ``config.seed`` alone, so the table is
-        **bit-identical to the serial run for any worker count**.
+        Fan the independent (task, basis) cells out over that many
+        forked processes (:func:`~repro.runtime.tree.fan_out`).  Every
+        cell derives its randomness from ``config.seed`` alone, so the
+        table is **bit-identical to the serial run for any worker count**.
     store:
         Optional :class:`~repro.runtime.artifacts.ArtifactStore`; when
         given, a previous run with an identical configuration is served
@@ -232,12 +225,15 @@ def run_table1(
     for task in tasks:
         data_rng = ensure_rng(config.seed).spawn(4)[0]
         splits[task] = make_jigsaws_like(task=task, seed=data_rng)
-    cells = [(task, kind, config, splits[task]) for task in tasks for kind in basis_kinds]
-    with WorkerPool(workers=workers) as pool:
-        accuracies = pool.starmap(_table1_cell, cells)
+    cells = [(task, kind) for task in tasks for kind in basis_kinds]
+    accuracies = fan_out(
+        lambda cell: run_classification(*cell, config=config, split=splits[cell[0]]).accuracy,
+        cells,
+        workers,
+    )
 
     results: dict[str, dict[str, float]] = {task: {} for task in tasks}
-    for (task, kind, _, _), acc in zip(cells, accuracies):
+    for (task, kind), acc in zip(cells, accuracies):
         results[task][kind] = acc
     if store is not None:
         store.store("table1", params, results)

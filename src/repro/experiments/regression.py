@@ -34,7 +34,7 @@ from ..datasets.beijing import DAYS_PER_YEAR
 from ..exceptions import InvalidParameterError
 from ..hdc.encoders import encode_bound_records
 from ..learning.regression import HDRegressor
-from ..runtime import ArtifactStore, WorkerPool
+from ..runtime import ArtifactStore, fan_out
 from .config import RegressionConfig
 
 __all__ = [
@@ -232,13 +232,6 @@ def make_regression_split(dataset: str, config: RegressionConfig) -> RegressionS
     )
 
 
-def _table2_cell(
-    dataset: str, kind: str, config: RegressionConfig, split: RegressionSplit
-) -> float:
-    """One (dataset, basis) cell of :func:`run_table2`."""
-    return run_regression(dataset, kind, config=config, split=split).mse
-
-
 def table2_cache_params(
     config: RegressionConfig,
     basis_kinds: tuple[str, ...],
@@ -269,9 +262,9 @@ def run_table2(
     Parameters
     ----------
     workers:
-        Fan the independent (dataset, basis) cells out over a
-        :class:`~repro.runtime.pool.WorkerPool` of threads; results are
-        bit-identical to the serial run for any worker count.
+        Fan the independent (dataset, basis) cells out over that many
+        forked processes (:func:`~repro.runtime.tree.fan_out`); results
+        are bit-identical to the serial run for any worker count.
     store:
         Optional :class:`~repro.runtime.artifacts.ArtifactStore` serving
         repeated identical configurations from the cache.
@@ -284,16 +277,15 @@ def run_table2(
             return cached
 
     splits = {dataset: make_regression_split(dataset, config) for dataset in datasets}
-    cells = [
-        (dataset, kind, config, splits[dataset])
-        for dataset in datasets
-        for kind in basis_kinds
-    ]
-    with WorkerPool(workers=workers) as pool:
-        errors = pool.starmap(_table2_cell, cells)
+    cells = [(dataset, kind) for dataset in datasets for kind in basis_kinds]
+    errors = fan_out(
+        lambda cell: run_regression(*cell, config=config, split=splits[cell[0]]).mse,
+        cells,
+        workers,
+    )
 
     results: dict[str, dict[str, float]] = {dataset: {} for dataset in datasets}
-    for (dataset, kind, _, _), mse in zip(cells, errors):
+    for (dataset, kind), mse in zip(cells, errors):
         results[dataset][kind] = mse
     if store is not None:
         store.store("table2", params, results)

@@ -15,8 +15,8 @@ approaches 1 there; the paper's finding is the dip below 1 at small
 
 This is the heaviest artifact of the paper — ``datasets × (1 + |r|)``
 independent experiment cells — and the canonical parallel workload of
-the runtime: :func:`run_rsweep` fans the cells out over a
-:class:`~repro.runtime.pool.WorkerPool` (``workers=``) and every cell
+the runtime: :func:`run_rsweep` fans the cells out over forked
+processes (``workers=``, :func:`~repro.runtime.tree.fan_out`) and every cell
 derives its randomness from its config seed alone, so the sweep is
 bit-identical to the serial run for any worker count.
 """
@@ -30,7 +30,7 @@ from .._rng import ensure_rng
 from ..datasets import ClassificationSplit, RegressionSplit, make_jigsaws_like
 from ..exceptions import InvalidParameterError
 from ..learning.metrics import normalized_accuracy_error, normalized_mse
-from ..runtime import ArtifactStore, WorkerPool
+from ..runtime import ArtifactStore, fan_out
 from .classification import run_classification
 from .config import ClassificationConfig, RegressionConfig
 from .regression import make_regression_split, run_regression
@@ -98,7 +98,7 @@ def _sweep_cell(
     """One sweep cell: raw accuracy/MSE for (dataset, r).
 
     ``r=None`` is the random-basis reference cell.  Fully self-seeded,
-    so its value never depends on which worker thread runs it.
+    so its value never depends on which process runs it.
     """
     if dataset in _CLASSIFICATION:
         if r is None:
@@ -148,10 +148,10 @@ def run_rsweep(
     ----------
     workers:
         Fan the ``len(datasets) × (1 + len(r_values))`` independent
-        cells out over a :class:`~repro.runtime.pool.WorkerPool` of
-        threads.  Every
-        cell seeds itself from its config, so the sweep is
-        **bit-identical to the serial run for any worker count**.
+        cells out over that many forked processes
+        (:func:`~repro.runtime.tree.fan_out`).  Every cell seeds itself
+        from its config, so the sweep is **bit-identical to the serial
+        run for any worker count**.
     store:
         Optional :class:`~repro.runtime.artifacts.ArtifactStore`; an
         identical earlier sweep is served from the cache without
@@ -191,7 +191,7 @@ def run_rsweep(
 
     # Generate every split up front (deterministic from the config seeds),
     # then flatten the whole sweep — reference cells included — into one
-    # task list for the pool.
+    # task list for the fan-out.
     splits: dict[str, ClassificationSplit | RegressionSplit] = {}
     for dataset in datasets:
         if dataset in _CLASSIFICATION:
@@ -200,17 +200,15 @@ def run_rsweep(
         else:
             splits[dataset] = make_regression_split(dataset, regression_config)
 
-    cells = [
-        (dataset, r, classification_config, regression_config, splits[dataset])
-        for dataset in datasets
-        for r in (None, *r_values)
-    ]
-    with WorkerPool(workers=workers) as pool:
-        raw = pool.starmap(_sweep_cell, cells)
-
-    results: dict[tuple[str, float | None], float] = {
-        (dataset, r): value for (dataset, r, _, _, _), value in zip(cells, raw)
-    }
+    cells = [(dataset, r) for dataset in datasets for r in (None, *r_values)]
+    raw = fan_out(
+        lambda cell: _sweep_cell(
+            *cell, classification_config, regression_config, splits[cell[0]]
+        ),
+        cells,
+        workers,
+    )
+    results: dict[tuple[str, float | None], float] = dict(zip(cells, raw))
     curves: dict[str, tuple[float, ...]] = {}
     references: dict[str, float] = {}
     for dataset in datasets:

@@ -58,7 +58,7 @@ class OnlineLearner:
         self.engine = InferenceEngine(pipeline)
 
     def _chunk_encode(self):
-        """The picklable encode :meth:`learn_stream` streams through.
+        """The per-chunk encode :meth:`learn_stream` streams through.
 
         Keyed pipelines get a :class:`~repro.streaming.train.RecordEncode`
         over the engine's encoder — bit-identical to ``engine.encode``,

@@ -40,10 +40,11 @@ answered a ``ready`` call.  SIGINT to the coordinator closes every
 channel, which makes every member drain its connections and exit,
 drains its own, reaps the members and returns.  A member ignores
 SIGINT and stops when its channel reaches EOF, so a coordinator killed
-by SIGKILL leaves no process behind.  Members leave through
-``os._exit``: no ``finally`` block or ``atexit`` hook of the
-coordinator's runs twice.  A member that dies is dropped from the
-rotation and from ``/metrics``; it is not replaced.
+by SIGKILL leaves no process behind.  Members are forked and reaped
+by :mod:`repro.runtime.tree`, so they leave through ``os._exit``: no
+``finally`` block or ``atexit`` hook of the coordinator's runs twice.
+A member that dies is dropped from the rotation and from
+``/metrics``; it is not replaced.
 
 On one CPU this is the same code with an empty member list: the
 coordinator accepts and serves every connection itself.
@@ -53,19 +54,16 @@ from __future__ import annotations
 
 import asyncio
 import errno
-import gc
 import itertools
 import json
 import logging
 import os
 import signal
 import socket
-import sys
-import time
-import traceback
-from typing import Awaitable, Callable, NoReturn
+from typing import Awaitable, Callable
 
 from ..exceptions import ReproError
+from ..runtime.tree import fork, reap
 from .batching import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
 from .registry import ModelRegistry
 from .server import ServeServer
@@ -76,10 +74,6 @@ _log = logging.getLogger(__name__)
 
 #: Largest control message; a ``stats`` reply for a few models is ~1 KiB.
 _MAX_MESSAGE = 1 << 16
-
-#: How long the coordinator waits for its members to exit after SIGINT
-#: before it kills them.
-_REAP_TIMEOUT_S = 30.0
 
 
 class Channel:
@@ -417,45 +411,12 @@ async def _member(registry: ModelRegistry, end: socket.socket, knobs: dict) -> N
     await server.stop()
 
 
-def _member_main(
-    registry: ModelRegistry, end: socket.socket, inherited: list[socket.socket], knobs: dict
-) -> NoReturn:
-    """A forked member's whole life; leaves through ``os._exit``."""
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the coordinator stops us
-        for sock in inherited:  # held open, they would hide the coordinator's EOF
-            sock.close()
-        # Not asyncio.run: its teardown would join a swap build still
-        # running on the executor after the coordinator is gone.
-        asyncio.new_event_loop().run_until_complete(_member(registry, end, knobs))
-        code = 0
-    except BaseException:  # noqa: BLE001 - report, then leave without unwinding
-        traceback.print_exc()
-    finally:
-        for stream in (sys.stdout, sys.stderr):
-            try:
-                stream.flush()
-            except (OSError, ValueError):
-                pass
-        os._exit(code)
-
-
-def _reap(pids: list[int]) -> None:
-    """Wait for every member to exit; kill the ones that outstay the timeout."""
-    deadline = time.monotonic() + _REAP_TIMEOUT_S
-    waiting = set(pids)
-    while waiting:
-        for pid in list(waiting):
-            if os.waitpid(pid, os.WNOHANG)[0]:
-                waiting.discard(pid)
-        if waiting and time.monotonic() > deadline:
-            for pid in waiting:
-                os.kill(pid, signal.SIGKILL)
-            for pid in waiting:
-                os.waitpid(pid, 0)
-            return
-        time.sleep(0.01)
+def _member_main(registry: ModelRegistry, end: socket.socket, knobs: dict) -> None:
+    """A forked member's whole life; :func:`~repro.runtime.tree.fork` runs it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the coordinator stops us
+    # Not asyncio.run: its teardown would join a swap build still
+    # running on the executor after the coordinator is gone.
+    asyncio.new_event_loop().run_until_complete(_member(registry, end, knobs))
 
 
 def serve(
@@ -480,14 +441,10 @@ def serve(
     ends: list[socket.socket] = []
     pids: list[int] = []
     try:
-        gc.freeze()
         for _ in range(len(os.sched_getaffinity(0)) - 1):
             ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-            for stream in (sys.stdout, sys.stderr):
-                stream.flush()
-            pid = os.fork()
-            if pid == 0:
-                _member_main(registry, theirs, [*listeners, ours, *ends], knobs)
+            # Held open, the other ends would hide the coordinator's EOF.
+            pid = fork(_member_main, registry, theirs, knobs, close=[*listeners, ours, *ends])
             theirs.close()
             ends.append(ours)
             pids.append(pid)
@@ -495,4 +452,4 @@ def serve(
     finally:
         for sock in [*listeners, *ends]:
             sock.close()
-        _reap(pids)
+        reap(pids)

@@ -438,8 +438,8 @@ class NpyMmapChunkSource:
             )
 
     def __getstate__(self):
-        # Memory maps don't pickle into cluster workers — drop them and
-        # re-open from the paths on the other side.
+        # Memory maps don't pickle — drop them and re-open from the
+        # paths on the other side.
         state = self.__dict__.copy()
         state["_features"] = None
         state["_targets"] = None

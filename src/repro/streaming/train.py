@@ -92,13 +92,12 @@ class _CountingSource:
 
 @dataclass
 class RecordEncode:
-    """Picklable per-chunk encode for record streams (classification).
+    """Per-chunk encode for record streams (classification).
 
     Wraps :meth:`~repro.runtime.batch.BatchEncoder.encode` with the
     chunk's absolute ``start`` as the tie-coin position key, so the
     encode of any row is independent of chunking, process, and worker
-    count.  Being a plain dataclass (not a closure) it pickles into
-    cluster worker processes.
+    count.
     """
 
     encoder: BatchEncoder
@@ -112,7 +111,7 @@ class RecordEncode:
 
 @dataclass
 class ValueEncode:
-    """Picklable per-chunk encode for value streams (regression).
+    """Per-chunk encode for value streams (regression).
 
     Embeds one feature ``column`` of each chunk through the value basis
     — a pure embedding gather with no tie randomness, so it is trivially
@@ -446,7 +445,7 @@ def train_pipeline_stream(
         Extra hook run after every absorbed chunk (after the checkpoint
         hook, in global chunk order) — the crash-simulation seam.
     cluster_hook:
-        Picklable fault-injection hook installed into cluster workers
+        Fault-injection hook installed into cluster workers
         (see :class:`~repro.cluster.CrashPlan`); test-only.
     input_path:
         Train from a file instead of the synthetic stream: a ``.jsonl``

@@ -12,8 +12,10 @@ for an out-of-range or non-finite value instead.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,11 +94,14 @@ def _knob_array_chunks():
     return "chunk_size", build
 
 
-def _knob_worker_pool():
+def _knob_fan_out():
+    # fan_out keeps no state: the workers it used is the number of
+    # distinct processes its tasks ran in.
     def build(tmp_path, registry, **kw):
-        from repro.runtime import WorkerPool
+        from repro.runtime import fan_out
 
-        return WorkerPool(**kw)
+        pids = fan_out(lambda _: os.getpid(), range(4), **kw)
+        return SimpleNamespace(workers=len(set(pids)))
 
     return "workers", build
 
@@ -140,7 +145,7 @@ KNOBS = {
     "csv-chunk_size": (_knob_file_source("csv"), lambda s: s.chunk_size, 77),
     "npy-chunk_size": (_knob_file_source("npy"), lambda s: s.chunk_size, 77),
     "array_chunks-chunk_size": (_knob_array_chunks(), lambda s: s.chunk_size, 77),
-    "worker_pool-workers": (_knob_worker_pool(), lambda p: p.workers, 3),
+    "fan_out-workers": (_knob_fan_out(), lambda p: p.workers, 3),
     "cluster-workers": (_knob_cluster(), lambda c: c.workers, 2),
 }
 
@@ -179,7 +184,7 @@ OWNERS = {
     # not truncated to 2 or read as 1.
     "array_chunks-chunk_size-2.5": ("array_chunks-chunk_size", 2.5),
     "array_chunks-chunk_size-True": ("array_chunks-chunk_size", True),
-    "worker_pool-workers--1": ("worker_pool-workers", -1),
+    "fan_out-workers--1": ("fan_out-workers", -1),
     "cluster-workers-0": ("cluster-workers", 0),
 }
 
