@@ -649,7 +649,8 @@ def save_model(
 
 def _read_container(path: str | os.PathLike) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load given a path leaks its handle when the zip is unreadable.
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ModelFormatError(f"cannot read model container {path}: {exc}") from exc

@@ -11,11 +11,11 @@ micro-batchers and engines, and answers the connections it holds from
 start to finish.  No row, table or tensor crosses processes.
 
 The first process, the **coordinator**, keeps the listening sockets
-(one per address the host name resolves to, as ``asyncio.start_server``
-binds them).  It accepts every connection and deals them round-robin
-over itself and its members: its own turn it serves, every other turn
-it passes the socket to a member with ``socket.send_fds`` over that
-member's ``socketpair`` and closes its copy.  A keep-alive connection
+(one per address the host name resolves to).  It accepts every
+connection and deals them round-robin over itself and its members: its
+own turn it serves, every other turn it passes the socket to a member
+with ``socket.send_fds`` over that member's ``socketpair`` and closes
+its copy.  A keep-alive connection
 therefore lives on one process, and two concurrent clients always land
 on two processes.
 
@@ -48,12 +48,16 @@ A member that dies is dropped from the rotation and from
 
 On one CPU this is the same code with an empty member list: the
 coordinator accepts and serves every connection itself.
+:class:`~repro.serve.server.ServerThread` is that case too: it binds
+with :func:`_listen` and runs :func:`_coordinate` with no member on a
+background thread, so its connections take the same accept path.
 """
 
 from __future__ import annotations
 
 import asyncio
 import errno
+import functools
 import itertools
 import json
 import logging
@@ -290,9 +294,9 @@ def _member_ops(server: ServeServer) -> dict[str, Callable[..., Awaitable]]:
 def _listen(host: str, port: int) -> list[socket.socket]:
     """Listening sockets on every address ``host`` resolves to.
 
-    Bound as ``asyncio.start_server`` binds them (an address family the
-    host has not enabled is skipped), except that with ``port=0`` every
-    address gets the port the first one drew.
+    An address family the host has not enabled is skipped, and with
+    ``port=0`` every address gets the port the first one drew.  Runs
+    synchronously, so a port in use raises ``OSError`` here.
     """
     infos = socket.getaddrinfo(
         host or None, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
@@ -332,45 +336,61 @@ async def _accept(
     turns: itertools.count,
 ) -> None:
     """Deal ``listener``'s connections round-robin over the coordinator and
-    its members; every listener draws from the same ``turns``."""
+    its members; every listener draws from the same ``turns``.
+
+    A connection served here is adopted on a task of its own, so the
+    next one is accepted while it is being set up.  Cancelling this
+    cancels the adoptions still in flight.
+    """
     loop = asyncio.get_running_loop()
-    while True:
-        try:
-            conn, _ = await loop.sock_accept(listener)
-        except (ConnectionAbortedError, InterruptedError):
-            continue
-        except OSError as exc:  # e.g. out of file descriptors: back off
-            _log.warning("accept failed: %s", exc)
-            await asyncio.sleep(1.0)
-            continue
-        k = next(turns) % (len(members) + 1)
-        if k:
+    adopting: set[asyncio.Task] = set()
+    try:
+        while True:
             try:
-                members[k - 1].hand_off(conn)
-            except OSError:
-                pass  # that member is gone: serve the connection here
-            else:
-                conn.close()
+                conn, _ = await loop.sock_accept(listener)
+            except (ConnectionAbortedError, InterruptedError):
                 continue
-        try:
-            await server.adopt(conn)
-        except OSError:  # the client is already gone
-            conn.close()
+            except OSError as exc:  # e.g. out of file descriptors: back off
+                _log.warning("accept failed: %s", exc)
+                await asyncio.sleep(1.0)
+                continue
+            k = next(turns) % (len(members) + 1)
+            if k:
+                try:
+                    members[k - 1].hand_off(conn)
+                except OSError:
+                    pass  # that member is gone: serve the connection here
+                else:
+                    conn.close()
+                    continue
+            task = loop.create_task(server.adopt(conn))
+            adopting.add(task)
+            task.add_done_callback(functools.partial(_adopted, conn, adopting))
+    finally:
+        for task in adopting:
+            task.cancel()
+
+
+def _adopted(conn: socket.socket, adopting: set[asyncio.Task], task: asyncio.Task) -> None:
+    adopting.discard(task)
+    if task.cancelled() or task.exception() is not None:
+        conn.close()  # accepting stopped, or the connection could not be set up
 
 
 async def _coordinate(
-    registry: ModelRegistry,
+    server: ServeServer,
     listeners: list[socket.socket],
     ends: list[socket.socket],
-    host: str,
-    knobs: dict,
+    stop: asyncio.Event,
+    ready: Callable[[], None],
 ) -> None:
+    """Serve ``listeners`` with ``server`` and the members at ``ends``.
+
+    Calls ``ready()`` once every member has answered, and returns, every
+    process drained, once ``stop`` is set.
+    """
     loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    loop.add_signal_handler(signal.SIGINT, stop.set)
-    port = listeners[0].getsockname()[1]
-    server = ServeServer(registry, host=host, port=port, **knobs)
-    await server.start(listen=False)
+    await server.start()
     tree = server.tree = _Coordinator(server)
     members = tree.members
     members.extend(Channel(end, {"stats": tree.stats, "swap": tree.swap}) for end in ends)
@@ -385,7 +405,7 @@ async def _coordinate(
 
         for member in members:
             member.closed.add_done_callback(lambda _, member=member: lost(member))
-        print(f"serving {len(registry)} model(s) on http://{host}:{port}", flush=True)
+        ready()
         turns = itertools.count()
         accepting = [
             loop.create_task(_accept(listener, server, members, turns))
@@ -397,26 +417,27 @@ async def _coordinate(
         stop.set()
         for task in accepting:
             task.cancel()
+        # Their in-flight adoptions are cancelled before the server stops.
+        await asyncio.gather(*accepting, return_exceptions=True)
         for member in list(members):
             member.close()  # EOF: the member drains its connections and exits
         await server.stop()
 
 
-async def _member(registry: ModelRegistry, end: socket.socket, knobs: dict) -> None:
-    server = ServeServer(registry, **knobs)
-    await server.start(listen=False)
+async def _member(server: ServeServer, end: socket.socket) -> None:
+    await server.start()
     channel = Channel(end, _member_ops(server), adopt=server.adopt)
     server.tree = _Member(channel)
     await channel.closed
     await server.stop()
 
 
-def _member_main(registry: ModelRegistry, end: socket.socket, knobs: dict) -> None:
+def _member_main(server: ServeServer, end: socket.socket) -> None:
     """A forked member's whole life; :func:`~repro.runtime.tree.fork` runs it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the coordinator stops us
     # Not asyncio.run: its teardown would join a swap build still
     # running on the executor after the coordinator is gone.
-    asyncio.new_event_loop().run_until_complete(_member(registry, end, knobs))
+    asyncio.new_event_loop().run_until_complete(_member(server, end))
 
 
 def serve(
@@ -436,19 +457,28 @@ def serve(
     :class:`~repro.serve.server.ServeServer`'s.  Call it from the main
     thread, before any other thread has started.
     """
-    knobs = dict(window_ms=window_ms, max_batch=max_batch, max_queue=max_queue)
+    # Not started yet, so every forked member gets a copy with no loop.
+    server = ServeServer(registry, window_ms, max_batch, max_queue)
     listeners = _listen(host, port)
+    port = listeners[0].getsockname()[1]
+    banner = f"serving {len(registry)} model(s) on http://{host}:{port}"
     ends: list[socket.socket] = []
     pids: list[int] = []
+
+    async def until_sigint() -> None:
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGINT, stop.set)
+        await _coordinate(server, listeners, ends, stop, lambda: print(banner, flush=True))
+
     try:
         for _ in range(len(os.sched_getaffinity(0)) - 1):
             ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
             # Held open, the other ends would hide the coordinator's EOF.
-            pid = fork(_member_main, registry, theirs, knobs, close=[*listeners, ours, *ends])
+            pid = fork(_member_main, server, theirs, close=[*listeners, ours, *ends])
             theirs.close()
             ends.append(ours)
             pids.append(pid)
-        asyncio.run(_coordinate(registry, listeners, ends, host, knobs))
+        asyncio.run(until_sigint())
     finally:
         for sock in [*listeners, *ends]:
             sock.close()

@@ -33,11 +33,13 @@ so clients can retry), internal faults → 500.  Every error body is
 ``{"error": "..."}``.  A ``records`` request is admitted all or nothing:
 a rejected one computes no row.
 
-:class:`ServerThread` runs the whole stack (event loop, server,
-batchers) in a background thread — the harness tests, the docs
-walkthrough and the concurrency benchmark all drive a real socket
-server through it.  ``serve-http`` runs one server per CPU through
-:func:`repro.serve.prefork.serve`.
+A :class:`ServeServer` binds nothing; :mod:`repro.serve.prefork`
+accepts its connections.  ``serve-http`` runs one server per CPU
+through :func:`repro.serve.prefork.serve`.  :class:`ServerThread` runs
+the one-CPU case of the same code (listeners, accept loop, server,
+batchers) on an event loop in a background thread — the harness tests,
+the docs walkthrough and the concurrency benchmark all drive a real
+socket server through it.
 """
 
 from __future__ import annotations
@@ -216,21 +218,6 @@ async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) ->
         pass
 
 
-class _Alone:
-    """The default :attr:`ServeServer.tree`: the server is the whole tree."""
-
-    def __init__(self, server: "ServeServer") -> None:
-        self._server = server
-
-    async def stats(self) -> dict[str, dict]:
-        return self._server.stats()
-
-    async def swap(self, name: str, source: str) -> tuple[int, str]:
-        loop = asyncio.get_running_loop()
-        entry = await loop.run_in_executor(None, self._server.registry.swap, name, source)
-        return entry.generation, entry.source
-
-
 class ServeServer:
     """The asyncio serving front end over a model registry.
 
@@ -240,59 +227,42 @@ class ServeServer:
         The models to serve.  The server does **not** own the registry —
         close it yourself after :meth:`stop` (the CLI and
         :class:`ServerThread` both do).
-    host, port:
-        Bind address; ``port=0`` picks an ephemeral port (read it back
-        from :attr:`port` after :meth:`start`).
     window_ms, max_batch, max_queue:
         Micro-batching knobs forwarded to every per-model
         :class:`~repro.serve.batching.MicroBatcher`, which checks them;
         the defaults are its built-ins.
 
-    Use :meth:`start` / :meth:`stop` from a running event loop, or
-    :class:`ServerThread` for a synchronous harness.
+    The server binds nothing: it answers the connections handed to
+    :meth:`adopt`, which :mod:`repro.serve.prefork` accepts for it
+    (:func:`~repro.serve.prefork.serve`, and :class:`ServerThread` in
+    one process).
 
     :attr:`tree` is what ``/metrics`` and ``:swap`` act on: an object
     with ``async stats()`` (the counters ``/metrics`` renders) and
-    ``async swap(name, path) -> (generation, source)``.  By default it
-    is this server alone; :func:`repro.serve.prefork.serve` replaces it
-    so that both act on every process it forked.
+    ``async swap(name, path) -> (generation, source)``, set by
+    :mod:`repro.serve.prefork` so that both act on every serving
+    process.
     """
 
     def __init__(
         self,
         registry: ModelRegistry,
-        host: str = "127.0.0.1",
-        port: int = 0,
         window_ms: float = DEFAULT_BATCH_WINDOW_MS,
         max_batch: int = DEFAULT_BATCH_MAX,
         max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> None:
         self.registry = registry
-        self.host = host
-        self._requested_port = port
         self._window_ms = window_ms
         self._max_batch = max_batch
         self._max_queue = max_queue
-        self._server: asyncio.AbstractServer | None = None
         self._batchers: dict[str, MicroBatcher] = {}
         # Live connection handlers and their writers, closed by stop().
         self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self.tree: Any = _Alone(self)
-
-    @property
-    def port(self) -> int:
-        """The bound port (valid after :meth:`start`)."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
+        self.tree: Any = None
 
     # -- lifecycle -------------------------------------------------------------
-    async def start(self, listen: bool = True) -> "ServeServer":
-        """Spawn one micro-batcher per model and bind the socket.
-
-        ``listen=False`` binds nothing: the server then answers only the
-        connections handed to :meth:`adopt`.
-        """
+    async def start(self) -> "ServeServer":
+        """Spawn one micro-batcher per model."""
         for name in self.registry.names():
             batcher = MicroBatcher(
                 self.registry,
@@ -303,17 +273,10 @@ class ServeServer:
             )
             await batcher.start()
             self._batchers[name] = batcher
-        if listen:
-            self._server = await asyncio.start_server(
-                self._handle_client,
-                host=self.host,
-                port=self._requested_port,
-                limit=_MAX_LINE_BYTES,
-            )
         return self
 
     async def adopt(self, sock: socket.socket) -> None:
-        """Serve a connection some other code accepted, as if it were ours."""
+        """Serve a connection some other code accepted."""
         loop = asyncio.get_running_loop()
         await loop.connect_accepted_socket(
             lambda: asyncio.StreamReaderProtocol(
@@ -323,33 +286,20 @@ class ServeServer:
         )
 
     async def stop(self) -> None:
-        """Stop accepting, close live connections, drain every batcher.
+        """Close live connections, drain every batcher.
 
         Every connection (idle keep-alive clients included) is closed and
         its handler awaited here, so no handler is left pending when the
         event loop closes.  A handler mid-request still gets its answer
         computed; writing it to the closed connection is a no-op.
         """
-        if self._server is not None:
-            self._server.close()
-        # Connections are closed before wait_closed(): from Python 3.12.1 on
-        # it waits until every connection has dropped, idle ones included.
         while self._clients:
             for writer in self._clients.values():
                 writer.close()
             await asyncio.gather(*self._clients, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
         for batcher in self._batchers.values():
             await batcher.stop()
         self._batchers.clear()
-
-    async def __aenter__(self) -> "ServeServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
 
     def stats(self) -> dict[str, dict]:
         """Per-model scheduler counters (requests, batches, rejections)."""
@@ -640,8 +590,10 @@ class ServerThread:
     The synchronous harness used by the tests, the docs walkthrough and
     the benchmarks: enter the context manager, get a live socket server,
     talk to it with :meth:`request`, and leave — the loop, the server
-    and the batchers are torn down on exit.  The registry is owned by
-    the caller unless ``own_registry=True``.
+    and the batchers are torn down on exit.  It binds and accepts as
+    ``serve-http`` does on one CPU (:mod:`repro.serve.prefork` with no
+    member), so the harness drives the shipped accept path.  The
+    registry is owned by the caller unless ``own_registry=True``.
 
     Example
     -------
@@ -667,22 +619,27 @@ class ServerThread:
         max_queue: int = DEFAULT_MAX_QUEUE,
         own_registry: bool = False,
     ) -> None:
-        self.server = ServeServer(
-            registry,
-            host=host,
-            port=port,
-            window_ms=window_ms,
-            max_batch=max_batch,
-            max_queue=max_queue,
-        )
+        self.server = ServeServer(registry, window_ms, max_batch, max_queue)
+        self.host = host
+        #: The bound port once :meth:`start` has bound it (``0`` asks for
+        #: an ephemeral one).
+        self.port = port
         self._own_registry = own_registry
+        self._listeners: list[socket.socket] = []
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "ServerThread":
+        """Bind (an ``OSError`` such as a port in use raises here), then
+        serve on the loop thread through the ``serve-http`` accept path."""
+        from .prefork import _listen  # prefork imports this module
+
+        self._listeners = _listen(self.host, self.port)
+        self.port = self._listeners[0].getsockname()[1]
         self._thread = threading.Thread(
             target=self._thread_main, name="repro-serve-http", daemon=True
         )
@@ -696,14 +653,20 @@ class ServerThread:
         return self
 
     def _thread_main(self) -> None:
+        from .prefork import _coordinate
+
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.server.start())
+        self._stop = asyncio.Event()
+
+        def ready() -> None:
             self._loop = loop
             self._started.set()
-            loop.run_forever()
-            loop.run_until_complete(self.server.stop())
+
+        try:
+            loop.run_until_complete(
+                _coordinate(self.server, self._listeners, [], self._stop, ready)
+            )
         except BaseException as exc:  # noqa: BLE001 - surfaced to start()
             self._startup_error = exc
             self._started.set()
@@ -719,13 +682,17 @@ class ServerThread:
                 loop.close()
 
     def stop(self) -> None:
-        """Stop the server and join the loop thread (idempotent)."""
+        """Stop the server, join the loop thread, close the listening
+        sockets (idempotent)."""
         if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._loop.call_soon_threadsafe(self._stop.set)
             self._loop = None
         if self._thread is not None:
             self._thread.join(timeout=30)
             self._thread = None
+        for sock in self._listeners:
+            sock.close()
+        self._listeners = []
         if self._own_registry:
             self.server.registry.close()
 
@@ -736,14 +703,6 @@ class ServerThread:
         self.stop()
 
     # -- convenience -----------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
     def request(
         self, method: str, path: str, payload: dict | None = None, timeout: float = 30.0
     ) -> tuple[int, dict]:

@@ -10,8 +10,10 @@ because merges are exact and the cursor is conservative.
 
 from __future__ import annotations
 
+import gc
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +58,19 @@ class TestCorruptContainers:
         for loader in (load_model, load_checkpoint):
             with pytest.raises(ModelFormatError, match="truncated.npz"):
                 loader(ckpt)
+
+    def test_truncated_npz_leaves_no_file_open(self, tmp_path):
+        ckpt = tmp_path / "truncated.npz"
+        write_checkpoint(ckpt)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[: len(blob) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for loader in (load_model, load_checkpoint):
+                with pytest.raises(ModelFormatError):
+                    loader(ckpt)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_garbage_bytes_name_the_file(self, tmp_path):
         ckpt = tmp_path / "garbage.npz"

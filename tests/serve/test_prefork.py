@@ -16,13 +16,16 @@ different processes.
 * lifecycle — SIGINT drains both and exits 0; SIGKILL of the
   coordinator leaves no member behind;
 * memory — a member shares the loaded models instead of copying them;
-* binding — a host name is served on every address it resolves to.
+* binding — a host name is served on every address it resolves to;
+* accepting — a connection is accepted while the one before it is
+  still being adopted.
 """
 
 from __future__ import annotations
 
 import asyncio
 import http.client
+import itertools
 import json
 import os
 import re
@@ -397,3 +400,41 @@ def test_every_resolved_address_is_bound_on_one_port(monkeypatch):
     # ::1 is skipped where IPv6 is off, as asyncio.start_server skips it.
     assert "127.0.0.1" in {host for host, _ in names}
     assert len({port for _, port in names}) == 1, names
+
+
+def test_a_connection_is_accepted_while_the_one_before_is_being_adopted():
+    from repro.serve import prefork
+
+    class Stalled:
+        """A server whose ``adopt`` records the socket, then waits."""
+
+        def __init__(self) -> None:
+            self.adopted: list[socket.socket] = []
+            self.release = asyncio.Event()
+
+        async def adopt(self, sock: socket.socket) -> None:
+            self.adopted.append(sock)
+            await self.release.wait()
+
+    async def run() -> int:
+        server = Stalled()
+        (listener,) = prefork._listen("127.0.0.1", 0)
+        accepting = asyncio.get_running_loop().create_task(
+            prefork._accept(listener, server, [], itertools.count())
+        )
+        address = listener.getsockname()
+        clients = [socket.create_connection(address, timeout=5) for _ in range(2)]
+        try:
+            deadline = time.monotonic() + 5.0
+            while len(server.adopted) < 2 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            adopted = len(server.adopted)  # before any adoption finished
+            server.release.set()
+        finally:
+            accepting.cancel()
+            await asyncio.gather(accepting, return_exceptions=True)
+            for sock in [listener, *clients, *server.adopted]:
+                sock.close()
+        return adopted
+
+    assert asyncio.run(run()) == 2

@@ -16,10 +16,12 @@ import gc
 import http.client
 import json
 import logging
+import os
 import socket
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -1029,3 +1031,25 @@ class TestShutdown:
             conn.close()
         assert unraisable == []
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+class TestStartup:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_port_in_use_raises_from_start_and_leaves_nothing_open(
+        self, regression_pipeline
+    ):
+        registry = ModelRegistry()
+        registry.register("mars", regression_pipeline)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            server = ServerThread(registry, port=taken.getsockname()[1])
+            fds = set(os.listdir("/proc/self/fd"))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(OSError):
+                    server.start()
+                gc.collect()
+            assert set(os.listdir("/proc/self/fd")) == fds  # no listener left open
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert "repro-serve-http" not in {t.name for t in threading.enumerate()}
