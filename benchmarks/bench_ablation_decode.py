@@ -5,8 +5,7 @@ Mars Express workload with circular value encoding:
 
 * **model** — the paper's binary majority bundle vs the unquantised
   integer accumulator (the torchhd-style practice and this repo's
-  default; see EXPERIMENTS.md for the analysis of why quantisation hurts
-  correlated single-feature addressing),
+  default; quantisation hurts correlated single-feature addressing),
 * **decode** — the paper's arg-min cleanup vs similarity-weighted
   averaging over the label grid.
 """

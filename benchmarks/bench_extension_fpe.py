@@ -6,7 +6,7 @@ Head-to-head on two regression workloads:
   harmonic dominant plus an eclipse dip);
 * **semidiurnal** — a synthetic second-harmonic signal, the documented
   bandwidth blind spot of the fixed walk-law kernel of binary circular
-  sets (EXPERIMENTS.md).
+  sets.
 
 The expectation encoded in the assertions: FPE matches or beats the
 binary circular pipeline on Mars and decisively wins on the semidiurnal

@@ -7,8 +7,13 @@ persists the comparison under ``benchmarks/results/``, and asserts the
 through pytest-benchmark (``--benchmark-only`` runs exactly these files).
 
 Absolute numbers are not expected to match the paper: the datasets are
-synthetic surrogates (see DESIGN.md §3).  EXPERIMENTS.md records the
-paper-vs-measured comparison produced by these runs.
+synthetic surrogates (:mod:`repro.datasets`).  Each run writes its
+paper-vs-measured comparison to ``results/<name>.txt`` (not committed).
+
+Pytest's default file pattern does not match ``bench_*.py``, so name the
+files: ``python -m pytest benchmarks/bench_table*.py
+benchmarks/bench_figure*.py benchmarks/bench_ablation*.py
+benchmarks/bench_extension*.py --benchmark-only``.
 """
 
 from __future__ import annotations

@@ -81,12 +81,16 @@ def main() -> None:
     # Learned curve versus ground truth at a few anomalies.
     print("\nLearned power curve (circular basis) vs the true profile:")
     from repro._rng import ensure_rng
-    from repro.experiments.regression import _feature_embedding, _label_embedding
+    from repro.basis import _value_embedding
+    from repro.experiments.regression import _label_embedding
     from repro.learning import HDRegressor
 
     master = ensure_rng(config.seed)
     _, anomaly_rng, label_rng, tie_rng = master.spawn(4)
-    emb = _feature_embedding("circular", config.anomaly_levels, TWO_PI, config, anomaly_rng)
+    emb = _value_embedding(
+        "circular", config.anomaly_levels, config.dim, anomaly_rng,
+        0.0, TWO_PI, config.circular_r,
+    )
     label_emb = _label_embedding(split, config, label_rng)
     model = HDRegressor(label_emb, seed=tie_rng, model=config.model)
     model.fit(emb.encode(split.train_features[:, 0]), split.train_labels)

@@ -19,9 +19,10 @@ import argparse
 from repro._rng import ensure_rng
 from repro.analysis import format_table
 from repro.analysis.robustness import classifier_robustness_curve
+from repro.basis import _value_embedding
 from repro.datasets import make_jigsaws_like
 from repro.experiments import ClassificationConfig
-from repro.experiments.classification import _value_embedding, encode_angular_records
+from repro.experiments.classification import encode_angular_records
 from repro.hdc import random_hypervectors
 from repro.learning import CentroidClassifier
 
@@ -40,7 +41,9 @@ def main() -> None:
     master = ensure_rng(config.seed)
     _, basis_rng, key_rng, tie_rng = master.spawn(4)
     low, high = split.metadata["feature_range"]
-    embedding = _value_embedding("circular", config, basis_rng, low=low, high=high)
+    embedding = _value_embedding(
+        "circular", config.levels, config.dim, basis_rng, low, high, config.circular_r
+    )
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
     tie_key = int(tie_rng.integers(0, 2**63))
     n_train = split.train_features.shape[0]

@@ -73,17 +73,17 @@ def main() -> None:
 
     # Re-run prediction to get the confusion structure.
     from repro._rng import ensure_rng
-    from repro.experiments.classification import (
-        _value_embedding,
-        encode_angular_records,
-    )
+    from repro.basis import _value_embedding
+    from repro.experiments.classification import encode_angular_records
     from repro.hdc import random_hypervectors
     from repro.learning import CentroidClassifier
 
     master = ensure_rng(config.seed)
     _, basis_rng, key_rng, tie_rng = master.spawn(4)
     low, high = split.metadata["feature_range"]
-    embedding = _value_embedding("circular", config, basis_rng, low=low, high=high)
+    embedding = _value_embedding(
+        "circular", config.levels, config.dim, basis_rng, low, high, config.circular_r
+    )
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
     tie_key = int(tie_rng.integers(0, 2**63))
     n_train = split.train_features.shape[0]

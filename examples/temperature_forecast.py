@@ -77,8 +77,8 @@ def main() -> None:
     # own encoding path.
     print("\nSpot-check: consecutive test samples (circular basis)")
     from repro._rng import ensure_rng
-    from repro.basis import Embedding, LevelBasis, LinearDiscretizer
-    from repro.experiments.regression import _feature_embedding, _label_embedding
+    from repro.basis import Embedding, LevelBasis, LinearDiscretizer, _value_embedding
+    from repro.experiments.regression import _label_embedding
     from repro.hdc.encoders import encode_bound_records
     from repro.learning import HDRegressor
 
@@ -92,8 +92,14 @@ def main() -> None:
         LevelBasis(year_levels, config.dim, seed=year_rng),
         LinearDiscretizer(0.0, float(year_levels - 1), year_levels, clip=True),
     )
-    day_emb = _feature_embedding("circular", config.day_levels, DAYS_PER_YEAR, config, day_rng)
-    hour_emb = _feature_embedding("circular", config.hour_levels, 24.0, config, hour_rng)
+    day_emb = _value_embedding(
+        "circular", config.day_levels, config.dim, day_rng,
+        0.0, DAYS_PER_YEAR, config.circular_r,
+    )
+    hour_emb = _value_embedding(
+        "circular", config.hour_levels, config.dim, hour_rng,
+        0.0, 24.0, config.circular_r,
+    )
     label_emb = _label_embedding(split, config, label_rng)
 
     def encode(features):

@@ -29,107 +29,71 @@ Package map
   Express surrogates),
 * :mod:`repro.hashing` — the hyperdimensional consistent-hashing system
   circular-hypervectors originate from,
-* :mod:`repro.runtime` — experiment runtime: batched encoding, a
-  worker pool for independent cells, artifact caching,
+* :mod:`repro.runtime` — experiment runtime: batched encoding, forked
+  fan-out of independent cells, artifact caching,
 * :mod:`repro.streaming` — out-of-core chunked reducer: chunk sources,
   chunking-invariant encoding, streamed training with checkpoints,
 * :mod:`repro.experiments` — one driver per table/figure,
 * :mod:`repro.analysis` — similarity matrices, figure data, reporting.
+
+Every package resolves its exported names on first use
+(:mod:`repro._lazy`), so ``import repro`` loads none of them.
 """
 
-from .basis import (
-    BasisSet,
-    CircularBasis,
-    CircularDiscretizer,
-    Embedding,
-    LegacyLevelBasis,
-    LevelBasis,
-    LinearDiscretizer,
-    RandomBasis,
-    ScatterBasis,
-    make_basis,
-)
-from .exceptions import (
-    DimensionMismatchError,
-    EmptyModelError,
-    EncodingDomainError,
-    InvalidHypervectorError,
-    InvalidParameterError,
-    ModelFormatError,
-    ReproError,
-)
-from .hdc import (
-    BSCSpace,
-    BundleAccumulator,
-    ItemMemory,
-    MAPSpace,
-    PackedBSCSpace,
-    PackedHV,
-    bind,
-    bundle,
-    hamming_distance,
-    permute,
-    random_hypervector,
-    random_hypervectors,
-    similarity,
-)
-from .learning import CentroidClassifier, HDRegressor
-from .runtime import ArtifactStore, BatchEncoder
-from .serve import (
-    InferenceEngine,
-    OnlineLearner,
-    TrainedPipeline,
-    load_model,
-    save_model,
-)
+from . import _lazy
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "__version__",
+#: Every public name, mapped to the subpackage that defines it; each is
+#: imported on first use (:mod:`repro._lazy`).
+_EXPORTS = {
     # basis sets
-    "BasisSet",
-    "Embedding",
-    "RandomBasis",
-    "LevelBasis",
-    "LegacyLevelBasis",
-    "CircularBasis",
-    "ScatterBasis",
-    "make_basis",
-    "LinearDiscretizer",
-    "CircularDiscretizer",
+    "BasisSet": "basis",
+    "Embedding": "basis",
+    "RandomBasis": "basis",
+    "LevelBasis": "basis",
+    "LegacyLevelBasis": "basis",
+    "CircularBasis": "basis",
+    "ScatterBasis": "basis",
+    "make_basis": "basis",
+    "LinearDiscretizer": "basis",
+    "CircularDiscretizer": "basis",
     # HDC substrate
-    "BSCSpace",
-    "PackedBSCSpace",
-    "MAPSpace",
-    "PackedHV",
-    "BundleAccumulator",
-    "ItemMemory",
-    "bind",
-    "bundle",
-    "permute",
-    "hamming_distance",
-    "similarity",
-    "random_hypervector",
-    "random_hypervectors",
+    "BSCSpace": "hdc",
+    "PackedBSCSpace": "hdc",
+    "MAPSpace": "hdc",
+    "PackedHV": "hdc",
+    "BundleAccumulator": "hdc",
+    "ItemMemory": "hdc",
+    "bind": "hdc",
+    "bundle": "hdc",
+    "permute": "hdc",
+    "hamming_distance": "hdc",
+    "similarity": "hdc",
+    "random_hypervector": "hdc",
+    "random_hypervectors": "hdc",
     # learning
-    "CentroidClassifier",
-    "HDRegressor",
+    "CentroidClassifier": "learning",
+    "HDRegressor": "learning",
     # runtime
-    "ArtifactStore",
-    "BatchEncoder",
+    "ArtifactStore": "runtime",
+    "BatchEncoder": "runtime",
     # serving
-    "save_model",
-    "load_model",
-    "TrainedPipeline",
-    "InferenceEngine",
-    "OnlineLearner",
+    "save_model": "serve",
+    "load_model": "serve",
+    "TrainedPipeline": "serve",
+    "InferenceEngine": "serve",
+    "OnlineLearner": "serve",
     # errors
-    "ReproError",
-    "DimensionMismatchError",
-    "InvalidHypervectorError",
-    "InvalidParameterError",
-    "EncodingDomainError",
-    "EmptyModelError",
-    "ModelFormatError",
-]
+    "ReproError": "exceptions",
+    "DimensionMismatchError": "exceptions",
+    "InvalidHypervectorError": "exceptions",
+    "InvalidParameterError": "exceptions",
+    "EncodingDomainError": "exceptions",
+    "EmptyModelError": "exceptions",
+    "ModelFormatError": "exceptions",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -1,22 +1,19 @@
 """Analysis and reporting: the data behind the paper's figures."""
 
-from .reporting import format_float, format_table, render_heatmap
-from .robustness import classifier_robustness_curve, flip_bits
-from .similarity import (
-    basis_similarity_matrix,
-    figure3_data,
-    figure6_data,
-    reference_similarity_profile,
-)
+from .. import _lazy
 
-__all__ = [
-    "basis_similarity_matrix",
-    "figure3_data",
-    "figure6_data",
-    "reference_similarity_profile",
-    "format_table",
-    "format_float",
-    "render_heatmap",
-    "flip_bits",
-    "classifier_robustness_curve",
-]
+_EXPORTS = {
+    "basis_similarity_matrix": "similarity",
+    "figure3_data": "similarity",
+    "figure6_data": "similarity",
+    "reference_similarity_profile": "similarity",
+    "format_table": "reporting",
+    "format_float": "reporting",
+    "render_heatmap": "reporting",
+    "flip_bits": "robustness",
+    "classifier_robustness_curve": "robustness",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -92,4 +92,31 @@ def make_basis(
     )
 
 
+def _value_embedding(
+    kind: str,
+    levels: int,
+    dim: int,
+    seed,
+    low: float,
+    high: float,
+    circular_r: float = 0.0,
+) -> Embedding:
+    """Embedding of the values in ``[low, high]`` under the basis ``kind``.
+
+    The value embedding of every experiment driver and of streamed
+    training.  A circular basis (with ``r = circular_r``) pairs with a
+    circular grid that wraps ``[low, high]`` into one period — the
+    paper's treatment of a circular quantity; every other kind pairs
+    with the linear ξ-grid over the interval (clipped) — the baseline
+    treatment the paper compares it against.
+    """
+    r = circular_r if kind == "circular" else 0.0
+    basis = make_basis(kind, levels, dim, r=r, seed=seed)
+    if kind == "circular":
+        discretizer = CircularDiscretizer(levels, low=low, period=high - low)
+    else:
+        discretizer = LinearDiscretizer(low, high, levels, clip=True)
+    return Embedding(basis, discretizer)
+
+
 __all__.append("make_basis")

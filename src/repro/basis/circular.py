@@ -31,7 +31,7 @@ realized by the construction agrees with it exactly at ``Δθ ∈ {0, π/2, π}`
 (in particular opposite points are quasi-orthogonal) and differs by at
 most ≈ 0.11 in between — no XOR-chain construction can realise the cosine
 law for all pairs, because XOR chains produce path metrics.  The tests
-verify the walk law; EXPERIMENTS.md records this nuance.
+verify the walk law.
 
 Odd sizes follow the paper's footnote: a set of odd cardinality ``m`` is
 the subset ``{C_1, C_3, …, C_{2m−1}}`` of a generated set of size ``2m``.

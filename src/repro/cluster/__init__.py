@@ -29,15 +29,17 @@ source.  Topology, cursor format and a failover walkthrough live in
 ``docs/DISTRIBUTED.md``.
 """
 
-from .coordinator import ClusterCoordinator
-from .fault import PHASE_CHUNK_SENT, PHASE_CHUNK_START, CrashPlan
-from .worker import WorkerPlan, worker_main
+from .. import _lazy
 
-__all__ = [
-    "ClusterCoordinator",
-    "CrashPlan",
-    "PHASE_CHUNK_START",
-    "PHASE_CHUNK_SENT",
-    "WorkerPlan",
-    "worker_main",
-]
+_EXPORTS = {
+    "ClusterCoordinator": "coordinator",
+    "CrashPlan": "fault",
+    "PHASE_CHUNK_START": "fault",
+    "PHASE_CHUNK_SENT": "fault",
+    "WorkerPlan": "worker",
+    "worker_main": "worker",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -2,31 +2,26 @@
 
 The paper evaluates on JIGSAWS (restricted access), UCI Beijing air
 quality and ESA Mars Express power (no network in this environment); each
-generator here reproduces the *structure* those experiments probe — see
-DESIGN.md §3 for the substitution rationale.
+generator here reproduces the *structure* those experiments probe.
 """
 
-from .base import (
-    ClassificationSplit,
-    RegressionSplit,
-    chronological_split,
-    random_split,
-)
-from .beijing import DAYS_PER_YEAR, make_beijing_like
-from .jigsaws import JIGSAWS_TASKS, SURGEONS, TaskSpec, make_jigsaws_like
-from .mars_express import make_mars_express_like, mars_power_curve
+from .. import _lazy
 
-__all__ = [
-    "ClassificationSplit",
-    "RegressionSplit",
-    "chronological_split",
-    "random_split",
-    "make_jigsaws_like",
-    "JIGSAWS_TASKS",
-    "SURGEONS",
-    "TaskSpec",
-    "make_beijing_like",
-    "DAYS_PER_YEAR",
-    "make_mars_express_like",
-    "mars_power_curve",
-]
+_EXPORTS = {
+    "ClassificationSplit": "base",
+    "RegressionSplit": "base",
+    "chronological_split": "base",
+    "random_split": "base",
+    "make_jigsaws_like": "jigsaws",
+    "JIGSAWS_TASKS": "jigsaws",
+    "SURGEONS": "jigsaws",
+    "TaskSpec": "jigsaws",
+    "make_beijing_like": "beijing",
+    "DAYS_PER_YEAR": "beijing",
+    "make_mars_express_like": "mars_express",
+    "mars_power_curve": "mars_express",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -25,12 +25,11 @@ experiment probes:
   directly — 18 angular channels, the cleanest probe of circular
   encodings; ``"rotation_matrix"`` exposes the 18 entries of the two
   3 × 3 rotation matrices built from Euler angles, mimicking the raw
-  JIGSAWS variables (whose value→orientation inverse is multimodal; see
-  EXPERIMENTS.md for how this changes the basis-set ranking).
+  JIGSAWS variables (whose value→orientation inverse is multimodal).
 
-Task parameters were calibrated (see EXPERIMENTS.md) so the experiment
-reproduces the paper's qualitative Table 1 shape on the default mode.
-See DESIGN.md §3 for the substitution rationale.
+Task parameters were calibrated so the experiment reproduces the paper's
+qualitative Table 1 shape on the default mode (``docs/REPRODUCING.md``,
+Table 1).
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class TaskSpec:
 #: The three JIGSAWS tasks, ordered as in Table 1.  Difficulty (noise,
 #: surgeon shift) and wrap pressure increase from Knot Tying to Suturing,
 #: mirroring the relative accuracies the paper reports.  Values calibrated
-#: against the paper's qualitative shape; see EXPERIMENTS.md.
+#: against the paper's qualitative shape; see ``docs/REPRODUCING.md``.
 JIGSAWS_TASKS: dict[str, TaskSpec] = {
     "knot_tying": TaskSpec(kappa=4.5, wrap_bias=1.5, surgeon_sigma=0.25),
     "needle_passing": TaskSpec(kappa=4.0, wrap_bias=2.0, surgeon_sigma=0.28),

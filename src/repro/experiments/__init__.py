@@ -16,47 +16,32 @@ identical configurations from a content-addressed cache); the CLI maps
 these to ``--workers`` and ``--no-cache``/``--cache-dir``.
 """
 
-from .classification import (
-    BASIS_KINDS,
-    ClassificationResult,
-    encode_angular_records,
-    run_classification,
-    run_table1,
-    table1_cache_params,
-)
-from .config import DEFAULT_DIMENSION, ClassificationConfig, RegressionConfig
-from .regression import (
-    REGRESSION_DATASETS,
-    RegressionResult,
-    make_regression_split,
-    run_beijing,
-    run_mars_express,
-    run_regression,
-    run_table2,
-    table2_cache_params,
-)
-from .rsweep import SWEEP_DATASETS, RSweepResult, run_rsweep, rsweep_cache_params
+from .. import _lazy
 
-__all__ = [
-    "BASIS_KINDS",
-    "REGRESSION_DATASETS",
-    "SWEEP_DATASETS",
-    "DEFAULT_DIMENSION",
-    "ClassificationConfig",
-    "RegressionConfig",
-    "ClassificationResult",
-    "RegressionResult",
-    "RSweepResult",
-    "encode_angular_records",
-    "run_classification",
-    "run_table1",
-    "run_beijing",
-    "run_mars_express",
-    "run_regression",
-    "run_table2",
-    "run_rsweep",
-    "make_regression_split",
-    "table1_cache_params",
-    "table2_cache_params",
-    "rsweep_cache_params",
-]
+_EXPORTS = {
+    "BASIS_KINDS": "config",
+    "REGRESSION_DATASETS": "regression",
+    "SWEEP_DATASETS": "rsweep",
+    "DEFAULT_DIMENSION": "config",
+    "ClassificationConfig": "config",
+    "RegressionConfig": "config",
+    "ClassificationResult": "classification",
+    "RegressionResult": "regression",
+    "RSweepResult": "rsweep",
+    "encode_angular_records": "classification",
+    "run_classification": "classification",
+    "run_table1": "classification",
+    "run_beijing": "regression",
+    "run_mars_express": "regression",
+    "run_regression": "regression",
+    "run_table2": "regression",
+    "run_rsweep": "rsweep",
+    "make_regression_split": "regression",
+    "table1_cache_params": "classification",
+    "table2_cache_params": "regression",
+    "rsweep_cache_params": "rsweep",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

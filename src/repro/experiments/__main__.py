@@ -67,24 +67,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
-import numpy as np
-
-from ..analysis import figure3_data, figure6_data, format_table, render_heatmap
+# Only what the parser needs is imported here; each target imports what
+# it runs, so a `train` loads no driver, no analysis and no HTTP server.
 from ..exceptions import InvalidParameterError, ModelFormatError
-from ..learning.metrics import normalized_mse
-from ..runtime import ArtifactStore
-from ..serve import InferenceEngine, save_model
 from ..serve.batching import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
-from ..serve.server import finite_number, json_scalar
 from ..streaming.chunks import DEFAULT_CHUNK_ROWS
 from ..tuning.calibration import active_calibration
-from .classification import BASIS_KINDS, run_table1
-from .config import ClassificationConfig, RegressionConfig
-from .regression import run_table2
-from .rsweep import run_rsweep
-from .serving import SERVABLE_TASKS, train_pipeline
+from .config import BASIS_KINDS, SERVABLE_TASKS, ClassificationConfig, RegressionConfig
 
 __all__ = ["main"]
 
@@ -96,11 +88,16 @@ def _effective_dim(args: argparse.Namespace) -> int:
     return min(args.dim, FAST_DIM) if args.fast else args.dim
 
 
-def _store(args: argparse.Namespace) -> ArtifactStore:
+def _store(args: argparse.Namespace):
+    from ..runtime import ArtifactStore
+
     return ArtifactStore(root=args.cache_dir, enabled=not args.no_cache)
 
 
 def _print_table1(args: argparse.Namespace) -> None:
+    from ..analysis import format_table
+    from .classification import run_table1
+
     dim = _effective_dim(args)
     config = ClassificationConfig(dim=dim, seed=args.seed)
     results = run_table1(config, workers=args.workers, store=_store(args))
@@ -116,6 +113,9 @@ def _print_table1(args: argparse.Namespace) -> None:
 
 
 def _print_table2(args: argparse.Namespace) -> None:
+    from ..analysis import format_table
+    from .regression import run_table2
+
     dim = _effective_dim(args)
     config = RegressionConfig(dim=dim, seed=args.seed)
     results = run_table2(config, workers=args.workers, store=_store(args))
@@ -132,6 +132,10 @@ def _print_table2(args: argparse.Namespace) -> None:
 
 
 def _print_figure3(args: argparse.Namespace) -> None:
+    import numpy as np
+
+    from ..analysis import figure3_data, render_heatmap
+
     dim = _effective_dim(args)
     data = figure3_data(size=args.size, dim=dim, seed=args.seed)
     for kind, matrix in data.items():
@@ -142,6 +146,8 @@ def _print_figure3(args: argparse.Namespace) -> None:
 
 
 def _print_figure6(args: argparse.Namespace) -> None:
+    from ..analysis import figure6_data, format_table
+
     dim = _effective_dim(args)
     data = figure6_data(size=10, dim=dim, seed=args.seed)
     rows = [[f"r={r}"] + [float(v) for v in profile] for r, profile in data.items()]
@@ -151,6 +157,10 @@ def _print_figure6(args: argparse.Namespace) -> None:
 
 
 def _print_figure7(args: argparse.Namespace) -> None:
+    from ..analysis import format_table
+    from ..learning.metrics import normalized_mse
+    from .regression import run_table2
+
     dim = _effective_dim(args)
     config = RegressionConfig(dim=dim, seed=args.seed)
     results = run_table2(config, workers=args.workers, store=_store(args))
@@ -168,6 +178,9 @@ def _print_figure7(args: argparse.Namespace) -> None:
 
 
 def _print_figure8(args: argparse.Namespace) -> None:
+    from ..analysis import format_table
+    from .rsweep import run_rsweep
+
     dim = _effective_dim(args)
     if args.fast:
         r_values = (0.0, 0.05, 0.2, 1.0)
@@ -199,6 +212,8 @@ def _run_train(args: argparse.Namespace) -> None:
     peak memory; scale it with ``--stream-samples``), optionally
     dropping an atomic checkpoint every ``--checkpoint-every`` chunks.
     """
+    from ..serve.persist import save_model
+
     if not args.out:
         raise SystemExit("train requires --out MODEL.npz")
     dim = _effective_dim(args)
@@ -224,6 +239,8 @@ def _run_train(args: argparse.Namespace) -> None:
             input_path=None if args.input in (None, "-") else args.input,
         )
     else:
+        from .serving import train_pipeline
+
         pipeline = train_pipeline(args.task, args.basis, config=config)
         stats = None
     path = save_model(pipeline, args.out)
@@ -255,6 +272,8 @@ def _parse_request(
     records (``{"features": [...], "target": y}``) are only accepted
     when ``allow_target`` is set (the ``serve --stream`` mode).
     """
+    from ..serve.server import finite_number
+
     try:
         payload = json.loads(line)
     except ValueError as exc:
@@ -307,6 +326,11 @@ def _run_serve(args: argparse.Namespace) -> None:
     updated pipeline every ``--checkpoint-every`` learned records, so a
     crash never loses more than one interval of traffic.
     """
+    import numpy as np
+
+    from ..serve.engine import InferenceEngine
+    from ..serve.server import json_scalar
+
     if not args.model:
         raise SystemExit("serve requires --model MODEL.npz")
     if len(args.model) > 1:
@@ -617,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--resume requires --stream and --checkpoint")
     if args.port < 0:
         parser.error(f"--port must be >= 0, got {args.port}")
-    if not finite_number(args.batch_window_ms) or args.batch_window_ms < 0:
+    if not math.isfinite(args.batch_window_ms) or args.batch_window_ms < 0:
         parser.error(f"--batch-window-ms must be finite and >= 0, got {args.batch_window_ms}")
     if args.batch_max < 1:
         parser.error(f"--batch-max must be positive, got {args.batch_max}")

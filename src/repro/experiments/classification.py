@@ -25,13 +25,13 @@ from typing import Mapping
 import numpy as np
 
 from .._rng import ensure_rng
-from ..basis import CircularDiscretizer, Embedding, LinearDiscretizer, make_basis
+from ..basis import Embedding, _value_embedding
 from ..datasets import JIGSAWS_TASKS, ClassificationSplit, make_jigsaws_like
 from ..exceptions import InvalidParameterError
 from ..hdc.hypervector import random_hypervectors
 from ..learning.classifier import CentroidClassifier
 from ..runtime import ArtifactStore, BatchEncoder, fan_out
-from .config import ClassificationConfig
+from .config import BASIS_KINDS, ClassificationConfig
 
 __all__ = [
     "BASIS_KINDS",
@@ -41,9 +41,6 @@ __all__ = [
     "run_table1",
     "table1_cache_params",
 ]
-
-#: The basis sets compared in Table 1, in column order.
-BASIS_KINDS = ("random", "level", "circular")
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,28 +55,6 @@ class ClassificationResult:
     num_train: int
     num_test: int
     config: ClassificationConfig
-
-
-def _value_embedding(
-    basis_kind: str,
-    config: ClassificationConfig,
-    seed,
-    low: float = 0.0,
-    high: float = TWO_PI,
-) -> Embedding:
-    """Value embedding over ``[low, high]`` for the basis under test.
-
-    Circular bases wrap the range into a full period (the paper's
-    circular treatment); random/level bases quantise it as a plain
-    interval (the baseline treatment).
-    """
-    r = config.circular_r if basis_kind == "circular" else 0.0
-    basis = make_basis(basis_kind, config.levels, config.dim, r=r, seed=seed)
-    if basis_kind == "circular":
-        discretizer = CircularDiscretizer(config.levels, low=low, period=high - low)
-    else:
-        discretizer = LinearDiscretizer(low, high, config.levels, clip=True)
-    return Embedding(basis, discretizer)
 
 
 def encode_angular_records(
@@ -147,7 +122,9 @@ def run_classification(
         )
 
     low, high = split.metadata.get("feature_range", (0.0, TWO_PI))
-    embedding = _value_embedding(basis_kind, config, basis_rng, low=low, high=high)
+    embedding = _value_embedding(
+        basis_kind, config.levels, config.dim, basis_rng, low, high, config.circular_r
+    )
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
 
     # Whole-split batched encoding (fused key⊗basis table, packed output).

@@ -12,12 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..datasets.jigsaws import JIGSAWS_TASKS
 from ..exceptions import InvalidParameterError
 
-__all__ = ["ClassificationConfig", "RegressionConfig", "DEFAULT_DIMENSION"]
+__all__ = [
+    "BASIS_KINDS",
+    "SERVABLE_TASKS",
+    "ClassificationConfig",
+    "RegressionConfig",
+    "DEFAULT_DIMENSION",
+]
 
 #: The paper's hyperspace dimensionality.
 DEFAULT_DIMENSION = 10_000
+
+#: The basis sets compared in Table 1, in column order.
+BASIS_KINDS = ("random", "level", "circular")
+
+#: Everything :func:`~repro.experiments.serving.train_pipeline` accepts
+#: as a task name.
+SERVABLE_TASKS = tuple(JIGSAWS_TASKS) + ("mars_express",)
 
 
 @dataclass(frozen=True)
@@ -31,8 +45,7 @@ class ClassificationConfig:
     levels:
         Size of the value basis set used to quantise each angular channel
         (the paper does not state its choice; 12 — a 30° resolution —
-        was calibrated together with the surrogate dataset, see
-        EXPERIMENTS.md).
+        was calibrated together with the surrogate dataset).
     circular_r:
         The ``r`` used for circular sets ("The circular hypervectors have
         r = 0.1" — Table 1 caption).
@@ -86,7 +99,7 @@ class RegressionConfig:
         Label decode mode of :class:`~repro.learning.regression.HDRegressor`.
     model:
         ``"integer"`` (unquantised accumulator, the torchhd-style practice
-        and this reproduction's default — see EXPERIMENTS.md) or
+        and this reproduction's default) or
         ``"binary"`` (the paper's formal majority bundle; compared in the
         ablation benchmark).
     """

@@ -22,13 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .._rng import ensure_rng
-from ..basis import (
-    CircularDiscretizer,
-    Embedding,
-    LevelBasis,
-    LinearDiscretizer,
-    make_basis,
-)
+from ..basis import Embedding, LevelBasis, LinearDiscretizer, _value_embedding
 from ..datasets import RegressionSplit, make_beijing_like, make_mars_express_like
 from ..datasets.beijing import DAYS_PER_YEAR
 from ..exceptions import InvalidParameterError
@@ -66,28 +60,6 @@ class RegressionResult:
     config: RegressionConfig
 
 
-def _feature_embedding(
-    basis_kind: str,
-    levels: int,
-    period: float,
-    config: RegressionConfig,
-    seed,
-) -> Embedding:
-    """Embedding for a periodic feature under the basis set on test.
-
-    Circular bases pair with a circular grid over the feature's period;
-    random/level bases pair with the paper's linear ξ-grid over one
-    period — the baseline treatment of a circular quantity.
-    """
-    r = config.circular_r if basis_kind == "circular" else 0.0
-    basis = make_basis(basis_kind, levels, config.dim, r=r, seed=seed)
-    if basis_kind == "circular":
-        discretizer = CircularDiscretizer(levels, low=0.0, period=period)
-    else:
-        discretizer = LinearDiscretizer(0.0, period, levels, clip=True)
-    return Embedding(basis, discretizer)
-
-
 def _label_embedding(split: RegressionSplit, config: RegressionConfig, seed) -> Embedding:
     low, high = split.label_range
     if high <= low:  # degenerate label range (constant labels)
@@ -121,11 +93,13 @@ def run_beijing(
         LinearDiscretizer(0.0, float(year_levels - 1), year_levels, clip=True),
     )
 
-    day_embedding = _feature_embedding(
-        basis_kind, config.day_levels, DAYS_PER_YEAR, config, day_rng
+    day_embedding = _value_embedding(
+        basis_kind, config.day_levels, config.dim, day_rng,
+        0.0, DAYS_PER_YEAR, config.circular_r,
     )
-    hour_embedding = _feature_embedding(
-        basis_kind, config.hour_levels, 24.0, config, hour_rng
+    hour_embedding = _value_embedding(
+        basis_kind, config.hour_levels, config.dim, hour_rng,
+        0.0, 24.0, config.circular_r,
     )
     label_embedding = _label_embedding(split, config, label_rng)
 
@@ -168,8 +142,9 @@ def run_mars_express(
     if split is None:
         split = make_mars_express_like(seed=data_rng)
 
-    anomaly_embedding = _feature_embedding(
-        basis_kind, config.anomaly_levels, TWO_PI, config, anomaly_rng
+    anomaly_embedding = _value_embedding(
+        basis_kind, config.anomaly_levels, config.dim, anomaly_rng,
+        0.0, TWO_PI, config.circular_r,
     )
     label_embedding = _label_embedding(split, config, label_rng)
 

@@ -28,6 +28,7 @@ import math
 from typing import Union
 
 from .._rng import ensure_rng
+from ..basis import _value_embedding
 from ..datasets import JIGSAWS_TASKS, make_jigsaws_like
 from ..exceptions import InvalidParameterError
 from ..hdc.hypervector import random_hypervectors
@@ -35,9 +36,8 @@ from ..learning.classifier import CentroidClassifier
 from ..learning.regression import HDRegressor
 from ..runtime import BatchEncoder
 from ..serve.pipeline import TrainedPipeline
-from .classification import BASIS_KINDS, _value_embedding
-from .config import ClassificationConfig, RegressionConfig
-from .regression import _feature_embedding, _label_embedding, make_regression_split
+from .config import BASIS_KINDS, SERVABLE_TASKS, ClassificationConfig, RegressionConfig
+from .regression import _label_embedding, make_regression_split
 
 __all__ = [
     "SERVABLE_TASKS",
@@ -47,9 +47,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-#: Everything ``train_pipeline`` accepts as a task name.
-SERVABLE_TASKS = tuple(JIGSAWS_TASKS) + ("mars_express",)
 
 
 def train_classification_pipeline(
@@ -89,7 +86,9 @@ def train_classification_pipeline(
 
     split = make_jigsaws_like(task=task, seed=data_rng)
     low, high = split.metadata.get("feature_range", (0.0, TWO_PI))
-    embedding = _value_embedding(basis_kind, config, basis_rng, low=low, high=high)
+    embedding = _value_embedding(
+        basis_kind, config.levels, config.dim, basis_rng, low, high, config.circular_r
+    )
     keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
 
     # The serve-time encode policy, end to end: training corpus, held-out
@@ -153,8 +152,9 @@ def train_regression_pipeline(
     del data_rng  # the split comes from make_regression_split (same stream)
 
     split = make_regression_split("mars_express", config)
-    anomaly_embedding = _feature_embedding(
-        basis_kind, config.anomaly_levels, TWO_PI, config, anomaly_rng
+    anomaly_embedding = _value_embedding(
+        basis_kind, config.anomaly_levels, config.dim, anomaly_rng,
+        0.0, TWO_PI, config.circular_r,
     )
     label_embedding = _label_embedding(split, config, label_rng)
 

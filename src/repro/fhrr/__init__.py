@@ -4,11 +4,18 @@ The modern VSA-native treatment of circular data, included as the
 counterpoint to the paper's binary circular-hypervectors: instead of
 constructing a discrete basis set, encode the angle as integer-frequency
 phasors whose expected similarity *is* a designable circular kernel.
-See EXPERIMENTS.md ("bandwidth limitation") for why this matters and
-``benchmarks/bench_extension_fpe.py`` for the head-to-head comparison.
+``benchmarks/bench_extension_fpe.py`` runs the head-to-head comparison,
+including the bandwidth limitation of the binary circular sets.
 """
 
-from .fpe import FPERegressor, FractionalPowerEncoding
-from .space import FHRRSpace
+from .. import _lazy
 
-__all__ = ["FHRRSpace", "FractionalPowerEncoding", "FPERegressor"]
+_EXPORTS = {
+    "FHRRSpace": "space",
+    "FractionalPowerEncoding": "fpe",
+    "FPERegressor": "fpe",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -15,7 +15,7 @@ expected similarity between two angles is the *kernel*
 i.e. the frequency distribution is a design knob for the similarity
 kernel — wider frequency ranges give narrower (more local) kernels.  This
 directly addresses the bandwidth limitation of circular-hypervectors
-documented in EXPERIMENTS.md: their walk-law kernel is fixed and global,
+(measured by ``benchmarks/bench_extension_fpe.py``): their walk-law kernel is fixed and global,
 so signal harmonics above the first are attenuated; FPE with
 ``max_frequency ≥ h`` captures an ``h``-th-harmonic signal.
 

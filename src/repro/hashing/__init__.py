@@ -1,5 +1,12 @@
 """Hyperdimensional consistent hashing (the origin of circular-hypervectors)."""
 
-from .hyperhash import HyperdimensionalHashRing, key_to_angle
+from .. import _lazy
 
-__all__ = ["HyperdimensionalHashRing", "key_to_angle"]
+_EXPORTS = {
+    "HyperdimensionalHashRing": "hyperhash",
+    "key_to_angle": "hyperhash",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -8,138 +8,70 @@ basis-hypervector constructions — live in :mod:`repro.basis` and are built
 on top of this substrate.
 """
 
-from .hypervector import (
-    BIT_DTYPE,
-    DEFAULT_DIMENSION,
-    as_hypervector,
-    is_hypervector,
-    ones,
-    pack_bits,
-    random_hypervector,
-    random_hypervectors,
-    unpack_bits,
-    zeros,
-)
-from .kernels import (
-    AUTO_CROSSOVER,
-    DEFAULT_CELL_BUDGET,
-    TopK,
-    cell_budget,
-    topk_hamming,
-    use_gemm,
-)
-from .ingest import ingest_chunk
-from .coerce import (
-    EncodedBatch,
-    any_packed,
-    as_encoded_batch,
-    as_packed_batch,
-    batch_rows,
-)
-from .memory import ItemMemory
-from .packed import (
-    BundleAccumulator,
-    PackedHV,
-    coerce_packed,
-    is_packed,
-    packed_bind,
-    packed_bind_all,
-    packed_bundle,
-    packed_hamming,
-    packed_pairwise_hamming,
-    packed_permute,
-    packed_width,
-    popcount,
-)
-from .ops import (
-    bind,
-    bind_all,
-    bundle,
-    hamming_distance,
-    inverse_permute,
-    majority_from_counts,
-    pairwise_hamming,
-    pairwise_similarity,
-    permute,
-    positional_tie_bits,
-    positional_tie_words,
-    resolve_majority,
-    similarity,
-)
-from .spaces import (
-    BSCSpace,
-    MAPSpace,
-    PackedBSCSpace,
-    VectorSpace,
-    binary_to_bipolar,
-    bipolar_to_binary,
-)
-from .encoders import (
-    encode_bound_records,
-    encode_keyvalue_record,
-    encode_keyvalue_records,
-    encode_ngrams,
-    encode_sequence,
-)
+from .. import _lazy
 
-__all__ = [
-    "BIT_DTYPE",
-    "DEFAULT_DIMENSION",
-    "as_hypervector",
-    "is_hypervector",
-    "ones",
-    "zeros",
-    "pack_bits",
-    "unpack_bits",
-    "random_hypervector",
-    "random_hypervectors",
-    "bind",
-    "bind_all",
-    "bundle",
-    "majority_from_counts",
-    "positional_tie_bits",
-    "positional_tie_words",
-    "resolve_majority",
-    "permute",
-    "inverse_permute",
-    "hamming_distance",
-    "similarity",
-    "pairwise_hamming",
-    "pairwise_similarity",
-    "AUTO_CROSSOVER",
-    "DEFAULT_CELL_BUDGET",
-    "TopK",
-    "cell_budget",
-    "use_gemm",
-    "topk_hamming",
-    "ingest_chunk",
-    "PackedHV",
-    "BundleAccumulator",
-    "EncodedBatch",
-    "any_packed",
-    "as_encoded_batch",
-    "as_packed_batch",
-    "batch_rows",
-    "is_packed",
-    "coerce_packed",
-    "packed_width",
-    "popcount",
-    "packed_bind",
-    "packed_bind_all",
-    "packed_bundle",
-    "packed_permute",
-    "packed_hamming",
-    "packed_pairwise_hamming",
-    "ItemMemory",
-    "VectorSpace",
-    "BSCSpace",
-    "PackedBSCSpace",
-    "MAPSpace",
-    "binary_to_bipolar",
-    "bipolar_to_binary",
-    "encode_keyvalue_record",
-    "encode_keyvalue_records",
-    "encode_bound_records",
-    "encode_sequence",
-    "encode_ngrams",
-]
+_EXPORTS = {
+    "BIT_DTYPE": "hypervector",
+    "DEFAULT_DIMENSION": "hypervector",
+    "as_hypervector": "hypervector",
+    "is_hypervector": "hypervector",
+    "ones": "hypervector",
+    "zeros": "hypervector",
+    "pack_bits": "hypervector",
+    "unpack_bits": "hypervector",
+    "random_hypervector": "hypervector",
+    "random_hypervectors": "hypervector",
+    "bind": "ops",
+    "bind_all": "ops",
+    "bundle": "ops",
+    "majority_from_counts": "ops",
+    "positional_tie_bits": "ops",
+    "positional_tie_words": "ops",
+    "resolve_majority": "ops",
+    "permute": "ops",
+    "inverse_permute": "ops",
+    "hamming_distance": "ops",
+    "similarity": "ops",
+    "pairwise_hamming": "ops",
+    "pairwise_similarity": "ops",
+    "AUTO_CROSSOVER": "kernels",
+    "DEFAULT_CELL_BUDGET": "kernels",
+    "TopK": "kernels",
+    "cell_budget": "kernels",
+    "use_gemm": "kernels",
+    "topk_hamming": "kernels",
+    "ingest_chunk": "ingest",
+    "PackedHV": "packed",
+    "BundleAccumulator": "packed",
+    "EncodedBatch": "coerce",
+    "any_packed": "coerce",
+    "as_encoded_batch": "coerce",
+    "as_packed_batch": "coerce",
+    "batch_rows": "coerce",
+    "is_packed": "packed",
+    "coerce_packed": "packed",
+    "packed_width": "packed",
+    "popcount": "packed",
+    "packed_bind": "packed",
+    "packed_bind_all": "packed",
+    "packed_bundle": "packed",
+    "packed_permute": "packed",
+    "packed_hamming": "packed",
+    "packed_pairwise_hamming": "packed",
+    "ItemMemory": "memory",
+    "VectorSpace": "spaces",
+    "BSCSpace": "spaces",
+    "PackedBSCSpace": "spaces",
+    "MAPSpace": "spaces",
+    "binary_to_bipolar": "spaces",
+    "bipolar_to_binary": "spaces",
+    "encode_keyvalue_record": "encoders",
+    "encode_keyvalue_records": "encoders",
+    "encode_bound_records": "encoders",
+    "encode_sequence": "encoders",
+    "encode_ngrams": "encoders",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -1,21 +1,17 @@
 """Information-theoretic analysis of basis sets (Section 4.1)."""
 
-from .content import (
-    empirical_column_entropy,
-    entropy,
-    information_content,
-    interpolated_level_set_entropy,
-    legacy_level_set_entropy,
-    log2_binomial,
-    random_set_entropy,
-)
+from .. import _lazy
 
-__all__ = [
-    "information_content",
-    "entropy",
-    "log2_binomial",
-    "random_set_entropy",
-    "legacy_level_set_entropy",
-    "interpolated_level_set_entropy",
-    "empirical_column_entropy",
-]
+_EXPORTS = {
+    "information_content": "content",
+    "entropy": "content",
+    "log2_binomial": "content",
+    "random_set_entropy": "content",
+    "legacy_level_set_entropy": "content",
+    "interpolated_level_set_entropy": "content",
+    "empirical_column_entropy": "content",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

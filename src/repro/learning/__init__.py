@@ -10,30 +10,23 @@
   synthetic workloads.
 """
 
-from .baselines import KNNBaseline, NearestCentroidBaseline, TrigRegressionBaseline
-from .classifier import CentroidClassifier
-from .metrics import (
-    accuracy,
-    confusion_matrix,
-    mean_absolute_error,
-    mean_squared_error,
-    normalized_accuracy_error,
-    normalized_mse,
-    root_mean_squared_error,
-)
-from .regression import HDRegressor
+from .. import _lazy
 
-__all__ = [
-    "CentroidClassifier",
-    "HDRegressor",
-    "NearestCentroidBaseline",
-    "KNNBaseline",
-    "TrigRegressionBaseline",
-    "accuracy",
-    "confusion_matrix",
-    "mean_squared_error",
-    "root_mean_squared_error",
-    "mean_absolute_error",
-    "normalized_mse",
-    "normalized_accuracy_error",
-]
+_EXPORTS = {
+    "CentroidClassifier": "classifier",
+    "HDRegressor": "regression",
+    "NearestCentroidBaseline": "baselines",
+    "KNNBaseline": "baselines",
+    "TrigRegressionBaseline": "baselines",
+    "accuracy": "metrics",
+    "confusion_matrix": "metrics",
+    "mean_squared_error": "metrics",
+    "root_mean_squared_error": "metrics",
+    "mean_absolute_error": "metrics",
+    "normalized_mse": "metrics",
+    "normalized_accuracy_error": "metrics",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

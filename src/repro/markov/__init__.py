@@ -8,20 +8,17 @@ Thomas algorithm), and the absorption-time computations used by
 :class:`~repro.basis.scatter.ScatterBasis`.
 """
 
-from .absorption import (
-    absorption_time_profile,
-    expected_absorption_steps,
-    expected_flips_ladder,
-    flips_for_expected_distance,
-)
-from .chain import BirthDeathChain
-from .tridiagonal import solve_tridiagonal
+from .. import _lazy
 
-__all__ = [
-    "BirthDeathChain",
-    "solve_tridiagonal",
-    "absorption_time_profile",
-    "expected_absorption_steps",
-    "expected_flips_ladder",
-    "flips_for_expected_distance",
-]
+_EXPORTS = {
+    "BirthDeathChain": "chain",
+    "solve_tridiagonal": "tridiagonal",
+    "absorption_time_profile": "absorption",
+    "expected_absorption_steps": "absorption",
+    "expected_flips_ladder": "absorption",
+    "flips_for_expected_distance": "absorption",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

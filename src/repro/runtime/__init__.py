@@ -22,14 +22,16 @@ nothing here depends on the experiments, so the runtime is equally
 usable for new workloads.
 """
 
-from .artifacts import ArtifactStore, canonical_digest
-from .batch import BatchEncoder
-from .tree import fan_out, resolve_workers
+from .. import _lazy
 
-__all__ = [
-    "ArtifactStore",
-    "BatchEncoder",
-    "canonical_digest",
-    "fan_out",
-    "resolve_workers",
-]
+_EXPORTS = {
+    "ArtifactStore": "artifacts",
+    "BatchEncoder": "batch",
+    "canonical_digest": "artifacts",
+    "fan_out": "tree",
+    "resolve_workers": "tree",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

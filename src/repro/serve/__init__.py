@@ -38,39 +38,28 @@ The CLI surface lives one layer up: ``python -m repro.experiments train
 :mod:`repro.experiments.serving` and ``docs/SERVING.md``).
 """
 
-from .batching import MicroBatcher
-from .engine import InferenceEngine
-from .online import OnlineLearner
-from .persist import (
-    FORMAT_MINOR,
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    describe_model,
-    load_checkpoint,
-    load_model,
-    save_model,
-)
-from .pipeline import TrainedPipeline
-from .registry import ModelRegistry
-from .replay import TraceRequest, oracle_transcript
-from .server import ServerThread, ServeServer, json_scalar
+from .. import _lazy
 
-__all__ = [
-    "FORMAT_NAME",
-    "FORMAT_VERSION",
-    "FORMAT_MINOR",
-    "save_model",
-    "load_model",
-    "load_checkpoint",
-    "describe_model",
-    "TrainedPipeline",
-    "InferenceEngine",
-    "OnlineLearner",
-    "ModelRegistry",
-    "MicroBatcher",
-    "ServeServer",
-    "ServerThread",
-    "json_scalar",
-    "TraceRequest",
-    "oracle_transcript",
-]
+_EXPORTS = {
+    "FORMAT_NAME": "persist",
+    "FORMAT_VERSION": "persist",
+    "FORMAT_MINOR": "persist",
+    "save_model": "persist",
+    "load_model": "persist",
+    "load_checkpoint": "persist",
+    "describe_model": "persist",
+    "TrainedPipeline": "pipeline",
+    "InferenceEngine": "engine",
+    "OnlineLearner": "online",
+    "ModelRegistry": "registry",
+    "MicroBatcher": "batching",
+    "ServeServer": "server",
+    "ServerThread": "server",
+    "json_scalar": "server",
+    "TraceRequest": "replay",
+    "oracle_transcript": "replay",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

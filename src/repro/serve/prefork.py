@@ -64,6 +64,9 @@ import logging
 import os
 import signal
 import socket
+# asyncio imports its default executor on first use; a :swap build runs
+# there, so load it once here rather than in every forked member.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from typing import Awaitable, Callable
 
 from ..exceptions import ReproError

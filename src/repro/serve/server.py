@@ -45,7 +45,6 @@ socket server through it.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import math
 import socket
@@ -710,6 +709,9 @@ class ServerThread:
 
         Returns ``(status_code, decoded_body)``.
         """
+        # The server never acts as a client, so only these helpers load it.
+        import http.client
+
         conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
         try:
             body = json.dumps(payload).encode("utf-8") if payload is not None else None
@@ -729,6 +731,8 @@ class ServerThread:
 
         Returns ``(status_code, body_text)``.
         """
+        import http.client
+
         conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
         try:
             conn.request(method, path)

@@ -8,44 +8,30 @@ descriptive statistics (circular mean/variance), the von Mises and
 wrapped-normal distributions, and circular–linear association measures.
 """
 
-from .angles import (
-    TWO_PI,
-    angle_to_time,
-    degrees_to_radians,
-    radians_to_degrees,
-    time_to_angle,
-    wrap_angle,
-    wrap_angle_signed,
-)
-from .correlation import circular_circular_correlation, circular_linear_correlation
-from .descriptive import (
-    circular_mean,
-    circular_range,
-    circular_std,
-    circular_variance,
-    resultant_length,
-)
-from .distance import arc_distance, chord_distance, circular_distance
-from .distributions import VonMises, WrappedNormal
+from .. import _lazy
 
-__all__ = [
-    "TWO_PI",
-    "wrap_angle",
-    "wrap_angle_signed",
-    "time_to_angle",
-    "angle_to_time",
-    "degrees_to_radians",
-    "radians_to_degrees",
-    "circular_distance",
-    "arc_distance",
-    "chord_distance",
-    "circular_mean",
-    "resultant_length",
-    "circular_variance",
-    "circular_std",
-    "circular_range",
-    "VonMises",
-    "WrappedNormal",
-    "circular_linear_correlation",
-    "circular_circular_correlation",
-]
+_EXPORTS = {
+    "TWO_PI": "angles",
+    "wrap_angle": "angles",
+    "wrap_angle_signed": "angles",
+    "time_to_angle": "angles",
+    "angle_to_time": "angles",
+    "degrees_to_radians": "angles",
+    "radians_to_degrees": "angles",
+    "circular_distance": "distance",
+    "arc_distance": "distance",
+    "chord_distance": "distance",
+    "circular_mean": "descriptive",
+    "resultant_length": "descriptive",
+    "circular_variance": "descriptive",
+    "circular_std": "descriptive",
+    "circular_range": "descriptive",
+    "VonMises": "distributions",
+    "WrappedNormal": "distributions",
+    "circular_linear_correlation": "correlation",
+    "circular_circular_correlation": "correlation",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

@@ -33,71 +33,40 @@ call the same two methods over these pieces — see ``docs/STREAMING.md`` for th
 and the checkpoint format.
 """
 
-from .chunks import (
-    DEFAULT_CHUNK_ROWS,
-    Chunk,
-    ChunkSource,
-    array_chunks,
-    iter_slices,
-    rechunk,
-    skip_chunks,
-    split_chunks,
-)
-from .files import (
-    CsvChunkSource,
-    JsonlChunkSource,
-    NpyMmapChunkSource,
-    file_chunk_source,
-)
-from .sources import JigsawsStream, MarsExpressStream
-from .reduce import (
-    StreamStats,
-    encode_reduce,
-    positional_tie_bits,
-    positional_tie_words,
-    prefetch_chunks,
-    resolve_majority,
-)
-from .train import (
-    CURSOR_VERSION,
-    RecordEncode,
-    ValueEncode,
-    checkpointer,
-    stream_fit_classifier,
-    stream_fit_regressor,
-    stream_score_classifier,
-    stream_score_regressor,
-    train_pipeline_stream,
-)
+from .. import _lazy
 
-__all__ = [
-    "DEFAULT_CHUNK_ROWS",
-    "Chunk",
-    "ChunkSource",
-    "array_chunks",
-    "iter_slices",
-    "rechunk",
-    "skip_chunks",
-    "split_chunks",
-    "JigsawsStream",
-    "JsonlChunkSource",
-    "CsvChunkSource",
-    "MarsExpressStream",
-    "NpyMmapChunkSource",
-    "file_chunk_source",
-    "StreamStats",
-    "encode_reduce",
-    "positional_tie_bits",
-    "positional_tie_words",
-    "prefetch_chunks",
-    "resolve_majority",
-    "CURSOR_VERSION",
-    "RecordEncode",
-    "ValueEncode",
-    "checkpointer",
-    "stream_fit_classifier",
-    "stream_fit_regressor",
-    "stream_score_classifier",
-    "stream_score_regressor",
-    "train_pipeline_stream",
-]
+_EXPORTS = {
+    "DEFAULT_CHUNK_ROWS": "chunks",
+    "Chunk": "chunks",
+    "ChunkSource": "chunks",
+    "array_chunks": "chunks",
+    "iter_slices": "chunks",
+    "rechunk": "chunks",
+    "skip_chunks": "chunks",
+    "split_chunks": "chunks",
+    "JigsawsStream": "sources",
+    "JsonlChunkSource": "files",
+    "CsvChunkSource": "files",
+    "MarsExpressStream": "sources",
+    "NpyMmapChunkSource": "files",
+    "file_chunk_source": "files",
+    "StreamStats": "reduce",
+    "encode_reduce": "reduce",
+    "positional_tie_bits": "reduce",
+    "positional_tie_words": "reduce",
+    "prefetch_chunks": "reduce",
+    "resolve_majority": "reduce",
+    "CURSOR_VERSION": "train",
+    "RecordEncode": "train",
+    "ValueEncode": "train",
+    "checkpointer": "train",
+    "stream_fit_classifier": "train",
+    "stream_fit_regressor": "train",
+    "stream_score_classifier": "train",
+    "stream_score_regressor": "train",
+    "train_pipeline_stream": "train",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

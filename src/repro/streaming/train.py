@@ -33,6 +33,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .._rng import ensure_rng
+from ..basis import _value_embedding
 from ..basis.base import Embedding
 from ..basis.level import LevelBasis
 from ..basis.quantize import LinearDiscretizer
@@ -477,14 +478,11 @@ def train_pipeline_stream(
     >>> pipe.metadata["stream"]["chunk_size"]
     128
     """
-    # Imported lazily: repro.experiments pulls in the whole driver stack
-    # (and repro.runtime imports repro.streaming.chunks), so a module
-    # level import here would create a package cycle.
-    from ..experiments.classification import BASIS_KINDS, _value_embedding
-    from ..experiments.config import ClassificationConfig, RegressionConfig
-    from ..experiments.regression import _feature_embedding
-    from ..serve.pipeline import TrainedPipeline
+    # Imported at call time: the configs live a layer up, and perfbench's
+    # tracer replaces save_model (like file_chunk_source) on its module.
+    from ..experiments.config import BASIS_KINDS, ClassificationConfig, RegressionConfig
     from ..serve.persist import save_model
+    from ..serve.pipeline import TrainedPipeline
 
     if ingest not in _INGEST_NAMES:
         raise InvalidParameterError(
@@ -496,7 +494,6 @@ def train_pipeline_stream(
         )
     if resume and checkpoint is None:
         raise InvalidParameterError("resume needs a checkpoint path to reload")
-    from ..cluster import ClusterCoordinator
 
     if task == "mars_express":
         config = config or RegressionConfig()
@@ -510,8 +507,9 @@ def train_pipeline_stream(
             num_samples=stream_samples or 2500,
             seed=np.random.SeedSequence(int(data_rng.integers(0, 2**63))),
         )
-        embedding = _feature_embedding(
-            basis_kind, config.anomaly_levels, TWO_PI, config, anomaly_rng
+        embedding = _value_embedding(
+            basis_kind, config.anomaly_levels, config.dim, anomaly_rng,
+            0.0, TWO_PI, config.circular_r,
         )
         low, high = train_stream.label_range()
         label_embedding = Embedding(
@@ -540,7 +538,9 @@ def train_pipeline_stream(
             samples_per_gesture=per_gesture,
         )
         low, high = train_stream.meta["feature_range"]
-        embedding = _value_embedding(basis_kind, config, basis_rng, low=low, high=high)
+        embedding = _value_embedding(
+            basis_kind, config.levels, config.dim, basis_rng, low, high, config.circular_r
+        )
         keys = random_hypervectors(train_stream.num_features, config.dim, seed=key_rng)
         # Serve-time policy end to end: "zeros" ties, so the streamed
         # encode equals the serving engine's encode bit for bit.
@@ -575,6 +575,9 @@ def train_pipeline_stream(
         train_source = skip_chunks(ingest_source, stats.chunks)
     coordinator = None
     if cluster_workers != 1:
+        # Imported only here: the cluster loads multiprocessing.connection.
+        from ..cluster import ClusterCoordinator
+
         coordinator = ClusterCoordinator(
             model, ingest_source, encode, workers=cluster_workers, hook=cluster_hook
         )

@@ -14,6 +14,13 @@ longer read) raises :class:`~repro.exceptions.CalibrationError`.
 
 from __future__ import annotations
 
-from .calibration import ENV_CALIBRATION, active_calibration
+from .. import _lazy
 
-__all__ = ["ENV_CALIBRATION", "active_calibration"]
+_EXPORTS = {
+    "ENV_CALIBRATION": "calibration",
+    "active_calibration": "calibration",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_namespace(__name__, _EXPORTS)

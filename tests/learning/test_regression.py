@@ -86,7 +86,7 @@ class TestModelModes:
         The integer model must clearly beat predicting the mean; the
         binary model is only sanity-bounded — with a single correlated
         feature its majority quantisation pulls predictions toward the
-        label median (the pathology analysed in EXPERIMENTS.md), so
+        label median, so
         near-variance MSE is its expected behaviour, not a bug.
         """
         basis = CircularBasis(64, DIM, seed=5)
@@ -103,7 +103,7 @@ class TestModelModes:
 
     def test_integer_beats_binary_on_correlated_single_feature(self):
         """The quantisation ablation: the unquantised accumulator retains
-        more signal when addresses are correlated (see EXPERIMENTS.md)."""
+        more signal when addresses are correlated."""
         basis = CircularBasis(64, DIM, seed=9)
         emb = basis.circular_embedding()
         rng = np.random.default_rng(10)
