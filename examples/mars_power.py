@@ -80,23 +80,13 @@ def main() -> None:
 
     # Learned curve versus ground truth at a few anomalies.
     print("\nLearned power curve (circular basis) vs the true profile:")
-    from repro._rng import ensure_rng
-    from repro.basis import _value_embedding
-    from repro.experiments.regression import _label_embedding
-    from repro.learning import HDRegressor
+    from repro.experiments.config import build_mars_pipeline
 
-    master = ensure_rng(config.seed)
-    _, anomaly_rng, label_rng, tie_rng = master.spawn(4)
-    emb = _value_embedding(
-        "circular", config.anomaly_levels, config.dim, anomaly_rng,
-        0.0, TWO_PI, config.circular_r,
-    )
-    label_emb = _label_embedding(split, config, label_rng)
-    model = HDRegressor(label_emb, seed=tie_rng, model=config.model)
-    model.fit(emb.encode(split.train_features[:, 0]), split.train_labels)
+    built = build_mars_pipeline("circular", config, split.label_range)
+    built.fit_split(split)
 
     probes = np.linspace(0.0, TWO_PI, 13)[:-1]
-    predictions = model.predict(emb.encode(probes))
+    predictions = built.model.predict(built.embedding.encode_packed(probes))
     truth = mars_power_curve(probes)
     curve_rows = [
         [f"{math.degrees(m):5.0f}°", truth[i], predictions[i]]

@@ -16,15 +16,11 @@ import _bootstrap  # noqa: F401  (sys.path shim: run from checkout or install)
 
 import argparse
 
-from repro._rng import ensure_rng
 from repro.analysis import format_table
 from repro.analysis.robustness import classifier_robustness_curve
-from repro.basis import _value_embedding
 from repro.datasets import make_jigsaws_like
 from repro.experiments import ClassificationConfig
-from repro.experiments.classification import encode_angular_records
-from repro.hdc import random_hypervectors
-from repro.learning import CentroidClassifier
+from repro.experiments.config import build_gesture_pipeline
 
 FRACTIONS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -38,23 +34,14 @@ def main() -> None:
     config = ClassificationConfig(dim=args.dim, seed=args.seed)
     split = make_jigsaws_like(task="knot_tying", seed=args.seed)
 
-    master = ensure_rng(config.seed)
-    _, basis_rng, key_rng, tie_rng = master.spawn(4)
-    low, high = split.metadata["feature_range"]
-    embedding = _value_embedding(
-        "circular", config.levels, config.dim, basis_rng, low, high, config.circular_r
+    built = build_gesture_pipeline(
+        "circular", config, split.num_channels, split.metadata["feature_range"],
+        tie_break="random",
     )
-    keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
-    tie_key = int(tie_rng.integers(0, 2**63))
+    clean = built.fit_split(split)
+    clf = built.model
     n_train = split.train_features.shape[0]
-    train = encode_angular_records(split.train_features, keys, embedding, seed=tie_key)
-    test = encode_angular_records(
-        split.test_features, keys, embedding, seed=tie_key, start=n_train
-    )
-
-    clf = CentroidClassifier(config.dim, seed=tie_rng)
-    clf.fit(train, split.train_labels.tolist())
-    clean = clf.score(test, split.test_labels.tolist())
+    test = built.encode(split.test_features, start=n_train).unpack()
     print(f"Clean test accuracy (circular basis, d={config.dim}): {100 * clean:.1f}%\n")
 
     query_curve = classifier_robustness_curve(

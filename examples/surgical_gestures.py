@@ -71,32 +71,16 @@ def main() -> None:
     print(f"\nPer-gesture recall on {task} (circular basis, accuracy "
           f"{100 * result.accuracy:.1f}%):")
 
-    # Re-run prediction to get the confusion structure.
-    from repro._rng import ensure_rng
-    from repro.basis import _value_embedding
-    from repro.experiments.classification import encode_angular_records
-    from repro.hdc import random_hypervectors
-    from repro.learning import CentroidClassifier
+    # Rebuild the cell's pipeline to get the confusion structure.
+    from repro.experiments.config import build_gesture_pipeline
 
-    master = ensure_rng(config.seed)
-    _, basis_rng, key_rng, tie_rng = master.spawn(4)
-    low, high = split.metadata["feature_range"]
-    embedding = _value_embedding(
-        "circular", config.levels, config.dim, basis_rng, low, high, config.circular_r
+    built = build_gesture_pipeline(
+        "circular", config, split.num_channels, split.metadata["feature_range"],
+        tie_break="random",
     )
-    keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
-    tie_key = int(tie_rng.integers(0, 2**63))
+    built.fit_split(split)
     n_train = split.train_features.shape[0]
-    clf = CentroidClassifier(config.dim, seed=tie_rng)
-    clf.fit(
-        encode_angular_records(split.train_features, keys, embedding, seed=tie_key),
-        split.train_labels.tolist(),
-    )
-    predictions = clf.predict(
-        encode_angular_records(
-            split.test_features, keys, embedding, seed=tie_key, start=n_train
-        )
-    )
+    predictions = built.model.predict(built.encode(split.test_features, start=n_train))
     matrix, labels = confusion_matrix(split.test_labels.tolist(), predictions)
     recalls = np.diagonal(matrix) / np.maximum(matrix.sum(axis=1), 1)
     gesture_rows = [

@@ -78,7 +78,7 @@ def main() -> None:
     print("\nSpot-check: consecutive test samples (circular basis)")
     from repro._rng import ensure_rng
     from repro.basis import Embedding, LevelBasis, LinearDiscretizer, _value_embedding
-    from repro.experiments.regression import _label_embedding
+    from repro.experiments.config import label_embedding
     from repro.hdc.encoders import encode_bound_records
     from repro.learning import HDRegressor
 
@@ -100,7 +100,7 @@ def main() -> None:
         "circular", config.hour_levels, config.dim, hour_rng,
         0.0, 24.0, config.circular_r,
     )
-    label_emb = _label_embedding(split, config, label_rng)
+    label_emb = label_embedding(split.label_range, config, label_rng)
 
     def encode(features):
         return encode_bound_records(

@@ -192,12 +192,12 @@ class ClusterCoordinator:
             raise ClusterError(f"malformed worker message: {message!r}")
         kind = message[0]
         if kind == "delta":
-            _, worker_id, _incarnation, index, rows, delta = message
+            _, worker_id, index, rows, delta = message
             if index < self._frontier or index in self._buffer:
                 return  # replayed duplicate: already absorbed or buffered
             self._buffer[index] = (int(rows), delta)
         elif kind == "done":
-            _, worker_id, _incarnation, total = message
+            _, worker_id, total = message
             total = int(total)
             if self._expected_total is not None and total != self._expected_total:
                 raise ClusterError(
@@ -209,7 +209,7 @@ class ClusterCoordinator:
             if state is not None:
                 state.done = True
         elif kind == "error":
-            _, worker_id, _incarnation, detail = message
+            _, worker_id, detail = message
             raise ClusterError(f"worker {worker_id} failed: {detail}")
         else:
             raise ClusterError(f"unknown worker message kind {kind!r}")

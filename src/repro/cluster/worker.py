@@ -13,12 +13,12 @@ chunks assigned to it by round robin (``index % num_workers ==
 worker_id``) at or past its replay cursor ``start_index``, and ships
 one message per chunk over its pipe:
 
-``("delta", worker_id, incarnation, chunk_index, rows, delta)``
+``("delta", worker_id, chunk_index, rows, delta)``
     one chunk's pure bundle statistics;
-``("done", worker_id, incarnation, total_chunks)``
+``("done", worker_id, total_chunks)``
     end of stream (``total_chunks`` is the full source length, the
     coordinator's termination criterion);
-``("error", worker_id, incarnation, detail)``
+``("error", worker_id, detail)``
     a Python-level failure (bad data, encode error) — distinct from a
     *crash*, which sends nothing and is detected by pipe EOF.
 
@@ -90,28 +90,12 @@ def worker_main(plan: WorkerPlan, conn) -> None:
                     "targets=None"
                 )
             delta = plan.model.shard(plan.encode(chunk), chunk.targets)
-            conn.send(
-                (
-                    "delta",
-                    plan.worker_id,
-                    plan.incarnation,
-                    chunk_index,
-                    chunk.rows,
-                    delta,
-                )
-            )
+            conn.send(("delta", plan.worker_id, chunk_index, chunk.rows, delta))
             plan._fire("chunk_sent", chunk_index)
-        conn.send(("done", plan.worker_id, plan.incarnation, total))
+        conn.send(("done", plan.worker_id, total))
     except Exception as exc:  # ship the failure; never die silently
         try:
-            conn.send(
-                (
-                    "error",
-                    plan.worker_id,
-                    plan.incarnation,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
+            conn.send(("error", plan.worker_id, f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass
     finally:

@@ -73,7 +73,7 @@ import sys
 # Only what the parser needs is imported here; each target imports what
 # it runs, so a `train` loads no driver, no analysis and no HTTP server.
 from ..exceptions import InvalidParameterError, ModelFormatError
-from ..serve.batching import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
+from ..serve.knobs import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
 from ..streaming.chunks import DEFAULT_CHUNK_ROWS
 from ..tuning.calibration import active_calibration
 from .config import BASIS_KINDS, SERVABLE_TASKS, ClassificationConfig, RegressionConfig

@@ -18,20 +18,22 @@ paper demonstrates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .._rng import ensure_rng
-from ..basis import Embedding, _value_embedding
-from ..datasets import JIGSAWS_TASKS, ClassificationSplit, make_jigsaws_like
+from ..basis import Embedding
+from ..datasets import JIGSAWS_TASKS, ClassificationSplit
 from ..exceptions import InvalidParameterError
-from ..hdc.hypervector import random_hypervectors
-from ..learning.classifier import CentroidClassifier
 from ..runtime import ArtifactStore, BatchEncoder, fan_out
-from .config import BASIS_KINDS, ClassificationConfig
+from .config import (
+    BASIS_KINDS,
+    TWO_PI,
+    ClassificationConfig,
+    build_gesture_pipeline,
+    make_split,
+)
 
 __all__ = [
     "BASIS_KINDS",
@@ -41,8 +43,6 @@ __all__ = [
     "run_table1",
     "table1_cache_params",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ def run_classification(
 
     ``split`` can be supplied to reuse one generated dataset across basis
     kinds (as the paper does — the data does not change between columns);
-    otherwise it is generated from the config seed.
+    otherwise it is generated from the config seed.  Records tie with
+    ``"random"`` coins keyed by their position in the split.
 
     Example
     -------
@@ -106,47 +107,21 @@ def run_classification(
     >>> 0.0 <= cell.accuracy <= 1.0
     True
     """
-    if basis_kind not in BASIS_KINDS:
-        raise InvalidParameterError(
-            f"basis_kind must be one of {BASIS_KINDS}, got {basis_kind!r}"
-        )
     config = config or ClassificationConfig()
-    master = ensure_rng(config.seed)
-    data_rng, basis_rng, key_rng, tie_rng = master.spawn(4)
-
     if split is None:
-        split = make_jigsaws_like(task=task, seed=data_rng)
+        split = make_split(task, config.seed)
     elif task != split.metadata.get("task", task):
         raise InvalidParameterError(
             f"supplied split is for task {split.metadata.get('task')!r}, not {task!r}"
         )
-
-    low, high = split.metadata.get("feature_range", (0.0, TWO_PI))
-    embedding = _value_embedding(
-        basis_kind, config.levels, config.dim, basis_rng, low, high, config.circular_r
+    built = build_gesture_pipeline(
+        basis_kind, config, split.num_channels,
+        split.metadata.get("feature_range", (0.0, TWO_PI)), tie_break="random",
     )
-    keys = random_hypervectors(split.num_channels, config.dim, seed=key_rng)
-
-    # Whole-split batched encoding (fused key⊗basis table, packed output).
-    # One tie key for both splits; test rows sit after the train rows, so
-    # every record of the cell draws its own tie coins.
-    encoder = BatchEncoder(keys, embedding)
-    tie_key = int(tie_rng.integers(0, 2**63))
-    n_train = split.train_features.shape[0]
-    train_hvs = encoder.encode(split.train_features, seed=tie_key, packed=True)
-    test_hvs = encoder.encode(split.test_features, seed=tie_key, start=n_train, packed=True)
-
-    classifier = CentroidClassifier(config.dim, seed=tie_rng)
-    classifier.fit(train_hvs, split.train_labels.tolist())
-    if config.refine_epochs:
-        classifier.refine(
-            train_hvs, split.train_labels.tolist(), epochs=config.refine_epochs
-        )
-    acc = classifier.score(test_hvs, split.test_labels.tolist())
     return ClassificationResult(
         task=task,
         basis_kind=basis_kind,
-        accuracy=acc,
+        accuracy=built.fit_split(split),
         num_train=int(split.train_features.shape[0]),
         num_test=int(split.test_features.shape[0]),
         config=config,
@@ -192,26 +167,23 @@ def run_table1(
         are persisted.
     """
     config = config or ClassificationConfig()
+
+    def compute() -> dict[str, dict[str, float]]:
+        splits = {task: make_split(task, config.seed) for task in tasks}
+        cells = [(task, kind) for task in tasks for kind in basis_kinds]
+        accuracies = fan_out(
+            lambda cell: run_classification(
+                *cell, config=config, split=splits[cell[0]]
+            ).accuracy,
+            cells,
+            workers,
+        )
+        results: dict[str, dict[str, float]] = {task: {} for task in tasks}
+        for (task, kind), acc in zip(cells, accuracies):
+            results[task][kind] = acc
+        return results
+
+    if store is None:
+        return compute()
     params = table1_cache_params(config, tuple(tasks), tuple(basis_kinds))
-    if store is not None:
-        cached = store.load("table1", params)
-        if cached is not None:
-            return cached
-
-    splits = {}
-    for task in tasks:
-        data_rng = ensure_rng(config.seed).spawn(4)[0]
-        splits[task] = make_jigsaws_like(task=task, seed=data_rng)
-    cells = [(task, kind) for task in tasks for kind in basis_kinds]
-    accuracies = fan_out(
-        lambda cell: run_classification(*cell, config=config, split=splits[cell[0]]).accuracy,
-        cells,
-        workers,
-    )
-
-    results: dict[str, dict[str, float]] = {task: {} for task in tasks}
-    for (task, kind), acc in zip(cells, accuracies):
-        results[task][kind] = acc
-    if store is not None:
-        store.store("table1", params, results)
-    return results
+    return store.fetch("table1", params, compute)

@@ -15,21 +15,25 @@ same data normalized by the random-basis column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .._rng import ensure_rng
 from ..basis import Embedding, LevelBasis, LinearDiscretizer, _value_embedding
-from ..datasets import RegressionSplit, make_beijing_like, make_mars_express_like
+from ..datasets import RegressionSplit
 from ..datasets.beijing import DAYS_PER_YEAR
 from ..exceptions import InvalidParameterError
 from ..hdc.encoders import encode_bound_records
 from ..learning.regression import HDRegressor
 from ..runtime import ArtifactStore, fan_out
-from .config import RegressionConfig
+from .config import (
+    RegressionConfig,
+    build_mars_pipeline,
+    label_embedding,
+    make_split,
+    seed_streams,
+)
 
 __all__ = [
     "REGRESSION_DATASETS",
@@ -45,8 +49,6 @@ __all__ = [
 #: The datasets of Table 2, in row order.
 REGRESSION_DATASETS = ("beijing", "mars_express")
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class RegressionResult:
@@ -60,14 +62,6 @@ class RegressionResult:
     config: RegressionConfig
 
 
-def _label_embedding(split: RegressionSplit, config: RegressionConfig, seed) -> Embedding:
-    low, high = split.label_range
-    if high <= low:  # degenerate label range (constant labels)
-        high = low + 1.0
-    basis = LevelBasis(config.label_levels, config.dim, seed=seed)
-    return Embedding(basis, LinearDiscretizer(low, high, config.label_levels, clip=True))
-
-
 def run_beijing(
     basis_kind: str,
     config: RegressionConfig | None = None,
@@ -75,11 +69,9 @@ def run_beijing(
 ) -> RegressionResult:
     """One Beijing cell of Table 2: temperature-forecast MSE."""
     config = config or RegressionConfig()
-    master = ensure_rng(config.seed)
-    data_rng, year_rng, day_rng, hour_rng, label_rng, tie_rng = master.spawn(6)
-
+    _, year_rng, day_rng, hour_rng, label_rng, tie_rng = seed_streams(config.seed, 6)
     if split is None:
-        split = make_beijing_like(seed=data_rng)
+        split = make_split("beijing", config.seed)
 
     # Year: always a level basis over the observed year indices.
     year_values = np.concatenate(
@@ -101,7 +93,6 @@ def run_beijing(
         basis_kind, config.hour_levels, config.dim, hour_rng,
         0.0, 24.0, config.circular_r,
     )
-    label_embedding = _label_embedding(split, config, label_rng)
 
     def encode(features: np.ndarray):
         # Packed feature batches: the Y ⊗ D ⊗ H binding runs on packed
@@ -115,7 +106,8 @@ def run_beijing(
         )
 
     model = HDRegressor(
-        label_embedding, seed=tie_rng, decode=config.decode, model=config.model
+        label_embedding(split.label_range, config, label_rng),
+        seed=tie_rng, decode=config.decode, model=config.model,
     )
     model.fit(encode(split.train_features), split.train_labels)
     mse = model.score(encode(split.test_features), split.test_labels)
@@ -136,29 +128,13 @@ def run_mars_express(
 ) -> RegressionResult:
     """One Mars Express cell of Table 2: power-prediction MSE."""
     config = config or RegressionConfig()
-    master = ensure_rng(config.seed)
-    data_rng, anomaly_rng, label_rng, tie_rng = master.spawn(4)
-
     if split is None:
-        split = make_mars_express_like(seed=data_rng)
-
-    anomaly_embedding = _value_embedding(
-        basis_kind, config.anomaly_levels, config.dim, anomaly_rng,
-        0.0, TWO_PI, config.circular_r,
-    )
-    label_embedding = _label_embedding(split, config, label_rng)
-
-    model = HDRegressor(
-        label_embedding, seed=tie_rng, decode=config.decode, model=config.model
-    )
-    model.fit(anomaly_embedding.encode_packed(split.train_features[:, 0]), split.train_labels)
-    mse = model.score(
-        anomaly_embedding.encode_packed(split.test_features[:, 0]), split.test_labels
-    )
+        split = make_split("mars_express", config.seed)
+    built = build_mars_pipeline(basis_kind, config, split.label_range)
     return RegressionResult(
         dataset="mars_express",
         basis_kind=basis_kind,
-        mse=mse,
+        mse=built.fit_split(split),
         num_train=int(split.train_features.shape[0]),
         num_test=int(split.test_features.shape[0]),
         config=config,
@@ -192,19 +168,17 @@ def run_regression(
 
 
 def make_regression_split(dataset: str, config: RegressionConfig) -> RegressionSplit:
-    """Generate one dataset exactly as the table/sweep drivers do.
+    """Generate one regression dataset from ``config.seed``.
 
-    Centralised so the parallel drivers and the serial cell runners
-    derive the identical split from ``config.seed``.
+    The split the drivers and cells use
+    (:func:`~repro.experiments.config.make_split`), limited to
+    :data:`REGRESSION_DATASETS`.
     """
-    data_rng = ensure_rng(config.seed).spawn(6)[0]
-    if dataset == "beijing":
-        return make_beijing_like(seed=data_rng)
-    if dataset == "mars_express":
-        return make_mars_express_like(seed=data_rng)
-    raise InvalidParameterError(
-        f"unknown dataset {dataset!r}; expected one of {REGRESSION_DATASETS}"
-    )
+    if dataset not in REGRESSION_DATASETS:
+        raise InvalidParameterError(
+            f"unknown dataset {dataset!r}; expected one of {REGRESSION_DATASETS}"
+        )
+    return make_split(dataset, config.seed)
 
 
 def table2_cache_params(
@@ -245,23 +219,21 @@ def run_table2(
         repeated identical configurations from the cache.
     """
     config = config or RegressionConfig()
+
+    def compute() -> dict[str, dict[str, float]]:
+        splits = {dataset: make_split(dataset, config.seed) for dataset in datasets}
+        cells = [(dataset, kind) for dataset in datasets for kind in basis_kinds]
+        errors = fan_out(
+            lambda cell: run_regression(*cell, config=config, split=splits[cell[0]]).mse,
+            cells,
+            workers,
+        )
+        results: dict[str, dict[str, float]] = {dataset: {} for dataset in datasets}
+        for (dataset, kind), mse in zip(cells, errors):
+            results[dataset][kind] = mse
+        return results
+
+    if store is None:
+        return compute()
     params = table2_cache_params(config, tuple(basis_kinds), tuple(datasets))
-    if store is not None:
-        cached = store.load("table2", params)
-        if cached is not None:
-            return cached
-
-    splits = {dataset: make_regression_split(dataset, config) for dataset in datasets}
-    cells = [(dataset, kind) for dataset in datasets for kind in basis_kinds]
-    errors = fan_out(
-        lambda cell: run_regression(*cell, config=config, split=splits[cell[0]]).mse,
-        cells,
-        workers,
-    )
-
-    results: dict[str, dict[str, float]] = {dataset: {} for dataset in datasets}
-    for (dataset, kind), mse in zip(cells, errors):
-        results[dataset][kind] = mse
-    if store is not None:
-        store.store("table2", params, results)
-    return results
+    return store.fetch("table2", params, compute)

@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
-from .._rng import ensure_rng
-from ..datasets import ClassificationSplit, RegressionSplit, make_jigsaws_like
+from ..datasets import ClassificationSplit, RegressionSplit
 from ..exceptions import InvalidParameterError
 from ..learning.metrics import normalized_accuracy_error, normalized_mse
 from ..runtime import ArtifactStore, fan_out
 from .classification import run_classification
-from .config import ClassificationConfig, RegressionConfig
-from .regression import make_regression_split, run_regression
+from .config import ClassificationConfig, RegressionConfig, make_split
+from .regression import run_regression
 
 __all__ = ["RSweepResult", "SWEEP_DATASETS", "run_rsweep", "rsweep_cache_params"]
 
@@ -91,8 +90,7 @@ class RSweepResult:
 def _sweep_cell(
     dataset: str,
     r: float | None,
-    classification_config: ClassificationConfig,
-    regression_config: RegressionConfig,
+    config: ClassificationConfig | RegressionConfig,
     split: ClassificationSplit | RegressionSplit,
 ) -> float:
     """One sweep cell: raw accuracy/MSE for (dataset, r).
@@ -100,19 +98,12 @@ def _sweep_cell(
     ``r=None`` is the random-basis reference cell.  Fully self-seeded,
     so its value never depends on which process runs it.
     """
+    kind = "random" if r is None else "circular"
+    if r is not None:
+        config = replace(config, circular_r=float(r))
     if dataset in _CLASSIFICATION:
-        if r is None:
-            return run_classification(
-                dataset, "random", config=classification_config, split=split
-            ).accuracy
-        cfg = replace(classification_config, circular_r=float(r))
-        return run_classification(dataset, "circular", config=cfg, split=split).accuracy
-    if r is None:
-        return run_regression(
-            dataset, "random", config=regression_config, split=split
-        ).mse
-    cfg = replace(regression_config, circular_r=float(r))
-    return run_regression(dataset, "circular", config=cfg, split=split).mse
+        return run_classification(dataset, kind, config=config, split=split).accuracy
+    return run_regression(dataset, kind, config=config, split=split).mse
 
 
 def rsweep_cache_params(
@@ -181,55 +172,46 @@ def run_rsweep(
                 f"unknown dataset {dataset!r}; expected one of {SWEEP_DATASETS}"
             )
 
+    def compute() -> RSweepResult:
+        # Generate every split up front (deterministic from the config
+        # seeds), then flatten the whole sweep — reference cells
+        # included — into one task list for the fan-out.
+        configs = {
+            dataset: classification_config if dataset in _CLASSIFICATION
+            else regression_config
+            for dataset in datasets
+        }
+        splits = {dataset: make_split(dataset, configs[dataset].seed) for dataset in datasets}
+        cells = [(dataset, r) for dataset in datasets for r in (None, *r_values)]
+        raw = fan_out(
+            lambda cell: _sweep_cell(*cell, configs[cell[0]], splits[cell[0]]),
+            cells,
+            workers,
+        )
+        results: dict[tuple[str, float | None], float] = dict(zip(cells, raw))
+        curves: dict[str, tuple[float, ...]] = {}
+        references: dict[str, float] = {}
+        for dataset in datasets:
+            reference = results[(dataset, None)]
+            references[dataset] = reference
+            normalized = (
+                normalized_accuracy_error if dataset in _CLASSIFICATION else normalized_mse
+            )
+            curves[dataset] = tuple(
+                normalized(results[(dataset, float(r))], reference) for r in r_values
+            )
+        return RSweepResult(
+            r_values=tuple(float(r) for r in r_values),
+            normalized_error=curves,
+            reference=references,
+        )
+
+    if store is None:
+        return compute()
     params = rsweep_cache_params(
         r_values, datasets, classification_config, regression_config
     )
-    if store is not None:
-        cached = store.load("rsweep", params)
-        if cached is not None:
-            return RSweepResult.from_payload(cached)
-
-    # Generate every split up front (deterministic from the config seeds),
-    # then flatten the whole sweep — reference cells included — into one
-    # task list for the fan-out.
-    splits: dict[str, ClassificationSplit | RegressionSplit] = {}
-    for dataset in datasets:
-        if dataset in _CLASSIFICATION:
-            data_rng = ensure_rng(classification_config.seed).spawn(4)[0]
-            splits[dataset] = make_jigsaws_like(task=dataset, seed=data_rng)
-        else:
-            splits[dataset] = make_regression_split(dataset, regression_config)
-
-    cells = [(dataset, r) for dataset in datasets for r in (None, *r_values)]
-    raw = fan_out(
-        lambda cell: _sweep_cell(
-            *cell, classification_config, regression_config, splits[cell[0]]
-        ),
-        cells,
-        workers,
+    return store.fetch(
+        "rsweep", params, compute,
+        decode=RSweepResult.from_payload, encode=RSweepResult.to_payload,
     )
-    results: dict[tuple[str, float | None], float] = dict(zip(cells, raw))
-    curves: dict[str, tuple[float, ...]] = {}
-    references: dict[str, float] = {}
-    for dataset in datasets:
-        reference = results[(dataset, None)]
-        references[dataset] = reference
-        if dataset in _CLASSIFICATION:
-            series = [
-                normalized_accuracy_error(results[(dataset, float(r))], reference)
-                for r in r_values
-            ]
-        else:
-            series = [
-                normalized_mse(results[(dataset, float(r))], reference)
-                for r in r_values
-            ]
-        curves[dataset] = tuple(series)
-    sweep = RSweepResult(
-        r_values=tuple(float(r) for r in r_values),
-        normalized_error=curves,
-        reference=references,
-    )
-    if store is not None:
-        store.store("rsweep", params, sweep.to_payload())
-    return sweep

@@ -73,7 +73,7 @@ class HyperdimensionalHashRing:
     -------
     >>> ring = HyperdimensionalHashRing(slots=64, dim=4096, seed=0)
     >>> for name in ("alpha", "beta", "gamma"):
-    ...     ring.add_server(name)
+    ...     _ = ring.add_server(name)
     >>> server = ring.route("user-42")      # deterministic routing
     >>> server in {"alpha", "beta", "gamma"}
     True

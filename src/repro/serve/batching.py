@@ -29,7 +29,7 @@ taxes light traffic — while a flood of concurrent requests fills
 batches up to ``max_batch`` before the window expires.
 
 Both knobs are constructor arguments (``window_ms``, ``max_batch``)
-whose defaults are the built-ins below; :class:`MicroBatcher` checks
+whose defaults live in :mod:`repro.serve.knobs`; :class:`MicroBatcher` checks
 them once and raises :class:`~repro.exceptions.InvalidParameterError`
 for a value outside its bound.  Like every knob in the repository,
 they only move scheduling — answers are bit-identical for any value.
@@ -57,6 +57,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..exceptions import BackpressureError, InvalidParameterError
+from .knobs import DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_QUEUE
 from .registry import ModelRegistry
 
 __all__ = [
@@ -67,17 +68,6 @@ __all__ = [
     "BATCH_SIZE_BUCKETS",
     "MicroBatcher",
 ]
-
-#: Built-in batch window: how long a non-full batch may wait for more
-#: concurrent traffic, in milliseconds.
-DEFAULT_BATCH_WINDOW_MS = 2.0
-
-#: Built-in cap on coalesced batch size.
-DEFAULT_BATCH_MAX = 32
-
-#: Built-in bound on admitted-but-unanswered rows per model; a request
-#: that would pass it fails with backpressure.
-DEFAULT_MAX_QUEUE = 256
 
 #: Upper edges (seconds) of the request-latency histogram kept in
 #: :attr:`MicroBatcher.stats` and exported by the HTTP tier's

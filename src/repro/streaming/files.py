@@ -437,20 +437,6 @@ class NpyMmapChunkSource:
                 meta=self.meta,
             )
 
-    def __getstate__(self):
-        # Memory maps don't pickle — drop them and re-open from the
-        # paths on the other side.
-        state = self.__dict__.copy()
-        state["_features"] = None
-        state["_targets"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._features = np.load(self.path, mmap_mode="r")
-        if self.targets_path is not None:
-            self._targets = np.load(self.targets_path, mmap_mode="r")
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"NpyMmapChunkSource({str(self.path)!r}, rows={self.num_rows}, "

@@ -3,9 +3,9 @@
 The glue between the streaming core (:mod:`repro.streaming.reduce`) and
 the product surfaces: typed ``stream_fit`` / ``stream_score`` drivers
 for both model families, and :func:`train_pipeline_stream`, the
-``train --stream`` CLI's engine — it mirrors the in-memory
-:func:`repro.experiments.serving.train_pipeline` cell (same seeding
-discipline, same serve-time ``"zeros"`` tie policy) but trains from a
+``train --stream`` CLI's engine.  It builds a task's pipeline with the
+same builder as :func:`repro.experiments.serving.train_pipeline`
+(:mod:`repro.experiments.config`) but trains it from a
 :class:`~repro.streaming.ChunkSource`, so the training set never has to
 fit in RAM, and can drop an atomic checkpoint every few chunks while it
 runs.
@@ -25,20 +25,14 @@ worker count or crash schedule).
 from __future__ import annotations
 
 import copy
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .._rng import ensure_rng
-from ..basis import _value_embedding
 from ..basis.base import Embedding
-from ..basis.level import LevelBasis
-from ..basis.quantize import LinearDiscretizer
 from ..exceptions import InvalidParameterError, ModelFormatError
-from ..hdc.hypervector import random_hypervectors
 from ..learning.classifier import CentroidClassifier
 from ..learning.metrics import mean_squared_error
 from ..learning.regression import HDRegressor
@@ -58,8 +52,6 @@ __all__ = [
     "stream_score_regressor",
     "train_pipeline_stream",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 #: Schema revision of the checkpoint resume cursor written by
 #: :func:`train_pipeline_stream` (stored under the manifest's
@@ -155,7 +147,8 @@ def stream_fit_classifier(
     >>> from repro.basis import CircularBasis
     >>> from repro.streaming import JigsawsStream
     >>> stream = JigsawsStream("knot_tying", seed=0, chunk_size=64)
-    >>> emb = CircularBasis(16, 256, seed=1).circular_embedding(period=TWO_PI)
+    >>> from repro.hdc.hypervector import random_hypervectors
+    >>> emb = CircularBasis(16, 256, seed=1).circular_embedding(period=2 * np.pi)
     >>> enc = BatchEncoder(random_hypervectors(18, 256, seed=2), emb)
     >>> clf = CentroidClassifier(256, tie_break="zeros")
     >>> stream_fit_classifier(clf, enc, stream).rows
@@ -410,10 +403,10 @@ def train_pipeline_stream(
     """Train a servable pipeline from a synthetic stream (``train --stream``).
 
     The out-of-core counterpart of
-    :func:`repro.experiments.serving.train_pipeline`: the same seeding
-    discipline (four spawned substreams of ``config.seed``), the same
-    serve-time ``"zeros"`` encode policy, the same held-out metric in
-    the metadata — but the training split is a
+    :func:`repro.experiments.serving.train_pipeline`: the task's
+    pipeline comes from the same builder, with the serve-time
+    ``"zeros"`` encode policy and a held-out metric in the metadata,
+    but the training split is a
     :class:`~repro.streaming.JigsawsStream` /
     :class:`~repro.streaming.MarsExpressStream` consumed chunk by
     chunk, so ``stream_samples`` can exceed RAM.  With ``checkpoint``
@@ -478,55 +471,37 @@ def train_pipeline_stream(
     >>> pipe.metadata["stream"]["chunk_size"]
     128
     """
-    # Imported at call time: the configs live a layer up, and perfbench's
+    # Imported at call time: the builders live a layer up, and perfbench's
     # tracer replaces save_model (like file_chunk_source) on its module.
-    from ..experiments.config import BASIS_KINDS, ClassificationConfig, RegressionConfig
+    from ..experiments.config import (
+        build_gesture_pipeline,
+        build_mars_pipeline,
+        seed_streams,
+        task_config,
+    )
     from ..serve.persist import save_model
-    from ..serve.pipeline import TrainedPipeline
 
     if ingest not in _INGEST_NAMES:
         raise InvalidParameterError(
             f"ingest must be one of {_INGEST_NAMES}, got {ingest!r}"
         )
-    if basis_kind not in BASIS_KINDS:
-        raise InvalidParameterError(
-            f"basis_kind must be one of {BASIS_KINDS}, got {basis_kind!r}"
-        )
     if resume and checkpoint is None:
         raise InvalidParameterError("resume needs a checkpoint path to reload")
 
+    config = task_config(task, config)
+    data_seed = np.random.SeedSequence(
+        int(seed_streams(config.seed)[0].integers(0, 2**63))
+    )
     if task == "mars_express":
-        config = config or RegressionConfig()
-        if not isinstance(config, RegressionConfig):
-            raise InvalidParameterError("mars_express needs a RegressionConfig")
-        master = ensure_rng(config.seed)
-        data_rng, anomaly_rng, label_rng, tie_rng = master.spawn(4)
         train_stream = MarsExpressStream(
             part="train",
             chunk_size=chunk_size,
             num_samples=stream_samples or 2500,
-            seed=np.random.SeedSequence(int(data_rng.integers(0, 2**63))),
+            seed=data_seed,
         )
-        embedding = _value_embedding(
-            basis_kind, config.anomaly_levels, config.dim, anomaly_rng,
-            0.0, TWO_PI, config.circular_r,
-        )
-        low, high = train_stream.label_range()
-        label_embedding = Embedding(
-            LevelBasis(config.label_levels, config.dim, seed=label_rng),
-            LinearDiscretizer(low, high, config.label_levels, clip=True),
-        )
-        model = HDRegressor(
-            label_embedding, seed=tie_rng, decode=config.decode, model=config.model
-        )
-        kind, keys = "regression", None
-        encode = ValueEncode(embedding)
+        built = build_mars_pipeline(basis_kind, config, train_stream.label_range())
+        encode = ValueEncode(built.embedding)
     else:
-        config = config or ClassificationConfig()
-        if not isinstance(config, ClassificationConfig):
-            raise InvalidParameterError(f"{task} needs a ClassificationConfig")
-        master = ensure_rng(config.seed)
-        data_rng, basis_rng, key_rng, tie_rng = master.spawn(4)
         per_gesture = None
         if stream_samples is not None:
             per_gesture = max(1, -(-int(stream_samples) // 15))
@@ -534,30 +509,19 @@ def train_pipeline_stream(
             task=task,
             part="train",
             chunk_size=chunk_size,
-            seed=np.random.SeedSequence(int(data_rng.integers(0, 2**63))),
+            seed=data_seed,
             samples_per_gesture=per_gesture,
         )
-        low, high = train_stream.meta["feature_range"]
-        embedding = _value_embedding(
-            basis_kind, config.levels, config.dim, basis_rng, low, high, config.circular_r
+        # Serve-time "zeros" ties: the streamed encode equals the
+        # serving engine's encode bit for bit.
+        built = build_gesture_pipeline(
+            basis_kind, config, train_stream.num_features,
+            train_stream.meta["feature_range"],
         )
-        keys = random_hypervectors(train_stream.num_features, config.dim, seed=key_rng)
-        # Serve-time policy end to end: "zeros" ties, so the streamed
-        # encode equals the serving engine's encode bit for bit.
-        encoder = BatchEncoder(keys, embedding, tie_break="zeros")
-        model = CentroidClassifier(config.dim, seed=tie_rng)
-        kind = "classification"
-        encode = RecordEncode(encoder, seed=0)
+        encode = RecordEncode(built.encoder, seed=0)
+    model = built.model
     test_stream = train_stream.with_part("test")
-    pipeline = TrainedPipeline(
-        kind=kind,
-        model=model,
-        embedding=embedding,
-        keys=keys,
-        tie_break="zeros",
-        metadata={"task": task, "basis_kind": basis_kind, "dim": config.dim,
-                  "seed": config.seed},
-    )
+    pipeline = built.servable(task, basis_kind, config)
     config_echo = {"task": task, "basis_kind": basis_kind, "dim": config.dim,
                    "seed": config.seed, "stream_samples": stream_samples}
     stats = StreamStats()
@@ -603,14 +567,14 @@ def train_pipeline_stream(
                    "entropy": train_stream.entropy}
     if input_path is not None:
         stream_meta["input"] = str(input_path)
-    if kind == "regression":
+    if built.kind == "regression":
         # Count the held-out rows on the scoring pass itself — a second
         # pass over the stream would regenerate all the telemetry.
         counted = _CountingSource(test_stream)
-        mse = stream_score_regressor(model, embedding, counted)
+        mse = stream_score_regressor(model, built.embedding, counted)
         metric = {"num_test": counted.rows, "test_mse": float(mse)}
     else:
-        acc = stream_score_classifier(model, encoder, test_stream)
+        acc = stream_score_classifier(model, built.encoder, test_stream)
         metric = {"num_test": test_stream.num_rows, "test_accuracy": float(acc)}
     pipeline.metadata.update(num_train=stats.rows, **metric, stream=stream_meta)
     if checkpoint is not None:

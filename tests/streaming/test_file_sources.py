@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -167,19 +166,6 @@ class TestNpyMmapChunkSource:
         np.save(tp, np.arange(7.0))
         with pytest.raises(InvalidParameterError, match="expected shape"):
             NpyMmapChunkSource(fp, tp)
-
-    def test_pickles_into_workers(self, tmp_path, gesture_rows):
-        """The mmaps are dropped on pickle and reopened from the paths —
-        the shape a cluster worker receives."""
-        fp, tp = tmp_path / "x.npy", tmp_path / "y.npy"
-        np.save(fp, gesture_rows)
-        np.save(tp, np.arange(120.0))
-        src = NpyMmapChunkSource(fp, tp, chunk_size=40)
-        clone = pickle.loads(pickle.dumps(src))
-        for a, b in zip(src, clone):
-            assert a.start == b.start
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.targets, b.targets)
 
 
 class TestFileChunkSource:

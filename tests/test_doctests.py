@@ -1,10 +1,9 @@
-"""Run the documented examples of the public packages' APIs.
+"""Run the documented examples of every module in the package.
 
-Mirrors the CI step ``pytest --doctest-modules src/repro/hdc
-src/repro/runtime src/repro/experiments src/repro/learning
-src/repro/serve src/repro/streaming src/repro/tuning`` inside the
+Mirrors the CI step ``pytest --doctest-modules src/repro`` inside the
 tier-1 suite, so a docstring example can never rot unnoticed even in a
-plain ``pytest`` run.
+plain ``pytest`` run.  The module list is found by walking ``repro``,
+so a new package is covered the day it lands.
 """
 
 from __future__ import annotations
@@ -15,32 +14,13 @@ import pkgutil
 
 import pytest
 
-import repro.cluster
-import repro.experiments
-import repro.hdc
-import repro.learning
-import repro.runtime
-import repro.serve
-import repro.streaming
-import repro.tuning
-
-PACKAGES = (
-    repro.cluster,
-    repro.hdc,
-    repro.runtime,
-    repro.experiments,
-    repro.learning,
-    repro.serve,
-    repro.streaming,
-    repro.tuning,
-)
+import repro
 
 
 def _iter_modules():
-    for package in PACKAGES:
-        yield package.__name__
-        for info in pkgutil.iter_modules(package.__path__):
-            yield f"{package.__name__}.{info.name}"
+    yield repro.__name__
+    for info in pkgutil.walk_packages(repro.__path__, prefix=f"{repro.__name__}."):
+        yield info.name
 
 
 @pytest.mark.parametrize("module_name", sorted(_iter_modules()))

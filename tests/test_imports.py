@@ -7,6 +7,8 @@ the rest of the suite's imports cannot hide a regression:
 
 * a streamed training (the ``train_file`` benchmark child's imports)
   loads no HTTP tier, no cluster and no experiment driver;
+* the CLI module loads no asyncio and no serving registry until a
+  serving target runs;
 * a bare ``import repro`` loads none of the upper layers;
 * once ``serve-http`` has loaded its engines — the point where it forks
   its members — serving every route imports nothing more;
@@ -69,6 +71,11 @@ def test_training_loads_no_http_tier_cluster_or_driver():
         "repro.experiments.classification",
         "repro.experiments.regression",
     )) == []
+
+
+def test_cli_loads_no_http_tier():
+    loaded = _loaded_after("import repro.experiments.__main__")
+    assert _under(loaded, ("asyncio", "repro.serve.registry")) == []
 
 
 def test_bare_import_loads_no_upper_layer():
