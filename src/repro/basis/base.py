@@ -29,10 +29,8 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..hdc.coerce import as_packed_batch
-from ..hdc.hypervector import as_hypervector
 from ..hdc.kernels import pairwise_hamming
-from ..hdc.ops import hamming_distance
-from ..hdc.packed import PackedHV
+from ..hdc.packed import PackedHV, packed_hamming
 from .quantize import Discretizer
 
 __all__ = ["BasisSet", "Embedding"]
@@ -41,66 +39,53 @@ __all__ = ["BasisSet", "Embedding"]
 class BasisSet(abc.ABC):
     """A table of ``m`` basis-hypervectors of dimension ``d``.
 
-    Concrete subclasses generate :attr:`vectors` in their constructor; this
-    base class is agnostic to how they were produced.  ``vectors`` may
-    also be a packed :class:`~repro.hdc.packed.PackedHV` table (a saved
-    model's basis): it unpacks to bits by construction, so it skips the
-    value check an unpacked table gets.
+    Concrete subclasses generate the table in their constructor.  It is
+    stored once, bit-packed: an unpacked table is checked and packed on
+    the way in, a :class:`~repro.hdc.packed.PackedHV` (a saved model's
+    basis) is kept as it is, and unpacked views are built on demand.
     """
 
     def __init__(self, vectors: np.ndarray | PackedHV) -> None:
-        arr = as_hypervector(vectors)
-        if arr.ndim != 2:
+        packed = PackedHV.pack(vectors)
+        if packed.ndim != 2:
             raise InvalidParameterError(
-                f"a basis set is a (m, d) table, got shape {arr.shape}"
+                f"a basis set is a (m, d) table, got shape {packed.shape}"
             )
-        if arr.shape[0] < 1:
+        if packed.shape[0] < 1:
             raise InvalidParameterError("a basis set needs at least one hypervector")
-        self._vectors = arr
-        self._packed: PackedHV | None = None  # lazily built packed table
+        self._packed = packed
 
     # -- table access ---------------------------------------------------------
     @property
     def vectors(self) -> np.ndarray:
-        """The ``(m, d)`` table of basis-hypervectors."""
-        return self._vectors
+        """The ``(m, d)`` table of basis-hypervectors, unpacked on demand."""
+        return self._packed.unpack()
 
     @property
     def packed(self) -> PackedHV:
-        """The table in bit-packed form, built once and cached.
-
-        This is what the distance kernels and the regression decode scan:
-        ``m × ceil(d / 8)`` bytes instead of ``m × d``.
-        """
-        if self._packed is None:
-            self._packed = PackedHV.pack(self._vectors)
+        """The stored table, ``m × ceil(d / 8)`` bytes: what the kernels scan."""
         return self._packed
 
     @property
     def dim(self) -> int:
         """Hyperspace dimensionality ``d``."""
-        return self._vectors.shape[1]
+        return self._packed.dim
 
     def __len__(self) -> int:
-        return self._vectors.shape[0]
+        return len(self._packed)
 
     def __getitem__(self, index) -> np.ndarray:
-        """Row access; supports ints, slices and index arrays (numpy rules)."""
-        return self._vectors[index]
+        """Unpacked row access; supports ints, slices and index arrays (numpy rules)."""
+        return self._packed[index].unpack()
 
     # -- geometry ----------------------------------------------------------------
     def distance(self, i: int, j: int) -> float:
         """Empirical normalized Hamming distance between members ``i`` and ``j``."""
-        return float(hamming_distance(self._vectors[i], self._vectors[j]))
+        return float(packed_hamming(self._packed[i], self._packed[j]))
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs normalized Hamming distance, shape ``(m, m)``.
-
-        Runs on the cached packed table through the similarity-kernel
-        subsystem (:mod:`repro.hdc.kernels`), so repeated analyses never
-        re-pack the vectors.
-        """
-        return pairwise_hamming(self.packed)
+        """All-pairs normalized Hamming distance, shape ``(m, m)``, on the packed table."""
+        return pairwise_hamming(self._packed)
 
     def similarity_matrix(self) -> np.ndarray:
         """All-pairs similarity ``1 − δ`` — the quantity plotted in Figure 3."""
@@ -196,7 +181,7 @@ class Embedding:
     def encode_packed(self, values: np.ndarray | float) -> PackedHV:
         """Encode value(s) directly to bit-packed hypervector(s).
 
-        Rows are gathered from the cached packed basis table, so encoding
+        Rows are gathered from the packed basis table, so encoding
         a batch of ``n`` values materialises ``n × ceil(d / 8)`` bytes and
         never touches the unpacked representation.
         """

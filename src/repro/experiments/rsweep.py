@@ -62,28 +62,30 @@ class RSweepResult:
         return self.normalized_error[dataset]
 
     def to_payload(self) -> dict:
-        """JSON-serialisable form (tuples become lists) for the artifact cache."""
+        """JSON-serialisable form for the artifact cache, which sorts dict
+        keys: so the datasets' order is stored as a list of its own."""
         return {
             "r_values": list(self.r_values),
+            "datasets": list(self.normalized_error),
             "normalized_error": {k: list(v) for k, v in self.normalized_error.items()},
             "reference": dict(self.reference),
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "RSweepResult":
-        """Inverse of :meth:`to_payload`.
+        """Inverse of :meth:`to_payload`; a payload stored without the
+        dataset order raises ``KeyError``, which the cache treats as a miss.
 
         >>> sweep = RSweepResult((0.0, 1.0), {"beijing": (1.2, 1.0)}, {"beijing": 3.4})
         >>> RSweepResult.from_payload(sweep.to_payload()) == sweep
         True
         """
+        order = [str(k) for k in payload["datasets"]]
+        errors, reference = payload["normalized_error"], payload["reference"]
         return cls(
             r_values=tuple(float(r) for r in payload["r_values"]),
-            normalized_error={
-                str(k): tuple(float(x) for x in v)
-                for k, v in payload["normalized_error"].items()
-            },
-            reference={str(k): float(v) for k, v in payload["reference"].items()},
+            normalized_error={k: tuple(float(x) for x in errors[k]) for k in order},
+            reference={k: float(reference[k]) for k in order},
         )
 
 

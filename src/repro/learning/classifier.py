@@ -88,7 +88,6 @@ class CentroidClassifier:
         # One streaming majority accumulator per class.  Its ``signed``
         # view equals the classic Σ (2·bit − 1) accumulator exactly.
         self._accumulators: dict[Hashable, BundleAccumulator] = {}
-        self._class_vectors: dict[Hashable, np.ndarray] | None = None
         self._packed_table: PackedHV | None = None
         self._class_order: list[Hashable] = []
         self._version = 0
@@ -122,18 +121,14 @@ class CentroidClassifier:
         return sum(acc.total for acc in self._accumulators.values())
 
     def class_vector(self, label: Hashable) -> np.ndarray:
-        """The binary prototype ``M_i`` of ``label`` (built on demand)."""
-        self._materialise()
-        assert self._class_vectors is not None
-        if label not in self._class_vectors:
-            raise KeyError(f"unknown class {label!r}")
-        return self._class_vectors[label]
+        """The binary prototype ``M_i`` of ``label``, unpacked on demand."""
+        return self.packed_class_vector(label).unpack()
 
     def packed_class_vector(self, label: Hashable) -> PackedHV:
         """The prototype of ``label`` in bit-packed form."""
         self._materialise()
         assert self._packed_table is not None
-        if label not in self._class_vectors:  # type: ignore[operator]
+        if label not in self._class_order:
             raise KeyError(f"unknown class {label!r}")
         return self._packed_table[self._class_order.index(label)]
 
@@ -187,7 +182,6 @@ class CentroidClassifier:
         return [(label, codes == code) for label, code in codes_of.items()]
 
     def _invalidate(self) -> None:
-        self._class_vectors = None
         self._packed_table = None
         self._version += 1
 
@@ -392,23 +386,19 @@ class CentroidClassifier:
     def _materialise(self) -> None:
         if not self._accumulators:
             raise EmptyModelError("classifier has no training data")
-        if self._class_vectors is not None and self._packed_table is not None:
+        if self._packed_table is not None:
             return
-        vectors: dict[Hashable, np.ndarray] = {}
-        for label, acc in self._accumulators.items():
-            # Threshold the raw counts rather than acc.finalize(): refine()
-            # may legitimately drive a class's net total to zero or below
-            # (more subtractions than additions), and the majority rule
-            # 2·counts > total is still well defined there — matching the
-            # signed-accumulator formulation, which had no emptiness notion.
-            vectors[label] = majority_from_counts(
-                acc.counts, acc.total, tie_break=self._tie_break, seed=self._rng
-            )
-        self._class_vectors = vectors
-        self._class_order = list(vectors.keys())
-        self._packed_table = PackedHV.pack(
-            np.stack([vectors[c] for c in self._class_order], axis=0)
-        )
+        # Threshold the raw counts rather than acc.finalize(): refine()
+        # may legitimately drive a class's net total to zero or below
+        # (more subtractions than additions), and the majority rule
+        # 2·counts > total is still well defined there — matching the
+        # signed-accumulator formulation, which had no emptiness notion.
+        vectors = [
+            majority_from_counts(acc.counts, acc.total, tie_break=self._tie_break, seed=self._rng)
+            for acc in self._accumulators.values()
+        ]
+        self._class_order = list(self._accumulators)
+        self._packed_table = PackedHV.pack(np.stack(vectors, axis=0))
 
     def prepare(self) -> "CentroidClassifier":
         """Materialise the packed prototype table eagerly; returns ``self``.

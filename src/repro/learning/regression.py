@@ -33,11 +33,10 @@ Beyond the paper, :class:`HDRegressor` supports:
   practice in HDC implementations, equivalent to keeping the bundle as an
   integer vector instead of a binary one.  The paper's formal model is
   the ``"binary"`` (majority) one; an ablation benchmark compares the
-  two.  The integer model folds the accumulator into a ``(d, k)``
-  scoring table once per model version (rebuilt after any mutation) and
-  scores exactly against it: float32 while ``Σ_d |total − 2·counts_d|``
-  stays below ``2**24``, float64 above, so a query's answer does not
-  depend on the batch it arrives in.
+  two.  The integer model scores exactly from its counts and the packed
+  label table (float32 while ``Σ_d |total − 2·counts_d|`` stays below
+  ``2**24``, float64 above), so a query's answer does not depend on the
+  batch it arrives in.
 """
 
 from __future__ import annotations
@@ -68,6 +67,10 @@ _MODEL_MODES = ("binary", "integer")
 
 #: One unit of streamed training work: an encoded batch plus its targets.
 TargetChunk = Tuple[EncodedBatch, np.ndarray]
+
+#: Dimensions per block of the integer model's scoring pass, which
+#: bounds its transient; a multiple of 8, so blocks start on a byte.
+SCORE_BLOCK_BITS = 1024
 
 
 class HDRegressor:
@@ -123,13 +126,11 @@ class HDRegressor:
         self._bundle = BundleAccumulator(self._dim)
         self._model: np.ndarray | None = None
         self._packed_model: PackedHV | None = None
-        self._scoring: tuple[np.ndarray, np.ndarray, int] | None = None
         self._version = 0
 
     def _invalidate(self) -> None:
         self._model = None
         self._packed_model = None
-        self._scoring = None
         self._version += 1
 
     @property
@@ -277,21 +278,17 @@ class HDRegressor:
         return self
 
     def prepare(self) -> "HDRegressor":
-        """Build the frozen scoring state eagerly; returns ``self``.
+        """Threshold the binary model eagerly; returns ``self``.
 
         The binary model is normally thresholded lazily on first use,
-        consuming the tie-break RNG; the integer model builds its
-        ``(d, k)`` scoring table (:meth:`_integer_table`) lazily on
-        first use.  The serving engine and
+        consuming the tie-break RNG.  The serving engine and
         :func:`~repro.serve.persist.save_model` call ``prepare()`` up
-        front, so predictions only ever read frozen state.  Every
-        mutation drops that state again.
+        front, so predictions only ever read frozen state; every
+        mutation drops it again.  The integer model scores straight
+        from its counts, so there is nothing to prepare.
         """
-        if self._bundle.total > 0:
-            if self.model_mode == "binary":
-                _ = self.packed_model
-            else:
-                self._integer_table()
+        if self._bundle.total > 0 and self.model_mode == "binary":
+            _ = self.packed_model
         return self
 
     @property
@@ -312,36 +309,6 @@ class HDRegressor:
             self._packed_model = PackedHV.pack(self.model)
         return self._packed_model
 
-    def _integer_table(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The integer model's frozen scoring state ``(colsum(A), A, d·total)``.
-
-        ``A = signed ⊙ Lᵀ`` of shape ``(d, k)``, with ``signed = total −
-        2·counts`` the signed accumulator and ``L`` the bipolar label
-        table.  It depends only on the model version, so it is built
-        once (here or in :meth:`prepare`) and dropped by every mutation;
-        it is derived state and never persisted.  Every entry of
-        ``bits @ A`` and ``colsum(A)`` is an integer whose partial sums
-        are bounded by ``Σ_d |signed_d|``, so the table is float32 when
-        that bound is below ``2**24`` and float64 otherwise: either way
-        each score is exact, whatever the batch shape, BLAS blocking or
-        thread count.
-        """
-        table = self._scoring
-        if table is None:
-            total = self._bundle.total
-            signed = total - 2 * np.asarray(self._bundle.counts, dtype=np.int64)
-            dtype = np.float32 if int(np.abs(signed).sum()) < 2**24 else np.float64
-            # (d, k), built in place in the label table's transposed
-            # layout: one table-sized allocation and no temporaries.
-            weighted = self.label_embedding.basis.vectors.T.astype(dtype)
-            weighted *= -2
-            weighted += 1  # the bipolar label table Lᵀ
-            weighted *= signed.astype(dtype)[:, None]
-            colsum = weighted.sum(axis=0, dtype=np.float64).astype(dtype)
-            table = (colsum, weighted, self._dim * max(total, 1))
-            self._scoring = table
-        return table
-
     def _label_scores(self, batch: EncodedBatch) -> np.ndarray:
         """Alignment of each query with each label grid point, in ``[−1, 1]``.
 
@@ -352,20 +319,40 @@ class HDRegressor:
         signed accumulator (sign-flipped by the query bits) and the
         bipolar label vectors — the same quantity without the majority
         quantisation in between.  ``score[q, k] = Σ_d signed_d ·
-        (1 − 2·bits_qd) · L_kd = colsum(A)_k − 2 · (bits @ A)_qk`` is
-        computed exactly against the cached table (:meth:`_integer_table`)
-        and only then normalised, so every row's scores are the same
-        bytes in any batch.
+        (1 − 2·bits_qd) · L_kd = colsum(A)_k − 2 · (bits @ A)_qk`` with
+        ``A = signed ⊙ Lᵀ`` (``signed = total − 2·counts``, ``L`` the
+        bipolar label table), built and summed in blocks of
+        :data:`SCORE_BLOCK_BITS` dimensions.  Every partial sum is an
+        integer bounded by ``Σ_d |signed_d|``, so float32 below ``2**24``
+        and float64 above make each score exact before it is normalised:
+        the same bytes in any batch, blocking or BLAS thread count.
         """
         if self.model_mode == "binary":
             queries = batch if is_packed(batch) else PackedHV.pack(batch)
             unbound = packed_bind(queries, self.packed_model)
             distances = pairwise_hamming(unbound, self.label_embedding.basis.packed)
             return 1.0 - 2.0 * distances
-        colsum, weighted, norm = self._integer_table()
-        bits = batch.unpack() if is_packed(batch) else batch
-        scores = colsum[None, :] - 2.0 * (bits.astype(weighted.dtype) @ weighted)
-        return scores / norm
+        total = self._bundle.total
+        signed = total - 2 * np.asarray(self._bundle.counts, dtype=np.int64)
+        dtype = np.float32 if int(np.abs(signed).sum()) < 2**24 else np.float64
+        signed = signed.astype(dtype)
+        labels = self.label_embedding.basis.packed.data
+        queries = (batch if is_packed(batch) else PackedHV.pack(batch)).data
+        colsum = np.zeros(labels.shape[0], dtype=dtype)
+        product = np.zeros((queries.shape[0], labels.shape[0]), dtype=dtype)
+        for lo in range(0, self._dim, SCORE_BLOCK_BITS):
+            hi = min(self._dim, lo + SCORE_BLOCK_BITS)
+            cols = slice(lo // 8, -(-hi // 8))
+            # This block of A = signed ⊙ Lᵀ, built in place.
+            block = np.unpackbits(labels[:, cols], axis=-1, count=hi - lo).T.astype(dtype)
+            block *= -2
+            block += 1
+            block *= signed[lo:hi, None]
+            colsum += block.sum(axis=0)
+            bits = np.unpackbits(queries[:, cols], axis=-1, count=hi - lo)
+            product += bits.astype(dtype) @ block
+        scores = colsum[None, :] - 2.0 * product
+        return scores / (self._dim * total)
 
     def predict(self, encoded: EncodedBatch) -> np.ndarray:
         """Decode predicted labels for a batch of encoded samples."""

@@ -209,11 +209,18 @@ class ArtifactStore:
 
         ``encode``/``decode`` optionally convert between the in-memory
         result type and its JSON payload (e.g. dataclasses with tuple
-        fields); both default to the identity.
+        fields); both default to the identity.  A cached payload that
+        ``decode`` rejects (``KeyError``, ``TypeError`` or ``ValueError``:
+        an entry written in an older layout) is a miss, and the entry is
+        recomputed and rewritten.
         """
         cached = self.load(experiment, params)
         if cached is not None:
-            return decode(cached) if decode else cached
+            try:
+                return decode(cached) if decode else cached
+            except (KeyError, TypeError, ValueError) as exc:
+                logger.warning("cache entry for %s does not decode (%r); recomputing",
+                               experiment, exc)
         result = compute()
         self.store(experiment, params, encode(result) if encode else result)
         return result

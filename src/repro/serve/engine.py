@@ -51,10 +51,11 @@ from .pipeline import TrainedPipeline
 __all__ = ["InferenceEngine"]
 
 #: Input levels per ``model.predict`` call when building a keyless
-#: pipeline's per-level table.  The build's transient (unpacked bits and
-#: their float copy in the integer regressor) is bounded by this many
-#: rows instead of all ``m`` levels; rows score independently of their
-#: batch, so the table is the same bytes for any chunking.
+#: pipeline's per-level table: a scan's GEMM transient is bounded by this
+#: many rows instead of all ``m`` levels.  The integer regressor bounds
+#: its own transient (it scores in blocks of dimensions) and rebuilds its
+#: label weights per call, so it takes all ``m`` levels in one call.  Rows
+#: score independently of their batch, so the table is the same bytes.
 LEVEL_CHUNK_ROWS = 64
 
 
@@ -120,9 +121,9 @@ class InferenceEngine:
     def from_path(cls, path: str | os.PathLike) -> "InferenceEngine":
         """Load a saved pipeline (``save_model`` output) and wrap it.
 
-        The one-time cost — reading the container, unpacking the basis
-        table, building the fused encode table (key–value pipelines) or
-        the per-level answer table (keyless pipelines) — is paid here;
+        The one-time cost — reading the container, building the fused
+        encode table (key–value pipelines) or the per-level answer table
+        (keyless pipelines) — is paid here;
         a keyed :meth:`predict` call then touches only packed kernels,
         and a keyless one is a quantise plus a table lookup.
         """
@@ -182,8 +183,9 @@ class InferenceEngine:
         """A keyless pipeline's answer for each of its ``m`` input levels.
 
         ``model.predict(basis.packed)`` after ``model.prepare()``, run
-        :data:`LEVEL_CHUNK_ROWS` levels at a time: row ``i`` is exactly
-        what ``model.predict`` returns for any value quantised to level
+        :data:`LEVEL_CHUNK_ROWS` levels at a time (all at once for the
+        integer regressor): row ``i`` is exactly what ``model.predict``
+        returns for any value quantised to level
         ``i`` (every predict path scores each row independently of its
         batch, so the chunking changes no byte).  Cached against the model's
         ``version``, which is read *before* building, so a mutation that
@@ -199,9 +201,11 @@ class InferenceEngine:
             if self._table is None or self._table[0] != version:
                 model.prepare()
                 levels = self.pipeline.embedding.basis.packed
+                integer = getattr(model, "model_mode", None) == "integer"
+                step = len(levels) if integer else LEVEL_CHUNK_ROWS
                 parts = [
-                    model.predict(levels[lo:lo + LEVEL_CHUNK_ROWS])
-                    for lo in range(0, len(levels), LEVEL_CHUNK_ROWS)
+                    model.predict(levels[lo:lo + step])
+                    for lo in range(0, len(levels), step)
                 ]
                 if isinstance(parts[0], np.ndarray):
                     answers = np.concatenate(parts)

@@ -243,7 +243,7 @@ def _save_basis(basis: BasisSet, arrays: dict, prefix: str) -> dict[str, Any]:
         "size": len(basis),
         "dim": basis.dim,
     }
-    arrays[prefix + "vectors"] = _pack_table(basis.vectors)
+    arrays[prefix + "vectors"] = basis.packed.data
     if isinstance(basis, LevelBasis):
         payload["r"] = basis.r
         payload["profile_name"] = basis.profile_name
@@ -275,12 +275,10 @@ def _load_basis(payload: dict, arrays: dict, prefix: str) -> BasisSet:
         )
     # Bypass the stochastic constructors: the generated table *is* the
     # basis, so restore it verbatim and reattach the per-type metadata
-    # that the analysis methods (expected_distance etc.) consult.  Fed
-    # the packed table, the constructor unpacks it with no value check:
-    # unpackbits output is bits by construction.
+    # that the analysis methods (expected_distance etc.) consult.  The
+    # checked packed table is stored as it is, with no unpack.
     basis = cls.__new__(cls)
     BasisSet.__init__(basis, packed)
-    basis._packed = packed
     if cls is LevelBasis:
         basis.r = float(payload["r"])
         basis._profile_name = payload["profile_name"]
@@ -448,7 +446,6 @@ def _load_classifier(payload: dict, arrays: dict, prefix: str) -> CentroidClassi
             )
         clf._packed_table = table
         clf._class_order = list(classes)
-        clf._class_vectors = dict(zip(classes, table.unpack()))
     return clf
 
 

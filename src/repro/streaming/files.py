@@ -15,9 +15,9 @@ speaks:
   ``target`` (if present) carries the label/value and every other
   column is a numeric feature; rows are read lazily and validation
   errors point at the offending ``path:lineno``.
-* :class:`NpyMmapChunkSource` — a ``(n, k)`` float ``.npy`` array
-  opened with ``mmap_mode="r"``; chunks are zero-copy views into the
-  mapping, so the OS pages rows in and out on demand.
+* :class:`NpyMmapChunkSource` — a ``(n, k)`` float ``.npy`` array;
+  each chunk's rows are read from the file into a fresh array, so the
+  process holds one chunk of the file at a time.
 
 Both plug straight into ``train --stream --input PATH``
 (:func:`file_chunk_source` picks the reader from the extension): the
@@ -360,14 +360,42 @@ class CsvChunkSource:
         )
 
 
+class _NpyRows:
+    """Row ranges of one ``.npy`` array, each read from the file into a fresh array.
+
+    ``np.load(..., mmap_mode="r")`` checks the header; its mapping is dropped at once.
+    """
+
+    def __init__(self, path: Path) -> None:
+        mapped = np.load(path, mmap_mode="r")
+        self.path, self.shape, self.dtype = path, mapped.shape, mapped.dtype
+        self.offset = mapped.offset
+        self.fortran = not mapped.flags.c_contiguous
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` in the file's memory order; the file is open for this read only."""
+        out = np.empty((hi - lo,) + self.shape[1:], self.dtype, order="F" if self.fortran else "C")
+        if self.fortran:  # column j holds rows 0..n-1 of feature j
+            size, n = self.dtype.itemsize, self.shape[0]
+            runs = [(self.offset + (j * n + lo) * size, col) for j, col in enumerate(out.T)]
+        else:
+            runs = [(self.offset + lo * (out.nbytes // len(out)), out)]
+        with open(self.path, "rb", buffering=0) as fh:
+            for position, target in runs:
+                fh.seek(position)
+                if fh.readinto(target) != target.nbytes:
+                    raise InvalidParameterError(f"{self.path}: file ends inside its array")
+        return out
+
+
 class NpyMmapChunkSource:
-    """Stream a memory-mapped ``.npy`` feature matrix as chunks.
+    """Stream a ``.npy`` feature matrix from disk as chunks.
 
     ``features_path`` holds the ``(n, k)`` feature array and
-    ``targets_path`` (optional) the matching ``(n,)`` targets; both are
-    opened with ``np.load(..., mmap_mode="r")`` and chunks are zero-copy
-    row views, so nothing is read until the consumer touches it and the
-    resident set stays O(chunk) for any ``n``.
+    ``targets_path`` (optional) the matching ``(n,)`` targets.  Only the
+    headers are read up front; each chunk's rows are then read into a
+    fresh array, so the resident set stays O(chunk) for any ``n`` (the
+    name dates from when chunks were views of a memory mapping).
 
     Example
     -------
@@ -398,15 +426,15 @@ class NpyMmapChunkSource:
         self.split = split
         self.meta = dict(meta or {})
         self.meta.setdefault("source", str(self.path))
-        self._features = np.load(self.path, mmap_mode="r")
-        if self._features.ndim != 2:
+        self._features = _NpyRows(self.path)
+        if len(self._features.shape) != 2:
             raise InvalidParameterError(
                 f"{self.path}: expected a (n, k) array, got shape "
                 f"{self._features.shape}"
             )
         self._targets = None
         if self.targets_path is not None:
-            self._targets = np.load(self.targets_path, mmap_mode="r")
+            self._targets = _NpyRows(self.targets_path)
             if self._targets.shape != (self._features.shape[0],):
                 raise InvalidParameterError(
                     f"{self.targets_path}: expected shape "
@@ -430,8 +458,8 @@ class NpyMmapChunkSource:
         for lo in range(0, self.num_rows, self.chunk_size):
             hi = min(self.num_rows, lo + self.chunk_size)
             yield Chunk(
-                features=self._features[lo:hi],
-                targets=None if self._targets is None else self._targets[lo:hi],
+                features=self._features.read(lo, hi),
+                targets=None if self._targets is None else self._targets.read(lo, hi),
                 start=lo,
                 split=self.split,
                 meta=self.meta,

@@ -114,12 +114,6 @@ class ValueEncode:
     embedding: Embedding
     column: int = 0
 
-    def __post_init__(self) -> None:
-        # Build the lazily cached packed table up front: encode_reduce
-        # calls this encode on its prefetch thread, next to checkpoint
-        # deep copies of the same embedding, so the call must only read.
-        _ = self.embedding.basis.packed
-
     def __call__(self, chunk: Chunk):
         return self.embedding.encode_packed(
             np.asarray(chunk.features, dtype=np.float64)[:, self.column]

@@ -18,6 +18,7 @@ from repro.experiments import (
     ClassificationConfig,
     RegressionConfig,
     RSweepResult,
+    rsweep_cache_params,
     run_rsweep,
     run_table1,
     run_table2,
@@ -70,6 +71,47 @@ class TestArtifactCaching:
         assert isinstance(cached, RSweepResult)
         assert cached == fresh
 
+    def test_rsweep_cached_rows_keep_the_run_order(self, tmp_path):
+        """A served sweep lists its datasets in the order the run gave them.
+
+        The store writes JSON with sorted keys, so a payload that relied
+        on dict order came back alphabetical: a cached Figure 8 printed
+        its rows in a different order from a computed one.
+        """
+        store = ArtifactStore(root=tmp_path)
+        datasets = ("mars_express", "beijing")  # not alphabetical
+        runs = [
+            run_rsweep((0.0, 1.0), datasets=datasets, classification_config=C_CONFIG,
+                       regression_config=R_CONFIG, store=store)
+            for _ in range(2)
+        ]
+        for sweep in runs:
+            assert list(sweep.normalized_error) == list(datasets)
+            assert list(sweep.reference) == list(datasets)
+        assert runs[1] == runs[0]
+
+    def test_rsweep_entry_without_dataset_order_is_recomputed(self, tmp_path, caplog):
+        store = ArtifactStore(root=tmp_path)
+        datasets = ("mars_express", "beijing")
+        args = dict(datasets=datasets, classification_config=C_CONFIG,
+                    regression_config=R_CONFIG)
+        fresh = run_rsweep((0.0, 1.0), **args)
+        # The payload layout written before the dataset order was stored.
+        stale = {
+            "r_values": [0.0, 1.0],
+            "normalized_error": {name: [9.0, 9.0] for name in datasets},
+            "reference": {name: 9.0 for name in datasets},
+        }
+        store.store("rsweep", rsweep_cache_params((0.0, 1.0), datasets, C_CONFIG, R_CONFIG),
+                    stale)
+        with caplog.at_level("WARNING", logger="repro.runtime.artifacts"):
+            served = run_rsweep((0.0, 1.0), store=store, **args)
+        assert served == fresh
+        assert list(served.normalized_error) == list(datasets)
+        assert any("recomputing" in r.message for r in caplog.records)
+        # The recomputed sweep replaced the stale entry.
+        assert run_rsweep((0.0, 1.0), store=store, **args) == fresh
+
     def test_config_change_misses(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         run_table1(C_CONFIG, store=store)
@@ -98,6 +140,19 @@ class TestRSweepPayload:
         sweep = RSweepResult((0.5,), {"suturing": (0.9,)}, {"suturing": 0.25})
         blob = json.dumps(sweep.to_payload())
         assert RSweepResult.from_payload(json.loads(blob)) == sweep
+
+    def test_sorted_json_keeps_dataset_order(self):
+        import json
+
+        sweep = RSweepResult(
+            (0.5,), {"mars_express": (0.9,), "beijing": (1.1,)},
+            {"mars_express": 0.3, "beijing": 2.0},
+        )
+        blob = json.dumps(sweep.to_payload(), sort_keys=True)
+        restored = RSweepResult.from_payload(json.loads(blob))
+        assert list(restored.normalized_error) == ["mars_express", "beijing"]
+        assert list(restored.reference) == ["mars_express", "beijing"]
+        assert restored == sweep
 
     def test_series_accessor(self):
         sweep = RSweepResult((0.5,), {"suturing": (0.9,)}, {"suturing": 0.25})

@@ -11,7 +11,7 @@ from repro.exceptions import (
     EmptyModelError,
     InvalidParameterError,
 )
-from repro.hdc import BundleAccumulator, random_hypervectors
+from repro.hdc import BundleAccumulator, PackedHV, random_hypervectors
 from repro.learning import HDRegressor
 from repro.serve import OnlineLearner, TrainedPipeline, load_model, save_model
 from repro.streaming import iter_slices
@@ -149,8 +149,8 @@ def _rebuilt(model: HDRegressor) -> HDRegressor:
 
 
 class TestIntegerScoringTable:
-    """The integer model's ``(d, k)`` scoring table is built once per
-    model version, dropped by every mutation, and scores exactly."""
+    """The integer model scores exactly from its counts and the packed
+    label table, and every mutation reaches its next predict."""
 
     @pytest.fixture
     def emb(self):
@@ -191,6 +191,28 @@ class TestIntegerScoringTable:
         per_row = np.concatenate([model.predict(q[None, :]) for q in queries])
         chunked = np.concatenate([model.predict(queries[a:b]) for a, b in iter_slices(64, 7)])
         assert batched.tobytes() == per_row.tobytes() == chunked.tobytes()
+
+    @pytest.mark.parametrize("d, total", [(1031, 301), (2053, 40001)])
+    def test_scores_equal_an_exact_integer_reference(self, d, total):
+        """Blocks of dimensions (here not a multiple of 8 or of the block)
+        sum to the exact integer scores, in float32 below ``2**24`` and
+        float64 above."""
+        emb = LevelBasis(12, d, seed=5).linear_embedding(0.0, 1.0)
+        rng = np.random.default_rng(d)
+        counts = rng.integers(0, total + 1, d)
+        if total > 10_000:  # agree with one label everywhere: Σ|signed| ≥ 2**24
+            counts = np.where(emb.basis.vectors[3] == 1, total - counts // 8, counts // 8)
+        model = HDRegressor(emb, model="integer")
+        model.absorb(BundleAccumulator(d).add_counts(counts, total))
+        signed = total - 2 * counts
+        dtype = np.float32 if np.abs(signed).sum() < 2**24 else np.float64
+        queries = rng.integers(0, 2, (9, d)).astype(np.uint8)
+        bipolar_labels = 1 - 2 * emb.basis.vectors.astype(np.int64)
+        exact = (signed * (1 - 2 * queries.astype(np.int64))) @ bipolar_labels.T
+        expected = exact.astype(dtype) / (d * total)
+        for batch in (queries, PackedHV.pack(queries)):
+            scores = model._label_scores(batch)
+            assert scores.dtype == dtype and scores.tobytes() == expected.tobytes()
 
     def test_partial_fit_drops_table(self, emb, data):
         x, y, queries = data

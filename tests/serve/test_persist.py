@@ -20,6 +20,7 @@ from repro.basis import (
     LevelBasis,
     RandomBasis,
     ScatterBasis,
+    make_basis,
 )
 from repro.exceptions import ModelFormatError
 from repro.hdc import BundleAccumulator, ItemMemory, PackedHV
@@ -71,6 +72,24 @@ class TestBasisRoundTrip:
         assert type(restored) is type(basis)
         assert np.array_equal(restored.vectors, basis.vectors)
         assert np.array_equal(restored.packed.data, basis.packed.data)
+
+    @pytest.mark.parametrize("dim", [DIM, 101])
+    @pytest.mark.parametrize("kind", ["random", "level", "level-legacy", "circular", "scatter"])
+    def test_unpacked_views_and_distances_bit_identical(self, kind, dim, tmp_path):
+        """Views unpacked on demand agree, fresh and reloaded, with the table's bits."""
+        basis = make_basis(kind, 7, dim, seed=11)
+        restored = _roundtrip(basis, tmp_path)
+        bits = basis.vectors
+        assert bits.dtype == np.uint8 and bits.shape == (7, dim)
+        reference = np.not_equal(bits[:, None, :], bits[None, :, :]).mean(axis=-1)
+        for table in (basis, restored):
+            assert np.array_equal(table.vectors, bits)
+            for index in (0, 6, -1, -7, slice(1, None, 2), np.array([6, 0, 2]), [1, 1]):
+                row = table[index]
+                assert row.dtype == np.uint8 and np.array_equal(row, bits[index])
+            for i, j in ((0, 1), (0, 6), (-1, 2), (3, 3)):
+                assert table.distance(i, j) == float(np.not_equal(bits[i], bits[j]).mean())
+            assert np.array_equal(table.distance_matrix(), reference)
 
     @pytest.mark.parametrize("make", BASIS_CASES)
     def test_expected_distances_preserved(self, make, tmp_path):

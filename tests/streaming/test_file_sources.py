@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -134,16 +135,48 @@ class TestJsonlChunkSource:
 
 
 class TestNpyMmapChunkSource:
-    def test_chunks_are_mmap_views(self, tmp_path, gesture_rows):
+    def test_chunks_equal_the_rows(self, tmp_path, gesture_rows):
         fp = tmp_path / "x.npy"
         np.save(fp, gesture_rows)
-        src = NpyMmapChunkSource(fp, chunk_size=64)
-        chunks = list(src)
+        chunks = list(NpyMmapChunkSource(fp, chunk_size=64))
         assert [(c.start, c.rows) for c in chunks] == [(0, 64), (64, 56)]
-        assert isinstance(chunks[0].features, np.memmap)
         assert np.array_equal(
             np.concatenate([c.features for c in chunks]), gesture_rows
         )
+        # A column-major file reads back the same rows.
+        np.save(fp, np.asfortranarray(gesture_rows))
+        got = np.concatenate([c.features for c in NpyMmapChunkSource(fp, chunk_size=7)])
+        assert np.array_equal(got, gesture_rows)
+
+    def test_file_truncated_after_opening_is_rejected(self, tmp_path, gesture_rows):
+        fp = tmp_path / "x.npy"
+        np.save(fp, gesture_rows)
+        src = NpyMmapChunkSource(fp, chunk_size=64)
+        with open(fp, "r+b") as fh:
+            fh.truncate(fp.stat().st_size - 8)
+        with pytest.raises(InvalidParameterError, match="file ends"):
+            list(src)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_iterating_a_large_file_holds_one_chunk(self, tmp_path):
+        """The resident set grows by about one chunk, not by the file."""
+
+        def rss_file_kb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+        fp = tmp_path / "big.npy"
+        rows = np.random.default_rng(0).random((2048, 1024))  # 16 MiB of float64
+        np.save(fp, rows)
+        del rows
+        list(NpyMmapChunkSource(fp, chunk_size=64))  # warm up the code path
+        before = rss_file_kb()
+        total = 0.0
+        for chunk in NpyMmapChunkSource(fp, chunk_size=64):
+            total += float(chunk.features.sum())
+        grown_mb = (rss_file_kb() - before) / 1024
+        assert total > 0.0
+        assert grown_mb < 4.0, f"RssFile grew by {grown_mb:.1f} MB over a 16 MB file"
 
     def test_targets_ride_along(self, tmp_path, gesture_rows):
         fp, tp = tmp_path / "x.npy", tmp_path / "y.npy"
