@@ -72,6 +72,12 @@ TargetChunk = Tuple[EncodedBatch, np.ndarray]
 #: bounds its transient; a multiple of 8, so blocks start on a byte.
 SCORE_BLOCK_BITS = 1024
 
+#: Query rows unpacked at a time inside each dimension block, so the
+#: scoring transient does not grow with the batch.  Fewer rows shrink it
+#: further but make each ``bits @ A`` product slower per row (see
+#: "Integer regressor scoring" in docs/PERFORMANCE.md).
+SCORE_BLOCK_ROWS = 256
+
 
 class HDRegressor:
     """Bind–bundle–cleanup regression model.
@@ -321,8 +327,9 @@ class HDRegressor:
         quantisation in between.  ``score[q, k] = Σ_d signed_d ·
         (1 − 2·bits_qd) · L_kd = colsum(A)_k − 2 · (bits @ A)_qk`` with
         ``A = signed ⊙ Lᵀ`` (``signed = total − 2·counts``, ``L`` the
-        bipolar label table), built and summed in blocks of
-        :data:`SCORE_BLOCK_BITS` dimensions.  Every partial sum is an
+        bipolar label table), built once per call in blocks of
+        :data:`SCORE_BLOCK_BITS` dimensions and summed over blocks of
+        :data:`SCORE_BLOCK_ROWS` query rows.  Every partial sum is an
         integer bounded by ``Σ_d |signed_d|``, so float32 below ``2**24``
         and float64 above make each score exact before it is normalised:
         the same bytes in any batch, blocking or BLAS thread count.
@@ -339,7 +346,8 @@ class HDRegressor:
         labels = self.label_embedding.basis.packed.data
         queries = (batch if is_packed(batch) else PackedHV.pack(batch)).data
         colsum = np.zeros(labels.shape[0], dtype=dtype)
-        product = np.zeros((queries.shape[0], labels.shape[0]), dtype=dtype)
+        # Sums bits @ A, then turns into colsum − 2·(bits @ A) in place.
+        scores = np.zeros((queries.shape[0], labels.shape[0]), dtype=dtype)
         for lo in range(0, self._dim, SCORE_BLOCK_BITS):
             hi = min(self._dim, lo + SCORE_BLOCK_BITS)
             cols = slice(lo // 8, -(-hi // 8))
@@ -349,10 +357,14 @@ class HDRegressor:
             block += 1
             block *= signed[lo:hi, None]
             colsum += block.sum(axis=0)
-            bits = np.unpackbits(queries[:, cols], axis=-1, count=hi - lo)
-            product += bits.astype(dtype) @ block
-        scores = colsum[None, :] - 2.0 * product
-        return scores / (self._dim * total)
+            for r in range(0, queries.shape[0], SCORE_BLOCK_ROWS):
+                rows = slice(r, r + SCORE_BLOCK_ROWS)
+                bits = np.unpackbits(queries[rows, cols], axis=-1, count=hi - lo)
+                scores[rows] += bits.astype(dtype) @ block
+        scores *= -2
+        scores += colsum
+        scores /= self._dim * total
+        return scores
 
     def predict(self, encoded: EncodedBatch) -> np.ndarray:
         """Decode predicted labels for a batch of encoded samples."""

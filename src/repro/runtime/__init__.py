@@ -5,7 +5,7 @@ the experiment drivers (see ``docs/ARCHITECTURE.md`` for the full layer
 map).  It contributes:
 
 * :class:`BatchEncoder` (:mod:`repro.runtime.batch`) — whole-split
-  record encoding with fused key⊗basis tables, chunked to bound memory
+  record encoding through a key⊗basis binding table, chunked to bound memory
   and optionally bit-packed;
 * :class:`ArtifactStore` (:mod:`repro.runtime.artifacts`) — a
   content-addressed JSON cache under ``benchmarks/results/`` that turns

@@ -154,6 +154,16 @@ class ArtifactStore:
         A hit is logged at INFO level (``repro.runtime.artifacts``); an
         unreadable or mismatched entry is treated as a miss.
         """
+        return self._lookup(experiment, params, None)
+
+    def _lookup(
+        self,
+        experiment: str,
+        params: Mapping[str, Any],
+        decode: Callable[[Any], Any] | None,
+    ) -> Any | None:
+        """:meth:`load`, with the hit logged only once ``decode`` accepts
+        the payload; a payload it rejects is a logged miss."""
         if not self.enabled:
             return None
         digest, _ = self._key(experiment, params)
@@ -168,8 +178,18 @@ class ArtifactStore:
         if entry.get("digest") != digest:
             logger.warning("cache entry %s has a stale digest; recomputing", path)
             return None
+        result = entry["result"]
+        if result is None:
+            return None
+        if decode is not None:
+            try:
+                result = decode(result)
+            except (KeyError, TypeError, ValueError) as exc:
+                logger.warning("cache entry for %s does not decode (%r); recomputing",
+                               experiment, exc)
+                return None
         logger.info("cache hit: %s served from %s", experiment, path)
-        return entry["result"]
+        return result
 
     def store(self, experiment: str, params: Mapping[str, Any], result: Any) -> Path | None:
         """Persist a result atomically; returns the path (``None`` if disabled)."""
@@ -211,16 +231,12 @@ class ArtifactStore:
         result type and its JSON payload (e.g. dataclasses with tuple
         fields); both default to the identity.  A cached payload that
         ``decode`` rejects (``KeyError``, ``TypeError`` or ``ValueError``:
-        an entry written in an older layout) is a miss, and the entry is
-        recomputed and rewritten.
+        an entry written in an older layout) is a miss, logged without a
+        hit, and the entry is recomputed and rewritten.
         """
-        cached = self.load(experiment, params)
+        cached = self._lookup(experiment, params, decode)
         if cached is not None:
-            try:
-                return decode(cached) if decode else cached
-            except (KeyError, TypeError, ValueError) as exc:
-                logger.warning("cache entry for %s does not decode (%r); recomputing",
-                               experiment, exc)
+            return cached
         result = compute()
         self.store(experiment, params, encode(result) if encode else result)
         return result

@@ -10,7 +10,7 @@ predict calls.  Every predict entry point (:meth:`InferenceEngine.predict`,
 checks its input's shape and hands one ``(n, k)`` float64 batch to the
 same private path, which has two shapes:
 
-* **key–value pipelines** encode each record through the fused-table
+* **key–value pipelines** encode each record through the binding-table
   :class:`~repro.runtime.batch.BatchEncoder` and run the model's
   similarity scan on the calling thread.
 * **keyless pipelines** quantise their one value to one of the
@@ -53,9 +53,10 @@ __all__ = ["InferenceEngine"]
 #: Input levels per ``model.predict`` call when building a keyless
 #: pipeline's per-level table: a scan's GEMM transient is bounded by this
 #: many rows instead of all ``m`` levels.  The integer regressor bounds
-#: its own transient (it scores in blocks of dimensions) and rebuilds its
-#: label weights per call, so it takes all ``m`` levels in one call.  Rows
-#: score independently of their batch, so the table is the same bytes.
+#: its own transient (it scores in blocks of dimensions and, inside each,
+#: of query rows) and rebuilds its label weights per call, so it takes
+#: all ``m`` levels in one call.  Rows score independently of their
+#: batch, so the table is the same bytes.
 LEVEL_CHUNK_ROWS = 64
 
 
@@ -121,8 +122,8 @@ class InferenceEngine:
     def from_path(cls, path: str | os.PathLike) -> "InferenceEngine":
         """Load a saved pipeline (``save_model`` output) and wrap it.
 
-        The one-time cost — reading the container, building the fused
-        encode table (key–value pipelines) or the per-level answer table
+        The one-time cost — reading the container, building the binding
+        table (key–value pipelines) or the per-level answer table
         (keyless pipelines) — is paid here;
         a keyed :meth:`predict` call then touches only packed kernels,
         and a keyless one is a quantise plus a table lookup.
@@ -184,10 +185,12 @@ class InferenceEngine:
 
         ``model.predict(basis.packed)`` after ``model.prepare()``, run
         :data:`LEVEL_CHUNK_ROWS` levels at a time (all at once for the
-        integer regressor): row ``i`` is exactly what ``model.predict``
-        returns for any value quantised to level
-        ``i`` (every predict path scores each row independently of its
-        batch, so the chunking changes no byte).  Cached against the model's
+        integer regressor, whose scoring pass walks the levels in blocks
+        of :data:`~repro.learning.regression.SCORE_BLOCK_ROWS` itself, so
+        one call builds each block of its label weights once): row ``i``
+        is exactly what ``model.predict`` returns for any value quantised
+        to level ``i`` (every predict path scores each row independently
+        of its batch, so the chunking changes no byte).  Cached against the model's
         ``version``, which is read *before* building, so a mutation that
         races the build leaves a stale version behind and the next call
         rebuilds.  ``prepare()`` makes the binary model's tie draws

@@ -10,7 +10,7 @@ Two encode shapes cover the paper's workloads:
 
 * **key–value records** (``keys`` is a ``(k, d)`` table) — each request
   is a ``k``-channel record encoded as ``⊕_i K_i ⊗ V_{idx(x_i)}`` via
-  the fused-table :class:`~repro.runtime.batch.BatchEncoder` (the
+  the binding-table :class:`~repro.runtime.batch.BatchEncoder` (the
   Table 1 classification pipeline);
 * **single feature** (``keys`` is ``None``) — each request is one value
   encoded directly through the embedding's basis table (the Mars

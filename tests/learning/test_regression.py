@@ -13,6 +13,7 @@ from repro.exceptions import (
 )
 from repro.hdc import BundleAccumulator, PackedHV, random_hypervectors
 from repro.learning import HDRegressor
+from repro.learning.regression import SCORE_BLOCK_ROWS
 from repro.serve import OnlineLearner, TrainedPipeline, load_model, save_model
 from repro.streaming import iter_slices
 
@@ -174,7 +175,8 @@ class TestIntegerScoringTable:
     def test_batch_row_and_chunk_bytes_agree_above_float32_range(self):
         """Reproducer: with ``Σ_d |total − 2·counts_d| ≥ 2**24`` the float32
         GEMM rounded differently per batch shape, so a query's answer
-        depended on the batch it arrived in."""
+        depended on the batch it arrived in.  The batch spans more than one
+        block of :data:`SCORE_BLOCK_ROWS` query rows."""
         d = 2048
         emb = LevelBasis(32, d, seed=3).linear_embedding(0.0, 1.0)
         rng = np.random.default_rng(11)
@@ -186,17 +188,19 @@ class TestIntegerScoringTable:
         assert np.abs(total - 2 * counts).sum() >= 2**24
         model = HDRegressor(emb, model="integer", decode="weighted")
         model.absorb(BundleAccumulator(d).add_counts(counts, total))
-        queries = rng.integers(0, 2, (64, d)).astype(np.uint8)
+        n = SCORE_BLOCK_ROWS + 37
+        queries = rng.integers(0, 2, (n, d)).astype(np.uint8)
         batched = model.predict(queries)
         per_row = np.concatenate([model.predict(q[None, :]) for q in queries])
-        chunked = np.concatenate([model.predict(queries[a:b]) for a, b in iter_slices(64, 7)])
+        chunked = np.concatenate([model.predict(queries[a:b]) for a, b in iter_slices(n, 7)])
         assert batched.tobytes() == per_row.tobytes() == chunked.tobytes()
 
     @pytest.mark.parametrize("d, total", [(1031, 301), (2053, 40001)])
     def test_scores_equal_an_exact_integer_reference(self, d, total):
         """Blocks of dimensions (here not a multiple of 8 or of the block)
-        sum to the exact integer scores, in float32 below ``2**24`` and
-        float64 above."""
+        and of query rows (here two full blocks and a partial one) sum to
+        the exact integer scores, in float32 below ``2**24`` and float64
+        above."""
         emb = LevelBasis(12, d, seed=5).linear_embedding(0.0, 1.0)
         rng = np.random.default_rng(d)
         counts = rng.integers(0, total + 1, d)
@@ -206,7 +210,7 @@ class TestIntegerScoringTable:
         model.absorb(BundleAccumulator(d).add_counts(counts, total))
         signed = total - 2 * counts
         dtype = np.float32 if np.abs(signed).sum() < 2**24 else np.float64
-        queries = rng.integers(0, 2, (9, d)).astype(np.uint8)
+        queries = rng.integers(0, 2, (2 * SCORE_BLOCK_ROWS + 5, d)).astype(np.uint8)
         bipolar_labels = 1 - 2 * emb.basis.vectors.astype(np.int64)
         exact = (signed * (1 - 2 * queries.astype(np.int64))) @ bipolar_labels.T
         expected = exact.astype(dtype) / (d * total)

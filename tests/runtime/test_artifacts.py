@@ -53,6 +53,22 @@ class TestArtifactStore:
         assert out == (1, 2)
         assert store.fetch("exp", {"x": 2}, lambda: (9, 9), decode=tuple) == (1, 2)
 
+    def test_undecodable_entry_logs_no_hit(self, tmp_path, caplog):
+        """Reproducer: an entry whose payload ``decode`` rejected was
+        logged as a cache hit and then recomputed."""
+        store = ArtifactStore(root=tmp_path)
+        store.store("exp", {"x": 3}, {"old_layout": 1})
+        layout = {"encode": lambda v: {"value": v}, "decode": lambda p: p["value"]}
+        with caplog.at_level("INFO", logger="repro.runtime.artifacts"):
+            assert store.fetch("exp", {"x": 3}, lambda: 2, **layout) == 2
+        messages = [r.getMessage() for r in caplog.records]
+        assert not any("cache hit" in m for m in messages)
+        assert any("does not decode" in m and "recomputing" in m for m in messages)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="repro.runtime.artifacts"):
+            assert store.fetch("exp", {"x": 3}, lambda: 9, **layout) == 2  # rewritten
+        assert any("cache hit" in r.getMessage() for r in caplog.records)
+
     def test_different_params_different_entries(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         store.store("exp", {"dim": 1}, "a")
